@@ -53,16 +53,19 @@ def test_space_saving_bulk_update_rate(benchmark, message_keys):
     assert total == NUM_MESSAGES
 
 
-def test_candidates_batch_rate(benchmark, message_keys):
+def test_intern_and_gather_rate(benchmark, message_keys):
+    # What route_batch pays per chunk before any scheme logic: interning
+    # the key list, then gathering candidate rows from the per-id table.
     from repro.hashing.hash_family import HashFamily
+    from repro.workloads.columnar import KeyDictionary
 
     def hash_stream():
         family = HashFamily(num_functions=2, num_buckets=NUM_WORKERS, seed=1)
+        dictionary = KeyDictionary()
         hashed = 0
         for start in range(0, len(message_keys), BATCH_SIZE):
-            hashed += len(
-                family.candidates_batch(message_keys[start : start + BATCH_SIZE], 2)
-            )
+            ids = dictionary.intern_keys(message_keys[start : start + BATCH_SIZE])
+            hashed += len(family.id_candidate_rows(ids, dictionary, 2))
         return hashed
 
     hashed = benchmark.pedantic(hash_stream, rounds=3, iterations=1)

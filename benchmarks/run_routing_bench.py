@@ -1,10 +1,12 @@
 #!/usr/bin/env python
-"""Measure scalar vs batched vs columnar routing throughput.
+"""Measure the scalar oracle against the id kernel, entered two ways.
 
 Runs the ``bench_micro_routing`` workload (Zipf 1.4, 50 workers, 20k
-messages) through every scheme three times — per-message ``route()``,
-chunked ``route_batch()`` and columnar ``route_batch_columnar()`` over
-pre-interned key-id batches — and writes the numbers to
+messages) through every scheme three times — per-message ``route()``
+(the scalar oracle), ``route_batch_columnar()`` over pre-interned key-id
+batches (the id kernel) and chunked ``route_batch()`` over key lists (the
+same kernel behind ``KeyDictionary.intern_keys``, so the "batch" column is
+the "columnar" column plus interning) — and writes the numbers to
 ``BENCH_routing.json`` at the repository root so future PRs have a perf
 baseline to regress against::
 
@@ -159,7 +161,7 @@ def _git_commit() -> str:
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(
-        description="Measure scalar vs batched routing throughput."
+        description="Measure scalar-oracle vs id-kernel routing throughput."
     )
     parser.add_argument(
         "--messages", type=int, default=NUM_MESSAGES,

@@ -25,7 +25,7 @@ as a ``switch:`` / ``retune:`` event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 from repro.adaptive.policy import DriftMetrics, SwitchPolicy
 from repro.adaptive.tuner import ParameterTuner
@@ -161,9 +161,6 @@ class AdaptivePartitioner(Partitioner):
         self._switch_events: list[SwitchRecord] = []
         self._last_check = -1
         self._last_move = 0
-        # Columnar dictionary, stashed so switch accounting can decode the
-        # monitor's ids back to keys (candidates hash key bytes).
-        self._dict = None
         # Engine-bound migration accounting (optional): moves are priced as
         # records with offset ``position * offset_scale + offset_base``,
         # mapping the per-source position to an approximate stream offset.
@@ -207,10 +204,10 @@ class AdaptivePartitioner(Partitioner):
     def current_head(self) -> dict[Key, int]:
         """The monitor's current head estimate, decoded to the key namespace."""
         head = self._monitor.heavy_hitters(self._theta)
-        if self._dict is not None:
-            key_of = self._dict.key_of
-            return {key_of(kid): count for kid, count in head.items()}
-        return head
+        if not head:
+            return {}
+        key_of = self._id_dict.key_of
+        return {key_of(kid): count for kid, count in head.items()}
 
     def bind_accountant(
         self, accountant, offset_scale: int = 1, offset_base: int = 0
@@ -225,54 +222,40 @@ class AdaptivePartitioner(Partitioner):
     # ------------------------------------------------------------------ #
     def route(self, key: Key) -> WorkerId:
         self._checkpoint()
-        self._monitor.add(key)
+        self._monitor.add(self._dictionary().intern(key))
         return self._delegate.route(key)
 
     def route_with_decision(self, key: Key) -> RoutingDecision:
         self._checkpoint()
-        self._monitor.add(key)
+        self._monitor.add(self._dictionary().intern(key))
         return self._delegate.route_with_decision(key)
 
-    def route_batch(
-        self, keys: Sequence[Key], head_flags: list[bool] | None = None
-    ) -> list[WorkerId]:
-        total = len(keys)
-        if total == 0:
-            return []
+    def _route_ids(self, ids, head_flags):
+        # Split at the per-source checkpoints, exactly where the scalar
+        # path would evaluate the policy; each span feeds the monitor and
+        # goes to the delegate's id kernel (same dictionary, see
+        # _bind_dictionary).
+        total = len(ids)
         out: list[WorkerId] = []
         interval = self._check_interval
         position = 0
         while position < total:
             self._checkpoint()
-            routed = self._delegate.messages_routed
-            remainder = routed % interval
-            span = min(total - position, interval - remainder if remainder else interval)
-            block = keys if (position == 0 and span == total) else keys[position : position + span]
-            self._monitor.add_all(block)
-            out.extend(self._delegate.route_batch(block, head_flags=head_flags))
+            span = min(
+                total - position,
+                interval - self._delegate.messages_routed % interval,
+            )
+            part = ids[position : position + span]
+            self._monitor.add_all(part.tolist())
+            out.extend(self._delegate._route_ids(part, head_flags))
             position += span
         return out
 
-    def route_batch_columnar(self, batch, head_flags=None):
-        total = len(batch)
-        if total == 0:
-            return []
-        self._dict = batch.dictionary
-        out: list[WorkerId] = []
-        interval = self._check_interval
-        position = 0
-        while position < total:
-            self._checkpoint()
-            routed = self._delegate.messages_routed
-            remainder = routed % interval
-            span = min(total - position, interval - remainder if remainder else interval)
-            part = batch if (position == 0 and span == total) else batch.slice(
-                position, position + span
-            )
-            self._monitor.add_all(part.ids.tolist())
-            out.extend(self._delegate.route_batch_columnar(part, head_flags=head_flags))
-            position += span
-        return out
+    def _bind_dictionary(self, dictionary) -> None:
+        # The monitor and the delegate's own head table must share one id
+        # namespace: the monitor seeds delegates that kept no sketch.
+        super()._bind_dictionary(dictionary)
+        self._delegate._bind_dictionary(dictionary)
 
     def _select(self, key: Key) -> RoutingDecision:  # pragma: no cover
         # Never reached: every public entry point delegates.  Kept to satisfy
@@ -340,12 +323,15 @@ class AdaptivePartitioner(Partitioner):
 
     def _build_delegate(self, scheme: str, theta: float | None) -> Partitioner:
         self._delegate_theta = theta
-        return create_partitioner(
+        delegate = create_partitioner(
             scheme,
             num_workers=self._num_workers,
             seed=self._seed,
             **self._delegate_options(scheme, theta),
         )
+        if self._id_dict is not None:
+            delegate._bind_dictionary(self._id_dict)
+        return delegate
 
     def _move(self, target: str, routed: int, metrics: DriftMetrics) -> None:
         """Swap the delegate for ``target``, transplanting its live state."""
@@ -355,8 +341,6 @@ class AdaptivePartitioner(Partitioner):
             # The old delegate kept no head table: seed the new one from the
             # monitor so it starts hot instead of re-learning the head.
             state["sketch"] = self._monitor.export_state()
-            if self._dict is not None:
-                state["id_dictionary"] = self._dict
         theta = (
             self._tuner.propose_theta(self._monitor, metrics.num_workers)
             if target in _HEAD_AWARE
@@ -403,11 +387,10 @@ class AdaptivePartitioner(Partitioner):
         that is the operator state that must be consolidated onto the new
         candidates.
         """
-        decode = self._dict.key_of if self._dict is not None else None
         keys_moved = 0
         entries_migrated = 0
         for entry in self._monitor.entries():
-            key = decode(entry.key) if decode is not None else entry.key
+            key = self._id_dict.key_of(entry.key)
             before = frozenset(old.key_candidates(key))
             if not before:
                 continue
@@ -426,7 +409,6 @@ class AdaptivePartitioner(Partitioner):
         self._delegate.reset()
         self._last_check = -1
         self._last_move = 0
-        self._dict = None
         # The switch log survives a reset: it is this source's history, read
         # by the engine after the run (a rehash-policy rescale resets the
         # sources mid-stream and must not erase it).
@@ -453,7 +435,6 @@ class AdaptivePartitioner(Partitioner):
             "last_check": self._last_check,
             "last_move": self._last_move,
             "switches": list(self._switch_events),
-            "dictionary": self._dict,
         }
 
     def _adopt_structures(self, state) -> None:
@@ -467,9 +448,6 @@ class AdaptivePartitioner(Partitioner):
                 self._monitor = SpaceSaving.from_state(
                     sketch_state, capacity=max(self._monitor.capacity, int(sketch_state["capacity"]))
                 )
-            dictionary = state.get("id_dictionary")
-            if dictionary is not None:
-                self._dict = dictionary
             return
         self._current_scheme = payload["current_scheme"]
         self._delegate = self._build_delegate(
@@ -480,7 +458,6 @@ class AdaptivePartitioner(Partitioner):
         self._last_check = payload["last_check"]
         self._last_move = payload["last_move"]
         self._switch_events = list(payload["switches"])
-        self._dict = payload["dictionary"]
 
 
 __all__ = ["AdaptivePartitioner", "SwitchRecord"]

@@ -4,8 +4,8 @@ Six sub-commands:
 
 * ``list`` — show the available experiments (one per paper figure/table);
 * ``run <experiment-id>`` — run one experiment and print its rows
-  (``--scale tiny|quick|paper``, default ``quick``; ``--batch-size``
-  overrides the batched-execution chunk size where the config has one);
+  (``--scale tiny|quick|paper``, default ``quick``; ``--mode`` overrides
+  the execution mode where the config has one);
 * ``simulate`` — ad-hoc simulation of one grouping scheme on a Zipf
   workload (handy for quick what-if questions); ``--rescale
   "join@5000,leave@12000,fail@15000"`` replays an elastic worker schedule
@@ -32,7 +32,6 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.execution import ExecutionMode
 from repro.experiments.common import print_result
 from repro.experiments.descriptor import SCALES
 from repro.experiments.registry import get_experiment, list_experiments
@@ -41,34 +40,10 @@ from repro.workloads.zipf_stream import ZipfWorkload
 
 #: Help text shared by every ``--mode`` flag.
 _MODE_HELP = (
-    "execution mode spec: scalar, batched[:N] or columnar[:N] "
-    "(e.g. columnar:4096); results are identical for every mode, only "
-    "the throughput changes"
+    "execution mode spec: scalar or columnar[:N] (e.g. columnar:4096; "
+    "batched[:N] is read as columnar[:N]); results are identical for "
+    "every mode, only the throughput changes"
 )
-
-
-def _mode_from_args(
-    mode: str | None, batch_size: int | None
-) -> ExecutionMode | None:
-    """Resolve the CLI's ``--mode`` / legacy ``--batch-size`` flags.
-
-    ``--mode`` wins; passing both is ambiguous and rejected (exit 2, like
-    any argparse usage error).  Returns ``None`` when neither flag was
-    given so callers can keep their own default.
-    """
-    if mode is not None and batch_size is not None:
-        print(
-            "error: pass either --mode or --batch-size, not both",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    if mode is not None:
-        return ExecutionMode.coerce(mode)
-    if batch_size is None:
-        return None
-    if batch_size == 1:
-        return ExecutionMode.scalar()
-    return ExecutionMode.batched(batch_size)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,17 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="also write the rows to PATH (.csv or .json)",
-    )
-    run_parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help=(
-            "(deprecated alias of --mode) override the routing/dataflow "
-            "batch size of the experiment config (when it has one); "
-            "results are identical for every value, 1 forces scalar "
-            "execution"
-        ),
     )
     run_parser.add_argument("--mode", default=None, help=_MODE_HELP)
 
@@ -154,16 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim_parser.add_argument(
         "--seed", type=int, default=0,
         help="base RNG seed for the workload and the schemes (default: 0)",
-    )
-    sim_parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help=(
-            "(deprecated alias of --mode) messages routed per route_batch "
-            "call on the fast path; results are identical for every "
-            "value, 1 forces scalar routing (default: 1024)"
-        ),
     )
     sim_parser.add_argument("--mode", default=None, help=_MODE_HELP)
     sim_parser.add_argument(
@@ -257,13 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "rerun; component seeds are re-derived, and the expected "
             "bounds are still checked (they are calibrated to hold "
             "across seeds)"
-        ),
-    )
-    scenario_run.add_argument(
-        "--batch-size", type=int, default=None,
-        help=(
-            "(deprecated alias of --mode) messages routed per route_batch "
-            "call (default: 1024)"
         ),
     )
     scenario_run.add_argument("--mode", default=None, help=_MODE_HELP)
@@ -407,16 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="recompute every cell even when its record is already stored",
     )
     suite_run.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help=(
-            "override the routing batch size of every experiment config "
-            "that has one; results are identical for any value, so cached "
-            "records stay valid"
-        ),
-    )
-    suite_run.add_argument(
         "--results-dir",
         metavar="PATH",
         default=None,
@@ -525,13 +462,12 @@ def _scenario_main(args: argparse.Namespace) -> int:
 
             spec = dataclasses.replace(spec, seed=args.seed)
         workload = build_workload(spec, num_messages=args.messages, num_keys=args.keys)
-        mode = _mode_from_args(args.mode, args.batch_size)
         result = run_simulation(
             workload,
             scheme=args.scheme,
             num_workers=args.workers,
             num_sources=args.sources,
-            mode=mode or ExecutionMode.batched(),
+            mode=args.mode,
         )
         print(f"scenario: {spec.name} ({spec.pattern}), scheme {args.scheme}, "
               f"{args.workers} workers, {args.messages} messages, "
@@ -645,7 +581,6 @@ def _suite_main(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             store=store,
             force=args.force,
-            batch_size=args.batch_size,
             progress=progress,
         )
         print()
@@ -685,8 +620,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "run":
         entry = get_experiment(args.experiment)
-        mode = _mode_from_args(args.mode, args.batch_size)
-        result = entry.descriptor.run_at(args.scale, mode=mode)
+        result = entry.descriptor.run_at(args.scale, mode=args.mode)
         print_result(result)
         if args.export:
             from repro.reporting.export import write_result
@@ -702,7 +636,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             num_messages=args.messages,
             seed=args.seed,
         )
-        mode = _mode_from_args(args.mode, args.batch_size)
         scheme_options = {}
         if args.adaptive_policy is not None:
             from repro.partitioning.registry import canonical_name
@@ -721,7 +654,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             num_sources=args.sources,
             seed=args.seed,
             scheme_options=scheme_options,
-            mode=mode or ExecutionMode.batched(),
+            mode=args.mode,
             rescale_plan=args.rescale,
             rescale_policy=args.rescale_policy,
             migration_window=args.migration_window,

@@ -2,13 +2,15 @@
 
 The runtime instantiates every vertex's operator instances and builds one
 partitioner *per (edge, upstream instance)* — so each sender routes with its
-own local load vector, as in the paper.  Two execution modes share that
-machinery:
+own local load vector, as in the paper.  :class:`~repro.execution.ExecutionMode`
+selects between the scalar reference and micro-batched execution; the
+micro-batch representation follows from the workload:
 
-* **scalar** (``batch_size=1``): every input message is pushed through the
+* **scalar**: every input message is pushed through the
   DAG depth-first, routed and processed one at a time — the reference
   semantics;
-* **batched** (``batch_size>1``, the default): the stream is consumed in
+* **micro-batched messages** (``columnar:N``, the default, over any plain
+  iterable of keys or pre-built messages): the stream is consumed in
   micro-batches and the DAG executes *stage by stage* — every edge routes
   its whole sub-batch through the per-sender partitioner's ``route_batch``
   (vectorized hashing) and every operator instance processes its share via
@@ -16,8 +18,9 @@ machinery:
   so each partitioner and each operator instance observes exactly the
   sub-stream it would under scalar execution: results are byte-identical
   for every batch size (property-pinned), only the throughput changes;
-* **columnar** (``columnar=True``): batched execution whose micro-batches
-  are interned key-id arrays (:class:`~repro.workloads.columnar.ColumnarBatch`)
+* **micro-batched key ids** (``columnar:N`` over a workload exposing
+  ``iter_batches_columnar``): the same stage-by-stage execution whose
+  micro-batches are interned key-id arrays (:class:`~repro.workloads.columnar.ColumnarBatch`)
   — source edges route ids through ``route_batch_columnar`` and terminal
   stateful vertices fold their shares in id space via ``execute_batch_ids``,
   so string keys are hashed exactly once, at interning.  Still
@@ -38,14 +41,11 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.dataflow.graph import Edge, Topology, Vertex
 from repro.exceptions import ConfigurationError
-from repro.execution import ExecutionMode, ModeLike, resolve_mode
+from repro.execution import ExecutionMode, ModeLike
 from repro.operators.base import Operator
 from repro.partitioning.base import Partitioner
 from repro.partitioning.registry import create_partitioner
 from repro.types import Key, Message
-
-#: Default number of input messages pulled per micro-batch.
-DEFAULT_BATCH_SIZE = 1024
 
 _MESSAGE_KEY = attrgetter("key")
 
@@ -141,26 +141,17 @@ class TopologyRuntime:
 
     def __init__(self, topology: Topology, seed: int = 0,
                  num_external_sources: int = 1,
-                 batch_size: int = DEFAULT_BATCH_SIZE,
-                 columnar: bool = False) -> None:
+                 mode: ModeLike | None = None) -> None:
         topology.validate()
         if num_external_sources < 1:
             raise ConfigurationError(
                 f"num_external_sources must be >= 1, got {num_external_sources}"
             )
-        if batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
-        if columnar and batch_size < 2:
-            raise ConfigurationError(
-                "columnar execution requires batch_size > 1"
-            )
         self._topology = topology
         self._seed = seed
         self._num_external_sources = num_external_sources
-        self._batch_size = batch_size
-        self._columnar = columnar
+        self._mode = ExecutionMode.coerce(mode)
+        self._batch_size = self._mode.batch_size
         self._instances: dict[str, list[Operator]] = {
             vertex.name: [vertex.factory(i) for i in range(vertex.parallelism)]
             for vertex in topology.vertices.values()
@@ -203,11 +194,13 @@ class TopologyRuntime:
     # ------------------------------------------------------------------ #
     def run(self, workload: Iterable[Key | Message]) -> TopologyResult:
         """Push every message of ``workload`` through the topology."""
-        if self._columnar:
-            self._run_columnar(workload)
-        elif self._batch_size == 1:
+        if self._mode.is_scalar:
             self._run_scalar(workload)
+        elif hasattr(workload, "iter_batches_columnar"):
+            # A key-stream workload: micro-batches of interned key ids.
+            self._run_columnar(workload)
         else:
+            # Any other iterable (plain keys or pre-built messages).
             self._run_batched(workload)
         if self._ingested == 0:
             raise ConfigurationError("cannot run a topology on an empty workload")
@@ -271,8 +264,7 @@ class TopologyRuntime:
     def _run_columnar(self, workload: Iterable[Key]) -> None:
         """Columnar batched execution: interned key-id arrays at the source.
 
-        The workload is consumed through ``iter_batches_columnar`` (native
-        when the workload provides it, the generic chunker otherwise), so
+        The workload is consumed through its ``iter_batches_columnar``, so
         string keys are hashed exactly once, at interning.  Source edges
         route id arrays through ``route_batch_columnar`` and terminal
         stateful vertices fold their shares in id space via
@@ -285,13 +277,7 @@ class TopologyRuntime:
         with merge vertices fall back to the order-keyed general path,
         decoding each batch up front.
         """
-        if hasattr(workload, "iter_batches_columnar"):
-            batches = workload.iter_batches_columnar(self._batch_size)
-        else:
-            from repro.workloads.columnar import iter_batches_columnar
-
-            batches = iter_batches_columnar(workload, self._batch_size)
-        for batch in batches:
+        for batch in workload.iter_batches_columnar(self._batch_size):
             if not len(batch):
                 continue
             if self._merge_free:
@@ -652,23 +638,19 @@ def run_topology(
     workload: Iterable[Key | Message],
     seed: int = 0,
     num_external_sources: int = 1,
-    batch_size: int | None = None,
-    columnar: bool | None = None,
     mode: ModeLike | None = None,
 ) -> TopologyResult:
     """Validate, instantiate and run ``topology`` over ``workload``.
 
-    ``mode`` selects the execution backend
-    (:class:`~repro.execution.ExecutionMode`): scalar runs the depth-first
-    per-message path, batched pulls micro-batches of ``batch_size`` input
-    messages, and columnar ingests the workload as interned key-id arrays —
-    the source edges route id arrays and terminal stateful vertices fold
-    their shares in id space (string keys are hashed once; columnar mode
-    expects a key stream, not pre-built messages).  Results are
-    byte-identical for every mode, only the throughput changes.  The
-    default is the historical ``batched(1024)``; the legacy ``batch_size=``
-    / ``columnar=`` keywords remain as deprecated aliases emitting a
-    :class:`DeprecationWarning`.
+    ``mode`` (:class:`~repro.execution.ExecutionMode`, default
+    ``columnar(1024)``) selects scalar — the depth-first per-message
+    reference — or micro-batched execution of ``batch_size`` input messages
+    at a time.  A micro-batched run ingests a workload that exposes
+    ``iter_batches_columnar`` as interned key-id arrays (source edges route
+    id arrays and terminal stateful vertices fold their shares in id space,
+    so string keys are hashed once) and any other iterable — plain keys or
+    pre-built messages — as message lists.  Results are byte-identical for
+    every mode and representation, only the throughput changes.
 
     Examples
     --------
@@ -680,15 +662,10 @@ def run_topology(
     >>> result.vertex_metrics("count").messages
     100
     """
-    resolved = resolve_mode(
-        mode, batch_size, columnar,
-        default=ExecutionMode.batched(DEFAULT_BATCH_SIZE), where="run_topology",
-    )
     runtime = TopologyRuntime(
         topology,
         seed=seed,
         num_external_sources=num_external_sources,
-        batch_size=resolved.batch_size,
-        columnar=resolved.is_columnar,
+        mode=mode,
     )
     return runtime.run(workload)

@@ -1,55 +1,55 @@
 """Unified execution-mode API for every stream-execution backend.
 
-The library grew three ways to push a stream through a partitioner — the
-scalar per-message loop, the batched ``route_batch`` fast path and the
-columnar ``route_batch_columnar`` id-array path — and historically each
-entry point (``run_simulation``, ``route_stream``, ``run_topology``)
-threaded its own ``batch_size=`` / ``columnar=`` knobs.  With the
-multi-process cluster runtime (:mod:`repro.runtime`) as a fourth backend
-that ad-hoc plumbing stops scaling, so the choice is now one value:
+A stream reaches a partitioner in one of two ways, and every entry point
+(``run_simulation``, ``route_stream``, ``run_topology``, the cluster
+runtime, the CLI) takes the choice as one value, ``mode=``:
 
 >>> from repro.execution import ExecutionMode
 >>> ExecutionMode.scalar()
 ExecutionMode(kind='scalar', batch_size=1)
->>> ExecutionMode.batched(2048)
-ExecutionMode(kind='batched', batch_size=2048)
 >>> ExecutionMode.parse("columnar:8192")
 ExecutionMode(kind='columnar', batch_size=8192)
+>>> ExecutionMode.parse("batched:2048")
+ExecutionMode(kind='columnar', batch_size=2048)
 
-Every entry point accepts ``mode=`` (an :class:`ExecutionMode` or a spec
-string) and the legacy ``batch_size=`` / ``columnar=`` keyword arguments
-keep working as deprecated aliases — byte-identical results, plus a
-:class:`DeprecationWarning`.  The cluster runtime consumes the same object
-for its source feed (it requires a columnar mode, because its shared-memory
-rings carry ``int64`` id arrays).
+* ``scalar`` runs the per-message oracle (``route()`` /
+  ``route_with_decision()``) — the readable reference;
+* ``columnar:N`` pushes chunks of ``N`` interned key ids through the id
+  kernel (``route_batch_columnar``), the only batched implementation.
+
+``batched[:N]`` is an accepted *spelling* of ``columnar[:N]`` — it used to
+name a separate key-list path, which no longer exists — so scripts that
+pass it keep working and get the same results.
 
 Results are independent of the mode for every backend that shares a
-process: scalar, batched and columnar runs of the same seeded stream are
-bit-for-bit identical (property-pinned since PR 1/PR 6); the mode only
-chooses the speed at which they happen.
+process: scalar and columnar runs of the same seeded stream are bit-for-bit
+identical (property-pinned); the mode only chooses the speed at which they
+happen.  The cluster runtime requires a columnar mode, because its
+shared-memory rings carry ``int64`` id arrays.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Union
 
 from repro.exceptions import ConfigurationError
 
-#: Default chunk length of the batched and columnar paths, shared by every
-#: entry point (was duplicated per-module before this API existed).
+#: Default chunk length of the columnar path, shared by every entry point.
 DEFAULT_BATCH_SIZE = 1024
 
 #: The backends selectable through :class:`ExecutionMode`.
-KINDS = ("scalar", "batched", "columnar")
+KINDS = ("scalar", "columnar")
 
 #: Anything the ``mode=`` parameters accept.
 ModeLike = Union["ExecutionMode", str]
 
 #: The spec grammar, quoted verbatim by every parse error so a CLI typo
 #: shows the user what would have worked.
-VALID_SPECS = "scalar | batched[:N] | columnar[:N] (e.g. 'columnar:4096')"
+VALID_SPECS = (
+    "scalar | columnar[:N] (e.g. 'columnar:4096'; "
+    "batched[:N] is read as columnar[:N])"
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,13 +59,14 @@ class ExecutionMode:
     Attributes
     ----------
     kind:
-        ``"scalar"`` (per-message ``route()`` loop), ``"batched"``
-        (``route_batch`` over key lists) or ``"columnar"``
+        ``"scalar"`` (per-message ``route()`` loop) or ``"columnar"``
         (``route_batch_columnar`` over interned key-id arrays).
     batch_size:
-        Chunk length of the batched/columnar paths.  Always 1 for scalar
-        mode (the constructor normalises it).
+        Chunk length of the columnar path.  Always 1 for scalar mode.
     """
+
+    #: Class-level alias of the module's :data:`KINDS`.
+    KINDS = KINDS
 
     kind: str
     batch_size: int = DEFAULT_BATCH_SIZE
@@ -95,19 +96,15 @@ class ExecutionMode:
         return cls("scalar", 1)
 
     @classmethod
-    def batched(cls, batch_size: int = DEFAULT_BATCH_SIZE) -> "ExecutionMode":
-        """Chunked ``route_batch`` routing over key lists."""
-        return cls("batched", batch_size)
-
-    @classmethod
     def columnar(cls, batch_size: int = DEFAULT_BATCH_SIZE) -> "ExecutionMode":
         """Chunked ``route_batch_columnar`` routing over interned id arrays."""
         return cls("columnar", batch_size)
 
     @classmethod
     def parse(cls, spec: str) -> "ExecutionMode":
-        """Parse a CLI-style spec: ``"scalar"``, ``"batched"``,
-        ``"columnar"``, optionally with a chunk length — ``"batched:4096"``.
+        """Parse a CLI-style spec: ``"scalar"`` or ``"columnar"``, the
+        latter optionally with a chunk length — ``"columnar:4096"``.  The
+        former kind name ``batched`` is read as ``columnar``.
         """
         if not isinstance(spec, str):
             raise ConfigurationError(
@@ -121,6 +118,8 @@ class ExecutionMode:
                 f"empty execution mode spec {spec!r}; "
                 f"valid specs: {VALID_SPECS}"
             )
+        if kind == "batched":
+            kind = "columnar"
         if kind not in KINDS:
             raise ConfigurationError(
                 f"unknown execution mode {kind!r} in spec {spec!r}; "
@@ -143,8 +142,12 @@ class ExecutionMode:
         return cls(kind, batch_size)
 
     @classmethod
-    def coerce(cls, value: ModeLike) -> "ExecutionMode":
-        """Normalise a ``mode=`` argument (instance or spec string)."""
+    def coerce(cls, value: ModeLike | None) -> "ExecutionMode":
+        """Normalise a ``mode=`` argument: an instance, a spec string, or
+        ``None`` for the default every entry point shares,
+        ``columnar(DEFAULT_BATCH_SIZE)``."""
+        if value is None:
+            return cls.columnar()
         if isinstance(value, cls):
             return value
         if isinstance(value, str):
@@ -171,59 +174,3 @@ class ExecutionMode:
         if self.kind == "scalar":
             return "scalar"
         return f"{self.kind}:{self.batch_size}"
-
-    @property
-    def legacy_kwargs(self) -> dict[str, object]:
-        """The pre-API ``batch_size`` / ``columnar`` equivalent.
-
-        Kept as the bridge into internals (``SimulationConfig`` storage,
-        ``TopologyRuntime``) that still carry the two historical fields —
-        the public entry points accept only ``mode=`` going forward.
-        """
-        return {"batch_size": self.batch_size, "columnar": self.is_columnar}
-
-
-def resolve_mode(
-    mode: ModeLike | None,
-    batch_size: int | None = None,
-    columnar: bool | None = None,
-    *,
-    default: ExecutionMode | None = None,
-    where: str = "this call",
-) -> ExecutionMode:
-    """Resolve ``mode=`` against the deprecated ``batch_size=``/``columnar=``.
-
-    The single deprecation funnel used by ``run_simulation``,
-    ``route_stream`` and ``run_topology``:
-
-    * ``mode`` given, legacy kwargs absent — coerce and return it;
-    * legacy kwargs given, ``mode`` absent — warn once per call site with a
-      :class:`DeprecationWarning` and build the equivalent mode (the results
-      are byte-identical, pinned by tests);
-    * both given — :class:`ConfigurationError` (ambiguous);
-    * neither — ``default`` (the entry point's historical default,
-      ``batched(1024)``).
-    """
-    legacy = batch_size is not None or columnar is not None
-    if mode is not None:
-        if legacy:
-            raise ConfigurationError(
-                f"{where}: pass either mode= or the legacy batch_size=/"
-                "columnar= keywords, not both"
-            )
-        return ExecutionMode.coerce(mode)
-    if not legacy:
-        return default if default is not None else ExecutionMode.batched()
-    warnings.warn(
-        f"{where}: batch_size=/columnar= are deprecated; pass "
-        "mode=ExecutionMode.batched(n) / .columnar(n) / .scalar() instead "
-        "(results are byte-identical)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    size = DEFAULT_BATCH_SIZE if batch_size is None else batch_size
-    if columnar:
-        return ExecutionMode.columnar(size)
-    if size == 1:
-        return ExecutionMode.scalar()
-    return ExecutionMode.batched(size)

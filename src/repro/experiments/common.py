@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.execution import ExecutionMode, ModeLike, resolve_mode
+from repro.execution import ExecutionMode, ModeLike
 from repro.partitioning.base import Partitioner
 from repro.types import Key, WorkerId
+from repro.workloads.columnar import iter_batches_columnar
 
 
 @dataclass(slots=True)
@@ -103,27 +103,25 @@ def execution_mode_of(config: Any) -> ExecutionMode:
 
     The single place where experiment configs map onto the execution API:
     a ``mode`` attribute (spec string or instance) wins when set, otherwise
-    the config's historical ``batch_size`` field (present on every
-    simulation-backed config, and excluded from suite-store fingerprints)
-    selects the batched path.  Replaces the per-driver flag plumbing every
-    experiment module used to carry.
+    the config's ``batch_size`` field (present on every simulation-backed
+    config, and excluded from suite-store fingerprints) is the chunk length
+    of the columnar path, 1 meaning the scalar oracle.  Replaces the
+    per-driver flag plumbing every experiment module used to carry.
     """
     mode = getattr(config, "mode", None)
     if mode is not None:
         return ExecutionMode.coerce(mode)
     batch_size = getattr(config, "batch_size", None)
     if batch_size is None:
-        return ExecutionMode.batched()
+        return ExecutionMode.columnar()
     if batch_size == 1:
         return ExecutionMode.scalar()
-    return ExecutionMode.batched(batch_size)
+    return ExecutionMode.columnar(batch_size)
 
 
 def route_stream(
     partitioner: Partitioner,
     keys: Iterable[Key],
-    batch_size: int | None = None,
-    columnar: bool | None = None,
     mode: ModeLike | None = None,
 ) -> list[WorkerId]:
     """Route an entire stream through one partitioner.
@@ -132,46 +130,24 @@ def route_stream(
     drivers, benchmarks and ad-hoc studies that only need the worker
     sequence of one source should use this instead of a per-message
     ``route`` loop.  ``mode`` selects the backend
-    (:class:`~repro.execution.ExecutionMode`, default ``batched(1024)``);
-    results are identical for every mode.  In batched mode a workload's
-    ``iter_batches`` is used when available so array-backed streams never
-    materialise per-key; columnar mode consumes interned key-id arrays
-    (``iter_batches_columnar`` natively when the workload provides it) and
+    (:class:`~repro.execution.ExecutionMode`, default ``columnar(1024)``);
+    results are identical for every mode.  Columnar mode consumes interned
+    key-id arrays (``iter_batches_columnar`` natively when the workload
+    provides it, so array-backed streams never materialise per-key) and
     routes through ``route_batch_columnar`` — string keys are hashed once,
-    at interning, and the worker sequence is still byte-identical.
-
-    The legacy ``batch_size=`` / ``columnar=`` keywords remain as
-    deprecated aliases emitting a :class:`DeprecationWarning`.
+    at interning.
     """
-    resolved = resolve_mode(
-        mode, batch_size, columnar,
-        default=ExecutionMode.batched(), where="route_stream",
-    )
-    chunk_size = resolved.batch_size
-    if resolved.is_columnar:
-        out: list[WorkerId] = []
-        if hasattr(keys, "iter_batches_columnar"):
-            batches = keys.iter_batches_columnar(chunk_size)
-        else:
-            from repro.workloads.columnar import iter_batches_columnar
-
-            batches = iter_batches_columnar(keys, chunk_size)
-        for batch in batches:
-            out.extend(partitioner.route_batch_columnar(batch))
-        return out
-    if chunk_size < 2:
+    resolved = ExecutionMode.coerce(mode)
+    if resolved.is_scalar:
         return [partitioner.route(key) for key in keys]
-    out = []
-    if hasattr(keys, "iter_batches"):
-        for chunk in keys.iter_batches(chunk_size):
-            out.extend(partitioner.route_batch(chunk))
-        return out
-    iterator = iter(keys)
-    while True:
-        chunk = list(islice(iterator, chunk_size))
-        if not chunk:
-            return out
-        out.extend(partitioner.route_batch(chunk))
+    if hasattr(keys, "iter_batches_columnar"):
+        batches = keys.iter_batches_columnar(resolved.batch_size)
+    else:
+        batches = iter_batches_columnar(keys, resolved.batch_size)
+    out: list[WorkerId] = []
+    for batch in batches:
+        out.extend(partitioner.route_batch_columnar(batch))
+    return out
 
 
 def _format_value(value: Any) -> str:

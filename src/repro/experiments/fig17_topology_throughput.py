@@ -182,7 +182,7 @@ def run_scheme(
     elif batch_size == 1:
         mode = ExecutionMode.scalar()
     else:
-        mode = ExecutionMode.batched(batch_size)
+        mode = ExecutionMode.columnar(batch_size)
     started = time.perf_counter()
     result = run_topology(
         topology,

@@ -9,8 +9,9 @@ subpackage provides:
   partitioner;
 * :class:`~repro.hashing.universal.MultiplyShiftHash` — a classic universal
   hash for integer keys, useful in property tests about collision behaviour;
-* :mod:`~repro.hashing.vectorized` — numpy SplitMix64 kernels behind
-  :meth:`HashFamily.candidates_batch`, the batched routing fast path;
+* :mod:`~repro.hashing.vectorized` — numpy SplitMix64 kernels that fill the
+  per-key-id candidate tables (:meth:`HashFamily.id_candidate_rows`) the
+  routing id kernels gather from;
 * :class:`~repro.hashing.consistent.ConsistentHashRing` — a consistent-hash
   ring with virtual nodes, used as a related-work baseline (routing-table-free
   key grouping with smooth worker addition/removal).

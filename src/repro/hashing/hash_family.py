@@ -20,17 +20,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.hashing.vectorized import bucketed_hash_columns, bucketed_hashes
+from repro.hashing.vectorized import bucketed_hashes
 from repro.types import Key, WorkerId
 
 _MASK64 = (1 << 64) - 1
 
 #: Upper bound on the number of keys each :class:`HashFamily` interns.  The
 #: cache is FIFO-evicted, so a family never holds more than this many
-#: candidate tuples / folded integers regardless of stream cardinality.
+#: candidate tuples regardless of stream cardinality.
 DEFAULT_CACHE_SIZE = 1 << 16
 
-#: Key types the interning caches may hold.  Dict lookups use ``==``, which
+#: Key types the interning cache may hold.  Dict lookups use ``==``, which
 #: crosses types (``-1 == -1.0 == True`` all collide as dict keys) while
 #: ``_key_to_int`` deliberately folds those differently — so only exact
 #: types that never compare equal to another hashable type are cached;
@@ -184,11 +184,10 @@ class HashFamily:
         # inner mix only depends on the sub-seed, so do it once here.
         self._mixed_seeds = tuple(_splitmix64(s) for s in self._sub_seeds)
         self._mixed_seeds_np = np.array(self._mixed_seeds, dtype=np.uint64)
-        # Interning caches (FIFO-evicted at cache_size entries): string keys
-        # are folded to 64 bits once, and a key's candidate tuple is derived
-        # once rather than per message.  Candidate tuples are prefix-stable
-        # in d, so one cached tuple serves every smaller d via slicing.
-        self._int_cache: dict[Key, int] = {}
+        # Interning cache (FIFO-evicted at cache_size entries): a key's
+        # candidate tuple is derived once rather than per message.  Candidate
+        # tuples are prefix-stable in d, so one cached tuple serves every
+        # smaller d via slicing.
         self._candidate_cache: dict[Key, tuple[WorkerId, ...]] = {}
         # Per-dictionary candidate tables for the columnar id fast path,
         # keyed by KeyDictionary.token (FIFO-bounded; see _id_table).
@@ -226,19 +225,9 @@ class HashFamily:
         repeat lookups (the overwhelmingly common case on skewed streams)
         return the cached tuple.
         """
-        if d is None:
-            d = self._num_functions
-        if not 1 <= d <= self._num_functions:
-            raise ConfigurationError(
-                f"requested d={d} outside [1, {self._num_functions}]"
-            )
+        d = self._check_d(d)
         if type(key) not in _CACHEABLE_TYPES:
-            key_int = _key_to_int(key)
-            buckets = self._num_buckets
-            return tuple(
-                _splitmix64(key_int ^ mixed) % buckets
-                for mixed in self._mixed_seeds[:d]
-            )
+            return self._mix(_key_to_int(key), d)
         cache = self._candidate_cache
         cached = cache.get(key)
         if cached is not None:
@@ -247,64 +236,37 @@ class HashFamily:
                 return cached
             if length > d:
                 return cached[:d]
-        key_int = self._intern_key(key)
-        buckets = self._num_buckets
-        result = tuple(
-            _splitmix64(key_int ^ mixed) % buckets for mixed in self._mixed_seeds[:d]
-        )
+        result = self._mix(_key_to_int(key), d)
         if self._cache_size:
             if len(cache) >= self._cache_size:
                 cache.pop(next(iter(cache)))
             cache[key] = result
         return result
 
-    def candidates_batch(self, keys: Sequence[Key], d: int | None = None) -> np.ndarray:
-        """Candidate buckets for a whole batch of keys at once.
-
-        Returns an ``int64`` array of shape ``(len(keys), d)`` whose row
-        ``i`` equals ``candidates(keys[i], d)``.  Key serialisation goes
-        through the interning cache (each distinct key is folded once); the
-        SplitMix64 mixing and bucket reduction run vectorized over the full
-        ``(len(keys), d)`` matrix.
-        """
-        if d is None:
-            d = self._num_functions
-        if not 1 <= d <= self._num_functions:
-            raise ConfigurationError(
-                f"requested d={d} outside [1, {self._num_functions}]"
-            )
-        key_ints = np.fromiter(
-            (self._intern_key(key) for key in keys),
-            dtype=np.uint64,
-            count=len(keys),
+    def _mix(self, folded: int, d: int) -> tuple[WorkerId, ...]:
+        """The first ``d`` buckets of a key already folded to 64 bits."""
+        buckets = self._num_buckets
+        return tuple(
+            _splitmix64(folded ^ mixed) % buckets for mixed in self._mixed_seeds[:d]
         )
-        return bucketed_hashes(key_ints, self._mixed_seeds_np[:d], self._num_buckets)
 
     def candidates_batch_columns(
         self, keys: Sequence[Key], d: int | None = None
     ) -> list[list[int]]:
-        """Column-major :meth:`candidates_batch` for allocation-free walking.
+        """Candidate buckets of a key list, column-major, without a dictionary.
 
         Returns ``d`` flat ``int`` lists such that ``result[j][i]`` is the
-        ``j``-th candidate of ``keys[i]``.  The routing hot loops iterate a
-        batch as ``zip(firsts, seconds)`` over these columns, avoiding the
-        per-message row list that ``candidates_batch(...).tolist()`` would
-        allocate.
+        ``j``-th candidate of ``keys[i]``.  No routing path calls this any
+        more — partitioners intern first and gather from the per-id tables
+        — it remains the key-list hashing probe of the repo benchmark
+        (``bench/layers.py``) and of the bit-exactness tests.
         """
-        if d is None:
-            d = self._num_functions
-        if not 1 <= d <= self._num_functions:
-            raise ConfigurationError(
-                f"requested d={d} outside [1, {self._num_functions}]"
-            )
+        d = self._check_d(d)
         key_ints = np.fromiter(
-            (self._intern_key(key) for key in keys),
-            dtype=np.uint64,
-            count=len(keys),
+            map(_key_to_int, keys), dtype=np.uint64, count=len(keys)
         )
-        return bucketed_hash_columns(
-            key_ints, self._mixed_seeds_np[:d], self._num_buckets
-        )
+        matrix = bucketed_hashes(key_ints, self._mixed_seeds_np[:d], self._num_buckets)
+        return [matrix[:, j].tolist() for j in range(d)]
 
     def _check_d(self, d: int | None) -> int:
         if d is None:
@@ -343,8 +305,8 @@ class HashFamily:
         """Row-major candidate buckets for an id array (columnar fast path).
 
         ``dictionary`` is the :class:`~repro.workloads.columnar.KeyDictionary`
-        that issued ``ids``.  Equals ``candidates_batch(decoded_keys, d)``
-        bit for bit, but runs as a single table gather: candidates per id
+        that issued ``ids``.  Row ``i`` equals ``candidates(key_of(ids[i]), d)``
+        bit for bit, but the batch runs as a single table gather: candidates per id
         are precomputed once into a per-dictionary table (see
         :class:`_IdTable`) and never recomputed while the family lives.
         Rescaling recreates the family, which drops the tables — that is the
@@ -360,23 +322,14 @@ class HashFamily:
         return [rows[ids, j].tolist() for j in range(d)]
 
     def candidates_for_id(self, kid: int, dictionary, d: int | None = None) -> tuple[WorkerId, ...]:
-        """Scalar :meth:`candidates` addressed by key id."""
-        d = self._check_d(d)
-        return tuple(self._id_table(dictionary, d)[kid, :d].tolist())
+        """Scalar :meth:`candidates` addressed by key id.
 
-    def _intern_key(self, key: Key) -> int:
-        """``_key_to_int`` with FIFO-bounded memoisation."""
-        if type(key) not in _CACHEABLE_TYPES:
-            return _key_to_int(key)  # cross-type ==; see _CACHEABLE_TYPES
-        cache = self._int_cache
-        value = cache.get(key)
-        if value is None:
-            value = _key_to_int(key)
-            if self._cache_size:
-                if len(cache) >= self._cache_size:
-                    cache.pop(next(iter(cache)))
-                cache[key] = value
-        return value
+        Hashes the id's folded key directly instead of going through the
+        per-dictionary table: the callers are head keys asking for their
+        ``d`` candidates once each, and serving a handful of ids must not
+        widen a table that holds a row for every key of the stream.
+        """
+        return self._mix(int(dictionary.folded[kid]), self._check_d(d))
 
     def distinct_candidates(self, key: Key, d: int | None = None) -> tuple[WorkerId, ...]:
         """Like :meth:`candidates` but with duplicates removed, order kept."""

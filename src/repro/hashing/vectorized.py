@@ -41,24 +41,6 @@ def splitmix64_array(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _S31)
 
 
-def bucketed_hash_columns(
-    key_ints: np.ndarray, mixed_seeds: np.ndarray, num_buckets: int
-) -> list[list[int]]:
-    """Column-major :func:`bucketed_hashes`: one flat Python list per function.
-
-    ``bucketed_hashes(...).tolist()`` materialises one small list per *row*
-    (message), which the routing selection loops immediately unpack and
-    discard — for a 2-choice tail pass that is a throwaway allocation per
-    message.  Returning the ``d`` columns as flat ``int`` lists instead lets
-    consumers walk the batch with ``zip(firsts, seconds)``, whose result
-    tuple CPython recycles, so the per-message allocation disappears.  The
-    values are identical to the matrix form: ``column[j][i] ==
-    bucketed_hashes(...)[i, j]``.
-    """
-    matrix = bucketed_hashes(key_ints, mixed_seeds, num_buckets)
-    return [matrix[:, j].tolist() for j in range(matrix.shape[1])]
-
-
 def bucketed_hashes(
     key_ints: np.ndarray, mixed_seeds: np.ndarray, num_buckets: int
 ) -> np.ndarray:

@@ -7,20 +7,29 @@ mirrors the paper's setting exactly: load estimation is local to the sender
 (Section IV-B, "Overhead on Sources") and the candidate workers of a key are
 derived from shared hash functions rather than routing tables.
 
-Subclasses implement :meth:`_select`, which returns the destination worker
-and (optionally) metadata about the decision; :meth:`route` wraps it with the
-local-load bookkeeping.
+Every scheme has exactly two routing implementations, each with one role:
 
-Two routing paths exist:
+* the *scalar oracle* — :meth:`_select`, reached through :meth:`route` and
+  :meth:`route_with_decision` — is Algorithm 1 written one message at a
+  time.  It is the short, readable reference every test pins the fast path
+  against, and the only path that materialises a
+  :class:`~repro.types.RoutingDecision` (candidates, head flag) per message.
+  (:meth:`_select_worker` is the same selection without the decision
+  object; overrides must make the identical choice.)
+* the *id kernel* — :meth:`_route_ids` — routes a whole ``int64`` array of
+  interned key ids and is the only batched implementation.  Both batched
+  entry points end there: :meth:`route_batch_columnar` hands over the ids a
+  columnar stream already carries, :meth:`route_batch` interns its key list
+  first.  The kernel must pick exactly the workers the oracle would.
 
-* the *decision* path (:meth:`route_with_decision` -> :meth:`_select`)
-  materialises a :class:`~repro.types.RoutingDecision` per message — used when
-  callers need candidates / head flags for tracing;
-* the *fast* path (:meth:`route` -> :meth:`_select_worker`, and the batched
-  :meth:`route_batch`) returns bare worker ids with no per-message object
-  allocation.  Schemes override :meth:`_select_worker` and
-  :meth:`route_batch` to keep the hot loop allocation-free; both paths are
-  required (and property-tested) to pick identical workers.
+One id namespace per partitioner: key ids come from a single
+:class:`~repro.workloads.columnar.KeyDictionary` — the stream's, once a
+columnar batch has bound one, a private one otherwise — and everything a
+scheme remembers about keys (the SpaceSaving head table, the head candidate
+cache) is keyed by those ids on *every* path, the scalar oracle included.
+That is what makes any interleaving of ``route``, ``route_batch`` and
+``route_batch_columnar`` on one partitioner equal to the pure scalar run.
+The binding lasts until :meth:`reset`.
 """
 
 from __future__ import annotations
@@ -29,8 +38,16 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.types import Key, RoutingDecision, WorkerId
+from repro.workloads.columnar import KeyDictionary
+
+
+#: ``route_batch`` hands key lists up to this long to the scalar oracle (see
+#: its docstring); the crossover sits between 16 and 32 keys for every scheme.
+_ORACLE_FRAGMENT = 24
 
 
 @dataclass(slots=True)
@@ -80,6 +97,9 @@ class Partitioner(abc.ABC):
         self._num_workers = num_workers
         self._seed = seed
         self._state = PartitionerState(loads=[0] * num_workers)
+        # The dictionary that issues this partitioner's key ids (see the
+        # module docstring); None until the first batch or interned key.
+        self._id_dict: KeyDictionary | None = None
 
     # ------------------------------------------------------------------ #
     # public API
@@ -114,9 +134,13 @@ class Partitioner(abc.ABC):
 
         Produces the exact same worker sequence (and final load vector) as
         ``[self.route(key) for key in keys]`` — batching is purely a
-        performance optimisation, never a semantic change.  Schemes override
-        this to hash the batch vectorized and keep the selection loop free of
-        per-message allocations.
+        performance optimisation, never a semantic change.  The keys are
+        interned through the partitioner's dictionary and routed by the id
+        kernel, the same one :meth:`route_batch_columnar` runs.  A fragment
+        of a few keys (the one-key batches of ``cluster/engine.py``) goes to
+        the scalar oracle instead: interning and the kernel's numpy round
+        trips cost a fixed few microseconds per call, more than the oracle
+        spends on a handful of messages.
 
         ``head_flags``, when given, is a caller-owned list that receives one
         boolean per key telling whether the key was classified as a heavy
@@ -124,22 +148,21 @@ class Partitioner(abc.ABC):
         This lets batch consumers keep head/tail accounting without paying
         for per-message :class:`RoutingDecision` objects.
         """
-        select = self._select_worker
-        record = self._state.record
-        out: list[WorkerId] = []
-        append = out.append
+        if len(keys) <= _ORACLE_FRAGMENT:
+            return self._route_scalar(keys, head_flags)
+        return self._route_ids(self._dictionary().intern_keys(keys), head_flags)
+
+    def _route_scalar(
+        self, keys: Sequence[Key], head_flags: list[bool] | None
+    ) -> list[WorkerId]:
+        """The scalar oracle over a key sequence (the batched contract)."""
         if head_flags is None:
-            for key in keys:
-                worker = select(key)
-                record(worker)
-                append(worker)
-        else:
-            flag = head_flags.append
-            for key in keys:
-                decision = self._select(key)
-                record(decision.worker)
-                append(decision.worker)
-                flag(decision.is_head)
+            return [self.route(key) for key in keys]
+        out: list[WorkerId] = []
+        for key in keys:
+            decision = self.route_with_decision(key)
+            out.append(decision.worker)
+            head_flags.append(decision.is_head)
         return out
 
     def route_batch_columnar(
@@ -148,14 +171,20 @@ class Partitioner(abc.ABC):
         """Route one :class:`~repro.workloads.columnar.ColumnarBatch`.
 
         Contract: identical workers, loads and head flags as
-        ``route_batch(batch.keys(), head_flags)`` — the columnar
-        representation is pure optimisation.  The base implementation decodes
-        and delegates, which is always correct; schemes override it to route
-        straight off the id array (hashing through the per-id candidate
-        tables of :class:`~repro.hashing.hash_family.HashFamily`, which hash
-        the dictionary's *folded keys*, so results stay bit-identical).
+        ``route_batch(batch.keys(), head_flags)``.  The first batch binds
+        its dictionary as this partitioner's id namespace, after which ids
+        go to the kernel untouched; a batch from any *other* dictionary is
+        translated key by key into the bound namespace — correct, but it
+        forfeits the point of interning once, so streams should not be mixed
+        without a :meth:`reset`.
         """
-        return self.route_batch(batch.keys(), head_flags=head_flags)
+        dictionary = self._id_dict
+        if dictionary is None:
+            dictionary = batch.dictionary
+            self._bind_dictionary(dictionary)
+        if batch.dictionary is dictionary:
+            return self._route_ids(batch.ids, head_flags)
+        return self._route_ids(dictionary.intern_keys(batch.keys()), head_flags)
 
     def route_with_decision(self, key: Key) -> RoutingDecision:
         """Like :meth:`route` but returns the full :class:`RoutingDecision`."""
@@ -164,8 +193,9 @@ class Partitioner(abc.ABC):
         return decision
 
     def reset(self) -> None:
-        """Forget all per-source state (loads and any sketches)."""
+        """Forget all per-source state (loads, sketches, the id namespace)."""
         self._state = PartitionerState(loads=[0] * self._num_workers)
+        self._id_dict = None
 
     def rescale(self, new_num_workers: int) -> None:
         """Resize the downstream worker set to ``new_num_workers``.
@@ -215,8 +245,9 @@ class Partitioner(abc.ABC):
         vector and the message counter; schemes add their own entries via
         :meth:`_export_structures` (the SpaceSaving head table, scheme
         cursors, solver caches, head-candidate caches).  The dict is an
-        in-process handoff, not a serialisation format: live objects (a
-        columnar dictionary binding) may be carried by reference.
+        in-process handoff, not a serialisation format: live objects (the
+        id dictionary, which donor and adopter then share) are carried by
+        reference.
 
         Exporting never mutates the donor, so a snapshot can be taken
         speculatively and discarded.
@@ -227,6 +258,7 @@ class Partitioner(abc.ABC):
             "seed": self._seed,
             "loads": list(self._state.loads),
             "messages_routed": self._state.messages_routed,
+            "id_dictionary": self._id_dict,
         }
         self._export_structures(state)
         return state
@@ -256,6 +288,11 @@ class Partitioner(abc.ABC):
         self._state = PartitionerState(
             loads=loads, messages_routed=int(state["messages_routed"])
         )
+        # Adopted key-id state (a head table) is only meaningful in the
+        # namespace it was recorded in.
+        dictionary = state.get("id_dictionary")
+        if dictionary is not None:
+            self._bind_dictionary(dictionary)
         self._adopt_structures(state)
 
     def _export_structures(self, state: dict[str, Any]) -> None:
@@ -299,6 +336,38 @@ class Partitioner(abc.ABC):
         (including any internal state mutation happening exactly once).
         """
         return self._select(key).worker
+
+    def _route_ids(
+        self, ids: np.ndarray, head_flags: list[bool] | None
+    ) -> list[WorkerId]:
+        """The id kernel: route ``ids`` (issued by ``self._id_dict``).
+
+        Must update the load vector and ``messages_routed`` and extend
+        ``head_flags`` exactly as the scalar oracle would, message by
+        message.  The default decodes and runs the oracle itself — always
+        correct; schemes override it to route straight off the id array
+        (hashing through the per-id candidate tables of
+        :class:`~repro.hashing.hash_family.HashFamily`, which hash the
+        dictionary's *folded keys*, so results stay bit-identical).
+        """
+        return self._route_scalar(self._id_dict.decode(ids), head_flags)
+
+    # ------------------------------------------------------------------ #
+    # the id namespace
+    # ------------------------------------------------------------------ #
+    def _dictionary(self) -> KeyDictionary:
+        """The bound dictionary, creating the private one on first use.
+
+        A private dictionary is unbounded, like every stream dictionary: it
+        holds one entry per distinct key routed since the last
+        :meth:`reset`.
+        """
+        if self._id_dict is None:
+            self._bind_dictionary(KeyDictionary())
+        return self._id_dict
+
+    def _bind_dictionary(self, dictionary: KeyDictionary) -> None:
+        self._id_dict = dictionary
 
     # ------------------------------------------------------------------ #
     # helpers shared by load-aware schemes

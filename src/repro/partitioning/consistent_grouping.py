@@ -53,8 +53,8 @@ class ConsistentGrouping(Partitioner):
         worker = self._ring.lookup(key)
         return RoutingDecision(key=key, worker=worker, candidates=(worker,))
 
-    def route_batch_columnar(self, batch, head_flags=None):
-        dictionary = batch.dictionary
+    def _route_ids(self, ids, head_flags):
+        dictionary = self._id_dict
         tag = (dictionary.token, self._ring_epoch)
         cache = self._id_owner_cache
         if self._id_owner_tag != tag:
@@ -67,7 +67,7 @@ class ConsistentGrouping(Partitioner):
         loads = state.loads
         out: list[WorkerId] = []
         append = out.append
-        for kid in batch.ids.tolist():
+        for kid in ids.tolist():
             worker = cache.get(kid)
             if worker is None:
                 worker = lookup(key_of(kid))

@@ -21,8 +21,6 @@ changes.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.analysis.choices import DEFAULT_EPSILON, ChoicesSolution, find_optimal_choices
 from repro.exceptions import ConfigurationError
 from repro.partitioning.head_tail import HeadTailPartitioner
@@ -63,12 +61,6 @@ class DChoices(HeadTailPartitioner):
     """
 
     name = "D-C"
-
-    #: The solver-recompute throttle reads messages_routed per head message.
-    #: D-Choices ships its own route_batch (checkpoint splitting), but the
-    #: flag keeps the conservative interleaved loop correct for subclasses
-    #: that fall back to it.
-    _head_reads_message_count = True
 
     def __init__(
         self,
@@ -214,53 +206,22 @@ class DChoices(HeadTailPartitioner):
             key=key, worker=worker, candidates=candidates, is_head=True
         )
 
-    def _select_head_worker(self, key: Key) -> WorkerId:
+    def _select_head_worker(self, kid: int) -> WorkerId:
         self._maybe_recompute()
-        return self._select_head_worker_solved(key)
+        return self._select_head_worker_solved(kid)
 
-    def _select_head_worker_id(self, kid: int) -> WorkerId:
-        self._maybe_recompute()
-        return self._select_head_worker_solved_id(kid)
-
-    def _select_head_worker_solved(self, key: Key) -> WorkerId:
+    def _select_head_worker_solved(self, kid: int) -> WorkerId:
         # Same logic as _select_head without the RoutingDecision or the
         # solver throttle: selection against the *current* solution.  The
-        # batched driver calls this directly after running the checkpoint
+        # id kernel calls this directly after running the checkpoint
         # itself; candidate tuples for hot keys come from the per-head-key
         # cache, so the per-message cost is a dict hit plus the load scan.
         loads = self._state.loads
         if self._solution.use_w_choices:
             return loads.index(min(loads))
-        candidates = self._cached_head_candidates(
-            key, max(2, self._solution.num_choices)
+        return self._least_loaded(
+            self._cached_head_candidates(kid, max(2, self._solution.num_choices))
         )
-        best = candidates[0]
-        best_load = loads[best]
-        for candidate in candidates[1:]:
-            load = loads[candidate]
-            if load < best_load:
-                best = candidate
-                best_load = load
-        return best
-
-    def _select_head_worker_solved_id(self, kid: int) -> WorkerId:
-        # Id-addressed twin of _select_head_worker_solved: candidates come
-        # from the id-keyed cache (backed by the per-id table), selection is
-        # identical.
-        loads = self._state.loads
-        if self._solution.use_w_choices:
-            return loads.index(min(loads))
-        candidates = self._cached_head_candidates_id(
-            kid, max(2, self._solution.num_choices)
-        )
-        best = candidates[0]
-        best_load = loads[best]
-        for candidate in candidates[1:]:
-            load = loads[candidate]
-            if load < best_load:
-                best = candidate
-                best_load = load
-        return best
 
     def _head_selection(self) -> tuple[str, int]:
         solution = self._solution
@@ -268,18 +229,8 @@ class DChoices(HeadTailPartitioner):
             return ("all", 0)
         return ("d", max(2, solution.num_choices))
 
-    def _route_batch_impl(
-        self,
-        keys: Sequence[Key],
-        head_flags: list[bool] | None,
-        id_mode: bool,
-    ) -> list[WorkerId]:
+    def _route_ids(self, ids, head_flags):
         """Batched D-Choices: classified runs split at solver checkpoints.
-
-        Serves both representations — ``keys`` are interned ids when
-        ``id_mode`` is set (``route_batch_columnar`` binds the dictionary
-        before delegating here); the head/tail split, the checkpoint
-        arithmetic and the sketch feed are representation-agnostic.
 
         The head path reads the sketch and the message counter through the
         solver throttle, so the chunk cannot simply be classified in one
@@ -301,9 +252,8 @@ class DChoices(HeadTailPartitioner):
         The message counter only needs to be *read* at checkpoints, so it is
         reconstructed arithmetically instead of stored per message.
         """
-        total_messages = len(keys)
-        if total_messages == 0:
-            return []
+        kids = ids.tolist()
+        total_messages = len(kids)
         state = self._state
         routed_before = state.messages_routed
         check_interval = self._check_interval
@@ -314,49 +264,37 @@ class DChoices(HeadTailPartitioner):
             if self._never_solved:
                 checkpoint = position
             else:
-                checkpoint = self._messages_at_last_check + check_interval - routed_before
-                if checkpoint < position:
-                    checkpoint = position
-            if checkpoint >= total_messages:
-                # No checkpoint can fire in the remainder: one bulk run.
-                block = keys[position:]
-                tail_keys: list[Key] = []
-                runs = self._classify_runs(block, tail_keys)
-                self._route_runs(block, runs, tail_keys, out, id_mode)
+                checkpoint = max(
+                    position,
+                    self._messages_at_last_check + check_interval - routed_before,
+                )
+            stop = min(checkpoint, total_messages)
+            if stop > position:
+                # Throttle-ineligible stretch (up to the next possible
+                # checkpoint, or the end of the chunk): one bulk run under
+                # the frozen solution.
+                block = kids[position:stop]
+                tail_kids: list[int] = []
+                runs = self._classify_runs(block, tail_kids)
+                self._route_runs(block, runs, tail_kids, out)
                 if flags_out is not None:
                     flags_out.extend(runs_to_flags(runs))
-                break
-            if checkpoint > position:
-                # Throttle-ineligible prefix: bulk run under the frozen
-                # solution.
-                block = keys[position:checkpoint]
-                tail_keys = []
-                runs = self._classify_runs(block, tail_keys)
-                self._route_runs(block, runs, tail_keys, out, id_mode)
-                if flags_out is not None:
-                    flags_out.extend(runs_to_flags(runs))
-                position = checkpoint
+                position = stop
+                if position == total_messages:
+                    break
             # From here every head message fires the check: scan for it with
             # the sketch feed stopping right after the triggering message.
-            scan = keys[position:]
-            tail_prefix: list[Key] = []
-            flags = self._classify_batch(scan, stop_at_head=True, tail_out=tail_prefix)
-            fed = len(flags)
-            if flags and flags[-1]:
-                self._route_tail_span(tail_prefix, out, id_mode)
-                head_position = position + fed - 1
-                self._maybe_recompute_at(routed_before + head_position)
-                if id_mode:
-                    worker = self._select_head_worker_solved_id(keys[head_position])
-                else:
-                    worker = self._select_head_worker_solved(keys[head_position])
+            tail_prefix: list[int] = []
+            flags = self._classify_batch(
+                kids[position:], stop_at_head=True, tail_out=tail_prefix
+            )
+            self._route_tail_span(tail_prefix, out)
+            position += len(flags)
+            if flags[-1]:
+                self._maybe_recompute_at(routed_before + position - 1)
+                worker = self._select_head_worker_solved(kids[position - 1])
                 state.loads[worker] += 1
                 out.append(worker)
-                position = head_position + 1
-            else:
-                # No head key in the rest of the chunk: all tail.
-                self._route_tail_span(tail_prefix, out, id_mode)
-                position += fed
             if flags_out is not None:
                 flags_out.extend(flags)
         state.messages_routed = routed_before + total_messages

@@ -29,10 +29,6 @@ class FixedDHead(HeadTailPartitioner):
 
     name = "FIXED-D"
 
-    #: The head path reads only the load vector and hash-derived candidate
-    #: tuples for a d that never changes mid-stream: chunk-safe, "d" mode.
-    _head_path_chunk_safe = True
-
     def __init__(
         self,
         num_workers: int,
@@ -70,12 +66,8 @@ class FixedDHead(HeadTailPartitioner):
             key=key, worker=worker, candidates=candidates, is_head=True
         )
 
-    def _select_head_worker(self, key: Key) -> WorkerId:
-        candidates = self._cached_head_candidates(key, self._num_choices)
-        return self._least_loaded(candidates)
-
-    def _select_head_worker_id(self, kid: int) -> WorkerId:
-        candidates = self._cached_head_candidates_id(kid, self._num_choices)
+    def _select_head_worker(self, kid: int) -> WorkerId:
+        candidates = self._cached_head_candidates(kid, self._num_choices)
         return self._least_loaded(candidates)
 
     def _rescale_structures(self, old_num_workers: int, new_num_workers: int) -> None:

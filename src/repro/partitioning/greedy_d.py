@@ -11,8 +11,6 @@ D-Choices (d >= 2 for the head) and, in the limit, W-Choices.  The standalone
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.exceptions import ConfigurationError
 from repro.hashing.hash_family import HashFamily
 from repro.partitioning.base import Partitioner
@@ -73,21 +71,10 @@ class GreedyD(Partitioner):
     def key_candidates(self, key: Key) -> tuple[WorkerId, ...]:
         return self._hashes.candidates(key, self._num_choices)
 
-    def route_batch(
-        self, keys: Sequence[Key], head_flags: list[bool] | None = None
-    ) -> list[WorkerId]:
-        rows = self._hashes.candidates_batch(keys, self._num_choices).tolist()
-        return self._route_candidate_rows(rows, head_flags)
-
-    def route_batch_columnar(self, batch, head_flags=None):
+    def _route_ids(self, ids, head_flags):
         rows = self._hashes.id_candidate_rows(
-            batch.ids, batch.dictionary, self._num_choices
+            ids, self._id_dict, self._num_choices
         ).tolist()
-        return self._route_candidate_rows(rows, head_flags)
-
-    def _route_candidate_rows(
-        self, rows: list[list[int]], head_flags: list[bool] | None
-    ) -> list[WorkerId]:
         state = self._state
         loads = state.loads
         out: list[WorkerId] = []

@@ -8,8 +8,6 @@ imbalance — the baseline the paper improves upon.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.hashing.hash_family import HashFamily
@@ -50,22 +48,10 @@ class KeyGrouping(Partitioner):
     def key_candidates(self, key: Key) -> tuple[WorkerId, ...]:
         return self._hashes.candidates(key, 1)
 
-    def route_batch(
-        self, keys: Sequence[Key], head_flags: list[bool] | None = None
-    ) -> list[WorkerId]:
+    def _route_ids(self, ids, head_flags):
         # KG is stateless per message, so the whole batch vectorizes: one
-        # hashing pass, one bincount to update the load vector.
-        workers = self._hashes.candidates_batch(keys, 1)[:, 0]
-        return self._record_worker_array(workers, head_flags)
-
-    def route_batch_columnar(self, batch, head_flags=None):
-        # The columnar path replaces the hashing pass with a table gather.
-        workers = self._hashes.id_candidate_rows(batch.ids, batch.dictionary, 1)[:, 0]
-        return self._record_worker_array(workers, head_flags)
-
-    def _record_worker_array(
-        self, workers: np.ndarray, head_flags: list[bool] | None
-    ) -> list[WorkerId]:
+        # table gather, one bincount to update the load vector.
+        workers = self._hashes.id_candidate_rows(ids, self._id_dict, 1)[:, 0]
         state = self._state
         counts = np.bincount(workers, minlength=self._num_workers).tolist()
         loads = state.loads

@@ -12,12 +12,7 @@ working.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 from repro.hashing.hash_family import HashFamily
-from repro.partitioning._kernels import two_choice_scan
 from repro.partitioning.base import Partitioner
 from repro.types import Key, RoutingDecision, WorkerId
 
@@ -59,44 +54,12 @@ class PartialKeyGrouping(Partitioner):
     def key_candidates(self, key: Key) -> tuple[WorkerId, ...]:
         return self._hashes.candidates(key, 2)
 
-    def route_batch(
-        self, keys: Sequence[Key], head_flags: list[bool] | None = None
-    ) -> list[WorkerId]:
-        # Column-major candidates: two flat int lists instead of one small
-        # list per message, walked with zip (whose result tuple CPython
-        # recycles) — the selection loop allocates nothing per message.
-        firsts, seconds = self._hashes.candidates_batch_columns(keys, 2)
-        return self._two_choice_select(firsts, seconds, head_flags)
-
-    def route_batch_columnar(self, batch, head_flags=None):
-        # Candidates come from the per-id table (one gather per column, no
-        # re-hashing); when the optional numba kernel is enabled the whole
-        # selection scan runs compiled.
-        if two_choice_scan is not None and len(batch):
-            rows = self._hashes.id_candidate_rows(batch.ids, batch.dictionary, 2)
-            state = self._state
-            load_array = np.asarray(state.loads, dtype=np.int64)
-            workers = two_choice_scan(
-                np.ascontiguousarray(rows[:, 0]),
-                np.ascontiguousarray(rows[:, 1]),
-                load_array,
-            )
-            state.loads[:] = load_array.tolist()
-            state.messages_routed += len(batch)
-            if head_flags is not None:
-                head_flags.extend([False] * len(batch))
-            return workers.tolist()
-        firsts, seconds = self._hashes.id_candidate_columns(
-            batch.ids, batch.dictionary, 2
-        )
-        return self._two_choice_select(firsts, seconds, head_flags)
-
-    def _two_choice_select(
-        self,
-        firsts: list[int],
-        seconds: list[int],
-        head_flags: list[bool] | None,
-    ) -> list[WorkerId]:
+    def _route_ids(self, ids, head_flags):
+        # Column-major candidates gathered from the per-id table: two flat
+        # int lists instead of one small list per message, walked with zip
+        # (whose result tuple CPython recycles) — the selection loop
+        # allocates nothing per message.
+        firsts, seconds = self._hashes.id_candidate_columns(ids, self._id_dict, 2)
         state = self._state
         loads = state.loads
         out: list[WorkerId] = []

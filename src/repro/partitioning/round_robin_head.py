@@ -25,28 +25,22 @@ class RoundRobinHead(HeadTailPartitioner):
 
     name = "RR"
 
-    #: The head path reads only the round-robin cursor, which the "call"
-    #: selection mode advances in exact stream order — so the chunk may be
-    #: classified in one bulk sketch pass.
-    _head_path_chunk_safe = True
-
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._next_worker = 0
 
     def _select_head(self, key: Key) -> RoutingDecision:
-        return RoutingDecision(
-            key=key, worker=self._select_head_worker(key), is_head=True
-        )
+        return RoutingDecision(key=key, worker=self._advance(), is_head=True)
 
-    def _select_head_worker(self, key: Key) -> WorkerId:
+    def _select_head_worker(self, kid: int) -> WorkerId:
+        return self._advance()
+
+    def _advance(self) -> WorkerId:
+        # The head path reads only this cursor, which the kernel's "call"
+        # mode advances in exact stream order; the key is ignored.
         worker = self._next_worker
         self._next_worker = (worker + 1) % self.num_workers
         return worker
-
-    def _select_head_worker_id(self, kid: int) -> WorkerId:
-        # The cursor ignores the key entirely — no decode needed.
-        return self._select_head_worker(kid)
 
     def reset(self) -> None:
         super().reset()

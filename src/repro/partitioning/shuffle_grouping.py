@@ -42,9 +42,14 @@ class ShuffleGrouping(Partitioner):
     def route_batch(
         self, keys: Sequence[Key], head_flags: list[bool] | None = None
     ) -> list[WorkerId]:
+        # SG never reads the key, so there is nothing to intern: only the
+        # batch length reaches the kernel.
+        return self._route_ids(range(len(keys)), head_flags)
+
+    def _route_ids(self, ids, head_flags):
         # Round-robin ignores the keys entirely: the batch is an arithmetic
         # sequence mod n and the load vector update is closed-form.
-        count = len(keys)
+        count = len(ids)
         n = self._num_workers
         start = self._next
         out = [(start + offset) % n for offset in range(count)]
@@ -61,10 +66,6 @@ class ShuffleGrouping(Partitioner):
         if head_flags is not None:
             head_flags.extend([False] * count)
         return out
-
-    def route_batch_columnar(self, batch, head_flags=None):
-        # route_batch only looks at len(keys); the id array serves as-is.
-        return self.route_batch(batch.ids, head_flags=head_flags)
 
     def reset(self) -> None:
         super().reset()

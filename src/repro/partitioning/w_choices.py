@@ -10,8 +10,8 @@ freedom for the hot keys) and the most expensive in memory: a head key's
 state may end up replicated on every worker.
 
 Batching: the head path reads nothing but the load vector, so W-Choices
-declares itself chunk-safe and rides the classified pipeline of
-:class:`~repro.partitioning.head_tail.HeadTailPartitioner` — one bulk sketch
+rides the id kernel of
+:class:`~repro.partitioning.head_tail.HeadTailPartitioner` as is — one bulk sketch
 pass to classify the chunk, then a selection pass whose head placements come
 from the running-argmin queue ("all" mode) instead of an O(n) ``min`` scan
 per message.
@@ -36,10 +36,6 @@ class WChoices(HeadTailPartitioner):
 
     name = "W-C"
 
-    #: The head path is a pure function of the load vector, which the
-    #: classified pipeline maintains in exact stream order.
-    _head_path_chunk_safe = True
-
     def _head_selection(self) -> tuple[str, int]:
         return ("all", 0)
 
@@ -47,11 +43,7 @@ class WChoices(HeadTailPartitioner):
         worker = self._least_loaded_overall()
         return RoutingDecision(key=key, worker=worker, is_head=True)
 
-    def _select_head_worker(self, key: Key) -> WorkerId:
-        loads = self._state.loads
-        return loads.index(min(loads))
-
-    def _select_head_worker_id(self, kid: int) -> WorkerId:
-        # Placement reads only the load vector — no decode needed.
+    def _select_head_worker(self, kid: int) -> WorkerId:
+        # Placement reads only the load vector — the key is never decoded.
         loads = self._state.loads
         return loads.index(min(loads))

@@ -41,31 +41,18 @@ class SimulationConfig:
     track_head_tail:
         When True, per-worker load is additionally split into head/tail
         contributions (needed by the Figure 8 experiment).
-    batch_size:
-        Number of messages each source routes per ``route_batch`` call.  The
+    mode:
+        How the stream is pushed through the sources: an
+        :class:`~repro.execution.ExecutionMode` or a spec string —
+        ``"scalar"`` (the per-message oracle) or ``"columnar:N"`` (each
+        source routes chunks of ``N`` interned key ids through
+        ``route_batch_columnar``; the default, with ``N = 1024``).  The
         engine chunks the stream, splits every chunk over the sources
         round-robin and re-interleaves the decisions, so results are
-        byte-identical to one-at-a-time routing for every ``batch_size``
-        (sources are independent; only the hashing is amortised).  1 forces
-        the scalar path; the default keeps per-chunk working memory small
-        while amortising the vectorized hashing.
-    columnar:
-        When True the engine consumes the workload through
-        ``iter_batches_columnar`` — interned key-id arrays instead of key
-        lists — and routes via ``route_batch_columnar``.  String keys are
-        hashed exactly once (at interning); every layer downstream works on
-        integer ids.  Results are byte-identical to the scalar and batched
-        paths; worker-side key state and migration accounting operate in id
-        space (a bijection over the keys actually seen).  Workloads without
-        a native columnar iterator are wrapped transparently.
-    mode:
-        Optional :class:`~repro.execution.ExecutionMode` (or spec string
-        like ``"columnar:4096"``).  When given it is authoritative:
-        ``batch_size`` and ``columnar`` are overwritten from it, so callers
-        choose the execution backend in one place.  When omitted, the two
-        historical fields stand and ``mode`` is derived from them, so
-        ``config.mode`` is always the normalised view of how the run will
-        execute.  Results are byte-identical across all modes.
+        byte-identical for every mode and chunk length (sources are
+        independent); in columnar mode worker-side key state and migration
+        accounting operate in id space (a bijection over the keys actually
+        seen).  Always normalised to an :class:`ExecutionMode` instance.
     imbalance_window:
         When > 0, additionally track the *per-window* imbalance: the load
         imbalance of each consecutive span of ``imbalance_window`` messages
@@ -98,8 +85,6 @@ class SimulationConfig:
     track_interval: int = 0
     track_head_tail: bool = False
     imbalance_window: int = 0
-    batch_size: int = 1024
-    columnar: bool = False
     mode: ExecutionMode | str | None = None
     rescale_plan: RescalePlan | str | None = None
     rescale_policy: str = "rehash"
@@ -122,20 +107,7 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"imbalance_window must be >= 0, got {self.imbalance_window}"
             )
-        if self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
-        if self.mode is not None:
-            self.mode = ExecutionMode.coerce(self.mode)
-            self.batch_size = self.mode.batch_size
-            self.columnar = self.mode.is_columnar
-        elif self.columnar:
-            self.mode = ExecutionMode.columnar(self.batch_size)
-        elif self.batch_size == 1:
-            self.mode = ExecutionMode.scalar()
-        else:
-            self.mode = ExecutionMode.batched(self.batch_size)
+        self.mode = ExecutionMode.coerce(self.mode)
         self.rescale_plan = as_plan(
             self.rescale_plan,
             policy=self.rescale_policy,

@@ -16,7 +16,7 @@ setup (Section V-A).
 
 When the configuration carries a rescale plan, the engine replays its
 worker join/leave/fail events at their exact global stream offsets — in the
-batched path by splitting chunks at event boundaries, so batched and scalar
+chunked loop by splitting chunks at event boundaries, so chunked and scalar
 runs stay byte-identical — applies the plan's policy to every source's
 partitioner, resizes the tracker and the worker-side key state, and feeds a
 :class:`~repro.elasticity.accountant.MigrationCostAccountant` that measures
@@ -25,8 +25,7 @@ keys moved, state migrated/lost and tuples misrouted.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from repro.elasticity.accountant import MigrationCostAccountant
 from repro.elasticity.events import RescaleEvent
@@ -42,6 +41,7 @@ from repro.simulation.metrics import (
 )
 from repro.simulation.results import SimulationResult
 from repro.types import Key
+from repro.workloads.columnar import iter_batches_columnar
 
 
 class SimulationEngine:
@@ -163,26 +163,22 @@ class SimulationEngine:
     def run(self, keys: Iterable[Key]) -> SimulationResult:
         """Consume the workload and return the aggregated result.
 
-        With ``config.batch_size > 1`` the stream is processed in chunks:
-        each chunk is split over the sources round-robin (by global message
-        index, exactly as the scalar loop assigns them), every source routes
-        its share through ``route_batch``, and the decisions are
+        Two loops, one per execution mode.  ``scalar`` is the oracle: one
+        ``route_with_decision`` per message.  ``columnar:N`` processes the
+        stream in chunks of interned key ids
+        (:class:`~repro.workloads.columnar.ColumnarBatch`): each chunk is
+        split over the sources round-robin (by global message index, exactly
+        as the scalar loop assigns them), every source routes its share
+        through ``route_batch_columnar``, and the decisions are
         re-interleaved back into stream order before metrics are recorded.
         Sources share no state, so the per-source key subsequences — and
         therefore every routing decision and every recorded metric — are
         identical to one-at-a-time routing.
-
-        With ``config.columnar`` the same chunking runs over interned key-id
-        arrays (:class:`~repro.workloads.columnar.ColumnarBatch`) and the
-        sources route through ``route_batch_columnar`` — still byte-identical,
-        but string keys are hashed only once, at interning.
         """
-        if self._config.columnar:
-            index = self._run_columnar(keys)
-        elif self._config.batch_size > 1:
-            index = self._run_batched(keys)
-        else:
+        if self._config.mode.is_scalar:
             index = self._run_sequential(keys)
+        else:
+            index = self._run_chunked(keys)
         if index == 0:
             raise ConfigurationError("cannot simulate an empty workload")
         self._series.final(self._tracker)
@@ -217,63 +213,23 @@ class SimulationEngine:
             index += 1
         return index
 
-    def _run_batched(self, keys: Iterable[Key]) -> int:
-        config = self._config
-        num_sources = config.num_sources
-        chunk_size = config.batch_size * num_sources
-        events = self._pending_events
+    def _run_chunked(self, keys: Iterable[Key]) -> int:
+        """Chunked execution over interned key-id arrays.
 
-        if hasattr(keys, "iter_batches"):
-            chunks: Iterator[list[Key]] = keys.iter_batches(chunk_size)
-        else:
-            iterator = iter(keys)
-            chunks = iter(lambda: list(islice(iterator, chunk_size)), [])
-
-        index = 0
-        for chunk in chunks:
-            if not chunk:
-                continue
-            # Split the chunk at rescale-event boundaries: every message
-            # with a global index >= an event's offset must be routed by
-            # the post-event topology, exactly as in the scalar loop.
-            position = 0
-            remaining = len(chunk)
-            while remaining:
-                while events and events[0].offset <= index:
-                    self._apply_rescale(events.pop(0))
-                if events:
-                    span = min(remaining, events[0].offset - index)
-                else:
-                    span = remaining
-                if position == 0 and span == len(chunk):
-                    part: Sequence[Key] = chunk
-                else:
-                    part = chunk[position : position + span]
-                self._route_span(part, index)
-                index += span
-                position += span
-                remaining -= span
-        return index
-
-    def _run_columnar(self, keys: Iterable[Key]) -> int:
-        """Batched execution over interned key-id arrays.
-
-        Mirrors :meth:`_run_batched` — same chunk size, same rescale-event
-        splitting — but each chunk is a :class:`ColumnarBatch` whose ids were
-        interned once at the source.  Workloads exposing
-        ``iter_batches_columnar`` emit batches natively; any other iterable
-        is wrapped through the generic chunker.
+        Each chunk is a :class:`ColumnarBatch` whose ids were interned once
+        at the source.  Workloads exposing ``iter_batches_columnar`` emit
+        batches natively; any other iterable is wrapped through the generic
+        chunker.  Chunks are split at rescale-event boundaries: every
+        message with a global index >= an event's offset must be routed by
+        the post-event topology, exactly as in the scalar loop.
         """
         config = self._config
-        num_sources = config.num_sources
-        chunk_size = config.batch_size * num_sources
+        chunk_size = config.mode.batch_size * config.num_sources
         events = self._pending_events
 
         if hasattr(keys, "iter_batches_columnar"):
             batches = keys.iter_batches_columnar(chunk_size)
         else:
-            from repro.workloads.columnar import iter_batches_columnar
-
             batches = iter_batches_columnar(keys, chunk_size)
 
         index = 0
@@ -294,64 +250,23 @@ class SimulationEngine:
                     part = batch
                 else:
                     part = batch.slice(position, position + span)
-                self._route_span_columnar(part, index)
+                self._route_id_span(part, index)
                 index += span
                 position += span
                 remaining -= span
         return index
 
-    def _route_span(self, part: Sequence[Key], index: int) -> None:
-        """Route one event-free span of the stream through all sources."""
-        num_sources = self._config.num_sources
-        sources = self._sources
-        tracker = self._tracker
-        series = self._series
-        window_series = self._window_series
-        worker_keys = self._worker_keys
-        head_keys = self._head_keys
-        accountant = self._accountant
+    def _route_id_span(self, batch, index: int) -> None:
+        """Route one event-free span of the stream through all sources.
 
-        # Round-robin split by *global* index, as the scalar loop does;
-        # the shift keeps the mapping right when a span boundary (from a
-        # workload's own iter_batches granularity, or from a rescale event
-        # splitting the chunk) is not a multiple of num_sources.
-        shift = index % num_sources
-        per_source = [
-            part[(source - shift) % num_sources :: num_sources]
-            for source in range(num_sources)
-        ]
-        workers = []
-        flags = []
-        for source, source_keys in zip(sources, per_source):
-            source_flags: list[bool] = []
-            workers.append(source.route_batch(source_keys, head_flags=source_flags))
-            flags.append(source_flags)
-        positions = [0] * num_sources
-        for key in part:
-            source_index = index % num_sources
-            position = positions[source_index]
-            positions[source_index] = position + 1
-            worker = workers[source_index][position]
-            is_head = flags[source_index][position]
-            if accountant is not None and accountant.window_open:
-                accountant.tick(key)
-            tracker.record(worker, is_head=is_head)
-            worker_keys[worker].add(key)
-            if is_head:
-                head_keys.add(key)
-            series.maybe_record(tracker)
-            if window_series is not None:
-                window_series.maybe_record(tracker)
-            index += 1
-
-    def _route_span_columnar(self, batch, index: int) -> None:
-        """Route one event-free columnar span through all sources.
-
-        Identical structure to :meth:`_route_span`; the per-source shares
-        are strided views over the id array and the worker-side key state
+        The per-source shares are strided views over the id array, split
+        round-robin by *global* index as the scalar loop does; the shift
+        keeps the mapping right when a span boundary (from a workload's own
+        chunk granularity, or from a rescale event splitting the chunk) is
+        not a multiple of ``num_sources``.  The worker-side key state
         accumulates ids instead of keys (a bijection, so every set-valued
-        metric — memory entries, distinct head keys — is unchanged).  The
-        misroute accountant also ticks in id space, consistent with the
+        metric — memory entries, distinct head keys — is unchanged), and the
+        misroute accountant ticks in id space too, consistent with the
         id-space moved-key sets of :meth:`_apply_rescale`.
         """
         num_sources = self._config.num_sources

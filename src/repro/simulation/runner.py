@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-from repro.execution import ExecutionMode, ModeLike, resolve_mode
+from repro.execution import ModeLike
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.results import SimulationResult
@@ -22,8 +22,6 @@ def run_simulation(
     track_interval: int = 0,
     track_head_tail: bool = False,
     imbalance_window: int = 0,
-    batch_size: int | None = None,
-    columnar: bool | None = None,
     mode: ModeLike | None = None,
     rescale_plan: Any = None,
     rescale_policy: str = "rehash",
@@ -40,13 +38,10 @@ def run_simulation(
                                 mode=ExecutionMode.columnar(4096))
         print(result.final_imbalance)
 
-    ``mode`` selects the execution backend — ``ExecutionMode.scalar()``,
-    ``.batched(n)`` or ``.columnar(n)``, or a spec string like
-    ``"columnar:4096"``; the default is the historical ``batched(1024)``.
-    Results are byte-identical for every mode, only throughput changes.
-    The legacy ``batch_size=`` / ``columnar=`` keywords still work as
-    deprecated aliases (a :class:`DeprecationWarning` is emitted) and mean
-    exactly what they always did.
+    ``mode`` selects the execution backend — ``ExecutionMode.scalar()`` or
+    ``.columnar(n)``, or a spec string like ``"columnar:4096"``; the default
+    is ``columnar(1024)``.  Results are byte-identical for every mode, only
+    throughput changes.
 
     ``rescale_plan`` (a :class:`~repro.elasticity.events.RescalePlan` or a
     spec string like ``"join@5000,fail@15000"``) makes workers join, leave
@@ -60,13 +55,6 @@ def run_simulation(
     pass policy knobs via ``scheme_options`` — e.g.
     ``{"policy": "enter_skew=1.5,dwell=8000", "check_interval": 1000}``.
     """
-    resolved = resolve_mode(
-        mode,
-        batch_size,
-        columnar,
-        default=ExecutionMode.batched(),
-        where="run_simulation",
-    )
     config = SimulationConfig(
         scheme=scheme,
         num_workers=num_workers,
@@ -76,14 +64,14 @@ def run_simulation(
         track_interval=track_interval,
         track_head_tail=track_head_tail,
         imbalance_window=imbalance_window,
-        mode=resolved,
+        mode=mode,
         rescale_plan=rescale_plan,
         rescale_policy=rescale_policy,
         migration_window=migration_window,
     )
     engine = SimulationEngine(config)
-    # Pass the workload itself (not iter(workload)) so the batched path can
-    # use a workload's chunked iterator when it provides one.
+    # Pass the workload itself (not iter(workload)) so the engine can use a
+    # workload's native columnar iterator when it provides one.
     return engine.run(workload)
 
 

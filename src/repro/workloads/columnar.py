@@ -47,6 +47,34 @@ _TOKENS = itertools.count()
 
 _GROW = 1024
 
+#: Key types that share the plain forward map.  Dict lookups use ``==``,
+#: which crosses types (``1 == True == 1.0``), while ``_key_to_int`` folds
+#: those differently — so only exact types that never compare equal to a
+#: value of another hashable type go in as themselves; anything else (bool,
+#: float, tuples, custom objects) is keyed by ``(type, key)``.  That makes
+#: ``id <-> key`` a bijection under the hash family's notion of identity.
+_PLAIN_TYPES = frozenset({str, bytes, int})
+
+
+def _forward_key(key: Key):
+    return key if type(key) in _PLAIN_TYPES else (type(key), key)
+
+
+def _fold_keys(keys: list[Key]) -> np.ndarray:
+    """``_key_to_int`` of every key, as ``uint64``.
+
+    Plain integer chunks (the cold case of every integer key space) fold in
+    one numpy conversion: an int's fold is ``key & (2**64 - 1)``, which is
+    its two's-complement ``int64`` reinterpreted as unsigned.  Integers
+    outside ``int64`` take the per-key route with everything else.
+    """
+    if set(map(type, keys)) == {int}:
+        try:
+            return np.asarray(keys, dtype=np.int64).view(np.uint64)
+        except OverflowError:
+            pass
+    return np.fromiter(map(_key_to_int, keys), dtype=np.uint64, count=len(keys))
+
 
 class KeyDictionary:
     """Append-only interning dictionary: stable dense ids for stream keys.
@@ -97,33 +125,69 @@ class KeyDictionary:
         self._keys = keys
         self._folded = folded
 
-    def _store(self, key: Key) -> int:
-        kid = self._size
-        self._grow(kid + 1)
-        self._keys[kid] = key
-        self._folded[kid] = _key_to_int(key)
-        self._size = kid + 1
-        forward = self._forward
-        forward[key] = kid
-        if self._max_keys is not None and len(forward) > self._max_keys:
-            del forward[next(iter(forward))]
-        return kid
+    def _append(self, keys: list[Key]) -> None:
+        """Issue the next ``len(keys)`` ids to ``keys`` in one bulk store."""
+        start = self._size
+        stop = start + len(keys)
+        self._grow(stop)
+        self._keys[start:stop] = np.fromiter(keys, dtype=object, count=len(keys))
+        self._folded[start:stop] = _fold_keys(keys)
+        self._size = stop
 
     def intern(self, key: Key) -> int:
         """Return the id of ``key``, issuing a fresh one on first sight."""
-        kid = self._forward.get(key)
+        lookup = _forward_key(key)
+        forward = self._forward
+        kid = forward.get(lookup)
         if kid is None:
-            kid = self._store(key)
+            # One key: two scalar stores beat the bulk append's array setup.
+            kid = self._size
+            self._grow(kid + 1)
+            self._keys[kid] = key
+            self._folded[kid] = _key_to_int(key)
+            self._size = kid + 1
+            forward[lookup] = kid
+            if self._max_keys is not None and len(forward) > self._max_keys:
+                del forward[next(iter(forward))]
         return kid
 
     def intern_keys(self, keys: Iterable[Key]) -> np.ndarray:
-        """Intern a sequence of keys, returning their ids as ``int64``."""
+        """Intern a sequence of keys, returning their ids as ``int64``.
+
+        Ids are issued in first-appearance order, exactly as element-wise
+        :meth:`intern` would; the chunk's new keys are stored with one
+        array append instead of one numpy scalar store each.
+        """
+        if not isinstance(keys, (list, tuple)):
+            keys = list(keys)
+        if set(map(type, keys)) <= _PLAIN_TYPES:
+            lookups = keys
+        else:
+            lookups = [_forward_key(key) for key in keys]
         forward = self._forward
-        store = self._store
+        max_keys = self._max_keys
+        base = self._size
+        fresh: list = []  # forward keys of the chunk's new keys, in order
+
+        def issue(lookup) -> int:
+            kid = base + len(fresh)
+            fresh.append(lookup)
+            forward[lookup] = kid
+            if max_keys is not None and len(forward) > max_keys:
+                del forward[next(iter(forward))]
+            return kid
+
+        get = forward.get
         out = [
-            kid if (kid := forward.get(key)) is not None else store(key)
-            for key in keys
+            kid if (kid := get(lookup)) is not None else issue(lookup)
+            for lookup in lookups
         ]
+        if fresh:
+            # A wrapped forward key is the only tuple that can appear here:
+            # tuple stream keys are themselves wrapped.
+            self._append(
+                [lookup[1] if type(lookup) is tuple else lookup for lookup in fresh]
+            )
         return np.asarray(out, dtype=np.int64)
 
     def intern_int_array(self, values: np.ndarray) -> np.ndarray:
@@ -148,38 +212,29 @@ class KeyDictionary:
         """
         values = np.asarray(values)
         uniques, inverse = np.unique(values, return_inverse=True)
-        unique_values = uniques.tolist()
+        unique_keys = uniques.tolist()
         if key_fn is not None:
-            unique_keys = [key_fn(value) for value in unique_values]
-        else:
-            unique_keys = unique_values
-        id_map = np.empty(uniques.size, dtype=np.int64)
-        forward = self._forward
-        known = True
-        for position, key in enumerate(unique_keys):
-            kid = forward.get(key)
-            if kid is None:
-                known = False
-                break
-            id_map[position] = kid
-        if not known:
-            # At least one new key: replay the chunk in stream order so ids
-            # are issued by first appearance, not by sorted value.
+            unique_keys = [key_fn(value) for value in unique_keys]
+        get = self._forward.get
+        known = [get(_forward_key(key)) for key in unique_keys]
+        if None in known:
+            # At least one new key: replay the distinct keys in stream order
+            # so ids are issued by first appearance, not by sorted value.
             first_positions = np.full(uniques.size, -1, dtype=np.int64)
             order = np.arange(values.size - 1, -1, -1)
             first_positions[inverse[order]] = order
-            store = self._store
-            for position in np.argsort(first_positions).tolist():
-                key = unique_keys[position]
-                kid = forward.get(key)
-                if kid is None:
-                    kid = store(key)
-                id_map[position] = kid
+            by_appearance = np.argsort(first_positions)
+            id_map = np.empty(uniques.size, dtype=np.int64)
+            id_map[by_appearance] = self.intern_keys(
+                [unique_keys[position] for position in by_appearance.tolist()]
+            )
+        else:
+            id_map = np.asarray(known, dtype=np.int64)
         return id_map[inverse].astype(np.int64, copy=False)
 
     def lookup(self, key: Key) -> int | None:
         """The current id of ``key``, or ``None`` if absent / evicted."""
-        return self._forward.get(key)
+        return self._forward.get(_forward_key(key))
 
     def key_of(self, kid: int) -> Key:
         """Decode one id back to its key (works even after eviction)."""
@@ -253,19 +308,14 @@ def iter_batches_columnar(
 ) -> Iterator[ColumnarBatch]:
     """Chunk any key iterable into :class:`ColumnarBatch` es.
 
-    Generic fallback used by :meth:`Workload.iter_batches_columnar` when a
-    workload has no native columnar generator; interning is element-wise.
+    Generic fallback for iterables without a native columnar generator;
+    interning is element-wise, one bulk dictionary append per chunk.
     """
     if batch_size < 1:
         raise WorkloadError(f"batch_size must be >= 1, got {batch_size}")
     dictionary = dictionary if dictionary is not None else KeyDictionary()
-    chunk: list[Key] = []
+    iterator = iter(source)
     index = base_index
-    for key in source:
-        chunk.append(key)
-        if len(chunk) >= batch_size:
-            yield ColumnarBatch(dictionary.intern_keys(chunk), dictionary, index)
-            index += len(chunk)
-            chunk = []
-    if chunk:
+    while chunk := list(itertools.islice(iterator, batch_size)):
         yield ColumnarBatch(dictionary.intern_keys(chunk), dictionary, index)
+        index += len(chunk)

@@ -55,6 +55,7 @@ class TestCiWorkflow:
             "tests",
             "suite-smoke",
             "scenario-regression",
+            "bench-smoke",
             "cluster-smoke",
             "chaos-smoke",
         } <= set(ci["jobs"])
@@ -82,11 +83,12 @@ class TestCiWorkflow:
         assert "computed|failed" in commands
 
     def test_suite_smoke_exercises_dataflow_experiment(self, ci):
-        # The multi-stage topology runs in both execution modes: scalar
-        # (batch-size 1) and batched.
+        # The multi-stage topology runs in both execution modes: the
+        # scalar reference and micro-batched.
         commands = _job_commands(ci["jobs"]["suite-smoke"])
-        assert "run fig17 --scale tiny --batch-size 1" in commands
-        assert "run fig17 --scale tiny --batch-size 1024" in commands
+        assert "run fig17 --scale tiny --mode scalar" in commands
+        assert "run fig17 --scale tiny --mode columnar:1024" in commands
+        assert "--batch-size" not in commands  # the flag is gone
 
     def test_scenario_regression_job_runs_the_expected_suite(self, ci):
         # The catalog's expected: bounds are CI assertions — the job must
@@ -141,11 +143,29 @@ class TestCiWorkflow:
         assert "--validate" in commands
         assert "test $? -eq 3" in commands
 
-    def test_pr_job_smokes_the_columnar_bench(self, ci):
-        # A PR that knocks the columnar path off its id-array fast path
-        # fails here, not a day later in the nightly guard.
-        commands = _job_commands(ci["jobs"]["suite-smoke"])
-        assert "--metric columnar_speedup --schemes PKG D-C" in commands
+    def test_pr_job_smokes_the_routing_bench_in_one_step(self, ci):
+        # A PR that knocks an id kernel off its fast path fails here, not
+        # a day later in the nightly guard.  "batch" and "columnar" time
+        # the same kernel with and without interning, so one guard step
+        # watches both metrics.
+        steps = [
+            step.get("run", "")
+            for step in ci["jobs"]["suite-smoke"]["steps"]
+            if "check_bench_regression.py" in step.get("run", "")
+        ]
+        assert len(steps) == 1
+        assert "--metric batch_speedup columnar_speedup" in steps[0]
+        assert "--schemes PKG D-C W-C" in steps[0]
+        assert "--threshold 0.50" in steps[0]
+
+    def test_bench_smoke_runs_the_repo_benchmark(self, ci):
+        # The repo benchmark (BENCHMARK.json) judges every later claim, so
+        # each PR proves it still runs: its own tests, then one short
+        # workload whose result line must report correct trials.
+        commands = _job_commands(ci["jobs"]["bench-smoke"])
+        assert "python -m pytest bench/tests -q" in commands
+        assert "python3 bench/run.py --workload sim_keys --seconds 3" in commands
+        assert "grep -q '\"correct\": true'" in commands
 
 
 class TestBenchWorkflow:
@@ -183,14 +203,25 @@ class TestBenchWorkflow:
         commands = _job_commands(bench["jobs"]["routing-bench"])
         assert "DATAFLOW-W-C" in commands
 
-    def test_guards_columnar_speedup_separately(self, bench):
-        # The columnar guard must be its own invocation with explicit
-        # schemes: DATAFLOW-* entries carry no columnar metrics, and mixing
-        # the metrics in one call would either fail spuriously or skip.
-        commands = _job_commands(bench["jobs"]["routing-bench"])
-        assert "--metric columnar_speedup" in commands
-        columnar_call = commands[commands.index("--metric columnar_speedup"):]
-        assert "--schemes PKG D-C" in columnar_call
+    def test_one_guard_step_watches_both_kernel_speedups(self, bench):
+        # batch_speedup and columnar_speedup time one kernel, so a single
+        # step guards both for the routing schemes.  DATAFLOW-* entries
+        # carry no columnar metrics and explicitly named schemes must
+        # carry every guarded metric, so the dataflow entry is a second
+        # invocation inside that step, not a second step.
+        steps = [
+            step.get("run", "")
+            for step in bench["jobs"]["routing-bench"]["steps"]
+            if "check_bench_regression.py" in step.get("run", "")
+        ]
+        assert len(steps) == 1
+        routing, dataflow = steps[0].split("python benchmarks/check_bench_regression.py")[1:]
+        assert "--metric batch_speedup columnar_speedup" in routing
+        assert "--schemes PKG D-C W-C" in routing
+        assert "DATAFLOW" not in routing
+        assert "--metric batch_speedup" in dataflow
+        assert "columnar_speedup" not in dataflow
+        assert "--schemes DATAFLOW-W-C" in dataflow
 
 
 class TestReferencedPathsExist:
@@ -208,6 +239,9 @@ class TestReferencedPathsExist:
             "docs/fault_tolerance.md",
             "tests/scenarios",
             "tests/runtime",
+            "bench/run.py",
+            "bench/tests",
+            "BENCHMARK.json",
         ],
     )
     def test_path_exists(self, path):

@@ -127,17 +127,17 @@ class TestRunTopology:
 class TestBatchedExecution:
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_topology(_counting_topology("SG"), ["a"], batch_size=0)
+            run_topology(_counting_topology("SG"), ["a"], mode="columnar:0")
 
     def test_empty_workload_rejected_in_batched_mode(self):
         with pytest.raises(ConfigurationError):
-            run_topology(_counting_topology("PKG"), [], batch_size=64)
+            run_topology(_counting_topology("PKG"), [], mode="columnar:64")
 
     @pytest.mark.parametrize("batch_size", [1, 3, 100, 4096])
     def test_counts_identical_for_every_batch_size(self, batch_size):
         result = run_topology(
             _counting_topology("PKG"), ["a", "b", "a"] * 100,
-            batch_size=batch_size,
+            mode="scalar" if batch_size == 1 else f"columnar:{batch_size}",
         )
         metrics = result.vertex_metrics("counter")
         assert metrics.messages == 300
@@ -155,8 +155,8 @@ class TestBatchedExecution:
         sentences = [
             Message(float(i), f"line-{i}", "alpha beta") for i in range(200)
         ]
-        scalar = run_topology(build(), sentences, batch_size=1)
-        batched = run_topology(build(), sentences, batch_size=64)
+        scalar = run_topology(build(), sentences, mode="scalar")
+        batched = run_topology(build(), sentences, mode="columnar:64")
         for vertex in ("splitter", "counter"):
             assert (
                 batched.vertex_metrics(vertex).instance_loads

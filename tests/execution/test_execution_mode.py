@@ -1,12 +1,13 @@
-"""Tests of the unified ExecutionMode API and its deprecation funnel.
+"""Tests of the unified ExecutionMode API.
 
-Pins the three contracts of the redesign:
+Pins the contracts of the two-role design:
 
-1. every entry point (``run_simulation``, ``route_stream``,
-   ``run_topology``) accepts ``mode=`` and the legacy ``batch_size=`` /
-   ``columnar=`` aliases keep working, warning, and returning
-   byte-identical results;
-2. passing both is rejected;
+1. there are two kinds, ``scalar`` (the oracle) and ``columnar:N`` (the id
+   kernel); ``batched[:N]`` is still *parsed*, as a spelling of
+   ``columnar[:N]``, so no knob selects a routing path any more;
+2. every entry point (``run_simulation``, ``route_stream``,
+   ``run_topology``) accepts ``mode=`` as an instance or a spec string and
+   returns byte-identical results for every mode;
 3. adding ``mode`` to experiment configs did **not** invalidate the suite
    store's content-addressed cache (fingerprints pinned as literals from
    before the redesign).
@@ -14,13 +15,11 @@ Pins the three contracts of the redesign:
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro import ExecutionMode
 from repro.exceptions import ConfigurationError
-from repro.execution import DEFAULT_BATCH_SIZE, resolve_mode
+from repro.execution import DEFAULT_BATCH_SIZE
 from repro.experiments.common import execution_mode_of, route_stream
 from repro.partitioning.registry import create_partitioner
 from repro.simulation.runner import run_simulation
@@ -32,30 +31,42 @@ def workload() -> ZipfWorkload:
 
 
 class TestExecutionModeValue:
+    def test_two_kinds(self):
+        assert ExecutionMode.KINDS == ("scalar", "columnar")
+
     def test_factories(self):
         assert ExecutionMode.scalar() == ExecutionMode("scalar", 1)
-        assert ExecutionMode.batched(64) == ExecutionMode("batched", 64)
         assert ExecutionMode.columnar(64) == ExecutionMode("columnar", 64)
-        assert ExecutionMode.batched().batch_size == DEFAULT_BATCH_SIZE
+        assert ExecutionMode.columnar().batch_size == DEFAULT_BATCH_SIZE
 
     def test_parse_specs(self):
         assert ExecutionMode.parse("scalar") == ExecutionMode.scalar()
-        assert ExecutionMode.parse("batched") == ExecutionMode.batched()
-        assert ExecutionMode.parse("batched:4096") == ExecutionMode.batched(4096)
+        assert ExecutionMode.parse("columnar") == ExecutionMode.columnar()
         assert ExecutionMode.parse("columnar:128") == ExecutionMode.columnar(128)
 
+    def test_batched_is_a_spelling_of_columnar(self):
+        assert ExecutionMode.parse("batched:1024") == ExecutionMode.columnar(1024)
+        assert ExecutionMode.parse("batched") == ExecutionMode.columnar()
+        assert ExecutionMode.coerce(" Batched:7 ") == ExecutionMode.columnar(7)
+        # Normalised on the way in: the spec names the kind that runs, and
+        # round-trips.
+        mode = ExecutionMode.parse("batched:1024")
+        assert mode.spec == "columnar:1024"
+        assert ExecutionMode.parse(mode.spec) == mode
+        # Only the parser knows the old name; it is not a kind.
+        with pytest.raises(ConfigurationError):
+            ExecutionMode("batched", 64)
+
     def test_spec_roundtrip(self):
-        for mode in (
-            ExecutionMode.scalar(),
-            ExecutionMode.batched(512),
-            ExecutionMode.columnar(4096),
-        ):
+        for mode in (ExecutionMode.scalar(), ExecutionMode.columnar(4096)):
             assert ExecutionMode.parse(mode.spec) == mode
 
-    def test_coerce_accepts_instances_and_strings(self):
+    def test_coerce_accepts_instances_strings_and_none(self):
         mode = ExecutionMode.columnar(32)
         assert ExecutionMode.coerce(mode) is mode
         assert ExecutionMode.coerce("columnar:32") == mode
+        # None is every entry point's default.
+        assert ExecutionMode.coerce(None) == ExecutionMode.columnar(DEFAULT_BATCH_SIZE)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -70,9 +81,9 @@ class TestExecutionModeValue:
     def test_parse_errors_list_the_valid_specs(self):
         # A CLI typo should show the user the full grammar, not just reject.
         for bad in ("vectorised", "", ":128", "batched:many", "scalar:8"):
-            with pytest.raises(ConfigurationError, match=r"scalar \| batched"):
+            with pytest.raises(ConfigurationError, match=r"scalar \| columnar"):
                 ExecutionMode.parse(bad)
-        with pytest.raises(ConfigurationError, match=r"scalar \| batched"):
+        with pytest.raises(ConfigurationError, match=r"scalar \| columnar"):
             ExecutionMode.parse(None)  # type: ignore[arg-type]
 
     def test_parse_errors_name_the_offending_part(self):
@@ -89,72 +100,35 @@ class TestExecutionModeValue:
         assert ExecutionMode.scalar().is_scalar
         assert not ExecutionMode.scalar().is_columnar
         assert ExecutionMode.columnar().is_columnar
-        assert ExecutionMode.batched(64).spec == "batched:64"
-
-
-class TestResolveMode:
-    def test_mode_wins_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            resolved = resolve_mode("columnar:64", None, None)
-        assert resolved == ExecutionMode.columnar(64)
-
-    def test_default_when_nothing_given(self):
-        default = ExecutionMode.batched(99)
-        assert resolve_mode(None, None, None, default=default) == default
-
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning):
-            assert resolve_mode(None, 64, None) == ExecutionMode.batched(64)
-        with pytest.warns(DeprecationWarning):
-            assert resolve_mode(None, 1, None) == ExecutionMode.scalar()
-        with pytest.warns(DeprecationWarning):
-            assert resolve_mode(None, 64, True) == ExecutionMode.columnar(64)
-        with pytest.warns(DeprecationWarning):
-            assert resolve_mode(None, None, True) == ExecutionMode.columnar(
-                DEFAULT_BATCH_SIZE
-            )
-
-    def test_mode_plus_legacy_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            resolve_mode("scalar", 64, None)
+        assert ExecutionMode.columnar(64).spec == "columnar:64"
 
 
 class TestEntryPointEquivalence:
-    def test_run_simulation_alias_is_byte_identical(self):
-        baseline = run_simulation(
-            workload(), scheme="PKG", num_workers=8,
-            mode=ExecutionMode.columnar(128),
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy = run_simulation(
-                workload(), scheme="PKG", num_workers=8,
-                batch_size=128, columnar=True,
+    def test_run_simulation_is_byte_identical_across_modes(self):
+        def run(mode):
+            return run_simulation(
+                workload(), scheme="PKG", num_workers=8, mode=mode
             )
-        assert legacy.worker_loads == baseline.worker_loads
-        assert legacy.final_imbalance == baseline.final_imbalance
 
-    def test_run_simulation_rejects_mode_plus_alias(self):
-        with pytest.raises(ConfigurationError, match="run_simulation"):
+        baseline = run(ExecutionMode.columnar(128))
+        for mode in ("batched:128", "columnar:77", "scalar", None):
+            other = run(mode)
+            assert other.worker_loads == baseline.worker_loads
+            assert other.final_imbalance == baseline.final_imbalance
+
+    def test_removed_keywords_are_gone(self):
+        with pytest.raises(TypeError):
             run_simulation(
-                workload(), scheme="PKG", num_workers=8,
-                mode="scalar", batch_size=64,
+                workload(), scheme="PKG", num_workers=8, batch_size=64
             )
 
-    def test_route_stream_alias_is_byte_identical(self):
-        routed_mode = route_stream(
-            create_partitioner("D-C", num_workers=8, seed=3),
-            workload(),
-            mode="columnar:64",
-        )
-        with pytest.warns(DeprecationWarning):
-            routed_legacy = route_stream(
-                create_partitioner("D-C", num_workers=8, seed=3),
-                workload(),
-                batch_size=64,
-                columnar=True,
+    def test_route_stream_is_byte_identical_across_modes(self):
+        def routed(mode):
+            return route_stream(
+                create_partitioner("D-C", num_workers=8, seed=3), workload(), mode=mode
             )
-        assert routed_mode == routed_legacy
+
+        assert routed("columnar:64") == routed("batched:64") == routed("scalar")
 
     def test_route_stream_scalar_mode_matches_scalar_loop(self):
         keys = list(workload())
@@ -167,7 +141,7 @@ class TestEntryPointEquivalence:
         )
         assert routed == expected
 
-    def test_run_topology_accepts_mode_and_alias(self):
+    def test_run_topology_is_byte_identical_across_modes(self):
         from repro.dataflow.runtime import run_topology
         from repro.experiments.fig17_topology_throughput import (
             Fig17Config,
@@ -177,20 +151,18 @@ class TestEntryPointEquivalence:
 
         config = Fig17Config.tiny()
         posts = make_posts(config)
-        baseline = run_topology(
-            build_topology(config, "PKG"), posts, seed=0,
-            num_external_sources=config.num_external_sources,
-            mode=ExecutionMode.batched(256),
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy = run_topology(
+
+        def loads(mode):
+            result = run_topology(
                 build_topology(config, "PKG"), posts, seed=0,
                 num_external_sources=config.num_external_sources,
-                batch_size=256,
+                mode=mode,
             )
-        base_metrics = baseline.vertex_metrics("aggregate")
-        legacy_metrics = legacy.vertex_metrics("aggregate")
-        assert legacy_metrics.instance_loads == base_metrics.instance_loads
+            return result.vertex_metrics("aggregate").instance_loads
+
+        baseline = loads(ExecutionMode.columnar(256))
+        assert loads("batched:256") == baseline
+        assert loads("scalar") == baseline
 
 
 class TestConfigAdoption:
@@ -205,18 +177,18 @@ class TestConfigAdoption:
         class Config:
             batch_size = 64
 
-        assert execution_mode_of(Config()) == ExecutionMode.batched(64)
+        assert execution_mode_of(Config()) == ExecutionMode.columnar(64)
 
         class Scalar:
             batch_size = 1
 
         assert execution_mode_of(Scalar()) == ExecutionMode.scalar()
 
-    def test_execution_mode_of_defaults_to_batched(self):
+    def test_execution_mode_of_defaults_to_columnar(self):
         class Bare:
             pass
 
-        assert execution_mode_of(Bare()) == ExecutionMode.batched()
+        assert execution_mode_of(Bare()) == ExecutionMode.columnar()
 
     def test_simulation_config_resolves_mode(self):
         from repro.simulation.config import SimulationConfig
@@ -225,8 +197,11 @@ class TestConfigAdoption:
             scheme="PKG", num_workers=4, mode="columnar:64"
         )
         assert config.mode == ExecutionMode.columnar(64)
-        assert config.columnar is True
-        assert config.batch_size == 64
+        # ``mode`` is the only execution field, always normalised.
+        default = SimulationConfig(scheme="PKG", num_workers=4)
+        assert default.mode == ExecutionMode.columnar()
+        assert not hasattr(default, "batch_size")
+        assert not hasattr(default, "columnar")
 
     def test_descriptor_configure_rejects_mode_plus_batch_size(self):
         from repro.experiments.registry import get_experiment

@@ -1,6 +1,6 @@
 """Per-id candidate tables: the hash family's columnar fast path.
 
-``id_candidate_rows`` must be a pure gather view of ``candidates_batch`` —
+``id_candidate_rows`` must be a pure gather view of scalar ``candidates`` —
 bit-identical for every dictionary state, growth pattern and requested d —
 and the table lifecycle (lazy growth, wider-d rebuild, FIFO bounding,
 rescale invalidation) must never leak stale buckets.
@@ -20,15 +20,20 @@ def _intern(dictionary: KeyDictionary, keys) -> np.ndarray:
     return dictionary.intern_keys(keys)
 
 
+def _scalar_rows(family: HashFamily, keys, d=None) -> np.ndarray:
+    """The reference: one scalar ``candidates`` call per key."""
+    return np.array([family.candidates(key, d) for key in keys], dtype=np.int64)
+
+
 class TestIdCandidateRows:
     @pytest.mark.parametrize("d", [1, 2, 5])
-    def test_matches_candidates_batch(self, d):
+    def test_matches_scalar_candidates(self, d):
         family = HashFamily(num_functions=5, num_buckets=23, seed=11)
         dictionary = KeyDictionary()
         keys = [f"key-{i % 37}" for i in range(300)] + list(range(50))
         ids = _intern(dictionary, keys)
         rows = family.id_candidate_rows(ids, dictionary, d)
-        expected = family.candidates_batch(keys, d)
+        expected = _scalar_rows(family, keys, d)
         assert np.array_equal(rows, expected)
 
     def test_table_grows_with_the_dictionary(self):
@@ -40,7 +45,7 @@ class TestIdCandidateRows:
         second = _intern(dictionary, [f"b{i}" for i in range(2_000)])
         rows_after = family.id_candidate_rows(second, dictionary)
         assert np.array_equal(
-            rows_after, family.candidates_batch([f"b{i}" for i in range(2_000)])
+            rows_after, _scalar_rows(family, [f"b{i}" for i in range(2_000)])
         )
         # The earlier ids still gather the same buckets.
         assert np.array_equal(
@@ -55,7 +60,7 @@ class TestIdCandidateRows:
         wide = family.id_candidate_rows(ids, dictionary, 6)
         assert np.array_equal(wide[:, :2], narrow)
         assert np.array_equal(
-            wide, family.candidates_batch([f"k{i}" for i in range(100)], 6)
+            wide, _scalar_rows(family, [f"k{i}" for i in range(100)], 6)
         )
 
     def test_scalar_and_column_views_agree(self):
@@ -83,7 +88,7 @@ class TestIdCandidateRows:
         again = family.id_candidate_rows(
             _intern(evicted, ["x", "y"]), evicted
         )
-        assert np.array_equal(again, family.candidates_batch(["x", "y"]))
+        assert np.array_equal(again, _scalar_rows(family, ["x", "y"]))
 
     def test_dictionary_tokens_are_unique_across_instances(self):
         # id() reuse after garbage collection must not alias tables; the

@@ -8,6 +8,13 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.hashing.hash_family import HashFamily, _key_to_int, stable_hash
 from repro.hashing.vectorized import splitmix64_array
+from repro.workloads.columnar import KeyDictionary
+
+
+def _id_rows(family: HashFamily, keys, d=None) -> np.ndarray:
+    """Batched hashing as the routing kernels do it: intern, then gather."""
+    dictionary = KeyDictionary()
+    return family.id_candidate_rows(dictionary.intern_keys(keys), dictionary, d)
 
 
 class TestSplitmixArray:
@@ -27,28 +34,31 @@ class TestCandidatesBatch:
     def test_matches_scalar_candidates(self):
         family = HashFamily(num_functions=8, num_buckets=37, seed=11)
         keys = ["apple", "banana", b"raw-bytes", 42, -17, 2**70 + 5, "apple", ""]
-        batch = family.candidates_batch(keys, 8)
+        batch = _id_rows(family, keys, 8)
         assert batch.shape == (len(keys), 8)
         for row, key in zip(batch.tolist(), keys):
             assert tuple(row) == family.candidates(key, 8)
+        # The dictionary-free key-list form agrees, column by column.
+        columns = family.candidates_batch_columns(keys, 8)
+        assert np.array_equal(np.array(columns).T, batch)
 
     def test_partial_d_is_a_prefix(self):
         family = HashFamily(num_functions=6, num_buckets=10, seed=3)
         keys = [f"k{i}" for i in range(50)]
-        full = family.candidates_batch(keys, 6)
-        two = family.candidates_batch(keys, 2)
+        full = _id_rows(family, keys, 6)
+        two = _id_rows(family, keys, 2)
         assert np.array_equal(full[:, :2], two)
 
     def test_rejects_bad_d(self):
         family = HashFamily(num_functions=2, num_buckets=10, seed=0)
         with pytest.raises(ConfigurationError):
-            family.candidates_batch(["x"], 3)
+            _id_rows(family, ["x"], 3)
         with pytest.raises(ConfigurationError):
-            family.candidates_batch(["x"], 0)
+            _id_rows(family, ["x"], 0)
 
     def test_empty_batch(self):
         family = HashFamily(num_functions=2, num_buckets=10, seed=0)
-        assert family.candidates_batch([], 2).shape == (0, 2)
+        assert _id_rows(family, [], 2).shape == (0, 2)
 
 
 class TestInterningCache:
@@ -66,7 +76,6 @@ class TestInterningCache:
             assert family.candidates(key, 2) == reference.candidates(key, 2)
         # FIFO bound is respected
         assert len(family._candidate_cache) <= 8
-        assert len(family._int_cache) <= 8
 
     def test_bool_keys_do_not_alias_int_keys(self):
         family = HashFamily(num_functions=2, num_buckets=1000, seed=5)
@@ -74,9 +83,16 @@ class TestInterningCache:
         bool_candidates = (family.candidates(True, 2), family.candidates(False, 2))
         int_candidates = (family.candidates(1, 2), family.candidates(0, 2))
         assert bool_candidates != int_candidates
-        batch = family.candidates_batch([True, 1, False, 0], 2)
+        # ... and the dictionary keeps them apart too: four distinct ids,
+        # each gathering its own key's candidates.
+        dictionary = KeyDictionary()
+        ids = dictionary.intern_keys([True, 1, False, 0])
+        assert ids.tolist() == [0, 1, 2, 3]
+        batch = family.id_candidate_rows(ids, dictionary, 2)
         assert tuple(batch[0].tolist()) == bool_candidates[0]
         assert tuple(batch[1].tolist()) == int_candidates[0]
+        assert tuple(batch[2].tolist()) == bool_candidates[1]
+        assert tuple(batch[3].tolist()) == int_candidates[1]
 
     def test_cross_type_equal_keys_do_not_alias_through_the_cache(self):
         # -1 == -1.0 as dict keys, but the folds differ; a cached int entry
@@ -86,9 +102,14 @@ class TestInterningCache:
         cold = HashFamily(num_functions=2, num_buckets=11, seed=42)
         warm.candidates(-1, 2)  # prime the cache with the int
         assert warm.candidates(-1.0, 2) == cold.candidates(-1.0, 2)
-        assert warm.candidates_batch([-1.0], 2).tolist()[0] == list(
-            cold.candidates(-1.0, 2)
-        )
+        # The dictionary must not alias them either: interning the int
+        # first may not hand its id (and folded key) to the float.
+        dictionary = KeyDictionary()
+        ids = dictionary.intern_keys([-1, -1.0, 1, True, 1.0])
+        assert len(set(ids.tolist())) == 5
+        rows = warm.id_candidate_rows(ids, dictionary, 2).tolist()
+        for row, key in zip(rows, [-1, -1.0, 1, True, 1.0]):
+            assert tuple(row) == cold.candidates(key, 2)
 
 
 class TestChunkedKeyFold:

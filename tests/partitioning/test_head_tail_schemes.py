@@ -253,6 +253,21 @@ class TestHeadCandidateCache:
                 assert len(set(candidates)) == len(candidates) <= d
                 assert all(0 <= worker < 30 for worker in candidates)
 
+    def test_head_keys_do_not_widen_the_id_table(self):
+        # A head key's d candidates are hashed from its folded key on a
+        # cache miss; gathering them from the per-dictionary table would
+        # widen a row for *every* key of the stream to d columns.
+        scheme = DChoices(num_workers=30, warmup_messages=0)
+        keys = list(ZipfWorkload(1.1, 2_000, 20_000, seed=2))
+        for start in range(0, len(keys), 1_000):
+            scheme.route_batch(keys[start : start + 1_000])
+        assert not scheme.current_solution().use_w_choices
+        assert scheme._head_cand_cache_d > 2  # the head really used d > 2
+        assert any(len(c) > 2 for c in scheme._head_cand_cache.values())
+        (table,) = scheme._hashes._id_tables.values()
+        assert table.width == 2
+        assert table.rows.shape[1] == 2
+
     def test_rescale_flushes_cached_tuples(self):
         scheme = FixedDHead(num_workers=16, num_choices=4, warmup_messages=0)
         for _ in range(500):
@@ -276,8 +291,10 @@ class TestHeadCandidateCache:
 
     def test_solver_d_change_flushes_lazily(self):
         scheme = DChoices(num_workers=8, warmup_messages=0)
+        # The cache is keyed by key id (the partitioner's one namespace).
+        stale, fresh = scheme._dictionary().intern_keys(["stale", "fresh"]).tolist()
         scheme._head_cand_cache_d = 3
-        scheme._head_cand_cache["stale"] = (0, 1, 2)
-        assert scheme._cached_head_candidates("fresh", 5) is not None
-        assert "stale" not in scheme._head_cand_cache
+        scheme._head_cand_cache[stale] = (0, 1, 2)
+        assert scheme._cached_head_candidates(fresh, 5) is not None
+        assert stale not in scheme._head_cand_cache
         assert scheme._head_cand_cache_d == 5

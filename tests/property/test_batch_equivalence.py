@@ -252,7 +252,7 @@ class TestEngineBatchingInvariance:
                 seed=4,
                 track_interval=500,
                 track_head_tail=True,
-                batch_size=batch_size,
+                mode="scalar" if batch_size == 1 else f"batched:{batch_size}",
             )
 
         scalar = run(1)

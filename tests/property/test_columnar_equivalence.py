@@ -36,7 +36,19 @@ def _make(scheme: str, num_workers: int, seed: int):
     )
 
 
+#: Keys that compare equal across types (``1 == True == 1.0``) but that the
+#: hash family folds apart (``_key_to_int`` keeps bool, int and str distinct):
+#: the dictionary must give each its own id, or columnar KG/PKG route such a
+#: stream differently from the scalar path.
+MIXED_TYPE_KEYS = [
+    1, True, 1.0, 0, False, 0.0, -1, -1.0, "1", b"1", (1,), (True,), 2, 2.0, "", 7,
+]
+
+
 def _streams(name: str, seed: int) -> list:
+    if name == "mixed-types":
+        ranks = ZipfWorkload(1.1, len(MIXED_TYPE_KEYS), 12_000, seed=seed)
+        return [MIXED_TYPE_KEYS[rank % len(MIXED_TYPE_KEYS)] for rank in ranks]
     if name == "zipf":
         return list(ZipfWorkload(1.4, 3_000, 12_000, seed=seed))
     if name == "drift":
@@ -48,7 +60,7 @@ def _streams(name: str, seed: int) -> list:
 
 class TestColumnarMatchesScalar:
     @pytest.mark.parametrize("scheme", available_schemes())
-    @pytest.mark.parametrize("stream", ["zipf", "drift", "wikipedia"])
+    @pytest.mark.parametrize("stream", ["zipf", "drift", "wikipedia", "mixed-types"])
     def test_worker_sequence_and_loads_identical(self, scheme, stream):
         keys = _streams(stream, seed=7)
         scalar = _make(scheme, num_workers=40, seed=7)
@@ -140,17 +152,15 @@ class TestRouteStreamColumnar:
                 **kwargs,
             )
 
-        scalar = run(batch_size=1)
-        batched = run(batch_size=768)
-        columnar = run(batch_size=768, columnar=True)
+        scalar = run(mode="scalar")
+        batched = run(mode="batched:768")
+        columnar = run(mode="columnar:509")
         assert scalar == batched == columnar
 
     def test_plain_iterable_fallback(self):
         keys = [f"k{i % 101}" for i in range(5_000)]
-        expected = route_stream(_make("PKG", 12, 0), list(keys), batch_size=1)
-        actual = route_stream(
-            _make("PKG", 12, 0), iter(keys), batch_size=512, columnar=True
-        )
+        expected = route_stream(_make("PKG", 12, 0), list(keys), mode="scalar")
+        actual = route_stream(_make("PKG", 12, 0), iter(keys), mode="columnar:512")
         assert actual == expected
 
 
@@ -170,7 +180,7 @@ def _engine_snapshot(result):
 class TestEngineColumnarInvariance:
     @pytest.mark.parametrize("scheme", ["PKG", "D-C", "W-C", "SG"])
     def test_simulation_results_independent_of_representation(self, scheme):
-        def run(batch_size: int, columnar: bool):
+        def run(mode: str):
             return run_simulation(
                 ZipfWorkload(1.4, 2_000, 30_000, seed=2),
                 scheme=scheme,
@@ -179,46 +189,43 @@ class TestEngineColumnarInvariance:
                 seed=4,
                 track_interval=500,
                 track_head_tail=True,
-                batch_size=batch_size,
-                columnar=columnar,
+                mode=mode,
             )
 
-        scalar = run(1, False)
-        columnar = run(613, True)
+        scalar = run("scalar")
+        columnar = run("columnar:613")
         assert _engine_snapshot(columnar) == _engine_snapshot(scalar)
 
     @pytest.mark.parametrize("policy", ["rehash", "migrate", "remap"])
     @pytest.mark.parametrize("scheme", ["PKG", "D-C", "CH"])
     def test_rescale_plans_fire_identically_mid_stream(self, policy, scheme):
-        def run(batch_size: int, columnar: bool):
+        def run(mode: str):
             return run_simulation(
                 ZipfWorkload(1.4, 2_000, 30_000, seed=2),
                 scheme=scheme,
                 num_workers=25,
                 num_sources=5,
                 track_interval=500,
-                batch_size=batch_size,
-                columnar=columnar,
+                mode=mode,
                 rescale_plan="join@5000,leave@12000,fail@21000",
                 rescale_policy=policy,
                 migration_window=1500,
             )
 
-        scalar = run(1, False)
-        columnar = run(613, True)
+        scalar = run("scalar")
+        columnar = run("columnar:613")
         assert _engine_snapshot(columnar) == _engine_snapshot(scalar)
 
     def test_string_keyed_workload(self):
-        def run(batch_size: int, columnar: bool):
+        def run(mode: str):
             return run_simulation(
                 WikipediaLikeWorkload(15_000, seed=3),
                 scheme="D-C",
                 num_workers=20,
-                batch_size=batch_size,
-                columnar=columnar,
+                mode=mode,
             )
 
-        assert _engine_snapshot(run(701, True)) == _engine_snapshot(run(1, False))
+        assert _engine_snapshot(run("columnar:701")) == _engine_snapshot(run("scalar"))
 
 
 class TestDataflowColumnarInvariance:
@@ -273,13 +280,9 @@ class TestDataflowColumnarInvariance:
         build = self._wordcount if shape == "wordcount" else self._pipeline
         workload = lambda: ZipfWorkload(1.4, 2_000, 20_000, seed=4)
         scalar = run_topology(
-            build(), workload(), batch_size=1, num_external_sources=3
+            build(), workload(), mode="scalar", num_external_sources=3
         )
         columnar = run_topology(
-            build(),
-            workload(),
-            batch_size=509,
-            num_external_sources=3,
-            columnar=True,
+            build(), workload(), mode="columnar:509", num_external_sources=3
         )
         assert self._snapshot(columnar) == self._snapshot(scalar)

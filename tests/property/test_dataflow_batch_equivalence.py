@@ -3,9 +3,9 @@
 The stage-by-stage micro-batch engine (vectorized edge routing, bulk
 operator execution, order-key merging at fan-in vertices) is pure
 optimisation: for every scheme, every topology shape and every batch size,
-``run_topology(batch_size=n)`` must produce the exact per-vertex metrics —
+``run_topology(mode="columnar:n")`` must produce the exact per-vertex metrics —
 worker sequences, per-instance loads, state sizes — and the exact
-reconciled state of depth-first scalar execution (``batch_size=1``).
+reconciled state of depth-first scalar execution (``mode="scalar"``).
 These tests pin that contract, mirroring what
 ``test_batch_equivalence.py`` pins for the routing engines.
 """
@@ -125,7 +125,7 @@ def _fingerprint(topology_factory, scheme: str, batch_size: int,
         workload,
         seed=5,
         num_external_sources=num_sources,
-        batch_size=batch_size,
+        mode="scalar" if batch_size == 1 else f"columnar:{batch_size}",
     )
     fingerprint = {"ingested": result.messages_ingested}
     for name, metrics in result.metrics.items():
@@ -175,7 +175,7 @@ class TestBatchedTopologyMatchesScalar:
         workload = list(ZipfWorkload(1.6, 200, 8_000, seed=3))
         result = run_topology(
             _single_stage("D-C"), workload, seed=2,
-            num_external_sources=4, batch_size=256,
+            num_external_sources=4, mode="columnar:256",
         )
         from collections import Counter
 

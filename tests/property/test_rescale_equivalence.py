@@ -30,7 +30,7 @@ def _run(scheme: str, plan: RescalePlan, batch_size: int, messages: int = 20_000
         num_sources=5,
         seed=4,
         track_interval=500,
-        batch_size=batch_size,
+        mode="scalar" if batch_size == 1 else f"columnar:{batch_size}",
         rescale_plan=plan,
     )
 

@@ -1,7 +1,7 @@
 """Scenario streams are representation-invariant for every scheme.
 
 Cataloged scenarios must produce byte-identical simulation results whether
-the stream is consumed scalar (``batch_size=1``), batched, or columnar —
+the stream is consumed scalar or in columnar chunks of any length —
 including when a rescale plan fires mid-stream.  This pins the scenario
 workload into the same equivalence contract the Zipf/drift/synthetic
 workloads already satisfy (``test_columnar_equivalence.py``).
@@ -42,6 +42,12 @@ def _snapshot(result):
 
 
 def _run(name, scheme, *, batch_size, columnar, rescale_plan=None):
+    # ``columnar=False`` legs use the ``batched:N`` spelling, which parses to
+    # the same id kernel — the triple is scalar vs two chunk lengths.
+    if batch_size == 1:
+        mode = "scalar"
+    else:
+        mode = f"{'columnar' if columnar else 'batched'}:{batch_size}"
     workload = build_workload(name, NUM_MESSAGES, NUM_KEYS)
     return run_simulation(
         workload,
@@ -49,8 +55,7 @@ def _run(name, scheme, *, batch_size, columnar, rescale_plan=None):
         num_workers=12,
         num_sources=3,
         scheme_options=SCHEME_OPTIONS.get(scheme, {}),
-        batch_size=batch_size,
-        columnar=columnar,
+        mode=mode,
         rescale_plan=rescale_plan,
     )
 

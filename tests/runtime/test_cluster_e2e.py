@@ -95,7 +95,7 @@ class TestEndToEnd:
 
     def test_scalar_mode_is_rejected(self):
         with pytest.raises(ConfigurationError, match="columnar-only"):
-            small_config(mode="batched:256")
+            small_config(mode="scalar")
 
 
 class TestFailureHandling:
