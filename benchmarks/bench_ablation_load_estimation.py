@@ -9,8 +9,6 @@ single-source run of the same stream, in which the one source's local view
 
 from __future__ import annotations
 
-from _bench_utils import run_once
-
 from repro.simulation.runner import run_simulation
 from repro.workloads.zipf_stream import ZipfWorkload
 
@@ -44,7 +42,7 @@ def _imbalances() -> dict[str, dict[str, float]]:
 
 
 def test_ablation_local_vs_global_load_estimation(benchmark):
-    results = run_once(benchmark, _imbalances)
+    results = benchmark.pedantic(_imbalances, rounds=1, iterations=1)
     print()
     for scheme, row in results.items():
         print(

@@ -8,8 +8,6 @@ imbalance.
 
 from __future__ import annotations
 
-from _bench_utils import run_once
-
 from repro.analysis.bounds import theta_range
 from repro.simulation.runner import run_simulation
 from repro.sketches.lossy_counting import LossyCounting
@@ -47,7 +45,7 @@ def _imbalances() -> dict[str, float]:
 
 
 def test_ablation_sketch_choice(benchmark):
-    results = run_once(benchmark, _imbalances)
+    results = benchmark.pedantic(_imbalances, rounds=1, iterations=1)
     print()
     for name, imbalance in results.items():
         print(f"D-C with {name}: imbalance={imbalance:.3e}")

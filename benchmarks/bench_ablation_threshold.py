@@ -8,8 +8,6 @@ conservative default ``1/(5n)`` is a safe choice.
 
 from __future__ import annotations
 
-from _bench_utils import run_once
-
 from repro.simulation.runner import run_simulation
 from repro.workloads.zipf_stream import ZipfWorkload
 
@@ -42,7 +40,7 @@ def _imbalances() -> dict[str, float]:
 
 
 def test_ablation_threshold_for_dchoices(benchmark):
-    results = run_once(benchmark, _imbalances)
+    results = benchmark.pedantic(_imbalances, rounds=1, iterations=1)
     print()
     for label, imbalance in results.items():
         print(f"D-C with theta={label}: imbalance={imbalance:.3e}")

@@ -32,8 +32,9 @@ from repro.cluster.topology import ClusterTopology
 from repro.elasticity.events import RescaleEvent
 from repro.elasticity.policies import RescalePolicy, get_policy
 from repro.exceptions import SimulationError
+from repro.execution import SenderGroup
 from repro.partitioning.base import Partitioner
-from repro.partitioning.registry import canonical_name, create_partitioner
+from repro.partitioning.registry import canonical_name
 from repro.simulation.metrics import LoadTracker
 from repro.types import Key
 
@@ -69,20 +70,18 @@ class ClusterEngine:
     def __init__(self, topology: ClusterTopology) -> None:
         self._topology = topology
         self._scheme = canonical_name(topology.scheme)
+        # Construction and rescale are the sender group's; emission is not:
+        # these sources pull keys on credit, they are not dealt a stream.
+        self._group = SenderGroup.build(
+            self._scheme,
+            topology.num_sources,
+            topology.num_workers,
+            seed=topology.seed,
+            **topology.scheme_options,
+        )
         self._sources = [
-            _SourceState(
-                partitioner=create_partitioner(
-                    self._scheme,
-                    num_workers=topology.num_workers,
-                    seed=(
-                        topology.seed + index
-                        if self._scheme == "SG"
-                        else topology.seed
-                    ),
-                    **topology.scheme_options,
-                )
-            )
-            for index in range(topology.num_sources)
+            _SourceState(partitioner=partitioner)
+            for partitioner in self._group.partitioners
         ]
         self._workers = [
             WorkerQueue(service_time_ms=topology.service_time_ms)
@@ -167,7 +166,7 @@ class ClusterEngine:
                 source.pending -= 1
                 completed += 1
                 if not exhausted and not source.emit_scheduled:
-                    self._schedule_emit(source, event.time, source_index=source_index)
+                    self._schedule_emit(source, event.time, source_index)
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown event type {event.event_type}")
 
@@ -216,8 +215,7 @@ class ClusterEngine:
             raise SimulationError(
                 f"rescale event {event.spec} would drop below 1 worker"
             )
-        for source in self._sources:
-            policy.apply(source.partitioner, new_num_workers)
+        self._group.rescale(policy, new_num_workers)
         if new_num_workers > old_num_workers:
             joiner = WorkerQueue(
                 service_time_ms=self._topology.service_time_ms, started_at=now
@@ -279,16 +277,14 @@ class ClusterEngine:
         source.next_free = now + overhead * len(workers)
         # Schedule the source's next emission if it still has credit.
         if source.pending < topology.max_pending_per_source:
-            self._schedule_emit(source, source.next_free, source_index=source_index)
+            self._schedule_emit(source, source.next_free, source_index)
         return last_completion
 
     def _schedule_emit(
-        self, source: _SourceState, now: float, source_index: int | None = None
+        self, source: _SourceState, now: float, source_index: int
     ) -> None:
         if source.emit_scheduled:
             return
-        if source_index is None:
-            source_index = self._sources.index(source)
         emit_time = max(now, source.next_free)
         self._events.push(emit_time, EventType.SOURCE_EMIT, source_index)
         source.emit_scheduled = True

@@ -1,30 +1,34 @@
 """Execution of a topology over a workload.
 
 The runtime instantiates every vertex's operator instances and builds one
-partitioner *per (edge, upstream instance)* — so each sender routes with its
-own local load vector, as in the paper.  :class:`~repro.execution.ExecutionMode`
-selects between the scalar reference and micro-batched execution; the
-micro-batch representation follows from the workload:
+:class:`~repro.execution.SenderGroup` per edge — one partitioner per
+upstream instance, so each sender routes with its own local load vector, as
+in the paper.  :class:`~repro.execution.ExecutionMode` selects between the
+scalar reference and micro-batched execution:
 
-* **scalar**: every input message is pushed through the
-  DAG depth-first, routed and processed one at a time — the reference
-  semantics;
-* **micro-batched messages** (``columnar:N``, the default, over any plain
-  iterable of keys or pre-built messages): the stream is consumed in
-  micro-batches and the DAG executes *stage by stage* — every edge routes
-  its whole sub-batch through the per-sender partitioner's ``route_batch``
-  (vectorized hashing) and every operator instance processes its share via
-  ``execute_batch`` (bulk folds).  Deliveries carry their depth-first order,
-  so each partitioner and each operator instance observes exactly the
-  sub-stream it would under scalar execution: results are byte-identical
-  for every batch size (property-pinned), only the throughput changes;
-* **micro-batched key ids** (``columnar:N`` over a workload exposing
-  ``iter_batches_columnar``): the same stage-by-stage execution whose
-  micro-batches are interned key-id arrays (:class:`~repro.workloads.columnar.ColumnarBatch`)
-  — source edges route ids through ``route_batch_columnar`` and terminal
-  stateful vertices fold their shares in id space via ``execute_batch_ids``,
-  so string keys are hashed exactly once, at interning.  Still
-  byte-identical.
+* **scalar**: every input message is pushed through the DAG depth-first,
+  routed and processed one at a time — the reference semantics;
+* **micro-batched** (``columnar:N``, the default): the stream is consumed
+  as chunks of interned key ids (:func:`~repro.execution.spans`) and the
+  DAG executes *stage by stage*.  Source edges hand the id chunk to their
+  group's ``route_span`` (which deals it over the external sources and
+  scatters the decisions back into stream order); internal edges route
+  each sender's sub-batch through ``route_batch``; every operator instance
+  processes its share via ``execute_batch`` (bulk folds).  What travels
+  beside the ids follows from each chunk's contents: a chunk of plain keys
+  is ids only — a terminal stateful vertex folds its shares in id space via
+  ``execute_batch_ids``, so string keys are hashed exactly once, at
+  interning, and any other consumer decodes the chunk once — while a chunk
+  holding pre-built :class:`~repro.types.Message` objects keeps them as the
+  payload.  Each partitioner and each operator instance observes exactly
+  the sub-stream it would under scalar execution: results are
+  byte-identical for every batch size (property-pinned), only the
+  throughput changes.
+
+The stage loop has two forms, chosen from the DAG's shape: merge-free
+topologies (every vertex fed by one edge) deliver in arrival order by
+construction; topologies with fan-in carry a depth-first order key per
+delivery and merge on it.
 
 The runtime collects per-vertex metrics (imbalance, per-instance loads,
 state sizes) that mirror what the simulation engine reports for a single
@@ -35,17 +39,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import merge as _heap_merge
-from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from repro.dataflow.graph import Edge, Topology, Vertex
+from repro.dataflow.graph import Edge, Topology
 from repro.exceptions import ConfigurationError
-from repro.execution import ExecutionMode, ModeLike
+from repro.execution import ExecutionMode, ModeLike, SenderGroup, spans
 from repro.operators.base import Operator
-from repro.partitioning.base import Partitioner
-from repro.partitioning.registry import create_partitioner
 from repro.types import Key, Message
+from repro.workloads.base import Workload
+from repro.workloads.columnar import ColumnarBatch
 
 _MESSAGE_KEY = attrgetter("key")
 
@@ -94,48 +97,6 @@ class TopologyResult:
         return self.metrics[name]
 
 
-class _EdgeRouter:
-    """Per-edge routing state: one partitioner per upstream instance."""
-
-    def __init__(self, edge: Edge, upstream_parallelism: int,
-                 downstream_parallelism: int, seed: int) -> None:
-        self.edge = edge
-        self._partitioners: list[Partitioner] = []
-        for sender in range(upstream_parallelism):
-            sender_seed = seed + sender if edge.scheme == "SG" else seed
-            self._partitioners.append(
-                create_partitioner(
-                    edge.scheme,
-                    num_workers=downstream_parallelism,
-                    seed=sender_seed,
-                    **edge.scheme_options,
-                )
-            )
-
-    def route(self, sender: int, key: Key) -> int:
-        return self._partitioners[sender].route(key)
-
-    def route_batch(self, sender: int, keys: list[Key]) -> list[int]:
-        return self._partitioners[sender].route_batch(keys)
-
-    def route_batch_columnar(self, sender: int, batch) -> list[int]:
-        return self._partitioners[sender].route_batch_columnar(batch)
-
-    def switch_events(self) -> list[dict]:
-        """Scheme switches of this edge's partitioners (adaptive only)."""
-        rows: list[dict] = []
-        for sender, partitioner in enumerate(self._partitioners):
-            events = getattr(partitioner, "switch_events", None)
-            if not callable(events):
-                continue
-            for record in events():
-                row = record.to_dict()
-                row["edge"] = f"{self.edge.source}->{self.edge.target}"
-                row["sender"] = sender
-                rows.append(row)
-        return rows
-
-
 class TopologyRuntime:
     """Instantiates and runs a validated topology."""
 
@@ -148,28 +109,29 @@ class TopologyRuntime:
                 f"num_external_sources must be >= 1, got {num_external_sources}"
             )
         self._topology = topology
-        self._seed = seed
         self._num_external_sources = num_external_sources
         self._mode = ExecutionMode.coerce(mode)
-        self._batch_size = self._mode.batch_size
         self._instances: dict[str, list[Operator]] = {
             vertex.name: [vertex.factory(i) for i in range(vertex.parallelism)]
             for vertex in topology.vertices.values()
         }
         self._edges = topology.edges
-        self._routers: dict[int, _EdgeRouter] = {}
-        for index, edge in enumerate(self._edges):
-            upstream = (
+        # One sender group per edge: the external sources send on a source
+        # edge, the upstream vertex's instances on every other.
+        self._groups: list[SenderGroup] = [
+            SenderGroup.build(
+                edge.scheme,
                 num_external_sources
                 if edge.source == Topology.SOURCE
-                else topology.vertex(edge.source).parallelism
+                else topology.vertex(edge.source).parallelism,
+                topology.vertex(edge.target).parallelism,
+                seed=seed + index * 1000,
+                **edge.scheme_options,
             )
-            downstream = topology.vertex(edge.target).parallelism
-            self._routers[index] = _EdgeRouter(
-                edge, upstream, downstream, seed + index * 1000
-            )
-        # Stage plan for batched execution: vertices in topological order,
-        # with each vertex's incoming and outgoing edge indices.
+            for index, edge in enumerate(self._edges)
+        ]
+        # Stage plan for micro-batched execution: vertices in topological
+        # order, with each vertex's incoming and outgoing edge indices.
         self._stage_order = topology.topological_order()
         self._incoming: dict[str, list[int]] = {name: [] for name in self._stage_order}
         self._outgoing: dict[str, list[int]] = {name: [] for name in self._stage_order}
@@ -181,7 +143,7 @@ class TopologyRuntime:
             else:
                 self._outgoing[edge.source].append(index)
         # Merge-free topologies (every vertex fed by exactly one edge — the
-        # overwhelmingly common shape) take a leaner batched path that skips
+        # overwhelmingly common shape) take a leaner stage loop that skips
         # the depth-first order keys entirely: each edge's delivery list is
         # in arrival order by construction.
         self._merge_free = all(
@@ -196,12 +158,8 @@ class TopologyRuntime:
         """Push every message of ``workload`` through the topology."""
         if self._mode.is_scalar:
             self._run_scalar(workload)
-        elif hasattr(workload, "iter_batches_columnar"):
-            # A key-stream workload: micro-batches of interned key ids.
-            self._run_columnar(workload)
         else:
-            # Any other iterable (plain keys or pre-built messages).
-            self._run_batched(workload)
+            self._run_micro_batched(workload)
         if self._ingested == 0:
             raise ConfigurationError("cannot run a topology on an empty workload")
         return self._build_result()
@@ -222,8 +180,8 @@ class TopologyRuntime:
     def _deliver(self, edge_index: int, edge: Edge, sender: int,
                  message: Message) -> None:
         """Route ``message`` over ``edge`` and process it downstream."""
-        router = self._routers[edge_index]
-        instance_index = router.route(sender, message.key)
+        partitioner = self._groups[edge_index].partitioners[sender]
+        instance_index = partitioner.route(message.key)
         instance = self._instances[edge.target][instance_index]
         outputs = instance.execute(message)
         if not outputs:
@@ -235,103 +193,76 @@ class TopologyRuntime:
                               instance_index, output)
 
     # ------------------------------------------------------------------ #
-    # batched execution (stage by stage over micro-batches)
+    # micro-batched execution (stage by stage over id chunks)
     # ------------------------------------------------------------------ #
-    def _run_batched(self, workload: Iterable[Key | Message]) -> None:
-        execute = (
-            self._execute_micro_batch_merge_free
-            if self._merge_free
-            else self._execute_micro_batch
-        )
-        iterator: Iterator[Key | Message] = iter(workload)
-        while True:
-            chunk = list(islice(iterator, self._batch_size))
-            if not chunk:
-                return
-            execute(chunk)
+    def _run_micro_batched(self, workload: Iterable[Key | Message]) -> None:
+        """Consume the stream as chunks of interned key ids.
 
-    def _ingest_chunk(self, chunk: list[Key | Message]) -> list[Message]:
-        """Convert one input chunk into a message list (senders implicit)."""
-        base = self._ingested
-        self._ingested += len(chunk)
+        A :class:`~repro.workloads.base.Workload` is a key stream by type
+        and is chunked as is.  Any other iterable may carry pre-built
+        messages, so it is read through a key view that sets every item
+        aside: a chunk that held messages keeps them as its payload (plain
+        keys among them become messages, as in the scalar loop), a chunk of
+        plain keys travels as ids alone.
+        """
+        execute = (
+            self._execute_merge_free if self._merge_free else self._execute_ordered
+        )
+        held: list[Key | Message] = []
+
+        def bare_keys() -> Iterator[Key]:
+            for raw in workload:
+                held.append(raw)
+                yield raw.key if isinstance(raw, Message) else raw
+
+        stream = workload if isinstance(workload, Workload) else bare_keys()
+        source_group = self._groups[self._source_edge_indices[0]]
+        for batch, _ in spans(stream, source_group, self._mode):
+            base = self._ingested
+            self._ingested += len(batch)
+            chunk = held[: len(batch)]
+            del held[: len(batch)]
+            messages = None
+            if any(isinstance(raw, Message) for raw in chunk):
+                messages = [
+                    raw if isinstance(raw, Message) else Message(
+                        timestamp=float(base + offset), key=raw
+                    )
+                    for offset, raw in enumerate(chunk)
+                ]
+            execute(batch, messages, base)
+
+    @staticmethod
+    def _decode(batch: ColumnarBatch, base: int) -> list[Message]:
+        """The messages the scalar loop would have built for an id chunk."""
         return [
-            raw if isinstance(raw, Message) else Message(
-                timestamp=float(base + offset), key=raw
-            )
-            for offset, raw in enumerate(chunk)
+            Message(timestamp=float(base + offset), key=key)
+            for offset, key in enumerate(batch.keys())
         ]
 
-    def _run_columnar(self, workload: Iterable[Key]) -> None:
-        """Columnar batched execution: interned key-id arrays at the source.
-
-        The workload is consumed through its ``iter_batches_columnar``, so
-        string keys are hashed exactly once, at interning.  Source edges
-        route id arrays through ``route_batch_columnar`` and terminal
-        stateful vertices fold their shares in id space via
-        ``execute_batch_ids``; any other downstream consumption decodes the
-        batch once and continues on the ordinary message machinery.
-        Results are byte-identical to the scalar and batched paths.
-
-        Columnar mode treats the workload as a *key* stream (pre-built
-        :class:`Message` inputs belong to the message paths).  Topologies
-        with merge vertices fall back to the order-keyed general path,
-        decoding each batch up front.
-        """
-        for batch in workload.iter_batches_columnar(self._batch_size):
-            if not len(batch):
-                continue
-            if self._merge_free:
-                self._execute_micro_batch_columnar(batch)
-            else:
-                self._execute_micro_batch(batch.keys())
-
-    def _execute_micro_batch_columnar(self, batch) -> None:
-        """One columnar micro-batch through the merge-free stage loop."""
-        base = self._ingested
-        self._ingested += len(batch)
-        pending: list[tuple[object, object] | None] = [None] * len(self._edges)
-        for edge_index in self._source_edge_indices:
-            pending[edge_index] = ("columnar", batch)
-        self._drain_stages(pending, base)
-
-    def _execute_micro_batch_merge_free(self, chunk: list[Key | Message]) -> None:
+    def _execute_merge_free(
+        self, batch: ColumnarBatch, source_messages: list[Message] | None, base: int
+    ) -> None:
         """Stage-wise micro-batch execution for merge-free topologies.
 
         With a single incoming edge per vertex there is nothing to
         interleave, so deliveries travel in arrival order by construction —
-        no per-delivery order keys, no merge.  Routing still goes per
-        sender through ``route_batch`` and processing per instance through
-        ``execute_batch``, exactly as the general path, so every
-        partitioner and operator sees its scalar sub-stream.
+        no per-delivery order keys, no merge.  Routing goes per sender and
+        processing per instance through ``execute_batch``, exactly as the
+        order-keyed path, so every partitioner and operator sees its scalar
+        sub-stream.
 
-        Sub-batch senders are tracked by payload shape rather than one int
-        per delivery: the external round-robin assignment is recovered with
-        strided slices (C-speed slicing instead of a Python grouping loop)
-        and internal edges reuse the upstream worker vector.
+        A queued edge payload is ``(senders, messages)``.  ``senders`` is
+        ``None`` for the external stream — ``batch``, dealt and routed by
+        the source edge's group, with ``source_messages`` (``None`` when
+        the chunk is ids alone) — an int when every delivery has the same
+        sender, or a per-delivery sender list.
         """
-        base = self._ingested
-        messages = self._ingest_chunk(chunk)
-        # payload per edge: (senders, messages) where senders is None for
-        # the round-robin external stream, an int when every delivery has
-        # the same sender, or a per-delivery worker-id list.
-        pending: list[tuple[object, object] | None] = (
+        pending: list[tuple[object, list[Message] | None] | None] = (
             [None] * len(self._edges)
         )
         for edge_index in self._source_edge_indices:
-            pending[edge_index] = (None, messages)
-        self._drain_stages(pending, base)
-
-    def _drain_stages(
-        self, pending: list[tuple[object, object] | None], base: int
-    ) -> None:
-        """Run the merge-free stage loop over the queued edge payloads.
-
-        A payload is ``(senders, data)``: ``senders`` is ``None`` for the
-        round-robin external message stream, ``"columnar"`` for the external
-        stream as a :class:`ColumnarBatch`, an int when every delivery has
-        the same sender, or a per-delivery sender list.
-        """
-        num_sources = self._num_external_sources
+            pending[edge_index] = (None, source_messages)
         for vertex_name in self._stage_order:
             edge_index = self._incoming[vertex_name][0]
             payload = pending[edge_index]
@@ -339,75 +270,39 @@ class TopologyRuntime:
                 continue
             pending[edge_index] = None
             senders, messages = payload
-            count = len(messages)
-            if not count:
-                continue
-            router = self._routers[edge_index]
+            group = self._groups[edge_index]
             instances = self._instances[vertex_name]
             outgoing = self._outgoing[vertex_name]
-            # --- route: one route_batch call per distinct sender --------- #
-            if senders == "columnar":
-                # The external stream as an id array: per-sender shares are
-                # strided views, routed without any decode.
-                batch = messages
-                if num_sources == 1:
-                    workers = router.route_batch_columnar(0, batch)
-                else:
-                    workers = [0] * count
-                    for sender in range(num_sources):
-                        offset = (sender - base) % num_sources
-                        sub = batch.strided(offset, num_sources)
-                        if len(sub):
-                            workers[offset::num_sources] = (
-                                router.route_batch_columnar(sender, sub)
-                            )
-                if not outgoing and all(
-                    hasattr(instance, "execute_batch_ids")
-                    for instance in instances
-                ):
-                    # Terminal stateful vertex: fold shares in id space —
-                    # no Message objects, one decode per distinct key.
-                    self._fold_terminal_ids(instances, workers, batch)
-                    continue
-                # Anything else consumes messages: decode the batch once.
-                messages = [
-                    Message(timestamp=float(base + offset), key=key)
-                    for offset, key in enumerate(batch.keys())
-                ]
-            elif senders is None:
-                # External round-robin: sender of messages[i] is
-                # (base + i) % num_sources, so each sender's sub-stream is a
-                # strided slice and the routed workers scatter back with a
-                # C-speed slice assignment.
-                if num_sources == 1:
-                    workers = router.route_batch(
-                        0, list(map(_MESSAGE_KEY, messages))
-                    )
-                else:
-                    workers: list[int] = [0] * count
-                    for sender in range(num_sources):
-                        offset = (sender - base) % num_sources
-                        share = messages[offset::num_sources]
-                        if share:
-                            workers[offset::num_sources] = router.route_batch(
-                                sender, list(map(_MESSAGE_KEY, share))
-                            )
+            # --- route: one batched call per distinct sender ------------ #
+            if senders is None:
+                workers = group.route_span(batch, base)
+                if messages is None:
+                    if not outgoing and all(
+                        hasattr(instance, "execute_batch_ids")
+                        for instance in instances
+                    ):
+                        # Terminal stateful vertex: fold shares in id space
+                        # — no Message objects, one decode per distinct key.
+                        self._fold_terminal_ids(instances, workers, batch)
+                        continue
+                    # Anything else consumes messages: decode the chunk once.
+                    messages = self._decode(batch, base)
             elif type(senders) is int:
-                workers = router.route_batch(
-                    senders, list(map(_MESSAGE_KEY, messages))
+                workers = group.partitioners[senders].route_batch(
+                    list(map(_MESSAGE_KEY, messages))
                 )
             else:
                 by_sender: dict[int, list[int]] = {}
                 for position, sender in enumerate(senders):
-                    group = by_sender.get(sender)
-                    if group is None:
+                    positions = by_sender.get(sender)
+                    if positions is None:
                         by_sender[sender] = [position]
                     else:
-                        group.append(position)
-                workers = [0] * count
+                        positions.append(position)
+                workers = [0] * len(messages)
                 for sender, positions in by_sender.items():
-                    routed = router.route_batch(
-                        sender, [messages[position].key for position in positions]
+                    routed = group.partitioners[sender].route_batch(
+                        [messages[position].key for position in positions]
                     )
                     for position, worker in zip(positions, routed):
                         workers[position] = worker
@@ -468,7 +363,7 @@ class TopologyRuntime:
 
     @staticmethod
     def _fold_terminal_ids(instances, workers: list[int], batch) -> None:
-        """Fold a terminal columnar share per instance, in id space."""
+        """Fold a terminal id-only share per instance, in id space."""
         ids = batch.ids.tolist()
         dictionary = batch.dictionary
         if len(instances) == 1:
@@ -485,8 +380,10 @@ class TopologyRuntime:
             if share is not None:
                 instances[worker].execute_batch_ids(share, dictionary)
 
-    def _execute_micro_batch(self, chunk: list[Key | Message]) -> None:
-        """Run one micro-batch through the DAG, stage by stage.
+    def _execute_ordered(
+        self, batch: ColumnarBatch, source_messages: list[Message] | None, base: int
+    ) -> None:
+        """Run one micro-batch through a DAG with fan-in, stage by stage.
 
         Every delivery carries its *depth-first order key* — the tuple of
         ``(edge index, output index)`` pairs along its derivation path,
@@ -496,24 +393,23 @@ class TopologyRuntime:
         and each operator instance on the same sub-stream as scalar
         execution (and therefore every result bit-identical).
         """
-        num_sources = self._num_external_sources
-        # Unrouted deliveries per edge, each list kept sorted by order key:
-        # (order_key, sender, message).
+        messages = (
+            source_messages
+            if source_messages is not None
+            else self._decode(batch, base)
+        )
+        # Deliveries per edge, each list kept sorted by order key:
+        # (order_key, sender, message) — except on source edges, whose
+        # group deals and routes the whole chunk here, so they hold
+        # (order_key, worker, message) already.
         pending: dict[int, list[tuple[tuple[int, ...], int, Message]]] = {
             index: [] for index in range(len(self._edges))
         }
-        base = self._ingested
-        batch: list[tuple[int, Message]] = []
-        for offset, raw in enumerate(chunk):
-            message = raw if isinstance(raw, Message) else Message(
-                timestamp=float(base + offset), key=raw
-            )
-            batch.append(((base + offset) % num_sources, message))
-        self._ingested += len(chunk)
         for edge_index in self._source_edge_indices:
+            workers = self._groups[edge_index].route_span(batch, base)
             pending[edge_index] = [
-                ((position, edge_index, 0), sender, message)
-                for position, (sender, message) in enumerate(batch)
+                ((position, edge_index, 0), worker, message)
+                for position, (worker, message) in enumerate(zip(workers, messages))
             ]
 
         for vertex_name in self._stage_order:
@@ -531,7 +427,7 @@ class TopologyRuntime:
         """Route every delivery bound for ``vertex_name``.
 
         Returns ``(order_key, instance_index, message)`` triples sorted by
-        order key.  Each incoming edge routes per sender through
+        order key.  Each internal edge routes per sender through
         ``route_batch`` — the sender's deliveries are already in order, so
         its partitioner sees the same key sequence as under scalar routing.
         """
@@ -541,7 +437,10 @@ class TopologyRuntime:
             if not deliveries:
                 continue
             pending[edge_index] = []
-            router = self._routers[edge_index]
+            if self._edges[edge_index].source == Topology.SOURCE:
+                routed_lists.append(deliveries)
+                continue
+            partitioners = self._groups[edge_index].partitioners
             routed: list[tuple[tuple[int, ...], int, Message]] = [None] * len(deliveries)  # type: ignore[list-item]
             by_sender: dict[int, tuple[list[int], list[Key]]] = {}
             for position, (_, sender, message) in enumerate(deliveries):
@@ -551,7 +450,7 @@ class TopologyRuntime:
                 slot[0].append(position)
                 slot[1].append(message.key)
             for sender, (positions, keys) in by_sender.items():
-                workers = router.route_batch(sender, keys)
+                workers = partitioners[sender].route_batch(keys)
                 for position, worker in zip(positions, workers):
                     order_key, _, message = deliveries[position]
                     routed[position] = (order_key, worker, message)
@@ -609,11 +508,11 @@ class TopologyRuntime:
 
     def _build_result(self) -> TopologyResult:
         switch_log: list[dict] = []
-        for router in self._routers.values():
-            switch_log.extend(router.switch_events())
+        for edge, group in zip(self._edges, self._groups):
+            switch_log.extend(group.switch_log(edge=f"{edge.source}->{edge.target}"))
         # Position first, then edge/sender: a deterministic stream order
-        # that is identical across the scalar, batched and columnar paths
-        # (per-sender positions are unique within an edge).
+        # that is identical across execution modes (per-sender positions
+        # are unique within an edge).
         switch_log.sort(key=lambda row: (row["position"], row["edge"], row["sender"]))
         result = TopologyResult(
             topology_name=self._topology.name,
@@ -644,13 +543,12 @@ def run_topology(
 
     ``mode`` (:class:`~repro.execution.ExecutionMode`, default
     ``columnar(1024)``) selects scalar — the depth-first per-message
-    reference — or micro-batched execution of ``batch_size`` input messages
-    at a time.  A micro-batched run ingests a workload that exposes
-    ``iter_batches_columnar`` as interned key-id arrays (source edges route
-    id arrays and terminal stateful vertices fold their shares in id space,
-    so string keys are hashed once) and any other iterable — plain keys or
-    pre-built messages — as message lists.  Results are byte-identical for
-    every mode and representation, only the throughput changes.
+    reference — or micro-batched execution over chunks of interned key ids
+    (``batch_size`` input messages per external source at a time): source
+    edges route id arrays and terminal stateful vertices fold their shares
+    in id space, so string keys are hashed once; chunks of pre-built
+    messages keep them as the payload beside the ids.  Results are
+    byte-identical for every mode, only the throughput changes.
 
     Examples
     --------

@@ -26,14 +26,28 @@ process: scalar and columnar runs of the same seeded stream are bit-for-bit
 identical (property-pinned); the mode only chooses the speed at which they
 happen.  The cluster runtime requires a columnar mode, because its
 shared-memory rings carry ``int64`` id arrays.
+
+The columnar path itself is written once, here, for every backend: the
+paper's evaluation setup (Section V-A) — ``s`` senders, each with its own
+partitioner and local load vector, all sharing the hash seed, fed
+round-robin from one stream — is a :class:`SenderGroup`, and :func:`spans`
+cuts a stream into the id batches a group routes.  The simulation engine,
+the dataflow runtime, the runtime's source process and ``route_stream`` are
+consumers of those two names; the discrete-event ``ClusterEngine`` borrows
+the group's construction and rescale only (its senders pull on credit, they
+are not dealt).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Iterable, Iterator, Sequence, Union
 
 from repro.exceptions import ConfigurationError
+from repro.partitioning.base import Partitioner
+from repro.partitioning.registry import canonical_name, create_partitioner
+from repro.types import Key, WorkerId
+from repro.workloads.columnar import ColumnarBatch, iter_batches_columnar
 
 #: Default chunk length of the columnar path, shared by every entry point.
 DEFAULT_BATCH_SIZE = 1024
@@ -174,3 +188,159 @@ class ExecutionMode:
         if self.kind == "scalar":
             return "scalar"
         return f"{self.kind}:{self.batch_size}"
+
+
+class SenderGroup:
+    """The senders of one edge: one partitioner per upstream instance.
+
+    Load estimation and heavy-hitter tracking are local to each sender, as
+    in the paper; message ``i`` of the edge's stream belongs to sender
+    ``i % num_senders`` (the shuffle-grouped spout edge of Section V-A).
+    """
+
+    __slots__ = ("partitioners",)
+
+    def __init__(self, partitioners: Sequence[Partitioner]) -> None:
+        self.partitioners = list(partitioners)
+
+    @classmethod
+    def build(
+        cls,
+        scheme: str,
+        num_senders: int,
+        num_workers: int,
+        seed: int = 0,
+        **scheme_options: Any,
+    ) -> "SenderGroup":
+        """``num_senders`` fresh partitioners of ``scheme``.
+
+        All senders share the hashing seed so they agree on each key's
+        candidate workers — this is what makes routing-table-free schemes
+        possible.  Shuffle grouping's only randomness is its starting
+        offset, which must differ across senders (nothing about SG requires
+        agreement), so sender ``i`` gets ``seed + i`` instead.
+        """
+        scheme = canonical_name(scheme)
+        return cls(
+            [
+                create_partitioner(
+                    scheme,
+                    num_workers=num_workers,
+                    seed=seed + sender if scheme == "SG" else seed,
+                    **scheme_options,
+                )
+                for sender in range(num_senders)
+            ]
+        )
+
+    @property
+    def num_senders(self) -> int:
+        return len(self.partitioners)
+
+    def route_span(
+        self,
+        batch: ColumnarBatch,
+        base_index: int,
+        head_flags: list[bool] | None = None,
+    ) -> list[WorkerId]:
+        """Route one span of the stream; one worker per message, in order.
+
+        ``base_index`` is the global stream index of the span's first
+        message.  Each sender's share is a strided view over the id array,
+        dealt by *global* index — the shift keeps the deal right when a span
+        boundary (a workload's own chunk granularity, a rescale offset) is
+        not a multiple of ``num_senders`` — and the routed shares scatter
+        back into stream order by slice assignment.  Senders share no
+        state, so every sender sees exactly the key subsequence per-message
+        dealing would hand it.  ``head_flags`` follows the
+        ``route_batch_columnar`` contract: one boolean per message, appended
+        in stream order.
+        """
+        senders = self.partitioners
+        count = len(senders)
+        if count == 1:
+            return senders[0].route_batch_columnar(batch, head_flags=head_flags)
+        workers: list[WorkerId] = [0] * len(batch)
+        flags = None if head_flags is None else [False] * len(batch)
+        for sender, partitioner in enumerate(senders):
+            offset = (sender - base_index) % count
+            share = batch.strided(offset, count)
+            if not len(share):
+                continue
+            share_flags: list[bool] | None = None if flags is None else []
+            workers[offset::count] = partitioner.route_batch_columnar(
+                share, head_flags=share_flags
+            )
+            if flags is not None:
+                flags[offset::count] = share_flags
+        if flags is not None:
+            head_flags.extend(flags)
+        return workers
+
+    def rescale(self, policy, new_num_workers: int) -> None:
+        """Apply a :class:`~repro.elasticity.policies.RescalePolicy` to
+        every sender."""
+        for partitioner in self.partitioners:
+            policy.apply(partitioner, new_num_workers)
+
+    def switch_log(self, sender_field: str = "sender", **labels: Any) -> list[dict]:
+        """Scheme switches of the group's adaptive senders, in stream order.
+
+        One dict per switch: the record's fields, then ``labels``, then the
+        sender index under ``sender_field``.  Sorted by (per-sender
+        position, sender): positions measure the same per-sender clock in
+        every execution mode, so the log — unlike raw append order, which
+        depends on how spans interleave the senders — is byte-identical
+        across modes.  Empty for static schemes.
+        """
+        entries: list[tuple[int, int, dict]] = []
+        for sender, partitioner in enumerate(self.partitioners):
+            events = getattr(partitioner, "switch_events", None)
+            if not callable(events):
+                continue
+            for record in events():
+                row = record.to_dict()
+                row.update(labels)
+                row[sender_field] = sender
+                entries.append((record.position, sender, row))
+        entries.sort(key=lambda entry: entry[:2])
+        return [row for _, _, row in entries]
+
+
+def spans(
+    stream: Iterable[Key],
+    group: SenderGroup,
+    mode: ExecutionMode,
+    boundaries: Iterable[int] = (),
+) -> Iterator[tuple[ColumnarBatch, int]]:
+    """Cut ``stream`` into the id batches ``group`` routes.
+
+    Yields ``(span, index)`` pairs, ``index`` being the global stream index
+    of the span's first message.  Chunks hold ``mode.batch_size`` messages
+    per sender; a workload exposing ``iter_batches_columnar`` emits them
+    natively (array-backed streams intern whole draw chunks vectorized), any
+    other key iterable goes through the generic chunker.  No span crosses
+    one of ``boundaries`` (ascending global offsets, e.g. of rescale
+    events): the consumer acts at a boundary when it receives the span that
+    starts there, so every message with an index >= the offset is routed
+    after the action, exactly as a per-message loop would.
+    """
+    chunk_size = mode.batch_size * group.num_senders
+    if hasattr(stream, "iter_batches_columnar"):
+        batches = stream.iter_batches_columnar(chunk_size)
+    else:
+        batches = iter_batches_columnar(stream, chunk_size)
+    cuts = iter(boundaries)
+    cut = next(cuts, None)
+    index = 0
+    for batch in batches:
+        size = len(batch)
+        start = 0
+        while start < size:
+            while cut is not None and cut <= index:
+                cut = next(cuts, None)
+            stop = size if cut is None else min(size, start + cut - index)
+            whole = start == 0 and stop == size
+            yield (batch if whole else batch.slice(start, stop)), index
+            index += stop - start
+            start = stop

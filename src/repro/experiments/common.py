@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.execution import ExecutionMode, ModeLike
+from repro.execution import ExecutionMode, ModeLike, SenderGroup, spans
 from repro.partitioning.base import Partitioner
 from repro.types import Key, WorkerId
-from repro.workloads.columnar import iter_batches_columnar
 
 
 @dataclass(slots=True)
@@ -126,27 +125,22 @@ def route_stream(
 ) -> list[WorkerId]:
     """Route an entire stream through one partitioner.
 
-    The single-partitioner analogue of the simulation engine's run:
-    drivers, benchmarks and ad-hoc studies that only need the worker
-    sequence of one source should use this instead of a per-message
-    ``route`` loop.  ``mode`` selects the backend
-    (:class:`~repro.execution.ExecutionMode`, default ``columnar(1024)``);
-    results are identical for every mode.  Columnar mode consumes interned
-    key-id arrays (``iter_batches_columnar`` natively when the workload
-    provides it, so array-backed streams never materialise per-key) and
-    routes through ``route_batch_columnar`` — string keys are hashed once,
-    at interning.
+    The simulation engine's run for a sender group of one: drivers,
+    benchmarks and ad-hoc studies that only need the worker sequence of one
+    source should use this instead of a per-message ``route`` loop.
+    ``mode`` selects the backend (:class:`~repro.execution.ExecutionMode`,
+    default ``columnar(1024)``); results are identical for every mode.
+    Columnar mode consumes :func:`~repro.execution.spans` of interned key
+    ids (natively when the workload provides them, so array-backed streams
+    never materialise per-key) — string keys are hashed once, at interning.
     """
     resolved = ExecutionMode.coerce(mode)
     if resolved.is_scalar:
         return [partitioner.route(key) for key in keys]
-    if hasattr(keys, "iter_batches_columnar"):
-        batches = keys.iter_batches_columnar(resolved.batch_size)
-    else:
-        batches = iter_batches_columnar(keys, resolved.batch_size)
+    group = SenderGroup([partitioner])
     out: list[WorkerId] = []
-    for batch in batches:
-        out.extend(partitioner.route_batch_columnar(batch))
+    for span, index in spans(keys, group, resolved):
+        out.extend(group.route_span(span, index))
     return out
 
 

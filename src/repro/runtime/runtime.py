@@ -683,6 +683,7 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
     processes = {worker_id: process for worker_id, process in enumerate(workers)}
     processes[SOURCE_ID] = source
     monitor: _Monitor | None = None
+    failure: ClusterRuntimeError | None = None
     try:
         for process in workers:
             process.start()
@@ -847,6 +848,11 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
             recovery_log=list(supervisor.recovery_log),
             migration=source_result["migration"],
         )
+    except ClusterRuntimeError as error:
+        # The frames the error was raised through (the supervisor's) hold
+        # numpy views over the shared blocks, and a traceback keeps its
+        # frames alive: drop it, tear the mesh down, then raise from here.
+        failure = error.with_traceback(None)
     finally:
         state.abort()  # idempotent; unblocks anything still waiting
         if monitor is not None:
@@ -881,9 +887,9 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
         del rings
         state = None
         for shm in [state_shm, *ring_shms]:
-            # close() can refuse while an in-flight exception's traceback
-            # still pins buffer views (strict-mode raise); unlink must run
-            # regardless, or the segment outlives the run on /dev/shm.
+            # close() can still refuse while a foreign in-flight exception
+            # (an interrupt) pins buffer views; unlink must run regardless,
+            # or the segment outlives the run on /dev/shm.
             try:
                 shm.close()
             except (BufferError, OSError):
@@ -892,6 +898,7 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
                 shm.unlink()
             except (FileNotFoundError, OSError):
                 pass
+    raise failure
 
 
 def validate_against_simulation(

@@ -58,7 +58,7 @@ import numpy as np
 from repro.elasticity.accountant import MigrationCostAccountant
 from repro.elasticity.policies import CANDIDATE_SET_REMAP
 from repro.exceptions import ClusterRuntimeError
-from repro.partitioning.registry import create_partitioner
+from repro.execution import SenderGroup, spans
 from repro.runtime.state import SharedClusterState
 
 
@@ -92,15 +92,18 @@ def source_main(
     """
     n = config.num_workers
     worker_range = range(n)
-    try:
-        partitioner = create_partitioner(
-            config.scheme,
-            num_workers=n,
-            seed=config.seed,
-            **dict(config.scheme_options),
+
+    def new_group() -> SenderGroup:
+        # The runtime's one router: a sender group of one, built exactly as
+        # ``run_simulation(num_sources=1)`` builds its own.
+        return SenderGroup.build(
+            config.scheme, 1, n, seed=config.seed, **dict(config.scheme_options)
         )
-        workload = config.build_workload()
-        batches = workload.iter_batches_columnar(config.mode.batch_size)
+
+    try:
+        group = new_group()
+        (partitioner,) = group.partitioners
+        batches = spans(config.build_workload(), group, config.mode)
 
         result_conn.send(("ready",))
         while not state.started():
@@ -187,7 +190,7 @@ def source_main(
                 remaining = np.concatenate(failed_parts)
 
         def poll_control(block_s: float = 0.0) -> None:
-            nonlocal partitioner
+            nonlocal group, partitioner
             if control_conn is None:
                 return
             while control_conn.poll(block_s):
@@ -209,14 +212,9 @@ def source_main(
                     # the hot-handoff contract: byte-identical to an
                     # uninterrupted run (tests/property/test_state_roundtrip).
                     snapshot = partitioner.export_state()
-                    fresh = create_partitioner(
-                        config.scheme,
-                        num_workers=n,
-                        seed=config.seed,
-                        **dict(config.scheme_options),
-                    )
-                    fresh.adopt_state(snapshot)
-                    partitioner = fresh
+                    group = new_group()
+                    (partitioner,) = group.partitioners
+                    partitioner.adopt_state(snapshot)
                     accountant.record_recovery(
                         offset=partitioner.messages_routed,
                         description=f"recover:w{worker_id}",
@@ -254,13 +252,11 @@ def source_main(
                     state.acknowledge_fence(worker_id)
                     down.add(worker_id)
 
-        for batch in batches:
+        for batch, index in batches:
             poll_control()
             observe_fences()
             dictionary = batch.dictionary
-            workers = np.asarray(
-                partitioner.route_batch_columnar(batch), dtype=np.int64
-            )
+            workers = np.asarray(group.route_span(batch, index), dtype=np.int64)
             high_water = len(dictionary)
             for worker_id in worker_range:
                 ids = batch.ids[workers == worker_id]

@@ -14,11 +14,16 @@ The input stream is distributed over sources round-robin, which models the
 shuffle-grouped edge between the spout and the sources in the evaluation
 setup (Section V-A).
 
+The sources are a :class:`~repro.execution.SenderGroup`, which deals, routes
+and scatters each of the :func:`~repro.execution.spans` a columnar run
+consumes — the engine keeps the scalar oracle loop, the per-span accounting
+and the rescale replay.
+
 When the configuration carries a rescale plan, the engine replays its
-worker join/leave/fail events at their exact global stream offsets — in the
-chunked loop by splitting chunks at event boundaries, so chunked and scalar
-runs stay byte-identical — applies the plan's policy to every source's
-partitioner, resizes the tracker and the worker-side key state, and feeds a
+worker join/leave/fail events at their exact global stream offsets — the
+event offsets are the span boundaries, so columnar and scalar runs stay
+byte-identical — applies the plan's policy to every source's partitioner,
+resizes the tracker and the worker-side key state, and feeds a
 :class:`~repro.elasticity.accountant.MigrationCostAccountant` that measures
 keys moved, state migrated/lost and tuples misrouted.
 """
@@ -31,8 +36,9 @@ from repro.elasticity.accountant import MigrationCostAccountant
 from repro.elasticity.events import RescaleEvent
 from repro.elasticity.policies import get_policy
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.execution import SenderGroup, spans
 from repro.partitioning.base import Partitioner
-from repro.partitioning.registry import canonical_name, create_partitioner
+from repro.partitioning.registry import canonical_name
 from repro.simulation.config import SimulationConfig
 from repro.simulation.metrics import (
     ImbalanceTimeSeries,
@@ -41,7 +47,6 @@ from repro.simulation.metrics import (
 )
 from repro.simulation.results import SimulationResult
 from repro.types import Key
-from repro.workloads.columnar import iter_batches_columnar
 
 
 class SimulationEngine:
@@ -60,7 +65,13 @@ class SimulationEngine:
     def __init__(self, config: SimulationConfig) -> None:
         self._config = config
         self._scheme = canonical_name(config.scheme)
-        self._sources = self._build_sources()
+        self._group = SenderGroup.build(
+            self._scheme,
+            config.num_sources,
+            config.num_workers,
+            seed=config.seed,
+            **config.scheme_options,
+        )
         self._tracker = LoadTracker(
             config.num_workers, track_head_tail=config.track_head_tail
         )
@@ -88,7 +99,7 @@ class SimulationEngine:
         # the fixed-worker setting where no plan would have created it.
         adaptive = [
             source
-            for source in self._sources
+            for source in self._group.partitioners
             if callable(getattr(source, "bind_accountant", None))
         ]
         if adaptive and self._accountant is None:
@@ -96,7 +107,7 @@ class SimulationEngine:
                 policy=get_policy(config.rescale_policy),
                 migration_window=config.migration_window,
             )
-        for index, source in enumerate(self._sources):
+        for index, source in enumerate(self._group.partitioners):
             bind = getattr(source, "bind_accountant", None)
             if callable(bind):
                 # Per-source positions map to approximate global stream
@@ -114,35 +125,6 @@ class SimulationEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # construction helpers
-    # ------------------------------------------------------------------ #
-    def _build_sources(self) -> list[Partitioner]:
-        """One partitioner per source.
-
-        All sources share the hashing seed (``config.seed``) so they agree on
-        each key's candidate workers — this is what makes routing-table-free
-        schemes possible.  Schemes with per-source randomness that must
-        differ across sources (shuffle grouping's starting offset) receive a
-        distinct seed instead, because nothing about SG requires agreement.
-        """
-        config = self._config
-        sources = []
-        for index in range(config.num_sources):
-            options = dict(config.scheme_options)
-            seed = config.seed
-            if self._scheme == "SG":
-                seed = config.seed + index
-            sources.append(
-                create_partitioner(
-                    self._scheme,
-                    num_workers=config.num_workers,
-                    seed=seed,
-                    **options,
-                )
-            )
-        return sources
-
-    # ------------------------------------------------------------------ #
     # accessors
     # ------------------------------------------------------------------ #
     @property
@@ -151,7 +133,7 @@ class SimulationEngine:
 
     @property
     def sources(self) -> list[Partitioner]:
-        return self._sources
+        return self._group.partitioners
 
     @property
     def tracker(self) -> LoadTracker:
@@ -163,22 +145,31 @@ class SimulationEngine:
     def run(self, keys: Iterable[Key]) -> SimulationResult:
         """Consume the workload and return the aggregated result.
 
-        Two loops, one per execution mode.  ``scalar`` is the oracle: one
-        ``route_with_decision`` per message.  ``columnar:N`` processes the
-        stream in chunks of interned key ids
-        (:class:`~repro.workloads.columnar.ColumnarBatch`): each chunk is
-        split over the sources round-robin (by global message index, exactly
-        as the scalar loop assigns them), every source routes its share
-        through ``route_batch_columnar``, and the decisions are
-        re-interleaved back into stream order before metrics are recorded.
-        Sources share no state, so the per-source key subsequences — and
-        therefore every routing decision and every recorded metric — are
-        identical to one-at-a-time routing.
+        ``scalar`` is the oracle: one ``route_with_decision`` per message.
+        ``columnar:N`` consumes the stream as event-free spans of interned
+        key ids (:func:`~repro.execution.spans`, cut at the rescale
+        offsets): the sender group deals each span over the sources by
+        global message index, exactly as the scalar loop assigns them,
+        routes every share through ``route_batch_columnar`` and hands the
+        decisions back in stream order for the metrics.  Sources share no
+        state, so the per-source key subsequences — and therefore every
+        routing decision and every recorded metric — are identical to
+        one-at-a-time routing.
         """
         if self._config.mode.is_scalar:
             index = self._run_sequential(keys)
         else:
-            index = self._run_chunked(keys)
+            events = self._pending_events
+            offsets = [event.offset for event in events]
+            index = 0
+            for span, index in spans(keys, self._group, self._config.mode, offsets):
+                while events and events[0].offset <= index:
+                    self._apply_rescale(events.pop(0))
+                self._columnar_dict = span.dictionary
+                flags: list[bool] = []
+                workers = self._group.route_span(span, index, flags)
+                self._account_span(span.ids.tolist(), workers, flags)
+                index += len(span)
         if index == 0:
             raise ConfigurationError("cannot simulate an empty workload")
         self._series.final(self._tracker)
@@ -186,7 +177,7 @@ class SimulationEngine:
 
     def _run_sequential(self, keys: Iterable[Key]) -> int:
         num_sources = self._config.num_sources
-        sources = self._sources
+        sources = self._group.partitioners
         tracker = self._tracker
         series = self._series
         window_series = self._window_series
@@ -213,64 +204,17 @@ class SimulationEngine:
             index += 1
         return index
 
-    def _run_chunked(self, keys: Iterable[Key]) -> int:
-        """Chunked execution over interned key-id arrays.
+    def _account_span(
+        self, ids: list[int], workers: list[int], flags: list[bool]
+    ) -> None:
+        """Record one routed span, message by message, in stream order.
 
-        Each chunk is a :class:`ColumnarBatch` whose ids were interned once
-        at the source.  Workloads exposing ``iter_batches_columnar`` emit
-        batches natively; any other iterable is wrapped through the generic
-        chunker.  Chunks are split at rescale-event boundaries: every
-        message with a global index >= an event's offset must be routed by
-        the post-event topology, exactly as in the scalar loop.
+        The worker-side key state accumulates ids instead of keys (a
+        bijection, so every set-valued metric — memory entries, distinct
+        head keys — is unchanged), and the misroute accountant ticks in id
+        space too, consistent with the id-space moved-key sets of
+        :meth:`_apply_rescale`.
         """
-        config = self._config
-        chunk_size = config.mode.batch_size * config.num_sources
-        events = self._pending_events
-
-        if hasattr(keys, "iter_batches_columnar"):
-            batches = keys.iter_batches_columnar(chunk_size)
-        else:
-            batches = iter_batches_columnar(keys, chunk_size)
-
-        index = 0
-        for batch in batches:
-            if not len(batch):
-                continue
-            self._columnar_dict = batch.dictionary
-            position = 0
-            remaining = len(batch)
-            while remaining:
-                while events and events[0].offset <= index:
-                    self._apply_rescale(events.pop(0))
-                if events:
-                    span = min(remaining, events[0].offset - index)
-                else:
-                    span = remaining
-                if position == 0 and span == len(batch):
-                    part = batch
-                else:
-                    part = batch.slice(position, position + span)
-                self._route_id_span(part, index)
-                index += span
-                position += span
-                remaining -= span
-        return index
-
-    def _route_id_span(self, batch, index: int) -> None:
-        """Route one event-free span of the stream through all sources.
-
-        The per-source shares are strided views over the id array, split
-        round-robin by *global* index as the scalar loop does; the shift
-        keeps the mapping right when a span boundary (from a workload's own
-        chunk granularity, or from a rescale event splitting the chunk) is
-        not a multiple of ``num_sources``.  The worker-side key state
-        accumulates ids instead of keys (a bijection, so every set-valued
-        metric — memory entries, distinct head keys — is unchanged), and the
-        misroute accountant ticks in id space too, consistent with the
-        id-space moved-key sets of :meth:`_apply_rescale`.
-        """
-        num_sources = self._config.num_sources
-        sources = self._sources
         tracker = self._tracker
         series = self._series
         window_series = self._window_series
@@ -278,21 +222,7 @@ class SimulationEngine:
         head_keys = self._head_keys
         accountant = self._accountant
 
-        shift = index % num_sources
-        workers = []
-        flags = []
-        for source_index, source in enumerate(sources):
-            sub = batch.strided((source_index - shift) % num_sources, num_sources)
-            source_flags: list[bool] = []
-            workers.append(source.route_batch_columnar(sub, head_flags=source_flags))
-            flags.append(source_flags)
-        positions = [0] * num_sources
-        for kid in batch.ids.tolist():
-            source_index = index % num_sources
-            position = positions[source_index]
-            positions[source_index] = position + 1
-            worker = workers[source_index][position]
-            is_head = flags[source_index][position]
+        for kid, worker, is_head in zip(ids, workers, flags):
             if accountant is not None and accountant.window_open:
                 accountant.tick(kid)
             tracker.record(worker, is_head=is_head)
@@ -302,7 +232,6 @@ class SimulationEngine:
             series.maybe_record(tracker)
             if window_series is not None:
                 window_series.maybe_record(tracker)
-            index += 1
 
     # ------------------------------------------------------------------ #
     # elasticity
@@ -337,7 +266,7 @@ class SimulationEngine:
         """
         accountant = self._accountant
         assert accountant is not None  # only called when a plan exists
-        sources = self._sources
+        sources = self._group.partitioners
         old_num_workers = sources[0].num_workers
         new_num_workers = event.new_num_workers(old_num_workers)
         if new_num_workers < 1:  # validated at config time; defensive here
@@ -354,8 +283,7 @@ class SimulationEngine:
         before = self._candidate_snapshot(probe, observed)
 
         policy = accountant.policy
-        for source in sources:
-            policy.apply(source, new_num_workers)
+        self._group.rescale(policy, new_num_workers)
         self._tracker.rescale(new_num_workers)
 
         removed_entries = 0
@@ -402,26 +330,6 @@ class SimulationEngine:
             head_keys_preserved=head_keys_preserved,
         )
 
-    def _collect_switch_log(self) -> list[dict]:
-        """Gather per-source switch events into one stream-ordered log.
-
-        Sorted by (per-source position, source index): positions measure
-        the same per-source clock in every execution mode, so the log —
-        unlike raw append order, which depends on how batches interleave
-        the sources — is byte-identical across scalar/batched/columnar.
-        """
-        entries: list[tuple[int, int, dict]] = []
-        for source_index, source in enumerate(self._sources):
-            events = getattr(source, "switch_events", None)
-            if not callable(events):
-                continue
-            for record in events():
-                row = record.to_dict()
-                row["source"] = source_index
-                entries.append((record.position, source_index, row))
-        entries.sort(key=lambda entry: (entry[0], entry[1]))
-        return [row for _, _, row in entries]
-
     def _build_result(self, num_messages: int) -> SimulationResult:
         tracker = self._tracker
         head_loads = tail_loads = None
@@ -456,7 +364,7 @@ class SimulationEngine:
             migration=(
                 self._accountant.report() if self._accountant is not None else None
             ),
-            switch_log=self._collect_switch_log(),
+            switch_log=self._group.switch_log(sender_field="source"),
             worst_window_imbalance=(
                 self._window_series.worst if self._window_series is not None else None
             ),

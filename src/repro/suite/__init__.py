@@ -10,7 +10,7 @@ The subsystem that turns "reproduce the paper" into one resumable command:
   resume where they stopped.
 * :mod:`repro.suite.orchestrator` — shards the independent cells across a
   ``multiprocessing`` pool; every cell routes its streams through the
-  simulation engine's chunked id loop (``SimulationConfig.mode``).
+  simulation engine's columnar id path (``SimulationConfig.mode``).
 * :mod:`repro.suite.report` — summary tables and ASCII charts over the
   store, plus CSV/JSON export via :mod:`repro.reporting`.
 

@@ -8,7 +8,7 @@ across a ``multiprocessing`` pool.  Records land on disk as soon as each
 cell completes, so an interrupted run resumes where it stopped — the next
 invocation cache-hits the finished cells and recomputes only the rest.
 
-Every cell routes its streams through the engine's chunked id loop: the
+Every cell routes its streams through the engine's columnar id path: the
 configs of the simulation-backed experiments carry a ``batch_size`` (the
 chunk length of ``SimulationConfig.mode``), and the orchestrator's
 ``batch_size`` argument overrides it suite-wide (results are identical for

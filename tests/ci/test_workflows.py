@@ -246,3 +246,25 @@ class TestReferencedPathsExist:
     )
     def test_path_exists(self, path):
         assert (REPO_ROOT / path).exists(), f"workflow references missing {path}"
+
+
+class TestSuitePolicy:
+    def test_unraisable_exceptions_fail_the_suite(self):
+        # A leaked shared-memory view surfaces only as an unraisable
+        # BufferError in SharedMemory.__del__: tier-1 must fail on it.
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        section = pyproject.split("[tool.pytest.ini_options]")[1].split("\n[")[0]
+        assert (
+            'filterwarnings = ["error::pytest.PytestUnraisableExceptionWarning"]'
+            in section
+        )
+
+    def test_nothing_references_the_retired_figure_bench_wrappers(self):
+        assert not list((REPO_ROOT / "benchmarks").glob("bench_fig*"))
+        referencing = [
+            path
+            for pattern in (".github/workflows/*.yml", "docs/*.md", "README.md")
+            for path in REPO_ROOT.glob(pattern)
+            if "benchmarks/bench_fig" in path.read_text(encoding="utf-8")
+        ]
+        assert not referencing

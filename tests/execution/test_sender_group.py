@@ -1,0 +1,183 @@
+"""The one sender group equals per-message dealing, for every scheme.
+
+``SenderGroup.route_span`` deals a span of interned key ids over the
+senders by global index, routes each share through the id kernel and
+scatters the decisions back into stream order; ``spans`` cuts the stream at
+the chunker's granularity and at caller-supplied boundaries.  Whatever the
+chunk sizes and wherever the boundaries fall — spans shorter than the
+number of senders, boundaries that are not a multiple of it — the
+``(worker, is_head)`` stream, the load vectors and the switch log must
+equal the scalar deal: message ``i`` through ``route_with_decision`` of
+sender ``i % num_senders``, with the same rescale applied before the first
+message at or past each boundary.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.elasticity.policies import get_policy
+from repro.execution import ExecutionMode, SenderGroup, spans
+from repro.partitioning.registry import available_schemes, create_partitioner
+from repro.workloads.columnar import ColumnarBatch, KeyDictionary
+from repro.workloads.zipf_stream import ZipfWorkload
+
+#: AD's clocks are short enough for every sender of five to switch.
+SCHEME_OPTIONS: dict[str, dict[str, object]] = {
+    "GREEDY-D": {"num_choices": 4},
+    "FIXED-D": {"num_choices": 5},
+    "AD": {"check_interval": 200, "policy": "dwell=300"},
+}
+
+NUM_WORKERS = 12
+SEED = 7
+TOTAL = 6_000
+STREAM = [
+    f"key-{rank}"
+    for rank in ZipfWorkload(exponent=1.4, num_keys=500, num_messages=TOTAL, seed=SEED)
+]
+
+
+class _ChunkedStream:
+    """A key stream with its own chunk granularity, as native workloads have.
+
+    ``iter_batches_columnar`` ignores the requested size and cycles through
+    ``sizes`` — the group must deal by global index whatever arrives.
+    """
+
+    def __init__(self, keys: list[str], sizes: list[int]) -> None:
+        self._keys = keys
+        self._sizes = sizes
+
+    def iter_batches_columnar(self, batch_size: int):
+        dictionary = KeyDictionary()
+        position = step = 0
+        while position < len(self._keys):
+            size = self._sizes[step % len(self._sizes)]
+            step += 1
+            chunk = self._keys[position : position + size]
+            yield ColumnarBatch(dictionary.intern_keys(chunk), dictionary, position)
+            position += len(chunk)
+
+
+def _build(scheme: str, num_senders: int) -> SenderGroup:
+    return SenderGroup.build(
+        scheme, num_senders, NUM_WORKERS, seed=SEED, **SCHEME_OPTIONS.get(scheme, {})
+    )
+
+
+def _worker_count(step: int) -> int:
+    """The worker count after the ``step``-th boundary (join, leave, ...)."""
+    return NUM_WORKERS + (step + 1) % 2
+
+
+def _scalar_deal(scheme, num_senders, boundaries, policy):
+    group = _build(scheme, num_senders)
+    pending = list(boundaries)
+    applied = 0
+    decisions = []
+    for index, key in enumerate(STREAM):
+        while pending and pending[0] <= index:
+            pending.pop(0)
+            group.rescale(policy, _worker_count(applied))
+            applied += 1
+        decision = group.partitioners[index % num_senders].route_with_decision(key)
+        decisions.append((decision.worker, decision.is_head))
+    return group, decisions
+
+
+def _span_deal(scheme, num_senders, stream, mode, boundaries, policy):
+    group = _build(scheme, num_senders)
+    pending = list(boundaries)
+    applied = 0
+    workers: list[int] = []
+    flags: list[bool] = []
+    expected_index = 0
+    for span, index in spans(stream, group, mode, boundaries):
+        assert index == expected_index and len(span) > 0
+        assert not any(index < cut < index + len(span) for cut in boundaries)
+        while pending and pending[0] <= index:
+            pending.pop(0)
+            group.rescale(policy, _worker_count(applied))
+            applied += 1
+        workers.extend(group.route_span(span, index, flags))
+        expected_index = index + len(span)
+    assert expected_index == TOTAL
+    return group, list(zip(workers, flags))
+
+
+def _assert_same(group: SenderGroup, decisions, reference) -> None:
+    expected_group, expected = reference
+    assert decisions == expected
+    for ours, theirs in zip(group.partitioners, expected_group.partitioners):
+        assert ours.local_loads == theirs.local_loads
+        assert ours.messages_routed == theirs.messages_routed
+    assert group.switch_log() == expected_group.switch_log()
+
+
+class TestSpansEqualTheScalarDeal:
+    @pytest.mark.parametrize("scheme", available_schemes())
+    @pytest.mark.parametrize("num_senders", [1, 2, 5])
+    def test_native_chunks_and_ragged_boundaries(self, scheme, num_senders):
+        # Chunks of 1..3 messages are shorter than five senders; 997 and
+        # 2_501 are multiples of none of the sender counts above one.
+        boundaries = [0, 997, 2_501, 2_501, 4_000]
+        policy = get_policy("migrate")
+        reference = _scalar_deal(scheme, num_senders, boundaries, policy)
+        stream = _ChunkedStream(STREAM, [3, 1, 64, 2, 700, 1, 13])
+        group, decisions = _span_deal(
+            scheme, num_senders, stream, ExecutionMode.columnar(50), boundaries, policy
+        )
+        _assert_same(group, decisions, reference)
+        if scheme == "AD":
+            assert reference[0].switch_log(), "AD never switched: vacuous check"
+
+    @given(
+        scheme=st.sampled_from(available_schemes()),
+        num_senders=st.integers(min_value=1, max_value=5),
+        sizes=st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=6),
+        batch_size=st.integers(min_value=1, max_value=300),
+        native=st.booleans(),
+        boundaries=st.lists(
+            st.integers(min_value=0, max_value=TOTAL + 10), max_size=4
+        ).map(sorted),
+        policy=st.sampled_from(["rehash", "migrate", "remap"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_senders_chunks_and_boundaries(
+        self, scheme, num_senders, sizes, batch_size, native, boundaries, policy
+    ):
+        policy = get_policy(policy)
+        reference = _scalar_deal(scheme, num_senders, boundaries, policy)
+        # A plain list goes through the generic chunker (batch_size messages
+        # per sender), the chunked stream through its own granularity.
+        stream = _ChunkedStream(STREAM, sizes) if native else STREAM
+        group, decisions = _span_deal(
+            scheme, num_senders, stream, ExecutionMode.columnar(batch_size),
+            boundaries, policy,
+        )
+        _assert_same(group, decisions, reference)
+
+
+class TestSenderGroup:
+    def test_senders_share_the_seed_except_shuffle_grouping(self):
+        pkg = SenderGroup.build("pkg", 3, NUM_WORKERS, seed=4)
+        assert [p.seed for p in pkg.partitioners] == [4, 4, 4]
+        sg = SenderGroup.build("shuffle", 3, NUM_WORKERS, seed=4)
+        assert [p.seed for p in sg.partitioners] == [4, 5, 6]
+
+    def test_wraps_existing_partitioners(self):
+        partitioner = create_partitioner("PKG", num_workers=4)
+        group = SenderGroup([partitioner])
+        assert group.num_senders == 1 and group.partitioners[0] is partitioner
+
+    def test_switch_log_labels_rows_and_orders_by_position(self):
+        group, _ = _scalar_deal("AD", 3, [], get_policy("migrate"))
+        rows = group.switch_log(sender_field="source", edge="a->b")
+        assert rows and all(row["edge"] == "a->b" for row in rows)
+        assert list(rows[0])[-2:] == ["edge", "source"]
+        order = [(row["position"], row["source"]) for row in rows]
+        assert order == sorted(order)
+        assert _build("PKG", 3).switch_log() == []

@@ -15,8 +15,12 @@ from repro.experiments import (
     fig04_fraction_workers,
     fig05_memory_vs_pkg,
     fig06_memory_vs_sg,
+    fig07_threshold_sweep,
     fig08_head_tail_load,
+    fig09_optimal_d,
     fig10_zipf_imbalance,
+    fig11_real_imbalance,
+    fig12_imbalance_over_time,
     fig13_throughput,
     fig14_latency,
     fig18_adaptive,
@@ -102,6 +106,15 @@ class TestFig05AndFig06:
             assert row["wchoices_vs_sg_pct"] < -50.0
 
 
+class TestFig07:
+    def test_low_threshold_keeps_wchoices_balanced(self):
+        # With a sufficiently low threshold, W-C keeps the imbalance small
+        # even at the largest scale and the highest skew of the sweep.
+        result = fig07_threshold_sweep.run(fig07_threshold_sweep.Fig07Config.quick())
+        rows = result.filtered(scheme="W-C", theta="1/(8n)", workers=50, skew=2.0)
+        assert rows and rows[0]["imbalance"] < 0.02
+
+
 class TestFig08:
     def test_load_fractions_sum_to_hundred(self):
         config = fig08_head_tail_load.Fig08Config(num_messages=40_000)
@@ -117,6 +130,23 @@ class TestFig08:
         pkg_max = max(row["total_load_pct"] for row in result.filtered(scheme="PKG"))
         wc_max = max(row["total_load_pct"] for row in result.filtered(scheme="W-C"))
         assert abs(wc_max - ideal) <= abs(pkg_max - ideal)
+
+
+class TestFig09:
+    def test_analytical_d_tracks_empirical_minimum(self):
+        # Whenever the empirical search found a feasible d, the analytical
+        # value is in the same ballpark (within the probing stride on the
+        # low side, and not wildly larger on the high side).
+        config = fig09_optimal_d.Fig09Config.quick()
+        result = fig09_optimal_d.run(config)
+        for row in result.rows:
+            assert 2 <= row["analytical_d"] <= row["workers"]
+            if row["empirical_min_d"] is not None:
+                assert row["analytical_d"] >= row["empirical_min_d"] - config.d_stride
+                assert (
+                    row["analytical_d"]
+                    <= 3 * row["empirical_min_d"] + config.d_stride
+                )
 
 
 class TestFig10:
@@ -137,6 +167,34 @@ class TestFig10:
         values = {row["scheme"]: row["imbalance"] for row in result.rows}
         assert values["W-C"] <= values["PKG"]
         assert values["D-C"] <= values["PKG"]
+
+
+class TestFig11:
+    def test_wchoices_never_worse_than_pkg_at_scale(self):
+        config = fig11_real_imbalance.Fig11Config.quick()
+        result = fig11_real_imbalance.run(config)
+        workers = max(config.worker_counts)
+        for dataset in config.datasets:
+            values = {
+                row["scheme"]: row["imbalance"]
+                for row in result.filtered(dataset=dataset, workers=workers)
+            }
+            assert values["W-C"] <= values["PKG"] + 1e-9
+
+
+class TestFig12:
+    def test_one_ordered_series_per_combination(self):
+        # A time series for every (dataset, scheme, workers) combination,
+        # its snapshots ordered by message count.
+        config = fig12_imbalance_over_time.Fig12Config.quick()
+        result = fig12_imbalance_over_time.run(config)
+        series: dict[tuple, list[int]] = {}
+        for row in result.rows:
+            key = (row["dataset"], row["scheme"], row["workers"])
+            series.setdefault(key, []).append(row["messages"])
+        assert len(series) == len(config.datasets) * 3 * len(config.worker_counts)
+        for counts in series.values():
+            assert counts == sorted(counts)
 
 
 class TestFig13AndFig14:

@@ -117,9 +117,11 @@ TOPOLOGIES = {
 
 
 def _fingerprint(topology_factory, scheme: str, batch_size: int,
-                 num_messages: int = 6_000, num_sources: int = 3):
+                 num_messages: int = 6_000, num_sources: int = 3,
+                 workload=None):
     """Everything a run observably produces, as a comparable value."""
-    workload = list(ZipfWorkload(1.4, 400, num_messages, seed=9))
+    if workload is None:
+        workload = list(ZipfWorkload(1.4, 400, num_messages, seed=9))
     result = run_topology(
         topology_factory(scheme),
         workload,
@@ -205,3 +207,47 @@ class TestBatchedTopologyMatchesScalar:
             num_messages=num_messages, num_sources=num_sources,
         )
         assert batched == scalar
+
+
+def _string_keys() -> list[str]:
+    return [f"word-{rank}" for rank in ZipfWorkload(1.4, 400, 4_000, seed=9)]
+
+
+def _messages() -> list[Message]:
+    # Timestamps of their own (they drive the tumbling windows) and a
+    # payload: the micro-batched loop must carry both, not rebuild them.
+    return [
+        Message(timestamp=3.0 * index, key=key, value=index % 5)
+        for index, key in enumerate(_string_keys())
+    ]
+
+
+def _mixed() -> list:
+    return [
+        raw if index % 3 else raw.key for index, raw in enumerate(_messages())
+    ]
+
+
+class TestChunkContentsPickTheRepresentation:
+    """One micro-batched loop: a chunk of plain keys travels as interned
+    ids, a chunk holding ``Message`` objects keeps them beside the ids."""
+
+    @pytest.mark.parametrize("scheme", ["PKG", "D-C", "AD"])
+    @pytest.mark.parametrize("shape", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("contents", [_string_keys, _messages, _mixed])
+    @pytest.mark.parametrize("batch_size", [7, 512])
+    def test_lists_of_keys_and_messages_match_the_scalar_oracle(
+        self, scheme, shape, contents, batch_size
+    ):
+        factory = TOPOLOGIES[shape]
+        scalar = _fingerprint(factory, scheme, batch_size=1, workload=contents())
+        batched = _fingerprint(
+            factory, scheme, batch_size=batch_size, workload=contents()
+        )
+        assert batched == scalar
+
+    def test_a_key_list_equals_its_workload(self):
+        workload = ZipfWorkload(1.4, 400, 5_000, seed=9)
+        native = _fingerprint(_multi_stage, "W-C", 256, workload=workload)
+        listed = _fingerprint(_multi_stage, "W-C", 256, workload=list(workload))
+        assert native == listed
