@@ -17,13 +17,15 @@ rescale *costs*.  The accountant measures, per event and in total:
 
 The simulation engine drives the accountant: it snapshots candidate sets
 around each event, reports the per-worker key placement, and ticks the
-misroute window once per routed tuple.
+misroute window once per routed tuple (or once per routed id array).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from repro.elasticity.events import RescaleEvent
 from repro.elasticity.policies import RescalePolicy
@@ -132,6 +134,7 @@ class MigrationCostAccountant:
         ... engine applies the policy, adjusts state, computes moved keys ...
         accountant.finish_event(record, moved_keys=..., ...)
         ... per routed tuple: accountant.tick(key) ...
+        ... or, per routed id array: accountant.tick_span(ids) ...
     """
 
     def __init__(
@@ -197,9 +200,12 @@ class MigrationCostAccountant:
             self._window_keys = moved_keys
             self._window_record = record
         else:
-            self._window_remaining = 0
-            self._window_keys = frozenset()
-            self._window_record = None
+            self._close_window()
+
+    def _close_window(self) -> None:
+        self._window_remaining = 0
+        self._window_keys = frozenset()
+        self._window_record = None
 
     def tick(self, key: Any) -> None:
         """Account one routed tuple while a transition window is open.
@@ -213,8 +219,26 @@ class MigrationCostAccountant:
             assert self._window_record is not None
             self._window_record.tuples_misrouted += 1
         if self._window_remaining <= 0:
-            self._window_keys = frozenset()
-            self._window_record = None
+            self._close_window()
+
+    def tick_span(self, ids: np.ndarray) -> None:
+        """Account a span of routed tuples, given as their key-id array.
+
+        Equivalent to one guarded :meth:`tick` per id, in order: only the
+        ids that still fall inside the open window are looked at, so a span
+        that outlasts the window closes it mid-span and a closed window
+        costs nothing.
+        """
+        if self._window_remaining <= 0:
+            return
+        live = ids[: self._window_remaining].tolist()
+        self._window_remaining -= len(live)
+        assert self._window_record is not None
+        self._window_record.tuples_misrouted += sum(
+            map(self._window_keys.__contains__, live)
+        )
+        if self._window_remaining <= 0:
+            self._close_window()
 
     def record_switch(
         self,

@@ -139,6 +139,10 @@ def source_main(
         def fence_aware(worker_id: int):
             return lambda: state.aborted() or state.worker_fenced(worker_id)
 
+        # One abort predicate per worker slot, built once: every push and
+        # close of a slot polls the same closure.
+        should_abort = [fence_aware(worker_id) for worker_id in worker_range]
+
         def guarded_push(worker_id: int, ids, base_index: int) -> bool:
             """Push one frame; ``False`` when the worker was fenced away.
 
@@ -151,7 +155,7 @@ def source_main(
                     ids,
                     base_index=base_index,
                     dict_high_water=sent_entries[worker_id],
-                    should_abort=fence_aware(worker_id),
+                    should_abort=should_abort[worker_id],
                     timeout=config.push_timeout_s,
                 )
                 return True
@@ -294,7 +298,7 @@ def source_main(
                 send_delta_if_needed(worker_id, high_water)
                 try:
                     rings[worker_id].close(
-                        should_abort=fence_aware(worker_id),
+                        should_abort=should_abort[worker_id],
                         timeout=config.push_timeout_s,
                     )
                     closed.add(worker_id)

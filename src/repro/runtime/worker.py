@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.exceptions import ClusterRuntimeError
 from repro.runtime.faults import CRASH_EXIT_CODE, WorkerFaults
 from repro.runtime.ring import SpscRing
 from repro.runtime.state import SharedClusterState
@@ -86,8 +87,6 @@ class DictionaryReplica:
         """Apply one delta (idempotent for overlapping resends)."""
         have = len(self._keys)
         if start_id > have:
-            from repro.exceptions import ClusterRuntimeError
-
             raise ClusterRuntimeError(
                 f"dictionary delta gap: replica has {have} entries, "
                 f"delta starts at {start_id}"
@@ -127,8 +126,6 @@ def _await_dictionary(
     last_progress = time.monotonic()
     while len(replica) < high_water:
         if state.aborted():
-            from repro.exceptions import ClusterRuntimeError
-
             raise ClusterRuntimeError("aborted while awaiting dictionary delta")
         state.heartbeat(worker_id)
         if conn.poll(0.05):
@@ -140,8 +137,6 @@ def _await_dictionary(
             replica.apply(start_id, keys)
             last_progress = time.monotonic()
         elif time.monotonic() - last_progress > DELTA_STARVATION_TIMEOUT_S:
-            from repro.exceptions import ClusterRuntimeError
-
             raise ClusterRuntimeError(
                 f"dictionary delta gap: replica holds {len(replica)} of "
                 f"{high_water} entries and no delta arrived for "

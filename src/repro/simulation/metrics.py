@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.types import LoadSnapshot, WorkerId
 
@@ -78,6 +80,32 @@ class LoadTracker:
         self._messages_seen += 1
         if self._head_loads is not None and is_head:
             self._head_loads[worker] += 1
+
+    def record_span(
+        self, workers: np.ndarray, head_mask: np.ndarray | None = None
+    ) -> None:
+        """Account for one message per entry of the integer array ``workers``.
+
+        Equivalent to one :meth:`record` per message: ``head_mask`` (boolean,
+        as long as ``workers``) marks the head messages, ``None`` means the
+        span holds none.  The range check covers the whole span before any
+        counter moves, so a rejected span leaves the tracker untouched.
+        """
+        num_workers = self._num_workers
+        outside = workers[(workers < 0) | (workers >= num_workers)]
+        if len(outside):
+            raise SimulationError(
+                f"worker {int(outside[0])} outside [0, {num_workers})"
+            )
+        counts = np.bincount(workers, minlength=num_workers).tolist()
+        self._loads = [load + count for load, count in zip(self._loads, counts)]
+        self._total += len(workers)
+        self._messages_seen += len(workers)
+        if self._head_loads is not None and head_mask is not None:
+            counts = np.bincount(workers[head_mask], minlength=num_workers).tolist()
+            self._head_loads = [
+                load + count for load, count in zip(self._head_loads, counts)
+            ]
 
     def rescale(self, new_num_workers: int) -> None:
         """Resize the tracked worker set (workers are ``0 .. n-1``).

@@ -160,12 +160,15 @@ class TestCiWorkflow:
 
     def test_bench_smoke_runs_the_repo_benchmark(self, ci):
         # The repo benchmark (BENCHMARK.json) judges every later claim, so
-        # each PR proves it still runs: its own tests, then one short
-        # workload whose result line must report correct trials.
+        # each PR proves it still runs: its own tests, then two short
+        # workloads — the string-key batched API and the head path under
+        # columnar span accounting — whose result lines must report
+        # correct trials.
         commands = _job_commands(ci["jobs"]["bench-smoke"])
         assert "python -m pytest bench/tests -q" in commands
-        assert "python3 bench/run.py --workload sim_keys --seconds 3" in commands
-        assert "grep -q '\"correct\": true'" in commands
+        for workload in ("sim_keys", "sim_hot"):
+            assert f"python3 bench/run.py --workload {workload} --seconds 3" in commands
+        assert commands.count("grep -q '\"correct\": true'") == 2
 
 
 class TestBenchWorkflow:
