@@ -197,8 +197,35 @@ def find_optimal_choices(
         return ChoicesSolution(num_choices=2, use_w_choices=False, head_cardinality=0)
 
     start = lower_bound_choices(head[0], num_workers)
+    # all_constraints_satisfied(head, tail_mass, num_workers, candidate,
+    # epsilon) for candidate = start, start + 1, ... — except that the two
+    # head sums of each prefix, which do not depend on the candidate, are
+    # taken once per solve.  They are the very expressions of
+    # prefix_constraint_satisfied, and every test below runs its float
+    # operations in its order, so each ``lhs <= rhs`` is the same
+    # computation: running or compensated sums would be cheaper still, but
+    # could flip a constraint that holds with equality, and d with it.
+    masses = [
+        (float(sum(head[:prefix_length])), float(sum(head[prefix_length:])))
+        for prefix_length in range(1, len(head) + 1)
+    ]
+    n = float(num_workers)
+    miss = (n - 1.0) / n
+    budget = 1.0 / n + epsilon
     for candidate in range(start, num_workers):
-        if all_constraints_satisfied(head, tail_mass, num_workers, candidate, epsilon):
+        throws = 0
+        for prefix_mass, rest_of_head in masses:
+            throws += candidate
+            b_h = n - n * miss ** throws
+            ratio = b_h / n
+            lhs = (
+                prefix_mass
+                + (ratio ** candidate) * rest_of_head
+                + (ratio ** 2) * tail_mass
+            )
+            if not lhs <= b_h * budget:
+                break
+        else:
             return ChoicesSolution(
                 num_choices=candidate,
                 use_w_choices=False,

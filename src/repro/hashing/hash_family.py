@@ -243,11 +243,12 @@ class HashFamily:
             cache[key] = result
         return result
 
-    def _mix(self, folded: int, d: int) -> tuple[WorkerId, ...]:
-        """The first ``d`` buckets of a key already folded to 64 bits."""
+    def _mix(self, folded: int, d: int, start: int = 0) -> tuple[WorkerId, ...]:
+        """Buckets ``start .. d`` of a key already folded to 64 bits."""
         buckets = self._num_buckets
         return tuple(
-            _splitmix64(folded ^ mixed) % buckets for mixed in self._mixed_seeds[:d]
+            _splitmix64(folded ^ mixed) % buckets
+            for mixed in self._mixed_seeds[start:d]
         )
 
     def candidates_batch_columns(
@@ -321,15 +322,29 @@ class HashFamily:
         rows = self._id_table(dictionary, d)
         return [rows[ids, j].tolist() for j in range(d)]
 
-    def candidates_for_id(self, kid: int, dictionary, d: int | None = None) -> tuple[WorkerId, ...]:
+    def candidates_for_id(
+        self,
+        kid: int,
+        dictionary,
+        d: int | None = None,
+        prefix: tuple[WorkerId, ...] = (),
+    ) -> tuple[WorkerId, ...]:
         """Scalar :meth:`candidates` addressed by key id.
 
         Hashes the id's folded key directly instead of going through the
         per-dictionary table: the callers are head keys asking for their
         ``d`` candidates once each, and serving a handful of ids must not
         widen a table that holds a row for every key of the stream.
+
+        ``prefix`` is what the caller already holds of this id's tuple (from
+        this family): tuples are prefix-stable in ``d``, so only functions
+        ``len(prefix) .. d`` are hashed — a caller that keeps the longest
+        tuple it was ever handed pays for each (id, function) pair once.
         """
-        return self._mix(int(dictionary.folded[kid]), self._check_d(d))
+        d = self._check_d(d)
+        if len(prefix) >= d:
+            return prefix[:d]
+        return prefix + self._mix(int(dictionary.folded[kid]), d, len(prefix))
 
     def distinct_candidates(self, key: Key, d: int | None = None) -> tuple[WorkerId, ...]:
         """Like :meth:`candidates` but with duplicates removed, order kept."""

@@ -17,6 +17,15 @@ cardinality, new hottest-key frequency) or after ``recompute_interval``
 messages — whichever comes first.  This is an implementation choice, not a
 deviation: the solver input only changes when the sketch's view of the head
 changes.
+
+The same economy holds one level down: the solver re-solves far more often
+than its answer moves, and everything the head path derives from ``d`` is
+paid for when ``d`` changes, not when it is re-confirmed.  The id kernel
+(:meth:`DChoices._route_ids`) stops the *sketch feed* at every throttle
+checkpoint but places a chunk in one pass per distinct ``d``; the per-key
+candidate tuples and scan floors of
+:class:`~repro.partitioning.head_tail.HeadTailPartitioner` are flushed by a
+change of ``d`` only, and the hash rounds under them by none.
 """
 
 from __future__ import annotations
@@ -157,9 +166,12 @@ class DChoices(HeadTailPartitioner):
 
         Callers guarantee eligibility: either the solver has never run or at
         least ``check_interval`` messages passed since the last check.  The
-        batched driver calls this directly at chunk-internal checkpoints
-        with the sketch parked at exactly the triggering message, so the
-        signature read here is the one the scalar path would have seen.
+        id kernel calls this directly at chunk-internal checkpoints with the
+        sketch parked at exactly the triggering message, so the signature
+        read here is the one the scalar path would have seen.  It reads the
+        sketch and ``routed`` and nothing else — in particular not the load
+        vector, which is what lets the kernel run it before the messages
+        ahead of the checkpoint have been placed.
 
         The signature itself comes from ``sketch.head_signature`` — the
         (cardinality, hottest count) pair — rather than materialising the
@@ -207,15 +219,10 @@ class DChoices(HeadTailPartitioner):
         )
 
     def _select_head_worker(self, kid: int) -> WorkerId:
+        # Same logic as _select_head without the RoutingDecision; candidate
+        # tuples for hot keys come from the per-head-key cache, so the
+        # per-message cost is a dict hit plus the load scan.
         self._maybe_recompute()
-        return self._select_head_worker_solved(kid)
-
-    def _select_head_worker_solved(self, kid: int) -> WorkerId:
-        # Same logic as _select_head without the RoutingDecision or the
-        # solver throttle: selection against the *current* solution.  The
-        # id kernel calls this directly after running the checkpoint
-        # itself; candidate tuples for hot keys come from the per-head-key
-        # cache, so the per-message cost is a dict hit plus the load scan.
         loads = self._state.loads
         if self._solution.use_w_choices:
             return loads.index(min(loads))
@@ -230,7 +237,7 @@ class DChoices(HeadTailPartitioner):
         return ("d", max(2, solution.num_choices))
 
     def _route_ids(self, ids, head_flags):
-        """Batched D-Choices: classified runs split at solver checkpoints.
+        """Batched D-Choices: checkpoints split classification, not placement.
 
         The head path reads the sketch and the message counter through the
         solver throttle, so the chunk cannot simply be classified in one
@@ -238,16 +245,22 @@ class DChoices(HeadTailPartitioner):
         future.  But checkpoint positions are *predictable*: a check can
         only fire at a head message once ``check_interval`` messages have
         passed since the last check (or while the solver has never run).
-        The driver therefore alternates between
+        Classification therefore alternates between
 
-        * bulk runs up to the next possible checkpoint — classified with one
-          sketch pass and routed with the classified pipeline under the
-          frozen solution, exactly as the scalar path would have done since
-          every head message in the run is throttle-ineligible; and
-        * a stop-at-head scan from the checkpoint on: the sketch feed halts
-          right after the first head-classified message, the check runs with
-          the sketch parked there (byte-identical signature and solve), and
-          that message is then routed under the refreshed solution.
+        * one bulk sketch pass up to the next possible checkpoint — every
+          head message in it is throttle-ineligible; and
+        * from the checkpoint on, one message at a time until the first
+          head-classified one: the check runs with the sketch parked there
+          (byte-identical signature and solve), then the bulk pass resumes.
+
+        Placement does not have to keep step.  A check never reads the load
+        vector (see :meth:`_maybe_recompute_at`), so classified messages
+        simply accumulate — runs and tail ids, the shape
+        :meth:`_route_runs` takes — and are placed in one call when a check
+        actually moved the head selection (everything before the triggering
+        message goes under the old one) and when the chunk ends.  The solver
+        re-solves far more often than its answer changes, so that is a few
+        calls per chunk however many checkpoints it holds.
 
         The message counter only needs to be *read* at checkpoints, so it is
         reconstructed arithmetically instead of stored per message.
@@ -257,8 +270,17 @@ class DChoices(HeadTailPartitioner):
         state = self._state
         routed_before = state.messages_routed
         check_interval = self._check_interval
+        sketch = self._sketch
+        theta = self._theta
+        warmup = self._warmup_messages
+        add_and_estimate = getattr(sketch, "add_and_estimate", None)
         out: list[WorkerId] = []
-        flags_out: list[bool] | None = [] if head_flags is not None else None
+        # kids[placed:position] are classified into runs / tail_kids and wait
+        # to be placed under `selection`.
+        selection = self._head_selection()
+        runs = [0]
+        tail_kids: list[int] = []
+        placed = 0
         position = 0
         while position < total_messages:
             if self._never_solved:
@@ -268,38 +290,47 @@ class DChoices(HeadTailPartitioner):
                     position,
                     self._messages_at_last_check + check_interval - routed_before,
                 )
-            stop = min(checkpoint, total_messages)
-            if stop > position:
-                # Throttle-ineligible stretch (up to the next possible
-                # checkpoint, or the end of the chunk): one bulk run under
-                # the frozen solution.
-                block = kids[position:stop]
-                tail_kids: list[int] = []
-                runs = self._classify_runs(block, tail_kids)
-                self._route_runs(block, runs, tail_kids, out)
-                if flags_out is not None:
-                    flags_out.extend(runs_to_flags(runs))
+            if checkpoint > position:
+                stop = min(checkpoint, total_messages)
+                block = self._classify_runs(kids[position:stop], tail_kids)
+                runs[-1] += block[0]
+                runs += block[1:]
                 position = stop
-                if position == total_messages:
+            # From here the first head message fires the check.
+            total = sketch.total
+            for position in range(position, total_messages):
+                kid = kids[position]
+                if add_and_estimate is not None:
+                    estimate = add_and_estimate(kid)
+                    total += 1
+                else:  # duck-typed estimator
+                    sketch.add(kid)
+                    estimate = sketch.estimate(kid)
+                    total = sketch.total
+                if total >= warmup and estimate >= theta * total:
+                    self._maybe_recompute_at(routed_before + position)
+                    refreshed = self._head_selection()
+                    if refreshed != selection:
+                        self._route_runs(
+                            kids[placed:position], runs, tail_kids, selection, out
+                        )
+                        if head_flags is not None:
+                            head_flags.extend(runs_to_flags(runs))
+                        selection = refreshed
+                        runs = [0]
+                        tail_kids = []
+                        placed = position
+                    runs[-1] += 1
+                    position += 1
                     break
-            # From here every head message fires the check: scan for it with
-            # the sketch feed stopping right after the triggering message.
-            tail_prefix: list[int] = []
-            flags = self._classify_batch(
-                kids[position:], stop_at_head=True, tail_out=tail_prefix
-            )
-            self._route_tail_span(tail_prefix, out)
-            position += len(flags)
-            if flags[-1]:
-                self._maybe_recompute_at(routed_before + position - 1)
-                worker = self._select_head_worker_solved(kids[position - 1])
-                state.loads[worker] += 1
-                out.append(worker)
-            if flags_out is not None:
-                flags_out.extend(flags)
-        state.messages_routed = routed_before + total_messages
+                runs.append(0)
+                tail_kids.append(kid)
+            else:
+                position = total_messages
+        self._route_runs(kids[placed:], runs, tail_kids, selection, out)
         if head_flags is not None:
-            head_flags.extend(flags_out)
+            head_flags.extend(runs_to_flags(runs))
+        state.messages_routed = routed_before + total_messages
         return out
 
     def reset(self) -> None:

@@ -93,13 +93,21 @@ class HeadTailPartitioner(Partitioner):
         self._hashes = HashFamily(
             num_functions=max(2, num_workers), num_buckets=num_workers, seed=seed
         )
-        # Per-head-key candidate tuples for the currently effective d, keyed
-        # by key id.  Head keys repeat by definition, so the head path
-        # resolves each (id, d) pair once instead of re-deriving the tuple
-        # per message.  Invalidated whenever d changes (lazily, via the d
-        # tag) and whenever the hash family is rebuilt (rescale).
+        # What the "d" head path remembers per head key id (head keys repeat
+        # by definition); all three go through _flush_head_caches, each is
+        # bounded by _HEAD_CANDIDATE_CACHE_LIMIT:
+        # * the raw hash tuple, as long as the largest d the key was ever
+        #   asked for — prefix-stable, so it outlives every change of d and
+        #   each (id, function) pair is hashed once per hash family;
+        # * the deduplicated candidate tuple for the *effective* d (the tag),
+        #   derived from that prefix;
+        # * the floor of that tuple: the least load the key's last complete
+        #   scan saw.  Loads only grow, so it bounds every later scan from
+        #   below and lets it stop at the first candidate sitting on it.
+        self._head_hashes: dict[int, tuple[WorkerId, ...]] = {}
         self._head_cand_cache: dict[int, tuple[WorkerId, ...]] = {}
         self._head_cand_cache_d = 0
+        self._head_floors: dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # public knobs / introspection
@@ -155,10 +163,11 @@ class HeadTailPartitioner(Partitioner):
             return self._select_head(key)
         return self._select_tail(key)
 
-    #: Maximum number of (head key id -> candidate tuple) entries interned by
-    #: the head candidate cache; FIFO-evicted beyond this.  Head keys are
-    #: few by definition (at most the sketch capacity at any instant), so
-    #: the bound only matters on long runs with drifting heads.
+    #: Maximum number of head key ids each per-key head structure (hash
+    #: prefixes; candidate tuples and their floors) holds; FIFO-evicted
+    #: beyond this.  Head keys are few by definition (at most the sketch
+    #: capacity at any instant), so the bound only matters on long runs
+    #: with drifting heads.
     _HEAD_CANDIDATE_CACHE_LIMIT = 1 << 14
 
     def _select_worker(self, key: Key) -> WorkerId:
@@ -191,13 +200,14 @@ class HeadTailPartitioner(Partitioner):
         The whole chunk is fed to the sketch *before* any head key is
         placed, so a head path may not read the sketch or the message
         counter; a scheme whose head path does (D-Choices' solver throttle)
-        overrides this method and splits the chunk at its own checkpoints.
+        overrides this method and splits the sketch feed at its own
+        checkpoints.
         """
         kids = ids.tolist()
         tail_kids: list[int] = []
         runs = self._classify_runs(kids, tail_kids)
         out: list[WorkerId] = []
-        self._route_runs(kids, runs, tail_kids, out)
+        self._route_runs(kids, runs, tail_kids, self._head_selection(), out)
         self._state.messages_routed += len(out)
         if head_flags is not None:
             head_flags.extend(runs_to_flags(runs))
@@ -206,47 +216,6 @@ class HeadTailPartitioner(Partitioner):
     # ------------------------------------------------------------------ #
     # classified batch pipeline
     # ------------------------------------------------------------------ #
-    def _classify_batch(
-        self,
-        keys: Sequence[Key],
-        stop_at_head: bool = False,
-        tail_out: list[Key] | None = None,
-    ) -> list[bool]:
-        """Feed ``keys`` to the sketch and return one head flag per key.
-
-        One bulk sketch call replaces the per-message ``add`` + ``estimate``
-        round trips (see ``FrequencyEstimator.add_and_classify_batch``).
-        With ``stop_at_head`` the pass — and crucially the sketch feed —
-        stops right after the first head-classified key, leaving the sketch
-        parked at that message; D-Choices relies on this to read head
-        signatures at solver checkpoints with exactly the scalar-path view.
-        ``tail_out`` collects the tail run during the same pass.  Duck-typed
-        estimators without the bulk op get the reference loop.
-        """
-        bulk = getattr(self._sketch, "add_and_classify_batch", None)
-        if bulk is not None:
-            return bulk(
-                keys, self._theta, self._warmup_messages, stop_at_head, tail_out
-            )
-        sketch = self._sketch
-        theta = self._theta
-        warmup = self._warmup_messages
-        add = sketch.add
-        estimate = sketch.estimate
-        flags: list[bool] = []
-        append = flags.append
-        tail_append = tail_out.append if tail_out is not None else None
-        for key in keys:
-            add(key)
-            total = sketch.total
-            is_head = total >= warmup and estimate(key) >= theta * total
-            append(is_head)
-            if not is_head and tail_append is not None:
-                tail_append(key)
-            if stop_at_head and is_head:
-                break
-        return flags
-
     def _classify_runs(
         self, keys: Sequence[Key], tail_out: list[Key]
     ) -> list[int]:
@@ -254,19 +223,24 @@ class HeadTailPartitioner(Partitioner):
 
         Returns the head-run lengths around each tail message and fills
         ``tail_out`` with the tail keys, all in one sketch pass.  Duck-typed
-        estimators without the bulk ops are classified with the reference
-        loop and converted.
+        estimators without the bulk op get the reference ``add`` +
+        ``estimate`` loop.
         """
         bulk = getattr(self._sketch, "add_and_classify_runs", None)
         if bulk is not None:
             return bulk(keys, self._theta, self._warmup_messages, tail_out)
-        flags = self._classify_batch(keys, tail_out=tail_out)
+        sketch = self._sketch
+        theta = self._theta
+        warmup = self._warmup_messages
         runs = [0]
-        for is_head in flags:
-            if is_head:
+        for key in keys:
+            sketch.add(key)
+            total = sketch.total
+            if total >= warmup and sketch.estimate(key) >= theta * total:
                 runs[-1] += 1
             else:
                 runs.append(0)
+                tail_out.append(key)
         return runs
 
     def _route_runs(
@@ -274,6 +248,7 @@ class HeadTailPartitioner(Partitioner):
         kids: Sequence[int],
         runs: Sequence[int],
         tail_kids: Sequence[int],
+        selection: tuple[str, int],
         out: list[WorkerId],
     ) -> None:
         """Route a run-length-classified chunk of key ids, appending to ``out``.
@@ -281,20 +256,22 @@ class HeadTailPartitioner(Partitioner):
         The chunk arrives pre-split into alternating head runs and tail
         messages (``runs[i]`` heads, then ``tail_kids[i]``, ...; the last
         entry of ``runs`` is the trailing head run).  Tail placements walk
-        the gathered candidate columns; head runs count down with no
-        per-message flag or id touch in "all" mode — full-freedom
-        placement needs nothing but the load vector — while "d" and "call"
-        modes track the stream position to recover the head ids from
-        ``kids``.  ``messages_routed`` is the caller's to update.
+        the gathered candidate columns; head runs are placed the way
+        ``selection`` — a :meth:`_head_selection` value — says: they count
+        down with no per-message flag or id touch in "all" mode —
+        full-freedom placement needs nothing but the load vector — while
+        "d" and "call" modes track the stream position to recover the head
+        ids from ``kids``.  ``messages_routed`` is the caller's to update.
         """
         loads = self._state.loads
         append = out.append
         if len(kids) <= 24:
-            # Short fragment (single-message chunks, D-Choices checkpoint
-            # remnants): the fixed setup of the vectorized path — numpy
-            # round trip, argmin-queue seeding — costs more than routing
-            # the handful of messages against the scalar helpers.
-            self._route_runs_scalar(kids, runs, tail_kids, out)
+            # Short fragment (single-message chunks, what D-Choices placed
+            # under one d before the solver moved it): the fixed setup of
+            # the vectorized path — numpy round trip, argmin-queue seeding —
+            # costs more than routing the handful of messages against the
+            # scalar helpers.
+            self._route_runs_scalar(kids, runs, tail_kids, selection, out)
             return
         if tail_kids:
             firsts, seconds = self._hashes.id_candidate_columns(
@@ -306,7 +283,7 @@ class HeadTailPartitioner(Partitioner):
         # with the same loop body; len(runs) == len(tail_kids) + 1, so zip
         # consumes exactly the sentinel for the final entry.
         paired = zip(runs, chain(firsts, (None,)), chain(seconds, (None,)))
-        mode, num_choices = self._head_selection()
+        mode, num_choices = selection
         if mode == "all":
             level, queue = self._min_load_level()
             position = 0
@@ -333,15 +310,14 @@ class HeadTailPartitioner(Partitioner):
         elif mode == "d":
             # The cache-tag handshake runs once up front so the hot path may
             # read the cache directly; misses go through
-            # _cached_head_candidates, the single home of the dedupe /
+            # _cached_head_candidates, the single home of the derivation /
             # FIFO-eviction logic (its re-check of the tag is then a no-op).
             num_choices = max(2, min(num_choices, self.num_workers))
-            cache = self._head_cand_cache
             if num_choices != self._head_cand_cache_d:
-                cache.clear()
-                self._head_cand_cache_d = num_choices
-            cache_get = cache.get
+                self._flush_head_caches(num_choices)
+            cache_get = self._head_cand_cache.get
             cached_candidates = self._cached_head_candidates
+            floors = self._head_floors
             stream_at = 0
             for run, first, second in paired:
                 while run:
@@ -351,6 +327,17 @@ class HeadTailPartitioner(Partitioner):
                     candidates = cache_get(kid)
                     if candidates is None:
                         candidates = cached_candidates(kid, num_choices)
+                    # First minimum of the candidates' loads, as
+                    # _least_loaded finds it — but no candidate is below the
+                    # key's floor, so the first one that brings the running
+                    # best down *to* it is the answer: those before it were
+                    # above, those after it can at most tie and lose.  Only
+                    # a scan that runs to the end has seen the true minimum,
+                    # and raises the floor to it.  (The first candidate is
+                    # never on the floor: it wins every tie, so the complete
+                    # scan that set the floor either found it above or
+                    # bumped it.)
+                    floor = floors[kid]
                     scan = iter(candidates)
                     worker = next(scan)
                     best_load = loads[worker]
@@ -359,7 +346,11 @@ class HeadTailPartitioner(Partitioner):
                         if load < best_load:
                             worker = candidate
                             best_load = load
-                    loads[worker] += 1
+                            if load == floor:
+                                break
+                    else:
+                        floors[kid] = best_load
+                    loads[worker] = best_load + 1
                     append(worker)
                 if first is None:
                     break
@@ -389,13 +380,18 @@ class HeadTailPartitioner(Partitioner):
         kids: Sequence[int],
         runs: Sequence[int],
         tail_kids: Sequence[int],
+        selection: tuple[str, int],
         out: list[WorkerId],
     ) -> None:
-        """Scalar fallback of :meth:`_route_runs` for short fragments."""
+        """Scalar fallback of :meth:`_route_runs` for short fragments.
+
+        It reads no floor and raises none: the loads it bumps only grow, so
+        the floors stay valid lower bounds.
+        """
         loads = self._state.loads
         append = out.append
         pairs = self._tail_pairs(tail_kids)
-        mode, num_choices = self._head_selection()
+        mode, num_choices = selection
         run_iter = iter(runs)
         run = next(run_iter)
         for kid in kids:
@@ -434,9 +430,10 @@ class HeadTailPartitioner(Partitioner):
         ``("d", d)`` — least-loaded of ``d`` hash-derived candidates, served
         by the head candidate cache; ``("call", 0)`` — per-message
         :meth:`_select_head_worker`, for head paths with scheme-internal
-        state (Round-Robin's cursor).  Re-consulted at every classified run
-        so schemes whose mode is dynamic (D-Choices after a solver refresh)
-        switch at exactly the boundaries where their state can change.
+        state (Round-Robin's cursor).  :meth:`_route_runs` is handed the
+        value rather than reading it, so a scheme whose answer is dynamic
+        (D-Choices after a solver refresh) decides which messages are placed
+        under which answer.
         """
         return ("call", 0)
 
@@ -449,40 +446,62 @@ class HeadTailPartitioner(Partitioner):
         already set ``best_load`` at most that low and the comparison is
         strict — so dropping it changes nothing while shortening every
         subsequent scan (d hash draws over n workers repeat themselves with
-        noticeable probability once d is a fair fraction of n).  A miss
-        hashes the ``d`` candidates straight from the id's folded key, so
-        the per-id candidate table stays two columns wide however large d
-        grows.  The cache is tagged with the effective d and flushed lazily
-        whenever it changes (a D-Choices solver refresh), and eagerly when
-        the hash family is rebuilt (rescale) — stale tuples would otherwise
-        leak pre-rescale workers.
+        noticeable probability once d is a fair fraction of n).
+
+        The tuple is derived from the key's raw hash prefix, which is
+        hashed straight from the id's folded key (the per-id candidate
+        table stays two columns wide however large d grows) and only ever
+        *extended*: hash tuples are prefix-stable in d, so when the solver
+        moves d — it wobbles between neighbouring values for as long as the
+        head drifts — a miss costs one ``dict.fromkeys`` over the prefix,
+        and new hash rounds only for functions the key was never asked for.
+        The derived tuples are tagged with the effective d and flushed,
+        floors with them, whenever it changes; see
+        :meth:`_flush_head_caches` for the other edges.
         """
         num_choices = max(2, min(num_choices, self.num_workers))
-        cache = self._head_cand_cache
         if num_choices != self._head_cand_cache_d:
-            cache.clear()
-            self._head_cand_cache_d = num_choices
+            self._flush_head_caches(num_choices)
+        cache = self._head_cand_cache
         candidates = cache.get(kid)
         if candidates is None:
-            candidates = tuple(
-                dict.fromkeys(
-                    self._hashes.candidates_for_id(kid, self._id_dict, num_choices)
+            limit = self._HEAD_CANDIDATE_CACHE_LIMIT
+            hashes = self._head_hashes
+            prefix = hashes.get(kid, ())
+            if len(prefix) < num_choices:
+                if not prefix and len(hashes) >= limit:
+                    del hashes[next(iter(hashes))]
+                prefix = hashes[kid] = self._hashes.candidates_for_id(
+                    kid, self._id_dict, num_choices, prefix
                 )
-            )
-            if len(cache) >= self._HEAD_CANDIDATE_CACHE_LIMIT:
-                cache.pop(next(iter(cache)))
+            candidates = tuple(dict.fromkeys(prefix[:num_choices]))
+            if len(cache) >= limit:
+                evicted = next(iter(cache))
+                del cache[evicted]
+                del self._head_floors[evicted]
             cache[kid] = candidates
+            # Below every load: the key's first scan runs to the end.
+            self._head_floors[kid] = -1
         return candidates
 
-    def _route_tail_span(self, tail_kids: Sequence[int], out: list[WorkerId]) -> None:
-        """Route a run of tail-classified key ids (two-choice), appending to
-        ``out``.  ``messages_routed`` is the caller's to update."""
-        loads = self._state.loads
-        append = out.append
-        for first, second in self._tail_pairs(tail_kids):
-            worker = first if loads[first] <= loads[second] else second
-            loads[worker] += 1
-            append(worker)
+    def _flush_head_caches(self, num_choices: int = 0) -> None:
+        """The one flush point of everything the head path keys by id.
+
+        Given the new effective ``num_choices``, only what was derived for
+        the old one goes — the candidate tuples and, since a floor bounds
+        the loads of one particular tuple, the floors — and the cache is
+        re-tagged; the raw hash prefixes do not depend on d and stay.
+        Without it the ground itself moved: ``reset`` (the id namespace is
+        gone, the loads are zero again), a rescale (the hash family was
+        rebuilt, so every tuple points at pre-rescale workers, and the load
+        vector was cut or padded) or an adopted state (somebody else's
+        loads, which our floors say nothing about) — everything goes.
+        """
+        self._head_cand_cache.clear()
+        self._head_floors.clear()
+        self._head_cand_cache_d = num_choices
+        if not num_choices:
+            self._head_hashes.clear()
 
     def _select_tail(self, key: Key) -> RoutingDecision:
         """Tail path: the standard two choices of PKG."""
@@ -515,10 +534,7 @@ class HeadTailPartitioner(Partitioner):
         reset = getattr(self._sketch, "reset", None)
         if callable(reset):
             reset()
-        # The id namespace is gone with the reset, and the cache is keyed by
-        # its ids.
-        self._head_cand_cache.clear()
-        self._head_cand_cache_d = 0
+        self._flush_head_caches()
 
     def _rescale_structures(self, old_num_workers: int, new_num_workers: int) -> None:
         """Incremental rescale: new hash family, *preserved* head table.
@@ -545,13 +561,9 @@ class HeadTailPartitioner(Partitioner):
             num_buckets=new_num_workers,
             seed=self.seed,
         )
-        # The hash family above was just rebuilt for the new bucket count:
-        # every cached head candidate tuple now points at pre-rescale
-        # workers and must go, whatever d it was derived for.  (The rebuild
-        # also drops the old family's per-id candidate tables.)  The
-        # dictionary binding survives: the sketch still holds its ids.
-        self._head_cand_cache.clear()
-        self._head_cand_cache_d = 0
+        # (The rebuild also drops the old family's per-id candidate tables.)
+        # The dictionary binding survives: the sketch still holds its ids.
+        self._flush_head_caches()
 
     def _ensure_sketch_capacity(self) -> None:
         """Grow the sketch when the current theta needs more counters.
@@ -591,14 +603,15 @@ class HeadTailPartitioner(Partitioner):
             required = max(1, math.ceil(self._sketch_slack / self._theta))
             capacity = max(required, int(sketch_state["capacity"]))
             self._sketch = SpaceSaving.from_state(sketch_state, capacity=capacity)
+        self._flush_head_caches()
         if state.get("seed") == self._seed and state.get("num_workers") == self._num_workers:
             # Same hash family: the donor's candidate tuples are ours too.
+            # Its floors are not — they are never exported — so every
+            # adopted key starts with a complete scan of the adopted loads.
             cache, cache_d = state.get("head_cand_cache", ({}, 0))
-            self._head_cand_cache = dict(cache)
+            self._head_cand_cache.update(cache)
             self._head_cand_cache_d = cache_d
-        else:
-            self._head_cand_cache.clear()
-            self._head_cand_cache_d = 0
+            self._head_floors.update(dict.fromkeys(cache, -1))
 
     def key_candidates(self, key: Key) -> tuple[WorkerId, ...]:
         """Pure candidate set: head keys via the scheme's head placement,

@@ -105,7 +105,6 @@ class FrequencyEstimator(abc.ABC):
         keys: Sequence[Key],
         threshold: float,
         warmup: int = 0,
-        stop_at_head: bool = False,
         tail_out: list[Key] | None = None,
     ) -> list[bool]:
         """Account for a chunk of keys and classify each as head or tail.
@@ -117,12 +116,6 @@ class FrequencyEstimator(abc.ABC):
         partitioners run on every message; implementations override it to
         fuse the two into one pass (SpaceSaving does), but the flags must be
         identical to this reference loop.
-
-        With ``stop_at_head`` the pass stops right after the first key
-        classified as head, returning a short list whose last flag is the
-        only ``True``.  D-Choices uses this to park the sketch exactly at a
-        solver-throttle checkpoint: keys after the checkpoint must not have
-        been fed yet when the head signature is read.
 
         ``tail_out``, when given, receives every tail-classified key in
         stream order — the pass is already branching on the flag, so
@@ -141,8 +134,6 @@ class FrequencyEstimator(abc.ABC):
             append(is_head)
             if not is_head and tail_append is not None:
                 tail_append(key)
-            if stop_at_head and is_head:
-                break
         return flags
 
     def add_and_classify_runs(
@@ -171,7 +162,7 @@ class FrequencyEstimator(abc.ABC):
         only need the fused flag pass for both contracts to agree.
         """
         sink = tail_out if tail_out is not None else []
-        flags = self.add_and_classify_batch(keys, threshold, warmup, False, sink)
+        flags = self.add_and_classify_batch(keys, threshold, warmup, sink)
         runs = [0]
         for is_head in flags:
             if is_head:

@@ -87,7 +87,6 @@ class LossyCounting(FrequencyEstimator):
         keys,
         threshold: float,
         warmup: int = 0,
-        stop_at_head: bool = False,
         tail_out: list | None = None,
     ) -> list[bool]:
         """Fused bulk update + head classification (see the base contract).
@@ -123,8 +122,6 @@ class LossyCounting(FrequencyEstimator):
             append(is_head)
             if not is_head and tail_append is not None:
                 tail_append(key)
-            if stop_at_head and is_head:
-                break
         self._total = total
         return flags
 

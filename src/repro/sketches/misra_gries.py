@@ -88,7 +88,6 @@ class MisraGries(FrequencyEstimator):
         keys,
         threshold: float,
         warmup: int = 0,
-        stop_at_head: bool = False,
         tail_out: list | None = None,
     ) -> list[bool]:
         """Fused bulk update + head classification (see the base contract).
@@ -120,8 +119,6 @@ class MisraGries(FrequencyEstimator):
             append(is_head)
             if not is_head and tail_append is not None:
                 tail_append(key)
-            if stop_at_head and is_head:
-                break
         self._total = total
         return flags
 

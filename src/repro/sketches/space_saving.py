@@ -196,54 +196,18 @@ class SpaceSaving(FrequencyEstimator):
         keys,
         threshold: float,
         warmup: int = 0,
-        stop_at_head: bool = False,
         tail_out: list | None = None,
     ) -> list[bool]:
         """Fused bulk update + head classification (see the base contract).
 
-        The full-chunk form derives its flags from
-        :meth:`add_and_classify_runs` — the run pass is the one true hot
-        loop and the expansion runs at C speed — so there is exactly one
-        inlined copy of the update machinery.  The ``stop_at_head`` form
-        keeps its own loop: it must halt the sketch feed mid-chunk, and the
-        scans D-Choices uses it for are short by construction.
+        The flags are derived from :meth:`add_and_classify_runs` — the run
+        pass is the one true hot loop and the expansion runs at C speed —
+        so the bulk forms share a single inlined copy of the update
+        machinery.
         """
-        if not stop_at_head:
-            return runs_to_flags(
-                self.add_and_classify_runs(keys, threshold, warmup, tail_out)
-            )
-        flags: list[bool] = []
-        append = flags.append
-        where_get = self._where.get
-        slow_add = self.add_and_estimate
-        total = self._total
-        tail_append = tail_out.append if tail_out is not None else None
-        for key in keys:
-            total += 1
-            bucket = where_get(key)
-            if bucket is not None:
-                new_count = bucket.count + 1
-                if len(bucket.keys) == 1:
-                    nxt = bucket.next
-                    if nxt is None or nxt.count > new_count:
-                        bucket.count = new_count
-                    else:
-                        self._total = total - 1
-                        new_count = slow_add(key)
-                else:
-                    self._total = total - 1
-                    new_count = slow_add(key)
-            else:
-                self._total = total - 1
-                new_count = slow_add(key)
-            is_head = total >= warmup and new_count >= threshold * total
-            append(is_head)
-            if is_head:
-                break
-            if tail_append is not None:
-                tail_append(key)
-        self._total = total
-        return flags
+        return runs_to_flags(
+            self.add_and_classify_runs(keys, threshold, warmup, tail_out)
+        )
 
     def add_and_classify_runs(
         self,

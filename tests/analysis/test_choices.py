@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.bounds import theta_range
 from repro.analysis.choices import (
+    ChoicesSolution,
     all_constraints_satisfied,
     expected_worker_set_size,
     find_optimal_choices,
@@ -167,6 +170,70 @@ class TestFindOptimalChoices:
             find_optimal_choices([-0.5], 0.5, 10)
         with pytest.raises(AnalysisError):
             find_optimal_choices([0.5], 0.5, 10, epsilon=-1.0)
+
+
+def _reference_scan(head, tail_mass, num_workers, epsilon):
+    """FINDOPTIMALCHOICES as the paper states it: the first d, scanning up
+    from the lower bound, whose every prefix constraint holds — each one
+    evaluated from scratch by the readable reference predicates."""
+    if not head:
+        return ChoicesSolution(num_choices=2, use_w_choices=False, head_cardinality=0)
+    for d in range(lower_bound_choices(head[0], num_workers), num_workers):
+        if all_constraints_satisfied(head, tail_mass, num_workers, d, epsilon):
+            return ChoicesSolution(
+                num_choices=d, use_w_choices=False, head_cardinality=len(head)
+            )
+    return ChoicesSolution(
+        num_choices=num_workers, use_w_choices=True, head_cardinality=len(head)
+    )
+
+
+class TestFastScanEqualsReference:
+    """``find_optimal_choices`` takes the head sums once per solve; it must
+    still return what the per-(h, d) reference returns, to the last bit of
+    every comparison — a different d would change routing."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 5_000), max_size=60),
+        tail_count=st.integers(0, 50_000),
+        num_workers=st.sampled_from([2, 8, 50, 100]),
+        epsilon=st.sampled_from([0.0, 1e-4, 1e-2]),
+    )
+    def test_sketch_shaped_heads(self, counts, tail_count, num_workers, epsilon):
+        # What D-Choices feeds the solver: sorted counts over the total.
+        total = sum(counts) + tail_count
+        head = [count / total for count in sorted(counts, reverse=True)]
+        tail_mass = max(0.0, 1.0 - sum(head))
+        assert find_optimal_choices(
+            head, tail_mass, num_workers, epsilon
+        ) == _reference_scan(head, tail_mass, num_workers, epsilon)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weights=st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=40),
+        head_mass=st.floats(0.0, 1.0, allow_nan=False),
+        num_workers=st.sampled_from([2, 8, 50, 100]),
+        epsilon=st.sampled_from([0.0, 1e-4, 1e-2]),
+    )
+    def test_arbitrary_heads(self, weights, head_mass, num_workers, epsilon):
+        scale = head_mass / (sum(weights) or 1.0)
+        head = sorted((min(1.0, weight * scale) for weight in weights), reverse=True)
+        tail_mass = max(0.0, 1.0 - sum(head))
+        assert find_optimal_choices(
+            head, tail_mass, num_workers, epsilon
+        ) == _reference_scan(head, tail_mass, num_workers, epsilon)
+
+    @pytest.mark.parametrize("num_workers", [2, 8, 50, 100])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-4, 1e-2])
+    def test_constraints_met_with_equality(self, num_workers, epsilon):
+        # Uniform heads of mass exactly 1 put prefixes on the boundary
+        # ``lhs == rhs`` when epsilon is 0 — where a re-ordered sum flips d.
+        for size in (1, 2, num_workers, 2 * num_workers):
+            head = [1.0 / size] * size
+            assert find_optimal_choices(
+                head, 0.0, num_workers, epsilon
+            ) == _reference_scan(head, 0.0, num_workers, epsilon)
 
 
 class TestEmpiricalMinimum:

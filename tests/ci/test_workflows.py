@@ -170,6 +170,26 @@ class TestCiWorkflow:
             assert f"python3 bench/run.py --workload {workload} --seconds 3" in commands
         assert commands.count("grep -q '\"correct\": true'") == 2
 
+    def test_bench_smoke_gates_the_d_choices_kernel_on_sim_hot(self, ci):
+        # sim_hot is the one CI workload on which D-Choices' d moves dozens
+        # of times per trial, so it is where deferred placement and the
+        # per-key scan floors are held to the per-message oracle at full
+        # chunk size: the step must stay, and must fail on a wrong trial.
+        steps = [
+            step.get("run", "")
+            for step in ci["jobs"]["bench-smoke"]["steps"]
+            if "--workload sim_hot" in step.get("run", "")
+        ]
+        assert len(steps) == 1
+        assert "tee bench-smoke-hot.log" in steps[0]
+        assert "tail -n 1 bench-smoke-hot.log | grep -q '\"correct\": true'" in steps[0]
+
+    def test_bench_smoke_keeps_the_ab_tool_starting(self, ci):
+        # benchmarks/ab_pairs.py runs by hand (it needs a parent checkout),
+        # so CI at least imports it and parses its arguments.
+        commands = _job_commands(ci["jobs"]["bench-smoke"])
+        assert "python benchmarks/ab_pairs.py --help" in commands
+
 
 class TestBenchWorkflow:
     def test_nightly_and_on_demand(self, bench):
@@ -235,6 +255,7 @@ class TestReferencedPathsExist:
             "benchmarks/bench_dataflow.py",
             "benchmarks/bench_cluster_runtime.py",
             "benchmarks/check_bench_regression.py",
+            "benchmarks/ab_pairs.py",
             "BENCH_routing.json",
             "BENCH_cluster.json",
             "pyproject.toml",

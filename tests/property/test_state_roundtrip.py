@@ -134,3 +134,69 @@ class TestRoundTripIsByteIdentical:
         assert [record.to_dict() for record in adoptee.switch_events()] == [
             record.to_dict() for record in donor.switch_events()
         ]
+
+
+class TestHeadCacheHandoff:
+    """What a head/tail scheme hands over of its per-head-key structures: the
+    candidate tuples for the effective d, as ``({id: tuple}, d)`` — a pure
+    derivation worth carrying — and nothing that refers to the donor's load
+    vector (the scan floors) or that the two sides could then both mutate."""
+
+    @pytest.mark.parametrize("scheme", ["D-C", "FIXED-D"])
+    def test_exported_shape_and_isolation(self, scheme):
+        stream = keys()
+        donor = build(scheme)
+        donor.route_batch(stream[:SPLIT])
+        state = donor.export_state()
+
+        cache, d = state["head_cand_cache"]
+        assert cache and d == donor._head_cand_cache_d >= 2
+        assert cache == donor._head_cand_cache
+        for kid, candidates in cache.items():
+            assert isinstance(kid, int) and isinstance(candidates, tuple)
+            assert len(set(candidates)) == len(candidates) <= d
+        assert any(floor >= 0 for floor in donor._head_floors.values())
+
+        def mutables(value):
+            """Every dict / list reachable from ``value``, by identity."""
+            found = {}
+            stack = [value]
+            while stack:
+                item = stack.pop()
+                if isinstance(item, dict):
+                    found[id(item)] = item
+                    stack.extend(item.values())
+                elif isinstance(item, (list, tuple)):
+                    if isinstance(item, list):
+                        found[id(item)] = item
+                    stack.extend(item)
+            return found
+
+        adoptee = build(scheme)
+        adoptee.adopt_state(state)
+        assert adoptee._head_cand_cache == donor._head_cand_cache
+        assert adoptee._head_cand_cache_d == d
+        # The floors were not in the snapshot: the adoptee starts every key
+        # below any load, whatever the donor had learned.
+        assert set(adoptee._head_floors.values()) == {-1}
+        assert adoptee._head_floors.keys() == cache.keys()
+        names = ("_head_cand_cache", "_head_floors", "_head_hashes")
+        owned = {id(getattr(adoptee, name)) for name in names}
+        assert len(owned) == len(names)
+        assert not owned & {id(getattr(donor, name)) for name in names}
+        assert not owned & mutables(state).keys()
+        assert not {id(getattr(donor, name)) for name in names} & mutables(state).keys()
+
+    @pytest.mark.parametrize("scheme", ["D-C", "FIXED-D"])
+    def test_donor_and_adoptee_route_on_independently(self, scheme):
+        # The donor keeps routing next to its adoptee, chunk by chunk; a
+        # shared floor table would hand one side the other's raised floors.
+        stream = keys()
+        donor = build(scheme)
+        donor.route_batch(stream[:SPLIT])
+        adoptee = build(scheme)
+        adoptee.adopt_state(donor.export_state())
+        for start in range(SPLIT, TOTAL, 211):
+            chunk = stream[start : start + 211]
+            assert donor.route_batch(chunk) == adoptee.route_batch(chunk)
+        assert _fingerprint(adoptee) == _fingerprint(donor)

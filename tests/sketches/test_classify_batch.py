@@ -63,7 +63,7 @@ class TestAddAndClassifyBatch:
         for start in range(0, len(keys), 997):  # chunking must not matter
             actual.extend(
                 fused.add_and_classify_batch(
-                    keys[start : start + 997], threshold, warmup, False, tails
+                    keys[start : start + 997], threshold, warmup, tails
                 )
             )
 
@@ -86,32 +86,6 @@ class TestAddAndClassifyBatch:
         assert sum(runs) + len(tails) == len(keys)
         assert len(runs) == len(tails) + 1
         assert run_form.total == flat.total
-
-    @pytest.mark.parametrize("name", SKETCHES)
-    def test_stop_at_head_parks_the_sketch(self, name):
-        keys = _streams()["zipf"]
-        threshold = 0.05
-        reference = SKETCHES[name]()
-        expected = _reference_flags(reference, keys, threshold, 0)
-        first_head = expected.index(True)
-
-        stopping = SKETCHES[name]()
-        flags = stopping.add_and_classify_batch(keys, threshold, 0, True)
-
-        # The pass halts right after the first head message, and the sketch
-        # has seen exactly the keys up to and including it — nothing more.
-        assert flags == expected[: first_head + 1]
-        assert flags[-1]
-        assert stopping.total == first_head + 1
-
-    def test_stop_at_head_without_head_feeds_everything(self):
-        sketch = SpaceSaving(capacity=8)
-        # All-distinct keys past a warmup: no estimate ever reaches 90% of
-        # the total, so the stop-at-head pass must feed the whole chunk.
-        keys = [f"k{i}" for i in range(100)]
-        flags = sketch.add_and_classify_batch(keys, 0.9, 10, True)
-        assert flags == [False] * 100
-        assert sketch.total == 100
 
     def test_empty_chunk(self):
         sketch = SpaceSaving(capacity=4)
