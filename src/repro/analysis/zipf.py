@@ -46,7 +46,10 @@ class ZipfDistribution:
         ranks = np.arange(1, self._num_keys + 1, dtype=np.float64)
         weights = ranks ** (-self._exponent)
         self._probabilities = weights / weights.sum()
-        self._cumulative = np.cumsum(self._probabilities)
+        # Both tables are |K| floats and each has few readers (fig4 / fig9
+        # read prefix masses, streams sample): built on first use.
+        self._cumulative: np.ndarray | None = None
+        self._sampling_cdf: np.ndarray | None = None
 
     @property
     def exponent(self) -> float:
@@ -79,6 +82,8 @@ class ZipfDistribution:
         if length <= 0:
             return 0.0
         length = min(length, self._num_keys)
+        if self._cumulative is None:
+            self._cumulative = np.cumsum(self._probabilities)
         return float(self._cumulative[length - 1])
 
     def tail_mass(self, head_length: int) -> float:
@@ -107,14 +112,26 @@ class ZipfDistribution:
         return self._probabilities * num_messages
 
     def sample_ranks(self, num_messages: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``num_messages`` key ranks (1-based) i.i.d. from the distribution."""
+        """Draw ``num_messages`` key ranks (1-based) i.i.d. from the distribution.
+
+        Element for element (and in dtype) what ``rng.choice(np.arange(1,
+        |K| + 1), size=num_messages, p=probabilities)`` returns, consuming
+        the generator identically: the same inverse-CDF lookup numpy does,
+        on a CDF that is accumulated, normalised and kept once instead of
+        re-validated and rebuilt from the |K|-entry table on every call.
+        (``_cumulative`` is not normalised by its last entry, so it cannot
+        stand in without moving draws — or prefix masses — by an ulp.)
+        """
         if num_messages < 0:
             raise ConfigurationError(
                 f"num_messages must be >= 0, got {num_messages}"
             )
-        return rng.choice(
-            np.arange(1, self._num_keys + 1), size=num_messages, p=self._probabilities
-        )
+        if self._sampling_cdf is None:
+            cdf = self._probabilities.cumsum()
+            cdf /= cdf[-1]
+            self._sampling_cdf = cdf
+        uniforms = rng.random(num_messages)
+        return self._sampling_cdf.searchsorted(uniforms, side="right") + 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ZipfDistribution(exponent={self._exponent}, num_keys={self._num_keys})"

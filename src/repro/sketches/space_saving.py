@@ -15,9 +15,35 @@ Guarantees (with ``capacity = ceil(1/eps)``):
   and ``error <= total / capacity``.
 
 The implementation uses the "stream summary" structure from the original
-paper: counters are grouped into buckets of equal count, kept in a doubly
-linked list ordered by count.  This gives O(1) worst-case update, which
-matters because the partitioners call ``add`` once per message.
+paper: counters are grouped into buckets of equal count (*count classes*),
+kept in a doubly linked list ordered by count; each class keeps its keys in
+class-entry order.  What that costs per message, the partitioners calling
+``add`` once for each:
+
+* a **hit** (unit increment of a monitored key) is O(1): the key moves to
+  the adjacent class, or its singleton bucket is bumped in place;
+* an **insert** into a sketch with room is O(1): class 1 is the head or goes
+  right before it;
+* a **miss** on a full sketch evicts the *oldest key of the minimum class*
+  in O(1) **amortised over the stream's messages** (not worst case).
+  Naming that key by iterating the class's dict is O(1) only on a dict
+  nobody deletes from: CPython starts every iteration at entry 0 and steps
+  over a tombstone for every entry removed before the first live one, and
+  evictions remove exactly those — draining a class of C keys costs C^2 / 2
+  steps.  So the class is snapshotted once, when evictions first reach it,
+  and victims are taken off the front of the snapshot
+  (:meth:`SpaceSaving._take_victim`): O(C) for the copy, O(1) per entry
+  after that, and every entry was paid for by the message that put its key
+  into the class.  The snapshot stays the class's eviction order because
+  **nothing enters the minimum class of a full sketch** — a hit moves a key
+  *up*, an eviction inserts at ``min + 1`` — so the class only loses keys:
+  to eviction, from the front, or to a hit, which the snapshot skips.  It
+  is dropped where that premise ends: at an insert while the sketch has
+  room (initial fill, after :meth:`SpaceSaving.grow`) and when a singleton
+  minimum bucket is reused in place for the newcomer;
+* weighted updates (``add(key, count)``, :meth:`SpaceSaving.merge`,
+  :meth:`SpaceSaving.from_state`) walk the bucket list forward — linear in
+  the number of classes, and off the routing path.
 """
 
 from __future__ import annotations
@@ -35,19 +61,20 @@ _NO_KEY = object()
 
 
 class _Bucket:
-    """A group of counters that share the same count value.
+    """A count class: the monitored keys that share one count value.
 
     Buckets form a doubly linked list ordered by ``count`` ascending.
-    ``keys`` preserves insertion order (a dict used as an ordered set) so
-    eviction picks the oldest minimal counter, matching the reference
-    implementation's tie-breaking.
+    ``keys`` maps each key of the class to its overestimation error and
+    preserves class-entry order, so eviction picks the key that has been in
+    the minimum class longest, matching the reference implementation's
+    tie-breaking.  The error travels with the key when it changes class.
     """
 
     __slots__ = ("count", "keys", "prev", "next")
 
     def __init__(self, count: int) -> None:
         self.count = count
-        self.keys: dict[Key, None] = {}
+        self.keys: dict[Key, int] = {}
         self.prev: Optional["_Bucket"] = None
         self.next: Optional["_Bucket"] = None
 
@@ -78,10 +105,12 @@ class SpaceSaving(FrequencyEstimator):
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
         self._total = 0
-        # key -> (bucket, error)
         self._where: dict[Key, _Bucket] = {}
-        self._errors: dict[Key, int] = {}
         self._head: Optional[_Bucket] = None  # bucket with the minimum count
+        # Eviction order of the minimum class: an iterator over a snapshot of
+        # `_victims_of.keys`, valid while `_victims_of` is the head bucket.
+        self._victims: Iterator[Key] = iter(())
+        self._victims_of: Optional[_Bucket] = None
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -145,7 +174,8 @@ class SpaceSaving(FrequencyEstimator):
         Semantically identical to ``add(key); estimate(key)`` but fused: the
         routing hot path calls both on every message, and the combined form
         saves a monitored-key lookup plus the bucket relink going through
-        three helper calls.  The unit-increment case is fully inlined.
+        three helper calls.  The unit-increment case is fully inlined; a
+        miss on a full sketch is one call to :meth:`_evict`.
         """
         self._total += 1
         where = self._where
@@ -153,7 +183,8 @@ class SpaceSaving(FrequencyEstimator):
         if bucket is not None:
             new_count = bucket.count + 1
             nxt = bucket.next
-            if len(bucket.keys) == 1 and (nxt is None or nxt.count > new_count):
+            members = bucket.keys
+            if len(members) == 1 and (nxt is None or nxt.count > new_count):
                 # The key is alone in its count class and moving it up does
                 # not collide with the successor class: bump the bucket in
                 # place.  This is the steady state of every hot key (unique
@@ -162,7 +193,7 @@ class SpaceSaving(FrequencyEstimator):
                 bucket.count = new_count
                 return new_count
             # Inlined unit _increment: move the key one count class up.
-            del bucket.keys[key]
+            error = members.pop(key)
             if nxt is not None and nxt.count == new_count:
                 target = nxt
             else:
@@ -172,9 +203,9 @@ class SpaceSaving(FrequencyEstimator):
                 if nxt is not None:
                     nxt.prev = target
                 bucket.next = target
-            target.keys[key] = None
+            target.keys[key] = error
             where[key] = target
-            if not bucket.keys:
+            if not members:
                 prev = bucket.prev
                 nxt = bucket.next
                 if prev is not None:
@@ -188,8 +219,7 @@ class SpaceSaving(FrequencyEstimator):
         if len(where) < self._capacity:
             self._insert_new(key, 1, error=0)
             return 1
-        self._replace_minimum(key, 1)
-        return where[key].count
+        return self._evict(key)
 
     def add_and_classify_batch(
         self,
@@ -219,70 +249,131 @@ class SpaceSaving(FrequencyEstimator):
         """Fused bulk update + run-length head classification.
 
         THE routing hot loop: every message of every head/tail scheme's
-        batch path goes through here exactly once.  The whole monitored-key
-        update of :meth:`add_and_estimate` is inlined — the steady state
-        (key alone in its count class) is a dict hit and an integer bump,
-        a count-class relink touches no helper either — and only the
-        unmonitored cases (insert, eviction) take a method call.  A head
-        message costs one integer bump of the open run instead of a list
-        append, which on the skewed streams the head/tail split exists for
-        is most messages.  Flags derived from the returned runs are
-        identical to the reference ``add`` + ``estimate`` loop's.
+        batch path goes through here exactly once.  The whole update of
+        :meth:`add_and_estimate` is inlined, hit and miss alike — the steady
+        state (key alone in its count class) is a dict hit and an integer
+        bump, a count-class relink and a unit eviction (the three cases of
+        :meth:`_evict`, victim pick included) touch no helper either — so
+        once the sketch is full no message makes a Python-level call; only
+        the insert into a sketch that still has room does.  A head message
+        costs one integer bump of the open run instead of a list append,
+        which on the skewed streams the head/tail split exists for is most
+        messages.  Flags derived from the returned runs are identical to the
+        reference ``add`` + ``estimate`` loop's.
         """
         runs: list[int] = []
         rappend = runs.append
         where = self._where
         where_get = where.get
-        slow_add = self.add_and_estimate
+        # No key leaves without another entering: full stays full.
+        full = len(where) >= self._capacity
+        victims = self._victims
+        victims_of = self._victims_of
         total = self._total
         sink = tail_out if tail_out is not None else []
         tail_append = sink.append
         run = 0
-        for key in keys:
-            total += 1
-            bucket = where_get(key)
-            if bucket is not None:
-                new_count = bucket.count + 1
-                nxt = bucket.next
-                if len(bucket.keys) == 1 and (nxt is None or nxt.count > new_count):
-                    bucket.count = new_count
+        try:
+            for key in keys:
+                bucket = where_get(key)
+                if bucket is not None:
+                    new_count = bucket.count + 1
+                    nxt = bucket.next
+                    members = bucket.keys
+                    if len(members) == 1 and (nxt is None or nxt.count > new_count):
+                        bucket.count = new_count
+                    else:
+                        # Inlined unit relink (mirrors add_and_estimate):
+                        # move the key one count class up, dropping its old
+                        # class if that leaves it empty.
+                        error = members.pop(key)
+                        if nxt is not None and nxt.count == new_count:
+                            target = nxt
+                        else:
+                            target = _Bucket(new_count)
+                            target.prev = bucket
+                            target.next = nxt
+                            if nxt is not None:
+                                nxt.prev = target
+                            bucket.next = target
+                        target.keys[key] = error
+                        where[key] = target
+                        if not members:
+                            prev = bucket.prev
+                            nxt = bucket.next
+                            if prev is not None:
+                                prev.next = nxt
+                            else:
+                                self._head = nxt
+                            if nxt is not None:
+                                nxt.prev = prev
+                            bucket.prev = bucket.next = None
+                elif not full:
+                    self._insert_new(key, 1, error=0)
+                    victims_of = None
+                    new_count = 1
+                    full = len(where) >= self._capacity
                 else:
-                    # Inlined unit relink (mirrors add_and_estimate): move
-                    # the key one count class up, dropping its old class if
-                    # that leaves it empty.
-                    del bucket.keys[key]
+                    # Inlined unit eviction (mirrors _evict): the oldest key
+                    # of the minimum class makes room, the newcomer enters
+                    # class min + 1 with error min.
+                    bucket = self._head
+                    members = bucket.keys
+                    error = bucket.count
+                    new_count = error + 1
+                    if victims_of is bucket:
+                        for victim in victims:
+                            if victim in members:
+                                break
+                        else:
+                            raise SketchError(
+                                "victim snapshot exhausted before its count class"
+                            )
+                        del members[victim]
+                    elif len(members) == 1:
+                        victim = members.popitem()[0]
+                    else:
+                        victims = iter(list(members))
+                        victims_of = bucket
+                        victim = next(victims)
+                        del members[victim]
+                    del where[victim]
+                    nxt = bucket.next
                     if nxt is not None and nxt.count == new_count:
                         target = nxt
-                    else:
+                        if not members:
+                            # The class emptied into its successor: the
+                            # head pointer moves, the bucket is dropped.
+                            nxt.prev = bucket.next = None
+                            self._head = nxt
+                    elif members:
                         target = _Bucket(new_count)
                         target.prev = bucket
                         target.next = nxt
                         if nxt is not None:
                             nxt.prev = target
                         bucket.next = target
-                    target.keys[key] = None
+                    else:
+                        # Singleton class, successor count free: the bucket
+                        # is reused in place — and now holds a key its
+                        # snapshot (if it has one) never saw.
+                        target = bucket
+                        bucket.count = new_count
+                        victims_of = None
+                    target.keys[key] = error
                     where[key] = target
-                    if not bucket.keys:
-                        prev = bucket.prev
-                        nxt = bucket.next
-                        if prev is not None:
-                            prev.next = nxt
-                        else:
-                            self._head = nxt
-                        if nxt is not None:
-                            nxt.prev = prev
-                        bucket.prev = bucket.next = None
-            else:
-                self._total = total - 1
-                new_count = slow_add(key)
-            if total >= warmup and new_count >= threshold * total:
-                run += 1
-            else:
-                rappend(run)
-                run = 0
-                tail_append(key)
+                total += 1
+                if total >= warmup and new_count >= threshold * total:
+                    run += 1
+                else:
+                    rappend(run)
+                    run = 0
+                    tail_append(key)
+        finally:
+            self._total = total
+            self._victims = victims
+            self._victims_of = victims_of
         rappend(run)
-        self._total = total
         return runs
 
     def add_all(self, keys) -> None:
@@ -313,8 +404,9 @@ class SpaceSaving(FrequencyEstimator):
         """Forget every counter in place (capacity is kept)."""
         self._total = 0
         self._where.clear()
-        self._errors.clear()
         self._head = None
+        self._victims = iter(())
+        self._victims_of = None
 
     def grow(self, new_capacity: int) -> None:
         """Raise the capacity in place, preserving every monitored counter.
@@ -339,20 +431,21 @@ class SpaceSaving(FrequencyEstimator):
 
     def error(self, key: Key) -> int:
         """Overestimation bound for ``key`` (0 if the key is not monitored)."""
-        return self._errors.get(key, 0)
+        bucket = self._where.get(key)
+        return bucket.keys[key] if bucket is not None else 0
 
     def guaranteed(self, key: Key) -> int:
         """Guaranteed (lower bound) count for ``key``."""
         bucket = self._where.get(key)
         if bucket is None:
             return 0
-        return bucket.count - self._errors[key]
+        return bucket.count - bucket.keys[key]
 
     def entries(self) -> Iterator[FrequencyEstimate]:
         bucket = self._head
         while bucket is not None:
-            for key in bucket.keys:
-                yield FrequencyEstimate(key, bucket.count, self._errors[key])
+            for key, error in bucket.keys.items():
+                yield FrequencyEstimate(key, bucket.count, error)
             bucket = bucket.next
 
     def min_count(self) -> int:
@@ -406,33 +499,94 @@ class SpaceSaving(FrequencyEstimator):
     # internal stream-summary maintenance
     # ------------------------------------------------------------------ #
     def _insert_new(self, key: Key, count: int, error: int) -> None:
+        """Start monitoring ``key`` in a sketch that still has room.
+
+        The one way a key enters a class other than from the class below or
+        through an eviction, so the one that can put a key into a class whose
+        eviction order is already snapshotted: the snapshot is dropped.
+        """
         bucket = self._find_or_create_bucket(count, hint=self._head)
-        bucket.keys[key] = None
+        bucket.keys[key] = error
         self._where[key] = bucket
-        self._errors[key] = error
+        self._victims_of = None
 
     def _increment(self, key: Key, count: int) -> None:
         bucket = self._where[key]
-        del bucket.keys[key]
+        error = bucket.keys.pop(key)
         target = self._find_or_create_bucket(bucket.count + count, hint=bucket)
-        target.keys[key] = None
+        target.keys[key] = error
         self._where[key] = target
         self._maybe_drop(bucket)
 
-    def _replace_minimum(self, key: Key, count: int) -> None:
-        assert self._head is not None  # capacity >= 1 and sketch is full
-        min_bucket = self._head
-        # evict the oldest key in the minimum bucket
-        victim = next(iter(min_bucket.keys))
-        del min_bucket.keys[victim]
-        del self._where[victim]
-        del self._errors[victim]
-        new_count = min_bucket.count + count
-        error = min_bucket.count
-        target = self._find_or_create_bucket(new_count, hint=min_bucket)
-        target.keys[key] = None
+    def _take_victim(self, bucket: _Bucket) -> Key:
+        """Remove and return the oldest key of the minimum class ``bucket``.
+
+        Victims come off a snapshot of the class taken when evictions first
+        reach it; a key that has since left through a hit is skipped (the
+        module docstring has the cost and the soundness argument).  A
+        singleton class needs neither snapshot nor iteration.
+        """
+        members = bucket.keys
+        if self._victims_of is bucket:
+            for victim in self._victims:
+                if victim in members:
+                    break
+            else:
+                # A key entered the class behind the snapshot's back: fail
+                # rather than evict in the wrong order.
+                raise SketchError("victim snapshot exhausted before its count class")
+            del members[victim]
+            return victim
+        if len(members) == 1:
+            return members.popitem()[0]
+        self._victims = iter(list(members))
+        self._victims_of = bucket
+        victim = next(self._victims)
+        del members[victim]
+        return victim
+
+    def _evict(self, key: Key) -> int:
+        """Unit eviction on a full sketch: ``key`` replaces the oldest key of
+        the minimum class and enters class ``min + 1`` with error ``min``.
+        Returns the new estimate.  :meth:`add_and_classify_runs` carries an
+        inlined copy of this body; keep the two in step.
+        """
+        bucket = self._head
+        assert bucket is not None  # capacity >= 1 and the sketch is full
+        members = bucket.keys
+        error = bucket.count
+        new_count = error + 1
+        del self._where[self._take_victim(bucket)]
+        nxt = bucket.next
+        if nxt is not None and nxt.count == new_count:
+            target = nxt
+            if not members:
+                # The class emptied into its successor: the head pointer
+                # moves, the bucket is dropped.
+                nxt.prev = bucket.next = None
+                self._head = nxt
+        elif members:
+            target = self._insert_after(bucket, new_count)
+        else:
+            # Singleton class, successor count free: the bucket is reused in
+            # place — and now holds a key its snapshot (if it has one) never
+            # saw.
+            target = bucket
+            bucket.count = new_count
+            self._victims_of = None
+        target.keys[key] = error
         self._where[key] = target
-        self._errors[key] = error
+        return new_count
+
+    def _replace_minimum(self, key: Key, count: int) -> None:
+        """Weighted eviction (``add(key, count)``, off the hot path)."""
+        min_bucket = self._head
+        assert min_bucket is not None  # capacity >= 1 and the sketch is full
+        error = min_bucket.count
+        del self._where[self._take_victim(min_bucket)]
+        target = self._find_or_create_bucket(error + count, hint=min_bucket)
+        target.keys[key] = error
+        self._where[key] = target
         self._maybe_drop(min_bucket)
 
     def _find_or_create_bucket(self, count: int, hint: Optional[_Bucket]) -> _Bucket:

@@ -95,11 +95,10 @@ class ZipfWorkload(Workload):
         """
         rng = np.random.default_rng(self._seed)
         remaining = self._num_messages
-        probabilities = self._distribution.probabilities
-        support = np.arange(1, self._distribution.num_keys + 1)
+        sample_ranks = self._distribution.sample_ranks
         while remaining > 0:
             size = min(_CHUNK, remaining)
-            ranks = rng.choice(support, size=size, p=probabilities).tolist()
+            ranks = sample_ranks(size, rng).tolist()
             for start in range(0, size, batch_size):
                 yield ranks[start : start + batch_size]
             remaining -= size
@@ -115,12 +114,11 @@ class ZipfWorkload(Workload):
         dictionary = dictionary if dictionary is not None else KeyDictionary()
         rng = np.random.default_rng(self._seed)
         remaining = self._num_messages
-        probabilities = self._distribution.probabilities
-        support = np.arange(1, self._distribution.num_keys + 1)
+        sample_ranks = self._distribution.sample_ranks
         index = 0
         while remaining > 0:
             size = min(_CHUNK, remaining)
-            ranks = rng.choice(support, size=size, p=probabilities)
+            ranks = sample_ranks(size, rng)
             ids = dictionary.intern_int_array(ranks)
             for start in range(0, size, batch_size):
                 yield ColumnarBatch(

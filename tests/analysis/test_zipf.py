@@ -94,6 +94,42 @@ class TestZipfDistribution:
         ranks = dist.sample_ranks(5000, rng)
         assert (ranks == 1).mean() == pytest.approx(dist.p1, abs=0.05)
 
+    @pytest.mark.parametrize(
+        "exponent, num_keys",
+        [(0.8, 1_000_000), (1.4, 10_000), (2.0, 10_000), (0, 1_000), (0.1, 100_000), (1.0, 7)],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 2016])
+    def test_sample_ranks_is_rng_choice_with_the_cdf_kept(self, exponent, num_keys, seed):
+        # The reference is the call sample_ranks used to make: same draws,
+        # same dtype, same generator consumption — at size 0 too.
+        dist = ZipfDistribution(exponent, num_keys)
+        support = np.arange(1, num_keys + 1)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in (0, 1, 3_000, 0, 500):
+            ranks = dist.sample_ranks(size, rng)
+            reference = reference_rng.choice(support, size=size, p=dist.probabilities)
+            assert ranks.dtype == reference.dtype
+            assert ranks.shape == reference.shape
+            assert (ranks == reference).all()
+        assert rng.random() == reference_rng.random()
+
+    def test_sample_ranks_rejects_negative(self):
+        dist = ZipfDistribution(exponent=1.0, num_keys=10)
+        with pytest.raises(ConfigurationError):
+            dist.sample_ranks(-1, np.random.default_rng(0))
+
+    def test_prefix_mass_is_the_running_sum_of_probabilities(self):
+        # prefix_mass reads its own lazily built table, not the normalised
+        # sampling CDF: the two differ in the last place and fig4 / fig9
+        # print the former.
+        dist = ZipfDistribution(exponent=0.8, num_keys=1_000_000)
+        dist.sample_ranks(10, np.random.default_rng(0))
+        cumulative = np.cumsum(dist.probabilities)
+        for length in (1, 7, 1_000, 999_999, 1_000_000, 2_000_000):
+            assert dist.prefix_mass(length) == float(cumulative[min(length, 1_000_000) - 1])
+        assert dist.prefix_mass(1_000_000) != 1.0
+        assert dist.tail_mass(5) == 1.0 - float(cumulative[4])
+
     def test_invalid_construction(self):
         with pytest.raises(ConfigurationError):
             ZipfDistribution(exponent=-0.1, num_keys=10)

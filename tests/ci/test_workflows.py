@@ -160,15 +160,15 @@ class TestCiWorkflow:
 
     def test_bench_smoke_runs_the_repo_benchmark(self, ci):
         # The repo benchmark (BENCHMARK.json) judges every later claim, so
-        # each PR proves it still runs: its own tests, then two short
-        # workloads — the string-key batched API and the head path under
-        # columnar span accounting — whose result lines must report
-        # correct trials.
+        # each PR proves it still runs: its own tests, then three short
+        # workloads — the string-key batched API, the head path under
+        # columnar span accounting and the sketch's eviction path — whose
+        # result lines must report correct trials.
         commands = _job_commands(ci["jobs"]["bench-smoke"])
         assert "python -m pytest bench/tests -q" in commands
-        for workload in ("sim_keys", "sim_hot"):
+        for workload in ("sim_keys", "sim_hot", "sim_wide"):
             assert f"python3 bench/run.py --workload {workload} --seconds 3" in commands
-        assert commands.count("grep -q '\"correct\": true'") == 2
+        assert commands.count("grep -q '\"correct\": true'") == 3
 
     def test_bench_smoke_gates_the_d_choices_kernel_on_sim_hot(self, ci):
         # sim_hot is the one CI workload on which D-Choices' d moves dozens
@@ -183,6 +183,21 @@ class TestCiWorkflow:
         assert len(steps) == 1
         assert "tee bench-smoke-hot.log" in steps[0]
         assert "tail -n 1 bench-smoke-hot.log | grep -q '\"correct\": true'" in steps[0]
+
+    def test_bench_smoke_gates_the_eviction_path_on_sim_wide(self, ci):
+        # sim_wide is the one CI workload on which most messages miss the
+        # sketch (~33k evictions per trial through 1,000-counter summaries),
+        # so it is where the bulk loop's inlined miss path is held to the
+        # per-message oracle: the step must stay, and must fail on a wrong
+        # trial.
+        steps = [
+            step.get("run", "")
+            for step in ci["jobs"]["bench-smoke"]["steps"]
+            if "--workload sim_wide" in step.get("run", "")
+        ]
+        assert len(steps) == 1
+        assert "tee bench-smoke-wide.log" in steps[0]
+        assert "tail -n 1 bench-smoke-wide.log | grep -q '\"correct\": true'" in steps[0]
 
     def test_bench_smoke_keeps_the_ab_tool_starting(self, ci):
         # benchmarks/ab_pairs.py runs by hand (it needs a parent checkout),

@@ -4,12 +4,28 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.exceptions import WorkloadError
 from repro.workloads.base import materialize
 from repro.workloads.drift import DriftingZipfWorkload
-from repro.workloads.zipf_stream import ZipfWorkload
+from repro.workloads.zipf_stream import _CHUNK, ZipfWorkload
+
+
+def _choice_stream(exponent: float, num_keys: int, num_messages: int, seed: int):
+    """The stream as it was drawn before the CDF was kept: one
+    ``rng.choice`` over the full probability table per ``_CHUNK`` draws."""
+    workload = ZipfWorkload(exponent, num_keys, 0)
+    rng = np.random.default_rng(seed)
+    support = np.arange(1, num_keys + 1)
+    ranks: list[int] = []
+    for start in range(0, num_messages, _CHUNK):
+        size = min(_CHUNK, num_messages - start)
+        ranks += rng.choice(
+            support, size=size, p=workload.distribution.probabilities
+        ).tolist()
+    return ranks
 
 
 class TestZipfWorkload:
@@ -56,6 +72,27 @@ class TestZipfWorkload:
         workload = ZipfWorkload(1.0, 10, 5, seed=0)
         messages = list(workload.messages())
         assert [message.timestamp for message in messages] == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize(
+        "exponent, num_keys, num_messages, seed",
+        [
+            (1.4, 10_000, _CHUNK + 1_500, 2016),  # crosses a draw boundary
+            (0.8, 1_000_000, 3_000, 31),
+            (0.0, 50, 2 * _CHUNK, 7),  # ends exactly on one
+        ],
+    )
+    def test_streams_are_the_rng_choice_streams(
+        self, exponent, num_keys, num_messages, seed
+    ):
+        reference = _choice_stream(exponent, num_keys, num_messages, seed)
+        workload = ZipfWorkload(exponent, num_keys, num_messages, seed=seed)
+        assert list(workload.keys()) == reference
+        for batch_size in (1_000, 8_192, _CHUNK + 7):
+            batches = list(workload.iter_batches(batch_size))
+            assert [key for batch in batches for key in batch] == reference
+            assert all(type(key) is int for key in batches[0])
+            columnar = list(workload.iter_batches_columnar(batch_size))
+            assert [key for batch in columnar for key in batch.keys()] == reference
 
     def test_rejects_negative_messages(self):
         with pytest.raises(WorkloadError):
