@@ -11,7 +11,8 @@ Layout (all words are little-endian ``int64``)::
     word 0            producer position  (monotone, in payload words)
     word 1            consumer position  (monotone, in payload words)
     word 2            payload capacity   (in words, fixed at creation)
-    words 3..7        reserved
+    word 3            consumer_waiting   (1 while the consumer is about to block)
+    words 4..7        reserved
     words 8..8+cap    circular payload region holding frames
 
 A *frame* is a contiguous run of words inside the payload region::
@@ -32,10 +33,29 @@ frame words first and only then advances word 0; the consumer reads word 0,
 consumes up to it and only then advances word 1.  Positions are monotone,
 so ``producer - consumer`` is the exact number of unread payload words and
 full/empty states never alias.
+
+A consumer's wait is a *block with a backstop*.  Every ring has a
+:class:`Doorbell` — a pipe made before the fork, so both sides inherit it.
+A consumer that finds the ring empty **announces** itself (word 3 = 1),
+**re-checks** the positions, and only then **blocks** on the doorbell for
+at most ``_BACKOFF_MAX_S``; a producer tests word 3 *after* its position
+store and, when it is set, clears it and rings.  The order matters: a frame
+published between the empty poll and the announcement finds word 3 still 0
+and rings nobody, so without the re-check its consumer would sleep on a
+full ring.  Announce / re-check on one side and publish / test on the other
+are each a store followed by a load of a *different* word, which two cores
+may reorder, so a wake-up can still be lost — that costs one backstop
+(2 ms), never liveness, because no block is unbounded.  The doorbell only
+ever shortens a wait: abort, deadline and ``idle`` are polled at least
+once per backstop whether or not anyone rings.  A ring rung after its
+consumer already woke leaves a stale byte in the pipe, which costs the next
+wait one spurious wake and no frame.
 """
 
 from __future__ import annotations
 
+import os
+import select
 import time
 from dataclasses import dataclass
 
@@ -57,17 +77,77 @@ CONTROL_WORDS = 8
 _PRODUCER = 0
 _CONSUMER = 1
 _CAPACITY = 2
+_WAITING = 3
 
-#: Bounded deterministic exponential backoff while a push waits for space
-#: or a pop for data: start short (the common case is the peer freeing the
-#: ring within microseconds), double per idle poll, cap low enough that a
-#: recovering cluster reacts within a few milliseconds.  On the 1-CPU
-#: containers this runtime targets, yielding the core to the peer process
-#: *is* the fast path; pure spinning would starve it, and a fixed long
-#: sleep would add latency exactly when the ring just drained.  No jitter:
-#: the wait schedule of a seeded run is reproducible.
+#: Bounded deterministic exponential backoff while a push waits for space:
+#: start short (the common case is the consumer freeing the ring within
+#: microseconds), double per full poll, cap low enough that a recovering
+#: cluster reacts within a few milliseconds.  On the 1-CPU containers this
+#: runtime targets, yielding the core to the peer process *is* the fast
+#: path; pure spinning would starve it, and a fixed long sleep would add
+#: latency exactly when the ring just drained.  No jitter: the wait
+#: schedule of a seeded run is reproducible.  The cap is also the backstop
+#: of every consumer-side block on the doorbell.
 _BACKOFF_MIN_S = 0.00005
 _BACKOFF_MAX_S = 0.002
+
+
+def read_poller(fd: int) -> select.poll:
+    """A kept ``select.poll`` over one descriptor's readability.
+
+    ``poller.poll(0)`` is truthy when ``fd`` is readable (or at EOF) and
+    costs one system call; ``Connection.poll(0)`` answers the same question
+    by building and tearing down a selector per call (~9x the time), which
+    is why the hot loops ask this first.  The object holds no descriptor of
+    its own, so it survives a fork and needs no close.
+    """
+    poller = select.poll()
+    poller.register(fd, select.POLLIN)
+    return poller
+
+
+class Doorbell:
+    """The wake-up line of one ring: a pipe the producer writes a byte to.
+
+    Made before the fork, so producer and consumer processes inherit both
+    ends; a respawned consumer is handed its slot's existing doorbell,
+    because the producer keeps its view (and so its write end) across
+    :meth:`SpscRing.rebind`.  :meth:`close` releases the descriptors and is
+    idempotent; an unreferenced doorbell closes itself.
+    """
+
+    __slots__ = ("_read_fd", "_write_fd", "_readable")
+
+    def __init__(self) -> None:
+        self._read_fd, self._write_fd = os.pipe()
+        os.set_blocking(self._read_fd, False)
+        os.set_blocking(self._write_fd, False)
+        self._readable = read_poller(self._read_fd)
+
+    def ring(self) -> None:
+        """Wake the consumer (producer side; never blocks)."""
+        try:
+            os.write(self._write_fd, b"\0")
+        except BlockingIOError:
+            pass  # pipe full: already rung, and not yet answered
+
+    def wait(self, timeout_s: float) -> bool:
+        """Block until rung or ``timeout_s`` passed; ``True`` when rung."""
+        if not self._readable.poll(timeout_s * 1e3):
+            return False
+        try:
+            os.read(self._read_fd, 4096)  # answer every ring so far at once
+        except BlockingIOError:
+            pass
+        return True
+
+    def close(self) -> None:
+        for fd in (self._read_fd, self._write_fd):
+            if fd >= 0:
+                os.close(fd)
+        self._read_fd = self._write_fd = -1
+
+    __del__ = close
 
 
 class RingClosed(ClusterRuntimeError):
@@ -117,9 +197,22 @@ class SpscRing:
     create:
         ``True`` initialises the control words (producer side of a fresh
         block); ``False`` attaches to an already-initialised ring.
+    doorbell:
+        The :class:`Doorbell` both sides of this ring share.  A ring built
+        without one makes its own the first time it has to wait or ring
+        (in-process uses that never block never open a descriptor); two
+        views over one buffer must be given the same doorbell to wake each
+        other before the backstop.
     """
 
-    __slots__ = ("_words", "_capacity", "_next_push_seq", "_next_pop_seq", "_closed")
+    __slots__ = (
+        "_words",
+        "_capacity",
+        "_next_push_seq",
+        "_next_pop_seq",
+        "_closed",
+        "_doorbell",
+    )
 
     def __init__(
         self,
@@ -127,6 +220,7 @@ class SpscRing:
         capacity_words: int | None = None,
         *,
         create: bool = False,
+        doorbell: Doorbell | None = None,
     ) -> None:
         if isinstance(buffer, np.ndarray):
             if buffer.dtype != np.int64:
@@ -157,6 +251,7 @@ class SpscRing:
         self._next_push_seq = 0
         self._next_pop_seq = 0
         self._closed = False
+        self._doorbell = doorbell
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -164,6 +259,13 @@ class SpscRing:
     @property
     def capacity_words(self) -> int:
         return self._capacity
+
+    @property
+    def doorbell(self) -> Doorbell:
+        """This ring's doorbell, made on first need when none was given."""
+        if self._doorbell is None:
+            self._doorbell = Doorbell()
+        return self._doorbell
 
     def free_words(self) -> int:
         """Payload words currently free (producer's view)."""
@@ -240,6 +342,11 @@ class SpscRing:
         self._next_push_seq += 1
         if kind == EOF:
             self._closed = True
+        # Tested strictly after the publish: a consumer that announced
+        # itself before it re-checked the positions is rung, exactly once.
+        if words[_WAITING]:
+            words[_WAITING] = 0
+            self.doorbell.ring()
         return True
 
     def push(
@@ -340,13 +447,18 @@ class SpscRing:
         should_abort=None,
         idle=None,
     ) -> Frame:
-        """Blocking pop; polls until a frame is published.
+        """Blocking pop; waits on the doorbell until a frame is published.
 
-        ``idle`` (when given) is called once per empty poll — workers use it
-        to heartbeat and drain dictionary deltas while waiting.
+        Each empty poll checks ``should_abort`` and the deadline, calls
+        ``idle`` (when given — workers use it to heartbeat and drain
+        dictionary deltas while waiting), then announces the wait in word
+        3, re-checks the positions and blocks until the producer rings or
+        ``_BACKOFF_MAX_S`` passed (see the module docstring for the order).
+        So a published frame is popped as soon as the consumer is
+        scheduled, and a silent producer costs one poll per backstop.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        backoff = _BACKOFF_MIN_S
+        words = self._words
         while True:
             frame = self.try_pop()
             if frame is not None:
@@ -354,7 +466,6 @@ class SpscRing:
             if should_abort is not None and should_abort():
                 raise ClusterRuntimeError("pop aborted")
             if deadline is not None and time.monotonic() > deadline:
-                words = self._words
                 raise ClusterRuntimeError(
                     f"pop timed out after {timeout}s (producer stalled? "
                     f"producer={int(words[_PRODUCER])} "
@@ -364,8 +475,10 @@ class SpscRing:
                 )
             if idle is not None:
                 idle()
-            time.sleep(backoff)
-            backoff = min(backoff * 2, _BACKOFF_MAX_S)
+            words[_WAITING] = 1
+            if self.pending_words() <= 0:
+                self.doorbell.wait(_BACKOFF_MAX_S)
+            words[_WAITING] = 0
 
     # ------------------------------------------------------------------ #
     # supervisor side
@@ -377,7 +490,8 @@ class SpscRing:
         (fresh control words, positions back to zero); the source calls
         ``rebind()`` on its producer view so its sequence counter and
         closed flag match the reborn ring.  Local state only — the shared
-        words are untouched.
+        words are untouched, and so is the doorbell: the reborn ring was
+        built over this slot's existing one.
         """
         self._next_push_seq = 0
         self._next_pop_seq = 0

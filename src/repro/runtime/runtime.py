@@ -38,6 +38,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
+from multiprocessing.connection import wait as wait_readable
 from typing import Any, Callable
 
 from repro.exceptions import (
@@ -47,7 +48,7 @@ from repro.exceptions import (
 )
 from repro.execution import ExecutionMode, ModeLike
 from repro.runtime.faults import FaultPlan
-from repro.runtime.ring import SpscRing, ring_words
+from repro.runtime.ring import Doorbell, SpscRing, ring_words
 from repro.runtime.source import source_main
 from repro.runtime.state import (
     DEFAULT_HEAD_CAPACITY,
@@ -240,6 +241,7 @@ class ClusterResult:
             "min_worker_processed": min(self.worker_processed),
             "max_worker_processed": max(self.worker_processed),
             "dict_entries": self.dict_entries,
+            "empty_polls": sum(w.empty_polls for w in self.worker_results),
         }
         if self.recovered:
             summary.update(
@@ -467,10 +469,15 @@ class _Supervisor:
     def _respawn(self, worker_id: int, incarnation: int) -> bool:
         """Fork and barrier one replacement; True when it came up ready."""
         config = self._config
+        # The replacement keeps its slot's doorbell: the source holds on to
+        # its producer view (and that view's write end) across rebind(), so
+        # a fresh pipe would never be rung and the new incarnation would
+        # silently run on 2 ms backstops.
         ring = SpscRing(
             self._ring_shms[worker_id].buf,
             config.ring_capacity_words,
             create=True,
+            doorbell=self._rings[worker_id].doorbell,
         )
         self._rings[worker_id] = ring
         self._state.reset_worker(worker_id)
@@ -631,9 +638,12 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
     state = SharedClusterState(
         state_shm.buf, n, config.head_capacity, create=True
     )
+    # One doorbell per ring, made before any fork so the source (who rings)
+    # and every incarnation of the worker (who waits) inherit both ends.
+    doorbells = [Doorbell() for _ in range(n)]
     rings = [
-        SpscRing(shm.buf, config.ring_capacity_words, create=True)
-        for shm in ring_shms
+        SpscRing(shm.buf, config.ring_capacity_words, create=True, doorbell=doorbell)
+        for shm, doorbell in zip(ring_shms, doorbells)
     ]
 
     # One delta pipe per worker *incarnation*, created before any fork: the
@@ -747,11 +757,14 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
         worker_results: dict[int, WorkerResult] = {}
         source_result: dict[str, Any] | None = None
         elapsed = 0.0
+        #: Result pipes that raised on recv().  A pipe at EOF is always
+        #: readable, so it must leave the wait set or the loop would spin
+        #: until the monitor reports the death it belongs to.
+        dead_pipes: set = set()
         while True:
             finished = set(worker_results) | set(supervisor.salvaged_results)
             if len(finished) >= n and source_result is not None:
                 break
-            progressed = False
             failure = monitor.take_failure()
             if failure is not None:
                 pid, process, reason = failure
@@ -761,23 +774,32 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
                     # (a stale entry for an already-replaced incarnation,
                     # or a slot that already reported, is ignored)
                     supervisor.handle(pid, process, reason)
-                progressed = True
-            for worker_id in range(n):
-                if worker_id in worker_results or worker_id in supervisor.salvaged_results:
-                    continue
-                recv = result_pipes[worker_id][0]
-                if not recv.poll(0):
-                    continue
+                continue
+            # Block on the pipes still owed a message.  The timeout stays
+            # because the monitor's failure queue has no descriptor.
+            owed = {
+                result_pipes[worker_id][0]: worker_id
+                for worker_id in range(n)
+                if worker_id not in finished
+            }
+            if source_result is None:
+                owed[source_pipe[0]] = SOURCE_ID
+            pending = [conn for conn in owed if conn not in dead_pipes]
+            for conn in wait_readable(pending, timeout=0.002):
+                pid = owed[conn]
                 try:
-                    message = recv.recv()
+                    message = conn.recv()
                 except (EOFError, OSError):
-                    continue  # the pipe died with its worker; the monitor reports it
+                    dead_pipes.add(conn)  # died with its process; the monitor reports it
+                    continue
                 if message[0] == "error":
-                    monitor.forget(worker_id)
+                    if pid == SOURCE_ID:
+                        fail_run(SOURCE_ID, f"source failed: {message[2]}")
+                    monitor.forget(pid)
                     supervisor.handle(
-                        worker_id,
-                        processes[worker_id],
-                        f"worker {worker_id} failed: {message[2]}",
+                        pid,
+                        processes[pid],
+                        f"worker {pid} failed: {message[2]}",
                         # Messages the worker had popped off the ring but
                         # not delivered when it died — invisible to the
                         # ring drain, itemised by the worker itself.
@@ -788,22 +810,14 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
                             message[4] if len(message) > 4 else 0
                         ),
                     )
+                    continue
+                if pid == SOURCE_ID:
+                    source_result = message[1]
                 else:
-                    worker_results[worker_id] = message[1]
-                    supervisor.salvaged_results.pop(worker_id, None)
-                    monitor.forget(worker_id)
-                    elapsed = time.perf_counter() - started_at
-                progressed = True
-            if source_result is None and source_pipe[0].poll(0):
-                message = source_pipe[0].recv()
-                if message[0] == "error":
-                    fail_run(SOURCE_ID, f"source failed: {message[2]}")
-                source_result = message[1]
-                monitor.forget(SOURCE_ID)
+                    worker_results[pid] = message[1]
+                    supervisor.salvaged_results.pop(pid, None)
+                monitor.forget(pid)
                 elapsed = time.perf_counter() - started_at
-                progressed = True
-            if not progressed:
-                time.sleep(0.002)
 
         monitor.stop()
         monitor.join(timeout=5.0)
@@ -875,6 +889,8 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
                     end.close()
                 except OSError:
                     pass
+        for doorbell in doorbells:
+            doorbell.close()
         # Every numpy view over the shared blocks must die before the
         # mappings can close — including the ones captured inside the
         # Process argument tuples, the supervisor and the monitor thread.

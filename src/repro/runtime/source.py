@@ -59,6 +59,7 @@ from repro.elasticity.accountant import MigrationCostAccountant
 from repro.elasticity.policies import CANDIDATE_SET_REMAP
 from repro.exceptions import ClusterRuntimeError
 from repro.execution import SenderGroup, spans
+from repro.runtime.ring import read_poller
 from repro.runtime.state import SharedClusterState
 
 
@@ -73,6 +74,51 @@ def _head_ids(partitioner) -> dict[int, int] | None:
     if sketch is None or theta is None:
         return None
     return {int(kid): int(count) for kid, count in sketch.heavy_hitters(theta).items()}
+
+
+class DeltaFeed:
+    """The source's half of the dictionary delta protocol.
+
+    ``sent[w]`` is worker ``w``'s cursor: how many dictionary entries its
+    current incarnation has been sent.  A delta carries the entries
+    ``[sent[w], high_water)`` as one key list, gathered from the dictionary
+    in a single ``decode`` and built **once per distinct span** — workers
+    whose cursors sit at the same ``start`` (every worker the batch
+    reaches, on a fault-free run) are sent the same list object.
+    """
+
+    __slots__ = ("sent", "_conn_pools", "_incarnation", "_span", "_keys")
+
+    def __init__(self, conn_pools) -> None:
+        self._conn_pools = conn_pools
+        self.sent = [0] * len(conn_pools)
+        self._incarnation = [0] * len(conn_pools)
+        self._span: tuple[int, int] | None = None
+        self._keys: list = []
+
+    def send_if_needed(self, worker_id: int, dictionary, high_water: int) -> None:
+        """Bring ``worker_id`` up to ``high_water`` entries, if it is behind."""
+        start = self.sent[worker_id]
+        if start >= high_water:
+            return
+        if self._span != (start, high_water):
+            # The dictionary is append-only, so a span names its keys.
+            self._keys = dictionary.decode(np.arange(start, high_water))
+            self._span = (start, high_water)
+        self._conn_pools[worker_id][self._incarnation[worker_id]].send(
+            ("delta", start, self._keys)
+        )
+        self.sent[worker_id] = high_water
+
+    def replay_to(self, worker_id: int, incarnation: int) -> None:
+        """Point the slot at a fresh incarnation's pipe and rewind its cursor.
+
+        The next :meth:`send_if_needed` replays the whole dictionary, so
+        the replacement's first frame (or its EOF close) is preceded by
+        entries ``[0, high water)``.
+        """
+        self._incarnation[worker_id] = incarnation
+        self.sent[worker_id] = 0
 
 
 def source_main(
@@ -112,8 +158,7 @@ def source_main(
             time.sleep(0.0005)
 
         dictionary = None
-        sent_entries = [0] * n
-        delta_incarnation = [0] * n
+        deltas = DeltaFeed(delta_conn_pools)
         batch_count = 0
 
         # Recovery bookkeeping: which slots are out of service, how much of
@@ -126,15 +171,6 @@ def source_main(
         redirected_in = [0] * n  # messages w absorbed for a down peer
         redirected_keys: list[set[int]] = [set() for _ in worker_range]
         accountant = MigrationCostAccountant(CANDIDATE_SET_REMAP)
-
-        def send_delta_if_needed(worker_id: int, high_water: int) -> None:
-            if sent_entries[worker_id] < high_water:
-                start = sent_entries[worker_id]
-                keys = [dictionary.key_of(kid) for kid in range(start, high_water)]
-                delta_conn_pools[worker_id][delta_incarnation[worker_id]].send(
-                    ("delta", start, keys)
-                )
-                sent_entries[worker_id] = high_water
 
         def fence_aware(worker_id: int):
             return lambda: state.aborted() or state.worker_fenced(worker_id)
@@ -154,7 +190,7 @@ def source_main(
                 rings[worker_id].push(
                     ids,
                     base_index=base_index,
-                    dict_high_water=sent_entries[worker_id],
+                    dict_high_water=deltas.sent[worker_id],
                     should_abort=should_abort[worker_id],
                     timeout=config.push_timeout_s,
                 )
@@ -182,7 +218,7 @@ def source_main(
                     part = remaining[assignment == index]
                     if not part.size:
                         continue
-                    send_delta_if_needed(survivor, len(dictionary))
+                    deltas.send_if_needed(survivor, dictionary, len(dictionary))
                     if guarded_push(survivor, part, base_index):
                         redirected_out[intended] += int(part.size)
                         redirected_in[survivor] += int(part.size)
@@ -193,11 +229,15 @@ def source_main(
                     return
                 remaining = np.concatenate(failed_parts)
 
+        control_ready = (
+            read_poller(control_conn.fileno()) if control_conn is not None else None
+        )
+
         def poll_control(block_s: float = 0.0) -> None:
             nonlocal group, partitioner
-            if control_conn is None:
+            if control_ready is None:
                 return
-            while control_conn.poll(block_s):
+            while control_ready.poll(block_s * 1e3):
                 block_s = 0.0
                 message = control_conn.recv()
                 op, worker_id = message[0], message[1]
@@ -205,11 +245,7 @@ def source_main(
                     incarnation = message[2]
                     rings[worker_id].rebind()
                     closed.discard(worker_id)
-                    delta_incarnation[worker_id] = incarnation
-                    # Replay the whole dictionary to the fresh replica: the
-                    # delta cursor rewinds to zero, so the next frame (or
-                    # the EOF close) is preceded by entries [0, high water).
-                    sent_entries[worker_id] = 0
+                    deltas.replay_to(worker_id, incarnation)
                     replay_entries = len(dictionary) if dictionary is not None else 0
                     head = _head_ids(partitioner) or {}
                     # Re-adopt routing state across the fault epoch through
@@ -239,7 +275,7 @@ def source_main(
                         num_workers=n,
                         keys_moved=len(redirected_keys[worker_id]),
                         entries_migrated=0,
-                        entries_lost=sent_entries[worker_id],
+                        entries_lost=deltas.sent[worker_id],
                         head_keys_preserved=0,
                     )
                 elif op == "salvaged":
@@ -269,7 +305,7 @@ def source_main(
                 if worker_id in down:
                     redirect(worker_id, ids, batch.base_index)
                     continue
-                send_delta_if_needed(worker_id, high_water)
+                deltas.send_if_needed(worker_id, dictionary, high_water)
                 if not guarded_push(worker_id, ids, batch.base_index):
                     down.add(worker_id)
                     redirect(worker_id, ids, batch.base_index)
@@ -295,7 +331,7 @@ def source_main(
             for worker_id in worker_range:
                 if worker_id in down or worker_id in closed:
                     continue
-                send_delta_if_needed(worker_id, high_water)
+                deltas.send_if_needed(worker_id, dictionary, high_water)
                 try:
                     rings[worker_id].close(
                         should_abort=should_abort[worker_id],

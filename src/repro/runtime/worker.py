@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.exceptions import ClusterRuntimeError
 from repro.runtime.faults import CRASH_EXIT_CODE, WorkerFaults
-from repro.runtime.ring import SpscRing
+from repro.runtime.ring import SpscRing, read_poller
 from repro.runtime.state import SharedClusterState
 
 #: How many of a worker's hottest keys are reported back (decoded through
@@ -58,7 +58,13 @@ class WorkerResult:
     shared processed ledger because the worker slot could not report for
     itself (crash after the stream closed, or a slot degraded to the
     survivors after its restart budget ran out); ``frames``/``dict_entries``
-    /``top_keys`` are unknown for such slots and left at their zero values.
+    /``top_keys``/``empty_polls`` are unknown for such slots and left at
+    their zero values.
+
+    ``empty_polls`` counts the times this incarnation polled its ring and
+    found nothing — what waiting cost it.  A worker the doorbell wakes
+    makes about one per frame; it depends on timing, so it is reported,
+    never pinned.
     """
 
     worker_id: int
@@ -67,6 +73,7 @@ class WorkerResult:
     dict_entries: int
     top_keys: list = field(default_factory=list)
     salvaged: bool = False
+    empty_polls: int = 0
 
 
 class DictionaryReplica:
@@ -183,9 +190,15 @@ def worker_main(
             return
         time.sleep(0.0005)
 
+    empty_polls = 0
+    delta_ready = read_poller(delta_conn.fileno())
+
     def idle() -> None:
+        nonlocal empty_polls
+        empty_polls += 1
         state.heartbeat(worker_id)
-        _drain_deltas(delta_conn, replica, faults)
+        if delta_ready.poll(0):
+            _drain_deltas(delta_conn, replica, faults)
 
     try:
         while True:
@@ -236,6 +249,7 @@ def worker_main(
                     frames=frames,
                     dict_entries=len(replica),
                     top_keys=top_keys,
+                    empty_polls=empty_polls,
                 ),
             )
         )

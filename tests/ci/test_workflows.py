@@ -160,15 +160,15 @@ class TestCiWorkflow:
 
     def test_bench_smoke_runs_the_repo_benchmark(self, ci):
         # The repo benchmark (BENCHMARK.json) judges every later claim, so
-        # each PR proves it still runs: its own tests, then three short
+        # each PR proves it still runs: its own tests, then four short
         # workloads — the string-key batched API, the head path under
-        # columnar span accounting and the sketch's eviction path — whose
-        # result lines must report correct trials.
+        # columnar span accounting, the sketch's eviction path and the
+        # process mesh — whose result lines must report correct trials.
         commands = _job_commands(ci["jobs"]["bench-smoke"])
         assert "python -m pytest bench/tests -q" in commands
-        for workload in ("sim_keys", "sim_hot", "sim_wide"):
+        for workload in ("sim_keys", "sim_hot", "sim_wide", "cluster_transport"):
             assert f"python3 bench/run.py --workload {workload} --seconds 3" in commands
-        assert commands.count("grep -q '\"correct\": true'") == 3
+        assert commands.count("grep -q '\"correct\": true'") == 4
 
     def test_bench_smoke_gates_the_d_choices_kernel_on_sim_hot(self, ci):
         # sim_hot is the one CI workload on which D-Choices' d moves dozens
@@ -198,6 +198,21 @@ class TestCiWorkflow:
         assert len(steps) == 1
         assert "tee bench-smoke-wide.log" in steps[0]
         assert "tail -n 1 bench-smoke-wide.log | grep -q '\"correct\": true'" in steps[0]
+
+    def test_bench_smoke_gates_the_process_mesh_on_cluster_transport(self, ci):
+        # cluster_transport is the one CI workload that runs real processes
+        # with no service time, so its workers wait on their rings'
+        # doorbells all trial long and every trial is held to the
+        # single-source simulation by the runtime's validator: the step
+        # must stay, and must fail on a wrong trial.
+        steps = [
+            step.get("run", "")
+            for step in ci["jobs"]["bench-smoke"]["steps"]
+            if "--workload cluster_transport" in step.get("run", "")
+        ]
+        assert len(steps) == 1
+        assert "tee bench-smoke-cluster.log" in steps[0]
+        assert "tail -n 1 bench-smoke-cluster.log | grep -q '\"correct\": true'" in steps[0]
 
     def test_bench_smoke_keeps_the_ab_tool_starting(self, ci):
         # benchmarks/ab_pairs.py runs by hand (it needs a parent checkout),

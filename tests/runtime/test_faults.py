@@ -337,6 +337,66 @@ class TestSupervisedRecovery:
         assert report["ok"]
 
 
+class TestRecoveryThroughTheDoorbell:
+    """Waiting is a block on the slot's doorbell, before and after a respawn.
+
+    No service time here, unlike the rest of the matrix: the workers
+    outrun the source, so they *wait* — about one empty poll per frame when
+    the doorbell wakes them, a small fraction of that when only the 2 ms
+    backstop does (the source publishes ~20 frames per backstop).
+    """
+
+    pytestmark = _CHAOS
+
+    def test_respawned_worker_is_woken_by_its_slots_doorbell(self):
+        # The stream is long enough (~0.3 s) to outlast the respawn, so the
+        # replacement pops most of worker 1's frames.  The source kept its
+        # producer view — and that view's doorbell — across rebind(): a
+        # replacement waiting on any other pipe would never be rung.
+        config = chaos_config(
+            num_workers=2,
+            num_messages=300_000,
+            service_ns=0,
+            ring_capacity_words=1 << 14,
+            inject="crash@w1:20000",
+        )
+        result = run_cluster(config)
+        assert result.restarts == 1
+        assert_stream_conserved(config, result)
+        healthy, respawned = result.worker_results
+        assert not respawned.salvaged and respawned.frames > 200
+        # Same order, not a pinned value: the counts depend on timing.
+        assert (
+            respawned.empty_polls / respawned.frames
+            > healthy.empty_polls / healthy.frames / 3
+        ), (healthy, respawned)
+        assert result.summary()["empty_polls"] == (
+            healthy.empty_polls + respawned.empty_polls
+        )
+
+    def test_idle_worker_blocked_on_its_doorbell_is_not_declared_hung(self):
+        # Worker 1 is slow and its ring holds a dozen frames, so the source
+        # spends the run (~0.6 s) blocked on it and worker 0 starves — for
+        # far longer than the heartbeat timeout, and with nobody ringing.
+        # Every block ends at the backstop, which heartbeats: idle is not
+        # hung.
+        config = chaos_config(
+            num_workers=2,
+            num_messages=6_000,
+            mode="columnar:64",
+            ring_capacity_words=512,
+            inject="slow@w1:20x",
+            heartbeat_timeout_s=0.2,
+        )
+        result = run_cluster(config)
+        assert result.elapsed_s > 2 * config.heartbeat_timeout_s
+        assert not result.recovered
+        assert result.restarts == 0
+        idle, _ = result.worker_results
+        assert idle.empty_polls > 50  # it did wait, one backstop at a time
+        assert validate_against_simulation(config, result)["ok"]
+
+
 class TestCrashAtEndOfStream:
     pytestmark = _CHAOS
 

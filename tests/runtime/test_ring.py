@@ -3,24 +3,33 @@
 The ring works over any int64 buffer, so these tests drive producer and
 consumer sides in-process over a plain numpy array: wrap-around, PAD
 frames, full-buffer backpressure, sequence-gap detection and EOF handling
-are all exercised deterministically.
+are all exercised deterministically.  So is the doorbell protocol: a
+scripted doorbell publishes, drops a ring or flips a flag at the exact
+point the consumer blocks, which is every interleaving that matters.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ClusterRuntimeError
 from repro.runtime.ring import (
+    _BACKOFF_MAX_S,
     CONTROL_WORDS,
     DATA,
     EOF,
     FRAME_HEADER_WORDS,
+    Doorbell,
     RingClosed,
     SpscRing,
     ring_words,
 )
+
+#: Control word 3, ``consumer_waiting`` (see the layout in ``runtime/ring.py``).
+WAITING = 3
 
 
 def make_ring(capacity_words: int = 64) -> tuple[SpscRing, SpscRing, np.ndarray]:
@@ -275,6 +284,177 @@ class TestTimeoutDiagnostics:
         # never sleeps past the cap.
         assert 0 < _BACKOFF_MIN_S < _BACKOFF_MAX_S
         assert _BACKOFF_MAX_S <= 0.01
+
+
+class ScriptedDoorbell(Doorbell):
+    """A real doorbell that records its traffic and can be interfered with.
+
+    ``on_block`` runs once, at the moment the consumer blocks — after its
+    announcement and its re-check — which is where a concurrent producer
+    would have to act for the interleaving to be interesting.
+    ``lose_rings`` drops the producer's write: the lost wake-up.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.rings = 0
+        self.waits: list[bool] = []  # per block: was it rung?
+        self.lose_rings = False
+        self.on_block = None
+
+    def ring(self) -> None:
+        self.rings += 1
+        if not self.lose_rings:
+            super().ring()
+
+    def wait(self, timeout_s: float) -> bool:
+        if self.on_block is not None:
+            hook, self.on_block = self.on_block, None
+            hook()
+        rung = super().wait(timeout_s)
+        self.waits.append(rung)
+        return rung
+
+
+@pytest.fixture
+def belled():
+    """Producer and consumer views over one array, sharing one doorbell."""
+    bell = ScriptedDoorbell()
+    buffer = np.zeros(ring_words(64), dtype=np.int64)
+    producer = SpscRing(buffer, 64, create=True, doorbell=bell)
+    consumer = SpscRing(buffer, doorbell=bell)
+    yield producer, consumer, buffer, bell
+    bell.close()
+
+
+ONE = np.array([7], dtype=np.int64)
+
+
+class TestDoorbell:
+    """Announce -> re-check -> block, and publish -> test -> ring."""
+
+    def test_push_with_nobody_waiting_rings_nothing(self, belled):
+        producer, _, buffer, bell = belled
+        assert producer.try_push(ONE)
+        assert bell.rings == 0
+        assert buffer[WAITING] == 0
+
+    def test_announced_wait_is_rung_once_and_cleared_by_the_producer(self, belled):
+        producer, _, buffer, bell = belled
+        buffer[WAITING] = 1  # a consumer announced itself
+        assert producer.try_push(ONE)
+        assert bell.rings == 1
+        assert buffer[WAITING] == 0  # cleared by the producer, not the waker
+        assert producer.try_push(ONE)
+        assert bell.rings == 1  # one announcement, one ring
+        assert bell.wait(0) is True
+
+    def test_frame_published_before_the_announcement_is_found_by_the_recheck(
+        self, belled
+    ):
+        # idle() runs after the empty poll and before word 3 is set: the
+        # frame it publishes rings nobody, so only the re-check can see it.
+        producer, consumer, buffer, bell = belled
+        published = []
+
+        def publish_once():
+            if not published:
+                published.append(producer.try_push(ONE, base_index=3))
+
+        frame = consumer.pop(idle=publish_once, timeout=1.0)
+        assert frame.base_index == 3
+        assert bell.rings == 0
+        assert bell.waits == []  # never blocked
+        assert buffer[WAITING] == 0
+
+    def test_blocked_consumer_is_woken_by_the_ring(self, belled):
+        producer, consumer, buffer, bell = belled
+        bell.on_block = lambda: producer.try_push(ONE, base_index=4)
+        frame = consumer.pop(timeout=1.0)
+        assert frame.base_index == 4
+        assert bell.rings == 1
+        assert bell.waits == [True]
+        assert buffer[WAITING] == 0
+
+    def test_lost_wake_up_costs_one_backstop(self, belled):
+        producer, consumer, _, bell = belled
+        bell.lose_rings = True
+        bell.on_block = lambda: producer.try_push(ONE, base_index=5)
+        started = time.monotonic()
+        frame = consumer.pop(timeout=1.0)
+        elapsed = time.monotonic() - started
+        assert frame.base_index == 5
+        assert bell.rings == 1  # the producer did ring; the write was lost
+        assert bell.waits == [False]  # one block, ended by its timeout
+        # One backstop by construction; the bound leaves the scheduler room.
+        assert elapsed < 2 * _BACKOFF_MAX_S + 0.05
+
+    def test_stale_ring_costs_one_spurious_wake_and_no_frame(self, belled):
+        _, consumer, _, bell = belled
+        Doorbell.ring(bell)  # rung after its consumer had already woken
+        with pytest.raises(ClusterRuntimeError, match="pop timed out after 0.05s"):
+            consumer.pop(timeout=0.05)
+        assert bell.waits[0] is True
+        assert len(bell.waits) > 1 and not any(bell.waits[1:])
+
+    def test_eof_rings_a_waiting_consumer(self, belled):
+        producer, consumer, _, bell = belled
+        bell.on_block = producer.close
+        assert consumer.pop(timeout=1.0).is_eof
+        assert bell.rings == 1
+        assert bell.waits == [True]
+
+    def test_abort_while_blocked_unwinds_within_the_backstop(self, belled):
+        _, consumer, buffer, bell = belled
+        aborted = []
+        bell.on_block = lambda: aborted.append(True)
+        with pytest.raises(ClusterRuntimeError, match="pop aborted"):
+            consumer.pop(should_abort=lambda: bool(aborted))
+        assert bell.waits == [False]
+        assert buffer[WAITING] == 0
+
+    def test_idle_runs_once_per_empty_poll(self, belled):
+        producer, consumer, _, bell = belled
+        polls = []
+        bell.on_block = lambda: producer.try_push(ONE)
+        consumer.pop(idle=lambda: polls.append(1), timeout=1.0)
+        assert len(polls) == 1  # the re-check is not a poll of its own
+
+    def test_create_zeroes_the_waiting_word(self, belled):
+        _, _, buffer, bell = belled
+        buffer[WAITING] = 1  # the dead incarnation was blocked
+        SpscRing(buffer, 64, create=True, doorbell=bell)
+        assert buffer[WAITING] == 0
+
+    def test_reborn_ring_over_the_slots_doorbell_is_rung_by_the_kept_producer(
+        self, belled
+    ):
+        # What _Supervisor._respawn does: the ring is re-initialised in
+        # place over the slot's existing doorbell, and the source only
+        # rebinds the producer view it already had.
+        producer, _, buffer, bell = belled
+        producer.try_push(ONE)
+        replacement = SpscRing(buffer, 64, create=True, doorbell=bell)
+        producer.rebind()
+        bell.on_block = lambda: producer.try_push(ONE, base_index=9)
+        assert replacement.pop(timeout=1.0).base_index == 9
+        assert bell.waits == [True]
+
+    def test_ring_without_a_doorbell_makes_its_own_on_first_need(self):
+        producer, consumer, _ = make_ring()
+        producer.try_push(ONE)
+        consumer.try_pop()
+        # Rings that never wait never open a descriptor (bench/layers.py).
+        assert producer._doorbell is None and consumer._doorbell is None
+        with pytest.raises(ClusterRuntimeError, match="pop timed out"):
+            consumer.pop(timeout=0.01)
+        assert isinstance(consumer._doorbell, Doorbell)
+        assert producer._doorbell is None
+
+    def test_close_is_idempotent(self):
+        bell = Doorbell()
+        bell.close()
+        bell.close()
 
 
 class TestSupervisorSalvage:
