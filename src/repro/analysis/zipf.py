@@ -16,6 +16,56 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 
+#: How far a probability vector's sum may be from 1 — the tolerance
+#: ``Generator.choice`` applies to float64 probabilities.
+_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def sampling_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """The normalised CDF :func:`inverse_cdf_draws` samples from.
+
+    ``p.cumsum() / p.cumsum()[-1]`` — the table ``Generator.choice(...,
+    p=p)`` rebuilds on every call, after the same checks (no NaN, no
+    negative entry, a sum within ``sqrt(eps)`` of 1).  Build it once where
+    the probabilities live — per distribution, per workload, per epoch —
+    and keep it for every draw.
+    """
+    probabilities = np.asarray(probabilities, dtype=np.float64)
+    if probabilities.ndim != 1 or probabilities.size == 0:
+        raise ConfigurationError("probabilities must be a non-empty 1-D vector")
+    total = float(probabilities.sum())
+    if np.isnan(total):
+        raise ConfigurationError("probabilities contain NaN")
+    if (probabilities < 0).any():
+        raise ConfigurationError("probabilities are not non-negative")
+    if abs(total - 1.0) > _SUM_TOLERANCE:
+        raise ConfigurationError(f"probabilities do not sum to 1 (sum = {total!r})")
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def inverse_cdf_draws(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Zero-based inverse-CDF draws: ``cdf.searchsorted(uniforms, "right")``.
+
+    With ``cdf = sampling_cdf(p)`` and ``uniforms = rng.random(size)`` this
+    is, element for element and in dtype, ``rng.choice(len(p), size, p=p)``
+    — the lookup numpy does — with the generator consumed identically.
+
+    The needles are visited in CDF order: a binary search over a table
+    that does not fit the cache (8 MB at a million keys) misses on every
+    level when consecutive needles are unrelated, and shares its whole
+    upper path with its neighbour when they are sorted.  Sorting by the
+    top 16 bits is enough for that and is one radix pass (numpy's stable
+    sort of ``uint16``), where a full ``argsort`` of the doubles costs more
+    than the misses it saves (both measured: docs/performance.md, "The
+    source layer at array speed").
+    """
+    order = np.argsort((uniforms * 65536.0).astype(np.uint16), kind="stable")
+    draws = np.empty(uniforms.size, dtype=np.int64)
+    draws[order] = cdf.searchsorted(uniforms[order], side="right")
+    return draws
+
 
 class ZipfDistribution:
     """Exact finite Zipf distribution ``p_k = k^{-z} / H_{|K|,z}``.
@@ -111,27 +161,31 @@ class ZipfDistribution:
             )
         return self._probabilities * num_messages
 
+    @property
+    def sampling_cdf(self) -> np.ndarray:
+        """The normalised CDF draws are searched in (see :func:`sampling_cdf`).
+
+        Not ``prefix_mass``'s table: that one is not divided by its last
+        entry, so neither can stand in for the other without moving draws
+        — or prefix masses — by an ulp.
+        """
+        if self._sampling_cdf is None:
+            self._sampling_cdf = sampling_cdf(self._probabilities)
+        return self._sampling_cdf
+
     def sample_ranks(self, num_messages: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``num_messages`` key ranks (1-based) i.i.d. from the distribution.
 
         Element for element (and in dtype) what ``rng.choice(np.arange(1,
         |K| + 1), size=num_messages, p=probabilities)`` returns, consuming
-        the generator identically: the same inverse-CDF lookup numpy does,
-        on a CDF that is accumulated, normalised and kept once instead of
-        re-validated and rebuilt from the |K|-entry table on every call.
-        (``_cumulative`` is not normalised by its last entry, so it cannot
-        stand in without moving draws — or prefix masses — by an ulp.)
+        the generator identically (:func:`inverse_cdf_draws` on the kept
+        :attr:`sampling_cdf`).
         """
         if num_messages < 0:
             raise ConfigurationError(
                 f"num_messages must be >= 0, got {num_messages}"
             )
-        if self._sampling_cdf is None:
-            cdf = self._probabilities.cumsum()
-            cdf /= cdf[-1]
-            self._sampling_cdf = cdf
-        uniforms = rng.random(num_messages)
-        return self._sampling_cdf.searchsorted(uniforms, side="right") + 1
+        return inverse_cdf_draws(self.sampling_cdf, rng.random(num_messages)) + 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ZipfDistribution(exponent={self._exponent}, num_keys={self._num_keys})"

@@ -7,6 +7,9 @@ subpackage provides:
 * :class:`~repro.hashing.hash_family.HashFamily` — an indexed family of
   seeded 64-bit mixing hash functions, the workhorse used by every
   partitioner;
+* :func:`~repro.hashing.hash_family.fold_keys` — the one vectorised fold of
+  a key list (ints, text, bytes) to the 64-bit words the family mixes, bit
+  for bit the scalar ``_key_to_int``;
 * :class:`~repro.hashing.universal.MultiplyShiftHash` — a classic universal
   hash for integer keys, useful in property tests about collision behaviour;
 * :mod:`~repro.hashing.vectorized` — numpy SplitMix64 kernels that fill the
@@ -18,7 +21,7 @@ subpackage provides:
 """
 
 from repro.hashing.consistent import ConsistentHashRing
-from repro.hashing.hash_family import HashFamily, stable_hash
+from repro.hashing.hash_family import HashFamily, fold_keys, stable_hash
 from repro.hashing.universal import MultiplyShiftHash, TabulationHash
 from repro.hashing.vectorized import bucketed_hashes, splitmix64_array
 
@@ -28,6 +31,7 @@ __all__ = [
     "MultiplyShiftHash",
     "TabulationHash",
     "bucketed_hashes",
+    "fold_keys",
     "splitmix64_array",
     "stable_hash",
 ]

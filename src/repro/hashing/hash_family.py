@@ -56,6 +56,11 @@ def _splitmix64(x: int) -> int:
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+# The same constants as numpy scalars: uint64 arithmetic wraps modulo 2**64
+# exactly as the ``& _MASK64`` of the scalar fold does.
+_GAMMA_U64 = np.uint64(_GAMMA)
+_FNV_OFFSET_U64 = np.uint64(_FNV_OFFSET)
+_FNV_PRIME_U64 = np.uint64(_FNV_PRIME)
 
 
 def _key_to_int(key: Key) -> int:
@@ -90,6 +95,72 @@ def _key_to_int(key: Key) -> int:
         acc = ((acc ^ int.from_bytes(data[start : start + 8], "little"))
                * _FNV_PRIME) & _MASK64
     return acc
+
+
+#: Longest encoded key :func:`fold_keys` folds as array columns.  One key of
+#: a chunk sets the padded width of every row, so an outlier past this
+#: sends the chunk down the per-key route instead of widening them all.
+_FOLD_MAX_BYTES = 64
+
+#: Shortest text list folded as columns.  The array form costs a fixed
+#: 6-10 us of numpy calls and ~0.1 us per key, the scalar fold 0.5-1.1 us
+#: per key and nothing fixed: they cross at 12-16 keys, which is where the
+#: new keys of a 25-64-key ``route_batch`` list fall.
+_FOLD_MIN_KEYS = 16
+
+
+def fold_keys(keys: Sequence[Key]) -> np.ndarray:
+    """:func:`_key_to_int` of every key of a list, as one ``uint64`` array.
+
+    Bit for bit the scalar fold — the hypothesis suite in
+    ``tests/hashing/test_vectorized.py`` holds the two together — at array
+    speed for the two shapes streams are made of:
+
+    * all ``int``: an int's fold is ``key & (2**64 - 1)``, i.e. its
+      two's-complement ``int64`` reinterpreted as unsigned (integers
+      outside ``int64`` take the per-key route);
+    * at least 16 keys, all ``str`` or all ``bytes``, none longer than 64
+      encoded bytes: the chunk becomes one fixed-width bytes array viewed
+      as little-endian 8-byte columns, and the FNV-1a multiply runs once
+      per *column*, under a mask of the keys long enough to have that
+      chunk.  numpy zero-pads a short row exactly as ``int.from_bytes``
+      reads a short last chunk, so empty keys, embedded and trailing NULs
+      and multi-byte UTF-8 need no special case.
+
+    Anything else — mixed types, ``bool``, ``float``, tuples, subclasses,
+    a long key, a handful of keys — folds one key at a time.
+    """
+    count = len(keys)
+    types = set(map(type, keys))
+    if types == {int}:
+        try:
+            return np.array(keys, dtype=np.int64).view(np.uint64)
+        except OverflowError:
+            pass
+    elif count >= _FOLD_MIN_KEYS and (types == {str} or types == {bytes}):
+        encoded = list(map(str.encode, keys)) if types == {str} else keys
+        lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=count)
+        longest = int(lengths.max())
+        if longest <= _FOLD_MAX_BYTES:
+            words = max(1, -(-longest // 8))
+            columns = (
+                np.array(encoded, dtype=f"S{8 * words}")
+                .view("<u8")
+                .reshape(count, words)
+            )
+            acc = (lengths.astype(np.uint64) * _GAMMA_U64) ^ _FNV_OFFSET_U64
+            short = columns[:, 0] ^ acc
+            if words == 1:
+                return short
+            for word in range(words):
+                # Whatever this leaves in the rows of keys <= 8 bytes is
+                # dropped below, so the first two columns need no mask.
+                stepped = (acc ^ columns[:, word]) * _FNV_PRIME_U64
+                acc = stepped if word < 2 else np.where(
+                    lengths > 8 * word, stepped, acc
+                )
+            return np.where(lengths <= 8, short, acc)
+    return np.fromiter(map(_key_to_int, keys), dtype=np.uint64, count=count)
 
 
 def stable_hash(key: Key, seed: int = 0) -> int:
@@ -263,10 +334,9 @@ class HashFamily:
         (``bench/layers.py``) and of the bit-exactness tests.
         """
         d = self._check_d(d)
-        key_ints = np.fromiter(
-            map(_key_to_int, keys), dtype=np.uint64, count=len(keys)
+        matrix = bucketed_hashes(
+            fold_keys(keys), self._mixed_seeds_np[:d], self._num_buckets
         )
-        matrix = bucketed_hashes(key_ints, self._mixed_seeds_np[:d], self._num_buckets)
         return [matrix[:, j].tolist() for j in range(d)]
 
     def _check_d(self, d: int | None) -> int:

@@ -23,6 +23,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from repro.analysis.zipf import inverse_cdf_draws, sampling_cdf
 from repro.exceptions import ScenarioError
 
 #: Spans are drawn in fixed-size chunks so huge epochs never materialise at
@@ -56,11 +57,11 @@ class IidRenderer(Renderer):
 
     def spans(self, epochs, rng):
         for length, probabilities in epochs:
-            support = np.arange(1, probabilities.size + 1)
+            cdf = sampling_cdf(probabilities)
             remaining = length
             while remaining > 0:
                 size = min(_CHUNK, remaining)
-                yield rng.choice(support, size=size, p=probabilities)
+                yield inverse_cdf_draws(cdf, rng.random(size)) + 1
                 remaining -= size
 
 
@@ -85,13 +86,11 @@ class BurstyRenderer(Renderer):
     def spans(self, epochs, rng):
         burst = self.burst_length
         for length, probabilities in epochs:
-            support = np.arange(1, probabilities.size + 1)
+            cdf = sampling_cdf(probabilities)
             remaining = length
             while remaining > 0:
                 size = min(_CHUNK, remaining)
-                events = rng.choice(
-                    support, size=-(-size // burst), p=probabilities
-                )
+                events = inverse_cdf_draws(cdf, rng.random(-(-size // burst))) + 1
                 yield np.repeat(events, burst)[:size]
                 remaining -= size
 

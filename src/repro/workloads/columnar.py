@@ -15,6 +15,15 @@ and then moves plain ``int64`` arrays:
   the dictionary that decodes it, and the stream offset of its first
   message (the payload index of message ``j`` is ``base_index + j``).
 
+What is bulk and what stays per key: the array entry points
+(:meth:`KeyDictionary.intern_int_array` / ``intern_mapped_array``, used by
+every array-backed workload) run Python per *chunk* — lookup, ordering,
+id issue, forward-map entry, store and fold are one C-level call each over
+the chunk's distinct keys.  :meth:`KeyDictionary.intern_keys` (key lists)
+probes the forward map per message in a Python loop and is bulk only in
+its store and fold; a *bounded* dictionary walks sequentially everywhere,
+because evictions interleave with issues.
+
 Routing results are byte-identical between the two representations: the
 dictionary keeps the *folded key*, not the id, as the hash input, so a
 columnar route of ``ids`` equals a scalar route of the decoded keys bit for
@@ -37,7 +46,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.exceptions import WorkloadError
-from repro.hashing.hash_family import _key_to_int
+from repro.hashing.hash_family import _key_to_int, fold_keys
 from repro.types import Key
 
 #: Issues a process-unique token per dictionary.  Hash families key their
@@ -60,20 +69,16 @@ def _forward_key(key: Key):
     return key if type(key) in _PLAIN_TYPES else (type(key), key)
 
 
-def _fold_keys(keys: list[Key]) -> np.ndarray:
-    """``_key_to_int`` of every key, as ``uint64``.
+def _forward_keys(keys: list[Key]) -> list:
+    """:func:`_forward_key` of a chunk; the list itself when all are plain."""
+    if set(map(type, keys)) <= _PLAIN_TYPES:
+        return keys
+    return [_forward_key(key) for key in keys]
 
-    Plain integer chunks (the cold case of every integer key space) fold in
-    one numpy conversion: an int's fold is ``key & (2**64 - 1)``, which is
-    its two's-complement ``int64`` reinterpreted as unsigned.  Integers
-    outside ``int64`` take the per-key route with everything else.
-    """
-    if set(map(type, keys)) == {int}:
-        try:
-            return np.asarray(keys, dtype=np.int64).view(np.uint64)
-        except OverflowError:
-            pass
-    return np.fromiter(map(_key_to_int, keys), dtype=np.uint64, count=len(keys))
+
+def _object_array(items: list) -> np.ndarray:
+    """``items`` as a 1-D object array (``np.array`` would unpack tuples)."""
+    return np.fromiter(items, dtype=object, count=len(items))
 
 
 class KeyDictionary:
@@ -125,13 +130,17 @@ class KeyDictionary:
         self._keys = keys
         self._folded = folded
 
-    def _append(self, keys: list[Key]) -> None:
-        """Issue the next ``len(keys)`` ids to ``keys`` in one bulk store."""
+    def _append(self, keys: np.ndarray, folded: np.ndarray) -> None:
+        """Issue the next ``len(keys)`` ids to ``keys`` in one bulk store.
+
+        ``keys`` is any 1-D array (an integer array is stored as Python
+        ints), ``folded`` the keys' :func:`fold_keys`.
+        """
         start = self._size
         stop = start + len(keys)
         self._grow(stop)
-        self._keys[start:stop] = np.fromiter(keys, dtype=object, count=len(keys))
-        self._folded[start:stop] = _fold_keys(keys)
+        self._keys[start:stop] = keys
+        self._folded[start:stop] = folded
         self._size = stop
 
     def intern(self, key: Key) -> int:
@@ -154,16 +163,15 @@ class KeyDictionary:
     def intern_keys(self, keys: Iterable[Key]) -> np.ndarray:
         """Intern a sequence of keys, returning their ids as ``int64``.
 
-        Ids are issued in first-appearance order, exactly as element-wise
-        :meth:`intern` would; the chunk's new keys are stored with one
-        array append instead of one numpy scalar store each.
+        One dictionary probe per *message*, in stream order, exactly as
+        element-wise :meth:`intern` — in bounded mode too: an eviction takes
+        effect before the next key is looked up.  What is per chunk is the
+        store: the chunk's new keys go in with one array append and one
+        vectorised :func:`~repro.hashing.hash_family.fold_keys`.
         """
         if not isinstance(keys, (list, tuple)):
             keys = list(keys)
-        if set(map(type, keys)) <= _PLAIN_TYPES:
-            lookups = keys
-        else:
-            lookups = [_forward_key(key) for key in keys]
+        lookups = _forward_keys(keys)
         forward = self._forward
         max_keys = self._max_keys
         base = self._size
@@ -183,21 +191,25 @@ class KeyDictionary:
             for lookup in lookups
         ]
         if fresh:
+            self._store(fresh, lookups is keys)
+        return np.asarray(out, dtype=np.int64)
+
+    def _store(self, fresh: list, plain: bool) -> None:
+        """Append the keys behind ``fresh``, a chunk's new forward keys."""
+        if not plain:
             # A wrapped forward key is the only tuple that can appear here:
             # tuple stream keys are themselves wrapped.
-            self._append(
-                [lookup[1] if type(lookup) is tuple else lookup for lookup in fresh]
-            )
-        return np.asarray(out, dtype=np.int64)
+            fresh = [lookup[1] if type(lookup) is tuple else lookup for lookup in fresh]
+        self._append(_object_array(fresh), fold_keys(fresh))
 
     def intern_int_array(self, values: np.ndarray) -> np.ndarray:
         """Vectorized interning of an integer key array.
 
-        Only the *distinct* values of the chunk pass through Python; the
-        scatter back to per-message ids is pure numpy.  First-appearance
-        order within the chunk is preserved (``np.unique`` sorts, so new
-        unique values are re-visited in stream order to issue ids), keeping
-        id numbering identical to element-wise :meth:`intern`.
+        :meth:`intern_mapped_array` with the drawn values as the keys.
+        Only an integer dtype is taken at its word (the keys are ``int``,
+        their folds the values reinterpreted as ``uint64``); a ``bool`` or
+        ``float`` array goes through the same type scan, ``(type, key)``
+        forward keys and per-key fold as element-wise :meth:`intern`.
         """
         return self.intern_mapped_array(values, None)
 
@@ -209,28 +221,76 @@ class KeyDictionary:
         ``key_fn`` maps a drawn value to the key object, and is only called
         for the chunk's *distinct* values.  ``key_fn=None`` means the values
         are the keys (plain integer key spaces).
+
+        Python runs per chunk, C per key: the distinct values are looked up
+        with one ``map`` over the forward map, the new ones are put in
+        first-appearance order by a numpy scatter, numbered ``len(self) +
+        arange(k)`` and entered with one ``dict.update`` and one array
+        append — the ids, the folds and the forward map's order are those
+        of element-wise :meth:`intern`.  Two draw values that ``key_fn``
+        names alike share one id.
+
+        A *bounded* dictionary cannot take that route: an eviction may hit
+        a key the chunk has yet to reach.  There, a chunk holding at least
+        one unknown key walks **all** its distinct keys through
+        :meth:`intern_keys` in first-appearance order — so a key known at
+        chunk start can be evicted before its turn and is then issued a
+        fresh id, and every repeat within the chunk shares its key's one
+        id — while a chunk of known keys only walks nothing.
         """
         values = np.asarray(values)
         uniques, inverse = np.unique(values, return_inverse=True)
-        unique_keys = uniques.tolist()
+        keys = uniques.tolist()
         if key_fn is not None:
-            unique_keys = [key_fn(value) for value in unique_keys]
-        get = self._forward.get
-        known = [get(_forward_key(key)) for key in unique_keys]
-        if None in known:
-            # At least one new key: replay the distinct keys in stream order
-            # so ids are issued by first appearance, not by sorted value.
-            first_positions = np.full(uniques.size, -1, dtype=np.int64)
+            keys = list(map(key_fn, keys))
+        # Integer values are their own (plain) keys: no type scan.
+        integers = key_fn is None and uniques.dtype.kind in "iu"
+        lookups = keys if integers else _forward_keys(keys)
+        forward = self._forward
+        id_map = np.fromiter(
+            map(forward.get, lookups, itertools.repeat(-1)),
+            dtype=np.int64,
+            count=len(lookups),
+        )
+        new = np.flatnonzero(id_map < 0)
+        if new.size:
+            # np.unique sorted the values; ids go by first appearance.  The
+            # scatter runs back to front so each value keeps its earliest
+            # position (a repeated index keeps the last assignment).
+            first_positions = np.empty(uniques.size, dtype=np.int64)
             order = np.arange(values.size - 1, -1, -1)
             first_positions[inverse[order]] = order
-            by_appearance = np.argsort(first_positions)
-            id_map = np.empty(uniques.size, dtype=np.int64)
-            id_map[by_appearance] = self.intern_keys(
-                [unique_keys[position] for position in by_appearance.tolist()]
-            )
-        else:
-            id_map = np.asarray(known, dtype=np.int64)
-        return id_map[inverse].astype(np.int64, copy=False)
+            if self._max_keys is not None:
+                walk = np.argsort(first_positions)
+                id_map[walk] = self.intern_keys([keys[i] for i in walk.tolist()])
+                return id_map[inverse]
+            # The new values by first appearance, without a sort: mark the
+            # positions, read them back in stream order.
+            firsts = np.zeros(values.size, dtype=bool)
+            firsts[first_positions[new]] = True
+            new = inverse[np.flatnonzero(firsts)]
+            base = self._size
+            if integers:
+                new_keys = uniques[new]
+                fresh = new_keys.tolist()
+            else:
+                fresh = _object_array(lookups)[new].tolist()
+            known = len(forward)
+            forward.update(zip(fresh, range(base, base + len(fresh))))
+            if len(forward) == known + len(fresh):
+                id_map[new] = np.arange(base, base + len(fresh))
+            else:
+                # key_fn named one key with several draw values: one id per
+                # key, by first appearance (the order the map kept).
+                distinct = dict.fromkeys(fresh)
+                forward.update(zip(distinct, range(base, base + len(distinct))))
+                id_map[new] = [forward[lookup] for lookup in fresh]
+                fresh = list(distinct)
+            if integers:
+                self._append(new_keys, new_keys.astype(np.int64).view(np.uint64))
+            else:
+                self._store(fresh, lookups is keys)
+        return id_map[inverse]
 
     def lookup(self, key: Key) -> int | None:
         """The current id of ``key``, or ``None`` if absent / evicted."""

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.analysis.zipf import ZipfDistribution
+from repro.analysis.zipf import ZipfDistribution, inverse_cdf_draws
 from repro.exceptions import WorkloadError
 from repro.types import DatasetStats, Key
 from repro.workloads.base import Workload, derive_seed
@@ -109,8 +109,7 @@ class DriftingZipfWorkload(Workload):
         """
         rng = np.random.default_rng(self._seed)
         num_keys = self._distribution.num_keys
-        probabilities = self._distribution.probabilities
-        support = np.arange(num_keys)
+        cdf = self._distribution.sampling_cdf
         # rank -> key identity mapping, re-shuffled (partially) per epoch
         mapping = np.arange(1, num_keys + 1)
         for epoch, length in enumerate(self._epoch_lengths()):
@@ -119,8 +118,7 @@ class DriftingZipfWorkload(Workload):
             remaining = length
             while remaining > 0:
                 size = min(_CHUNK, remaining)
-                ranks = rng.choice(support, size=size, p=probabilities)
-                yield mapping[ranks]
+                yield mapping[inverse_cdf_draws(cdf, rng.random(size))]
                 remaining -= size
 
     def keys(self) -> Iterator[Key]:

@@ -30,6 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.analysis.zipf import inverse_cdf_draws, sampling_cdf
 from repro.exceptions import WorkloadError
 from repro.types import DatasetStats, Key
 from repro.workloads.base import Workload, derive_seed
@@ -94,6 +95,7 @@ class _HeadBodyWorkload(Workload):
         )
         # Guard against drift in floating point normalisation.
         self._probabilities = self._probabilities / self._probabilities.sum()
+        self._sampling_cdf: np.ndarray | None = None  # built by the first draw
 
     @property
     def num_messages(self) -> int:
@@ -113,16 +115,25 @@ class _HeadBodyWorkload(Workload):
             return f"head-{index}"
         return f"key-{index - len(self._head_fractions)}"
 
-    def keys(self) -> Iterator[Key]:
+    def _draw_chunks(self) -> Iterator[np.ndarray]:
+        """The stream as key-index arrays, one per ``_CHUNK``-sized RNG draw.
+
+        Single source of the RNG consumption order: the draws of
+        ``rng.choice(num_keys, size, p=probabilities)`` per chunk, from a
+        CDF validated and accumulated once per workload.
+        """
+        if self._sampling_cdf is None:
+            self._sampling_cdf = sampling_cdf(self._probabilities)
         rng = np.random.default_rng(self._seed)
-        support = np.arange(self._probabilities.size)
         remaining = self._num_messages
         while remaining > 0:
             size = min(_CHUNK, remaining)
-            draws = rng.choice(support, size=size, p=self._probabilities)
-            for index in draws:
-                yield self._key_name(int(index))
+            yield inverse_cdf_draws(self._sampling_cdf, rng.random(size))
             remaining -= size
+
+    def keys(self) -> Iterator[Key]:
+        for draws in self._draw_chunks():
+            yield from map(self._key_name, draws.tolist())
 
     def iter_batches_columnar(self, batch_size=8192, dictionary=None):
         """Native columnar stream: only each chunk's *distinct* draw values
@@ -130,20 +141,14 @@ class _HeadBodyWorkload(Workload):
         from repro.workloads.columnar import ColumnarBatch, KeyDictionary
 
         dictionary = dictionary if dictionary is not None else KeyDictionary()
-        rng = np.random.default_rng(self._seed)
-        support = np.arange(self._probabilities.size)
-        remaining = self._num_messages
         index = 0
-        while remaining > 0:
-            size = min(_CHUNK, remaining)
-            draws = rng.choice(support, size=size, p=self._probabilities)
+        for draws in self._draw_chunks():
             ids = dictionary.intern_mapped_array(draws, self._key_name)
-            for start in range(0, size, batch_size):
+            for start in range(0, draws.size, batch_size):
                 yield ColumnarBatch(
                     ids[start : start + batch_size], dictionary, index + start
                 )
-            index += size
-            remaining -= size
+            index += draws.size
 
     def stats(self) -> DatasetStats:
         return DatasetStats(

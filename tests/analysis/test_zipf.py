@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.zipf import ZipfDistribution, empirical_probabilities, zipf_probabilities
+from repro.analysis.zipf import (
+    ZipfDistribution,
+    empirical_probabilities,
+    inverse_cdf_draws,
+    sampling_cdf,
+    zipf_probabilities,
+)
 from repro.exceptions import ConfigurationError
 
 
@@ -135,6 +141,71 @@ class TestZipfDistribution:
             ZipfDistribution(exponent=-0.1, num_keys=10)
         with pytest.raises(ConfigurationError):
             ZipfDistribution(exponent=1.0, num_keys=0)
+
+
+class TestSamplingCdf:
+    def test_is_the_table_rng_choice_builds(self):
+        p = np.array([0.5, 0.0, 0.25, 0.25])
+        cdf = sampling_cdf(p)
+        expected = p.cumsum()
+        expected /= expected[-1]
+        assert cdf.dtype == np.float64
+        assert (cdf == expected).all()
+        assert cdf[-1] == 1.0
+
+    def test_distribution_keeps_one_table(self):
+        dist = ZipfDistribution(1.1, 500)
+        assert dist.sampling_cdf is dist.sampling_cdf
+        assert (dist.sampling_cdf == sampling_cdf(dist.probabilities)).all()
+
+    @pytest.mark.parametrize(
+        "probabilities, message",
+        [
+            ([0.6, -0.1, 0.5], "non-negative"),
+            ([0.5, float("nan"), 0.5], "NaN"),
+            ([0.5, 0.25, 0.251], "sum to 1"),
+            ([0.5, 0.25, 0.249], "sum to 1"),
+            ([], "non-empty"),
+            ([[0.5, 0.5]], "1-D"),
+        ],
+    )
+    def test_rejects_what_rng_choice_rejects(self, probabilities, message):
+        # rng.choice made these checks on every call; they are made once,
+        # where the table is built.
+        with pytest.raises(ConfigurationError, match=message):
+            sampling_cdf(np.array(probabilities, dtype=np.float64))
+
+    def test_accepts_rounding_noise_and_normalises_it_away(self):
+        p = np.array([0.25, 0.25, 0.5 + 1e-10])
+        np.random.default_rng(0).choice(3, size=1, p=p)  # numpy accepts it too
+        assert sampling_cdf(p)[-1] == 1.0
+
+
+class TestInverseCdfDraws:
+    @pytest.mark.parametrize("exponent, num_keys", [(0.8, 100_000), (1.4, 1_000), (2.0, 10), (0, 3)])
+    def test_is_searchsorted_right_in_stream_order(self, exponent, num_keys):
+        cdf = ZipfDistribution(exponent, num_keys).sampling_cdf
+        rng = np.random.default_rng(5)
+        # Random needles, needles *on* CDF entries (side="right" goes past
+        # a tie), both ends of [0, 1), and runs of equal needles.
+        uniforms = np.concatenate(
+            [
+                rng.random(5_000),
+                cdf[rng.integers(0, num_keys - 1, size=50)],
+                [0.0, np.nextafter(1.0, 0.0), 0.5, 0.5, 0.5],
+            ]
+        )
+        rng.shuffle(uniforms)
+        draws = inverse_cdf_draws(cdf, uniforms)
+        assert draws.dtype == np.int64
+        assert (draws == cdf.searchsorted(uniforms, side="right")).all()
+        assert draws.min() >= 0 and draws.max() < num_keys
+
+    def test_empty_and_single(self):
+        cdf = sampling_cdf(np.array([0.2, 0.8]))
+        assert inverse_cdf_draws(cdf, np.empty(0)).shape == (0,)
+        assert inverse_cdf_draws(cdf, np.array([0.19])).tolist() == [0]
+        assert inverse_cdf_draws(cdf, np.array([0.2])).tolist() == [1]
 
 
 class TestHelpers:

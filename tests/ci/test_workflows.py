@@ -33,6 +33,23 @@ def _job_commands(job: dict) -> str:
     )
 
 
+def _step_comment(workflow: str, step_name: str) -> str:
+    """The comment block directly above ``- name: <step_name>``, as one line.
+
+    YAML drops comments on load, and a gate's *reason* lives there: the
+    phrases a later edit must not lose are pinned against this text.
+    """
+    lines = (WORKFLOWS / workflow).read_text(encoding="utf-8").splitlines()
+    index = next(
+        i for i, line in enumerate(lines) if line.strip() == f"- name: {step_name}"
+    )
+    comment: list[str] = []
+    while index > 0 and lines[index - 1].strip().startswith("#"):
+        index -= 1
+        comment.insert(0, lines[index].strip().lstrip("# "))
+    return " ".join(comment)
+
+
 @pytest.fixture(scope="module")
 def ci() -> dict:
     return _load("ci.yml")
@@ -199,6 +216,33 @@ class TestCiWorkflow:
         assert "tee bench-smoke-wide.log" in steps[0]
         assert "tail -n 1 bench-smoke-wide.log | grep -q '\"correct\": true'" in steps[0]
 
+    def test_bench_smoke_says_what_holds_the_source_layer_to_the_scalar_oracle(self):
+        # The vectorised fold and the bulk issue leave no per-key Python
+        # path to compare against inside src/: what holds them is that the
+        # benchmark's oracle runs mode="scalar" — one key at a time through
+        # candidates(key) / intern(key) and the scalar _key_to_int.  The
+        # two steps say so, so nobody "simplifies" the oracle to columnar.
+        keys = _step_comment("ci.yml", "sim_keys workload (3 s), result line must be correct")
+        for phrase in (
+            "gate on the vectorised fold",
+            "hashing.fold_keys",
+            'mode="scalar"',
+            "one key at a time through candidates(key) / intern(key)",
+            "scalar _key_to_int",
+            "a wrong fold moves a load vector",
+        ):
+            assert phrase in keys, phrase
+        wide = _step_comment("ci.yml", "sim_wide workload (3 s), result line must be correct")
+        for phrase in (
+            "gate on the bulk issue",
+            "one dict.update",
+            "scalar oracle interns one key at a time",
+            "a wrong id moves a load vector",
+            "held to rng.choice by tests/workloads/test_draws_are_rng_choice.py",
+        ):
+            assert phrase in wide, phrase
+        assert (REPO_ROOT / "tests/workloads/test_draws_are_rng_choice.py").is_file()
+
     def test_bench_smoke_gates_the_process_mesh_on_cluster_transport(self, ci):
         # cluster_transport is the one CI workload that runs real processes
         # with no service time, so its workers wait on their rings'
@@ -219,6 +263,17 @@ class TestCiWorkflow:
         # so CI at least imports it and parses its arguments.
         commands = _job_commands(ci["jobs"]["bench-smoke"])
         assert "python benchmarks/ab_pairs.py --help" in commands
+
+    def test_bench_smoke_keeps_the_stream_digest_running(self, ci):
+        # benchmarks/stream_digest.py is how two checkouts are shown
+        # byte-identical at the source layer (run in each, diff); CI runs
+        # it at the length tests/ci/test_stream_digest.py pins.
+        steps = [
+            step.get("run", "")
+            for step in ci["jobs"]["bench-smoke"]["steps"]
+            if "stream_digest.py" in step.get("run", "")
+        ]
+        assert steps == ["python benchmarks/stream_digest.py --messages 20000"]
 
 
 class TestBenchWorkflow:
@@ -286,6 +341,7 @@ class TestReferencedPathsExist:
             "benchmarks/bench_cluster_runtime.py",
             "benchmarks/check_bench_regression.py",
             "benchmarks/ab_pairs.py",
+            "benchmarks/stream_digest.py",
             "BENCH_routing.json",
             "BENCH_cluster.json",
             "pyproject.toml",

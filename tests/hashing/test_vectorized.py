@@ -4,9 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.hashing.hash_family import HashFamily, _key_to_int, stable_hash
+from repro.hashing.hash_family import (
+    _FOLD_MIN_KEYS,
+    HashFamily,
+    _key_to_int,
+    fold_keys,
+    stable_hash,
+)
 from repro.hashing.vectorized import splitmix64_array
 from repro.workloads.columnar import KeyDictionary
 
@@ -135,3 +143,126 @@ class TestChunkedKeyFold:
     def test_int_and_str_keys_stay_distinct(self):
         assert stable_hash(42, 0) != stable_hash("42", 0)
         assert stable_hash(True, 0) != stable_hash(1, 0)
+
+
+#: Text that stresses the byte view: NUL runs (numpy's padding byte), an
+#: astral code point (4 UTF-8 bytes), a combining mark and a 2-byte letter.
+_TEXT = st.text(
+    alphabet=st.sampled_from(["\x00", "a", "z", "\u00e9", "\u0301", "\U0001d11e"]),
+    max_size=24,
+)
+#: Every length across the 8-byte chunk edges and the 64-byte array limit.
+_EDGE_LENGTHS = (0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70)
+_BYTES = st.one_of(
+    st.binary(max_size=70),
+    st.builds(
+        lambda length, fill: bytes([fill]) * length,
+        st.sampled_from(_EDGE_LENGTHS),
+        st.sampled_from([0, 1, 255]),
+    ),
+)
+_INTS = st.one_of(
+    st.integers(min_value=-(2**63) - 2, max_value=-(2**63) + 2),
+    st.integers(min_value=2**63 - 2, max_value=2**63 + 2),
+    st.integers(min_value=2**64 - 2, max_value=2**64 + 2**20),
+    st.integers(min_value=-1000, max_value=1000),
+)
+_ODD = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.tuples(st.integers(), st.text(max_size=3)),
+)
+
+
+def _tiled(keys):
+    """``keys`` repeated until a text list is long enough to fold as columns."""
+    return keys * -(-_FOLD_MIN_KEYS // max(1, len(keys)))
+
+
+def _assert_fold_is_scalar_fold(keys) -> None:
+    # As given (a short text list folds per key) and tiled past the size
+    # where the array form takes over: same keys, same widths, both routes.
+    for sample in (keys, _tiled(keys)):
+        folded = fold_keys(sample)
+        assert folded.dtype == np.uint64
+        assert folded.shape == (len(sample),)
+        assert folded.tolist() == [_key_to_int(key) for key in sample]
+
+
+class TestFoldKeys:
+    """The vector fold is the scalar fold, element for element."""
+
+    @given(st.lists(_TEXT, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_str_lists(self, keys):
+        _assert_fold_is_scalar_fold(keys)
+
+    @given(st.lists(_BYTES, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_lists(self, keys):
+        _assert_fold_is_scalar_fold(keys)
+
+    @given(st.lists(_INTS, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_int_lists(self, keys):
+        _assert_fold_is_scalar_fold(keys)
+
+    @given(st.lists(st.one_of(_TEXT, _BYTES, _INTS, _ODD), max_size=20))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_lists(self, keys):
+        _assert_fold_is_scalar_fold(keys)
+
+    def test_every_length_across_the_chunk_edges(self):
+        # One list per width, and all widths in one list (the short rows
+        # then sit zero-padded beside the long ones, under the mask).
+        for fill in (b"\x00", b"\x01", b"\xff"):
+            by_length = [fill * length for length in range(71)]
+            _assert_fold_is_scalar_fold(by_length)
+            _assert_fold_is_scalar_fold(by_length[:65])
+            for key in by_length:
+                _assert_fold_is_scalar_fold([key])
+                _assert_fold_is_scalar_fold([key.decode("latin-1")])
+
+    def test_prefix_and_type_distinctness_survive_the_vector_form(self):
+        # TestChunkedKeyFold's examples, folded as lists.
+        for keys in (
+            [b"a", b"a\x00"],
+            ["abcdefgh", "abcdefghi"],
+            ["", "\x00"],
+            ["a", "a\x00", "a\x00\x00"],
+            [b"\x00" * 8, b"\x00" * 9, b"\x00" * 16, b"\x00" * 17],
+        ):
+            _assert_fold_is_scalar_fold(keys)
+            assert len(set(fold_keys(_tiled(keys)).tolist())) == len(keys)
+        assert fold_keys(_tiled([""]))[0] != fold_keys([0])[0]
+        assert fold_keys(_tiled(["\x01"]))[0] != fold_keys([1])[0]
+        assert fold_keys(_tiled(["42"]))[0] != fold_keys([42])[0]
+        assert fold_keys([True])[0] != fold_keys([1])[0]
+        assert fold_keys(_tiled(["abcdefghij"]))[0] == fold_keys(_tiled([b"abcdefghij"]))[0]
+
+    def test_the_array_form_starts_at_sixteen_keys(self):
+        # Below it the fixed cost of a dozen numpy calls exceeds the scalar
+        # fold of the whole list; the switch is on the input's size and both
+        # sides of it agree (the relation, not the timing, is pinned here).
+        assert _FOLD_MIN_KEYS == 16
+        keys = [f"page-{i}-" + "x" * (i % 40) for i in range(40)]
+        for size in (1, 15, 16, 17, 40):
+            assert fold_keys(keys[:size]).tolist() == [_key_to_int(k) for k in keys[:size]]
+
+    def test_subclasses_and_tuples_of_keys_take_the_per_key_route(self):
+        class Name(str):
+            pass
+
+        _assert_fold_is_scalar_fold([Name("abc"), "abc"])
+        _assert_fold_is_scalar_fold(("abc", "defghijklm"))  # a tuple of keys
+        _assert_fold_is_scalar_fold([])
+
+    @given(st.one_of(*(st.lists(s, max_size=20) for s in (_TEXT, _BYTES, _INTS))))
+    @settings(max_examples=100, deadline=None)
+    def test_candidates_batch_columns_is_per_key_candidates(self, keys):
+        family = HashFamily(num_functions=5, num_buckets=37, seed=11)
+        for sample in (keys, _tiled(keys)):
+            columns = family.candidates_batch_columns(sample, 5)
+            assert len(columns) == 5
+            rows = list(zip(*columns)) if sample else []
+            assert rows == [family.candidates(key, 5) for key in sample]

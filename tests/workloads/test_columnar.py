@@ -124,6 +124,126 @@ class TestKeyDictionary:
             d.decode([0, 1])
 
 
+class _BoundedModel:
+    """What a bounded dictionary does with one array chunk, spelled out.
+
+    The chunk's *distinct* keys are visited in first-appearance order: a
+    hit is its id; a miss takes the next id, enters the forward map and
+    evicts the oldest entry if the map is over its bound — possibly a key
+    the chunk has yet to reach, which then misses and gets a fresh id.
+    """
+
+    def __init__(self, max_keys: int) -> None:
+        self.forward: dict = {}
+        self.issued = 0
+        self.max_keys = max_keys
+
+    def intern_chunk(self, keys: list) -> list[int]:
+        ids = {}
+        for key in dict.fromkeys(keys):
+            kid = self.forward.get(key)
+            if kid is None:
+                kid = self.issued
+                self.issued += 1
+                self.forward[key] = kid
+                if len(self.forward) > self.max_keys:
+                    del self.forward[next(iter(self.forward))]
+            ids[key] = kid
+        return [ids[key] for key in keys]
+
+
+class TestArrayInterningEdges:
+    """Behaviours of ``intern_int_array`` / ``intern_mapped_array`` that the
+    per-key walk provided implicitly; the bulk issue has to provide them
+    on purpose."""
+
+    @pytest.mark.parametrize("key_fn", [None, "key-{}".format], ids=["ints", "named"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bounded_dictionary_walks_distinct_keys_in_stream_order(self, key_fn, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(130):
+            max_keys = int(rng.integers(1, 40))
+            dictionary = KeyDictionary(max_keys=max_keys)
+            model = _BoundedModel(max_keys)
+            for _ in range(int(rng.integers(1, 7))):
+                values = rng.integers(0, 50, size=int(rng.integers(0, 60)))
+                keys = values.tolist()
+                if key_fn is not None:
+                    keys = [key_fn(value) for value in keys]
+                ids = dictionary.intern_mapped_array(values, key_fn)
+                assert ids.dtype == np.int64
+                assert ids.tolist() == model.intern_chunk(keys)
+                assert len(dictionary) == model.issued
+                assert list(dictionary._forward.items()) == list(model.forward.items())
+                assert len(dictionary._forward) <= max_keys
+                assert dictionary.decode(ids) == keys
+
+    def test_bounded_chunk_can_evict_a_key_before_its_turn(self):
+        # The case the model exists for: "a" is known when the chunk starts,
+        # but "b" and "c" arrive first and push it out — it is re-issued.
+        dictionary = KeyDictionary(max_keys=2)
+        names = {0: "a", 1: "b", 2: "c"}
+        assert dictionary.intern_mapped_array(np.array([0]), names.get).tolist() == [0]
+        ids = dictionary.intern_mapped_array(np.array([1, 2, 0, 1]), names.get)
+        assert ids.tolist() == [1, 2, 3, 1]
+        assert dictionary.decode([0, 3]) == ["a", "a"]
+        # A chunk of known keys only walks nothing and evicts nothing.
+        before = list(dictionary._forward.items())
+        assert dictionary.intern_mapped_array(np.array([0, 2, 0]), names.get).tolist() == [3, 2, 3]
+        assert list(dictionary._forward.items()) == before == [("c", 2), ("a", 3)]
+
+    def test_non_injective_key_fn_issues_one_id_per_key(self):
+        dictionary = KeyDictionary()
+
+        def pair_name(value: int) -> str:
+            return f"pair-{value // 2}"
+
+        # 5 and 4 name pair-2, 1 and 0 name pair-0, 2 names pair-1.
+        ids = dictionary.intern_mapped_array(np.array([5, 4, 1, 0, 5, 2]), pair_name)
+        assert ids.tolist() == [0, 0, 1, 1, 0, 2]
+        assert len(dictionary) == 3
+        assert list(dictionary._forward.items()) == [
+            ("pair-2", 0), ("pair-0", 1), ("pair-1", 2),
+        ]
+        assert dictionary.decode([0, 1, 2]) == ["pair-2", "pair-0", "pair-1"]
+        assert dictionary.folded.tolist() == [
+            _key_to_int(key) for key in ("pair-2", "pair-0", "pair-1")
+        ]
+        # Known and new aliases in one chunk: 3 joins pair-1, 7 and 6 are new.
+        ids = dictionary.intern_mapped_array(np.array([3, 7, 0, 6]), pair_name)
+        assert ids.tolist() == [2, 3, 1, 3]
+        assert len(dictionary) == 4
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([True, False, True, True]),
+            np.array([1.5, -1.0, 1.5, 0.0, 2.0**70]),
+            np.array([2**63 + 5, 7, 2**64 - 1, 2**63 + 5], dtype=np.uint64),
+            np.array([-1, 3, -(2**63), 3], dtype=np.int64),
+            np.array([200, 7, 200], dtype=np.uint8),
+        ],
+        ids=["bool", "float", "uint64-high", "int64-negative", "uint8"],
+    )
+    def test_intern_int_array_of_any_dtype_is_elementwise_intern(self, values):
+        # Only integer dtypes may skip the type scan: bools and floats are
+        # wrapped as (type, key) and fold as _key_to_int folds them.
+        reference = KeyDictionary()
+        expected = [reference.intern(value) for value in values.tolist()]
+        dictionary = KeyDictionary()
+        assert dictionary.intern_int_array(values).tolist() == expected
+        assert list(dictionary._forward.items()) == list(reference._forward.items())
+        keys = dictionary.decode(np.arange(len(dictionary)))
+        assert [(type(key), key) for key in keys] == [
+            (type(key), key) for key in reference.decode(np.arange(len(reference)))
+        ]
+        assert dictionary.folded.tolist() == [_key_to_int(key) for key in keys]
+        assert dictionary.folded.tolist() == reference.folded.tolist()
+        # ... and a second sight of the same array issues nothing.
+        assert dictionary.intern_int_array(values).tolist() == expected
+        assert len(dictionary) == len(reference)
+
+
 class TestColumnarBatch:
     def test_keys_indices_and_views(self):
         d = KeyDictionary()
