@@ -14,7 +14,8 @@ Each line hashes, for one seeded workload streamed through
 * ``dictionary.folded`` (the hash-family input per id);
 * the decoded key list (``repr``, so ``1`` and ``"1"`` differ);
 * ``list(dictionary._forward.items())`` — the forward map *in insertion
-  order*, which is what a bounded dictionary evicts by.
+  order*: ``key -> id`` entered in id order, as element-wise ``intern``
+  leaves it, whichever bulk route issued the ids.
 
 The script reads the checkout it lives in (it puts that checkout's ``src/``
 first on the path, as ``bench/run.py`` does), so two trees are compared by

@@ -21,7 +21,6 @@ the same mechanism as in the real deployment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator
 
 from repro.cluster.events import EventQueue, EventType
@@ -126,7 +125,6 @@ class ClusterEngine:
             self._events.push(0.0, EventType.SOURCE_EMIT, index)
             source.emit_scheduled = True
 
-        batch_size = self._topology.batch_size
         while self._events:
             event = self._events.pop()
             if event.event_type is EventType.SOURCE_EMIT:
@@ -135,30 +133,21 @@ class ClusterEngine:
                 source.emit_scheduled = False
                 if exhausted:
                     continue
-                credit = self._topology.max_pending_per_source - source.pending
-                if credit <= 0:
+                if source.pending >= self._topology.max_pending_per_source:
                     # Out of credit; the ack handler will reschedule.
                     continue
-                # Apply any rescale event due at this emission offset, then
-                # cap the micro-batch so the next event falls exactly on an
-                # emission boundary (offsets count emitted messages).
+                # Apply any rescale event due at this emission offset
+                # (offsets count emitted messages).
                 rescales = self._pending_rescales
                 while rescales and rescales[0].offset <= emitted:
                     self._apply_rescale(rescales.pop(0), event.time)
-                take = min(batch_size, credit)
-                if rescales:
-                    take = min(take, rescales[0].offset - emitted)
-                # Micro-batch: pull up to min(batch_size, credit) keys so one
-                # scheduling event amortises one route_batch call.  With
-                # batch_size=1 this is exactly the per-message behaviour.
-                batch_keys = list(islice(key_iterator, take))
-                if not batch_keys:
+                try:
+                    key = next(key_iterator)
+                except StopIteration:
                     exhausted = True
                     continue
-                if len(batch_keys) < take:
-                    exhausted = True
-                emitted += len(batch_keys)
-                completion = self._emit(source_index, source, batch_keys, event.time)
+                emitted += 1
+                completion = self._emit(source_index, source, key, event.time)
                 last_completion = max(last_completion, completion)
             elif event.event_type is EventType.WORKER_DONE:
                 source_index = event.payload
@@ -246,39 +235,22 @@ class ClusterEngine:
     # internals
     # ------------------------------------------------------------------ #
     def _emit(
-        self, source_index: int, source: _SourceState, keys: list[Key], now: float
+        self, source_index: int, source: _SourceState, key: Key, now: float
     ) -> float:
-        """Route a micro-batch from ``source`` starting at ``now``.
-
-        Routing happens in one ``route_batch`` call; message ``i`` of the
-        batch is emitted at ``now + i * source_overhead_ms`` (emission stays
-        sequential and per-message priced).  Returns the latest completion
-        time of the batch.
-        """
+        """Route one message from ``source`` at ``now``; returns its completion time."""
         topology = self._topology
-        overhead = topology.source_overhead_ms
-        workers = source.partitioner.route_batch(keys)
-        record_load = self._load.record
-        queues = self._workers
-        record_latency = self._latency.record
-        push_event = self._events.push
-        last_completion = 0.0
-        emit_time = now
-        for worker_id in workers:
-            record_load(worker_id)
-            completion = queues[worker_id].enqueue(emit_time)
-            record_latency(worker_id, completion - emit_time)
-            push_event(completion, EventType.WORKER_DONE, source_index)
-            if completion > last_completion:
-                last_completion = completion
-            emit_time += overhead
-        source.pending += len(workers)
-        source.emitted += len(workers)
-        source.next_free = now + overhead * len(workers)
+        worker_id = source.partitioner.route(key)
+        self._load.record(worker_id)
+        completion = self._workers[worker_id].enqueue(now)
+        self._latency.record(worker_id, completion - now)
+        self._events.push(completion, EventType.WORKER_DONE, source_index)
+        source.pending += 1
+        source.emitted += 1
+        source.next_free = now + topology.source_overhead_ms
         # Schedule the source's next emission if it still has credit.
         if source.pending < topology.max_pending_per_source:
             self._schedule_emit(source, source.next_free, source_index)
-        return last_completion
+        return completion
 
     def _schedule_emit(
         self, source: _SourceState, now: float, source_index: int

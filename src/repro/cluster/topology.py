@@ -46,14 +46,6 @@ class ClusterTopology:
         Base seed for the partitioners.
     scheme_options:
         Extra keyword arguments forwarded to the partitioner constructor.
-    batch_size:
-        Messages a source emits per scheduling event (micro-batching, like
-        Storm's batched spouts).  Each emission event pulls up to this many
-        keys (bounded by the credit window), routes them in one
-        ``route_batch`` call and still pays ``source_overhead_ms`` per
-        message.  1 (the default) reproduces strictly per-message emission;
-        larger values trade event-queue overhead and intra-batch
-        interleaving for routing throughput.
     rescale_plan:
         Optional elasticity schedule (a
         :class:`~repro.elasticity.events.RescalePlan` or a spec string like
@@ -74,7 +66,6 @@ class ClusterTopology:
     max_pending_per_source: int = 100
     seed: int = 0
     scheme_options: dict[str, Any] = field(default_factory=dict)
-    batch_size: int = 1
     rescale_plan: RescalePlan | str | None = None
     rescale_policy: str = "rehash"
     migration_window: int = 1000
@@ -100,10 +91,6 @@ class ClusterTopology:
             raise ConfigurationError(
                 "max_pending_per_source must be >= 1, got "
                 f"{self.max_pending_per_source}"
-            )
-        if self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {self.batch_size}"
             )
         self.rescale_plan = as_plan(
             self.rescale_plan,

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.fifo_map import FifoMap
 from repro.hashing.vectorized import bucketed_hashes
 from repro.types import Key, WorkerId
 
@@ -28,7 +29,7 @@ _MASK64 = (1 << 64) - 1
 #: Upper bound on the number of keys each :class:`HashFamily` interns.  The
 #: cache is FIFO-evicted, so a family never holds more than this many
 #: candidate tuples regardless of stream cardinality.
-DEFAULT_CACHE_SIZE = 1 << 16
+_CANDIDATE_CACHE_LIMIT = 1 << 16
 
 #: Key types the interning cache may hold.  Dict lookups use ``==``, which
 #: crosses types (``-1 == -1.0 == True`` all collide as dict keys) while
@@ -228,7 +229,6 @@ class HashFamily:
         num_functions: int,
         num_buckets: int,
         seed: int = 0,
-        cache_size: int = DEFAULT_CACHE_SIZE,
     ) -> None:
         if num_functions < 1:
             raise ConfigurationError(
@@ -238,14 +238,9 @@ class HashFamily:
             raise ConfigurationError(
                 f"need at least one bucket, got {num_buckets}"
             )
-        if cache_size < 0:
-            raise ConfigurationError(
-                f"cache_size must be >= 0, got {cache_size}"
-            )
         self._num_functions = num_functions
         self._num_buckets = num_buckets
         self._seed = seed
-        self._cache_size = cache_size
         # Pre-mix one sub-seed per function so that function i is keyed by a
         # well-separated 64-bit constant rather than by the small integer i.
         self._sub_seeds = tuple(
@@ -255,14 +250,15 @@ class HashFamily:
         # inner mix only depends on the sub-seed, so do it once here.
         self._mixed_seeds = tuple(_splitmix64(s) for s in self._sub_seeds)
         self._mixed_seeds_np = np.array(self._mixed_seeds, dtype=np.uint64)
-        # Interning cache (FIFO-evicted at cache_size entries): a key's
-        # candidate tuple is derived once rather than per message.  Candidate
-        # tuples are prefix-stable in d, so one cached tuple serves every
-        # smaller d via slicing.
-        self._candidate_cache: dict[Key, tuple[WorkerId, ...]] = {}
+        # Interning cache: a key's candidate tuple is derived once rather
+        # than per message.  Candidate tuples are prefix-stable in d, so one
+        # cached tuple serves every smaller d via slicing.
+        self._candidate_cache: FifoMap[Key, tuple[WorkerId, ...]] = FifoMap(
+            _CANDIDATE_CACHE_LIMIT
+        )
         # Per-dictionary candidate tables for the columnar id fast path,
-        # keyed by KeyDictionary.token (FIFO-bounded; see _id_table).
-        self._id_tables: dict[int, _IdTable] = {}
+        # keyed by KeyDictionary.token (see _id_table).
+        self._id_tables: FifoMap[int, _IdTable] = FifoMap(_MAX_ID_TABLES)
 
     @property
     def num_functions(self) -> int:
@@ -308,10 +304,7 @@ class HashFamily:
             if length > d:
                 return cached[:d]
         result = self._mix(_key_to_int(key), d)
-        if self._cache_size:
-            if len(cache) >= self._cache_size:
-                cache.pop(next(iter(cache)))
-            cache[key] = result
+        cache.insert(key, result)
         return result
 
     def _mix(self, folded: int, d: int, start: int = 0) -> tuple[WorkerId, ...]:
@@ -353,10 +346,8 @@ class HashFamily:
         tables = self._id_tables
         table = tables.get(dictionary.token)
         if table is None or table.width < d:
-            if table is None and len(tables) >= _MAX_ID_TABLES:
-                tables.pop(next(iter(tables)))
             table = _IdTable(d)
-            tables[dictionary.token] = table
+            tables.insert(dictionary.token, table)
         size = len(dictionary)
         if table.filled < size:
             if size > table.rows.shape[0]:

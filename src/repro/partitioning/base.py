@@ -46,7 +46,9 @@ from repro.workloads.columnar import KeyDictionary
 
 
 #: ``route_batch`` hands key lists up to this long to the scalar oracle (see
-#: its docstring); the crossover sits between 16 and 32 keys for every scheme.
+#: its docstring): the per-sender lists on the dataflow runtime's internal
+#: edges are often a handful of keys.  The crossover sits between 16 and 32
+#: keys for every scheme.
 _ORACLE_FRAGMENT = 24
 
 
@@ -137,10 +139,10 @@ class Partitioner(abc.ABC):
         performance optimisation, never a semantic change.  The keys are
         interned through the partitioner's dictionary and routed by the id
         kernel, the same one :meth:`route_batch_columnar` runs.  A fragment
-        of a few keys (the one-key batches of ``cluster/engine.py``) goes to
-        the scalar oracle instead: interning and the kernel's numpy round
-        trips cost a fixed few microseconds per call, more than the oracle
-        spends on a handful of messages.
+        of a few keys (one sender's share of an internal edge of the dataflow
+        runtime) goes to the scalar oracle instead: interning and the
+        kernel's numpy round trips cost a fixed few microseconds per call,
+        more than the oracle spends on a handful of messages.
 
         ``head_flags``, when given, is a caller-owned list that receives one
         boolean per key telling whether the key was classified as a heavy

@@ -15,6 +15,7 @@ paper's evaluation line-up.
 from __future__ import annotations
 
 from repro.exceptions import ConfigurationError
+from repro.fifo_map import FifoMap
 from repro.hashing.consistent import ConsistentHashRing
 from repro.partitioning.base import Partitioner
 from repro.types import Key, RoutingDecision, WorkerId
@@ -42,7 +43,9 @@ class ConsistentGrouping(Partitioner):
         # is only valid for one (dictionary, ring-layout) pair; _ring_epoch
         # advances on every ring mutation to invalidate it.
         self._ring_epoch = 0
-        self._id_owner_cache: dict[int, WorkerId] = {}
+        self._id_owner_cache: FifoMap[int, WorkerId] = FifoMap(
+            self._ID_OWNER_CACHE_LIMIT
+        )
         self._id_owner_tag: tuple[int, int] | None = None
 
     @property
@@ -62,7 +65,6 @@ class ConsistentGrouping(Partitioner):
             self._id_owner_tag = tag
         lookup = self._ring.lookup
         key_of = dictionary.key_of
-        limit = self._ID_OWNER_CACHE_LIMIT
         state = self._state
         loads = state.loads
         out: list[WorkerId] = []
@@ -71,9 +73,7 @@ class ConsistentGrouping(Partitioner):
             worker = cache.get(kid)
             if worker is None:
                 worker = lookup(key_of(kid))
-                if len(cache) >= limit:
-                    cache.pop(next(iter(cache)))
-                cache[kid] = worker
+                cache.insert(kid, worker)
             loads[worker] += 1
             append(worker)
         state.messages_routed += len(out)

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.analysis.bounds import theta_range
 from repro.exceptions import ConfigurationError
+from repro.fifo_map import FifoMap
 from repro.hashing.hash_family import HashFamily
 from repro.partitioning.base import Partitioner
 from repro.sketches.base import FrequencyEstimator, runs_to_flags
@@ -104,8 +105,9 @@ class HeadTailPartitioner(Partitioner):
         # * the floor of that tuple: the least load the key's last complete
         #   scan saw.  Loads only grow, so it bounds every later scan from
         #   below and lets it stop at the first candidate sitting on it.
-        self._head_hashes: dict[int, tuple[WorkerId, ...]] = {}
-        self._head_cand_cache: dict[int, tuple[WorkerId, ...]] = {}
+        limit = self._HEAD_CANDIDATE_CACHE_LIMIT
+        self._head_hashes: FifoMap[int, tuple[WorkerId, ...]] = FifoMap(limit)
+        self._head_cand_cache: FifoMap[int, tuple[WorkerId, ...]] = FifoMap(limit)
         self._head_cand_cache_d = 0
         self._head_floors: dict[int, int] = {}
 
@@ -310,8 +312,8 @@ class HeadTailPartitioner(Partitioner):
         elif mode == "d":
             # The cache-tag handshake runs once up front so the hot path may
             # read the cache directly; misses go through
-            # _cached_head_candidates, the single home of the derivation /
-            # FIFO-eviction logic (its re-check of the tag is then a no-op).
+            # _cached_head_candidates, the single home of the derivation
+            # (its re-check of the tag is then a no-op).
             num_choices = max(2, min(num_choices, self.num_workers))
             if num_choices != self._head_cand_cache_d:
                 self._flush_head_caches(num_choices)
@@ -465,21 +467,17 @@ class HeadTailPartitioner(Partitioner):
         cache = self._head_cand_cache
         candidates = cache.get(kid)
         if candidates is None:
-            limit = self._HEAD_CANDIDATE_CACHE_LIMIT
             hashes = self._head_hashes
             prefix = hashes.get(kid, ())
             if len(prefix) < num_choices:
-                if not prefix and len(hashes) >= limit:
-                    del hashes[next(iter(hashes))]
-                prefix = hashes[kid] = self._hashes.candidates_for_id(
+                prefix = self._hashes.candidates_for_id(
                     kid, self._id_dict, num_choices, prefix
                 )
+                hashes.insert(kid, prefix)
             candidates = tuple(dict.fromkeys(prefix[:num_choices]))
-            if len(cache) >= limit:
-                evicted = next(iter(cache))
-                del cache[evicted]
+            evicted = cache.insert(kid, candidates)
+            if evicted is not None:
                 del self._head_floors[evicted]
-            cache[kid] = candidates
             # Below every load: the key's first scan runs to the end.
             self._head_floors[kid] = -1
         return candidates
@@ -609,9 +607,10 @@ class HeadTailPartitioner(Partitioner):
             # Its floors are not — they are never exported — so every
             # adopted key starts with a complete scan of the adopted loads.
             cache, cache_d = state.get("head_cand_cache", ({}, 0))
-            self._head_cand_cache.update(cache)
+            for kid, candidates in cache.items():
+                self._head_cand_cache.insert(kid, candidates)
             self._head_cand_cache_d = cache_d
-            self._head_floors.update(dict.fromkeys(cache, -1))
+            self._head_floors.update(dict.fromkeys(self._head_cand_cache, -1))
 
     def key_candidates(self, key: Key) -> tuple[WorkerId, ...]:
         """Pure candidate set: head keys via the scheme's head placement,

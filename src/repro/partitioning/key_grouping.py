@@ -32,7 +32,7 @@ class KeyGrouping(Partitioner):
         self._hashes = HashFamily(num_functions=1, num_buckets=num_workers, seed=seed)
 
     def _select(self, key: Key) -> RoutingDecision:
-        worker = self._hashes.hash(key, 0)
+        worker = self._hashes.candidates(key, 1)[0]
         return RoutingDecision(key=key, worker=worker, candidates=(worker,))
 
     def _select_worker(self, key: Key) -> WorkerId:

@@ -21,8 +21,7 @@ every array-backed workload) run Python per *chunk* — lookup, ordering,
 id issue, forward-map entry, store and fold are one C-level call each over
 the chunk's distinct keys.  :meth:`KeyDictionary.intern_keys` (key lists)
 probes the forward map per message in a Python loop and is bulk only in
-its store and fold; a *bounded* dictionary walks sequentially everywhere,
-because evictions interleave with issues.
+its store and fold.
 
 Routing results are byte-identical between the two representations: the
 dictionary keeps the *folded key*, not the id, as the hash input, so a
@@ -30,12 +29,10 @@ columnar route of ``ids`` equals a scalar route of the decoded keys bit for
 bit.  The property tests in ``tests/property/test_columnar_equivalence.py``
 pin that contract.
 
-A dictionary may be *bounded* (``max_keys``): the forward ``key -> id`` map
-then evicts its oldest entries FIFO-style, like the hash-family caches it
-generalises.  Eviction only forgets the forward direction — already-issued
-ids stay decodable forever — so a re-appearing key simply gets a fresh id.
-Bounded mode trades a little id-table growth for a hard cap on the forward
-map, which matters for unbounded key spaces (e.g. file replays).
+One key, one id, for the life of a dictionary: the forward map is never
+bounded.  The head/tail schemes key their SpaceSaving table by id, so a key
+that came back under a fresh id would split its count between two counters
+and fall out of the head.
 """
 
 from __future__ import annotations
@@ -82,36 +79,20 @@ def _object_array(items: list) -> np.ndarray:
 
 
 class KeyDictionary:
-    """Append-only interning dictionary: stable dense ids for stream keys.
+    """Append-only interning dictionary: stable dense ids for stream keys."""
 
-    Parameters
-    ----------
-    max_keys:
-        Optional bound on the forward ``key -> id`` map.  ``None`` (default)
-        interns without limit; a positive value evicts the oldest forward
-        entries FIFO-style once the map is full.  Reverse lookups
-        (:meth:`key_of`, :meth:`decode`) are unaffected by eviction.
-    """
+    __slots__ = ("_forward", "_keys", "_folded", "_size", "token")
 
-    __slots__ = ("_forward", "_keys", "_folded", "_size", "_max_keys", "token")
-
-    def __init__(self, max_keys: int | None = None) -> None:
-        if max_keys is not None and max_keys < 1:
-            raise WorkloadError(f"max_keys must be >= 1 or None, got {max_keys}")
+    def __init__(self) -> None:
         self._forward: dict[Key, int] = {}
         self._keys = np.empty(_GROW, dtype=object)
         self._folded = np.empty(_GROW, dtype=np.uint64)
         self._size = 0
-        self._max_keys = max_keys
         self.token = next(_TOKENS)
 
     def __len__(self) -> int:
-        """Number of ids issued so far (monotone, unaffected by eviction)."""
+        """Number of ids issued so far, i.e. of distinct keys seen."""
         return self._size
-
-    @property
-    def max_keys(self) -> int | None:
-        return self._max_keys
 
     @property
     def folded(self) -> np.ndarray:
@@ -156,24 +137,20 @@ class KeyDictionary:
             self._folded[kid] = _key_to_int(key)
             self._size = kid + 1
             forward[lookup] = kid
-            if self._max_keys is not None and len(forward) > self._max_keys:
-                del forward[next(iter(forward))]
         return kid
 
     def intern_keys(self, keys: Iterable[Key]) -> np.ndarray:
         """Intern a sequence of keys, returning their ids as ``int64``.
 
         One dictionary probe per *message*, in stream order, exactly as
-        element-wise :meth:`intern` — in bounded mode too: an eviction takes
-        effect before the next key is looked up.  What is per chunk is the
-        store: the chunk's new keys go in with one array append and one
-        vectorised :func:`~repro.hashing.hash_family.fold_keys`.
+        element-wise :meth:`intern`.  What is per chunk is the store: the
+        chunk's new keys go in with one array append and one vectorised
+        :func:`~repro.hashing.hash_family.fold_keys`.
         """
         if not isinstance(keys, (list, tuple)):
             keys = list(keys)
         lookups = _forward_keys(keys)
         forward = self._forward
-        max_keys = self._max_keys
         base = self._size
         fresh: list = []  # forward keys of the chunk's new keys, in order
 
@@ -181,8 +158,6 @@ class KeyDictionary:
             kid = base + len(fresh)
             fresh.append(lookup)
             forward[lookup] = kid
-            if max_keys is not None and len(forward) > max_keys:
-                del forward[next(iter(forward))]
             return kid
 
         get = forward.get
@@ -229,14 +204,6 @@ class KeyDictionary:
         append — the ids, the folds and the forward map's order are those
         of element-wise :meth:`intern`.  Two draw values that ``key_fn``
         names alike share one id.
-
-        A *bounded* dictionary cannot take that route: an eviction may hit
-        a key the chunk has yet to reach.  There, a chunk holding at least
-        one unknown key walks **all** its distinct keys through
-        :meth:`intern_keys` in first-appearance order — so a key known at
-        chunk start can be evicted before its turn and is then issued a
-        fresh id, and every repeat within the chunk shares its key's one
-        id — while a chunk of known keys only walks nothing.
         """
         values = np.asarray(values)
         uniques, inverse = np.unique(values, return_inverse=True)
@@ -260,10 +227,6 @@ class KeyDictionary:
             first_positions = np.empty(uniques.size, dtype=np.int64)
             order = np.arange(values.size - 1, -1, -1)
             first_positions[inverse[order]] = order
-            if self._max_keys is not None:
-                walk = np.argsort(first_positions)
-                id_map[walk] = self.intern_keys([keys[i] for i in walk.tolist()])
-                return id_map[inverse]
             # The new values by first appearance, without a sort: mark the
             # positions, read them back in stream order.
             firsts = np.zeros(values.size, dtype=bool)
@@ -293,11 +256,11 @@ class KeyDictionary:
         return id_map[inverse]
 
     def lookup(self, key: Key) -> int | None:
-        """The current id of ``key``, or ``None`` if absent / evicted."""
+        """The id of ``key``, or ``None`` if it was never interned."""
         return self._forward.get(_forward_key(key))
 
     def key_of(self, kid: int) -> Key:
-        """Decode one id back to its key (works even after eviction)."""
+        """Decode one id back to its key."""
         if not 0 <= kid < self._size:
             raise WorkloadError(f"key id {kid} outside [0, {self._size})")
         return self._keys[kid]

@@ -86,13 +86,7 @@ class FileWorkload(Workload):
                 yield key
 
     def iter_batches_columnar(self, batch_size=8192, dictionary=None):
-        """Columnar replay.
-
-        File key spaces are unbounded, so callers replaying huge traces may
-        pass a bounded :class:`~repro.workloads.columnar.KeyDictionary`
-        (``max_keys=...``) to cap the forward map; the stream itself is
-        unaffected (evicted keys simply re-intern under fresh ids).
-        """
+        """Columnar replay: the file's keys, interned a chunk at a time."""
         from repro.workloads.columnar import iter_batches_columnar
 
         return iter_batches_columnar(self.keys(), batch_size, dictionary)

@@ -54,7 +54,8 @@ def test_cli_prints_one_line_per_workload(stream_digest, capsys):
 
 def test_digest_sees_the_forward_map_order(stream_digest):
     # Two dictionaries with the same ids, folds and keys but a different
-    # forward-map order (what a bounded dictionary evicts by) must differ.
+    # forward-map order (element-wise ``intern`` enters it in id order)
+    # must differ.
     from repro.workloads.zipf_stream import ZipfWorkload
 
     workload = ZipfWorkload(1.0, 50, 200, seed=3)

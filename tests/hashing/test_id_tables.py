@@ -75,16 +75,18 @@ class TestIdCandidateRows:
             assert tuple(rows[position].tolist()) == family.candidates(key)
             assert (columns[0][position], columns[1][position]) == family.candidates(key)
 
-    def test_tables_are_fifo_bounded_per_family(self):
-        family = HashFamily(num_functions=2, num_buckets=11, seed=1)
-        dictionaries = [KeyDictionary() for _ in range(hf._MAX_ID_TABLES + 2)]
+    def test_tables_are_fifo_bounded_per_family(self, monkeypatch):
+        monkeypatch.setattr(hf, "_MAX_ID_TABLES", 3)
+        family = HashFamily(num_functions=4, num_buckets=11, seed=1)
+        dictionaries = [KeyDictionary() for _ in range(5)]
         for dictionary in dictionaries:
             ids = _intern(dictionary, ["x", "y"])
-            family.id_candidate_rows(ids, dictionary)
-        assert len(family._id_tables) == hf._MAX_ID_TABLES
+            family.id_candidate_rows(ids, dictionary, 2)
+            # Widening a held table replaces it in place: no eviction.
+            family.id_candidate_rows(ids, dictionary, 4)
+        assert list(family._id_tables) == [d.token for d in dictionaries[2:]]
         # The oldest dictionaries were evicted; re-querying just rebuilds.
         evicted = dictionaries[0]
-        assert evicted.token not in family._id_tables
         again = family.id_candidate_rows(
             _intern(evicted, ["x", "y"]), evicted
         )

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
+from repro.hashing import hash_family
 from repro.hashing.hash_family import (
     _FOLD_MIN_KEYS,
     HashFamily,
@@ -76,14 +77,16 @@ class TestInterningCache:
         assert family.candidates("hot-key", 4) is first  # cached tuple
         assert family.candidates("hot-key", 2) == first[:2]
 
-    def test_cache_eviction_keeps_answers_correct(self):
-        family = HashFamily(num_functions=2, num_buckets=16, seed=1, cache_size=8)
-        reference = HashFamily(num_functions=2, num_buckets=16, seed=1, cache_size=0)
+    def test_cache_eviction_keeps_answers_correct(self, monkeypatch):
+        reference = HashFamily(num_functions=2, num_buckets=16, seed=1)
+        monkeypatch.setattr(hash_family, "_CANDIDATE_CACHE_LIMIT", 8)
+        family = HashFamily(num_functions=2, num_buckets=16, seed=1)
         keys = [f"key-{i % 20}" for i in range(200)]
         for key in keys:
             assert family.candidates(key, 2) == reference.candidates(key, 2)
-        # FIFO bound is respected
-        assert len(family._candidate_cache) <= 8
+        # FIFO bound is respected: the last eight distinct keys are held.
+        assert list(family._candidate_cache) == [f"key-{i}" for i in range(12, 20)]
+        assert len(reference._candidate_cache) == 20
 
     def test_bool_keys_do_not_alias_int_keys(self):
         family = HashFamily(num_functions=2, num_buckets=1000, seed=5)

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.analysis.choices import ChoicesSolution
 from repro.elasticity.policies import POLICY_NAMES, get_policy
 from repro.hashing.hash_family import HashFamily
+from repro.partitioning.head_tail import HeadTailPartitioner
 from repro.partitioning.registry import create_partitioner
 from repro.workloads.columnar import ColumnarBatch, KeyDictionary
 from repro.workloads.zipf_stream import ZipfWorkload
@@ -207,8 +208,8 @@ class TestLoadReads:
         assert scan_reads < full
 
     def test_structures_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(HeadTailPartitioner, "_HEAD_CANDIDATE_CACHE_LIMIT", 8)
         scheme = create_partitioner("FIXED-D", num_workers=50, num_choices=20)
-        monkeypatch.setattr(type(scheme), "_HEAD_CANDIDATE_CACHE_LIMIT", 8)
         for batch in _hot_batches(2 * CHUNK):
             scheme.route_batch_columnar(batch)
         assert len(scheme._head_cand_cache) == len(scheme._head_floors) == 8

@@ -124,23 +124,6 @@ class TestColumnarMatchesScalar:
         assert actual == expected
         assert columnar.local_loads == scalar.local_loads
 
-    def test_bounded_dictionary_reintern_still_routes_identically(self):
-        # Eviction forgets only the forward map; re-issued ids fold to the
-        # same hash input, so routing decisions cannot change.
-        keys = _streams("wikipedia", seed=11)[:8_000]
-        scalar = _make("PKG", num_workers=16, seed=1)
-        columnar = _make("PKG", num_workers=16, seed=1)
-        expected = [scalar.route(key) for key in keys]
-        dictionary = KeyDictionary(max_keys=64)
-        actual: list[int] = []
-        for start in range(0, len(keys), 389):
-            ids = dictionary.intern_keys(keys[start : start + 389])
-            actual.extend(
-                columnar.route_batch_columnar(ColumnarBatch(ids, dictionary, start))
-            )
-        assert actual == expected
-        assert len(dictionary) > len(set(keys))  # evictions forced re-interning
-
 
 class TestRouteStreamColumnar:
     @pytest.mark.parametrize("scheme", ["PKG", "D-C", "CH"])

@@ -2,8 +2,8 @@
 
 The columnar pipeline's whole correctness story rests on the dictionary:
 ids must be dense, stable and chunking-independent, the stored folded keys
-must equal ``_key_to_int`` of the originals, and bounded mode must only
-forget the forward direction.  These tests pin each of those properties in
+must equal ``_key_to_int`` of the originals, and a key must keep its one id
+for the life of the dictionary.  These tests pin each of those properties in
 isolation; the end-to-end byte-identity lives in
 ``tests/property/test_columnar_equivalence.py``.
 """
@@ -89,31 +89,30 @@ class TestKeyDictionary:
         # first-appearance order: 3 -> 0, 1 -> 1, 2 -> 2
         assert ids.tolist() == [0, 1, 0, 2, 1]
 
-    def test_bounded_mode_evicts_forward_entries_only(self):
-        d = KeyDictionary(max_keys=3)
-        for key in ("a", "b", "c", "d"):
-            d.intern(key)
-        # "a" (the oldest forward entry) was evicted when "d" arrived.
-        assert d.lookup("a") is None
-        assert d.lookup("b") == 1
-        # Reverse decoding survives eviction: id 0 still names "a".
-        assert d.key_of(0) == "a"
-        assert d.decode([0, 3]) == ["a", "d"]
-
-    def test_bounded_reintern_roundtrip_issues_fresh_id(self):
-        d = KeyDictionary(max_keys=3)
-        for key in ("a", "b", "c", "d"):  # evicts "a"
-            d.intern(key)
-        fresh = d.intern("a")  # re-appears: new id, old one stays decodable
-        assert fresh == 4
-        assert d.key_of(4) == "a" == d.key_of(0)
-        assert len(d) == 5
-        # Both ids fold to the same hash input, so routing is unaffected.
-        assert d.folded[0] == d.folded[4] == np.uint64(_key_to_int("a"))
-
-    def test_max_keys_validation(self):
-        with pytest.raises(WorkloadError):
-            KeyDictionary(max_keys=0)
+    @pytest.mark.parametrize(
+        "entry", ["intern", "intern_keys", "intern_int_array", "intern_mapped_array"]
+    )
+    def test_one_key_one_id_for_the_life_of_the_dictionary(self, entry):
+        # No entry point ever forgets a key: however often it repeats, and
+        # however many other keys arrive in between, it keeps its first id —
+        # the id-keyed SpaceSaving table of the head/tail schemes counts on it.
+        rng = np.random.default_rng(5)
+        d = KeyDictionary()
+        first_ids: dict = {}
+        for _ in range(40):
+            values = rng.integers(0, 3_000, size=int(rng.integers(1, 400)))
+            if entry == "intern":
+                ids = [d.intern(value) for value in values.tolist()]
+            elif entry == "intern_keys":
+                ids = d.intern_keys(values.tolist()).tolist()
+            elif entry == "intern_int_array":
+                ids = d.intern_int_array(values).tolist()
+            else:
+                ids = d.intern_mapped_array(values, "key-{}".format).tolist()
+            for value, kid in zip(values.tolist(), ids):
+                assert first_ids.setdefault(value, kid) == kid
+            assert len(d) == len(d._forward) == len(first_ids)
+        assert sorted(first_ids.values()) == list(range(len(d)))
 
     def test_decode_rejects_out_of_range(self):
         d = KeyDictionary()
@@ -124,73 +123,10 @@ class TestKeyDictionary:
             d.decode([0, 1])
 
 
-class _BoundedModel:
-    """What a bounded dictionary does with one array chunk, spelled out.
-
-    The chunk's *distinct* keys are visited in first-appearance order: a
-    hit is its id; a miss takes the next id, enters the forward map and
-    evicts the oldest entry if the map is over its bound — possibly a key
-    the chunk has yet to reach, which then misses and gets a fresh id.
-    """
-
-    def __init__(self, max_keys: int) -> None:
-        self.forward: dict = {}
-        self.issued = 0
-        self.max_keys = max_keys
-
-    def intern_chunk(self, keys: list) -> list[int]:
-        ids = {}
-        for key in dict.fromkeys(keys):
-            kid = self.forward.get(key)
-            if kid is None:
-                kid = self.issued
-                self.issued += 1
-                self.forward[key] = kid
-                if len(self.forward) > self.max_keys:
-                    del self.forward[next(iter(self.forward))]
-            ids[key] = kid
-        return [ids[key] for key in keys]
-
-
 class TestArrayInterningEdges:
     """Behaviours of ``intern_int_array`` / ``intern_mapped_array`` that the
     per-key walk provided implicitly; the bulk issue has to provide them
     on purpose."""
-
-    @pytest.mark.parametrize("key_fn", [None, "key-{}".format], ids=["ints", "named"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bounded_dictionary_walks_distinct_keys_in_stream_order(self, key_fn, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(130):
-            max_keys = int(rng.integers(1, 40))
-            dictionary = KeyDictionary(max_keys=max_keys)
-            model = _BoundedModel(max_keys)
-            for _ in range(int(rng.integers(1, 7))):
-                values = rng.integers(0, 50, size=int(rng.integers(0, 60)))
-                keys = values.tolist()
-                if key_fn is not None:
-                    keys = [key_fn(value) for value in keys]
-                ids = dictionary.intern_mapped_array(values, key_fn)
-                assert ids.dtype == np.int64
-                assert ids.tolist() == model.intern_chunk(keys)
-                assert len(dictionary) == model.issued
-                assert list(dictionary._forward.items()) == list(model.forward.items())
-                assert len(dictionary._forward) <= max_keys
-                assert dictionary.decode(ids) == keys
-
-    def test_bounded_chunk_can_evict_a_key_before_its_turn(self):
-        # The case the model exists for: "a" is known when the chunk starts,
-        # but "b" and "c" arrive first and push it out — it is re-issued.
-        dictionary = KeyDictionary(max_keys=2)
-        names = {0: "a", 1: "b", 2: "c"}
-        assert dictionary.intern_mapped_array(np.array([0]), names.get).tolist() == [0]
-        ids = dictionary.intern_mapped_array(np.array([1, 2, 0, 1]), names.get)
-        assert ids.tolist() == [1, 2, 3, 1]
-        assert dictionary.decode([0, 3]) == ["a", "a"]
-        # A chunk of known keys only walks nothing and evicts nothing.
-        before = list(dictionary._forward.items())
-        assert dictionary.intern_mapped_array(np.array([0, 2, 0]), names.get).tolist() == [3, 2, 3]
-        assert list(dictionary._forward.items()) == before == [("c", 2), ("a", 3)]
 
     def test_non_injective_key_fn_issues_one_id_per_key(self):
         dictionary = KeyDictionary()
