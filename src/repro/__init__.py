@@ -74,14 +74,7 @@ from repro.partitioning import (
     create_partitioner,
 )
 from repro.simulation import SimulationConfig, SimulationResult, run_simulation, sweep
-from repro.sketches import (
-    CountMinSketch,
-    DistributedHeavyHitters,
-    FrequencyEstimator,
-    LossyCounting,
-    MisraGries,
-    SpaceSaving,
-)
+from repro.sketches import SpaceSaving
 from repro.types import DatasetStats, LoadSnapshot, Message, RoutingDecision
 from repro.scenarios import ScenarioSpec, ScenarioWorkload, build_workload, list_scenarios
 from repro.workloads import (
@@ -115,11 +108,6 @@ __all__ = [
     "Message",
     "RoutingDecision",
     # sketches
-    "CountMinSketch",
-    "DistributedHeavyHitters",
-    "FrequencyEstimator",
-    "LossyCounting",
-    "MisraGries",
     "SpaceSaving",
     # operators / dataflow
     "AverageAggregator",

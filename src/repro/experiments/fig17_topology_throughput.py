@@ -205,7 +205,8 @@ def run(config: Fig17Config | None = None) -> ExperimentResult:
             "num_posts": config.num_posts,
             "words_per_post": config.words_per_post,
             "aggregators": config.num_aggregators,
-            "batch_size": config.batch_size,
+            # What run_scheme executes: a set ``mode`` wins over batch_size.
+            "mode": execution_mode_of(config).spec,
         },
     )
     posts = make_posts(config)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from repro.analysis.choices import DEFAULT_EPSILON, ChoicesSolution, find_optimal_choices
 from repro.exceptions import ConfigurationError
 from repro.partitioning.head_tail import HeadTailPartitioner
-from repro.sketches.base import FrequencyEstimator, runs_to_flags
+from repro.sketches.space_saving import runs_to_flags
 from repro.types import Key, RoutingDecision, WorkerId
 
 
@@ -77,7 +77,6 @@ class DChoices(HeadTailPartitioner):
         theta: float | None = None,
         seed: int = 0,
         epsilon: float = DEFAULT_EPSILON,
-        sketch: FrequencyEstimator | None = None,
         warmup_messages: int = 100,
         recompute_interval: int = 1000,
         check_interval: int = 200,
@@ -86,7 +85,6 @@ class DChoices(HeadTailPartitioner):
             num_workers,
             theta=theta,
             seed=seed,
-            sketch=sketch,
             warmup_messages=warmup_messages,
         )
         if epsilon < 0.0:
@@ -133,11 +131,7 @@ class DChoices(HeadTailPartitioner):
         total = sketch.total
         # The solver consumes the sorted count multiset only; head_counts
         # skips materialising the key -> count mapping of current_head().
-        counts_of = getattr(sketch, "head_counts", None)
-        if counts_of is not None:
-            head_counts = sorted(counts_of(self._theta), reverse=True)
-        else:  # duck-typed estimator
-            head_counts = sorted(self.current_head().values(), reverse=True)
+        head_counts = sorted(sketch.head_counts(self._theta), reverse=True)
         if not head_counts or total == 0:
             return ChoicesSolution(
                 num_choices=2, use_w_choices=False, head_cardinality=0
@@ -179,13 +173,7 @@ class DChoices(HeadTailPartitioner):
         """
         self._messages_at_last_check = routed
         sketch = self._sketch
-        signature_of = getattr(sketch, "head_signature", None)
-        if signature_of is not None:
-            cardinality, hottest_count = signature_of(self._theta)
-        else:  # duck-typed estimator: derive the pair from the full head
-            head = sketch.heavy_hitters(self._theta)
-            cardinality = len(head)
-            hottest_count = max(head.values()) if head else 0
+        cardinality, hottest_count = sketch.head_signature(self._theta)
         total = max(1, sketch.total)
         hottest = hottest_count / total if cardinality else 0.0
         signature = (cardinality, hottest)
@@ -273,7 +261,7 @@ class DChoices(HeadTailPartitioner):
         sketch = self._sketch
         theta = self._theta
         warmup = self._warmup_messages
-        add_and_estimate = getattr(sketch, "add_and_estimate", None)
+        add_and_estimate = sketch.add_and_estimate
         out: list[WorkerId] = []
         # kids[placed:position] are classified into runs / tail_kids and wait
         # to be placed under `selection`.
@@ -300,13 +288,8 @@ class DChoices(HeadTailPartitioner):
             total = sketch.total
             for position in range(position, total_messages):
                 kid = kids[position]
-                if add_and_estimate is not None:
-                    estimate = add_and_estimate(kid)
-                    total += 1
-                else:  # duck-typed estimator
-                    sketch.add(kid)
-                    estimate = sketch.estimate(kid)
-                    total = sketch.total
+                estimate = add_and_estimate(kid)
+                total += 1
                 if total >= warmup and estimate >= theta * total:
                     self._maybe_recompute_at(routed_before + position)
                     refreshed = self._head_selection()

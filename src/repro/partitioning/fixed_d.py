@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.exceptions import ConfigurationError
 from repro.partitioning.head_tail import HeadTailPartitioner
-from repro.sketches.base import FrequencyEstimator
 from repro.types import Key, RoutingDecision, WorkerId
 
 
@@ -35,14 +34,12 @@ class FixedDHead(HeadTailPartitioner):
         num_choices: int,
         theta: float | None = None,
         seed: int = 0,
-        sketch: FrequencyEstimator | None = None,
         warmup_messages: int = 100,
     ) -> None:
         super().__init__(
             num_workers,
             theta=theta,
             seed=seed,
-            sketch=sketch,
             warmup_messages=warmup_messages,
         )
         if num_choices < 2:

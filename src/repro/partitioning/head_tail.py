@@ -26,13 +26,13 @@ from repro.exceptions import ConfigurationError
 from repro.fifo_map import FifoMap
 from repro.hashing.hash_family import HashFamily
 from repro.partitioning.base import Partitioner
-from repro.sketches.base import FrequencyEstimator, runs_to_flags
-from repro.sketches.space_saving import SpaceSaving
+from repro.sketches.space_saving import SpaceSaving, runs_to_flags
 from repro.types import Key, RoutingDecision, WorkerId
 
 #: How many counters the per-source SpaceSaving keeps relative to ``1/theta``.
 #: 1.0 is the minimum that guarantees no false negatives; a little slack
 #: sharpens the estimates at negligible memory cost (the sketch stays O(n)).
+#: Every sizing — construction, growth on a join, adoption — uses it.
 DEFAULT_SKETCH_SLACK = 2.0
 
 
@@ -47,10 +47,6 @@ class HeadTailPartitioner(Partitioner):
         Head threshold; defaults to the paper's ``1/(5n)``.
     seed:
         Hashing seed shared by all sources.
-    sketch:
-        Frequency estimator to use; defaults to a SpaceSaving sketch sized
-        for ``theta``.  Ablation experiments inject MisraGries or
-        LossyCounting here.
     warmup_messages:
         Number of initial messages routed purely with the tail (PKG) path
         before the sketch estimates are trusted.  Avoids declaring the very
@@ -62,7 +58,6 @@ class HeadTailPartitioner(Partitioner):
         num_workers: int,
         theta: float | None = None,
         seed: int = 0,
-        sketch: FrequencyEstimator | None = None,
         warmup_messages: int = 100,
     ) -> None:
         super().__init__(num_workers, seed)
@@ -79,14 +74,8 @@ class HeadTailPartitioner(Partitioner):
             )
         self._theta = theta
         self._warmup_messages = warmup_messages
-        # Remember the provisioning slack so a rescale can re-check the
-        # sizing guarantee: our own sketches are built with
-        # DEFAULT_SKETCH_SLACK; for injected estimators only the bare
-        # no-false-negative requirement (capacity >= 1/theta) is assumed.
-        self._sketch_slack = DEFAULT_SKETCH_SLACK if sketch is None else 1.0
-        if sketch is None:
-            sketch = SpaceSaving.for_threshold(theta, slack=DEFAULT_SKETCH_SLACK)
-        self._sketch = sketch
+        # The sender-local head table: every partitioner owns its sketch.
+        self._sketch = SpaceSaving.for_threshold(theta, slack=DEFAULT_SKETCH_SLACK)
         # Hash functions: the tail uses the first two; head schemes may use
         # up to n of them, so allocate the full family once (never fewer than
         # two functions — the tail path always asks for two candidates, even
@@ -119,7 +108,7 @@ class HeadTailPartitioner(Partitioner):
         return self._theta
 
     @property
-    def sketch(self) -> FrequencyEstimator:
+    def sketch(self) -> SpaceSaving:
         return self._sketch
 
     def current_head(self) -> dict[Key, int]:
@@ -224,26 +213,11 @@ class HeadTailPartitioner(Partitioner):
         """Run-length classification of a chunk (see ``add_and_classify_runs``).
 
         Returns the head-run lengths around each tail message and fills
-        ``tail_out`` with the tail keys, all in one sketch pass.  Duck-typed
-        estimators without the bulk op get the reference ``add`` +
-        ``estimate`` loop.
+        ``tail_out`` with the tail keys, all in one sketch pass.
         """
-        bulk = getattr(self._sketch, "add_and_classify_runs", None)
-        if bulk is not None:
-            return bulk(keys, self._theta, self._warmup_messages, tail_out)
-        sketch = self._sketch
-        theta = self._theta
-        warmup = self._warmup_messages
-        runs = [0]
-        for key in keys:
-            sketch.add(key)
-            total = sketch.total
-            if total >= warmup and sketch.estimate(key) >= theta * total:
-                runs[-1] += 1
-            else:
-                runs.append(0)
-                tail_out.append(key)
-        return runs
+        return self._sketch.add_and_classify_runs(
+            keys, self._theta, self._warmup_messages, tail_out
+        )
 
     def _route_runs(
         self,
@@ -527,11 +501,7 @@ class HeadTailPartitioner(Partitioner):
 
     def reset(self) -> None:
         super().reset()
-        # Every built-in sketch resets in place; injected estimators without
-        # a reset() keep their counts (documented best-effort behaviour).
-        reset = getattr(self._sketch, "reset", None)
-        if callable(reset):
-            reset()
+        self._sketch.reset()
         self._flush_head_caches()
 
     def _rescale_structures(self, old_num_workers: int, new_num_workers: int) -> None:
@@ -563,27 +533,23 @@ class HeadTailPartitioner(Partitioner):
         # The dictionary binding survives: the sketch still holds its ids.
         self._flush_head_caches()
 
+    def _required_capacity(self) -> int:
+        """The counters the current theta needs (what ``for_threshold`` sizes)."""
+        return max(1, math.ceil(DEFAULT_SKETCH_SLACK / self._theta))
+
     def _ensure_sketch_capacity(self) -> None:
         """Grow the sketch when the current theta needs more counters.
 
-        Best-effort for injected estimators: only sketches exposing both
-        ``capacity`` and ``grow`` (SpaceSaving does) are resized; growth
-        preserves every monitored count, so the head table survives.
+        Growth preserves every monitored count, so the head table survives.
         """
-        capacity = getattr(self._sketch, "capacity", None)
-        grow = getattr(self._sketch, "grow", None)
-        if capacity is None or not callable(grow):
-            return
-        required = max(1, math.ceil(self._sketch_slack / self._theta))
-        if capacity < required:
-            grow(required)
+        required = self._required_capacity()
+        if self._sketch.capacity < required:
+            self._sketch.grow(required)
 
     def _export_structures(self, state: dict) -> None:
         state["theta"] = self._theta
         state["warmup_messages"] = self._warmup_messages
-        export = getattr(self._sketch, "export_state", None)
-        if callable(export):
-            state["sketch"] = export()
+        state["sketch"] = self._sketch.export_state()
         # The candidate cache is a pure derivation, but re-deriving it is
         # the only cost a switch pays per hot key — carry it along, tagged
         # with the hashing identity it was derived under.
@@ -598,8 +564,7 @@ class HeadTailPartitioner(Partitioner):
             # head is hot from the first adopted message.  The capacity is
             # at least what *this* scheme's theta requires — an adopter with
             # a smaller theta gets the extra counters its guarantee needs.
-            required = max(1, math.ceil(self._sketch_slack / self._theta))
-            capacity = max(required, int(sketch_state["capacity"]))
+            capacity = max(self._required_capacity(), int(sketch_state["capacity"]))
             self._sketch = SpaceSaving.from_state(sketch_state, capacity=capacity)
         self._flush_head_caches()
         if state.get("seed") == self._seed and state.get("num_workers") == self._num_workers:

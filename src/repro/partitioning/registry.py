@@ -89,7 +89,8 @@ def create_partitioner(name: str, num_workers: int, **kwargs) -> Partitioner:
 
     Keyword arguments are forwarded to the scheme's constructor, so callers
     can pass ``seed``, ``theta``, ``epsilon``, ``num_choices`` (for
-    GREEDY-D), an injected ``sketch``, etc.
+    GREEDY-D), ``warmup_messages``, etc.  Unknown keywords raise
+    ``TypeError``.
 
     Examples
     --------

@@ -33,7 +33,7 @@ class SimulationConfig:
         agree on key candidates.
     scheme_options:
         Extra keyword arguments forwarded to the partitioner constructor
-        (``theta``, ``epsilon``, ``num_choices``, ``sketch`` ...).
+        (``theta``, ``epsilon``, ``num_choices``, ``warmup_messages`` ...).
     track_interval:
         Record the imbalance every ``track_interval`` messages.  0 disables
         the time series (only the final snapshot is kept), which speeds up

@@ -1,42 +1,19 @@
-"""Frequency-estimation sketches (heavy-hitter algorithms).
+"""The heavy-hitter sketch.
 
-The paper's head/tail split relies on detecting heavy hitters online.  The
-authors use the SpaceSaving algorithm (Metwally et al., ICDT 2005) and note
-that it generalises to the distributed setting (Berinde et al., TODS 2010).
-
-This subpackage implements:
-
-* :class:`~repro.sketches.space_saving.SpaceSaving` — the paper's sketch,
-  with the stream-summary bucket structure giving O(1) amortised updates;
-* :class:`~repro.sketches.misra_gries.MisraGries` — the classic deterministic
-  counter-based alternative;
-* :class:`~repro.sketches.lossy_counting.LossyCounting` — Manku & Motwani's
-  epsilon-deficient counting;
-* :class:`~repro.sketches.count_min.CountMinSketch` — a linear sketch used as
-  an ablation alternative;
-* :func:`~repro.sketches.distributed.merge_summaries` and
-  :class:`~repro.sketches.distributed.DistributedHeavyHitters` — mergeable
-  summaries across sources, following the weighted-merge result of Berinde
-  et al.
-
-All estimators share the :class:`~repro.sketches.base.FrequencyEstimator`
-interface, so the partitioners can swap them for ablation studies.
+The paper's head/tail split relies on detecting heavy hitters online with the
+SpaceSaving algorithm (Metwally et al., ICDT 2005): each source runs its own
+:class:`~repro.sketches.space_saving.SpaceSaving` over the sub-stream it
+sees, and Algorithm 1's head test ``estimate >= theta * total`` is stated on
+its estimates.  The stream-summary implementation gives O(1) amortised
+updates, a fused bulk classification pass for batched routing, in-place
+growth for rescales, a transplantable state for scheme switches and the
+mergeable-summaries merge (Berinde et al., TODS 2010) the top-k operator
+uses.
 """
 
-from repro.sketches.base import FrequencyEstimate, FrequencyEstimator
-from repro.sketches.count_min import CountMinSketch
-from repro.sketches.distributed import DistributedHeavyHitters, merge_summaries
-from repro.sketches.lossy_counting import LossyCounting
-from repro.sketches.misra_gries import MisraGries
-from repro.sketches.space_saving import SpaceSaving
+from repro.sketches.space_saving import FrequencyEstimate, SpaceSaving
 
 __all__ = [
-    "CountMinSketch",
-    "DistributedHeavyHitters",
     "FrequencyEstimate",
-    "FrequencyEstimator",
-    "LossyCounting",
-    "MisraGries",
     "SpaceSaving",
-    "merge_summaries",
 ]

@@ -49,15 +49,55 @@ class-entry order.  What that costs per message, the partitioners calling
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 from repro.exceptions import ConfigurationError, SketchError
-from repro.sketches.base import FrequencyEstimate, FrequencyEstimator, runs_to_flags
 from repro.types import Key
 
 #: Sentinel distinct from every stream key (including ``None``) for run
 #: detection in :meth:`SpaceSaving.add_all`.
 _NO_KEY = object()
+
+
+def runs_to_flags(runs: Sequence[int]) -> list[bool]:
+    """Expand head-run lengths back into one boolean flag per message.
+
+    Inverse of the run-length classification contract (see
+    :meth:`SpaceSaving.add_and_classify_runs`): ``runs[i]`` heads, then one
+    tail, for every entry but the last, which is the trailing head run.  The
+    expansion runs on C-speed ``extend`` calls, so deriving flags from runs
+    is cheap enough that the sketch only implements the run form of the
+    fused pass.
+    """
+    flags: list[bool] = []
+    extend = flags.extend
+    append = flags.append
+    for run in runs[:-1]:
+        if run:
+            extend([True] * run)
+        append(False)
+    trailing = runs[-1]
+    if trailing:
+        extend([True] * trailing)
+    return flags
+
+
+@dataclass(frozen=True, slots=True)
+class FrequencyEstimate:
+    """A monitored key's estimated count and its overestimation bound.
+
+    The true count lies in ``[count - error, count]``.
+    """
+
+    key: Key
+    count: int
+    error: int = 0
+
+    @property
+    def guaranteed_count(self) -> int:
+        """A lower bound on the true count of this key."""
+        return max(0, self.count - self.error)
 
 
 class _Bucket:
@@ -79,7 +119,7 @@ class _Bucket:
         self.next: Optional["_Bucket"] = None
 
 
-class SpaceSaving(FrequencyEstimator):
+class SpaceSaving:
     """Stream-summary implementation of SpaceSaving.
 
     Parameters
@@ -140,10 +180,11 @@ class SpaceSaving(FrequencyEstimator):
         return cls(capacity)
 
     # ------------------------------------------------------------------ #
-    # FrequencyEstimator interface
+    # streaming interface
     # ------------------------------------------------------------------ #
     @property
     def total(self) -> int:
+        """Total number of items observed so far."""
         return self._total
 
     @property
@@ -228,12 +269,15 @@ class SpaceSaving(FrequencyEstimator):
         warmup: int = 0,
         tail_out: list | None = None,
     ) -> list[bool]:
-        """Fused bulk update + head classification (see the base contract).
+        """Fused bulk update + head classification, one flag per key.
 
-        The flags are derived from :meth:`add_and_classify_runs` — the run
-        pass is the one true hot loop and the expansion runs at C speed —
-        so the bulk forms share a single inlined copy of the update
-        machinery.
+        For every key, in order: ``add(key)``, then flag it as head when the
+        observed total has reached ``warmup`` and the key's fresh estimate is
+        at least ``threshold * total``; ``tail_out``, when given, receives
+        the tail keys in stream order.  The flags are derived from
+        :meth:`add_and_classify_runs` — the run pass is the one true hot
+        loop and the expansion runs at C speed — so the bulk forms share a
+        single inlined copy of the update machinery.
         """
         return runs_to_flags(
             self.add_and_classify_runs(keys, threshold, warmup, tail_out)
@@ -247,6 +291,13 @@ class SpaceSaving(FrequencyEstimator):
         tail_out: list | None = None,
     ) -> list[int]:
         """Fused bulk update + run-length head classification.
+
+        Returns the chunk's head/tail interleaving of
+        :meth:`add_and_classify_batch` as head-run lengths: ``runs[i]`` is
+        the number of consecutive head messages immediately before the
+        ``i``-th tail message, and the final entry is the trailing head run,
+        so ``len(runs) == number_of_tails + 1``.  ``tail_out`` receives the
+        tail keys in stream order.
 
         THE routing hot loop: every message of every head/tail scheme's
         batch path goes through here exactly once.  The whole update of
@@ -426,8 +477,12 @@ class SpaceSaving(FrequencyEstimator):
         self._capacity = new_capacity
 
     def estimate(self, key: Key) -> int:
+        """Estimated count of ``key`` (0 for keys not monitored)."""
         bucket = self._where.get(key)
         return bucket.count if bucket is not None else 0
+
+    def __contains__(self, key: Key) -> bool:
+        return key in self._where
 
     def error(self, key: Key) -> int:
         """Overestimation bound for ``key`` (0 if the key is not monitored)."""
@@ -442,6 +497,7 @@ class SpaceSaving(FrequencyEstimator):
         return bucket.count - bucket.keys[key]
 
     def entries(self) -> Iterator[FrequencyEstimate]:
+        """Every monitored key, count classes ascending."""
         bucket = self._head
         while bucket is not None:
             for key, error in bucket.keys.items():
@@ -451,6 +507,20 @@ class SpaceSaving(FrequencyEstimator):
     def min_count(self) -> int:
         """Smallest monitored count (0 when the sketch is empty)."""
         return self._head.count if self._head is not None else 0
+
+    def heavy_hitters(self, threshold: float) -> dict[Key, int]:
+        """Keys whose estimated relative frequency is at least ``threshold``.
+
+        Maps each such key to its estimated count.  There are no false
+        negatives while ``capacity >= 1 / threshold``; false positives are
+        possible and harmless for the partitioners (a tail key treated as
+        head only gains placement freedom).
+        """
+        total = self._total
+        if total == 0:
+            return {}
+        cutoff = threshold * total
+        return {entry.key: entry.count for entry in self.entries() if entry.count >= cutoff}
 
     def head_signature(self, threshold: float) -> tuple[int, int]:
         """``(len(heavy_hitters(threshold)), hottest count)`` without the dict.
@@ -479,9 +549,10 @@ class SpaceSaving(FrequencyEstimator):
         return (cardinality, hottest)
 
     def head_counts(self, threshold: float) -> list[int]:
-        """The head's estimated counts from one bucket walk (see the base
-        contract): each qualifying count class contributes its count once
-        per monitored key, no per-key objects or dict involved."""
+        """``list(heavy_hitters(threshold).values())`` from one bucket walk:
+        each qualifying count class contributes its count once per monitored
+        key, no per-key objects or dict involved.  The D-Choices solver only
+        needs the sorted count multiset."""
         total = self._total
         if total == 0:
             return []
@@ -693,7 +764,7 @@ class SpaceSaving(FrequencyEstimator):
         return sketch
 
     # ------------------------------------------------------------------ #
-    # merging (used by the distributed generalisation)
+    # merging (mergeable summaries: the top-k operator's partial states)
     # ------------------------------------------------------------------ #
     def merge(self, other: "SpaceSaving") -> "SpaceSaving":
         """Return a new sketch summarising the union of both streams.

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adaptive.partitioner import AdaptivePartitioner
 from repro.elasticity.policies import get_policy
 from repro.execution import ExecutionMode, SenderGroup, spans
 from repro.partitioning.registry import available_schemes, create_partitioner
@@ -181,3 +182,34 @@ class TestSenderGroup:
         order = [(row["position"], row["source"]) for row in rows]
         assert order == sorted(order)
         assert _build("PKG", 3).switch_log() == []
+
+
+def _sketch_of(partitioner):
+    """The sender's heavy-hitter sketch (AD's is its monitor)."""
+    if isinstance(partitioner, AdaptivePartitioner):
+        return partitioner._monitor
+    return partitioner.sketch
+
+
+class TestSenderLocalSketches:
+    """Section V-A: heavy hitters are detected per sender, on the share of
+    the stream that sender was dealt — never on a sketch shared with the
+    others."""
+
+    @pytest.mark.parametrize("scheme", ["D-C", "W-C", "RR", "FIXED-D", "AD"])
+    def test_each_sender_owns_a_sketch_fed_its_share(self, scheme):
+        num_senders = 5
+        group = _build(scheme, num_senders)
+        sketches = [_sketch_of(p) for p in group.partitioners]
+        assert len({id(sketch) for sketch in sketches}) == num_senders
+
+        keys = [
+            f"key-{rank}"
+            for rank in ZipfWorkload(exponent=1.2, num_keys=2_000, num_messages=10_000, seed=3)
+        ]
+        for span, index in spans(keys, group, ExecutionMode.columnar(97)):
+            group.route_span(span, index)
+
+        for sender, partitioner in enumerate(group.partitioners):
+            share = len(range(sender, len(keys), num_senders))
+            assert _sketch_of(partitioner).total == share

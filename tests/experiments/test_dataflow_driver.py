@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import fig17_topology_throughput as fig17
@@ -60,6 +62,12 @@ class TestFig17:
             return merge_partial_states(partials, lambda a, b: a + b)
 
         assert totals(result_dc) == totals(result_kg)
+
+    def test_parameters_record_the_mode_that_ran(self, tiny_config, fig17_result):
+        assert fig17_result.parameters["mode"] == "columnar:1024"
+        scalar = fig17.run(replace(tiny_config, mode="scalar", schemes=("KG",)))
+        assert scalar.parameters["mode"] == "scalar"
+        assert "batch_size" not in scalar.parameters
 
     def test_batch_size_does_not_change_metrics(self, tiny_config):
         scalar, _ = fig17.run_scheme(tiny_config, "W-C", batch_size=1)

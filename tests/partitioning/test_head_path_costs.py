@@ -375,40 +375,17 @@ class TestFloorSoundness:
 # ---------------------------------------------------------------------- #
 # the solver check reads the sketch exactly as of the triggering message
 # ---------------------------------------------------------------------- #
-class _CountingSketch:
-    """A duck-typed estimator: exact counts, none of the bulk operations."""
-
-    def __init__(self) -> None:
-        self.counts: dict = {}
-        self.total = 0
-
-    def add(self, key, count=1):
-        self.counts[key] = self.counts.get(key, 0) + count
-        self.total += count
-
-    def estimate(self, key):
-        return self.counts.get(key, 0)
-
-    def heavy_hitters(self, threshold):
-        cutoff = threshold * self.total
-        return {key: count for key, count in self.counts.items() if count >= cutoff}
-
-
-def _head_view(sketch, theta):
-    signature = getattr(sketch, "head_signature", None)
-    if signature is not None:
-        return signature(theta)
-    head = sketch.heavy_hitters(theta)
-    return (len(head), max(head.values(), default=0))
-
-
 class TestChecksSeeTheTriggeringMessage:
     """Placement is deferred across checkpoints, the sketch feed is not: at
     every check, kernel and oracle must look at the same sketch."""
 
-    @pytest.mark.parametrize("sketch", [None, _CountingSketch], ids=["space-saving", "injected"])
-    def test_head_signature_and_total_at_every_check(self, sketch):
-        def traced(**options):
+    # The default theta (1/(5n)) and an explicit, coarser one: a smaller
+    # sketch that evicts on most misses and a head that churns across checks.
+    @pytest.mark.parametrize(
+        "options", [{}, {"theta": 0.2}], ids=["space-saving", "coarse-theta"]
+    )
+    def test_head_signature_and_total_at_every_check(self, options):
+        def traced():
             partitioner = create_partitioner(
                 "D-C", num_workers=20, seed=1, check_interval=60,
                 recompute_interval=300, **options,
@@ -417,19 +394,18 @@ class TestChecksSeeTheTriggeringMessage:
             check = partitioner._maybe_recompute_at
 
             def recording_check(routed):
-                view = _head_view(partitioner.sketch, partitioner.theta)
+                view = partitioner.sketch.head_signature(partitioner.theta)
                 seen.append((routed, partitioner.sketch.total, view))
                 check(routed)
 
             partitioner._maybe_recompute_at = recording_check
             return partitioner, seen
 
-        make = (lambda: {}) if sketch is None else (lambda: {"sketch": sketch()})
         keys = [f"key-{rank}" for rank in ZipfWorkload(1.3, 400, 9_000, seed=8)]
-        oracle, expected = traced(**make())
+        oracle, expected = traced()
         for key in keys:
             oracle.route(key)
-        kernel, seen = traced(**make())
+        kernel, seen = traced()
         for start in range(0, len(keys), 1_111):
             kernel.route_batch(keys[start : start + 1_111])
 

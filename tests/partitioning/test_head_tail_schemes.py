@@ -7,9 +7,10 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.partitioning.d_choices import DChoices
 from repro.partitioning.fixed_d import FixedDHead
+from repro.partitioning.registry import create_partitioner
 from repro.partitioning.round_robin_head import RoundRobinHead
 from repro.partitioning.w_choices import WChoices
-from repro.sketches.misra_gries import MisraGries
+from repro.sketches.space_saving import SpaceSaving
 from repro.workloads.zipf_stream import ZipfWorkload
 
 
@@ -60,12 +61,13 @@ class TestHeadTailCommon:
         assert cold_decision.is_head is False
         assert len(cold_decision.candidates) == 2
 
-    def test_injected_sketch_is_used(self):
-        sketch = MisraGries(capacity=64)
-        scheme = WChoices(num_workers=8, sketch=sketch, warmup_messages=0)
-        for _ in range(50):
-            scheme.route("hot")
-        assert sketch.total == 50
+    @pytest.mark.parametrize("scheme", ["D-C", "W-C", "RR", "FIXED-D", "AD"])
+    def test_sketch_is_not_injectable(self, scheme):
+        # Every sender builds its own SpaceSaving; there is no option to
+        # hand it one (a shared object would merge the senders' heads).
+        options = {"num_choices": 3} if scheme == "FIXED-D" else {}
+        with pytest.raises(TypeError):
+            create_partitioner(scheme, 8, sketch=SpaceSaving(capacity=64), **options)
 
     def test_reset_restores_fresh_state(self):
         scheme = DChoices(num_workers=8, warmup_messages=0)

@@ -166,80 +166,6 @@ class TestDChoicesCheckpointEquivalence:
         assert actual == expected
 
 
-class TestInjectedSketchEquivalence:
-    """The classified pipeline must stay byte-identical under every
-    FrequencyEstimator of the ablation suite — including the ones without a
-    fused bulk override, which exercise the reference fallback."""
-
-    @staticmethod
-    def _sketches():
-        from repro.sketches.count_min import CountMinSketch
-        from repro.sketches.lossy_counting import LossyCounting
-        from repro.sketches.misra_gries import MisraGries
-
-        return {
-            "misra-gries": lambda: MisraGries(capacity=60),
-            "lossy-counting": lambda: LossyCounting(epsilon=0.02),
-            "count-min": lambda: CountMinSketch(width=256, depth=3, top_k=32, seed=5),
-        }
-
-    @pytest.mark.parametrize("scheme", ["D-C", "W-C", "RR"])
-    @pytest.mark.parametrize("sketch_name", ["misra-gries", "lossy-counting", "count-min"])
-    def test_batch_matches_scalar_with_injected_sketch(self, scheme, sketch_name):
-        keys = _zipf_keys(6, n=6_000)
-        build = self._sketches()[sketch_name]
-        sequential = create_partitioner(
-            scheme, num_workers=14, seed=4, sketch=build(), warmup_messages=100
-        )
-        batched = create_partitioner(
-            scheme, num_workers=14, seed=4, sketch=build(), warmup_messages=100
-        )
-        expected = [sequential.route(key) for key in keys]
-        actual: list[int] = []
-        flags: list[bool] = []
-        for start in range(0, len(keys), 701):
-            actual.extend(
-                batched.route_batch(keys[start : start + 701], head_flags=flags)
-            )
-        assert actual == expected
-        assert batched.local_loads == sequential.local_loads
-        assert len(flags) == len(keys)
-
-    def test_duck_typed_estimator_without_bulk_ops(self):
-        # A minimal estimator that predates the bulk contract: only add /
-        # estimate / total / entries.  The pipeline must fall back to the
-        # reference loop and still match scalar routing.
-        class MinimalSketch:
-            def __init__(self):
-                self.counts: dict = {}
-                self.total = 0
-
-            def add(self, key, count=1):
-                self.counts[key] = self.counts.get(key, 0) + count
-                self.total += count
-
-            def estimate(self, key):
-                return self.counts.get(key, 0)
-
-            def heavy_hitters(self, threshold):
-                cutoff = threshold * self.total
-                return {k: c for k, c in self.counts.items() if c >= cutoff}
-
-        keys = _zipf_keys(2, n=4_000)
-        for scheme in ("D-C", "W-C"):
-            sequential = create_partitioner(
-                scheme, num_workers=9, seed=6, sketch=MinimalSketch()
-            )
-            batched = create_partitioner(
-                scheme, num_workers=9, seed=6, sketch=MinimalSketch()
-            )
-            expected = [sequential.route(key) for key in keys]
-            actual: list[int] = []
-            for start in range(0, len(keys), 333):
-                actual.extend(batched.route_batch(keys[start : start + 333]))
-            assert actual == expected, scheme
-
-
 class TestEngineBatchingInvariance:
     @pytest.mark.parametrize("scheme", ["PKG", "D-C", "W-C", "SG"])
     def test_simulation_results_independent_of_batch_size(self, scheme):

@@ -1,4 +1,4 @@
-"""Property-based tests (hypothesis) for the frequency sketches."""
+"""Property-based tests (hypothesis) for the SpaceSaving sketch."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketches.lossy_counting import LossyCounting
-from repro.sketches.misra_gries import MisraGries
 from repro.sketches.space_saving import SpaceSaving
 
 #: Streams of small-alphabet keys: collisions and evictions are frequent,
@@ -82,39 +80,3 @@ class TestSpaceSavingProperties:
         for entry in merged.entries():
             assert entry.count >= exact[entry.key]
 
-
-class TestMisraGriesProperties:
-    @given(stream=key_streams, capacity=capacities)
-    @settings(max_examples=60, deadline=None)
-    def test_never_overestimates_and_bounded_deficit(self, stream, capacity):
-        sketch = MisraGries(capacity=capacity)
-        sketch.add_all(stream)
-        exact = Counter(stream)
-        for key, count in exact.items():
-            estimate = sketch.estimate(key)
-            assert estimate <= count
-            assert count - estimate <= len(stream) / (capacity + 1) + 1e-9
-
-    @given(stream=key_streams, capacity=capacities)
-    @settings(max_examples=60, deadline=None)
-    def test_size_bounded_by_capacity(self, stream, capacity):
-        sketch = MisraGries(capacity=capacity)
-        sketch.add_all(stream)
-        assert len(sketch) <= capacity
-        assert sketch.total == len(stream)
-
-
-class TestLossyCountingProperties:
-    @given(
-        stream=key_streams,
-        epsilon=st.floats(min_value=0.02, max_value=0.5),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_never_overestimates_and_bounded_deficit(self, stream, epsilon):
-        sketch = LossyCounting(epsilon=epsilon)
-        sketch.add_all(stream)
-        exact = Counter(stream)
-        for key, count in exact.items():
-            estimate = sketch.estimate(key)
-            assert estimate <= count
-            assert count - estimate <= epsilon * len(stream) + 1

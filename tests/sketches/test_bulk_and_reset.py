@@ -1,4 +1,4 @@
-"""Bulk updates and in-place reset across the sketch implementations."""
+"""Bulk updates and in-place reset of the SpaceSaving sketch."""
 
 from __future__ import annotations
 
@@ -8,9 +8,6 @@ import pytest
 
 from repro.partitioning.head_tail import HeadTailPartitioner
 from repro.partitioning.w_choices import WChoices
-from repro.sketches.count_min import CountMinSketch
-from repro.sketches.lossy_counting import LossyCounting
-from repro.sketches.misra_gries import MisraGries
 from repro.sketches.space_saving import SpaceSaving
 
 
@@ -52,25 +49,41 @@ class TestSpaceSavingBulk:
         assert sketch.estimate("a") == 3
 
 
+def _fed(capacity, stream):
+    sketch = SpaceSaving(capacity=capacity)
+    for key in stream:
+        sketch.add(key)
+    return sketch
+
+
+def _grown_after_feeding(stream):
+    sketch = _fed(8, stream)
+    sketch.grow(16)
+    return sketch
+
+
+def _merged_after_feeding(stream):
+    half = len(stream) // 2
+    return _fed(16, stream[:half]).merge(_fed(16, stream[half:]))
+
+
 class TestSketchReset:
     @pytest.mark.parametrize(
-        "factory",
+        "used_sketch, capacity",
         [
-            lambda: SpaceSaving(capacity=16),
-            lambda: MisraGries(capacity=16),
-            lambda: LossyCounting(epsilon=0.05),
-            lambda: CountMinSketch(width=64, depth=3),
+            (lambda stream: _fed(16, stream), 16),
+            (lambda stream: _fed(1, stream), 1),
+            (_grown_after_feeding, 16),
+            (_merged_after_feeding, 16),
         ],
-        ids=["space_saving", "misra_gries", "lossy_counting", "count_min"],
+        ids=["space_saving", "capacity_1", "grown", "merged"],
     )
-    def test_reset_behaves_like_a_fresh_sketch(self, factory):
+    def test_reset_behaves_like_a_fresh_sketch(self, used_sketch, capacity):
         rng = random.Random(3)
         stream = [rng.randrange(200) for _ in range(5_000)]
-        used = factory()
-        for key in stream:
-            used.add(key)
+        used = used_sketch(stream)
         used.reset()
-        fresh = factory()
+        fresh = SpaceSaving(capacity=capacity)
         assert used.total == 0
         for key in stream[:1_000]:
             used.add(key)
@@ -78,6 +91,7 @@ class TestSketchReset:
         assert used.total == fresh.total
         assert {e.key for e in used.entries()} == {e.key for e in fresh.entries()}
         assert all(used.estimate(k) == fresh.estimate(k) for k in set(stream[:1_000]))
+        assert used.export_state() == fresh.export_state()
 
     def test_space_saving_reset_keeps_capacity(self):
         sketch = SpaceSaving(capacity=4)
@@ -89,22 +103,16 @@ class TestSketchReset:
 
 
 class TestHeadTailResetPath:
-    def test_default_and_injected_sketches_reset_identically(self):
-        # Both go through sketch.reset() now — no isinstance special case —
-        # so a reset partitioner must route exactly like a fresh one.
-        for sketch_factory in (None, lambda: MisraGries(capacity=50)):
-            kwargs = {}
-            if sketch_factory is not None:
-                kwargs["sketch"] = sketch_factory()
-            used = WChoices(num_workers=10, seed=3, **kwargs)
-            keys = [f"k{i % 40}" for i in range(4_000)]
-            for key in keys:
-                used.route(key)
-            used.reset()
-            fresh_kwargs = {}
-            if sketch_factory is not None:
-                fresh_kwargs["sketch"] = sketch_factory()
-            fresh = WChoices(num_workers=10, seed=3, **fresh_kwargs)
-            assert [used.route(k) for k in keys] == [fresh.route(k) for k in keys]
-            assert used.sketch is not None  # same injected object, cleared
-            assert isinstance(used, HeadTailPartitioner)
+    def test_reset_partitioner_routes_like_a_fresh_one(self):
+        # The sketch resets in place, so a reset partitioner must route
+        # exactly like a fresh one.
+        used = WChoices(num_workers=10, seed=3)
+        sketch = used.sketch
+        keys = [f"k{i % 40}" for i in range(4_000)]
+        for key in keys:
+            used.route(key)
+        used.reset()
+        fresh = WChoices(num_workers=10, seed=3)
+        assert [used.route(k) for k in keys] == [fresh.route(k) for k in keys]
+        assert used.sketch is sketch  # same object, cleared
+        assert isinstance(used, HeadTailPartitioner)

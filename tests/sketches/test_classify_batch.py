@@ -1,12 +1,20 @@
-"""The fused bulk classification contract of every sketch.
+"""The fused bulk classification contract of the sketch.
 
 ``add_and_classify_batch`` / ``add_and_classify_runs`` are the hot path of
 batched head/tail routing; their flags must be byte-identical to the
-reference per-message ``add`` + ``estimate`` loop for every sketch, every
-threshold and every warmup, or batched routing silently diverges from
+reference per-message ``add`` + ``estimate`` loop for every sketch shape,
+every threshold and every warmup, or batched routing silently diverges from
 scalar.  ``head_signature`` and ``head_counts`` are the cheap accessors the
 D-Choices solver throttle polls; their semantics are pinned to
-``heavy_hitters`` — including each sketch's own cutoff correction.
+``heavy_hitters``.
+
+The rows are the shapes the fused pass meets in the partitioners: a sketch
+that evicts on most misses (capacity 1), one that never evicts (capacity
+above every stream's distinct keys), one grown in place between chunks (a
+rescale that lowers theta), one rebuilt from its exported state between
+chunks (an adopted state) and one rebuilt by ``merge`` between chunks (the
+top-k operator's partial states: ``merge`` inserts counters largest first,
+the reverse of ``from_state``).
 """
 
 from __future__ import annotations
@@ -15,18 +23,35 @@ import random
 
 import pytest
 
-from repro.sketches.base import runs_to_flags
-from repro.sketches.count_min import CountMinSketch
-from repro.sketches.lossy_counting import LossyCounting
-from repro.sketches.misra_gries import MisraGries
-from repro.sketches.space_saving import SpaceSaving
+from repro.sketches.space_saving import SpaceSaving, runs_to_flags
 from repro.workloads.zipf_stream import ZipfWorkload
 
+CHUNK = 997
+
+
+def _grown(sketch: SpaceSaving) -> SpaceSaving:
+    sketch.grow(sketch.capacity + 7)
+    return sketch
+
+
+def _rebuilt(sketch: SpaceSaving) -> SpaceSaving:
+    return SpaceSaving.from_state(sketch.export_state())
+
+
+def _merged(sketch: SpaceSaving) -> SpaceSaving:
+    # An empty partner is not full, so no minimum is added: the merge keeps
+    # every counter and the total, and only rebuilds the summary.
+    return sketch.merge(SpaceSaving(capacity=sketch.capacity))
+
+
+#: name -> (fresh sketch, what happens to it between two chunks)
 SKETCHES = {
-    "space-saving": lambda: SpaceSaving(capacity=40),
-    "misra-gries": lambda: MisraGries(capacity=40),
-    "lossy-counting": lambda: LossyCounting(epsilon=0.02),
-    "count-min": lambda: CountMinSketch(width=128, depth=3, top_k=32, seed=7),
+    "space-saving": (lambda: SpaceSaving(capacity=40), None),
+    "capacity-1": (lambda: SpaceSaving(capacity=1), None),
+    "never-evicts": (lambda: SpaceSaving(capacity=1_000), None),
+    "grown": (lambda: SpaceSaving(capacity=8), _grown),
+    "from-state": (lambda: SpaceSaving(capacity=40), _rebuilt),
+    "merged": (lambda: SpaceSaving(capacity=40), _merged),
 }
 
 
@@ -38,6 +63,23 @@ def _streams():
     return {"zipf": zipf, "uniform": uniform, "bursty": bursty}
 
 
+def _chunked(name, keys, step):
+    """Feed ``keys`` to a fresh ``name`` sketch in chunks of ``CHUNK``.
+
+    ``step(sketch, chunk)`` consumes one chunk and returns its per-message
+    results (or ``None``); the row's between-chunks hook runs at every
+    chunk boundary.  Returns the final sketch and the concatenated results.
+    """
+    fresh, between = SKETCHES[name]
+    sketch = fresh()
+    results: list = []
+    for start in range(0, len(keys), CHUNK):
+        if start and between is not None:
+            sketch = between(sketch)
+        results.extend(step(sketch, keys[start : start + CHUNK]) or ())
+    return sketch, results
+
+
 def _reference_flags(sketch, keys, threshold, warmup):
     flags = []
     for key in keys:
@@ -47,6 +89,10 @@ def _reference_flags(sketch, keys, threshold, warmup):
     return flags
 
 
+def _filled(name, keys):
+    return _chunked(name, keys, lambda sketch, chunk: sketch.add_all(chunk))[0]
+
+
 class TestAddAndClassifyBatch:
     @pytest.mark.parametrize("name", SKETCHES)
     @pytest.mark.parametrize("stream", ["zipf", "uniform", "bursty"])
@@ -54,37 +100,39 @@ class TestAddAndClassifyBatch:
     def test_flags_match_reference_loop(self, name, stream, warmup):
         keys = _streams()[stream]
         threshold = 0.05
-        reference = SKETCHES[name]()
-        expected = _reference_flags(reference, keys, threshold, warmup)
-
-        fused = SKETCHES[name]()
+        reference, expected = _chunked(
+            name, keys, lambda sketch, chunk: _reference_flags(sketch, chunk, threshold, warmup)
+        )
         tails: list = []
-        actual: list[bool] = []
-        for start in range(0, len(keys), 997):  # chunking must not matter
-            actual.extend(
-                fused.add_and_classify_batch(
-                    keys[start : start + 997], threshold, warmup, tails
-                )
-            )
+        fused, actual = _chunked(
+            name,
+            keys,
+            lambda sketch, chunk: sketch.add_and_classify_batch(chunk, threshold, warmup, tails),
+        )
 
         assert actual == expected
         assert fused.total == reference.total == len(keys)
+        assert fused.export_state() == reference.export_state()
         assert tails == [key for key, hot in zip(keys, expected) if not hot]
 
     @pytest.mark.parametrize("name", SKETCHES)
     def test_runs_encode_the_same_classification(self, name):
         keys = _streams()["zipf"]
         threshold = 0.05
-        flat = SKETCHES[name]()
-        expected = flat.add_and_classify_batch(keys, threshold, 50)
+        flat, expected = _chunked(
+            name, keys, lambda sketch, chunk: sketch.add_and_classify_batch(chunk, threshold, 50)
+        )
 
-        run_form = SKETCHES[name]()
-        tails: list = []
-        runs = run_form.add_and_classify_runs(keys, threshold, 50, tails)
+        def runs_of(sketch, chunk):
+            tails: list = []
+            runs = sketch.add_and_classify_runs(chunk, threshold, 50, tails)
+            assert sum(runs) + len(tails) == len(chunk)
+            assert len(runs) == len(tails) + 1
+            return runs_to_flags(runs)
 
-        assert runs_to_flags(runs) == expected
-        assert sum(runs) + len(tails) == len(keys)
-        assert len(runs) == len(tails) + 1
+        run_form, actual = _chunked(name, keys, runs_of)
+
+        assert actual == expected
         assert run_form.total == flat.total
 
     def test_empty_chunk(self):
@@ -99,16 +147,15 @@ class TestHeadSignature:
     @pytest.mark.parametrize("stream", ["zipf", "uniform", "bursty"])
     @pytest.mark.parametrize("threshold", [0.01, 0.05, 0.3])
     def test_signature_pins_heavy_hitters_len_and_max(self, name, stream, threshold):
-        sketch = SKETCHES[name]()
-        for key in _streams()[stream]:
-            sketch.add(key)
+        sketch = _filled(name, _streams()[stream])
         head = sketch.heavy_hitters(threshold)
         expected = (len(head), max(head.values())) if head else (0, 0)
         assert sketch.head_signature(threshold) == expected
 
     @pytest.mark.parametrize("name", SKETCHES)
     def test_signature_of_empty_sketch(self, name):
-        assert SKETCHES[name]().head_signature(0.1) == (0, 0)
+        fresh, _ = SKETCHES[name]
+        assert fresh().head_signature(0.1) == (0, 0)
 
     def test_signature_checked_at_every_prefix(self):
         # The D-Choices throttle may read the signature at any stream
@@ -126,9 +173,7 @@ class TestHeadCounts:
     @pytest.mark.parametrize("name", SKETCHES)
     @pytest.mark.parametrize("threshold", [0.01, 0.05, 0.3])
     def test_counts_are_heavy_hitters_values(self, name, threshold):
-        sketch = SKETCHES[name]()
-        for key in _streams()["zipf"]:
-            sketch.add(key)
+        sketch = _filled(name, _streams()["zipf"])
         expected = sorted(sketch.heavy_hitters(threshold).values())
         assert sorted(sketch.head_counts(threshold)) == expected
 

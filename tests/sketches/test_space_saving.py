@@ -101,6 +101,20 @@ class TestBasicCounting:
         sketch.add("a", count=5)
         assert sketch.estimate("a") == 15
 
+    def test_add_with_count_matches_repeated_add(self):
+        # Through a full sketch too: the weighted miss replaces the minimum
+        # once and inherits its count, like the first of the single adds.
+        bulk = SpaceSaving(capacity=3)
+        single = SpaceSaving(capacity=3)
+        for sketch in (bulk, single):
+            sketch.add_all(["a", "b", "b", "c", "c", "c"])
+        bulk.add("d", count=5)
+        bulk.add("b", count=4)
+        for key, count in (("d", 5), ("b", 4)):
+            for _ in range(count):
+                single.add(key)
+        assert bulk.export_state() == single.export_state()
+
     def test_add_rejects_non_positive_count(self):
         sketch = SpaceSaving(capacity=4)
         with pytest.raises(SketchError):
@@ -216,6 +230,23 @@ class TestMerge:
         right.add_all(stream_right)
         merged = left.merge(right)
         exact = _exact_counts(stream_left + stream_right)
+        for entry in merged.entries():
+            assert entry.count >= exact[entry.key]
+
+    def test_chained_merges_sum_totals_and_never_underestimate(self):
+        # Merged results merge again (the top-k operator folds every
+        # instance's partial state into one): the guarantees compose.
+        streams = [list(ZipfWorkload(1.5, 200, 3_000, seed=seed)) for seed in range(4)]
+        sketches = []
+        for stream in streams:
+            sketch = SpaceSaving(capacity=40)
+            sketch.add_all(stream)
+            sketches.append(sketch)
+        merged = sketches[0]
+        for sketch in sketches[1:]:
+            merged = merged.merge(sketch)
+        assert merged.total == sum(len(stream) for stream in streams)
+        exact = _exact_counts(key for stream in streams for key in stream)
         for entry in merged.entries():
             assert entry.count >= exact[entry.key]
 
