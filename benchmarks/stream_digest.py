@@ -21,6 +21,16 @@ The script reads the checkout it lives in (it puts that checkout's ``src/``
 first on the path, as ``bench/run.py`` does), so two trees are compared by
 running each tree's copy and diffing the output.  ``--messages`` above
 ``200_000`` crosses the workloads' draw-chunk boundary.
+
+The ``routing:<scheme>:<workload>`` lines go one layer down: for every
+registered scheme over two of the workloads, the per-message worker
+sequence (``int64``) and head flags (``bool``) of a five-sender
+:class:`~repro.execution.SenderGroup` — the paper's deal (Section V-A).
+The stream is routed twice, through ``spans`` / ``route_span`` on
+``columnar:4096`` and through the scalar ``route_with_decision`` deal
+(message ``i`` to sender ``i % 5``); the script fails unless the two agree,
+then hashes the result.  A kernel change that only makes routing faster must
+leave every one of these lines alone.
 """
 
 from __future__ import annotations
@@ -34,6 +44,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.execution import ExecutionMode, SenderGroup, spans  # noqa: E402
+from repro.partitioning.registry import available_schemes  # noqa: E402
 from repro.scenarios.catalog import build_workload  # noqa: E402
 from repro.workloads.columnar import KeyDictionary  # noqa: E402
 from repro.workloads.drift import DriftingZipfWorkload  # noqa: E402
@@ -61,6 +73,21 @@ WORKLOADS = {
 }
 
 
+#: The workloads of the routing lines: the benchmark's ``sim_hot`` key space
+#: (integer keys, p1 = 0.32) and string keys at the paper's real-data skew.
+ROUTING_WORKLOADS = ("zipf-1.4-1e4", "wikipedia-like")
+ROUTING_SENDERS = 5
+ROUTING_WORKERS = 50
+ROUTING_MODE = ExecutionMode.columnar(4096)
+#: Constructor options of the schemes that need one; AD's clocks are short
+#: enough for its senders to switch within a few thousand messages.
+ROUTING_OPTIONS: dict[str, dict[str, object]] = {
+    "GREEDY-D": {"num_choices": 4},
+    "FIXED-D": {"num_choices": 5},
+    "AD": {"check_interval": 200, "policy": "dwell=300"},
+}
+
+
 def stream_digest(workload) -> str:
     """Hex SHA-256 of the workload's ids, folds, keys and forward map."""
     dictionary = KeyDictionary()
@@ -72,6 +99,63 @@ def stream_digest(workload) -> str:
     digest.update(repr(keys).encode("utf-8"))
     digest.update(repr(list(dictionary._forward.items())).encode("utf-8"))
     return digest.hexdigest()
+
+
+def _group(scheme: str) -> SenderGroup:
+    return SenderGroup.build(
+        scheme, ROUTING_SENDERS, ROUTING_WORKERS, seed=SEED,
+        **ROUTING_OPTIONS.get(scheme, {}),
+    )
+
+
+def span_routing(scheme: str, workload, num_messages: int):
+    """``(workers, heads)`` of the columnar deal: ``spans`` -> ``route_span``."""
+    group = _group(scheme)
+    workers = np.empty(num_messages, dtype=np.int64)
+    heads = np.zeros(num_messages, dtype=bool)
+    for span, index in spans(workload, group, ROUTING_MODE):
+        span_workers, span_heads = group.route_span(span, index)
+        workers[index : index + len(span)] = span_workers
+        if span_heads is not None:
+            heads[index : index + len(span)] = span_heads
+    return workers, heads
+
+
+def scalar_routing(scheme: str, workload):
+    """``(workers, heads)`` of the per-message oracle deal."""
+    senders = _group(scheme).partitioners
+    decisions = [
+        senders[index % len(senders)].route_with_decision(key)
+        for index, key in enumerate(workload)
+    ]
+    return (
+        np.array([decision.worker for decision in decisions], dtype=np.int64),
+        np.array([decision.is_head for decision in decisions], dtype=bool),
+    )
+
+
+def routing_digest(scheme: str, factory, num_messages: int) -> str:
+    """Hex SHA-256 of one scheme's worker and head-flag sequences."""
+    workers, heads = span_routing(scheme, factory(num_messages), num_messages)
+    oracle_workers, oracle_heads = scalar_routing(scheme, factory(num_messages))
+    if not (
+        np.array_equal(workers, oracle_workers) and np.array_equal(heads, oracle_heads)
+    ):
+        raise AssertionError(f"{scheme}: the columnar deal differs from the scalar one")
+    digest = hashlib.sha256()
+    digest.update(workers.tobytes())
+    digest.update(heads.tobytes())
+    return digest.hexdigest()
+
+
+def routing_digests(num_messages: int) -> dict[str, str]:
+    return {
+        f"routing:{scheme}:{name}": routing_digest(
+            scheme, WORKLOADS[name], num_messages
+        )
+        for scheme in available_schemes()
+        for name in ROUTING_WORKLOADS
+    }
 
 
 def digests(num_messages: int) -> dict[str, str]:
@@ -88,7 +172,8 @@ def main(argv: list[str] | None = None) -> int:
         help="stream length per workload (default: 460000)",
     )
     args = parser.parse_args(argv)
-    for name, value in digests(args.messages).items():
+    lines = {**digests(args.messages), **routing_digests(args.messages)}
+    for name, value in lines.items():
         print(f"{value}  {name}  messages={args.messages}")
     return 0
 

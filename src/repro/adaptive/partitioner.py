@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.adaptive.policy import DriftMetrics, SwitchPolicy
 from repro.adaptive.tuner import ParameterTuner
 from repro.analysis.bounds import theta_range
@@ -230,13 +232,13 @@ class AdaptivePartitioner(Partitioner):
         self._monitor.add(self._dictionary().intern(key))
         return self._delegate.route_with_decision(key)
 
-    def _route_ids(self, ids, head_flags):
+    def _route_ids(self, ids):
         # Split at the per-source checkpoints, exactly where the scalar
         # path would evaluate the policy; each span feeds the monitor and
         # goes to the delegate's id kernel (same dictionary, see
-        # _bind_dictionary).
+        # _bind_dictionary), and the delegate's columns are concatenated.
         total = len(ids)
-        out: list[WorkerId] = []
+        parts: list[tuple[np.ndarray, np.ndarray | None]] = []
         interval = self._check_interval
         position = 0
         while position < total:
@@ -247,9 +249,18 @@ class AdaptivePartitioner(Partitioner):
             )
             part = ids[position : position + span]
             self._monitor.add_all(part.tolist())
-            out.extend(self._delegate._route_ids(part, head_flags))
+            parts.append(self._delegate._route_ids(part))
             position += span
-        return out
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return np.empty(0, np.int64), None
+        workers = np.concatenate([part for part, _ in parts])
+        if all(heads is None for _, heads in parts):
+            return workers, None
+        return workers, np.concatenate(
+            [np.zeros(len(part), bool) if heads is None else heads for part, heads in parts]
+        )
 
     def _bind_dictionary(self, dictionary) -> None:
         # The monitor and the delegate's own head table must share one id

@@ -275,7 +275,7 @@ class TopologyRuntime:
             outgoing = self._outgoing[vertex_name]
             # --- route: one batched call per distinct sender ------------ #
             if senders is None:
-                workers = group.route_span(batch, base)
+                workers = group.route_span(batch, base)[0].tolist()
                 if messages is None:
                     if not outgoing and all(
                         hasattr(instance, "execute_batch_ids")
@@ -406,7 +406,7 @@ class TopologyRuntime:
             index: [] for index in range(len(self._edges))
         }
         for edge_index in self._source_edge_indices:
-            workers = self._groups[edge_index].route_span(batch, base)
+            workers = self._groups[edge_index].route_span(batch, base)[0].tolist()
             pending[edge_index] = [
                 ((position, edge_index, 0), worker, message)
                 for position, (worker, message) in enumerate(zip(workers, messages))

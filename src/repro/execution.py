@@ -43,10 +43,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence, Union
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.partitioning.base import Partitioner
 from repro.partitioning.registry import canonical_name, create_partitioner
-from repro.types import Key, WorkerId
+from repro.types import Key
 from repro.workloads.columnar import ColumnarBatch, iter_batches_columnar
 
 #: Default chunk length of the columnar path, shared by every entry point.
@@ -238,44 +240,40 @@ class SenderGroup:
         return len(self.partitioners)
 
     def route_span(
-        self,
-        batch: ColumnarBatch,
-        base_index: int,
-        head_flags: list[bool] | None = None,
-    ) -> list[WorkerId]:
-        """Route one span of the stream; one worker per message, in order.
+        self, batch: ColumnarBatch, base_index: int
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Route one span of the stream; returns ``(workers, heads)``.
 
-        ``base_index`` is the global stream index of the span's first
-        message.  Each sender's share is a strided view over the id array,
-        dealt by *global* index — the shift keeps the deal right when a span
-        boundary (a workload's own chunk granularity, a rescale offset) is
-        not a multiple of ``num_senders`` — and the routed shares scatter
-        back into stream order by slice assignment.  Senders share no
-        state, so every sender sees exactly the key subsequence per-message
-        dealing would hand it.  ``head_flags`` follows the
-        ``route_batch_columnar`` contract: one boolean per message, appended
-        in stream order.
+        ``workers`` holds one ``int64`` worker per message, in stream order;
+        ``heads`` is the ``bool`` head mask, ``None`` when no sender
+        classified any message of the span head — the id kernel's contract,
+        span-wide.  ``base_index`` is the global stream index of the span's
+        first message.  Each sender's share is a strided view over the id
+        array, dealt by *global* index — the shift keeps the deal right when
+        a span boundary (a workload's own chunk granularity, a rescale
+        offset) is not a multiple of ``num_senders`` — and the routed shares
+        scatter back into stream order by strided slice assignment.  Senders
+        share no state, so every sender sees exactly the key subsequence
+        per-message dealing would hand it.
         """
         senders = self.partitioners
         count = len(senders)
         if count == 1:
-            return senders[0].route_batch_columnar(batch, head_flags=head_flags)
-        workers: list[WorkerId] = [0] * len(batch)
-        flags = None if head_flags is None else [False] * len(batch)
+            return senders[0]._route_columnar(batch)
+        workers = np.empty(len(batch), dtype=np.int64)
+        heads = None
         for sender, partitioner in enumerate(senders):
             offset = (sender - base_index) % count
             share = batch.strided(offset, count)
             if not len(share):
                 continue
-            share_flags: list[bool] | None = None if flags is None else []
-            workers[offset::count] = partitioner.route_batch_columnar(
-                share, head_flags=share_flags
-            )
-            if flags is not None:
-                flags[offset::count] = share_flags
-        if flags is not None:
-            head_flags.extend(flags)
-        return workers
+            share_workers, share_heads = partitioner._route_columnar(share)
+            workers[offset::count] = share_workers
+            if share_heads is not None:
+                if heads is None:
+                    heads = np.zeros(len(batch), dtype=bool)
+                heads[offset::count] = share_heads
+        return workers, heads
 
     def rescale(self, policy, new_num_workers: int) -> None:
         """Apply a :class:`~repro.elasticity.policies.RescalePolicy` to

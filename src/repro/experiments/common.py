@@ -140,7 +140,7 @@ def route_stream(
     group = SenderGroup([partitioner])
     out: list[WorkerId] = []
     for span, index in spans(keys, group, resolved):
-        out.extend(group.route_span(span, index))
+        out.extend(group.route_span(span, index)[0].tolist())
     return out
 
 

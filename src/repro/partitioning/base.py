@@ -17,10 +17,14 @@ Every scheme has exactly two routing implementations, each with one role:
   (:meth:`_select_worker` is the same selection without the decision
   object; overrides must make the identical choice.)
 * the *id kernel* — :meth:`_route_ids` — routes a whole ``int64`` array of
-  interned key ids and is the only batched implementation.  Both batched
-  entry points end there: :meth:`route_batch_columnar` hands over the ids a
-  columnar stream already carries, :meth:`route_batch` interns its key list
-  first.  The kernel must pick exactly the workers the oracle would.
+  interned key ids and is the only batched implementation.  It answers in
+  columns — an ``int64`` worker array and a ``bool`` head mask (``None``
+  when the batch held no head message) — which ``SenderGroup.route_span``
+  scatters and the simulation engine accounts without converting.  Both
+  public batched entry points end there and convert once, to the lists
+  they return: :meth:`route_batch_columnar` hands over the ids a columnar
+  stream already carries, :meth:`route_batch` interns its key list first.
+  The kernel must pick exactly the workers the oracle would.
 
 One id namespace per partitioner: key ids come from a single
 :class:`~repro.workloads.columnar.KeyDictionary` — the stream's, once a
@@ -152,7 +156,9 @@ class Partitioner(abc.ABC):
         """
         if len(keys) <= _ORACLE_FRAGMENT:
             return self._route_scalar(keys, head_flags)
-        return self._route_ids(self._dictionary().intern_keys(keys), head_flags)
+        return self._listed(
+            self._route_ids(self._dictionary().intern_keys(keys)), head_flags
+        )
 
     def _route_scalar(
         self, keys: Sequence[Key], head_flags: list[bool] | None
@@ -180,13 +186,21 @@ class Partitioner(abc.ABC):
         forfeits the point of interning once, so streams should not be mixed
         without a :meth:`reset`.
         """
+        return self._listed(self._route_columnar(batch), head_flags)
+
+    def _route_columnar(self, batch) -> tuple[np.ndarray, np.ndarray | None]:
+        """Bind ``batch``'s dictionary on first use, then run the id kernel.
+
+        The array form of :meth:`route_batch_columnar`, for consumers that
+        keep the decisions as columns (``SenderGroup.route_span``).
+        """
         dictionary = self._id_dict
         if dictionary is None:
             dictionary = batch.dictionary
             self._bind_dictionary(dictionary)
         if batch.dictionary is dictionary:
-            return self._route_ids(batch.ids, head_flags)
-        return self._route_ids(dictionary.intern_keys(batch.keys()), head_flags)
+            return self._route_ids(batch.ids)
+        return self._route_ids(dictionary.intern_keys(batch.keys()))
 
     def route_with_decision(self, key: Key) -> RoutingDecision:
         """Like :meth:`route` but returns the full :class:`RoutingDecision`."""
@@ -339,20 +353,23 @@ class Partitioner(abc.ABC):
         """
         return self._select(key).worker
 
-    def _route_ids(
-        self, ids: np.ndarray, head_flags: list[bool] | None
-    ) -> list[WorkerId]:
+    def _route_ids(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The id kernel: route ``ids`` (issued by ``self._id_dict``).
 
-        Must update the load vector and ``messages_routed`` and extend
-        ``head_flags`` exactly as the scalar oracle would, message by
-        message.  The default decodes and runs the oracle itself — always
-        correct; schemes override it to route straight off the id array
-        (hashing through the per-id candidate tables of
+        Returns ``(workers, heads)``: one ``int64`` worker per message, and
+        the ``bool`` head flags — ``None`` when no message was classified
+        head.  Must update the load vector and ``messages_routed`` and pick
+        the workers and flags the scalar oracle would, message by message.
+        The default decodes and runs the oracle itself — always correct;
+        schemes override it to route straight off the id array (hashing
+        through the per-id candidate tables of
         :class:`~repro.hashing.hash_family.HashFamily`, which hash the
         dictionary's *folded keys*, so results stay bit-identical).
         """
-        return self._route_scalar(self._id_dict.decode(ids), head_flags)
+        flags: list[bool] = []
+        workers = self._route_scalar(self._id_dict.decode(ids), flags)
+        heads = np.array(flags, dtype=bool)
+        return np.fromiter(workers, np.int64, len(workers)), heads if heads.any() else None
 
     # ------------------------------------------------------------------ #
     # the id namespace
@@ -415,6 +432,20 @@ class Partitioner(abc.ABC):
         loads = self._state.loads
         level = min(loads)
         return level, [w for w, load in enumerate(loads) if load == level]
+
+    @staticmethod
+    def _listed(
+        routed: tuple[np.ndarray, np.ndarray | None], head_flags: list[bool] | None
+    ) -> list[WorkerId]:
+        """The list contract of the public batched entry points over the id
+        kernel's columns: workers as Python ints, flags appended to the
+        caller's list."""
+        workers, heads = routed
+        if head_flags is not None:
+            head_flags.extend(
+                [False] * len(workers) if heads is None else heads.tolist()
+            )
+        return workers.tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -14,6 +14,8 @@ paper's evaluation line-up.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.fifo_map import FifoMap
 from repro.hashing.consistent import ConsistentHashRing
@@ -56,7 +58,7 @@ class ConsistentGrouping(Partitioner):
         worker = self._ring.lookup(key)
         return RoutingDecision(key=key, worker=worker, candidates=(worker,))
 
-    def _route_ids(self, ids, head_flags):
+    def _route_ids(self, ids):
         dictionary = self._id_dict
         tag = (dictionary.token, self._ring_epoch)
         cache = self._id_owner_cache
@@ -77,9 +79,7 @@ class ConsistentGrouping(Partitioner):
             loads[worker] += 1
             append(worker)
         state.messages_routed += len(out)
-        if head_flags is not None:
-            head_flags.extend([False] * len(out))
-        return out
+        return np.fromiter(out, np.int64, len(out)), None
 
     def _rescale_structures(self, old_num_workers: int, new_num_workers: int) -> None:
         # The whole point of the ring: joining workers only steal the arcs

@@ -30,6 +30,8 @@ change of ``d`` only, and the hash rounds under them by none.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.analysis.choices import DEFAULT_EPSILON, ChoicesSolution, find_optimal_choices
 from repro.exceptions import ConfigurationError
 from repro.partitioning.head_tail import HeadTailPartitioner
@@ -224,7 +226,7 @@ class DChoices(HeadTailPartitioner):
             return ("all", 0)
         return ("d", max(2, solution.num_choices))
 
-    def _route_ids(self, ids, head_flags):
+    def _route_ids(self, ids):
         """Batched D-Choices: checkpoints split classification, not placement.
 
         The head path reads the sketch and the message counter through the
@@ -251,7 +253,9 @@ class DChoices(HeadTailPartitioner):
         calls per chunk however many checkpoints it holds.
 
         The message counter only needs to be *read* at checkpoints, so it is
-        reconstructed arithmetically instead of stored per message.
+        reconstructed arithmetically instead of stored per message.  The
+        placements of every call land in one worker list, and their runs in
+        one run list, so the chunk converts to columns once.
         """
         kids = ids.tolist()
         total_messages = len(kids)
@@ -267,6 +271,7 @@ class DChoices(HeadTailPartitioner):
         # to be placed under `selection`.
         selection = self._head_selection()
         runs = [0]
+        chunk_runs = [0]
         tail_kids: list[int] = []
         placed = 0
         position = 0
@@ -297,8 +302,8 @@ class DChoices(HeadTailPartitioner):
                         self._route_runs(
                             kids[placed:position], runs, tail_kids, selection, out
                         )
-                        if head_flags is not None:
-                            head_flags.extend(runs_to_flags(runs))
+                        chunk_runs[-1] += runs[0]
+                        chunk_runs += runs[1:]
                         selection = refreshed
                         runs = [0]
                         tail_kids = []
@@ -311,10 +316,10 @@ class DChoices(HeadTailPartitioner):
             else:
                 position = total_messages
         self._route_runs(kids[placed:], runs, tail_kids, selection, out)
-        if head_flags is not None:
-            head_flags.extend(runs_to_flags(runs))
+        chunk_runs[-1] += runs[0]
+        chunk_runs += runs[1:]
         state.messages_routed = routed_before + total_messages
-        return out
+        return np.fromiter(out, np.int64, total_messages), runs_to_flags(chunk_runs)
 
     def reset(self) -> None:
         super().reset()

@@ -11,6 +11,8 @@ D-Choices (d >= 2 for the head) and, in the limit, W-Choices.  The standalone
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.hashing.hash_family import HashFamily
 from repro.partitioning.base import Partitioner
@@ -71,7 +73,7 @@ class GreedyD(Partitioner):
     def key_candidates(self, key: Key) -> tuple[WorkerId, ...]:
         return self._hashes.candidates(key, self._num_choices)
 
-    def _route_ids(self, ids, head_flags):
+    def _route_ids(self, ids):
         rows = self._hashes.id_candidate_rows(
             ids, self._id_dict, self._num_choices
         ).tolist()
@@ -93,6 +95,4 @@ class GreedyD(Partitioner):
             loads[best] += 1
             append(best)
         state.messages_routed += len(out)
-        if head_flags is not None:
-            head_flags.extend([False] * len(out))
-        return out
+        return np.fromiter(out, np.int64, len(out)), None

@@ -176,7 +176,7 @@ class HeadTailPartitioner(Partitioner):
         loads = self._state.loads
         return first if loads[first] <= loads[second] else second
 
-    def _route_ids(self, ids, head_flags):
+    def _route_ids(self, ids):
         """Batched Algorithm 1: classify the chunk in bulk, then route runs.
 
         One bulk sketch pass classifies every message
@@ -200,9 +200,7 @@ class HeadTailPartitioner(Partitioner):
         out: list[WorkerId] = []
         self._route_runs(kids, runs, tail_kids, self._head_selection(), out)
         self._state.messages_routed += len(out)
-        if head_flags is not None:
-            head_flags.extend(runs_to_flags(runs))
-        return out
+        return np.fromiter(out, np.int64, len(out)), runs_to_flags(runs)
 
     # ------------------------------------------------------------------ #
     # classified batch pipeline

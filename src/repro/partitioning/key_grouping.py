@@ -48,7 +48,7 @@ class KeyGrouping(Partitioner):
     def key_candidates(self, key: Key) -> tuple[WorkerId, ...]:
         return self._hashes.candidates(key, 1)
 
-    def _route_ids(self, ids, head_flags):
+    def _route_ids(self, ids):
         # KG is stateless per message, so the whole batch vectorizes: one
         # table gather, one bincount to update the load vector.
         workers = self._hashes.id_candidate_rows(ids, self._id_dict, 1)[:, 0]
@@ -58,8 +58,5 @@ class KeyGrouping(Partitioner):
         for worker, count in enumerate(counts):
             if count:
                 loads[worker] += count
-        count = int(workers.size)
-        state.messages_routed += count
-        if head_flags is not None:
-            head_flags.extend([False] * count)
-        return workers.tolist()
+        state.messages_routed += int(workers.size)
+        return workers, None

@@ -12,6 +12,8 @@ working.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.hashing.hash_family import HashFamily
 from repro.partitioning.base import Partitioner
 from repro.types import Key, RoutingDecision, WorkerId
@@ -54,7 +56,7 @@ class PartialKeyGrouping(Partitioner):
     def key_candidates(self, key: Key) -> tuple[WorkerId, ...]:
         return self._hashes.candidates(key, 2)
 
-    def _route_ids(self, ids, head_flags):
+    def _route_ids(self, ids):
         # Column-major candidates gathered from the per-id table: two flat
         # int lists instead of one small list per message, walked with zip
         # (whose result tuple CPython recycles) — the selection loop
@@ -69,6 +71,4 @@ class PartialKeyGrouping(Partitioner):
             loads[worker] += 1
             append(worker)
         state.messages_routed += len(out)
-        if head_flags is not None:
-            head_flags.extend([False] * len(out))
-        return out
+        return np.fromiter(out, np.int64, len(out)), None

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.partitioning.base import Partitioner
 from repro.types import Key, RoutingDecision, WorkerId
 
@@ -44,15 +46,15 @@ class ShuffleGrouping(Partitioner):
     ) -> list[WorkerId]:
         # SG never reads the key, so there is nothing to intern: only the
         # batch length reaches the kernel.
-        return self._route_ids(range(len(keys)), head_flags)
+        return self._listed(self._route_ids(range(len(keys))), head_flags)
 
-    def _route_ids(self, ids, head_flags):
+    def _route_ids(self, ids):
         # Round-robin ignores the keys entirely: the batch is an arithmetic
         # sequence mod n and the load vector update is closed-form.
         count = len(ids)
         n = self._num_workers
         start = self._next
-        out = [(start + offset) % n for offset in range(count)]
+        out = (start + np.arange(count)) % n
         self._next = (start + count) % n
         state = self._state
         loads = state.loads
@@ -63,9 +65,7 @@ class ShuffleGrouping(Partitioner):
         for offset in range(remainder):
             loads[(start + offset) % n] += 1
         state.messages_routed += count
-        if head_flags is not None:
-            head_flags.extend([False] * count)
-        return out
+        return out, None
 
     def reset(self) -> None:
         super().reset()

@@ -296,7 +296,7 @@ def source_main(
             poll_control()
             observe_fences()
             dictionary = batch.dictionary
-            workers = np.asarray(group.route_span(batch, index), dtype=np.int64)
+            workers, _ = group.route_span(batch, index)
             high_water = len(dictionary)
             for worker_id in worker_range:
                 ids = batch.ids[workers == worker_id]

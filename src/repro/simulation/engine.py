@@ -31,6 +31,7 @@ keys moved, state migrated/lost and tuples misrouted.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -175,9 +176,7 @@ class SimulationEngine:
                 while events and events[0].offset <= index:
                     self._apply_rescale(events.pop(0))
                 self._columnar_dict = span.dictionary
-                flags: list[bool] = []
-                workers = self._group.route_span(span, index, flags)
-                self._account_span(span.ids, workers, flags)
+                self._account_span(span.ids, *self._group.route_span(span, index))
         num_messages = self._tracker.messages_seen
         if num_messages == 0:
             raise ConfigurationError("cannot simulate an empty workload")
@@ -232,7 +231,7 @@ class SimulationEngine:
                 window_series.maybe_record(tracker)
 
     def _account_span(
-        self, ids: np.ndarray, workers: list[WorkerId], flags: list[bool]
+        self, ids: np.ndarray, workers: np.ndarray, heads: np.ndarray | None
     ) -> None:
         """Record one routed span: columnar between sample points.
 
@@ -249,13 +248,18 @@ class SimulationEngine:
         bijection, so every set-valued metric — memory entries, distinct
         head keys — is unchanged), and the misroute accountant ticks in id
         space too, consistent with the id-space moved-key sets of
-        :meth:`_apply_rescale`.
+        :meth:`_apply_rescale`.  ``workers`` and ``heads`` are the columns of
+        ``SenderGroup.route_span``.
         """
         count = len(workers)
 
         def account_fragment(start: int, stop: int) -> None:
             self._account_messages(
-                zip(ids[start:stop].tolist(), workers[start:stop], flags[start:stop])
+                zip(
+                    ids[start:stop].tolist(),
+                    workers[start:stop].tolist(),
+                    repeat(False) if heads is None else heads[start:stop].tolist(),
+                )
             )
 
         if count < _COLUMNAR_SEGMENT:
@@ -267,10 +271,6 @@ class SimulationEngine:
             if series is not None and series.interval > 0:
                 interval = series.interval
                 cuts.update(range(interval - seen % interval, count, interval))
-        worker_column = np.fromiter(workers, np.int64, count)
-        # The flags are Python bools (the ``route_batch_columnar`` contract);
-        # bytes() packs them twice as fast as np.fromiter does.
-        head_column = np.frombuffer(bytes(flags), np.bool_) if any(flags) else None
         done = start = 0
         for stop in sorted(cuts):
             if stop - start >= _COLUMNAR_SEGMENT:
@@ -278,8 +278,8 @@ class SimulationEngine:
                     account_fragment(done, start)
                 self._account_columns(
                     ids[start:stop],
-                    worker_column[start:stop],
-                    None if head_column is None else head_column[start:stop],
+                    workers[start:stop],
+                    None if heads is None else heads[start:stop],
                 )
                 done = stop
             start = stop

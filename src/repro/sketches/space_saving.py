@@ -52,6 +52,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError, SketchError
 from repro.types import Key
 
@@ -60,26 +62,24 @@ from repro.types import Key
 _NO_KEY = object()
 
 
-def runs_to_flags(runs: Sequence[int]) -> list[bool]:
-    """Expand head-run lengths back into one boolean flag per message.
+def runs_to_flags(runs: Sequence[int]) -> np.ndarray | None:
+    """Expand head-run lengths back into the ``bool`` head mask of a chunk.
 
     Inverse of the run-length classification contract (see
     :meth:`SpaceSaving.add_and_classify_runs`): ``runs[i]`` heads, then one
-    tail, for every entry but the last, which is the trailing head run.  The
-    expansion runs on C-speed ``extend`` calls, so deriving flags from runs
-    is cheap enough that the sketch only implements the run form of the
-    fused pass.
+    tail, for every entry but the last, which is the trailing head run —
+    so the ``i``-th tail sits at ``runs[0] + ... + runs[i] + i``.  ``None``
+    when the chunk holds no head message (the id kernel's contract).  The
+    expansion is two numpy calls, so deriving flags from runs is cheap
+    enough that the sketch only implements the run form of the fused pass.
     """
-    flags: list[bool] = []
-    extend = flags.extend
-    append = flags.append
-    for run in runs[:-1]:
-        if run:
-            extend([True] * run)
-        append(False)
-    trailing = runs[-1]
-    if trailing:
-        extend([True] * trailing)
+    heads = sum(runs)
+    if not heads:
+        return None
+    tails = len(runs) - 1
+    flags = np.ones(heads + tails, dtype=bool)
+    before_tail = np.cumsum(np.fromiter(runs, np.int64, tails + 1)[:-1])
+    flags[before_tail + np.arange(tails)] = False
     return flags
 
 
@@ -279,9 +279,9 @@ class SpaceSaving:
         loop and the expansion runs at C speed — so the bulk forms share a
         single inlined copy of the update machinery.
         """
-        return runs_to_flags(
-            self.add_and_classify_runs(keys, threshold, warmup, tail_out)
-        )
+        runs = self.add_and_classify_runs(keys, threshold, warmup, tail_out)
+        flags = runs_to_flags(runs)
+        return [False] * (len(runs) - 1) if flags is None else flags.tolist()
 
     def add_and_classify_runs(
         self,

@@ -21,7 +21,7 @@ from repro import ExecutionMode
 from repro.exceptions import ConfigurationError
 from repro.execution import DEFAULT_BATCH_SIZE
 from repro.experiments.common import execution_mode_of, route_stream
-from repro.partitioning.registry import create_partitioner
+from repro.partitioning.registry import available_schemes, create_partitioner
 from repro.simulation.runner import run_simulation
 from repro.workloads.zipf_stream import ZipfWorkload
 
@@ -129,6 +129,19 @@ class TestEntryPointEquivalence:
             )
 
         assert routed("columnar:64") == routed("batched:64") == routed("scalar")
+
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_route_stream_returns_python_ints(self, scheme):
+        # The id kernel answers in int64 arrays; a missed conversion would
+        # put numpy scalars into experiment rows and JSON exports.
+        options = {"GREEDY-D": {"num_choices": 3}, "FIXED-D": {"num_choices": 3}}
+        routed = route_stream(
+            create_partitioner(scheme, num_workers=8, seed=3, **options.get(scheme, {})),
+            workload(),
+            mode="columnar:64",
+        )
+        assert type(routed) is list and routed
+        assert all(type(worker) is int for worker in routed)
 
     def test_route_stream_scalar_mode_matches_scalar_loop(self):
         keys = list(workload())

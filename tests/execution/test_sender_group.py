@@ -14,6 +14,7 @@ message at or past each boundary.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +90,16 @@ def _scalar_deal(scheme, num_senders, boundaries, policy):
     return group, decisions
 
 
+def _assert_columns(workers, heads, length: int) -> None:
+    """The id kernel's answer: ``length`` int64 workers and a bool mask of
+    the same length holding at least one head, or ``None``."""
+    assert isinstance(workers, np.ndarray) and workers.dtype == np.int64
+    assert workers.shape == (length,)
+    if heads is not None:
+        assert isinstance(heads, np.ndarray) and heads.dtype == np.bool_
+        assert heads.shape == (length,) and heads.any()
+
+
 def _span_deal(scheme, num_senders, stream, mode, boundaries, policy):
     group = _build(scheme, num_senders)
     pending = list(boundaries)
@@ -103,7 +114,10 @@ def _span_deal(scheme, num_senders, stream, mode, boundaries, policy):
             pending.pop(0)
             group.rescale(policy, _worker_count(applied))
             applied += 1
-        workers.extend(group.route_span(span, index, flags))
+        span_workers, span_heads = group.route_span(span, index)
+        _assert_columns(span_workers, span_heads, len(span))
+        workers.extend(span_workers.tolist())
+        flags.extend([False] * len(span) if span_heads is None else span_heads.tolist())
         expected_index = index + len(span)
     assert expected_index == TOTAL
     return group, list(zip(workers, flags))
@@ -160,6 +174,51 @@ class TestSpansEqualTheScalarDeal:
             boundaries, policy,
         )
         _assert_same(group, decisions, reference)
+
+
+class TestKernelContract:
+    """``_route_ids`` and ``route_span`` answer in columns: an ``int64``
+    worker array and a ``bool`` head mask that is ``None`` exactly when the
+    scalar deal flags no message of the span head."""
+
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_columns_and_none_exactly_when_no_head(self, scheme):
+        num_senders = 5
+        _, expected = _scalar_deal(scheme, num_senders, [], get_policy("migrate"))
+        group = _build(scheme, num_senders)
+        kinds = set()
+        for span, index in spans(STREAM, group, ExecutionMode.columnar(97)):
+            workers, heads = group.route_span(span, index)
+            _assert_columns(workers, heads, len(span))
+            reference = expected[index : index + len(span)]
+            flagged = [is_head for _, is_head in reference]
+            assert (heads is None) == (not any(flagged))
+            assert workers.tolist() == [worker for worker, _ in reference]
+            if heads is not None:
+                assert heads.tolist() == flagged
+            kinds.add(heads is None)
+        if any(is_head for _, is_head in expected):
+            # The first span ends inside the warmup, later ones hold heads.
+            assert kinds == {True, False}
+
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_id_kernel_of_one_sender(self, scheme):
+        oracle = _build(scheme, 1).partitioners[0]
+        expected = [oracle.route_with_decision(key) for key in STREAM]
+        kernel = _build(scheme, 1).partitioners[0]
+        dictionary = KeyDictionary()
+        kernel._bind_dictionary(dictionary)
+        for start in range(0, TOTAL, 731):
+            ids = dictionary.intern_keys(STREAM[start : start + 731])
+            workers, heads = kernel._route_ids(ids)
+            _assert_columns(workers, heads, len(ids))
+            reference = expected[start : start + len(ids)]
+            flagged = [decision.is_head for decision in reference]
+            assert (heads is None) == (not any(flagged))
+            assert workers.tolist() == [decision.worker for decision in reference]
+            if heads is not None:
+                assert heads.tolist() == flagged
+        assert kernel.local_loads == oracle.local_loads
 
 
 class TestSenderGroup:

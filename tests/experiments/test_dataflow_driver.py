@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
 
 from repro.experiments import fig17_topology_throughput as fig17
+from repro.experiments.registry import run_experiment
 from repro.operators.reconciliation import merge_partial_states
 
 
@@ -68,6 +70,13 @@ class TestFig17:
         scalar = fig17.run(replace(tiny_config, mode="scalar", schemes=("KG",)))
         assert scalar.parameters["mode"] == "scalar"
         assert "batch_size" not in scalar.parameters
+
+    def test_rows_dump_as_json_without_a_default(self):
+        # The routing kernels answer in int64 arrays; what ``run fig17``
+        # tabulates must still be Python numbers.  (The exporters stringify
+        # anything else, so they would hide a leaked numpy scalar.)
+        rows = run_experiment("fig17", scale="tiny").rows
+        assert rows and json.dumps(rows)
 
     def test_batch_size_does_not_change_metrics(self, tiny_config):
         scalar, _ = fig17.run_scheme(tiny_config, "W-C", batch_size=1)

@@ -128,7 +128,8 @@ class TestAddAndClassifyBatch:
             runs = sketch.add_and_classify_runs(chunk, threshold, 50, tails)
             assert sum(runs) + len(tails) == len(chunk)
             assert len(runs) == len(tails) + 1
-            return runs_to_flags(runs)
+            flags = runs_to_flags(runs)
+            return [False] * len(tails) if flags is None else flags.tolist()
 
         run_form, actual = _chunked(name, keys, runs_of)
 
@@ -139,7 +140,7 @@ class TestAddAndClassifyBatch:
         sketch = SpaceSaving(capacity=4)
         assert sketch.add_and_classify_batch([], 0.1) == []
         assert sketch.add_and_classify_runs([], 0.1) == [0]
-        assert runs_to_flags([0]) == []
+        assert runs_to_flags([0]) is None
 
 
 class TestHeadSignature:

@@ -65,7 +65,7 @@ def _owner_ns_per_id(scheme: ConsistentGrouping, distinct: int) -> float:
     scheme.reset()
     scheme._bind_dictionary(dictionary)
     started = time.perf_counter()
-    scheme._route_ids(ids, None)
+    scheme._route_ids(ids)
     return (time.perf_counter() - started) / distinct * 1e9
 
 
