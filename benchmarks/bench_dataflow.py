@@ -3,9 +3,9 @@
 
 Runs the Figure 17 word-count topology (split → windowed per-word counts →
 window-tagged rekey → reconciliation sink) through the dataflow runtime
-twice per scheme — depth-first scalar (``batch_size=1``) and stage-by-stage
-batched (``batch_size=1024``) — and reports end-to-end throughput in words
-per second.  Results are byte-identical between the two modes (pinned by
+twice per scheme — depth-first scalar (``mode="scalar"``) and
+stage-by-stage batched (``mode="columnar:1024"``) — and reports end-to-end
+throughput in words per second.  Results are byte-identical between the two modes (pinned by
 ``tests/property/test_dataflow_batch_equivalence.py``); only the wall clock
 changes::
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.experiments.fig17_topology_throughput import (
@@ -42,19 +43,23 @@ def run_bench(
     schemes: tuple[str, ...] = SCHEMES,
 ) -> dict[str, object]:
     """Measure every scheme; returns ``{scheme: rates}`` (words/second)."""
-    config = Fig17Config(num_posts=num_posts, batch_size=batch_size)
+    config = Fig17Config(num_posts=num_posts)
+    configs = {
+        "scalar": replace(config, mode="scalar"),
+        "batched": replace(config, mode=f"columnar:{batch_size}"),
+    }
     posts = make_posts(config)
     words = config.num_messages
     results: dict[str, object] = {}
     print(f"{'scheme':8s} {'scalar w/s':>14s} {'batched w/s':>14s} {'speedup':>8s}")
     for scheme in schemes:
-        best: dict[int, float] = {1: float("inf"), batch_size: float("inf")}
+        best = dict.fromkeys(configs, float("inf"))
         for _ in range(rounds):
-            for size in (1, batch_size):
-                _, elapsed = run_scheme(config, scheme, posts=posts, batch_size=size)
-                best[size] = min(best[size], elapsed)
-        scalar_rate = words / best[1]
-        batch_rate = words / best[batch_size]
+            for name, run_config in configs.items():
+                _, elapsed = run_scheme(run_config, scheme, posts=posts)
+                best[name] = min(best[name], elapsed)
+        scalar_rate = words / best["scalar"]
+        batch_rate = words / best["batched"]
         results[scheme] = {
             "scalar_msgs_per_sec": round(scalar_rate),
             "batch_msgs_per_sec": round(batch_rate),

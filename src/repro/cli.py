@@ -5,7 +5,7 @@ Six sub-commands:
 * ``list`` — show the available experiments (one per paper figure/table);
 * ``run <experiment-id>`` — run one experiment and print its rows
   (``--scale tiny|quick|paper``, default ``quick``; ``--mode`` overrides
-  the execution mode where the config has one);
+  the execution mode, exit 2 for an experiment whose config has none);
 * ``simulate`` — ad-hoc simulation of one grouping scheme on a Zipf
   workload (handy for quick what-if questions); ``--rescale
   "join@5000,leave@12000,fail@15000"`` replays an elastic worker schedule
@@ -32,6 +32,7 @@ import argparse
 import sys
 from typing import Sequence
 
+from repro.exceptions import ConfigurationError
 from repro.experiments.common import print_result
 from repro.experiments.descriptor import SCALES
 from repro.experiments.registry import get_experiment, list_experiments
@@ -496,7 +497,7 @@ EXIT_DEGRADED = 3
 
 
 def _cluster_main(args: argparse.Namespace) -> int:
-    from repro.exceptions import ClusterRuntimeError, ConfigurationError
+    from repro.exceptions import ClusterRuntimeError
     from repro.runtime import ClusterConfig, run_cluster, validate_against_simulation
 
     try:
@@ -619,8 +620,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "run":
-        entry = get_experiment(args.experiment)
-        result = entry.descriptor.run_at(args.scale, mode=args.mode)
+        descriptor = get_experiment(args.experiment).descriptor
+        try:
+            config = descriptor.configure(args.scale, mode=args.mode)
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        result = descriptor.run(config)
         print_result(result)
         if args.export:
             from repro.reporting.export import write_result

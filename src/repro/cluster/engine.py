@@ -28,8 +28,6 @@ from repro.cluster.latency import LatencyCollector
 from repro.cluster.queues import WorkerQueue
 from repro.cluster.results import ClusterResult
 from repro.cluster.topology import ClusterTopology
-from repro.elasticity.events import RescaleEvent
-from repro.elasticity.policies import RescalePolicy, get_policy
 from repro.exceptions import SimulationError
 from repro.execution import SenderGroup
 from repro.partitioning.base import Partitioner
@@ -69,8 +67,8 @@ class ClusterEngine:
     def __init__(self, topology: ClusterTopology) -> None:
         self._topology = topology
         self._scheme = canonical_name(topology.scheme)
-        # Construction and rescale are the sender group's; emission is not:
-        # these sources pull keys on credit, they are not dealt a stream.
+        # Construction is the sender group's; emission is not: these
+        # sources pull keys on credit, they are not dealt a stream.
         self._group = SenderGroup.build(
             self._scheme,
             topology.num_sources,
@@ -86,24 +84,9 @@ class ClusterEngine:
             WorkerQueue(service_time_ms=topology.service_time_ms)
             for _ in range(topology.num_workers)
         ]
-        # Every queue that ever served, in spawn order: the initial workers
-        # followed by mid-run joiners.  Retired queues stay here (with their
-        # retired_at stamped) so the utilization report covers the whole
-        # fleet, not just the survivors.
-        self._all_workers = list(self._workers)
         self._events = EventQueue()
         self._latency = LatencyCollector(topology.num_workers)
         self._load = LoadTracker(topology.num_workers)
-        # Elasticity: the same plans the routing simulation replays, with
-        # queue drain (leave) / in-flight loss (fail) on the worker side.
-        plan = topology.rescale_plan
-        self._pending_rescales: list[RescaleEvent] = list(plan.events) if plan else []
-        self._rescale_policy: RescalePolicy | None = (
-            get_policy(plan.policy) if plan else None
-        )
-        self._rescales_applied = 0
-        self._messages_drained = 0
-        self._messages_lost = 0
 
     @property
     def topology(self) -> ClusterTopology:
@@ -136,11 +119,6 @@ class ClusterEngine:
                 if source.pending >= self._topology.max_pending_per_source:
                     # Out of credit; the ack handler will reschedule.
                     continue
-                # Apply any rescale event due at this emission offset
-                # (offsets count emitted messages).
-                rescales = self._pending_rescales
-                while rescales and rescales[0].offset <= emitted:
-                    self._apply_rescale(rescales.pop(0), event.time)
                 try:
                     key = next(key_iterator)
                 except StopIteration:
@@ -171,65 +149,10 @@ class ClusterEngine:
             throughput_per_second=throughput,
             latency=self._latency.stats(),
             worker_utilization=[
-                worker.utilization(duration) for worker in self._all_workers
+                worker.utilization(duration) for worker in self._workers
             ],
             imbalance=self._load.imbalance(),
-            rescale_events=self._rescales_applied,
-            messages_drained=self._messages_drained,
-            messages_lost=self._messages_lost,
         )
-
-    # ------------------------------------------------------------------ #
-    # elasticity
-    # ------------------------------------------------------------------ #
-    def _apply_rescale(self, event: RescaleEvent, now: float) -> None:
-        """Replay one join/leave/fail on the running cluster.
-
-        Every source's partitioner rescales under the plan's policy; the
-        worker side follows: a join adds an idle queue, a leave retires the
-        highest-id worker after its queue drains (tuples already enqueued
-        complete and are handed off — counted as drained).  A fail counts
-        the dead worker's backlog as ``messages_lost`` but keeps those
-        completions on the timeline: the replayed copies would occupy the
-        same capacity the originals did, so the schedule stands in for the
-        replay and the completed/throughput/latency totals include that
-        replay work (no event-heap rewriting, sources re-credit on the
-        original completion times).
-        """
-        policy = self._rescale_policy
-        assert policy is not None  # only called when a plan exists
-        old_num_workers = len(self._workers)
-        new_num_workers = event.new_num_workers(old_num_workers)
-        if new_num_workers < 1:  # validated at topology time; defensive
-            raise SimulationError(
-                f"rescale event {event.spec} would drop below 1 worker"
-            )
-        self._group.rescale(policy, new_num_workers)
-        if new_num_workers > old_num_workers:
-            joiner = WorkerQueue(
-                service_time_ms=self._topology.service_time_ms, started_at=now
-            )
-            self._workers.append(joiner)
-            self._all_workers.append(joiner)
-        else:
-            queue = self._workers.pop()
-            # The active window closes when the backlog does: a leaver keeps
-            # servicing until drained, and a failed worker's backlog stays on
-            # the timeline as the replay stand-in (see docstring above), so
-            # both windows extend to busy_until.
-            queue.retired_at = max(now, queue.busy_until)
-            backlog = 0
-            if queue.busy_until > now:
-                backlog = int(
-                    -(-(queue.busy_until - now) // queue.service_time_ms)
-                )
-            if event.loses_state:
-                self._messages_lost += backlog
-            else:
-                self._messages_drained += backlog
-        self._load.rescale(new_num_workers)
-        self._latency.rescale(new_num_workers)
-        self._rescales_applied += 1
 
     # ------------------------------------------------------------------ #
     # internals

@@ -24,29 +24,11 @@ class LatencyCollector:
                 f"num_workers must be >= 1, got {num_workers}"
             )
         self._samples: list[list[float]] = [[] for _ in range(num_workers)]
-        # Sample buckets of workers retired by a rescale: their latencies
-        # were real and stay in the aggregates, they just stop growing.
-        self._retired: list[list[float]] = []
         self._count = 0
 
     @property
     def count(self) -> int:
         return self._count
-
-    def rescale(self, new_num_workers: int) -> None:
-        """Resize the active worker set (ids ``0 .. n-1``).
-
-        Growing adds empty buckets; shrinking retires the highest-id
-        buckets, keeping their samples for the final statistics.
-        """
-        if new_num_workers < 1:
-            raise ConfigurationError(
-                f"num_workers must be >= 1, got {new_num_workers}"
-            )
-        while len(self._samples) < new_num_workers:
-            self._samples.append([])
-        while len(self._samples) > new_num_workers:
-            self._retired.append(self._samples.pop())
 
     def record(self, worker: int, latency_ms: float) -> None:
         if not 0 <= worker < len(self._samples):
@@ -60,7 +42,7 @@ class LatencyCollector:
 
     def stats(self) -> "LatencyStats":
         """Aggregate the collected samples into the Figure 14 metrics."""
-        buckets = self._samples + self._retired
+        buckets = self._samples
         per_worker_avg = [
             float(np.mean(samples)) for samples in buckets if samples
         ]

@@ -29,20 +29,12 @@ class WorkerQueue:
         Number of messages fully processed.
     busy_time:
         Total time spent servicing messages (for utilisation reporting).
-    started_at:
-        Simulated time this worker came online (0 for the initial workers,
-        the join time for workers added by a mid-run rescale).
-    retired_at:
-        Simulated time this worker went offline (leave/fail), or ``None``
-        while it is still part of the cluster.
     """
 
     service_time_ms: float
     busy_until: float = 0.0
     completed: int = 0
     busy_time: float = 0.0
-    started_at: float = 0.0
-    retired_at: float | None = None
 
     def __post_init__(self) -> None:
         if self.service_time_ms <= 0.0:
@@ -68,17 +60,7 @@ class WorkerQueue:
         return max(0.0, self.busy_until - arrival_time)
 
     def utilization(self, horizon: float) -> float:
-        """Busy fraction over this worker's own active window.
-
-        The window runs from ``started_at`` to ``retired_at`` (retired
-        workers) or to ``horizon`` — the run duration — for workers still
-        online.  Dividing by the worker's own window rather than the full
-        run is what makes the number meaningful across rescales: a worker
-        that joined halfway through and stayed saturated reports ~1.0, not
-        ~0.5.
-        """
-        end = self.retired_at if self.retired_at is not None else horizon
-        window = end - self.started_at
-        if window <= 0.0:
+        """Busy fraction over a run of ``horizon`` ms (0 for an empty run)."""
+        if horizon <= 0.0:
             return 0.0
-        return min(1.0, self.busy_time / window)
+        return min(1.0, self.busy_time / horizon)

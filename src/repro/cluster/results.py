@@ -27,28 +27,10 @@ class ClusterResult:
     worker_utilization:
         Per-worker busy fraction, useful to see which scheme saturates a
         single worker (KG) versus spreading load (SG, D-C, W-C).  One entry
-        per worker that *ever* served, in spawn order (initial workers
-        first, then mid-run joiners), each taken over that worker's own
-        active window: from its start (0, or its join time) to its
-        retirement (leave/fail, including the drain/replay tail) or the end
-        of the run.  A saturated worker therefore reports ~1.0 regardless
-        of when it joined or left.
+        per worker, each its busy time over the run's duration.
     imbalance:
         Final load imbalance ``I(m)`` over message counts, for
         cross-checking against the pure simulation results.
-    rescale_events:
-        Number of worker join/leave/fail events replayed during the run
-        (0 in the paper's fixed-worker setting).
-    messages_drained:
-        Tuples still queued on a gracefully leaving worker at its departure
-        (they complete during the drain and are handed off).
-    messages_lost:
-        Tuples queued on a failed worker at failure time.  Modelling note:
-        these tuples are *not* subtracted from ``num_messages`` — the
-        simulator keeps their completions on the timeline as a stand-in for
-        the replayed copies (a replay occupies the same capacity the
-        original would have), so this field reports how many tuples needed
-        replay, while throughput/latency include that replay work.
     """
 
     scheme: str
@@ -58,9 +40,6 @@ class ClusterResult:
     latency: LatencyStats
     worker_utilization: list[float] = field(default_factory=list)
     imbalance: float = 0.0
-    rescale_events: int = 0
-    messages_drained: int = 0
-    messages_lost: int = 0
 
     def summary(self) -> dict[str, object]:
         row: dict[str, object] = {
@@ -71,8 +50,4 @@ class ClusterResult:
             "imbalance": self.imbalance,
         }
         row.update(self.latency.as_row())
-        if self.rescale_events:
-            row["rescale_events"] = self.rescale_events
-            row["messages_drained"] = self.messages_drained
-            row["messages_lost"] = self.messages_lost
         return row

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.elasticity.events import RescalePlan, as_plan
 from repro.exceptions import ConfigurationError
 
 #: The paper's cluster experiment parameters (Section V-B, Q4).
@@ -46,16 +45,6 @@ class ClusterTopology:
         Base seed for the partitioners.
     scheme_options:
         Extra keyword arguments forwarded to the partitioner constructor.
-    rescale_plan:
-        Optional elasticity schedule (a
-        :class:`~repro.elasticity.events.RescalePlan` or a spec string like
-        ``"join@5000,fail@15000"``); offsets count *emitted* messages.  A
-        join adds a fresh worker queue, a leave drains the departing
-        worker's queue before retiring it, a fail drops the tuples still
-        queued on the dead worker (they are replayed by their sources).
-    rescale_policy, migration_window:
-        Execution policy for spec-string plans, as in
-        :class:`~repro.simulation.config.SimulationConfig`.
     """
 
     scheme: str
@@ -66,9 +55,6 @@ class ClusterTopology:
     max_pending_per_source: int = 100
     seed: int = 0
     scheme_options: dict[str, Any] = field(default_factory=dict)
-    rescale_plan: RescalePlan | str | None = None
-    rescale_policy: str = "rehash"
-    migration_window: int = 1000
 
     def __post_init__(self) -> None:
         if self.num_sources < 1:
@@ -92,13 +78,6 @@ class ClusterTopology:
                 "max_pending_per_source must be >= 1, got "
                 f"{self.max_pending_per_source}"
             )
-        self.rescale_plan = as_plan(
-            self.rescale_plan,
-            policy=self.rescale_policy,
-            migration_window=self.migration_window,
-        )
-        if self.rescale_plan is not None:
-            self.rescale_plan.validate_for(self.num_workers)
 
     @property
     def ideal_throughput_per_second(self) -> float:

@@ -25,10 +25,9 @@ scalar reference and micro-batched execution:
   byte-identical for every batch size (property-pinned), only the
   throughput changes.
 
-The stage loop has two forms, chosen from the DAG's shape: merge-free
-topologies (every vertex fed by one edge) deliver in arrival order by
-construction; topologies with fan-in carry a depth-first order key per
-delivery and merge on it.
+Stage-by-stage execution delivers in arrival order only when every vertex
+is fed by one edge.  A DAG with fan-in has to interleave its incoming
+edges in depth-first order, so it runs the scalar loop under any mode.
 
 The runtime collects per-vertex metrics (imbalance, per-instance loads,
 state sizes) that mirror what the simulation engine reports for a single
@@ -38,8 +37,7 @@ edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import merge as _heap_merge
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.dataflow.graph import Edge, Topology
@@ -142,10 +140,9 @@ class TopologyRuntime:
                 self._source_edge_indices.append(index)
             else:
                 self._outgoing[edge.source].append(index)
-        # Merge-free topologies (every vertex fed by exactly one edge — the
-        # overwhelmingly common shape) take a leaner stage loop that skips
-        # the depth-first order keys entirely: each edge's delivery list is
-        # in arrival order by construction.
+        # Merge-free topologies (every vertex fed by exactly one edge) can
+        # run stage by stage: each edge's delivery list is in arrival order
+        # by construction.  Fan-in needs the depth-first scalar loop.
         self._merge_free = all(
             len(edges) == 1 for edges in self._incoming.values()
         )
@@ -156,7 +153,7 @@ class TopologyRuntime:
     # ------------------------------------------------------------------ #
     def run(self, workload: Iterable[Key | Message]) -> TopologyResult:
         """Push every message of ``workload`` through the topology."""
-        if self._mode.is_scalar:
+        if self._mode.is_scalar or not self._merge_free:
             self._run_scalar(workload)
         else:
             self._run_micro_batched(workload)
@@ -205,9 +202,6 @@ class TopologyRuntime:
         keys among them become messages, as in the scalar loop), a chunk of
         plain keys travels as ids alone.
         """
-        execute = (
-            self._execute_merge_free if self._merge_free else self._execute_ordered
-        )
         held: list[Key | Message] = []
 
         def bare_keys() -> Iterator[Key]:
@@ -230,7 +224,7 @@ class TopologyRuntime:
                     )
                     for offset, raw in enumerate(chunk)
                 ]
-            execute(batch, messages, base)
+            self._execute_merge_free(batch, messages, base)
 
     @staticmethod
     def _decode(batch: ColumnarBatch, base: int) -> list[Message]:
@@ -246,10 +240,9 @@ class TopologyRuntime:
         """Stage-wise micro-batch execution for merge-free topologies.
 
         With a single incoming edge per vertex there is nothing to
-        interleave, so deliveries travel in arrival order by construction —
-        no per-delivery order keys, no merge.  Routing goes per sender and
-        processing per instance through ``execute_batch``, exactly as the
-        order-keyed path, so every partitioner and operator sees its scalar
+        interleave, so deliveries travel in arrival order by construction.
+        Routing goes per sender and processing per instance through
+        ``execute_batch``, so every partitioner and operator sees its scalar
         sub-stream.
 
         A queued edge payload is ``(senders, messages)``.  ``senders`` is
@@ -380,132 +373,6 @@ class TopologyRuntime:
             if share is not None:
                 instances[worker].execute_batch_ids(share, dictionary)
 
-    def _execute_ordered(
-        self, batch: ColumnarBatch, source_messages: list[Message] | None, base: int
-    ) -> None:
-        """Run one micro-batch through a DAG with fan-in, stage by stage.
-
-        Every delivery carries its *depth-first order key* — the tuple of
-        ``(edge index, output index)`` pairs along its derivation path,
-        prefixed by the input message's position.  Sorting deliveries by
-        that key reconstructs exactly the order the scalar engine would
-        process them in, which is what keeps each per-sender partitioner
-        and each operator instance on the same sub-stream as scalar
-        execution (and therefore every result bit-identical).
-        """
-        messages = (
-            source_messages
-            if source_messages is not None
-            else self._decode(batch, base)
-        )
-        # Deliveries per edge, each list kept sorted by order key:
-        # (order_key, sender, message) — except on source edges, whose
-        # group deals and routes the whole chunk here, so they hold
-        # (order_key, worker, message) already.
-        pending: dict[int, list[tuple[tuple[int, ...], int, Message]]] = {
-            index: [] for index in range(len(self._edges))
-        }
-        for edge_index in self._source_edge_indices:
-            workers = self._groups[edge_index].route_span(batch, base)[0].tolist()
-            pending[edge_index] = [
-                ((position, edge_index, 0), worker, message)
-                for position, (worker, message) in enumerate(zip(workers, messages))
-            ]
-
-        for vertex_name in self._stage_order:
-            arrivals = self._route_incoming(vertex_name, pending)
-            if not arrivals:
-                continue
-            outputs = self._process_stage(vertex_name, arrivals)
-            self._emit_downstream(vertex_name, arrivals, outputs, pending)
-
-    def _route_incoming(
-        self,
-        vertex_name: str,
-        pending: dict[int, list[tuple[tuple[int, ...], int, Message]]],
-    ) -> list[tuple[tuple[int, ...], int, Message]]:
-        """Route every delivery bound for ``vertex_name``.
-
-        Returns ``(order_key, instance_index, message)`` triples sorted by
-        order key.  Each internal edge routes per sender through
-        ``route_batch`` — the sender's deliveries are already in order, so
-        its partitioner sees the same key sequence as under scalar routing.
-        """
-        routed_lists: list[list[tuple[tuple[int, ...], int, Message]]] = []
-        for edge_index in self._incoming[vertex_name]:
-            deliveries = pending[edge_index]
-            if not deliveries:
-                continue
-            pending[edge_index] = []
-            if self._edges[edge_index].source == Topology.SOURCE:
-                routed_lists.append(deliveries)
-                continue
-            partitioners = self._groups[edge_index].partitioners
-            routed: list[tuple[tuple[int, ...], int, Message]] = [None] * len(deliveries)  # type: ignore[list-item]
-            by_sender: dict[int, tuple[list[int], list[Key]]] = {}
-            for position, (_, sender, message) in enumerate(deliveries):
-                slot = by_sender.get(sender)
-                if slot is None:
-                    slot = by_sender[sender] = ([], [])
-                slot[0].append(position)
-                slot[1].append(message.key)
-            for sender, (positions, keys) in by_sender.items():
-                workers = partitioners[sender].route_batch(keys)
-                for position, worker in zip(positions, workers):
-                    order_key, _, message = deliveries[position]
-                    routed[position] = (order_key, worker, message)
-            routed_lists.append(routed)
-        if not routed_lists:
-            return []
-        if len(routed_lists) == 1:
-            return routed_lists[0]
-        # Multiple incoming edges: interleave back into depth-first order.
-        return list(_heap_merge(*routed_lists, key=itemgetter(0)))
-
-    def _process_stage(
-        self,
-        vertex_name: str,
-        arrivals: list[tuple[tuple[int, ...], int, Message]],
-    ) -> list[Sequence[Message]]:
-        """Feed each instance its (in-order) share; outputs align to arrivals."""
-        per_instance: dict[int, tuple[list[int], list[Message]]] = {}
-        for position, (_, instance_index, message) in enumerate(arrivals):
-            slot = per_instance.get(instance_index)
-            if slot is None:
-                slot = per_instance[instance_index] = ([], [])
-            slot[0].append(position)
-            slot[1].append(message)
-        instances = self._instances[vertex_name]
-        outputs: list[Sequence[Message]] = [()] * len(arrivals)
-        for instance_index, (positions, messages) in per_instance.items():
-            emitted = instances[instance_index].execute_batch(messages)
-            for position, out in zip(positions, emitted):
-                outputs[position] = out
-        return outputs
-
-    def _emit_downstream(
-        self,
-        vertex_name: str,
-        arrivals: list[tuple[tuple[int, ...], int, Message]],
-        outputs: list[Sequence[Message]],
-        pending: dict[int, list[tuple[tuple[int, ...], int, Message]]],
-    ) -> None:
-        """Queue stage outputs on the outgoing edges, extending order keys.
-
-        Arrivals are order-key-sorted and extensions append ``(edge, j)``
-        suffixes, so each edge's pending list stays sorted by construction.
-        """
-        for edge_index in self._outgoing[vertex_name]:
-            queue = pending[edge_index]
-            append = queue.append
-            for (order_key, instance_index, _), emitted in zip(arrivals, outputs):
-                for output_index, output in enumerate(emitted):
-                    append((
-                        order_key + (edge_index, output_index),
-                        instance_index,
-                        output,
-                    ))
-
     def _build_result(self) -> TopologyResult:
         switch_log: list[dict] = []
         for edge, group in zip(self._edges, self._groups):
@@ -544,11 +411,12 @@ def run_topology(
     ``mode`` (:class:`~repro.execution.ExecutionMode`, default
     ``columnar(1024)``) selects scalar — the depth-first per-message
     reference — or micro-batched execution over chunks of interned key ids
-    (``batch_size`` input messages per external source at a time): source
-    edges route id arrays and terminal stateful vertices fold their shares
-    in id space, so string keys are hashed once; chunks of pre-built
-    messages keep them as the payload beside the ids.  Results are
-    byte-identical for every mode, only the throughput changes.
+    (``N`` input messages per external source at a time): source edges
+    route id arrays and terminal stateful vertices fold their shares in id
+    space, so string keys are hashed once; chunks of pre-built messages
+    keep them as the payload beside the ids.  A topology with fan-in runs
+    the scalar loop under any mode.  Results are byte-identical for every
+    mode, only the throughput changes.
 
     Examples
     --------

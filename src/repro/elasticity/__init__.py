@@ -15,8 +15,7 @@ leaves open:
   transition window.
 
 Plans thread through :class:`~repro.simulation.config.SimulationConfig`
-(``rescale_plan=``) and :class:`~repro.cluster.topology.ClusterTopology`;
-every partitioner implements the
+(``rescale_plan=``); every partitioner implements the
 :meth:`~repro.partitioning.base.Partitioner.rescale` contract the policies
 drive.
 """

@@ -34,8 +34,8 @@ round-robin from one stream — is a :class:`SenderGroup`, and :func:`spans`
 cuts a stream into the id batches a group routes.  The simulation engine,
 the dataflow runtime, the runtime's source process and ``route_stream`` are
 consumers of those two names; the discrete-event ``ClusterEngine`` borrows
-the group's construction and rescale only (its senders pull on credit, they
-are not dealt).
+the group's construction only (its senders pull on credit, they are not
+dealt).
 """
 
 from __future__ import annotations

@@ -101,21 +101,10 @@ def execution_mode_of(config: Any) -> ExecutionMode:
     """The :class:`ExecutionMode` an experiment config asks for.
 
     The single place where experiment configs map onto the execution API:
-    a ``mode`` attribute (spec string or instance) wins when set, otherwise
-    the config's ``batch_size`` field (present on every simulation-backed
-    config, and excluded from suite-store fingerprints) is the chunk length
-    of the columnar path, 1 meaning the scalar oracle.  Replaces the
-    per-driver flag plumbing every experiment module used to carry.
+    the config's ``mode`` field (spec string or instance, excluded from
+    suite-store fingerprints), or the shared default when it is unset.
     """
-    mode = getattr(config, "mode", None)
-    if mode is not None:
-        return ExecutionMode.coerce(mode)
-    batch_size = getattr(config, "batch_size", None)
-    if batch_size is None:
-        return ExecutionMode.columnar()
-    if batch_size == 1:
-        return ExecutionMode.scalar()
-    return ExecutionMode.columnar(batch_size)
+    return ExecutionMode.coerce(getattr(config, "mode", None))
 
 
 def route_stream(

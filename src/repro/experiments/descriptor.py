@@ -27,11 +27,10 @@ from repro.experiments.common import ExperimentResult, jsonable, print_result
 SCALES = ("tiny", "quick", "paper")
 
 #: Config fields that do not affect experiment *results* (every execution
-#: mode — scalar, batched, columnar — is bit-identical for every batch
-#: size), so the suite's content-addressed store excludes them from cache
-#: keys.  ``mode`` joining the set keeps pre-ExecutionMode fingerprints
-#: valid: cached records never invalidate over a pure performance knob.
-NON_SEMANTIC_FIELDS = frozenset({"batch_size", "mode"})
+#: mode — scalar or columnar at any chunk length — is bit-identical), so
+#: the suite's content-addressed store excludes them from cache keys:
+#: cached records never invalidate over a pure performance knob.
+NON_SEMANTIC_FIELDS = frozenset({"mode"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,41 +139,31 @@ class ExperimentDescriptor:
             for name, value in dataclasses.asdict(config).items()
         }
 
-    def configure(
-        self,
-        scale: str = "quick",
-        batch_size: int | None = None,
-        mode: Any = None,
-    ) -> Any:
+    def configure(self, scale: str = "quick", mode: Any = None) -> Any:
         """Build the ``scale`` preset, optionally overriding the execution.
 
         ``mode`` (an :class:`~repro.execution.ExecutionMode` or spec string)
-        and the older ``batch_size`` apply only when the config carries the
-        matching field (the simulation-backed experiments); results are
-        identical for every value, only the throughput changes.  Passing
-        both is ambiguous and rejected.
+        applies to the experiments whose config has a ``mode`` field (the
+        stream-backed ones); results are identical for every value, only
+        the throughput changes.  Any other experiment has no execution to
+        choose and rejects a ``mode``.
         """
         config = self.config(scale)
-        if mode is not None and batch_size is not None:
+        if mode is None:
+            return config
+        if not hasattr(config, "mode"):
             raise ConfigurationError(
-                "configure(): pass either mode= or batch_size=, not both"
+                f"{self.experiment_id} has no execution mode to choose; "
+                "run it without a mode"
             )
-        if mode is not None and hasattr(config, "mode"):
-            from repro.execution import ExecutionMode
+        from repro.execution import ExecutionMode
 
-            config.mode = ExecutionMode.coerce(mode)
-        elif batch_size is not None and hasattr(config, "batch_size"):
-            config.batch_size = batch_size
+        config.mode = ExecutionMode.coerce(mode)
         return config
 
-    def run_at(
-        self,
-        scale: str = "quick",
-        batch_size: int | None = None,
-        mode: Any = None,
-    ) -> ExperimentResult:
+    def run_at(self, scale: str = "quick", mode: Any = None) -> ExperimentResult:
         """Run the experiment at a preset scale (see :meth:`configure`)."""
-        return self.run(self.configure(scale, batch_size, mode=mode))
+        return self.run(self.configure(scale, mode))
 
     def cli_main(self, argv: Sequence[str] | None = None) -> None:
         """Shared ``python -m repro.experiments.figXX`` entry point."""

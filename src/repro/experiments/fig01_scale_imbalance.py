@@ -34,7 +34,6 @@ class Fig01Config:
     num_body_keys: int = 100_000
     num_sources: int = 5
     seed: int = 0
-    batch_size: int = 1024
     mode: str | None = None
 
     @classmethod

@@ -44,7 +44,6 @@ class Fig07Config:
     num_sources: int = 5
     seed: int = 0
     thresholds: Sequence[str] = tuple(THRESHOLDS)
-    batch_size: int = 1024
     mode: str | None = None
 
     @classmethod

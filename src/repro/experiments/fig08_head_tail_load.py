@@ -32,7 +32,6 @@ class Fig08Config:
     num_messages: int = 1_000_000
     num_sources: int = 5
     seed: int = 0
-    batch_size: int = 1024
     mode: str | None = None
 
     @classmethod

@@ -45,7 +45,6 @@ class Fig09Config:
     #: Candidate d values are probed with this stride to keep the sweep
     #: tractable; 1 reproduces the exhaustive search of the paper.
     d_stride: int = 1
-    batch_size: int = 1024
     mode: str | None = None
 
     @classmethod

@@ -33,7 +33,6 @@ class Fig10Config:
     num_sources: int = 5
     seed: int = 0
     schemes: Sequence[str] = SCHEMES
-    batch_size: int = 1024
     mode: str | None = None
 
     @classmethod

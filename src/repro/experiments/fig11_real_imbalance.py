@@ -36,7 +36,6 @@ class Fig11Config:
     num_sources: int = 5
     seed: int = 0
     datasets: Sequence[str] = ("WP", "TW", "CT")
-    batch_size: int = 1024
     mode: str | None = None
 
     @classmethod

@@ -33,7 +33,6 @@ class Fig12Config:
     datasets: Sequence[str] = ("TW", "WP", "CT")
     #: Number of snapshots ("hours") taken along the stream.
     num_snapshots: int = 40
-    batch_size: int = 1024
     mode: str | None = None
 
     @classmethod

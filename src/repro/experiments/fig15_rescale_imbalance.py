@@ -47,7 +47,6 @@ class Fig15Config:
     migration_window: int = 5_000
     #: Number of ``I(t)`` snapshots taken along the stream.
     num_snapshots: int = 50
-    batch_size: int = 1024
     mode: str | None = None
 
     @classmethod

@@ -46,7 +46,6 @@ class Fig16Config:
     rescale: str = "join@50000,leave@120000,fail@160000"
     policies: Sequence[str] = POLICY_NAMES
     migration_window: int = 5_000
-    batch_size: int = 1024
     mode: str | None = None
 
     @classmethod

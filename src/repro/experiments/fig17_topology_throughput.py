@@ -27,7 +27,6 @@ from typing import Sequence
 
 from repro.dataflow.graph import Topology
 from repro.dataflow.runtime import TopologyResult, run_topology
-from repro.execution import ExecutionMode
 from repro.experiments.common import ExperimentResult, execution_mode_of
 from repro.experiments.descriptor import ExperimentDescriptor, OutputSpec
 from repro.operators.aggregations import CountAggregator
@@ -62,7 +61,6 @@ class Fig17Config:
     num_reconcilers: int = 8
     num_external_sources: int = 4
     seed: int = 0
-    batch_size: int = 1024
     mode: str | None = None
 
     @property
@@ -171,25 +169,18 @@ def run_scheme(
     config: Fig17Config,
     scheme: str,
     posts: list[Message] | None = None,
-    batch_size: int | None = None,
 ) -> tuple[TopologyResult, float]:
     """Run one scheme through the topology; returns (result, elapsed s)."""
     if posts is None:
         posts = make_posts(config)
     topology = build_topology(config, scheme)
-    if batch_size is None:
-        mode = execution_mode_of(config)
-    elif batch_size == 1:
-        mode = ExecutionMode.scalar()
-    else:
-        mode = ExecutionMode.columnar(batch_size)
     started = time.perf_counter()
     result = run_topology(
         topology,
         posts,
         seed=config.seed,
         num_external_sources=config.num_external_sources,
-        mode=mode,
+        mode=execution_mode_of(config),
     )
     return result, time.perf_counter() - started
 
@@ -205,7 +196,6 @@ def run(config: Fig17Config | None = None) -> ExperimentResult:
             "num_posts": config.num_posts,
             "words_per_post": config.words_per_post,
             "aggregators": config.num_aggregators,
-            # What run_scheme executes: a set ``mode`` wins over batch_size.
             "mode": execution_mode_of(config).spec,
         },
     )

@@ -89,7 +89,6 @@ class Fig18Config:
     check_interval: int = 1_000
     min_dwell: int = 2_000
     adaptive_options: dict[str, Any] = field(default_factory=dict)
-    batch_size: int = 1024
     mode: str | None = None
 
     @classmethod

@@ -60,7 +60,6 @@ class ScenariosConfig:
     num_keys: int = 5_000
     num_workers: int = 16
     num_sources: int = 5
-    batch_size: int = 1024
     mode: str | None = None
 
     @classmethod

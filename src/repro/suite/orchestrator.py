@@ -8,11 +8,9 @@ across a ``multiprocessing`` pool.  Records land on disk as soon as each
 cell completes, so an interrupted run resumes where it stopped — the next
 invocation cache-hits the finished cells and recomputes only the rest.
 
-Every cell routes its streams through the engine's columnar id path: the
-configs of the simulation-backed experiments carry a ``batch_size`` (the
-chunk length of ``SimulationConfig.mode``), and the orchestrator's
-``batch_size`` argument overrides it suite-wide (results are identical for
-every value, so the store fingerprint ignores it).
+Every cell runs its config's preset execution mode (the columnar id path
+by default); results are identical for every mode, so the store
+fingerprint ignores it.
 """
 
 from __future__ import annotations
@@ -109,7 +107,7 @@ class SuiteSummary:
         return result
 
 
-def _execute_cell(experiment_id: str, scale: str, batch_size: int | None) -> dict[str, Any]:
+def _execute_cell(experiment_id: str, scale: str) -> dict[str, Any]:
     """Run one cell; top-level so the process pool can pickle it.
 
     The configuration is rebuilt from the registry inside the worker (the
@@ -120,7 +118,7 @@ def _execute_cell(experiment_id: str, scale: str, batch_size: int | None) -> dic
     try:
         entry = get_experiment(experiment_id)
         descriptor = entry.descriptor
-        config = descriptor.configure(scale, batch_size)
+        config = descriptor.config(scale)
         started = time.perf_counter()
         result = descriptor.run(config)
         elapsed = time.perf_counter() - started
@@ -188,7 +186,6 @@ def run_suite(
     jobs: int | None = None,
     store: ResultsStore | None = None,
     force: bool = False,
-    batch_size: int | None = None,
     progress: ProgressCallback | None = None,
 ) -> SuiteSummary:
     """Run (or resume) the experiment suite and return the summary.
@@ -207,9 +204,6 @@ def run_suite(
         The results store; ``None`` uses the default ``results/`` directory.
     force:
         Recompute every cell even when the store already has its record.
-    batch_size:
-        Overrides the routing batch size of every config that has one.
-        Results are bit-identical for any value, so cache keys ignore it.
     progress:
         Called as ``progress(outcome, done, total)`` after every cell.
     """
@@ -266,12 +260,12 @@ def run_suite(
             jobs = min(len(pending), os.cpu_count() or 1)
         if jobs == 1:
             for experiment_id, fingerprint in pending:
-                payload = _execute_cell(experiment_id, scale, batch_size)
+                payload = _execute_cell(experiment_id, scale)
                 _emit(_record_outcome(store, scale, fingerprint, payload))
         else:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 futures = {
-                    pool.submit(_execute_cell, experiment_id, scale, batch_size): (
+                    pool.submit(_execute_cell, experiment_id, scale): (
                         experiment_id,
                         fingerprint,
                     )

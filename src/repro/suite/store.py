@@ -56,9 +56,9 @@ def config_fingerprint(
     """SHA-256 fingerprint of one (experiment, scale, config) cell.
 
     The hash covers the canonical (sorted-keys, compact) JSON of the
-    identifying triple.  Fields in ``exclude`` — by default the routing
-    ``batch_size``, which is bit-identical for every value — are dropped
-    first, so purely-performance knobs do not invalidate cached results.
+    identifying triple.  Fields in ``exclude`` — by default the execution
+    ``mode``, which is bit-identical for every value — are dropped first,
+    so purely-performance knobs do not invalidate cached results.
     """
     semantic = {key: value for key, value in config.items() if key not in exclude}
     canonical = json.dumps(

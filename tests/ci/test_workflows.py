@@ -9,6 +9,7 @@ exists.  Editing a workflow out of sync with the docs/policy fails here.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,24 @@ class TestCiWorkflow:
         ]
         assert steps == ["python benchmarks/stream_digest.py --messages 20000"]
 
+    def test_bench_smoke_caps_cold_functions_at_the_recorded_count(self, ci):
+        # benchmarks/reachability.py profiles every entry point; its budget
+        # is the total docs/architecture.md records, so lowering one without
+        # the other fails here.
+        steps = [
+            step.get("run", "")
+            for step in ci["jobs"]["bench-smoke"]["steps"]
+            if "reachability.py" in step.get("run", "")
+        ]
+        assert len(steps) == 1
+        budget = re.fullmatch(r"python benchmarks/reachability\.py --max-cold (\d+)", steps[0])
+        assert budget, steps[0]
+        recorded = re.search(
+            r"\*\*(\d+) cold of \d+ functions\*\*",
+            (REPO_ROOT / "docs" / "architecture.md").read_text(),
+        )
+        assert recorded and recorded.group(1) == budget.group(1)
+
 
 class TestBenchWorkflow:
     def test_nightly_and_on_demand(self, bench):
@@ -342,6 +361,7 @@ class TestReferencedPathsExist:
             "benchmarks/check_bench_regression.py",
             "benchmarks/ab_pairs.py",
             "benchmarks/stream_digest.py",
+            "benchmarks/reachability.py",
             "BENCH_routing.json",
             "BENCH_cluster.json",
             "pyproject.toml",

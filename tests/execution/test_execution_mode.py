@@ -179,23 +179,11 @@ class TestEntryPointEquivalence:
 
 
 class TestConfigAdoption:
-    def test_execution_mode_of_prefers_mode_field(self):
+    def test_execution_mode_of_reads_the_mode_field(self):
         class Config:
-            batch_size = 64
             mode = "columnar:32"
 
         assert execution_mode_of(Config()) == ExecutionMode.columnar(32)
-
-    def test_execution_mode_of_falls_back_to_batch_size(self):
-        class Config:
-            batch_size = 64
-
-        assert execution_mode_of(Config()) == ExecutionMode.columnar(64)
-
-        class Scalar:
-            batch_size = 1
-
-        assert execution_mode_of(Scalar()) == ExecutionMode.scalar()
 
     def test_execution_mode_of_defaults_to_columnar(self):
         class Bare:
@@ -215,13 +203,6 @@ class TestConfigAdoption:
         assert default.mode == ExecutionMode.columnar()
         assert not hasattr(default, "batch_size")
         assert not hasattr(default, "columnar")
-
-    def test_descriptor_configure_rejects_mode_plus_batch_size(self):
-        from repro.experiments.registry import get_experiment
-
-        descriptor = get_experiment("fig1").descriptor
-        with pytest.raises(ConfigurationError, match="not both"):
-            descriptor.configure("tiny", batch_size=64, mode="scalar")
 
 
 class TestFingerprintStability:

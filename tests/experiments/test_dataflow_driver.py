@@ -78,9 +78,11 @@ class TestFig17:
         rows = run_experiment("fig17", scale="tiny").rows
         assert rows and json.dumps(rows)
 
-    def test_batch_size_does_not_change_metrics(self, tiny_config):
-        scalar, _ = fig17.run_scheme(tiny_config, "W-C", batch_size=1)
-        batched, _ = fig17.run_scheme(tiny_config, "W-C", batch_size=512)
+    def test_mode_does_not_change_metrics(self, tiny_config):
+        scalar, _ = fig17.run_scheme(replace(tiny_config, mode="scalar"), "W-C")
+        batched, _ = fig17.run_scheme(
+            replace(tiny_config, mode="columnar:512"), "W-C"
+        )
         for vertex in fig17.VERTICES:
             assert (
                 batched.vertex_metrics(vertex).instance_loads

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.execution import ExecutionMode
 from repro.experiments.common import ExperimentResult
 from repro.experiments.descriptor import SCALES, OutputSpec
 from repro.experiments.registry import get_experiment, list_experiments, run_experiment
@@ -41,11 +42,26 @@ class TestDescriptors:
         with pytest.raises(ConfigurationError):
             get_experiment("fig3").descriptor.config("huge")
 
-    def test_simulation_configs_expose_batch_size(self):
+    def test_simulation_configs_expose_mode(self):
         for experiment_id in list_experiments():
             descriptor = get_experiment(experiment_id).descriptor
             if descriptor.kind == "simulation":
-                assert hasattr(descriptor.config("tiny"), "batch_size"), experiment_id
+                config = descriptor.config("tiny")
+                assert hasattr(config, "mode"), experiment_id
+                assert not hasattr(config, "batch_size"), experiment_id
+
+    @pytest.mark.parametrize("experiment_id", list_experiments())
+    def test_configure_mode_applies_or_is_rejected(self, experiment_id):
+        """A mode either reaches the config or names the experiment that
+        has none to choose; it is never silently dropped."""
+        descriptor = get_experiment(experiment_id).descriptor
+        if hasattr(descriptor.config("tiny"), "mode"):
+            config = descriptor.configure("tiny", mode="scalar")
+            assert config.mode == ExecutionMode.scalar()
+        else:
+            with pytest.raises(ConfigurationError, match=experiment_id):
+                descriptor.configure("tiny", mode="scalar")
+        assert descriptor.configure("tiny") == descriptor.config("tiny")
 
     def test_run_at_tiny_scale(self):
         result = run_experiment("fig3", scale="tiny")

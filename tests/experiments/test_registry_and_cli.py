@@ -76,6 +76,21 @@ class TestCli:
         output = capsys.readouterr().out
         assert "head_cardinality" in output
 
+    @pytest.mark.parametrize(
+        "experiment_id", ["fig3", "fig4", "fig5", "fig6", "fig13", "fig14", "table1"]
+    )
+    def test_run_rejects_a_mode_the_experiment_cannot_take(
+        self, capsys, experiment_id
+    ):
+        assert main(["run", experiment_id, "--scale", "tiny", "--mode", "scalar"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {experiment_id} has no execution mode" in captured.err
+
+    def test_run_applies_mode_where_the_config_has_one(self, capsys):
+        assert main(["run", "fig1", "--scale", "tiny", "--mode", "scalar"]) == 0
+        assert "imbalance" in capsys.readouterr().out
+
     def test_simulate_command(self, capsys):
         exit_code = main(
             [

@@ -1,13 +1,14 @@
 """Batched dataflow execution must be byte-identical to scalar execution.
 
 The stage-by-stage micro-batch engine (vectorized edge routing, bulk
-operator execution, order-key merging at fan-in vertices) is pure
-optimisation: for every scheme, every topology shape and every batch size,
-``run_topology(mode="columnar:n")`` must produce the exact per-vertex metrics —
-worker sequences, per-instance loads, state sizes — and the exact
-reconciled state of depth-first scalar execution (``mode="scalar"``).
-These tests pin that contract, mirroring what
-``test_batch_equivalence.py`` pins for the routing engines.
+operator execution) is pure optimisation: for every scheme, every topology
+shape and every batch size, ``run_topology(mode="columnar:n")`` must
+produce the exact per-vertex metrics — worker sequences, per-instance
+loads, state sizes — and the exact reconciled state of depth-first scalar
+execution (``mode="scalar"``).  A topology with fan-in runs the scalar loop
+under every mode, which the shape test below pins.  These tests pin that
+contract, mirroring what ``test_batch_equivalence.py`` pins for the
+routing engines.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow.graph import Topology
-from repro.dataflow.runtime import run_topology
+from repro.dataflow.runtime import TopologyRuntime, run_topology
 from repro.operators.aggregations import CountAggregator
 from repro.operators.base import StatelessOperator
 from repro.operators.reconciliation import ReconciliationSink
@@ -94,7 +95,7 @@ def _multi_stage(scheme: str) -> Topology:
 
 
 def _diamond(scheme: str) -> Topology:
-    """Fan-out then fan-in: exercises the order-key merge path."""
+    """Fan-out then fan-in: runs the depth-first scalar loop in any mode."""
     return (
         Topology("diamond")
         .add_vertex("dup", _duplicator, parallelism=2)
@@ -207,6 +208,33 @@ class TestBatchedTopologyMatchesScalar:
             num_messages=num_messages, num_sources=num_sources,
         )
         assert batched == scalar
+
+
+class TestShapePicksTheLoop:
+    """Stage-by-stage execution needs one incoming edge per vertex, so the
+    DAG's shape, not the mode alone, decides which loop runs."""
+
+    @pytest.mark.parametrize("shape", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("batch_size", [7, 1024])
+    def test_fan_in_runs_the_scalar_loop_in_every_mode(
+        self, monkeypatch, shape, batch_size
+    ):
+        entered: list[str] = []
+        for name in ("_run_scalar", "_run_micro_batched"):
+            original = getattr(TopologyRuntime, name)
+
+            def spy(self, workload, _original=original, _name=name):
+                entered.append(_name)
+                return _original(self, workload)
+
+            monkeypatch.setattr(TopologyRuntime, name, spy)
+        factory = TOPOLOGIES[shape]
+        columnar = _fingerprint(factory, "PKG", batch_size=batch_size)
+        expected = "_run_scalar" if shape == "diamond" else "_run_micro_batched"
+        assert entered == [expected]
+        entered.clear()
+        assert columnar == _fingerprint(factory, "PKG", batch_size=1)
+        assert entered == ["_run_scalar"]
 
 
 def _string_keys() -> list[str]:

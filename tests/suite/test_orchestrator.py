@@ -50,12 +50,6 @@ class TestSuiteSmoke:
             o.fingerprint for o in first_run.outcomes
         }
 
-    def test_batch_size_override_does_not_invalidate_the_cache(self, store, first_run):
-        # batch_size is a pure-performance knob (batch == scalar routing is
-        # property-pinned), so it is excluded from the content address.
-        again = run_suite(scale="tiny", jobs=1, store=store, batch_size=257)
-        assert all(o.status == "cached" for o in again.outcomes)
-
     def test_progress_callback_sees_every_cell(self, store, first_run):
         seen = []
         run_suite(

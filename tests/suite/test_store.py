@@ -55,13 +55,13 @@ class TestFingerprint:
         assert config_fingerprint("fig1", "quick", {"a": 1}) != base
         assert config_fingerprint("fig1", "tiny", {"a": 2}) != base
 
-    def test_batch_size_is_non_semantic(self):
-        # The batched routing path is bit-identical to scalar routing, so
-        # cached records must stay valid under any batch size.
-        with_batch = config_fingerprint("fig1", "tiny", {"a": 1, "batch_size": 4096})
-        without = config_fingerprint("fig1", "tiny", {"a": 1, "batch_size": 1})
+    def test_mode_is_non_semantic(self):
+        # The columnar routing path is bit-identical to scalar routing, so
+        # cached records must stay valid under any execution mode.
+        columnar = config_fingerprint("fig1", "tiny", {"a": 1, "mode": "columnar:4096"})
+        scalar = config_fingerprint("fig1", "tiny", {"a": 1, "mode": "scalar"})
         bare = config_fingerprint("fig1", "tiny", {"a": 1})
-        assert with_batch == without == bare
+        assert columnar == scalar == bare
 
 
 class TestResultsStore:
