@@ -31,6 +31,14 @@ The stream is routed twice, through ``spans`` / ``route_span`` on
 (message ``i`` to sender ``i % 5``); the script fails unless the two agree,
 then hashes the result.  A kernel change that only makes routing faster must
 leave every one of these lines alone.
+
+The ``dchoices:<workload>`` lines pin D-Choices' solver: every time a sender
+of a five-sender D-C group re-solves FINDOPTIMALCHOICES, the sender index,
+its message count and the solution's ``(d, use_w_choices)`` are logged, on
+both deals (they must agree), and the log is hashed.  ``zipf-0.8-1e6`` at
+100 workers is the benchmark's ``sim_wide`` shape, whose early heads hold
+hundreds of keys.  The ``switch_log:AD:<workload>`` line hashes the
+adaptive group's scheme switches the same way.
 """
 
 from __future__ import annotations
@@ -88,6 +96,12 @@ ROUTING_OPTIONS: dict[str, dict[str, object]] = {
 }
 
 
+#: The workloads of the solver lines; 100 workers is ``sim_wide``'s ``n``.
+DCHOICES_WORKLOADS = ("zipf-0.8-1e6", "zipf-1.4-1e4", "wikipedia-like")
+DCHOICES_WORKERS = 100
+SWITCH_LOG_WORKLOADS = ("scenario:drift_mixture",)
+
+
 def stream_digest(workload) -> str:
     """Hex SHA-256 of the workload's ids, folds, keys and forward map."""
     dictionary = KeyDictionary()
@@ -101,16 +115,15 @@ def stream_digest(workload) -> str:
     return digest.hexdigest()
 
 
-def _group(scheme: str) -> SenderGroup:
+def _group(scheme: str, num_workers: int = ROUTING_WORKERS) -> SenderGroup:
     return SenderGroup.build(
-        scheme, ROUTING_SENDERS, ROUTING_WORKERS, seed=SEED,
+        scheme, ROUTING_SENDERS, num_workers, seed=SEED,
         **ROUTING_OPTIONS.get(scheme, {}),
     )
 
 
-def span_routing(scheme: str, workload, num_messages: int):
+def span_routing(group: SenderGroup, workload, num_messages: int):
     """``(workers, heads)`` of the columnar deal: ``spans`` -> ``route_span``."""
-    group = _group(scheme)
     workers = np.empty(num_messages, dtype=np.int64)
     heads = np.zeros(num_messages, dtype=bool)
     for span, index in spans(workload, group, ROUTING_MODE):
@@ -121,9 +134,9 @@ def span_routing(scheme: str, workload, num_messages: int):
     return workers, heads
 
 
-def scalar_routing(scheme: str, workload):
+def scalar_routing(group: SenderGroup, workload):
     """``(workers, heads)`` of the per-message oracle deal."""
-    senders = _group(scheme).partitioners
+    senders = group.partitioners
     decisions = [
         senders[index % len(senders)].route_with_decision(key)
         for index, key in enumerate(workload)
@@ -136,8 +149,8 @@ def scalar_routing(scheme: str, workload):
 
 def routing_digest(scheme: str, factory, num_messages: int) -> str:
     """Hex SHA-256 of one scheme's worker and head-flag sequences."""
-    workers, heads = span_routing(scheme, factory(num_messages), num_messages)
-    oracle_workers, oracle_heads = scalar_routing(scheme, factory(num_messages))
+    workers, heads = span_routing(_group(scheme), factory(num_messages), num_messages)
+    oracle_workers, oracle_heads = scalar_routing(_group(scheme), factory(num_messages))
     if not (
         np.array_equal(workers, oracle_workers) and np.array_equal(heads, oracle_heads)
     ):
@@ -158,6 +171,74 @@ def routing_digests(num_messages: int) -> dict[str, str]:
     }
 
 
+def _record_solves(group: SenderGroup) -> list[tuple[int, int, int, bool]]:
+    """Log ``(sender, routed, d, use_w_choices)`` at every solve of ``group``.
+
+    Each sender's checkpoint hook is wrapped; a check that re-solved leaves a
+    new solution object behind (the solver returns a fresh one every time).
+    """
+    log: list[tuple[int, int, int, bool]] = []
+    for sender, partitioner in enumerate(group.partitioners):
+        def recording(routed, _sender=sender, _partitioner=partitioner,
+                      _check=partitioner._maybe_recompute_at):
+            before = _partitioner._solution
+            _check(routed)
+            solution = _partitioner._solution
+            if solution is not before:
+                log.append(
+                    (_sender, routed, solution.num_choices, solution.use_w_choices)
+                )
+        partitioner._maybe_recompute_at = recording
+    return log
+
+
+def _both_deals(scheme: str, factory, num_messages: int, num_workers: int, observe):
+    """Hex SHA-256 of what ``observe`` saw on the columnar deal, after
+    checking that the scalar deal saw the same.
+
+    ``observe(group)`` runs before routing and returns a zero-argument
+    callable that reads the observation after it.
+    """
+    observed = []
+    for columnar in (True, False):
+        group = _group(scheme, num_workers)
+        read = observe(group)
+        if columnar:
+            span_routing(group, factory(num_messages), num_messages)
+        else:
+            scalar_routing(group, factory(num_messages))
+        observed.append(read())
+    if observed[0] != observed[1]:
+        raise AssertionError(f"{scheme}: the columnar deal differs from the scalar one")
+    return hashlib.sha256(repr(observed[0]).encode("utf-8")).hexdigest()
+
+
+def _solves(group: SenderGroup):
+    # Sorted by (sender, routed): append order depends on how spans
+    # interleave the senders.
+    log = _record_solves(group)
+    return lambda: sorted(log)
+
+
+def _switches(group: SenderGroup):
+    return group.switch_log
+
+
+def solver_digests(num_messages: int) -> dict[str, str]:
+    """D-C's solves per workload, and AD's switch log."""
+    lines = {
+        f"dchoices:{name}": _both_deals(
+            "D-C", WORKLOADS[name], num_messages, DCHOICES_WORKERS, _solves
+        )
+        for name in DCHOICES_WORKLOADS
+    }
+    for name in SWITCH_LOG_WORKLOADS:
+        lines[f"switch_log:AD:{name}"] = _both_deals(
+            "AD", WORKLOADS[name], num_messages, ROUTING_WORKERS, _switches
+        )
+    return lines
+
+
 def digests(num_messages: int) -> dict[str, str]:
     return {
         name: stream_digest(factory(num_messages))
@@ -172,7 +253,11 @@ def main(argv: list[str] | None = None) -> int:
         help="stream length per workload (default: 460000)",
     )
     args = parser.parse_args(argv)
-    lines = {**digests(args.messages), **routing_digests(args.messages)}
+    lines = {
+        **digests(args.messages),
+        **routing_digests(args.messages),
+        **solver_digests(args.messages),
+    }
     for name, value in lines.items():
         print(f"{value}  {name}  messages={args.messages}")
     return 0

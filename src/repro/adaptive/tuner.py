@@ -13,6 +13,7 @@ the observed distribution drifts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.analysis.bounds import theta_range
@@ -70,7 +71,7 @@ class ParameterTuner:
                 num_choices=2, use_w_choices=False, head_cardinality=0
             )
         head = [count / total for count in head_counts]
-        tail_mass = max(0.0, 1.0 - sum(head))
+        tail_mass = max(0.0, 1.0 - math.fsum(head))
         return find_optimal_choices(head, tail_mass, num_workers, self.epsilon)
 
 

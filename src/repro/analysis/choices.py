@@ -20,15 +20,25 @@ one per prefix of the head of length ``h``::
 increases ``d`` until every prefix constraint is satisfied.  If no ``d < n``
 works, the caller should switch to W-Choices; we signal that by returning
 ``d = n`` with ``use_w_choices=True``.
+
+Both head sums of a prefix are *correctly rounded* (``math.fsum``), so ``d``
+is a function of the head alone.  Builtin ``sum`` is not: Python 3.12 made it
+compensated, and at ``epsilon = 0``, where uniform heads meet their
+constraints with equality, that was enough to move ``d`` between
+interpreters.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from repro.exceptions import AnalysisError
+from repro.fifo_map import FifoMap
 
 #: Default imbalance tolerance used throughout the paper's evaluation.
 DEFAULT_EPSILON = 1e-4
@@ -83,8 +93,8 @@ def prefix_constraint_satisfied(
         )
     n = float(num_workers)
     b_h = expected_worker_set_size(num_workers, num_choices, prefix_length)
-    prefix_mass = float(sum(head[:prefix_length]))
-    rest_of_head = float(sum(head[prefix_length:]))
+    prefix_mass = math.fsum(head[:prefix_length])
+    rest_of_head = math.fsum(head[prefix_length:])
     ratio = b_h / n
     lhs = (
         prefix_mass
@@ -186,46 +196,24 @@ def find_optimal_choices(
     if tail_mass < 0.0 or tail_mass > 1.0 + 1e-9:
         raise AnalysisError(f"tail_mass must be in [0, 1], got {tail_mass}")
     head = list(head)
-    if any(p < 0.0 for p in head):
-        raise AnalysisError("head probabilities must be non-negative")
-    if head and any(
-        head[i] < head[i + 1] - 1e-12 for i in range(len(head) - 1)
-    ):
-        head = sorted(head, reverse=True)
-
     if not head:
         return ChoicesSolution(num_choices=2, use_w_choices=False, head_cardinality=0)
+    if min(head) < 0.0:
+        raise AnalysisError("head probabilities must be non-negative")
+    if any(map(operator.lt, head, [p - 1e-12 for p in head[1:]])):
+        head = sorted(head, reverse=True)
 
     start = lower_bound_choices(head[0], num_workers)
     # all_constraints_satisfied(head, tail_mass, num_workers, candidate,
-    # epsilon) for candidate = start, start + 1, ... — except that the two
-    # head sums of each prefix, which do not depend on the candidate, are
-    # taken once per solve.  They are the very expressions of
-    # prefix_constraint_satisfied, and every test below runs its float
-    # operations in its order, so each ``lhs <= rhs`` is the same
-    # computation: running or compensated sums would be cheaper still, but
-    # could flip a constraint that holds with equality, and d with it.
-    masses = [
-        (float(sum(head[:prefix_length])), float(sum(head[prefix_length:])))
-        for prefix_length in range(1, len(head) + 1)
-    ]
-    n = float(num_workers)
-    miss = (n - 1.0) / n
-    budget = 1.0 / n + epsilon
+    # epsilon) for candidate = start, start + 1, ...: the head sums are taken
+    # once per solve, the terms that depend only on (n, epsilon, d, h) once
+    # per process, and every test runs the reference's float operations in
+    # its order, so each ``lhs <= rhs`` -- and d -- is the reference's.
+    prefix_masses, rests_of_head = head_masses(head)
     for candidate in range(start, num_workers):
-        throws = 0
-        for prefix_mass, rest_of_head in masses:
-            throws += candidate
-            b_h = n - n * miss ** throws
-            ratio = b_h / n
-            lhs = (
-                prefix_mass
-                + (ratio ** candidate) * rest_of_head
-                + (ratio ** 2) * tail_mass
-            )
-            if not lhs <= b_h * budget:
-                break
-        else:
+        if _prefixes_satisfied(
+            prefix_masses, rests_of_head, tail_mass, num_workers, epsilon, candidate
+        ):
             return ChoicesSolution(
                 num_choices=candidate,
                 use_w_choices=False,
@@ -236,6 +224,108 @@ def find_optimal_choices(
         use_w_choices=True,
         head_cardinality=len(head),
     )
+
+
+def head_masses(head: Sequence[float]) -> tuple[list[float], list[float]]:
+    """``math.fsum(head[:h])`` and ``math.fsum(head[h:])`` for ``h = 1 .. |H|``.
+
+    Bit for bit, in one pass: every float is an integer multiple of
+    ``2**-scale`` once ``scale`` covers the last mantissa bit of the smallest
+    non-zero entry, so the entries are accumulated exactly as integers at
+    that scale, and each prefix and suffix is rounded to a float once --
+    which is what ``fsum``'s result is.  Entries must be non-negative and
+    finite.
+    """
+    smallest = min(head, default=0.0) or min(filter(None, head), default=0.0)
+    if not smallest:
+        return [0.0] * len(head), [0.0] * len(head)
+    scale = min(53 - math.frexp(smallest)[1], 1074)
+    if scale <= 1023 and math.frexp(max(head))[1] + scale <= 1023:
+        # Fast path: both scalings are exact (no entry leaves the float
+        # range), and a prefix of at least ``smallest`` is a normal float,
+        # so scaling the correctly rounded ``float(prefix)`` loses nothing.
+        prefixes = list(accumulate(map(int, map(math.ldexp(1.0, scale).__mul__, head))))
+        total = prefixes[-1]
+        if total.bit_length() <= 1023:
+            unit = math.ldexp(1.0, -scale)
+            return (
+                list(map(unit.__rmul__, prefixes)),
+                list(map(unit.__rmul__, map(total.__sub__, prefixes))),
+            )
+    # A range of exponents beyond the float's: integer division rounds
+    # correctly at any size, subnormal results included.
+    prefixes = list(
+        accumulate(
+            numerator << (scale + 1 - denominator.bit_length())
+            for numerator, denominator in map(float.as_integer_ratio, head)
+        )
+    )
+    total = prefixes[-1]
+    unit = 1 << scale
+    return (
+        [prefix / unit for prefix in prefixes],
+        [(total - prefix) / unit for prefix in prefixes],
+    )
+
+
+#: ``(n, epsilon, d)`` triples whose d-only terms are kept across solves.  A
+#: scan visits every ``d`` from the lower bound up, so the bound sits above
+#: any ``n`` a deployment uses, or a FIFO would evict each triple just before
+#: the next solve asks for it.
+_TERMS_CACHE_LIMIT = 256
+
+#: ``(n, epsilon, d) -> (bound, head_factor, tail_factor)``: the prefix
+#: test's d-only terms ``b_h * (1/n + epsilon)``, ``(b_h/n)**d`` and
+#: ``(b_h/n)**2``, indexed by ``h - 1`` and grown as far as a scan reached.
+#: Shared by every solver in the process (all senders of a group, AD's tuner,
+#: the figures): it memoises a pure function, so what it holds, or has
+#: evicted, changes no result.
+_TERMS: FifoMap[tuple[int, float, int], tuple[array, array, array]] = FifoMap(
+    _TERMS_CACHE_LIMIT
+)
+
+
+def _prefixes_satisfied(
+    prefix_masses: list[float],
+    rests_of_head: list[float],
+    tail_mass: float,
+    num_workers: int,
+    epsilon: float,
+    candidate: int,
+) -> bool:
+    """``all_constraints_satisfied`` for ``d = candidate`` over the head sums."""
+    key = (num_workers, epsilon, candidate)
+    terms = _TERMS.get(key)
+    if terms is None:
+        terms = (array("d"), array("d"), array("d"))
+        _TERMS.insert(key, terms)
+    bound, head_factor, tail_factor = terms
+    for prefix_mass, rest_of_head, rhs, spread, squared in zip(
+        prefix_masses, rests_of_head, bound, head_factor, tail_factor
+    ):
+        if not prefix_mass + spread * rest_of_head + squared * tail_mass <= rhs:
+            return False
+    # The scan went past the cached prefixes: derive the rest as it goes.
+    n = float(num_workers)
+    miss = (n - 1.0) / n
+    budget = 1.0 / n + epsilon
+    for prefix_length in range(len(bound) + 1, len(prefix_masses) + 1):
+        b_h = n - n * miss ** (prefix_length * candidate)
+        ratio = b_h / n
+        rhs = b_h * budget
+        spread = ratio ** candidate
+        squared = ratio ** 2
+        bound.append(rhs)
+        head_factor.append(spread)
+        tail_factor.append(squared)
+        lhs = (
+            prefix_masses[prefix_length - 1]
+            + spread * rests_of_head[prefix_length - 1]
+            + squared * tail_mass
+        )
+        if not lhs <= rhs:
+            return False
+    return True
 
 
 def minimal_feasible_choices_empirical(

@@ -30,6 +30,8 @@ change of ``d`` only, and the hash rounds under them by none.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.analysis.choices import DEFAULT_EPSILON, ChoicesSolution, find_optimal_choices
@@ -139,7 +141,7 @@ class DChoices(HeadTailPartitioner):
                 num_choices=2, use_w_choices=False, head_cardinality=0
             )
         head = [count / total for count in head_counts]
-        tail_mass = max(0.0, 1.0 - sum(head))
+        tail_mass = max(0.0, 1.0 - math.fsum(head))
         return find_optimal_choices(
             head, tail_mass, self.num_workers, self._epsilon
         )

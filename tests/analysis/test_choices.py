@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import math
+import struct
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.adaptive.tuner import ParameterTuner
+from repro.analysis import choices
 from repro.analysis.bounds import theta_range
 from repro.analysis.choices import (
     ChoicesSolution,
     all_constraints_satisfied,
     expected_worker_set_size,
     find_optimal_choices,
+    head_masses,
     lower_bound_choices,
     minimal_feasible_choices_empirical,
     prefix_constraint_satisfied,
@@ -19,6 +25,8 @@ from repro.analysis.choices import (
 from repro.analysis.head import head_cardinality
 from repro.analysis.zipf import ZipfDistribution
 from repro.exceptions import AnalysisError
+from repro.fifo_map import FifoMap
+from repro.partitioning.d_choices import DChoices
 
 
 class TestExpectedWorkerSetSize:
@@ -189,8 +197,9 @@ def _reference_scan(head, tail_mass, num_workers, epsilon):
 
 
 class TestFastScanEqualsReference:
-    """``find_optimal_choices`` takes the head sums once per solve; it must
-    still return what the per-(h, d) reference returns, to the last bit of
+    """``find_optimal_choices`` takes the head sums once per solve and keeps
+    the d-only terms across solves; it must still return what the per-(h, d)
+    reference (``math.fsum`` of both slices) returns, to the last bit of
     every comparison — a different d would change routing."""
 
     @settings(max_examples=150, deadline=None)
@@ -204,7 +213,7 @@ class TestFastScanEqualsReference:
         # What D-Choices feeds the solver: sorted counts over the total.
         total = sum(counts) + tail_count
         head = [count / total for count in sorted(counts, reverse=True)]
-        tail_mass = max(0.0, 1.0 - sum(head))
+        tail_mass = max(0.0, 1.0 - math.fsum(head))
         assert find_optimal_choices(
             head, tail_mass, num_workers, epsilon
         ) == _reference_scan(head, tail_mass, num_workers, epsilon)
@@ -219,7 +228,7 @@ class TestFastScanEqualsReference:
     def test_arbitrary_heads(self, weights, head_mass, num_workers, epsilon):
         scale = head_mass / (sum(weights) or 1.0)
         head = sorted((min(1.0, weight * scale) for weight in weights), reverse=True)
-        tail_mass = max(0.0, 1.0 - sum(head))
+        tail_mass = max(0.0, 1.0 - math.fsum(head))
         assert find_optimal_choices(
             head, tail_mass, num_workers, epsilon
         ) == _reference_scan(head, tail_mass, num_workers, epsilon)
@@ -234,6 +243,176 @@ class TestFastScanEqualsReference:
             assert find_optimal_choices(
                 head, 0.0, num_workers, epsilon
             ) == _reference_scan(head, 0.0, num_workers, epsilon)
+
+
+    def test_a_small_or_cold_terms_cache_changes_nothing(self, monkeypatch):
+        # Evicting a (n, epsilon, d) triple mid-scan, or finding one grown by
+        # a shorter head, must give the same d as a fresh derivation.
+        monkeypatch.setattr(choices, "_TERMS", FifoMap(2))
+        for size in (3, 40, 7, 90, 1):
+            counts = [1 + (index % 3) for index in range(size)]
+            total = sum(counts) + size
+            head = [count / total for count in sorted(counts, reverse=True)]
+            tail_mass = max(0.0, 1.0 - math.fsum(head))
+            for num_workers in (8, 50):
+                assert find_optimal_choices(
+                    head, tail_mass, num_workers, 0.0
+                ) == _reference_scan(head, tail_mass, num_workers, 0.0)
+
+    def test_terms_grow_only_as_far_as_a_scan_reaches(self, monkeypatch):
+        monkeypatch.setattr(choices, "_TERMS", FifoMap(64))
+        head = [0.4, 0.3, 0.2, 0.1]
+        solution = find_optimal_choices(head, 0.0, 10, 0.0)
+        assert solution == _reference_scan(head, 0.0, 10, 0.0)
+        for (num_workers, epsilon, candidate), terms in choices._TERMS.items():
+            reached = next(
+                (
+                    length
+                    for length in range(1, len(head) + 1)
+                    if not prefix_constraint_satisfied(
+                        head, 0.0, num_workers, candidate, length, epsilon
+                    )
+                ),
+                len(head),
+            )
+            assert [len(column) for column in terms] == [reached] * 3
+
+
+def _bits(values):
+    return [struct.pack("<d", value) for value in values]
+
+
+def _assert_fsum_of_both_slices(head):
+    prefix_masses, rests_of_head = head_masses(head)
+    lengths = range(1, len(head) + 1)
+    assert _bits(prefix_masses) == _bits(math.fsum(head[:h]) for h in lengths)
+    assert _bits(rests_of_head) == _bits(math.fsum(head[h:]) for h in lengths)
+
+
+#: Non-negative floats across the whole range a head mass can take: zeros,
+#: subnormals, one, and everything between.
+_MASSES = st.one_of(
+    st.just(0.0),
+    st.just(1.0),
+    st.just(5e-324),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e-300),
+)
+
+
+class TestHeadMasses:
+    """The one-pass head sums are ``math.fsum`` of both slices, bit for bit —
+    the same float whatever the interpreter's builtin ``sum`` does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(head=st.lists(_MASSES, max_size=60))
+    @example(head=[1.0, 2.225073858507203e-309])
+    @example(head=[1.0, 5e-324, 0.0])
+    @example(head=[1.0 / 46] * 46)
+    def test_equal_fsum_of_both_slices(self, head):
+        _assert_fsum_of_both_slices(head)
+
+    @settings(max_examples=150, deadline=None)
+    @given(counts=st.lists(st.integers(1, 5_000), min_size=1, max_size=60),
+           tail_count=st.integers(0, 50_000))
+    def test_equal_fsum_on_sketch_shaped_heads(self, counts, tail_count):
+        total = sum(counts) + tail_count
+        _assert_fsum_of_both_slices(
+            [count / total for count in sorted(counts, reverse=True)]
+        )
+
+    def test_all_zero_head(self):
+        assert head_masses([0.0, 0.0]) == ([0.0, 0.0], [0.0, 0.0])
+
+
+class _FixedHead:
+    """A sketch stand-in that reports a fixed head and total."""
+
+    def __init__(self, counts, total):
+        self.counts = counts
+        self.total = total
+
+    def head_counts(self, theta):
+        return list(self.counts)
+
+
+#: ``(count, multiplicity) pairs, total, n, epsilon -> d, use_w_choices``,
+#: the same on CPython 3.10-3.13.  The first twelve are uniform heads at
+#: epsilon = 0, whose prefixes meet their constraint with equality: with
+#: builtin ``sum`` they gave W-C (or d = 7 at k = 53) on 3.11 and the values
+#: below on 3.12.  The rest are heads D-C's sketches held at solves on the
+#: stream digest's workloads (``zipf-0.8-1e6`` at n = 100 early on, when
+#: every monitored key is head; ``zipf-1.4-1e4`` and ``wikipedia-like`` at
+#: n = 50), plus three W-C / small-n cases.
+GOLDEN_SOLUTIONS = [
+    (((1, 46),), 46, 8, 0.0, 7, False),
+    (((1, 47),), 47, 8, 0.0, 7, False),
+    (((1, 48),), 48, 8, 0.0, 7, False),
+    (((1, 49),), 49, 8, 0.0, 7, False),
+    (((1, 50),), 50, 8, 0.0, 7, False),
+    (((1, 51),), 51, 8, 0.0, 7, False),
+    (((1, 52),), 52, 8, 0.0, 7, False),
+    (((1, 53),), 53, 8, 0.0, 6, False),
+    (((1, 54),), 54, 8, 0.0, 6, False),
+    (((1, 55),), 55, 8, 0.0, 6, False),
+    (((1, 56),), 56, 8, 0.0, 6, False),
+    (((1, 57),), 57, 8, 0.0, 6, False),
+    (((19, 1), (17, 1), (10, 1), (9, 1), (8, 2), (6, 1), (5, 1)), 2177, 100, 1e-4, 2, False),
+    (((18, 1), (10, 1), (9, 2), (4, 3), (3, 5)), 1137, 100, 1e-4, 2, False),
+    (((14, 1), (5, 1), (4, 1), (3, 1), (2, 19)), 703, 100, 1e-4, 3, False),
+    (((14, 1), (5, 1), (4, 1), (3, 1), (2, 19)), 703, 100, 0.0, 3, False),
+    (((7, 1), (2, 3), (1, 287)), 300, 100, 1e-4, 3, False),
+    (((8, 1), (3, 2), (2, 9), (1, 468)), 500, 100, 1e-4, 2, False),
+    (((8, 1), (3, 2), (2, 9), (1, 468)), 500, 100, 0.0, 9, False),
+    (((8, 1), (3, 2), (2, 9), (1, 468)), 500, 100, 1e-2, 2, False),
+    (((8, 1), (3, 2), (2, 9), (1, 468)), 500, 8, 1e-4, 2, False),
+    (
+        (
+            (364, 1), (164, 1), (60, 1), (48, 1), (29, 1), (28, 1), (21, 1), (19, 1),
+            (17, 1), (14, 1), (12, 1), (9, 2), (8, 2), (7, 1), (6, 5), (5, 2),
+        ),
+        1103, 50, 1e-4, 22, False,
+    ),
+    (((32, 1), (16, 1), (5, 1), (4, 1), (3, 3), (2, 3), (1, 28)), 100, 50, 1e-4, 19, False),
+    (((32, 1), (16, 1), (5, 1), (4, 1), (3, 3), (2, 3), (1, 28)), 100, 50, 0.0, 49, False),
+    (
+        (
+            (59, 1), (22, 1), (17, 1), (11, 1), (10, 3), (9, 1), (7, 1), (6, 4),
+            (5, 5), (4, 6), (3, 12),
+        ),
+        703, 50, 1e-4, 5, False,
+    ),
+    (((7, 1), (3, 2), (2, 5), (1, 77)), 100, 50, 1e-4, 4, False),
+    (((95, 1),), 100, 20, 1e-4, 20, True),
+    (((3, 2), (1, 4)), 10, 2, 1e-4, 2, True),
+    (((40, 1), (20, 2)), 100, 8, 1e-2, 6, False),
+]
+
+
+class TestGoldenSolutions:
+    """What D-C and AD's tuner choose for fixed heads, pinned as constants so
+    every interpreter of the CI matrix must reproduce them."""
+
+    @pytest.mark.parametrize(
+        "pairs, total, num_workers, epsilon, expected_d, expected_w_choices",
+        GOLDEN_SOLUTIONS,
+    )
+    def test_d_choices_and_the_tuner(
+        self, pairs, total, num_workers, epsilon, expected_d, expected_w_choices
+    ):
+        counts = [count for count, times in pairs for _ in range(times)]
+        sketch = _FixedHead(counts, total)
+        scheme = DChoices(num_workers=num_workers, epsilon=epsilon)
+        scheme._sketch = sketch
+        expected = ChoicesSolution(
+            num_choices=expected_d,
+            use_w_choices=expected_w_choices,
+            head_cardinality=len(counts),
+        )
+        assert scheme._find_optimal_choices() == expected
+        tuner = ParameterTuner(epsilon=epsilon)
+        assert tuner.propose_choices(sketch, 0.0, num_workers) == expected
 
 
 class TestEmpiricalMinimum:

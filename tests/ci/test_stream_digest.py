@@ -19,6 +19,12 @@ so they pin that every decision and flag survived that change.
 Consistent grouping places its virtual nodes by hashing tuples, which
 ``PYTHONHASHSEED`` salts; the routing lines are therefore taken in a child
 process with the seed pinned to 0.
+
+The ``dchoices:*`` lines hash every FINDOPTIMALCHOICES solve of a
+five-sender D-C group — sender, message count, ``d`` and the W-Choices
+flag — and the ``switch_log:*`` line an adaptive group's switches.  Their
+constants were printed by the commit before the solver took its head sums
+in one pass, so they pin that no ``d`` moved with it.
 """
 
 from __future__ import annotations
@@ -67,6 +73,15 @@ PARENT_ROUTING_DIGESTS_20K = {
 }
 
 
+#: Taken with the solver's head sums still re-summed per prefix.
+PARENT_SOLVER_DIGESTS_20K = {
+    "dchoices:zipf-0.8-1e6": "b2ad9295b97be6a7e9756ce5981916987c5d441a2680df2f6b2715ab9449dbf5",
+    "dchoices:zipf-1.4-1e4": "15d924e2bfcd59a1de349e1695061223fef86722f5253027573363e832652c52",
+    "dchoices:wikipedia-like": "be4be51d89665fd912708ca4b08f85704242456e100ba96f769a0582c4e2db75",
+    "switch_log:AD:scenario:drift_mixture": "e86188c422ecc12fba34e113a5add068e5df7ad7083bb5dffe21a6e5eb6918f9",
+}
+
+
 @pytest.fixture(scope="module")
 def stream_digest():
     """Import benchmarks/stream_digest.py as a module."""
@@ -81,23 +96,67 @@ def test_digests_are_the_parents(stream_digest):
     assert stream_digest.digests(20_000) == PARENT_DIGESTS_20K
 
 
-def test_routing_digests_are_the_parents():
+@pytest.fixture(scope="module")
+def printed_20k():
+    """``name -> digest`` printed by the script at 20,000 messages."""
     completed = subprocess.run(
         [sys.executable, str(REPO_ROOT / "benchmarks" / "stream_digest.py"),
          "--messages", "20000"],
         env={**os.environ, "PYTHONHASHSEED": "0"},
         capture_output=True, text=True, check=True,
     )
-    printed = dict(line.split()[1::-1] for line in completed.stdout.splitlines())
-    routing = {name: value for name, value in printed.items() if name.startswith("routing:")}
+    return dict(line.split()[1::-1] for line in completed.stdout.splitlines())
+
+
+def test_routing_digests_are_the_parents(printed_20k):
+    routing = {
+        name: value for name, value in printed_20k.items() if name.startswith("routing:")
+    }
     assert routing == PARENT_ROUTING_DIGESTS_20K
+
+
+def test_solver_digests_are_the_parents(printed_20k):
+    solver = {
+        name: value
+        for name, value in printed_20k.items()
+        if name.startswith(("dchoices:", "switch_log:"))
+    }
+    assert solver == PARENT_SOLVER_DIGESTS_20K
+
+
+def test_solver_log_holds_every_solve(stream_digest):
+    # One entry per solve, in each sender's order; the zipf-0.8 line covers
+    # the sim_wide-shaped solves over hundreds of head keys.
+    group = stream_digest._group("D-C", stream_digest.DCHOICES_WORKERS)
+    log = stream_digest._record_solves(group)
+    solved = []
+    for sender, partitioner in enumerate(group.partitioners):
+        def solve(_sender=sender, _solve=partitioner._find_optimal_choices):
+            solution = _solve()
+            solved.append((_sender, solution))
+            return solution
+        partitioner._find_optimal_choices = solve
+    workload = stream_digest.WORKLOADS["zipf-0.8-1e6"](20_000)
+    stream_digest.span_routing(group, workload, 20_000)
+    assert [(sender, d, wc) for sender, _, d, wc in log] == [
+        (sender, solution.num_choices, solution.use_w_choices)
+        for sender, solution in solved
+    ]
+    assert max(solution.head_cardinality for _, solution in solved) > 400
+
+
+def test_switch_log_line_sees_switches(stream_digest):
+    group = stream_digest._group("AD")
+    workload = stream_digest.WORKLOADS["scenario:drift_mixture"](20_000)
+    stream_digest.span_routing(group, workload, 20_000)
+    assert group.switch_log()
 
 
 def test_cli_prints_one_line_per_workload(stream_digest, capsys):
     assert stream_digest.main(["--messages", "300"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines] == [
-        *PARENT_DIGESTS_20K, *PARENT_ROUTING_DIGESTS_20K
+        *PARENT_DIGESTS_20K, *PARENT_ROUTING_DIGESTS_20K, *PARENT_SOLVER_DIGESTS_20K
     ]
     assert all(line.endswith("messages=300") and len(line.split()[0]) == 64 for line in lines)
 
