@@ -50,11 +50,8 @@ from repro.exceptions import (
 )
 from repro.execution import ExecutionMode
 from repro.operators import (
-    AverageAggregator,
     CountAggregator,
     ReconciliationSink,
-    SumAggregator,
-    TopKAggregator,
     TumblingWindowAssigner,
     WindowedAggregator,
     reconcile,
@@ -110,11 +107,8 @@ __all__ = [
     # sketches
     "SpaceSaving",
     # operators / dataflow
-    "AverageAggregator",
     "CountAggregator",
     "ReconciliationSink",
-    "SumAggregator",
-    "TopKAggregator",
     "Topology",
     "TopologyResult",
     "TumblingWindowAssigner",

@@ -44,7 +44,7 @@ from repro.dataflow.graph import Edge, Topology
 from repro.exceptions import ConfigurationError
 from repro.execution import ExecutionMode, ModeLike, SenderGroup, spans
 from repro.operators.base import Operator
-from repro.types import Key, Message
+from repro.types import Key, Message, loads_imbalance
 from repro.workloads.base import Workload
 from repro.workloads.columnar import ColumnarBatch
 
@@ -64,10 +64,7 @@ class VertexMetrics:
     @property
     def imbalance(self) -> float:
         """``I(m)`` over this vertex's instances (0 when it saw no traffic)."""
-        if self.messages == 0:
-            return 0.0
-        normalized = [load / self.messages for load in self.instance_loads]
-        return max(0.0, max(normalized) - sum(normalized) / self.parallelism)
+        return loads_imbalance(self.instance_loads)
 
     @property
     def total_state_entries(self) -> int:

@@ -15,7 +15,7 @@ key deterministically and run it through a 64-bit mixing function
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -243,12 +243,12 @@ class HashFamily:
         self._seed = seed
         # Pre-mix one sub-seed per function so that function i is keyed by a
         # well-separated 64-bit constant rather than by the small integer i.
-        self._sub_seeds = tuple(
+        sub_seeds = (
             _splitmix64((seed & _MASK64) + i * _GAMMA) for i in range(num_functions)
         )
         # stable_hash(key, s) == splitmix64(key_int ^ splitmix64(s)); the
         # inner mix only depends on the sub-seed, so do it once here.
-        self._mixed_seeds = tuple(_splitmix64(s) for s in self._sub_seeds)
+        self._mixed_seeds = tuple(_splitmix64(s) for s in sub_seeds)
         self._mixed_seeds_np = np.array(self._mixed_seeds, dtype=np.uint64)
         # Interning cache: a key's candidate tuple is derived once rather
         # than per message.  Candidate tuples are prefix-stable in d, so one
@@ -271,14 +271,6 @@ class HashFamily:
     @property
     def seed(self) -> int:
         return self._seed
-
-    def hash(self, key: Key, index: int) -> WorkerId:
-        """Apply the ``index``-th function of the family to ``key``."""
-        if not 0 <= index < self._num_functions:
-            raise ConfigurationError(
-                f"hash function index {index} outside [0, {self._num_functions})"
-            )
-        return stable_hash(key, self._sub_seeds[index]) % self._num_buckets
 
     def candidates(self, key: Key, d: int | None = None) -> tuple[WorkerId, ...]:
         """Return the first ``d`` candidate buckets for ``key``.
@@ -407,74 +399,8 @@ class HashFamily:
             return prefix[:d]
         return prefix + self._mix(int(dictionary.folded[kid]), d, len(prefix))
 
-    def distinct_candidates(self, key: Key, d: int | None = None) -> tuple[WorkerId, ...]:
-        """Like :meth:`candidates` but with duplicates removed, order kept."""
-        seen: dict[WorkerId, None] = {}
-        for candidate in self.candidates(key, d):
-            seen.setdefault(candidate, None)
-        return tuple(seen)
-
-    def with_buckets(self, num_buckets: int) -> "HashFamily":
-        """Return a new family with the same seed but a different codomain."""
-        return HashFamily(self._num_functions, num_buckets, self._seed)
-
-    def with_functions(self, num_functions: int) -> "HashFamily":
-        """Return a new family with the same seed but a different size."""
-        return HashFamily(num_functions, self._num_buckets, self._seed)
-
-    def spread(self, keys: Iterable[Key], d: int = 1) -> list[int]:
-        """Histogram of bucket hits for ``keys`` under the first ``d`` functions.
-
-        Convenience used by tests and benchmarks to check uniformity.
-        """
-        counts = [0] * self._num_buckets
-        for key in keys:
-            for bucket in self.candidates(key, d):
-                counts[bucket] += 1
-        return counts
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"HashFamily(num_functions={self._num_functions}, "
             f"num_buckets={self._num_buckets}, seed={self._seed})"
         )
-
-
-def collision_probability(n: int, d: int) -> float:
-    """Probability that two specific choices out of ``d`` collide in ``[n]``.
-
-    Small helper used by the analysis tests; under ideal hashing each pair of
-    choices collides with probability ``1/n``.
-    """
-    if n < 1:
-        raise ConfigurationError(f"n must be positive, got {n}")
-    if d < 2:
-        return 0.0
-    return 1.0 / n
-
-
-def expected_distinct(n: int, d: int) -> float:
-    """Expected number of distinct buckets hit by ``d`` uniform throws into ``n``.
-
-    This is the quantity ``b`` of Appendix A: ``n - n((n-1)/n)^d``.
-    Kept here (as well as in :mod:`repro.analysis.choices`) because it is a
-    property of the hashing substrate and is tested against the empirical
-    behaviour of :class:`HashFamily`.
-    """
-    if n < 1:
-        raise ConfigurationError(f"n must be positive, got {n}")
-    if d < 0:
-        raise ConfigurationError(f"d must be non-negative, got {d}")
-    return n - n * ((n - 1) / n) ** d
-
-
-def candidate_union(families: Sequence[tuple[HashFamily, Key, int]]) -> set[WorkerId]:
-    """Union of candidate sets for several (family, key, d) triples.
-
-    Mirrors the ``U_{i<=h} W_i`` construction from the paper's analysis and is
-    used by the empirical validation of the ``b_h`` bound.
-    """
-    union: set[WorkerId] = set()
-    for family, key, d in families:
-        union.update(family.candidates(key, d))
-    return union

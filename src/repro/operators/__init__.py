@@ -8,22 +8,16 @@ subpackage provides the operator substrate used by the dataflow runtime and
 the examples:
 
 * :mod:`repro.operators.base` — the operator interface and keyed state;
-* :mod:`repro.operators.aggregations` — count / sum / average / min-max /
-  top-k aggregators, all designed as *commutative monoids* so partial states
-  merge exactly;
-* :mod:`repro.operators.windows` — tumbling and sliding window assigners and
-  a windowed aggregation operator;
+* :mod:`repro.operators.aggregations` — the count aggregator, a
+  *commutative monoid* so partial counts merge exactly (the one fold every
+  figure, example and benchmark runs);
+* :mod:`repro.operators.windows` — the tumbling window assigner and a
+  windowed aggregation operator;
 * :mod:`repro.operators.reconciliation` — merging partial states collected
   from the replicas of a key, plus an accounting of the aggregation cost.
 """
 
-from repro.operators.aggregations import (
-    AverageAggregator,
-    CountAggregator,
-    MinMaxAggregator,
-    SumAggregator,
-    TopKAggregator,
-)
+from repro.operators.aggregations import CountAggregator
 from repro.operators.base import KeyedState, Operator, StatefulOperator, StatelessOperator
 from repro.operators.reconciliation import (
     AggregationCost,
@@ -31,25 +25,16 @@ from repro.operators.reconciliation import (
     merge_partial_states,
     reconcile,
 )
-from repro.operators.windows import (
-    SlidingWindowAssigner,
-    TumblingWindowAssigner,
-    WindowedAggregator,
-)
+from repro.operators.windows import TumblingWindowAssigner, WindowedAggregator
 
 __all__ = [
     "AggregationCost",
-    "AverageAggregator",
     "CountAggregator",
     "KeyedState",
-    "MinMaxAggregator",
     "Operator",
     "ReconciliationSink",
-    "SlidingWindowAssigner",
     "StatefulOperator",
     "StatelessOperator",
-    "SumAggregator",
-    "TopKAggregator",
     "TumblingWindowAssigner",
     "WindowedAggregator",
     "merge_partial_states",

@@ -1,21 +1,19 @@
-"""Per-key aggregators designed for split (partial) state.
+"""A per-key count designed for split (partial) state.
 
-Each aggregator folds values into a per-key accumulator *and* knows how to
+The aggregator folds messages into a per-key accumulator *and* knows how to
 merge two accumulators of the same key.  Merge-ability is what makes the
 paper's multi-choice groupings usable for stateful operators: the partial
-states of a key that ended up on different workers can be combined into the
-exact global answer (count, sum, average, min/max) or an approximate one
-with known error (top-k via SpaceSaving).
+counts of a key that ended up on different workers add up to the exact
+global count.  Counting is the one fold every figure, example and benchmark
+runs (word count, trending topics).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.exceptions import ConfigurationError
 from repro.operators.base import StatefulOperator
-from repro.sketches.space_saving import SpaceSaving
 from repro.types import Key
 
 
@@ -66,210 +64,3 @@ class CountAggregator(StatefulOperator):
     @staticmethod
     def merge(left: int, right: int) -> int:
         return left + right
-
-
-class SumAggregator(StatefulOperator):
-    """Sums numeric values per key; non-numeric values are rejected."""
-
-    def update(self, key: Key, value: object) -> None:
-        if not isinstance(value, (int, float)):
-            raise ConfigurationError(
-                f"SumAggregator needs numeric values, got {type(value).__name__}"
-            )
-        current = self.state.get(key, float)
-        self.state.put(key, current + float(value))
-
-    def update_batch(self, items: Sequence[tuple[Key, object]]) -> None:
-        """Bulk sum: one state read and one write per distinct key.
-
-        Each key's running total is seeded from the current state on first
-        occurrence and folded in arrival order, so the additions happen in
-        exactly the scalar sequence — bit-identical results even for float
-        streams (float addition is commutative but not associative, so a
-        pre-reduce-then-merge would drift in the last ulp).
-        """
-        partials: dict[Key, float] = {}
-        get = partials.get
-        peek = self.state.peek
-        for key, value in items:
-            if not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"SumAggregator needs numeric values, got {type(value).__name__}"
-                )
-            current = get(key)
-            if current is None:
-                current = peek(key) or 0.0
-            partials[key] = current + float(value)
-        state = self.state
-        for key, total in partials.items():
-            state.put(key, total)
-
-    def result(self, key: Key) -> float:
-        return float(self.state.peek(key) or 0.0)
-
-    @staticmethod
-    def merge(left: float, right: float) -> float:
-        return left + right
-
-
-class AverageAggregator(StatefulOperator):
-    """Tracks (sum, count) per key so averages of partial states merge exactly."""
-
-    def update(self, key: Key, value: object) -> None:
-        if not isinstance(value, (int, float)):
-            raise ConfigurationError(
-                f"AverageAggregator needs numeric values, got {type(value).__name__}"
-            )
-        total, count = self.state.get(key, lambda: (0.0, 0))
-        self.state.put(key, (total + float(value), count + 1))
-
-    def update_batch(self, items: Sequence[tuple[Key, object]]) -> None:
-        """Bulk (sum, count): one state read and one write per distinct key,
-        folding in arrival order from the current state so the float sum is
-        bit-identical to the scalar loop (see
-        :meth:`SumAggregator.update_batch`)."""
-        partials: dict[Key, tuple[float, int]] = {}
-        get = partials.get
-        peek = self.state.peek
-        for key, value in items:
-            if not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"AverageAggregator needs numeric values, got {type(value).__name__}"
-                )
-            entry = get(key)
-            if entry is None:
-                entry = peek(key) or (0.0, 0)
-            total, count = entry
-            partials[key] = (total + float(value), count + 1)
-        state = self.state
-        for key, entry in partials.items():
-            state.put(key, entry)
-
-    def result(self, key: Key) -> float:
-        entry = self.state.peek(key)
-        if not entry:
-            return 0.0
-        total, count = entry
-        return total / count if count else 0.0
-
-    @staticmethod
-    def merge(left: tuple[float, int], right: tuple[float, int]) -> tuple[float, int]:
-        return (left[0] + right[0], left[1] + right[1])
-
-
-class MinMaxAggregator(StatefulOperator):
-    """Tracks the minimum and maximum value seen per key."""
-
-    def update(self, key: Key, value: object) -> None:
-        if not isinstance(value, (int, float)):
-            raise ConfigurationError(
-                f"MinMaxAggregator needs numeric values, got {type(value).__name__}"
-            )
-        entry = self.state.peek(key)
-        value = float(value)
-        if entry is None:
-            self.state.put(key, (value, value))
-        else:
-            low, high = entry
-            self.state.put(key, (min(low, value), max(high, value)))
-
-    def update_batch(self, items: Sequence[tuple[Key, object]]) -> None:
-        """Bulk min/max: pre-reduce per key — exact (min and max are
-        associative and commutative, unlike float addition)."""
-        partials: dict[Key, tuple[float, float]] = {}
-        get = partials.get
-        for key, value in items:
-            if not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"MinMaxAggregator needs numeric values, got {type(value).__name__}"
-                )
-            value = float(value)
-            entry = get(key)
-            if entry is None:
-                partials[key] = (value, value)
-            else:
-                low, high = entry
-                partials[key] = (min(low, value), max(high, value))
-        state = self.state
-        for key, (low, high) in partials.items():
-            entry = state.peek(key)
-            if entry is not None:
-                low, high = min(low, entry[0]), max(high, entry[1])
-            state.put(key, (low, high))
-
-    def result(self, key: Key) -> tuple[float, float] | None:
-        entry = self.state.peek(key)
-        return tuple(entry) if entry else None
-
-    @staticmethod
-    def merge(
-        left: tuple[float, float], right: tuple[float, float]
-    ) -> tuple[float, float]:
-        return (min(left[0], right[0]), max(left[1], right[1]))
-
-
-class TopKAggregator(StatefulOperator):
-    """Approximate per-instance top-k of the *values* routed to it.
-
-    Unlike the other aggregators, the state here is not keyed by the message
-    key but held in a single SpaceSaving sketch per instance: the operator
-    answers "which items were most frequent in my sub-stream".  Because
-    SpaceSaving summaries merge, the per-instance sketches can be combined
-    into a global (approximate) top-k — the same machinery the partitioners
-    use, reused at the application level.
-    """
-
-    _SKETCH_KEY = "__topk__"
-
-    def __init__(self, k: int, capacity: int | None = None, instance_id: int = 0) -> None:
-        super().__init__(instance_id)
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        self._k = k
-        self._capacity = capacity if capacity is not None else max(4 * k, 16)
-
-    @property
-    def k(self) -> int:
-        return self._k
-
-    def update(self, key: Key, value: object) -> None:
-        sketch = self.state.get(
-            self._SKETCH_KEY, lambda: SpaceSaving(self._capacity)
-        )
-        sketch.add(key if value is None else value)
-
-    def update_batch(self, items: Sequence[tuple[Key, object]]) -> None:
-        """Bulk top-k: one ``add_all`` pass over the sketch (runs of equal
-        items collapse into single counter moves, see SpaceSaving)."""
-        sketch = self.state.get(
-            self._SKETCH_KEY, lambda: SpaceSaving(self._capacity)
-        )
-        sketch.add_all(
-            key if value is None else value for key, value in items
-        )
-
-    def result(self, key: Key = None) -> list[tuple[object, int]]:
-        """The current top-k items of this instance's sub-stream."""
-        sketch = self.state.peek(self._SKETCH_KEY)
-        if sketch is None:
-            return []
-        entries = sorted(sketch.entries(), key=lambda entry: entry.count, reverse=True)
-        return [(entry.key, entry.count) for entry in entries[: self._k]]
-
-    @staticmethod
-    def merge(left: SpaceSaving, right: SpaceSaving) -> SpaceSaving:
-        return left.merge(right)
-
-    def merged_top(self, others: Iterable["TopKAggregator"]) -> list[tuple[object, int]]:
-        """Global top-k across this instance and ``others``."""
-        sketches = [self.state.peek(self._SKETCH_KEY)]
-        for other in others:
-            sketches.append(other.state.peek(self._SKETCH_KEY))
-        sketches = [sketch for sketch in sketches if sketch is not None]
-        if not sketches:
-            return []
-        merged = sketches[0]
-        for sketch in sketches[1:]:
-            merged = merged.merge(sketch)
-        entries = sorted(merged.entries(), key=lambda entry: entry.count, reverse=True)
-        return [(entry.key, entry.count) for entry in entries[: self._k]]

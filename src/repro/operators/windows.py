@@ -1,9 +1,9 @@
 """Window assigners and windowed aggregation.
 
-Streaming aggregations are usually scoped to time windows.  The assigners
-map a message timestamp to one (tumbling) or several (sliding) window start
-times; :class:`WindowedAggregator` keeps one accumulator per (window, key)
-pair and exposes closed windows for downstream consumption.
+Streaming aggregations are usually scoped to time windows.  The assigner
+maps a message timestamp to the start time of its (tumbling) window;
+:class:`WindowedAggregator` keeps one accumulator per (window, key) pair and
+exposes closed windows for downstream consumption.
 
 Windows interact with the paper's topic in one important way: the *key* of
 the windowed state is still the message key, so the same skew that breaks
@@ -13,7 +13,6 @@ examples use this operator on top of D-Choices-grouped edges.
 
 from __future__ import annotations
 
-import abc
 from collections import defaultdict
 from typing import Callable, Iterator, Sequence
 
@@ -24,23 +23,7 @@ from repro.types import Key, Message
 _NO_OUTPUT: tuple[Message, ...] = ()
 
 
-class WindowAssigner(abc.ABC):
-    """Maps a timestamp to the start times of the windows it belongs to."""
-
-    @abc.abstractmethod
-    def assign(self, timestamp: float) -> tuple[float, ...]:
-        """Window start times for ``timestamp``."""
-
-    @property
-    @abc.abstractmethod
-    def length(self) -> float:
-        """Length of each window."""
-
-    def window_end(self, start: float) -> float:
-        return start + self.length
-
-
-class TumblingWindowAssigner(WindowAssigner):
+class TumblingWindowAssigner:
     """Fixed, non-overlapping windows of ``size`` time units.
 
     Examples
@@ -55,47 +38,13 @@ class TumblingWindowAssigner(WindowAssigner):
             raise ConfigurationError(f"window size must be positive, got {size}")
         self._size = size
 
-    @property
-    def length(self) -> float:
-        return self._size
-
     def assign(self, timestamp: float) -> tuple[float, ...]:
+        """``(start,)`` of the one window ``timestamp`` falls in."""
         start = (timestamp // self._size) * self._size
         return (start,)
 
-
-class SlidingWindowAssigner(WindowAssigner):
-    """Overlapping windows of ``size`` time units every ``slide`` time units.
-
-    Examples
-    --------
-    >>> assigner = SlidingWindowAssigner(size=10.0, slide=5.0)
-    >>> assigner.assign(12.0)
-    (5.0, 10.0)
-    """
-
-    def __init__(self, size: float, slide: float) -> None:
-        if size <= 0.0:
-            raise ConfigurationError(f"window size must be positive, got {size}")
-        if slide <= 0.0 or slide > size:
-            raise ConfigurationError(
-                f"slide must be in (0, size], got {slide} for size {size}"
-            )
-        self._size = size
-        self._slide = slide
-
-    @property
-    def length(self) -> float:
-        return self._size
-
-    def assign(self, timestamp: float) -> tuple[float, ...]:
-        last_start = (timestamp // self._slide) * self._slide
-        starts = []
-        start = last_start
-        while start > timestamp - self._size:
-            starts.append(start)
-            start -= self._slide
-        return tuple(sorted(starts))
+    def window_end(self, start: float) -> float:
+        return start + self._size
 
 
 class WindowedAggregator(Operator):
@@ -104,7 +53,7 @@ class WindowedAggregator(Operator):
     Parameters
     ----------
     assigner:
-        Tumbling or sliding window assigner.
+        The tumbling window assigner.
     fold:
         Binary function folding a message value into the accumulator.
     initializer:
@@ -116,7 +65,7 @@ class WindowedAggregator(Operator):
 
     def __init__(
         self,
-        assigner: WindowAssigner,
+        assigner: TumblingWindowAssigner,
         fold: Callable[[object, object], object],
         initializer: Callable[[], object],
         allowed_lateness: float = 0.0,

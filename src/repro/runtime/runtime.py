@@ -54,10 +54,10 @@ from repro.runtime.state import (
     DEFAULT_HEAD_CAPACITY,
     ClusterSnapshot,
     SharedClusterState,
-    loads_imbalance,
     state_words,
 )
 from repro.runtime.worker import WorkerResult, worker_main
+from repro.types import loads_imbalance
 
 #: Sentinel worker id the monitor uses for the source process.
 SOURCE_ID = -1

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ClusterRuntimeError
+from repro.types import loads_imbalance
 
 _ABORT = 0
 _GO = 1
@@ -86,15 +87,6 @@ class ClusterSnapshot:
         over what the workers actually received.
         """
         return loads_imbalance(self.worker_processed)
-
-
-def loads_imbalance(loads) -> float:
-    """The paper's I(t) for an absolute per-worker load vector."""
-    total = sum(loads)
-    if total == 0 or not len(loads):
-        return 0.0
-    normalized = [load / total for load in loads]
-    return max(0.0, max(normalized) - sum(normalized) / len(normalized))
 
 
 class SharedClusterState:

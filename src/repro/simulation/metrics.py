@@ -13,12 +13,13 @@ message intervals so the over-time plots (Figure 12) can be reproduced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.types import LoadSnapshot, WorkerId
+from repro.types import LoadSnapshot, WorkerId, loads_imbalance
 
 
 class LoadTracker:
@@ -138,20 +139,10 @@ class LoadTracker:
     # ------------------------------------------------------------------ #
     # derived metrics
     # ------------------------------------------------------------------ #
-    def normalized_loads(self) -> list[float]:
-        """Per-worker load as a fraction of all messages."""
-        if self._total == 0:
-            return [0.0] * self._num_workers
-        return [load / self._total for load in self._loads]
-
     def imbalance(self) -> float:
-        """``I(t) = max_w L_w - avg_w L_w`` over normalised loads.
-
-        The difference is non-negative by definition; the ``max`` guards
-        against ``-0.0`` artefacts of floating-point summation.
-        """
-        normalized = self.normalized_loads()
-        return max(0.0, max(normalized) - sum(normalized) / self._num_workers)
+        """``I(t) = max_w L_w - avg_w L_w`` over normalised loads
+        (:func:`~repro.types.loads_imbalance`, correctly rounded)."""
+        return loads_imbalance(self._loads)
 
     def max_load(self) -> float:
         """Normalised load of the most loaded worker."""
@@ -210,13 +201,9 @@ class WindowedImbalanceSeries:
             self._baseline = loads
             return
         delta = [now - then for now, then in zip(loads, baseline)]
-        total = sum(delta)
-        if total > 0:
-            normalized = [d / total for d in delta]
+        if sum(delta) > 0:
             self.times.append(seen)
-            self.values.append(
-                max(0.0, max(normalized) - sum(normalized) / len(normalized))
-            )
+            self.values.append(loads_imbalance(delta))
         self._baseline = loads
 
     @property
@@ -260,7 +247,7 @@ class ImbalanceTimeSeries:
         """Average imbalance across all samples (used by Figure 10/11)."""
         if not self.values:
             return 0.0
-        return sum(self.values) / len(self.values)
+        return math.fsum(self.values) / len(self.values)
 
     @property
     def maximum(self) -> float:

@@ -41,9 +41,9 @@ class-entry order.  What that costs per message, the partitioners calling
   is dropped where that premise ends: at an insert while the sketch has
   room (initial fill, after :meth:`SpaceSaving.grow`) and when a singleton
   minimum bucket is reused in place for the newcomer;
-* weighted updates (``add(key, count)``, :meth:`SpaceSaving.merge`,
-  :meth:`SpaceSaving.from_state`) walk the bucket list forward — linear in
-  the number of classes, and off the routing path.
+* weighted updates (``add(key, count)``, :meth:`SpaceSaving.from_state`)
+  walk the bucket list forward — linear in the number of classes, and off
+  the routing path.
 """
 
 from __future__ import annotations
@@ -262,27 +262,6 @@ class SpaceSaving:
             return 1
         return self._evict(key)
 
-    def add_and_classify_batch(
-        self,
-        keys,
-        threshold: float,
-        warmup: int = 0,
-        tail_out: list | None = None,
-    ) -> list[bool]:
-        """Fused bulk update + head classification, one flag per key.
-
-        For every key, in order: ``add(key)``, then flag it as head when the
-        observed total has reached ``warmup`` and the key's fresh estimate is
-        at least ``threshold * total``; ``tail_out``, when given, receives
-        the tail keys in stream order.  The flags are derived from
-        :meth:`add_and_classify_runs` — the run pass is the one true hot
-        loop and the expansion runs at C speed — so the bulk forms share a
-        single inlined copy of the update machinery.
-        """
-        runs = self.add_and_classify_runs(keys, threshold, warmup, tail_out)
-        flags = runs_to_flags(runs)
-        return [False] * (len(runs) - 1) if flags is None else flags.tolist()
-
     def add_and_classify_runs(
         self,
         keys,
@@ -292,12 +271,15 @@ class SpaceSaving:
     ) -> list[int]:
         """Fused bulk update + run-length head classification.
 
-        Returns the chunk's head/tail interleaving of
-        :meth:`add_and_classify_batch` as head-run lengths: ``runs[i]`` is
-        the number of consecutive head messages immediately before the
-        ``i``-th tail message, and the final entry is the trailing head run,
-        so ``len(runs) == number_of_tails + 1``.  ``tail_out`` receives the
-        tail keys in stream order.
+        For every key, in order: ``add(key)``, then class it as head when
+        the observed total has reached ``warmup`` and the key's fresh
+        estimate is at least ``threshold * total``.  Returns the chunk's
+        head/tail interleaving as head-run lengths: ``runs[i]`` is the
+        number of consecutive head messages immediately before the ``i``-th
+        tail message, and the final entry is the trailing head run, so
+        ``len(runs) == number_of_tails + 1`` (:func:`runs_to_flags` expands
+        them into one flag per key).  ``tail_out`` receives the tail keys in
+        stream order.
 
         THE routing hot loop: every message of every head/tail scheme's
         batch path goes through here exactly once.  The whole update of
@@ -666,9 +648,9 @@ class SpaceSaving:
         ``hint`` is a bucket whose count is <= ``count`` (the bucket the key
         is moving out of, or the head).  For unit increments the target is
         either ``hint`` itself, its successor, or a new bucket right after
-        ``hint`` — all O(1).  For larger ``count`` jumps (merge operations)
-        we walk forward, which is linear in the number of buckets but only
-        used off the hot path.
+        ``hint`` — all O(1).  For larger ``count`` jumps (weighted adds,
+        :meth:`from_state`) we walk forward, which is linear in the number
+        of buckets but only used off the hot path.
         """
         if self._head is None:
             bucket = _Bucket(count)
@@ -750,7 +732,7 @@ class SpaceSaving:
         donor left off instead of cold-starting through the warmup again.
         ``capacity`` overrides the sizing (an adopting scheme may need more
         counters for its own theta); a smaller capacity keeps the largest
-        counters, like :meth:`merge` does.
+        counters.
         """
         target = int(capacity if capacity is not None else state["capacity"])
         if target < 1:
@@ -762,50 +744,6 @@ class SpaceSaving:
             sketch._insert_new(key, count, error)
         sketch._total = int(state["total"])
         return sketch
-
-    # ------------------------------------------------------------------ #
-    # merging (mergeable summaries: the top-k operator's partial states)
-    # ------------------------------------------------------------------ #
-    def merge(self, other: "SpaceSaving") -> "SpaceSaving":
-        """Return a new sketch summarising the union of both streams.
-
-        Follows the mergeable-summaries construction (Berinde et al. 2010;
-        Agarwal et al. 2012): sum estimates and errors key-wise, treating a
-        key absent from one sketch as having that sketch's minimum count as
-        estimate and error, then keep the ``capacity`` largest counters.
-        The result never underestimates any key of the combined stream and
-        its error bound is the sum of the two sketches' error bounds.
-        """
-        if not isinstance(other, SpaceSaving):
-            raise SketchError("can only merge SpaceSaving with SpaceSaving")
-        capacity = max(self._capacity, other._capacity)
-        min_self = self.min_count() if len(self) >= self._capacity else 0
-        min_other = other.min_count() if len(other) >= other._capacity else 0
-
-        combined: dict[Key, tuple[int, int]] = {}
-        for entry in self.entries():
-            combined[entry.key] = (entry.count, entry.error)
-        for entry in other.entries():
-            if entry.key in combined:
-                count, error = combined[entry.key]
-                combined[entry.key] = (count + entry.count, error + entry.error)
-            else:
-                combined[entry.key] = (
-                    entry.count + min_self,
-                    entry.error + min_self,
-                )
-        # Keys present only in self get the other sketch's minimum added.
-        for entry in self.entries():
-            if other.estimate(entry.key) == 0:
-                count, error = combined[entry.key]
-                combined[entry.key] = (count + min_other, error + min_other)
-
-        merged = SpaceSaving(capacity)
-        merged._total = self._total + other._total
-        kept = sorted(combined.items(), key=lambda item: item[1][0], reverse=True)
-        for key, (count, error) in kept[:capacity]:
-            merged._insert_new(key, count, error)
-        return merged
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

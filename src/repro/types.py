@@ -10,7 +10,7 @@ bare key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Union
+from typing import Hashable, Sequence, Union
 
 #: Keys can be anything hashable; the paper uses URLs, words and cashtags.
 Key = Hashable
@@ -108,7 +108,22 @@ class LoadSnapshot:
     @property
     def imbalance(self) -> float:
         """``I(t) = max_w L_w(t) - avg_w L_w(t)`` over normalised loads."""
-        normalized = self.normalized
-        if not normalized:
-            return 0.0
-        return max(0.0, max(normalized) - sum(normalized) / len(normalized))
+        return loads_imbalance(self.loads)
+
+
+def loads_imbalance(loads: Sequence[int]) -> float:
+    """The paper's imbalance ``max_w L_w - avg_w L_w`` over normalised loads.
+
+    ``loads`` are absolute per-worker message counts.  With ``T`` their sum
+    and ``n`` their number, ``max/T - 1/n`` is ``(n*max - T) / (n*T)``: an
+    integer over an integer, and Python rounds that one true division
+    correctly.  So the value is exact to the last bit and the same on every
+    interpreter, which a float ``sum`` of normalised loads is not (builtin
+    ``sum`` became compensated in 3.12), and it is never negative.  Every
+    substrate's ``imbalance`` is this function; 0.0 when nothing was routed.
+    """
+    total = sum(loads)
+    if not total:
+        return 0.0
+    n = len(loads)
+    return (n * max(loads) - total) / (n * total)

@@ -35,6 +35,10 @@ class TestExpectedWorkerSetSize:
         expected = n - n * ((n - 1) / n) ** (h * d)
         assert expected_worker_set_size(n, d, h) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000])
+    def test_one_choice_hits_one_worker(self, n):
+        assert expected_worker_set_size(n, 1, 1) == pytest.approx(1.0)
+
     def test_zero_choices_gives_zero(self):
         assert expected_worker_set_size(10, 0, 1) == 0.0
 

@@ -13,6 +13,19 @@ found three things nothing ran or set, and they were deleted:
 * the experiments' ``batch_size`` knob, a second spelling of ``mode``
   that no caller passed.
 
+A second audit took the units only their own tests called:
+
+* the sum / average / min-max / top-k aggregators (every figure, example
+  and benchmark counts), ``SpaceSaving.merge`` (the top-k aggregator's
+  partial-state merge) and ``SpaceSaving.add_and_classify_batch`` (a
+  wrapper of ``add_and_classify_runs`` + ``runs_to_flags``);
+* sliding windows and the window-assigner ABC (every window tumbles);
+* ``repro.hashing.universal`` (every hash family is SplitMix64), the
+  family's ``hash`` / ``distinct_candidates`` / ``with_buckets`` /
+  ``with_functions`` / ``spread`` and the module helpers
+  ``collision_probability``, ``candidate_union`` and ``expected_distinct``
+  (a copy of ``analysis.choices.expected_worker_set_size``).
+
 Each would come back the way it left: as a path every test of its own
 exercises and no user run reaches.  These scans keep them out.
 """
@@ -38,6 +51,32 @@ ORDER_KEYED_METHODS = {
     "_emit_downstream",
 }
 RESCALE_NAMES = {"rescale_plan", "migration_window", "retired_at"}
+#: Deleted names no module under ``src/repro/`` may spell again.
+UNRUN_NAMES = {
+    "SumAggregator",
+    "AverageAggregator",
+    "MinMaxAggregator",
+    "TopKAggregator",
+    "merged_top",
+    "SlidingWindowAssigner",
+    "WindowAssigner",
+    "MultiplyShiftHash",
+    "TabulationHash",
+    "distinct_candidates",
+    "with_buckets",
+    "with_functions",
+    "collision_probability",
+    "candidate_union",
+    "expected_distinct",
+    "add_and_classify_batch",
+}
+#: Deleted methods whose names other code still uses for something else
+#: (``hash`` the builtin, ``merge`` a reconciliation, ``spread`` a local).
+UNRUN_METHODS = {
+    ("hashing/hash_family.py", "HashFamily"): {"hash", "spread"},
+    ("sketches/space_saving.py", "SpaceSaving"): {"merge"},
+}
+UNIVERSAL = "repro.hashing.universal"
 
 
 def _order_keyed_loop(source: str) -> list[str]:
@@ -56,7 +95,7 @@ def _order_keyed_loop(source: str) -> list[str]:
 
 
 def _identifiers(source: str) -> set[str]:
-    """Every name, attribute, parameter and keyword ``source`` spells."""
+    """Every name, attribute, parameter, keyword and import ``source`` spells."""
     names: set[str] = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -69,7 +108,32 @@ def _identifiers(source: str) -> set[str]:
             names.add(node.arg)
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
     return names
+
+
+def _methods(source: str, class_name: str) -> set[str]:
+    """Names of the functions defined directly in ``class_name``."""
+    return {
+        node.name
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef) and cls.name == class_name
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def _imports_of(source: str, module: str) -> list[str]:
+    """Imports of ``module`` (or a name from it) in ``source``."""
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            imported.append(node.module)
+            imported += [f"{node.module}.{alias.name}" for alias in node.names]
+    return [name for name in imported if name == module]
 
 
 def test_the_dataflow_runtime_has_no_order_keyed_loop():
@@ -92,6 +156,32 @@ def test_the_cluster_simulator_replays_no_rescale():
         "the discrete-event cluster runs a fixed worker set (the paper's "
         "Q4); rescaling belongs to the simulation engine:\n" + "\n".join(offenders)
     )
+
+
+def test_no_module_spells_a_deleted_unit():
+    offenders = [
+        f"{path.relative_to(REPRO)}: {name}"
+        for path in sorted(REPRO.rglob("*.py"))
+        for name in sorted(_identifiers(path.read_text()) & UNRUN_NAMES)
+    ]
+    for (relative, class_name), names in UNRUN_METHODS.items():
+        defined = _methods((REPRO / relative).read_text(), class_name)
+        assert defined, f"{relative}: no class {class_name} left to check"
+        offenders += [f"{relative}: {class_name}.{name}" for name in sorted(defined & names)]
+    assert not offenders, (
+        "only their own tests ran these; a figure, example or benchmark "
+        "that needs one brings it back with its caller:\n" + "\n".join(offenders)
+    )
+
+
+def test_no_universal_hashing_module():
+    assert not (REPRO / "hashing" / "universal.py").exists()
+    offenders = [
+        f"{path.relative_to(REPRO)}: {name}"
+        for path in sorted(REPRO.rglob("*.py"))
+        for name in _imports_of(path.read_text(), UNIVERSAL)
+    ]
+    assert not offenders, "every hash family is SplitMix64:\n" + "\n".join(offenders)
 
 
 def test_no_experiment_config_has_a_batch_size_field():
@@ -134,3 +224,20 @@ def test_the_scans_flag_the_removed_code():
         "as_plan(plan, migration_window=self.migration_window)\n"
     )
     assert _identifiers(removed_cluster) >= RESCALE_NAMES
+    removed_operators = (
+        "from repro.operators.windows import SlidingWindowAssigner\n"
+        "class TopKAggregator(StatefulOperator):\n"
+        "    def merged_top(self, others): ...\n"
+        "sketch.add_and_classify_batch(keys, threshold)\n"
+        "expected_distinct(n, d)\n"
+    )
+    assert len(_identifiers(removed_operators) & UNRUN_NAMES) == 5
+    removed_methods = (
+        "class HashFamily:\n"
+        "    def hash(self, key, index): ...\n"
+        "    def spread(self, keys, d=1): ...\n"
+    )
+    assert _methods(removed_methods, "HashFamily") == {"hash", "spread"}
+    assert _imports_of("from repro.hashing.universal import TabulationHash\n", UNIVERSAL)
+    assert _imports_of("from repro.hashing import universal\n", UNIVERSAL)
+    assert _imports_of("import repro.hashing.universal\n", UNIVERSAL)

@@ -247,10 +247,16 @@ class TestFig18:
         assert schemes == set(config.schemes)
         assert len(result.rows) == len(config.scenarios) * len(config.schemes)
 
-    def test_ad_wins_at_least_two_drift_scenarios(self, result):
+    def test_ad_wins_at_least_two_drift_scenarios(self):
         # The headline claim of Figure 18 (ext.): strictly lower
         # worst-window imbalance than every static scheme at
-        # equal-or-lower replication, on >= 2 drift scenarios.
+        # equal-or-lower replication, on >= 2 drift scenarios.  Checked at
+        # the scale docs/paper_mapping.md states it for (~11 s): at tiny
+        # scale AD's worst window on diurnal_cycle ties PKG's exactly
+        # (0.0735: the hottest worker 147 messages of 2,000 above the
+        # mean), a tie a float sum of normalised loads used to break by
+        # one ulp.
+        result = fig18_adaptive.run(fig18_adaptive.Fig18Config.quick())
         wins = {
             row["scenario"]
             for row in result.rows

@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.analysis.choices import expected_worker_set_size
 from repro.exceptions import ConfigurationError
-from repro.hashing.hash_family import (
-    HashFamily,
-    candidate_union,
-    collision_probability,
-    expected_distinct,
-    stable_hash,
-)
+from repro.hashing.hash_family import HashFamily, stable_hash
 
 
 class TestStableHash:
@@ -76,11 +72,6 @@ class TestHashFamily:
         )
         assert differing > 90
 
-    def test_hash_index_out_of_range(self):
-        family = HashFamily(num_functions=2, num_buckets=10)
-        with pytest.raises(ConfigurationError):
-            family.hash("x", 2)
-
     def test_candidates_d_out_of_range(self):
         family = HashFamily(num_functions=2, num_buckets=10)
         with pytest.raises(ConfigurationError):
@@ -88,79 +79,29 @@ class TestHashFamily:
         with pytest.raises(ConfigurationError):
             family.candidates("x", 0)
 
-    def test_distinct_candidates_removes_duplicates(self):
-        family = HashFamily(num_functions=8, num_buckets=2, seed=0)
-        distinct = family.distinct_candidates("x")
-        assert len(distinct) == len(set(distinct))
-        assert set(distinct) <= {0, 1}
+    def test_families_of_different_sizes_share_a_prefix(self):
+        small = HashFamily(num_functions=2, num_buckets=10, seed=5)
+        large = HashFamily(num_functions=6, num_buckets=10, seed=5)
+        assert large.candidates("k", 2) == small.candidates("k")
 
-    def test_with_buckets_preserves_seed(self):
-        family = HashFamily(num_functions=2, num_buckets=10, seed=5)
-        resized = family.with_buckets(20)
-        assert resized.seed == 5
-        assert resized.num_buckets == 20
-        assert resized.num_functions == 2
-
-    def test_with_functions_preserves_buckets(self):
-        family = HashFamily(num_functions=2, num_buckets=10, seed=5)
-        grown = family.with_functions(6)
-        assert grown.num_functions == 6
-        assert grown.num_buckets == 10
-        # the shared prefix of candidates is identical
-        assert grown.candidates("k", 2) == family.candidates("k", 2)
-
-    def test_spread_is_roughly_uniform(self):
+    def test_candidates_are_roughly_uniform(self):
         family = HashFamily(num_functions=1, num_buckets=10, seed=11)
-        counts = family.spread((f"key-{i}" for i in range(20_000)), d=1)
-        assert sum(counts) == 20_000
-        assert min(counts) > 1500
-        assert max(counts) < 2500
+        buckets = [family.candidates(f"key-{i}")[0] for i in range(20_000)]
+        counts = np.bincount(buckets, minlength=10)
+        assert counts.sum() == 20_000
+        assert counts.min() > 1500
+        assert counts.max() < 2500
 
     def test_single_bucket_everything_collides(self):
         family = HashFamily(num_functions=3, num_buckets=1)
         assert family.candidates("anything") == (0, 0, 0)
 
 
-class TestExpectedDistinct:
-    def test_zero_choices(self):
-        assert expected_distinct(10, 0) == 0.0
-
-    def test_one_choice(self):
-        assert expected_distinct(10, 1) == pytest.approx(1.0)
-
-    def test_monotone_in_d(self):
-        values = [expected_distinct(50, d) for d in range(0, 200, 5)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_upper_bounded_by_n(self):
-        assert expected_distinct(10, 10_000) <= 10.0
-
-    def test_matches_empirical_hash_behaviour(self):
-        n, d = 20, 8
+class TestWorkerSetSize:
+    @pytest.mark.parametrize("n, d", [(20, 8), (10, 2), (50, 5), (5, 20)])
+    def test_matches_empirical_hash_behaviour(self, n, d):
+        # b_h of Appendix A at h = 1: the distinct workers d ideal hashes hit.
         family = HashFamily(num_functions=d, num_buckets=n, seed=17)
         sizes = [len(set(family.candidates(f"key-{i}"))) for i in range(3000)]
         empirical = sum(sizes) / len(sizes)
-        assert empirical == pytest.approx(expected_distinct(n, d), rel=0.05)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ConfigurationError):
-            expected_distinct(0, 2)
-        with pytest.raises(ConfigurationError):
-            expected_distinct(10, -1)
-
-
-class TestCollisionHelpers:
-    def test_collision_probability_single_choice(self):
-        assert collision_probability(10, 1) == 0.0
-
-    def test_collision_probability_pair(self):
-        assert collision_probability(10, 2) == pytest.approx(0.1)
-
-    def test_collision_probability_invalid_n(self):
-        with pytest.raises(ConfigurationError):
-            collision_probability(0, 2)
-
-    def test_candidate_union(self):
-        family = HashFamily(num_functions=4, num_buckets=100, seed=0)
-        union = candidate_union([(family, "a", 4), (family, "b", 4)])
-        assert union == set(family.candidates("a")) | set(family.candidates("b"))
+        assert empirical == pytest.approx(expected_worker_set_size(n, d), rel=0.05)

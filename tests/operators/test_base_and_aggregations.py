@@ -1,17 +1,11 @@
-"""Unit tests for the operator base classes and the aggregators."""
+"""Unit tests for the operator base classes and the count aggregator."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.operators.aggregations import (
-    AverageAggregator,
-    CountAggregator,
-    MinMaxAggregator,
-    SumAggregator,
-    TopKAggregator,
-)
+from repro.operators.aggregations import CountAggregator
 from repro.operators.base import KeyedState, StatelessOperator
 from repro.types import Message
 
@@ -80,100 +74,3 @@ class TestCountAggregator:
         snapshot = counter.partial_state()
         counter.update("a", None)
         assert snapshot == {"a": 1}
-
-
-class TestSumAggregator:
-    def test_sums_values(self):
-        aggregator = SumAggregator()
-        aggregator.update("a", 2)
-        aggregator.update("a", 3.5)
-        assert aggregator.result("a") == pytest.approx(5.5)
-
-    def test_rejects_non_numeric(self):
-        with pytest.raises(ConfigurationError):
-            SumAggregator().update("a", "nope")
-
-    def test_merge(self):
-        assert SumAggregator.merge(1.5, 2.5) == pytest.approx(4.0)
-
-
-class TestAverageAggregator:
-    def test_average(self):
-        aggregator = AverageAggregator()
-        for value in (2, 4, 6):
-            aggregator.update("a", value)
-        assert aggregator.result("a") == pytest.approx(4.0)
-
-    def test_result_for_unknown_key(self):
-        assert AverageAggregator().result("missing") == 0.0
-
-    def test_merge_preserves_exact_average(self):
-        left = AverageAggregator()
-        right = AverageAggregator()
-        for value in (1, 2, 3):
-            left.update("a", value)
-        for value in (10, 20):
-            right.update("a", value)
-        merged = AverageAggregator.merge(
-            left.state.peek("a"), right.state.peek("a")
-        )
-        total, count = merged
-        assert total / count == pytest.approx((1 + 2 + 3 + 10 + 20) / 5)
-
-    def test_rejects_non_numeric(self):
-        with pytest.raises(ConfigurationError):
-            AverageAggregator().update("a", object())
-
-
-class TestMinMaxAggregator:
-    def test_tracks_extremes(self):
-        aggregator = MinMaxAggregator()
-        for value in (5, -2, 9, 0):
-            aggregator.update("a", value)
-        assert aggregator.result("a") == (-2.0, 9.0)
-
-    def test_unknown_key(self):
-        assert MinMaxAggregator().result("missing") is None
-
-    def test_merge(self):
-        assert MinMaxAggregator.merge((1.0, 5.0), (-3.0, 4.0)) == (-3.0, 5.0)
-
-    def test_rejects_non_numeric(self):
-        with pytest.raises(ConfigurationError):
-            MinMaxAggregator().update("a", None)
-
-
-class TestTopKAggregator:
-    def test_rejects_bad_k(self):
-        with pytest.raises(ConfigurationError):
-            TopKAggregator(k=0)
-
-    def test_local_top(self):
-        aggregator = TopKAggregator(k=2)
-        for item in ["x"] * 5 + ["y"] * 3 + ["z"]:
-            aggregator.update(item, None)
-        top = aggregator.result()
-        assert top[0][0] == "x"
-        assert len(top) == 2
-
-    def test_value_takes_precedence_over_key(self):
-        aggregator = TopKAggregator(k=1)
-        aggregator.update("ignored-key", "item")
-        assert aggregator.result()[0][0] == "item"
-
-    def test_empty_result(self):
-        assert TopKAggregator(k=3).result() == []
-
-    def test_merged_top_across_instances(self):
-        left = TopKAggregator(k=2, instance_id=0)
-        right = TopKAggregator(k=2, instance_id=1)
-        for item in ["x"] * 5 + ["y"] * 2:
-            left.update(item, None)
-        for item in ["x"] * 4 + ["z"] * 3:
-            right.update(item, None)
-        merged = left.merged_top([right])
-        assert merged[0][0] == "x"
-        assert merged[0][1] >= 9
-
-    def test_merged_top_with_empty_instances(self):
-        assert TopKAggregator(k=2).merged_top([TopKAggregator(k=2)]) == []

@@ -1,21 +1,22 @@
-"""Unit tests for window assigners, windowed aggregation and reconciliation."""
+"""Unit tests for the window assigner, windowed aggregation and reconciliation."""
 
 from __future__ import annotations
 
+import operator
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.operators.aggregations import CountAggregator, SumAggregator
+from repro.operators.aggregations import CountAggregator
 from repro.operators.reconciliation import (
+    ReconciliationSink,
     aggregation_cost,
     merge_partial_states,
     reconcile,
 )
-from repro.operators.windows import (
-    SlidingWindowAssigner,
-    TumblingWindowAssigner,
-    WindowedAggregator,
-)
+from repro.operators.windows import TumblingWindowAssigner, WindowedAggregator
 from repro.types import Message
 
 
@@ -31,34 +32,47 @@ class TestTumblingWindowAssigner:
         assigner = TumblingWindowAssigner(size=5.0)
         assert assigner.window_end(10.0) == 15.0
 
+    @pytest.mark.parametrize(
+        "size, timestamp, start",
+        [
+            (10.0, 0.0, 0.0),
+            (10.0, 10.0, 10.0),
+            (10.0, -0.5, -10.0),
+            (10.0, -10.0, -10.0),
+            (2.5, 7.4, 5.0),
+            (2.5, 7.5, 7.5),
+            (0.25, 1.0, 1.0),
+            (32.0, 1e6 - 1.0, 999_968.0),
+        ],
+    )
+    def test_assign_table(self, size, timestamp, start):
+        assigner = TumblingWindowAssigner(size=size)
+        assert assigner.assign(timestamp) == (start,)
+        assert assigner.window_end(start) == start + size
+
+    @given(
+        st.sampled_from([0.25, 0.5, 1.0, 2.0, 8.0, 32.0]),
+        st.integers(-(10**6), 10**6).map(lambda quarter: quarter / 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_window_holds_its_timestamp(self, size, timestamp):
+        assigner = TumblingWindowAssigner(size=size)
+        (start,) = assigner.assign(timestamp)
+        assert start <= timestamp < assigner.window_end(start)
+
     def test_rejects_bad_size(self):
         with pytest.raises(ConfigurationError):
             TumblingWindowAssigner(size=0.0)
 
-
-class TestSlidingWindowAssigner:
-    def test_assign_overlapping(self):
-        assigner = SlidingWindowAssigner(size=10.0, slide=5.0)
-        assert assigner.assign(12.0) == (5.0, 10.0)
-        assert assigner.assign(3.0) == (-5.0, 0.0)
-
-    def test_slide_equal_to_size_behaves_like_tumbling(self):
-        sliding = SlidingWindowAssigner(size=10.0, slide=10.0)
-        tumbling = TumblingWindowAssigner(size=10.0)
-        for timestamp in (0.0, 7.0, 15.0, 29.9):
-            assert sliding.assign(timestamp) == tumbling.assign(timestamp)
-
-    def test_rejects_bad_parameters(self):
+    def test_rejects_negative_size(self):
         with pytest.raises(ConfigurationError):
-            SlidingWindowAssigner(size=10.0, slide=0.0)
-        with pytest.raises(ConfigurationError):
-            SlidingWindowAssigner(size=10.0, slide=11.0)
+            TumblingWindowAssigner(size=-5.0)
 
 
 class TestWindowedAggregator:
-    def _build(self, assigner=None, lateness=0.0):
+    def _build(self, lateness=0.0):
         return WindowedAggregator(
-            assigner=assigner or TumblingWindowAssigner(size=10.0),
+            assigner=TumblingWindowAssigner(size=10.0),
             fold=lambda accumulator, value: accumulator + 1,
             initializer=int,
             allowed_lateness=lateness,
@@ -101,12 +115,6 @@ class TestWindowedAggregator:
         list(aggregator.process(Message(3.0, "a")))
         assert aggregator.watermark == 5.0
 
-    def test_sliding_windows_count_message_multiple_times(self):
-        aggregator = self._build(assigner=SlidingWindowAssigner(size=10.0, slide=5.0))
-        list(aggregator.process(Message(7.0, "a")))
-        windows = aggregator.results_by_window()
-        assert set(windows) == {0.0, 5.0}
-
     def test_rejects_negative_lateness(self):
         with pytest.raises(ConfigurationError):
             self._build(lateness=-1.0)
@@ -145,11 +153,13 @@ class TestReconciliation:
         assert cost.max_replication == 2
 
     def test_reconcile_sums(self):
-        left, right = SumAggregator(0), SumAggregator(1)
+        left, right = ReconciliationSink(operator.add, 0), ReconciliationSink(operator.add, 1)
         left.update("a", 1.5)
         right.update("a", 2.5)
-        merged, _ = reconcile([left, right], SumAggregator.merge)
-        assert merged["a"] == pytest.approx(4.0)
+        right.update("b", 0.25)
+        merged, cost = reconcile([left, right], operator.add)
+        assert merged == {"a": 4.0, "b": 0.25}
+        assert cost.total_entries == 3
 
     def test_reconcile_rejects_empty_group(self):
         with pytest.raises(ConfigurationError):

@@ -2,10 +2,10 @@
 
 The head/tail groupings only make sense for stateful operators if splitting a
 key's state across instances never changes the final answer.  These tests
-verify that invariant for every aggregator: processing a stream split across
-any number of instances, in any interleaving, and reconciling the partial
-states gives exactly the same result as processing the whole stream on one
-instance.
+verify that invariant for the count aggregator: processing a stream split
+across any number of instances, in any interleaving, and reconciling the
+partial states gives exactly the same result as processing the whole stream
+on one instance.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.operators.aggregations import (
-    AverageAggregator,
-    CountAggregator,
-    MinMaxAggregator,
-    SumAggregator,
-)
+from repro.operators.aggregations import CountAggregator
 from repro.operators.reconciliation import aggregation_cost, reconcile
 from repro.operators.windows import TumblingWindowAssigner, WindowedAggregator
 from repro.types import Message
@@ -51,49 +46,6 @@ class TestSplitStateEquivalence:
         exact = Counter(key for key, _ in stream)
         assert merged == dict(exact)
         assert cost.max_replication <= num_instances
-
-    @given(stream=streams, num_instances=instance_counts, seed=st.integers(0, 100))
-    @settings(max_examples=60, deadline=None)
-    def test_sum_reconciles_exactly(self, stream, num_instances, seed):
-        instances = [SumAggregator(i) for i in range(num_instances)]
-        for bucket, instance in zip(_split(stream, num_instances, seed), instances):
-            for key, value in bucket:
-                instance.update(key, value)
-        merged, _ = reconcile(instances, SumAggregator.merge)
-        exact: dict[int, float] = {}
-        for key, value in stream:
-            exact[key] = exact.get(key, 0.0) + value
-        assert set(merged) == set(exact)
-        for key in exact:
-            assert merged[key] == __import__("pytest").approx(exact[key], abs=1e-6)
-
-    @given(stream=streams, num_instances=instance_counts, seed=st.integers(0, 100))
-    @settings(max_examples=60, deadline=None)
-    def test_minmax_reconciles_exactly(self, stream, num_instances, seed):
-        instances = [MinMaxAggregator(i) for i in range(num_instances)]
-        for bucket, instance in zip(_split(stream, num_instances, seed), instances):
-            for key, value in bucket:
-                instance.update(key, value)
-        merged, _ = reconcile(instances, MinMaxAggregator.merge)
-        for key in {k for k, _ in stream}:
-            observed = [value for k, value in stream if k == key]
-            assert merged[key] == (min(observed), max(observed))
-
-    @given(stream=streams, num_instances=instance_counts, seed=st.integers(0, 100))
-    @settings(max_examples=60, deadline=None)
-    def test_average_reconciles_exactly(self, stream, num_instances, seed):
-        import pytest
-
-        instances = [AverageAggregator(i) for i in range(num_instances)]
-        for bucket, instance in zip(_split(stream, num_instances, seed), instances):
-            for key, value in bucket:
-                instance.update(key, value)
-        merged, _ = reconcile(instances, AverageAggregator.merge)
-        for key in {k for k, _ in stream}:
-            observed = [value for k, value in stream if k == key]
-            total, count = merged[key]
-            assert count == len(observed)
-            assert total == pytest.approx(sum(observed), abs=1e-6)
 
     @given(stream=streams, num_instances=instance_counts, seed=st.integers(0, 100))
     @settings(max_examples=40, deadline=None)

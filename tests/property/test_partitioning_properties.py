@@ -79,7 +79,7 @@ class TestImbalanceMetricProperties:
             tracker.record(worker)
         imbalance = tracker.imbalance()
         assert 0.0 <= imbalance <= 1.0 - 1.0 / 10
-        assert abs(sum(tracker.normalized_loads()) - 1.0) < 1e-9
+        assert sum(tracker.loads) == tracker.total_messages == len(assignments)
 
 
 class TestAnalysisProperties:

@@ -66,17 +66,3 @@ class TestSpaceSavingProperties:
             key for key, count in exact.items() if count >= threshold * len(stream)
         }
         assert heavy <= set(sketch.heavy_hitters(threshold))
-
-    @given(left=key_streams, right=key_streams, capacity=capacities)
-    @settings(max_examples=40, deadline=None)
-    def test_merge_preserves_no_underestimation(self, left, right, capacity):
-        sketch_left = SpaceSaving(capacity=capacity)
-        sketch_right = SpaceSaving(capacity=capacity)
-        sketch_left.add_all(left)
-        sketch_right.add_all(right)
-        merged = sketch_left.merge(sketch_right)
-        exact = Counter(left) + Counter(right)
-        assert merged.total == len(left) + len(right)
-        for entry in merged.entries():
-            assert entry.count >= exact[entry.key]
-

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.simulation.metrics import ImbalanceTimeSeries, LoadTracker
+from repro.simulation.metrics import (
+    ImbalanceTimeSeries,
+    LoadTracker,
+    WindowedImbalanceSeries,
+)
 from repro.types import LoadSnapshot
 
 
@@ -27,16 +33,6 @@ class TestLoadTracker:
             tracker.record(3)
         with pytest.raises(SimulationError):
             tracker.record(-1)
-
-    def test_normalized_loads(self):
-        tracker = LoadTracker(2)
-        tracker.record(0)
-        tracker.record(0)
-        tracker.record(1)
-        assert tracker.normalized_loads() == pytest.approx([2 / 3, 1 / 3])
-
-    def test_normalized_loads_empty(self):
-        assert LoadTracker(4).normalized_loads() == [0.0] * 4
 
     def test_imbalance_definition(self):
         tracker = LoadTracker(4)
@@ -144,3 +140,58 @@ class TestLoadSnapshot:
     def test_zero_total_normalization(self):
         snapshot = LoadSnapshot(time=0.0, loads=[0, 0])
         assert snapshot.normalized == [0.0, 0.0]
+
+    def test_average_is_correctly_rounded(self):
+        # A left-to-right float sum of ten 0.1s is 0.9999999999999999.
+        series = ImbalanceTimeSeries(interval=1, times=list(range(10)), values=[0.1] * 10)
+        assert series.average == 0.1
+
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50).flatmap(
+            lambda values: st.tuples(st.just(values), st.permutations(values))
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_average_does_not_depend_on_sample_order(self, pair):
+        values, shuffled = pair
+        times = list(range(len(values)))
+        one = ImbalanceTimeSeries(interval=1, times=times, values=values)
+        two = ImbalanceTimeSeries(interval=1, times=times, values=list(shuffled))
+        assert one.average == two.average
+
+
+class TestWindowedImbalanceSeries:
+    @staticmethod
+    def _feed(tracker, series, workers):
+        for worker in workers:
+            tracker.record(worker)
+            series.maybe_record(tracker)
+
+    def test_each_window_measures_only_its_own_messages(self):
+        tracker = LoadTracker(2)
+        series = WindowedImbalanceSeries(interval=4)
+        # Window 1 is the baseline; window 2 is all on worker 0, window 3 balanced.
+        self._feed(tracker, series, [0, 1, 0, 1] + [0, 0, 0, 0] + [0, 1, 1, 0])
+        assert series.times == [8, 12]
+        assert series.values == [0.5, 0.0]
+        assert series.worst == 0.5
+        assert series.as_rows() == [(8, 0.5), (12, 0.0)]
+        # The cumulative imbalance dilutes the hot window.
+        assert tracker.imbalance() == 4 / 24  # loads [8, 4]
+
+    def test_rescale_drops_the_open_window(self):
+        tracker = LoadTracker(2)
+        series = WindowedImbalanceSeries(interval=2)
+        self._feed(tracker, series, [0, 1, 0, 0])
+        tracker.rescale(3)
+        self._feed(tracker, series, [2, 2, 0, 1])
+        # The window closing at 6 straddles the rescale and is dropped.
+        assert series.times == [4, 8]
+        assert series.values == [0.5, 1 / 6]
+
+    def test_disabled_when_interval_zero(self):
+        tracker = LoadTracker(2)
+        series = WindowedImbalanceSeries(interval=0)
+        self._feed(tracker, series, [0, 0, 0, 1])
+        assert series.times == []
+        assert series.worst == 0.0

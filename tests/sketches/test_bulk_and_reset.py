@@ -62,9 +62,16 @@ def _grown_after_feeding(stream):
     return sketch
 
 
-def _merged_after_feeding(stream):
-    half = len(stream) // 2
-    return _fed(16, stream[:half]).merge(_fed(16, stream[half:]))
+def _rebuilt_after_feeding(stream):
+    return SpaceSaving.from_state(_fed(16, stream).export_state())
+
+
+def _largest_first_after_feeding(stream):
+    # from_state replays its entries in order; largest first reverses the
+    # order in which the count classes are created.
+    state = _fed(16, stream).export_state()
+    state["entries"].sort(key=lambda entry: entry[1], reverse=True)
+    return SpaceSaving.from_state(state)
 
 
 class TestSketchReset:
@@ -74,9 +81,10 @@ class TestSketchReset:
             (lambda stream: _fed(16, stream), 16),
             (lambda stream: _fed(1, stream), 1),
             (_grown_after_feeding, 16),
-            (_merged_after_feeding, 16),
+            (_rebuilt_after_feeding, 16),
+            (_largest_first_after_feeding, 16),
         ],
-        ids=["space_saving", "capacity_1", "grown", "merged"],
+        ids=["space_saving", "capacity_1", "grown", "from_state", "largest_first"],
     )
     def test_reset_behaves_like_a_fresh_sketch(self, used_sketch, capacity):
         rng = random.Random(3)

@@ -1,7 +1,7 @@
 """The fused bulk classification contract of the sketch.
 
-``add_and_classify_batch`` / ``add_and_classify_runs`` are the hot path of
-batched head/tail routing; their flags must be byte-identical to the
+``add_and_classify_runs`` is the hot path of batched head/tail routing; the
+flags ``runs_to_flags`` expands from its runs must be byte-identical to the
 reference per-message ``add`` + ``estimate`` loop for every sketch shape,
 every threshold and every warmup, or batched routing silently diverges from
 scalar.  ``head_signature`` and ``head_counts`` are the cheap accessors the
@@ -12,9 +12,9 @@ The rows are the shapes the fused pass meets in the partitioners: a sketch
 that evicts on most misses (capacity 1), one that never evicts (capacity
 above every stream's distinct keys), one grown in place between chunks (a
 rescale that lowers theta), one rebuilt from its exported state between
-chunks (an adopted state) and one rebuilt by ``merge`` between chunks (the
-top-k operator's partial states: ``merge`` inserts counters largest first,
-the reverse of ``from_state``).
+chunks (an adopted state) and one rebuilt with its counters inserted
+largest first between chunks, the reverse of ``from_state``'s replay order,
+so the count classes are created and linked in the other direction.
 """
 
 from __future__ import annotations
@@ -38,10 +38,11 @@ def _rebuilt(sketch: SpaceSaving) -> SpaceSaving:
     return SpaceSaving.from_state(sketch.export_state())
 
 
-def _merged(sketch: SpaceSaving) -> SpaceSaving:
-    # An empty partner is not full, so no minimum is added: the merge keeps
-    # every counter and the total, and only rebuilds the summary.
-    return sketch.merge(SpaceSaving(capacity=sketch.capacity))
+def _largest_first(sketch: SpaceSaving) -> SpaceSaving:
+    # The sort is stable: keys of one count class keep their summary order.
+    state = sketch.export_state()
+    state["entries"].sort(key=lambda entry: entry[1], reverse=True)
+    return SpaceSaving.from_state(state)
 
 
 #: name -> (fresh sketch, what happens to it between two chunks)
@@ -51,7 +52,7 @@ SKETCHES = {
     "never-evicts": (lambda: SpaceSaving(capacity=1_000), None),
     "grown": (lambda: SpaceSaving(capacity=8), _grown),
     "from-state": (lambda: SpaceSaving(capacity=40), _rebuilt),
-    "merged": (lambda: SpaceSaving(capacity=40), _merged),
+    "largest-first": (lambda: SpaceSaving(capacity=40), _largest_first),
 }
 
 
@@ -78,6 +79,13 @@ def _chunked(name, keys, step):
             sketch = between(sketch)
         results.extend(step(sketch, keys[start : start + CHUNK]) or ())
     return sketch, results
+
+
+def _classified(sketch, keys, threshold, warmup=0, tails=None):
+    """One flag per key, expanded from the fused pass's head runs."""
+    runs = sketch.add_and_classify_runs(keys, threshold, warmup, tails)
+    flags = runs_to_flags(runs)
+    return [False] * (len(runs) - 1) if flags is None else flags.tolist()
 
 
 def _reference_flags(sketch, keys, threshold, warmup):
@@ -107,7 +115,7 @@ class TestAddAndClassifyBatch:
         fused, actual = _chunked(
             name,
             keys,
-            lambda sketch, chunk: sketch.add_and_classify_batch(chunk, threshold, warmup, tails),
+            lambda sketch, chunk: _classified(sketch, chunk, threshold, warmup, tails),
         )
 
         assert actual == expected
@@ -119,8 +127,8 @@ class TestAddAndClassifyBatch:
     def test_runs_encode_the_same_classification(self, name):
         keys = _streams()["zipf"]
         threshold = 0.05
-        flat, expected = _chunked(
-            name, keys, lambda sketch, chunk: sketch.add_and_classify_batch(chunk, threshold, 50)
+        reference, expected = _chunked(
+            name, keys, lambda sketch, chunk: _reference_flags(sketch, chunk, threshold, 50)
         )
 
         def runs_of(sketch, chunk):
@@ -134,11 +142,11 @@ class TestAddAndClassifyBatch:
         run_form, actual = _chunked(name, keys, runs_of)
 
         assert actual == expected
-        assert run_form.total == flat.total
+        assert run_form.total == reference.total
 
     def test_empty_chunk(self):
         sketch = SpaceSaving(capacity=4)
-        assert sketch.add_and_classify_batch([], 0.1) == []
+        assert _classified(sketch, [], 0.1) == []
         assert sketch.add_and_classify_runs([], 0.1) == [0]
         assert runs_to_flags([0]) is None
 

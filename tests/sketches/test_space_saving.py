@@ -210,58 +210,3 @@ class TestEviction:
         sketch.add_all(["a"] * 5 + ["b"] * 5 + ["c"] * 2 + ["d"])
         entries = {entry.key: entry.count for entry in sketch.entries()}
         assert entries == {"a": 5, "b": 5, "c": 2, "d": 1}
-
-
-class TestMerge:
-    def test_merge_totals(self):
-        left = SpaceSaving(capacity=10)
-        right = SpaceSaving(capacity=10)
-        left.add_all(["a"] * 5 + ["b"] * 2)
-        right.add_all(["a"] * 3 + ["c"] * 4)
-        merged = left.merge(right)
-        assert merged.total == left.total + right.total
-
-    def test_merge_never_underestimates(self):
-        stream_left = list(ZipfWorkload(1.5, 300, 5_000, seed=1))
-        stream_right = list(ZipfWorkload(1.5, 300, 5_000, seed=2))
-        left = SpaceSaving(capacity=40)
-        right = SpaceSaving(capacity=40)
-        left.add_all(stream_left)
-        right.add_all(stream_right)
-        merged = left.merge(right)
-        exact = _exact_counts(stream_left + stream_right)
-        for entry in merged.entries():
-            assert entry.count >= exact[entry.key]
-
-    def test_chained_merges_sum_totals_and_never_underestimate(self):
-        # Merged results merge again (the top-k operator folds every
-        # instance's partial state into one): the guarantees compose.
-        streams = [list(ZipfWorkload(1.5, 200, 3_000, seed=seed)) for seed in range(4)]
-        sketches = []
-        for stream in streams:
-            sketch = SpaceSaving(capacity=40)
-            sketch.add_all(stream)
-            sketches.append(sketch)
-        merged = sketches[0]
-        for sketch in sketches[1:]:
-            merged = merged.merge(sketch)
-        assert merged.total == sum(len(stream) for stream in streams)
-        exact = _exact_counts(key for stream in streams for key in stream)
-        for entry in merged.entries():
-            assert entry.count >= exact[entry.key]
-
-    def test_merge_capacity_is_max(self):
-        merged = SpaceSaving(capacity=10).merge(SpaceSaving(capacity=20))
-        assert merged.capacity == 20
-
-    def test_merge_rejects_other_types(self):
-        with pytest.raises(SketchError):
-            SpaceSaving(capacity=2).merge(object())  # type: ignore[arg-type]
-
-    def test_merge_keeps_heavy_hitters(self):
-        left = SpaceSaving(capacity=10)
-        right = SpaceSaving(capacity=10)
-        left.add_all(["hot"] * 100 + [f"l{i}" for i in range(30)])
-        right.add_all(["hot"] * 80 + [f"r{i}" for i in range(30)])
-        merged = left.merge(right)
-        assert "hot" in merged.heavy_hitters(0.3)

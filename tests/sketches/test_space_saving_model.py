@@ -79,27 +79,6 @@ class Model:
     def roundtrip(self, capacity: int) -> "Model":
         return self.rebuilt(capacity, self.summary()[-capacity:], self.total)
 
-    def merge(self, other: "Model") -> "Model":
-        floor_self = self._floor()
-        floor_other = other._floor()
-        mine = {key: (count, error) for key, count, error in self.summary()}
-        theirs = {key: (count, error) for key, count, error in other.summary()}
-        combined = []
-        for key, (count, error) in mine.items():
-            extra = theirs.get(key, (floor_other, floor_other))
-            combined.append((key, count + extra[0], error + extra[1]))
-        for key, (count, error) in theirs.items():
-            if key not in mine:
-                combined.append((key, count + floor_self, error + floor_self))
-        capacity = max(self.capacity, other.capacity)
-        combined.sort(key=lambda entry: -entry[1])  # stable: ties keep order
-        return self.rebuilt(capacity, combined[:capacity], self.total + other.total)
-
-    def _floor(self) -> int:
-        if len(self.rows) < self.capacity:
-            return 0
-        return min(row[1] for row in self.rows)
-
 
 def _check(sketch: SpaceSaving, model: Model, space: int, additive: bool) -> None:
     summary = model.summary()
@@ -156,13 +135,6 @@ def _run(capacity: int, space: int, script) -> None:
                 sketch.export_state(), capacity=target if args[0] else None
             )
             model = model.roundtrip(target)
-        elif op == "merge":
-            other, other_model = SpaceSaving(args[0]), Model(args[0])
-            for key in args[1]:
-                other.add(key)
-                other_model.add(key)
-            sketch, model = sketch.merge(other), model.merge(other_model)
-            additive = False
         elif op == "reset":
             sketch.reset()
             model = Model(model.capacity)
@@ -191,7 +163,6 @@ def scripts(draw):
         st.tuples(st.just("add_and_estimate"), key),
         st.tuples(st.just("grow"), st.integers(0, 3)),
         st.tuples(st.just("roundtrip"), st.integers(0, 4)),
-        st.tuples(st.just("merge"), st.integers(1, 8), chunk),
         st.tuples(st.just("reset")),
     )
     return capacity, space, draw(st.lists(op, max_size=30))
