@@ -418,21 +418,6 @@ class Partitioner(abc.ABC):
         loads = self._state.loads
         return loads.index(min(loads))
 
-    def _min_load_level(self) -> tuple[int, list[WorkerId]]:
-        """The minimum local load and every worker currently at it.
-
-        The worker list is in ascending id order, so consuming it front to
-        back reproduces the first-index tie-break of
-        :meth:`_least_loaded_overall` placement by placement.  The batched
-        head paths use this to seed a running-argmin queue: placing on the
-        queue front and lazily discarding entries whose load has moved on is
-        equivalent to an O(n) ``min`` scan per message, because loads only
-        ever grow — a worker can leave the minimum level but never rejoin it.
-        """
-        loads = self._state.loads
-        level = min(loads)
-        return level, [w for w, load in enumerate(loads) if load == level]
-
     @staticmethod
     def _listed(
         routed: tuple[np.ndarray, np.ndarray | None], head_flags: list[bool] | None

@@ -233,16 +233,17 @@ class HeadTailPartitioner(Partitioner):
         the gathered candidate columns; head runs are placed the way
         ``selection`` — a :meth:`_head_selection` value — says: they count
         down with no per-message flag or id touch in "all" mode —
-        full-freedom placement needs nothing but the load vector — while
-        "d" and "call" modes track the stream position to recover the head
-        ids from ``kids``.  ``messages_routed`` is the caller's to update.
+        full-freedom placement needs nothing but the load vector, searched
+        with ``min`` / ``count`` once per load level and ``index`` once per
+        message — while "d" and "call" modes track the stream position to
+        recover the head ids from ``kids``.  ``messages_routed`` is the caller's to update.
         """
         loads = self._state.loads
         append = out.append
         if len(kids) <= 24:
             # Short fragment (single-message chunks, what D-Choices placed
             # under one d before the solver moved it): the fixed setup of
-            # the vectorized path — numpy round trip, argmin-queue seeding —
+            # the vectorized path — the numpy round trip of the tail gather —
             # costs more than routing the handful of messages against the
             # scalar helpers.
             self._route_runs_scalar(kids, runs, tail_kids, selection, out)
@@ -259,27 +260,33 @@ class HeadTailPartitioner(Partitioner):
         paired = zip(runs, chain(firsts, (None,)), chain(seconds, (None,)))
         mode, num_choices = selection
         if mode == "all":
-            level, queue = self._min_load_level()
+            # ``left`` workers still sit on the minimum ``level``, none of
+            # them before ``position``: loads only grow, so the first one
+            # ``index`` finds from there is the first-index minimum the
+            # scalar ``loads.index(min(loads))`` picks.  A tail message that
+            # lifts a worker off the level takes it out of ``left``.
+            level = min(loads)
+            left = loads.count(level)
             position = 0
-            fill = len(queue)
+            index = loads.index
             for run, first, second in paired:
                 while run:
                     run -= 1
-                    while True:
-                        if position == fill:
-                            level, queue = self._min_load_level()
-                            position = 0
-                            fill = len(queue)
-                        worker = queue[position]
-                        position += 1
-                        if loads[worker] == level:
-                            break
-                    loads[worker] = level + 1
-                    append(worker)
+                    if not left:
+                        level = min(loads)
+                        left = loads.count(level)
+                        position = 0
+                    position = index(level, position)
+                    loads[position] = level + 1
+                    left -= 1
+                    append(position)
                 if first is None:
                     break
                 worker = first if loads[first] <= loads[second] else second
-                loads[worker] += 1
+                load = loads[worker]
+                if load == level:
+                    left -= 1
+                loads[worker] = load + 1
                 append(worker)
         elif mode == "d":
             # The cache-tag handshake runs once up front so the hot path may
@@ -400,7 +407,7 @@ class HeadTailPartitioner(Partitioner):
         """How the classified pipeline should place head keys right now.
 
         ``("all", 0)`` — least-loaded of all workers (W-Choices and the
-        D-Choices degradation), served by the running-argmin queue;
+        D-Choices degradation), placed by C scans of the load vector;
         ``("d", d)`` — least-loaded of ``d`` hash-derived candidates, served
         by the head candidate cache; ``("call", 0)`` — per-message
         :meth:`_select_head_worker`, for head paths with scheme-internal

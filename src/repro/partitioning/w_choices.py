@@ -12,9 +12,9 @@ state may end up replicated on every worker.
 Batching: the head path reads nothing but the load vector, so W-Choices
 rides the id kernel of
 :class:`~repro.partitioning.head_tail.HeadTailPartitioner` as is — one bulk sketch
-pass to classify the chunk, then a selection pass whose head placements come
-from the running-argmin queue ("all" mode) instead of an O(n) ``min`` scan
-per message.
+pass to classify the chunk, then a selection pass whose head placements
+("all" mode) take one ``min`` / ``count`` per load level and one
+``list.index`` per message, all C scans of the load vector.
 """
 
 from __future__ import annotations

@@ -26,6 +26,12 @@ A second audit took the units only their own tests called:
   ``collision_probability``, ``candidate_union`` and ``expected_distinct``
   (a copy of ``analysis.choices.expected_worker_set_size``).
 
+A third cut took a helper the code it served no longer calls:
+
+* ``Partitioner._min_load_level``, which seeded W-Choices' running-argmin
+  queue; "all" placement now scans the load vector with ``min`` /
+  ``count`` / ``list.index``.
+
 Each would come back the way it left: as a path every test of its own
 exercises and no user run reaches.  These scans keep them out.
 """
@@ -69,6 +75,7 @@ UNRUN_NAMES = {
     "candidate_union",
     "expected_distinct",
     "add_and_classify_batch",
+    "_min_load_level",
 }
 #: Deleted methods whose names other code still uses for something else
 #: (``hash`` the builtin, ``merge`` a reconciliation, ``spread`` a local).
@@ -230,8 +237,9 @@ def test_the_scans_flag_the_removed_code():
         "    def merged_top(self, others): ...\n"
         "sketch.add_and_classify_batch(keys, threshold)\n"
         "expected_distinct(n, d)\n"
+        "level, queue = self._min_load_level()\n"
     )
-    assert len(_identifiers(removed_operators) & UNRUN_NAMES) == 5
+    assert len(_identifiers(removed_operators) & UNRUN_NAMES) == 6
     removed_methods = (
         "class HashFamily:\n"
         "    def hash(self, key, index): ...\n"
