@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Measure the scalar oracle against the id kernel, entered two ways.
 
-Runs the ``bench_micro_routing`` workload (Zipf 1.4, 50 workers, 20k
-messages) through every scheme three times — per-message ``route()``
+Runs one Zipf 1.4 stream (50 workers, 20k messages) through every
+scheme three times — per-message ``route()``
 (the scalar oracle), ``route_batch_columnar()`` over pre-interned key-id
 batches (the id kernel) and chunked ``route_batch()`` over key lists (the
 same kernel behind ``KeyDictionary.intern_keys``, so the "batch" column is

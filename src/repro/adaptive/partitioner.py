@@ -268,10 +268,10 @@ class AdaptivePartitioner(Partitioner):
         super()._bind_dictionary(dictionary)
         self._delegate._bind_dictionary(dictionary)
 
-    def _select(self, key: Key) -> RoutingDecision:  # pragma: no cover
+    def _select_worker(self, key: Key) -> WorkerId:  # pragma: no cover
         # Never reached: every public entry point delegates.  Kept to satisfy
         # the abstract contract.
-        return self._delegate._select(key)
+        return self._delegate._select_worker(key)
 
     def key_candidates(self, key: Key) -> tuple[WorkerId, ...]:
         return self._delegate.key_candidates(key)

@@ -12,8 +12,9 @@ ExecutionMode(kind='columnar', batch_size=8192)
 >>> ExecutionMode.parse("batched:2048")
 ExecutionMode(kind='columnar', batch_size=2048)
 
-* ``scalar`` runs the per-message oracle (``route()`` /
-  ``route_with_decision()``) — the readable reference;
+* ``scalar`` runs each scheme's one per-message selection,
+  ``_select_worker``, through ``route()`` / ``route_with_decision()`` (the
+  latter adds the head bit) — the readable reference;
 * ``columnar:N`` pushes chunks of ``N`` interned key ids through the id
   kernel (``route_batch_columnar``), the only batched implementation.
 

@@ -9,13 +9,12 @@ derived from shared hash functions rather than routing tables.
 
 Every scheme has exactly two routing implementations, each with one role:
 
-* the *scalar oracle* — :meth:`_select`, reached through :meth:`route` and
-  :meth:`route_with_decision` — is Algorithm 1 written one message at a
-  time.  It is the short, readable reference every test pins the fast path
-  against, and the only path that materialises a
-  :class:`~repro.types.RoutingDecision` (candidates, head flag) per message.
-  (:meth:`_select_worker` is the same selection without the decision
-  object; overrides must make the identical choice.)
+* the *scalar oracle* — :meth:`_select_worker`, reached through
+  :meth:`route` and :meth:`route_with_decision` — is Algorithm 1 written one
+  message at a time.  It is the short, readable reference every test pins
+  the fast path against.  A head/tail scheme records whether it placed a
+  head key in ``_routed_head``, which :meth:`route_with_decision` hands out
+  as a :class:`~repro.types.RoutingDecision` (worker, head flag).
 * the *id kernel* — :meth:`_route_ids` — routes a whole ``int64`` array of
   interned key ids and is the only batched implementation.  It answers in
   columns — an ``int64`` worker array and a ``bool`` head mask (``None``
@@ -95,6 +94,10 @@ class Partitioner(abc.ABC):
     #: Short name used by the registry, tables and plots (e.g. "PKG", "D-C").
     name: str = "base"
 
+    #: Whether the last :meth:`_select_worker` placed a head key.  Only the
+    #: head/tail schemes set it; every other scheme routes tail keys only.
+    _routed_head: bool = False
+
     def __init__(self, num_workers: int, seed: int = 0) -> None:
         if num_workers < 1:
             raise ConfigurationError(
@@ -151,8 +154,8 @@ class Partitioner(abc.ABC):
         ``head_flags``, when given, is a caller-owned list that receives one
         boolean per key telling whether the key was classified as a heavy
         hitter at routing time (always ``False`` for head-oblivious schemes).
-        This lets batch consumers keep head/tail accounting without paying
-        for per-message :class:`RoutingDecision` objects.
+        This lets batch consumers keep head/tail accounting without a
+        per-message :meth:`route_with_decision`.
         """
         if len(keys) <= _ORACLE_FRAGMENT:
             return self._route_scalar(keys, head_flags)
@@ -203,10 +206,9 @@ class Partitioner(abc.ABC):
         return self._route_ids(dictionary.intern_keys(batch.keys()))
 
     def route_with_decision(self, key: Key) -> RoutingDecision:
-        """Like :meth:`route` but returns the full :class:`RoutingDecision`."""
-        decision = self._select(key)
-        self._state.record(decision.worker)
-        return decision
+        """:meth:`route` plus whether ``key`` was routed as a head key."""
+        worker = self.route(key)
+        return RoutingDecision(worker, self._routed_head)
 
     def reset(self) -> None:
         """Forget all per-source state (loads, sketches, the id namespace)."""
@@ -328,11 +330,12 @@ class Partitioner(abc.ABC):
     def key_candidates(self, key: Key) -> tuple[WorkerId, ...]:
         """The workers ``key`` may currently be routed to — *pure*.
 
-        Unlike :meth:`_select`, this must not mutate any state (no sketch
-        updates, no load changes): the elasticity accountant calls it before
-        and after a rescale event for every observed key to decide which
-        keys moved.  An empty tuple means the key has no placement affinity
-        (shuffle grouping routes anywhere), so it never counts as moved.
+        Unlike :meth:`_select_worker`, this must not mutate any state (no
+        sketch updates, no load changes): the elasticity accountant calls it
+        before and after a rescale event for every observed key to decide
+        which keys moved.  An empty tuple means the key has no placement
+        affinity (shuffle grouping routes anywhere), so it never counts as
+        moved.
         """
         return ()
 
@@ -340,18 +343,8 @@ class Partitioner(abc.ABC):
     # hooks for subclasses
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
-    def _select(self, key: Key) -> RoutingDecision:
-        """Pick the destination worker for ``key`` (no bookkeeping)."""
-
     def _select_worker(self, key: Key) -> WorkerId:
-        """Allocation-free variant of :meth:`_select`.
-
-        The default delegates to :meth:`_select`; performance-sensitive
-        schemes override it to skip the :class:`RoutingDecision` entirely.
-        Overrides must make exactly the same choice as :meth:`_select`
-        (including any internal state mutation happening exactly once).
-        """
-        return self._select(key).worker
+        """Pick the destination worker for ``key`` (no load bookkeeping)."""
 
     def _route_ids(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The id kernel: route ``ids`` (issued by ``self._id_dict``).
@@ -408,15 +401,6 @@ class Partitioner(abc.ABC):
                 best = candidate
                 best_load = load
         return best
-
-    def _least_loaded_overall(self) -> WorkerId:
-        """The globally least-loaded worker according to the local view.
-
-        ``min`` + ``index`` both return the *first* minimum, so tie-breaking
-        matches the explicit scan this replaces while running at C speed.
-        """
-        loads = self._state.loads
-        return loads.index(min(loads))
 
     @staticmethod
     def _listed(

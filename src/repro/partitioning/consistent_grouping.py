@@ -20,7 +20,7 @@ from repro.exceptions import ConfigurationError
 from repro.fifo_map import FifoMap
 from repro.hashing.consistent import ConsistentHashRing
 from repro.partitioning.base import Partitioner
-from repro.types import Key, RoutingDecision, WorkerId
+from repro.types import Key, WorkerId
 
 
 class ConsistentGrouping(Partitioner):
@@ -54,9 +54,8 @@ class ConsistentGrouping(Partitioner):
     def ring(self) -> ConsistentHashRing:
         return self._ring
 
-    def _select(self, key: Key) -> RoutingDecision:
-        worker = self._ring.lookup(key)
-        return RoutingDecision(key=key, worker=worker, candidates=(worker,))
+    def _select_worker(self, key: Key) -> WorkerId:
+        return self._ring.lookup(key)
 
     def _route_ids(self, ids):
         dictionary = self._id_dict

@@ -38,7 +38,7 @@ from repro.analysis.choices import DEFAULT_EPSILON, ChoicesSolution, find_optima
 from repro.exceptions import ConfigurationError
 from repro.partitioning.head_tail import HeadTailPartitioner
 from repro.sketches.space_saving import runs_to_flags
-from repro.types import Key, RoutingDecision, WorkerId
+from repro.types import Key, WorkerId
 
 
 class DChoices(HeadTailPartitioner):
@@ -198,22 +198,9 @@ class DChoices(HeadTailPartitioner):
     # ------------------------------------------------------------------ #
     # head path
     # ------------------------------------------------------------------ #
-    def _select_head(self, key: Key) -> RoutingDecision:
-        self._maybe_recompute()
-        if self._solution.use_w_choices:
-            worker = self._least_loaded_overall()
-            return RoutingDecision(key=key, worker=worker, is_head=True)
-        num_choices = max(2, self._solution.num_choices)
-        candidates = self._head_candidates(key, num_choices)
-        worker = self._least_loaded(candidates)
-        return RoutingDecision(
-            key=key, worker=worker, candidates=candidates, is_head=True
-        )
-
     def _select_head_worker(self, kid: int) -> WorkerId:
-        # Same logic as _select_head without the RoutingDecision; candidate
-        # tuples for hot keys come from the per-head-key cache, so the
-        # per-message cost is a dict hit plus the load scan.
+        # Candidate tuples for hot keys come from the per-head-key cache, so
+        # the per-message cost is a dict hit plus the load scan.
         self._maybe_recompute()
         loads = self._state.loads
         if self._solution.use_w_choices:

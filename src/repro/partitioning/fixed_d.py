@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.exceptions import ConfigurationError
 from repro.partitioning.head_tail import HeadTailPartitioner
-from repro.types import Key, RoutingDecision, WorkerId
+from repro.types import Key, WorkerId
 
 
 class FixedDHead(HeadTailPartitioner):
@@ -55,13 +55,6 @@ class FixedDHead(HeadTailPartitioner):
 
     def _head_selection(self) -> tuple[str, int]:
         return ("d", self._num_choices)
-
-    def _select_head(self, key: Key) -> RoutingDecision:
-        candidates = self._head_candidates(key, self._num_choices)
-        worker = self._least_loaded(candidates)
-        return RoutingDecision(
-            key=key, worker=worker, candidates=candidates, is_head=True
-        )
 
     def _select_head_worker(self, kid: int) -> WorkerId:
         candidates = self._cached_head_candidates(kid, self._num_choices)

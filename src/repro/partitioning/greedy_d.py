@@ -16,7 +16,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.hashing.hash_family import HashFamily
 from repro.partitioning.base import Partitioner
-from repro.types import Key, RoutingDecision, WorkerId
+from repro.types import Key, WorkerId
 
 
 class GreedyD(Partitioner):
@@ -53,11 +53,6 @@ class GreedyD(Partitioner):
     @property
     def num_choices(self) -> int:
         return self._num_choices
-
-    def _select(self, key: Key) -> RoutingDecision:
-        candidates = self._hashes.candidates(key, self._num_choices)
-        worker = self._least_loaded(candidates)
-        return RoutingDecision(key=key, worker=worker, candidates=candidates)
 
     def _select_worker(self, key: Key) -> WorkerId:
         return self._least_loaded(self._hashes.candidates(key, self._num_choices))

@@ -10,11 +10,12 @@ D-Choices, W-Choices and Round-Robin all follow the same skeleton:
    the standard two choices of PKG.
 
 :class:`HeadTailPartitioner` implements steps 1-2 and the tail path, leaving
-the head path to subclasses via :meth:`_select_head`.
+the head path to subclasses via :meth:`_select_head_worker`.
 """
 
 from __future__ import annotations
 
+import abc
 import math
 from itertools import chain
 from typing import Sequence
@@ -27,7 +28,7 @@ from repro.fifo_map import FifoMap
 from repro.hashing.hash_family import HashFamily
 from repro.partitioning.base import Partitioner
 from repro.sketches.space_saving import SpaceSaving, runs_to_flags
-from repro.types import Key, RoutingDecision, WorkerId
+from repro.types import Key, WorkerId
 
 #: How many counters the per-source SpaceSaving keeps relative to ``1/theta``.
 #: 1.0 is the minimum that guarantees no false negatives; a little slack
@@ -147,13 +148,6 @@ class HeadTailPartitioner(Partitioner):
     # ------------------------------------------------------------------ #
     # Partitioner implementation
     # ------------------------------------------------------------------ #
-    def _select(self, key: Key) -> RoutingDecision:
-        kid = self._dictionary().intern(key)
-        self._sketch.add(kid)
-        if self._is_head_id(kid):
-            return self._select_head(key)
-        return self._select_tail(key)
-
     #: Maximum number of head key ids each per-key head structure (hash
     #: prefixes; candidate tuples and their floors) holds; FIFO-evicted
     #: beyond this.  Head keys are few by definition (at most the sketch
@@ -162,8 +156,9 @@ class HeadTailPartitioner(Partitioner):
     _HEAD_CANDIDATE_CACHE_LIMIT = 1 << 14
 
     def _select_worker(self, key: Key) -> WorkerId:
-        # Fast path: same steps as _select (sketch update, head test, tail
-        # two-choice) without building a RoutingDecision for the tail.
+        """Algorithm 1 for one message: sketch update, head test (the
+        :meth:`_is_head_id` test, inlined), then the scheme's head placement
+        or the tail's two choices."""
         kid = self._dictionary().intern(key)
         sketch = self._sketch
         sketch.add(kid)
@@ -171,7 +166,9 @@ class HeadTailPartitioner(Partitioner):
         if total >= self._warmup_messages and (
             sketch.estimate(kid) >= self._theta * total
         ):
+            self._routed_head = True
             return self._select_head_worker(kid)
+        self._routed_head = False
         first, second = self._hashes.candidates(key, 2)
         loads = self._state.loads
         return first if loads[first] <= loads[second] else second
@@ -480,29 +477,15 @@ class HeadTailPartitioner(Partitioner):
         if not num_choices:
             self._head_hashes.clear()
 
-    def _select_tail(self, key: Key) -> RoutingDecision:
-        """Tail path: the standard two choices of PKG."""
-        candidates = self._hashes.candidates(key, 2)
-        worker = self._least_loaded(candidates)
-        return RoutingDecision(
-            key=key, worker=worker, candidates=candidates, is_head=False
-        )
-
-    def _select_head(self, key: Key) -> RoutingDecision:
-        """Head path; must be provided by the concrete scheme."""
-        raise NotImplementedError
-
+    @abc.abstractmethod
     def _select_head_worker(self, kid: int) -> WorkerId:
-        """Head placement addressed by key id, without a decision object.
+        """Head placement of key id ``kid`` (no load bookkeeping).
 
-        Shared by the scalar fast path and the kernel's "call" mode.  The
-        default decodes and delegates to :meth:`_select_head`, so subclasses
-        that only implement the decision variant stay correct (just
-        slower); schemes override it when their head selection ignores the
-        key (W-Choices, Round-Robin) or is id-addressable through the head
-        candidate cache (D-Choices, FIXED-D).
+        Shared by the scalar :meth:`_select_worker` and the kernel's "call"
+        mode.  It reads the key only through its id: the load vector alone
+        (W-Choices, Round-Robin) or the head candidate cache (D-Choices,
+        FIXED-D).
         """
-        return self._select_head(self._id_dict.key_of(kid)).worker
 
     def reset(self) -> None:
         super().reset()

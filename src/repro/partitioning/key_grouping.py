@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.hashing.hash_family import HashFamily
 from repro.partitioning.base import Partitioner
-from repro.types import Key, RoutingDecision, WorkerId
+from repro.types import Key, WorkerId
 
 
 class KeyGrouping(Partitioner):
@@ -30,10 +30,6 @@ class KeyGrouping(Partitioner):
     def __init__(self, num_workers: int, seed: int = 0) -> None:
         super().__init__(num_workers, seed)
         self._hashes = HashFamily(num_functions=1, num_buckets=num_workers, seed=seed)
-
-    def _select(self, key: Key) -> RoutingDecision:
-        worker = self._hashes.candidates(key, 1)[0]
-        return RoutingDecision(key=key, worker=worker, candidates=(worker,))
 
     def _select_worker(self, key: Key) -> WorkerId:
         return self._hashes.candidates(key, 1)[0]

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.hashing.hash_family import HashFamily
 from repro.partitioning.base import Partitioner
-from repro.types import Key, RoutingDecision, WorkerId
+from repro.types import Key, WorkerId
 
 
 class PartialKeyGrouping(Partitioner):
@@ -35,11 +35,6 @@ class PartialKeyGrouping(Partitioner):
     def __init__(self, num_workers: int, seed: int = 0) -> None:
         super().__init__(num_workers, seed)
         self._hashes = HashFamily(num_functions=2, num_buckets=num_workers, seed=seed)
-
-    def _select(self, key: Key) -> RoutingDecision:
-        candidates = self._hashes.candidates(key, 2)
-        worker = self._least_loaded(candidates)
-        return RoutingDecision(key=key, worker=worker, candidates=candidates)
 
     def _select_worker(self, key: Key) -> WorkerId:
         first, second = self._hashes.candidates(key, 2)

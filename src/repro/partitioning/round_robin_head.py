@@ -10,7 +10,7 @@ not to replication.
 from __future__ import annotations
 
 from repro.partitioning.head_tail import HeadTailPartitioner
-from repro.types import Key, RoutingDecision, WorkerId
+from repro.types import WorkerId
 
 
 class RoundRobinHead(HeadTailPartitioner):
@@ -28,9 +28,6 @@ class RoundRobinHead(HeadTailPartitioner):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._next_worker = 0
-
-    def _select_head(self, key: Key) -> RoutingDecision:
-        return RoutingDecision(key=key, worker=self._advance(), is_head=True)
 
     def _select_head_worker(self, kid: int) -> WorkerId:
         return self._advance()

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.partitioning.base import Partitioner
-from repro.types import Key, RoutingDecision, WorkerId
+from repro.types import Key, WorkerId
 
 
 class ShuffleGrouping(Partitioner):
@@ -32,9 +32,6 @@ class ShuffleGrouping(Partitioner):
         # Different sources start at different offsets so that the first
         # message of every source does not pile onto worker 0.
         self._next = seed % num_workers
-
-    def _select(self, key: Key) -> RoutingDecision:
-        return RoutingDecision(key=key, worker=self._select_worker(key))
 
     def _select_worker(self, key: Key) -> WorkerId:
         worker = self._next

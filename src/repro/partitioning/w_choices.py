@@ -20,7 +20,7 @@ pass to classify the chunk, then a selection pass whose head placements
 from __future__ import annotations
 
 from repro.partitioning.head_tail import HeadTailPartitioner
-from repro.types import Key, RoutingDecision, WorkerId
+from repro.types import WorkerId
 
 
 class WChoices(HeadTailPartitioner):
@@ -39,11 +39,8 @@ class WChoices(HeadTailPartitioner):
     def _head_selection(self) -> tuple[str, int]:
         return ("all", 0)
 
-    def _select_head(self, key: Key) -> RoutingDecision:
-        worker = self._least_loaded_overall()
-        return RoutingDecision(key=key, worker=worker, is_head=True)
-
     def _select_head_worker(self, kid: int) -> WorkerId:
         # Placement reads only the load vector — the key is never decoded.
+        # ``min`` + ``index`` both take the *first* minimum.
         loads = self._state.loads
         return loads.index(min(loads))

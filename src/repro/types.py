@@ -42,18 +42,13 @@ class Message:
 
 @dataclass(slots=True)
 class RoutingDecision:
-    """The outcome of routing one message.
+    """What ``Partitioner.route_with_decision`` returns for one message.
 
-    Returned by the simulation engine when detailed tracing is requested,
-    and used by tests to assert properties of the grouping schemes.
+    The scalar simulation engine reads both fields per message; what a
+    scheme may route a key to is the pure ``Partitioner.key_candidates``.
     """
 
-    key: Key
     worker: WorkerId
-    #: Candidate workers the partitioner considered (e.g. the two PKG hashes,
-    #: or the d candidates of Greedy-d).  Empty for schemes such as shuffle
-    #: grouping that do not restrict candidates.
-    candidates: tuple[WorkerId, ...] = ()
     #: True when the key was classified as a heavy hitter (head key) at the
     #: moment of routing.
     is_head: bool = False

@@ -32,6 +32,16 @@ A third cut took a helper the code it served no longer calls:
   queue; "all" placement now scans the load vector with ``min`` /
   ``count`` / ``list.index``.
 
+A fourth cut left each scheme one scalar selection, ``_select_worker``
+(and ``_select_head_worker`` on the head/tail schemes):
+
+* ``_select`` / ``_select_head`` / ``_select_tail``, a second scalar form
+  that only a docstring held to the first and that built a decision
+  object whose key and candidates nothing read; ``route_with_decision``
+  is now ``route`` plus the head bit;
+* ``Partitioner._least_loaded_overall``, called only by two ``_select_head``
+  methods.
+
 Each would come back the way it left: as a path every test of its own
 exercises and no user run reaches.  These scans keep them out.
 """
@@ -76,6 +86,10 @@ UNRUN_NAMES = {
     "expected_distinct",
     "add_and_classify_batch",
     "_min_load_level",
+    "_select",
+    "_select_head",
+    "_select_tail",
+    "_least_loaded_overall",
 }
 #: Deleted methods whose names other code still uses for something else
 #: (``hash`` the builtin, ``merge`` a reconciliation, ``spread`` a local).
@@ -238,8 +252,12 @@ def test_the_scans_flag_the_removed_code():
         "sketch.add_and_classify_batch(keys, threshold)\n"
         "expected_distinct(n, d)\n"
         "level, queue = self._min_load_level()\n"
+        "class HeadTailPartitioner(Partitioner):\n"
+        "    def _select(self, key): return self._select_tail(key)\n"
+        "    def _select_head(self, key): return self._least_loaded_overall()\n"
+        "    def _select_worker(self, key): return self._select_head_worker(0)\n"
     )
-    assert len(_identifiers(removed_operators) & UNRUN_NAMES) == 6
+    assert len(_identifiers(removed_operators) & UNRUN_NAMES) == 10
     removed_methods = (
         "class HashFamily:\n"
         "    def hash(self, key, index): ...\n"

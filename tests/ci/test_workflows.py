@@ -393,10 +393,26 @@ class TestSuitePolicy:
 
     def test_nothing_references_the_retired_figure_bench_wrappers(self):
         assert not list((REPO_ROOT / "benchmarks").glob("bench_fig*"))
+        # Four more pytest-benchmark scripts that no CI job, test or doc ran.
+        retired = (
+            "bench_ablation_load_estimation",
+            "bench_ablation_threshold",
+            "bench_batch_routing",
+            "bench_micro_routing",
+        )
+        assert not [
+            name for name in retired if (REPO_ROOT / "benchmarks" / f"{name}.py").exists()
+        ]
         referencing = [
             path
-            for pattern in (".github/workflows/*.yml", "docs/*.md", "README.md")
+            for pattern in (
+                ".github/workflows/*.yml",
+                "docs/*.md",
+                "README.md",
+                "benchmarks/*.py",
+            )
             for path in REPO_ROOT.glob(pattern)
-            if "benchmarks/bench_fig" in path.read_text(encoding="utf-8")
+            for text in [path.read_text(encoding="utf-8")]
+            if "benchmarks/bench_fig" in text or any(name in text for name in retired)
         ]
         assert not referencing

@@ -74,6 +74,24 @@ class TestIdCandidateRows:
             assert family.candidates_for_id(kid, dictionary) == family.candidates(key)
             assert tuple(rows[position].tolist()) == family.candidates(key)
             assert (columns[0][position], columns[1][position]) == family.candidates(key)
+        # Head keys are hashed by id only (the scalar oracle included): from
+        # the dictionary's folded key, extending whatever prefix the caller
+        # holds.  Every d, every prefix length, every key type.
+        keys = (
+            ["", "a", "alpha", "exactly8", "nine char", "é-unicode-ü", "w" * 41]
+            + [b"", b"\x00", b"bytes-key", bytes(range(30))]
+            + [0, 1, -1, 7, 2**40 + 3, 2**63 - 1, -(2**63), 2**64 + 5]
+        )
+        for seed in (0, 7):
+            family = HashFamily(num_functions=9, num_buckets=13, seed=seed)
+            dictionary = KeyDictionary()
+            ids = _intern(dictionary, keys).tolist()
+            for key, kid in zip(keys, ids):
+                for d in range(1, 10):
+                    expected = family.candidates(key, d)
+                    for held in range(d + 1):
+                        prefix = expected[:held]
+                        assert family.candidates_for_id(kid, dictionary, d, prefix) == expected
 
     def test_tables_are_fifo_bounded_per_family(self, monkeypatch):
         monkeypatch.setattr(hf, "_MAX_ID_TABLES", 3)

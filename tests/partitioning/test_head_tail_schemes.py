@@ -59,7 +59,8 @@ class TestHeadTailCommon:
             scheme.route(f"cold-{index}")
         cold_decision = scheme.route_with_decision("cold-1")
         assert cold_decision.is_head is False
-        assert len(cold_decision.candidates) == 2
+        assert cold_decision.worker in scheme.key_candidates("cold-1")
+        assert len(scheme.key_candidates("cold-1")) == 2
 
     @pytest.mark.parametrize("scheme", ["D-C", "W-C", "RR", "FIXED-D", "AD"])
     def test_sketch_is_not_injectable(self, scheme):
@@ -137,7 +138,8 @@ class TestFixedDHead:
         scheme.route("hot")
         decision = scheme.route_with_decision("hot")
         assert decision.is_head is True
-        assert len(decision.candidates) == 4
+        assert decision.worker in scheme.key_candidates("hot")
+        assert len(scheme.key_candidates("hot")) == 4
 
 
 class TestDChoices:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import exceptions
@@ -40,10 +42,12 @@ class TestMessage:
 
 
 class TestRoutingDecision:
-    def test_defaults(self):
-        decision = RoutingDecision(key="k", worker=3)
-        assert decision.candidates == ()
-        assert decision.is_head is False
+    def test_carries_only_what_the_engine_reads(self):
+        # The worker and the head bit; a key's candidates are the pure
+        # ``Partitioner.key_candidates``.
+        fields = dataclasses.fields(RoutingDecision)
+        assert tuple(field.name for field in fields) == ("worker", "is_head")
+        assert RoutingDecision(worker=3).is_head is False
 
 
 class TestDatasetStats:
