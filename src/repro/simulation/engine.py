@@ -6,9 +6,10 @@ The engine wires together:
 * ``s`` sources, each holding its own partitioner instance (so load
   estimation and heavy-hitter tracking are local to the sender, as in the
   paper);
-* ``n`` workers, represented by the global :class:`LoadTracker` and a
-  per-worker set of keys (to measure the worker-side memory of
-  Section IV-B).
+* ``n`` workers, represented by the global :class:`LoadTracker` and the
+  worker-side key state that measures the memory of Section IV-B: a set
+  of keys per worker in the scalar oracle, one bit per (key id, worker) in
+  a columnar run.
 
 The input stream is distributed over sources round-robin, which models the
 shuffle-grouped edge between the spout and the sources in the evaluation
@@ -17,8 +18,9 @@ setup (Section V-A).
 The sources are a :class:`~repro.execution.SenderGroup`, which deals, routes
 and scatters each of the :func:`~repro.execution.spans` a columnar run
 consumes — the engine keeps the scalar oracle, the span accounting (columnar
-like the routing: ``np.bincount`` into the tracker, one grouping pass into
-the key sets, cut where the imbalance series sample) and the rescale replay.
+like the routing: one ``np.bitwise_or.at`` per span into the key bits, then
+``np.bincount`` into the tracker, cut where the imbalance series sample) and
+the rescale replay.
 
 When the configuration carries a rescale plan, the engine replays its
 worker join/leave/fail events at their exact global stream offsets — the
@@ -48,16 +50,19 @@ from repro.simulation.metrics import (
     ImbalanceTimeSeries,
     LoadTracker,
     WindowedImbalanceSeries,
+    WorkerKeyBits,
+    WorkerKeySets,
 )
 from repro.simulation.results import SimulationResult
 from repro.types import Key, WorkerId
 
-#: ``_account_span`` accounts segments of at least this many messages with
-#: array operations and shorter ones per message.  The array form costs a
-#: fixed 25-40 us per segment (a dozen numpy calls plus one ``set.update`` per
-#: worker) against ~300 ns per message: the crossover sits near 110 messages
-#: at 50 workers and near 180 at 100.
-_COLUMNAR_SEGMENT = 192
+#: ``_account_span`` accounts the loads of segments of at least this many
+#: messages with array operations and shorter ones per message.  The array
+#: form costs a fixed 7-25 us per segment (``LoadTracker.record_span``'s
+#: bincounts and list updates, twice when the segment holds a head message)
+#: against 250-450 ns per message: the crossover sits near 20-40 messages at
+#: 50 workers and near 25-50 at 100, heads at the high end.
+_COLUMNAR_SEGMENT = 64
 
 
 class SimulationEngine:
@@ -87,13 +92,14 @@ class SimulationEngine:
             config.num_workers, track_head_tail=config.track_head_tail
         )
         self._series = ImbalanceTimeSeries(interval=config.track_interval)
-        # worker -> set of keys that hit it (memory measurement)
-        self._worker_keys: list[set[Key]] = [
-            set() for _ in range(config.num_workers)
-        ]
-        self._head_keys: set[Key] = set()
-        # In columnar mode the worker-side key state holds interned ids;
-        # this is the dictionary that decodes them (None in scalar mode).
+        # Which worker holds state for which key (memory measurement): sets
+        # of keys in the scalar oracle, bits per interned id in a columnar
+        # run, whose dictionary decodes them (None in scalar mode).
+        self._key_state: WorkerKeySets | WorkerKeyBits = (
+            WorkerKeySets(config.num_workers)
+            if config.mode.is_scalar
+            else WorkerKeyBits(config.num_workers)
+        )
         self._columnar_dict = None
         # Elasticity: the pending event schedule and the cost accountant
         # (both None/empty in the paper's fixed-worker setting).
@@ -194,13 +200,19 @@ class SimulationEngine:
         num_sources = self._config.num_sources
         sources = self._group.partitioners
         events = self._pending_events
+        worker_keys = self._key_state.worker_keys
+        head_keys = self._key_state.head_keys
 
         def routed() -> Iterator[tuple[Key, WorkerId, bool]]:
             for index, key in enumerate(keys):
                 while events and events[0].offset <= index:
                     self._apply_rescale(events.pop(0))
                 decision = sources[index % num_sources].route_with_decision(key)
-                yield key, decision.worker, decision.is_head
+                worker = decision.worker
+                worker_keys[worker].add(key)
+                if decision.is_head:
+                    head_keys.add(key)
+                yield key, worker, decision.is_head
 
         self._account_messages(routed())
 
@@ -210,22 +222,18 @@ class SimulationEngine:
         """Record routed messages one at a time, in stream order.
 
         The one per-message accounting body: the scalar oracle feeds it keys,
-        the fragments of a columnar run feed it key ids.
+        the fragments of a columnar run feed it key ids.  The key state is
+        its callers' to record.
         """
         tracker = self._tracker
         series = self._series
         window_series = self._window_series
-        worker_keys = self._worker_keys
-        head_keys = self._head_keys
         accountant = self._accountant
 
         for key, worker, is_head in messages:
             if accountant is not None and accountant.window_open:
                 accountant.tick(key)
             tracker.record(worker, is_head=is_head)
-            worker_keys[worker].add(key)
-            if is_head:
-                head_keys.add(key)
             series.maybe_record(tracker)
             if window_series is not None:
                 window_series.maybe_record(tracker)
@@ -235,22 +243,26 @@ class SimulationEngine:
     ) -> None:
         """Record one routed span: columnar between sample points.
 
-        The span is cut at the message counts where the imbalance series
+        The worker-side key state takes the whole span in one
+        :meth:`~repro.simulation.metrics.WorkerKeyBits.record_span` — one
+        ``np.bitwise_or.at`` over ``(id, worker)`` — since nothing reads it
+        before the next rescale, and spans end at rescale offsets.  Ids
+        stand in for keys (a bijection, so memory entries, distinct and head
+        keys are the oracle's), and the misroute accountant ticks in id
+        space too, consistent with the id-space moved-key sets of
+        :meth:`_apply_rescale`.
+
+        The loads are cut at the message counts where the imbalance series
         sample, the way :func:`~repro.execution.spans` cuts at rescale
         offsets, so every sample reads exactly the loads a per-message run
         would show it.  A segment of at least ``_COLUMNAR_SEGMENT`` messages
         is accounted with array operations; shorter ones — a closing
         fragment, a beat between the two series, a sampling interval of a
         few messages — go, merged with their short neighbours, through
-        :meth:`_account_messages`.
-
-        The worker-side key state accumulates ids instead of keys (a
-        bijection, so every set-valued metric — memory entries, distinct
-        head keys — is unchanged), and the misroute accountant ticks in id
-        space too, consistent with the id-space moved-key sets of
-        :meth:`_apply_rescale`.  ``workers`` and ``heads`` are the columns of
-        ``SenderGroup.route_span``.
+        :meth:`_account_messages`.  ``workers`` and ``heads`` are the
+        columns of ``SenderGroup.route_span``.
         """
+        self._key_state.record_span(ids, workers, heads)
         count = len(workers)
 
         def account_fragment(start: int, stop: int) -> None:
@@ -289,7 +301,8 @@ class SimulationEngine:
     def _account_columns(
         self, ids: np.ndarray, workers: np.ndarray, heads: np.ndarray | None
     ) -> None:
-        """Record one sample-free segment of a span with array operations.
+        """Record the loads of one sample-free segment of a span with array
+        operations.
 
         ``heads`` is the boolean head mask, ``None`` when the span holds no
         head message.  The series sample after the segment, which ends
@@ -299,20 +312,6 @@ class SimulationEngine:
         tracker.record_span(workers, heads)
         if self._accountant is not None:
             self._accountant.tick_span(ids)
-        # Group the ids by worker.  Narrowed to the smallest unsigned type,
-        # the sort keys of up to 2**16 workers take numpy's radix sort.
-        num_workers = tracker.num_workers
-        order = np.argsort(
-            workers.astype(np.min_scalar_type(num_workers - 1)), kind="stable"
-        )
-        grouped = ids[order].tolist()
-        bounds = np.cumsum(np.bincount(workers, minlength=num_workers)).tolist()
-        start = 0
-        for keys_on_worker, stop in zip(self._worker_keys, bounds):
-            keys_on_worker.update(grouped[start:stop])
-            start = stop
-        if heads is not None:
-            self._head_keys.update(ids[heads].tolist())
         self._series.maybe_record(tracker)
         if self._window_series is not None:
             self._window_series.maybe_record(tracker)
@@ -321,7 +320,7 @@ class SimulationEngine:
     # elasticity
     # ------------------------------------------------------------------ #
     def _candidate_snapshot(
-        self, probe: Partitioner, observed: set[Key]
+        self, probe: Partitioner, observed: Iterable[Key]
     ) -> dict[Key, frozenset[int]]:
         """Candidate sets of every observed key, keyed as the engine saw them.
 
@@ -362,23 +361,14 @@ class SimulationEngine:
         # All sources share the hashing seed, so one probe suffices to
         # observe candidate assignments (SG reports no affinity).
         probe = sources[0]
-        worker_keys = self._worker_keys
-        observed: set[Key] = set().union(*worker_keys) if worker_keys else set()
+        key_state = self._key_state
+        observed = key_state.observed()
         before = self._candidate_snapshot(probe, observed)
 
         policy = accountant.policy
         self._group.rescale(policy, new_num_workers)
         self._tracker.rescale(new_num_workers)
-
-        removed_entries = 0
-        if new_num_workers > old_num_workers:
-            worker_keys.extend(
-                set() for _ in range(new_num_workers - old_num_workers)
-            )
-        else:
-            for _ in range(old_num_workers - new_num_workers):
-                removed_entries += len(worker_keys[-1])
-                worker_keys.pop()
+        removed_entries = key_state.resize(new_num_workers)
 
         after = self._candidate_snapshot(probe, observed)
         moved = frozenset(
@@ -387,12 +377,7 @@ class SimulationEngine:
         # State of moved keys still held on surviving workers must be handed
         # to the keys' new candidates; the departing worker's entries are
         # handed off on a graceful leave and lost on a failure.
-        entries_migrated = sum(
-            1
-            for keys_on_worker in worker_keys
-            for key in keys_on_worker
-            if key in moved
-        )
+        entries_migrated = key_state.entries_of(moved)
         entries_lost = 0
         if new_num_workers < old_num_workers:
             if event.loses_state:
@@ -419,8 +404,7 @@ class SimulationEngine:
         head_loads = tail_loads = None
         if self._config.track_head_tail:
             head_loads, tail_loads = tracker.head_tail_split()
-        memory_entries = sum(len(keys) for keys in self._worker_keys)
-        distinct_keys = len(set().union(*self._worker_keys)) if self._worker_keys else 0
+        key_state = self._key_state
         if self._accountant is not None:
             # Switch records are appended as each source routes its share,
             # an order that depends on the execution mode; offsets do not.
@@ -442,9 +426,9 @@ class SimulationEngine:
             head_loads=head_loads,
             tail_loads=tail_loads,
             time_series=self._series if self._series.times else None,
-            memory_entries=memory_entries,
-            head_key_count=len(self._head_keys),
-            distinct_key_count=distinct_keys,
+            memory_entries=key_state.memory_entries,
+            head_key_count=key_state.head_key_count,
+            distinct_key_count=key_state.distinct_key_count,
             migration=(
                 self._accountant.report() if self._accountant is not None else None
             ),

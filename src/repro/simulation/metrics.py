@@ -9,6 +9,9 @@ Implements the definitions of Section II-B:
 :class:`LoadTracker` maintains absolute per-worker counters (plus an optional
 head/tail split), and :class:`ImbalanceTimeSeries` records ``I(t)`` at fixed
 message intervals so the over-time plots (Figure 12) can be reproduced.
+:class:`WorkerKeySets` (the scalar oracle) and :class:`WorkerKeyBits` (a
+columnar run) hold the worker-side key state that Section IV-B's memory
+cost counts.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.types import LoadSnapshot, WorkerId, loads_imbalance
+from repro.types import Key, LoadSnapshot, WorkerId, loads_imbalance
 
 
 class LoadTracker:
@@ -163,6 +166,138 @@ class LoadTracker:
             total - head for total, head in zip(self._loads, self._head_loads)
         ]
         return list(self._head_loads), tail
+
+
+class WorkerKeySets:
+    """Worker-side key state of the scalar oracle: one set of keys per worker.
+
+    Section IV-B's memory cost is one state entry per (worker, key) pair a
+    message created.  The engine adds each routed message to
+    ``worker_keys[worker]`` (and head keys to ``head_keys``) itself; the
+    reads below are shared with :class:`WorkerKeyBits`, which keeps the same
+    state for a columnar run.
+    """
+
+    __slots__ = ("worker_keys", "head_keys")
+
+    def __init__(self, num_workers: int) -> None:
+        self.worker_keys: list[set[Key]] = [set() for _ in range(num_workers)]
+        self.head_keys: set[Key] = set()
+
+    def observed(self) -> set[Key]:
+        """Every key some current worker holds state for."""
+        return set().union(*self.worker_keys)
+
+    def resize(self, num_workers: int) -> int:
+        """Drop the highest workers or append empty ones; returns the number
+        of entries the dropped workers held."""
+        worker_keys = self.worker_keys
+        dropped = sum(map(len, worker_keys[num_workers:]))
+        del worker_keys[num_workers:]
+        worker_keys.extend(set() for _ in range(num_workers - len(worker_keys)))
+        return dropped
+
+    def entries_of(self, keys: frozenset) -> int:
+        """Entries that the current workers hold for ``keys``."""
+        return sum(
+            1 for keys_on_worker in self.worker_keys for key in keys_on_worker
+            if key in keys
+        )
+
+    @property
+    def memory_entries(self) -> int:
+        return sum(map(len, self.worker_keys))
+
+    @property
+    def distinct_key_count(self) -> int:
+        return len(self.observed())
+
+    @property
+    def head_key_count(self) -> int:
+        return len(self.head_keys)
+
+
+#: ``_BIT[b]`` is the word with only bit ``b`` set.
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
+class WorkerKeyBits:
+    """Worker-side key state of a columnar run: one bit per (key id, worker).
+
+    Row ``kid`` holds ``ceil(n / 64)`` ``uint64`` words, and worker ``w``'s
+    bit is bit ``w % 64`` of word ``w // 64``; a ``bool`` column marks the
+    ids some message was routed as head.  The same reads as
+    :class:`WorkerKeySets` are popcounts: an id is a key (the dictionary is
+    a bijection), so every count equals the oracle's.  Rows are allocated
+    by doubling as the dictionary grows and stay zero until recorded.
+    """
+
+    __slots__ = ("_bits", "_heads")
+
+    def __init__(self, num_workers: int) -> None:
+        self._bits = np.zeros((0, -(-num_workers // 64)), dtype=np.uint64)
+        self._heads = np.zeros(0, dtype=bool)
+
+    def record_span(
+        self, ids: np.ndarray, workers: np.ndarray, heads: np.ndarray | None
+    ) -> None:
+        """Set the bit of every ``(ids[i], workers[i])`` and mark the ids of
+        the head messages; ``heads`` is ``None`` when the span holds none."""
+        rows = int(ids.max()) + 1
+        if rows > len(self._bits):
+            capacity = max(rows, 2 * len(self._bits))
+            self._bits = _resized(self._bits, capacity, self._bits.shape[1])
+            self._heads = np.concatenate(
+                [self._heads, np.zeros(capacity - len(self._heads), dtype=bool)]
+            )
+        words = self._bits.shape[1]
+        index = ids if words == 1 else ids * words + (workers >> 6)
+        np.bitwise_or.at(self._bits.reshape(-1), index, _BIT[workers & 63])
+        if heads is not None:
+            self._heads[ids[heads]] = True
+
+    def observed(self) -> list[int]:
+        """Every id some current worker holds state for, ascending."""
+        return np.flatnonzero(self._bits.any(axis=1)).tolist()
+
+    def resize(self, num_workers: int) -> int:
+        """Clear the bits of workers ``>= num_workers`` and fit the rows to
+        ``ceil(num_workers / 64)`` words; returns the number of bits
+        cleared."""
+        held = self.memory_entries
+        full, rest = divmod(num_workers, 64)
+        words = full + (rest > 0)
+        bits = _resized(self._bits, len(self._bits), words)
+        if rest:
+            bits[:, full] &= np.uint64((1 << rest) - 1)
+        self._bits = bits
+        return held - self.memory_entries
+
+    def entries_of(self, keys: frozenset) -> int:
+        """Bits that the current workers hold for the ids in ``keys``."""
+        ids = np.fromiter(keys, dtype=np.int64, count=len(keys))
+        return int(np.bitwise_count(self._bits[ids]).sum())
+
+    @property
+    def memory_entries(self) -> int:
+        return int(np.bitwise_count(self._bits).sum())
+
+    @property
+    def distinct_key_count(self) -> int:
+        return int(np.count_nonzero(self._bits.any(axis=1)))
+
+    @property
+    def head_key_count(self) -> int:
+        return int(np.count_nonzero(self._heads))
+
+
+def _resized(bits: np.ndarray, rows: int, words: int) -> np.ndarray:
+    """A zeroed ``(rows, words)`` copy of ``bits``' leading rows and words."""
+    out = np.zeros((rows, words), dtype=np.uint64)
+    kept_rows = min(rows, len(bits))
+    kept_words = min(words, bits.shape[1])
+    out[:kept_rows, :kept_words] = bits[:kept_rows, :kept_words]
+    return out
 
 
 @dataclass(slots=True)

@@ -1,12 +1,15 @@
 """Columnar span accounting equals the per-message oracle, sample for sample.
 
-A ``columnar:N`` run accounts every routed span with array operations
-(``LoadTracker.record_span``, one grouping pass into the per-worker key
-sets, ``MigrationCostAccountant.tick_span``), cut at the exact message
-counts where the imbalance series sample; segments shorter than
-``_COLUMNAR_SEGMENT`` go through the per-message body the scalar oracle
-runs.  Whatever the sampling intervals, the span size and the rescale plan,
-the whole ``SimulationResult`` must equal the ``mode="scalar"`` run.
+A ``columnar:N`` run accounts every routed span with array operations: the
+worker-side key state as one bit per (key id, worker) for the whole span
+(``WorkerKeyBits.record_span``), then ``LoadTracker.record_span`` and
+``MigrationCostAccountant.tick_span`` cut at the exact message counts where
+the imbalance series sample; segments shorter than ``_COLUMNAR_SEGMENT`` go
+through the per-message body the scalar oracle runs.  The oracle keeps one
+set of keys per worker.  Whatever the sampling intervals, the span size,
+the worker count (a bit row is one ``uint64`` per 64 workers) and the
+rescale plan, the whole ``SimulationResult`` must equal the
+``mode="scalar"`` run.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.elasticity.accountant import MigrationCostAccountant
@@ -89,6 +92,8 @@ class TestEqualsTheScalarOracle:
         stream_seed=st.integers(min_value=0, max_value=50),
         num_messages=st.integers(min_value=1_500, max_value=4_000),
         num_sources=st.integers(min_value=1, max_value=5),
+        # Inside one word of key bits, a full word, and one bit past it.
+        num_workers=st.sampled_from([12, 1, 63, 64, 65]),
         batch_size=st.sampled_from([64, 200, 301, 1_024]),
         # 1 samples after every message, 5_000 never inside the stream; the
         # rest are multiples of no span size above.
@@ -101,10 +106,11 @@ class TestEqualsTheScalarOracle:
     )
     @settings(max_examples=60, deadline=None)
     def test_every_recorded_value(
-        self, scheme, exponent, stream_seed, num_messages, num_sources, batch_size,
-        track_interval, imbalance_window, track_head_tail, event_offset,
+        self, scheme, exponent, stream_seed, num_messages, num_sources, num_workers,
+        batch_size, track_interval, imbalance_window, track_head_tail, event_offset,
         migration_window, kind,
     ):
+        assume(num_workers > 1 or kind in ("join", None))
         stream = ZipfWorkload(exponent, 400, num_messages, seed=stream_seed)
         # The misroute window opens at any offset inside a span and, drawn
         # up to 2_500 tuples long, closes in the same span, in a later one
@@ -112,6 +118,7 @@ class TestEqualsTheScalarOracle:
         plan = None if kind is None else f"{kind}@{event_offset}"
         options = dict(
             num_sources=num_sources,
+            num_workers=num_workers,
             track_interval=track_interval,
             imbalance_window=imbalance_window,
             track_head_tail=track_head_tail,
@@ -152,6 +159,42 @@ class TestEqualsTheScalarOracle:
         # 18 windows close: the first only sets the baseline and each
         # rescale drops the window it falls into.
         assert len(scalar["windows"]) == 6_000 // 333 - 3
+
+    @pytest.mark.parametrize("scheme", ["KG", "PKG", "D-C", "W-C"])
+    @pytest.mark.parametrize(
+        "num_workers, plan",
+        [
+            (64, "join@1500"),
+            (65, "leave@1500"),
+            (65, "fail@1500"),
+            (128, "join@1500"),
+            (63, "join@1000,join@2000,fail@3000,leave@4000"),
+        ],
+    )
+    def test_rescales_across_a_word_of_key_bits(self, scheme, num_workers, plan):
+        # 64 -> 65 and 128 -> 129 add a word to every bit row, 65 -> 64
+        # drops one; the last plan walks 63 -> 64 -> 65 -> 64 -> 63.
+        stream = ZipfWorkload(1.1, 3_000, 5_000, seed=7)
+        options = dict(
+            num_workers=num_workers,
+            num_sources=3,
+            rescale_plan=plan,
+            rescale_policy="migrate",
+            migration_window=800,
+        )
+        scalar = _observed(scheme, stream, "scalar", **options)
+        columnar = _observed(scheme, stream, "columnar:256", **options)
+        _assert_same(columnar, scalar)
+        events = scalar["migration"]["events"]
+        words = [
+            ((event["old_num_workers"] + 63) // 64, (event["new_num_workers"] + 63) // 64)
+            for event in events
+        ]
+        assert any(old != new for old, new in words), "no event crossed a word: vacuous"
+        assert all(event["keys_moved"] > 0 for event in events), events
+        assert sum(event["entries_migrated"] for event in events) > 0
+        if "fail" in plan:
+            assert sum(event["entries_lost"] for event in events) > 0
 
     def test_samples_are_taken_inside_columnar_segments(self, monkeypatch):
         # 250 and 400 leave segments of 250, 150, 100, 250, ...: the long
