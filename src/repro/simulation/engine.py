@@ -192,7 +192,8 @@ class SimulationEngine:
     def _run_sequential(self, keys: Iterable[Key]) -> None:
         """The scalar oracle: route, then account, one message at a time.
 
-        The routing half is a generator on purpose: :meth:`_account_messages`
+        The routing half also adds each message to the per-worker key sets.
+        It is a generator on purpose: :meth:`_account_messages`
         accounts message ``i`` before message ``i + 1`` is routed or a
         rescale event at its offset is applied, exactly the order of a
         single per-message loop.
