@@ -28,7 +28,7 @@ def sampling_cdf(probabilities: np.ndarray) -> np.ndarray:
     p=p)`` rebuilds on every call, after the same checks (no NaN, no
     negative entry, a sum within ``sqrt(eps)`` of 1).  Build it once where
     the probabilities live — per distribution, per workload, per epoch —
-    and keep it for every draw.
+    and keep it, with its :func:`guide_table`, for every draw.
     """
     probabilities = np.asarray(probabilities, dtype=np.float64)
     if probabilities.ndim != 1 or probabilities.size == 0:
@@ -45,25 +45,69 @@ def sampling_cdf(probabilities: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def inverse_cdf_draws(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+#: CDF entries one block of :func:`guide_table` reads: its temporaries stay
+#: a few hundred KB whatever the key space.
+_GUIDE_BLOCK = 1 << 14
+
+#: Steps a draw may take forward from its guide entry before the rest of
+#: the chunk's stragglers go to one plain ``searchsorted``.
+_PROBE_ROUNDS = 4
+
+
+def guide_table(cdf: np.ndarray) -> np.ndarray:
+    """The guide table :func:`inverse_cdf_draws` starts each search from.
+
+    ``G = 2**ceil(log2 K)`` ``int32`` entries for a CDF of ``K`` entries,
+    ``guide[j] = cdf.searchsorted(j / G, "right")`` — the number of entries
+    ``<= j / G`` (Chen & Asau's indexed search; Devroye, *Non-Uniform Random
+    Variate Generation*, III.2.4).  Built from the CDF's side instead of
+    searching ``G`` needles: ``cdf[i] <= j / G`` exactly when ``j >=
+    ceil(cdf[i] * G)`` (a power-of-two scaling, so exact), so each entry
+    raises its cell to its count, ``i + 1``, and a running maximum fills
+    the cells between.  Blocks of :data:`_GUIDE_BLOCK` CDF entries keep
+    every temporary that size: the table itself is the one ``G``-sized
+    allocation.
+    """
+    size = 1 << (cdf.size - 1).bit_length()
+    # Entries above (G - 1) / G count in no cell: one cell past the end
+    # takes them.
+    guide = np.zeros(size + 1, dtype=np.int32)
+    for start in range(0, cdf.size, _GUIDE_BLOCK):
+        cells = cdf[start : start + _GUIDE_BLOCK] * size
+        np.ceil(cells, out=cells)
+        counts = np.arange(start + 1, start + 1 + cells.size, dtype=np.int32)
+        np.maximum.at(guide, cells.astype(np.intp), counts)
+    guide = guide[:size]
+    np.maximum.accumulate(guide, out=guide)
+    return guide
+
+
+def inverse_cdf_draws(cdf: np.ndarray, guide: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Zero-based inverse-CDF draws: ``cdf.searchsorted(uniforms, "right")``.
 
-    With ``cdf = sampling_cdf(p)`` and ``uniforms = rng.random(size)`` this
-    is, element for element and in dtype, ``rng.choice(len(p), size, p=p)``
-    — the lookup numpy does — with the generator consumed identically.
+    With ``cdf = sampling_cdf(p)``, ``guide = guide_table(cdf)`` and
+    ``uniforms = rng.random(size)`` this is, element for element and in
+    dtype, ``rng.choice(len(p), size, p=p)`` — the lookup numpy does — with
+    the generator consumed identically.
 
-    The needles are visited in CDF order: a binary search over a table
-    that does not fit the cache (8 MB at a million keys) misses on every
-    level when consecutive needles are unrelated, and shares its whole
-    upper path with its neighbour when they are sorted.  Sorting by the
-    top 16 bits is enough for that and is one radix pass (numpy's stable
-    sort of ``uint16``), where a full ``argsort`` of the doubles costs more
-    than the misses it saves (both measured: docs/performance.md, "The
-    source layer at array speed").
+    A draw ``u`` starts at ``guide[floor(u * G)]``: ``u * G`` is exact, and
+    ``floor(u * G) / G <= u``, so no entry before the start can be the
+    answer.  It then steps forward while ``cdf[idx] <= u``, at most
+    :data:`_PROBE_ROUNDS` times, each round over the draws still stepping;
+    what is left — draws into a cell crowded with many CDF entries, the
+    tail of a steep law — takes one plain ``searchsorted``.  Every draw is
+    one gather from the guide and one from the CDF, where a binary search
+    over a million-entry table misses the cache on each of its 20 levels.
     """
-    order = np.argsort((uniforms * 65536.0).astype(np.uint16), kind="stable")
-    draws = np.empty(uniforms.size, dtype=np.int64)
-    draws[order] = cdf.searchsorted(uniforms[order], side="right")
+    draws = guide[(uniforms * guide.size).astype(np.intp)].astype(np.int64)
+    pending = np.flatnonzero(cdf[draws] <= uniforms)
+    for _ in range(_PROBE_ROUNDS):
+        if not pending.size:
+            break
+        draws[pending] += 1
+        pending = pending[cdf[draws[pending]] <= uniforms[pending]]
+    if pending.size:
+        draws[pending] = cdf.searchsorted(uniforms[pending], side="right")
     return draws
 
 
@@ -96,10 +140,11 @@ class ZipfDistribution:
         ranks = np.arange(1, self._num_keys + 1, dtype=np.float64)
         weights = ranks ** (-self._exponent)
         self._probabilities = weights / weights.sum()
-        # Both tables are |K| floats and each has few readers (fig4 / fig9
+        # The tables are |K|-sized and each has few readers (fig4 / fig9
         # read prefix masses, streams sample): built on first use.
         self._cumulative: np.ndarray | None = None
         self._sampling_cdf: np.ndarray | None = None
+        self._sampling_guide: np.ndarray | None = None
 
     @property
     def exponent(self) -> float:
@@ -173,19 +218,27 @@ class ZipfDistribution:
             self._sampling_cdf = sampling_cdf(self._probabilities)
         return self._sampling_cdf
 
+    @property
+    def sampling_guide(self) -> np.ndarray:
+        """The :func:`guide_table` of :attr:`sampling_cdf`, kept beside it."""
+        if self._sampling_guide is None:
+            self._sampling_guide = guide_table(self.sampling_cdf)
+        return self._sampling_guide
+
     def sample_ranks(self, num_messages: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``num_messages`` key ranks (1-based) i.i.d. from the distribution.
 
         Element for element (and in dtype) what ``rng.choice(np.arange(1,
         |K| + 1), size=num_messages, p=probabilities)`` returns, consuming
         the generator identically (:func:`inverse_cdf_draws` on the kept
-        :attr:`sampling_cdf`).
+        :attr:`sampling_cdf` and :attr:`sampling_guide`).
         """
         if num_messages < 0:
             raise ConfigurationError(
                 f"num_messages must be >= 0, got {num_messages}"
             )
-        return inverse_cdf_draws(self.sampling_cdf, rng.random(num_messages)) + 1
+        cdf, guide = self.sampling_cdf, self.sampling_guide
+        return inverse_cdf_draws(cdf, guide, rng.random(num_messages)) + 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ZipfDistribution(exponent={self._exponent}, num_keys={self._num_keys})"

@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.analysis.zipf import inverse_cdf_draws, sampling_cdf
+from repro.analysis.zipf import guide_table, inverse_cdf_draws, sampling_cdf
 from repro.exceptions import ScenarioError
 
 #: Spans are drawn in fixed-size chunks so huge epochs never materialise at
@@ -58,10 +58,11 @@ class IidRenderer(Renderer):
     def spans(self, epochs, rng):
         for length, probabilities in epochs:
             cdf = sampling_cdf(probabilities)
+            guide = guide_table(cdf)
             remaining = length
             while remaining > 0:
                 size = min(_CHUNK, remaining)
-                yield inverse_cdf_draws(cdf, rng.random(size)) + 1
+                yield inverse_cdf_draws(cdf, guide, rng.random(size)) + 1
                 remaining -= size
 
 
@@ -87,10 +88,11 @@ class BurstyRenderer(Renderer):
         burst = self.burst_length
         for length, probabilities in epochs:
             cdf = sampling_cdf(probabilities)
+            guide = guide_table(cdf)
             remaining = length
             while remaining > 0:
                 size = min(_CHUNK, remaining)
-                events = inverse_cdf_draws(cdf, rng.random(-(-size // burst))) + 1
+                events = inverse_cdf_draws(cdf, guide, rng.random(-(-size // burst))) + 1
                 yield np.repeat(events, burst)[:size]
                 remaining -= size
 

@@ -78,6 +78,39 @@ def _object_array(items: list) -> np.ndarray:
     return np.fromiter(items, dtype=object, count=len(items))
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` plus each unique's first position.
+
+    An integer chunk whose values span no more than its length — ``max -
+    min < len`` — is deduplicated through a dense table over that span: one
+    reversed scatter of the positions gives every value present its first
+    position (a repeated index keeps the last assignment), the present
+    cells in order are the sorted uniques, and their running count is the
+    inverse — O(len) where the sort is O(len log len).  A wider span keeps
+    the sort, with the same reversed scatter over ``inverse``.  Which one
+    runs is read off the chunk; both return the same three arrays.
+    """
+    size = values.size
+    if size and values.dtype.kind in "iu":
+        low = values.min()
+        span = int(values.max()) - int(low) + 1
+        if span <= size:
+            # The difference wraps in a signed dtype; read as unsigned of
+            # the same width it is exact, being below ``span``.
+            offsets = (values - low).view(f"u{values.itemsize}")
+            first = np.full(span, size, dtype=np.int64)
+            first[offsets[::-1]] = np.arange(size - 1, -1, -1)
+            present = first < size
+            first_positions = first[present]
+            inverse = (np.cumsum(present) - 1)[offsets]
+            return values[first_positions], inverse, first_positions
+    uniques, inverse = np.unique(values, return_inverse=True)
+    first_positions = np.empty(uniques.size, dtype=np.int64)
+    order = np.arange(size - 1, -1, -1)
+    first_positions[inverse[order]] = order
+    return uniques, inverse, first_positions
+
+
 class KeyDictionary:
     """Append-only interning dictionary: stable dense ids for stream keys."""
 
@@ -197,8 +230,9 @@ class KeyDictionary:
         for the chunk's *distinct* values.  ``key_fn=None`` means the values
         are the keys (plain integer key spaces).
 
-        Python runs per chunk, C per key: the distinct values are looked up
-        with one ``map`` over the forward map, the new ones are put in
+        Python runs per chunk, C per key: the distinct values (from a dense
+        table or a sort, see :func:`_distinct`) are looked up with one
+        ``map`` over the forward map, the new ones are put in
         first-appearance order by a numpy scatter, numbered ``len(self) +
         arange(k)`` and entered with one ``dict.update`` and one array
         append — the ids, the folds and the forward map's order are those
@@ -206,7 +240,7 @@ class KeyDictionary:
         names alike share one id.
         """
         values = np.asarray(values)
-        uniques, inverse = np.unique(values, return_inverse=True)
+        uniques, inverse, first_positions = _distinct(values)
         keys = uniques.tolist()
         if key_fn is not None:
             keys = list(map(key_fn, keys))
@@ -221,13 +255,8 @@ class KeyDictionary:
         )
         new = np.flatnonzero(id_map < 0)
         if new.size:
-            # np.unique sorted the values; ids go by first appearance.  The
-            # scatter runs back to front so each value keeps its earliest
-            # position (a repeated index keeps the last assignment).
-            first_positions = np.empty(uniques.size, dtype=np.int64)
-            order = np.arange(values.size - 1, -1, -1)
-            first_positions[inverse[order]] = order
-            # The new values by first appearance, without a sort: mark the
+            # The uniques are sorted; ids go by first appearance.  The new
+            # values by first appearance, without a sort: mark their first
             # positions, read them back in stream order.
             firsts = np.zeros(values.size, dtype=bool)
             firsts[first_positions[new]] = True

@@ -110,6 +110,7 @@ class DriftingZipfWorkload(Workload):
         rng = np.random.default_rng(self._seed)
         num_keys = self._distribution.num_keys
         cdf = self._distribution.sampling_cdf
+        guide = self._distribution.sampling_guide
         # rank -> key identity mapping, re-shuffled (partially) per epoch
         mapping = np.arange(1, num_keys + 1)
         for epoch, length in enumerate(self._epoch_lengths()):
@@ -118,7 +119,7 @@ class DriftingZipfWorkload(Workload):
             remaining = length
             while remaining > 0:
                 size = min(_CHUNK, remaining)
-                yield mapping[inverse_cdf_draws(cdf, rng.random(size))]
+                yield mapping[inverse_cdf_draws(cdf, guide, rng.random(size))]
                 remaining -= size
 
     def keys(self) -> Iterator[Key]:

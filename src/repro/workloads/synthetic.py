@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.analysis.zipf import inverse_cdf_draws, sampling_cdf
+from repro.analysis.zipf import guide_table, inverse_cdf_draws, sampling_cdf
 from repro.exceptions import WorkloadError
 from repro.types import DatasetStats, Key
 from repro.workloads.base import Workload, derive_seed
@@ -95,7 +95,9 @@ class _HeadBodyWorkload(Workload):
         )
         # Guard against drift in floating point normalisation.
         self._probabilities = self._probabilities / self._probabilities.sum()
-        self._sampling_cdf: np.ndarray | None = None  # built by the first draw
+        # Built by the first draw.
+        self._sampling_cdf: np.ndarray | None = None
+        self._sampling_guide: np.ndarray | None = None
 
     @property
     def num_messages(self) -> int:
@@ -120,15 +122,18 @@ class _HeadBodyWorkload(Workload):
 
         Single source of the RNG consumption order: the draws of
         ``rng.choice(num_keys, size, p=probabilities)`` per chunk, from a
-        CDF validated and accumulated once per workload.
+        CDF validated and accumulated, and its guide table built, once per
+        workload.
         """
         if self._sampling_cdf is None:
             self._sampling_cdf = sampling_cdf(self._probabilities)
+            self._sampling_guide = guide_table(self._sampling_cdf)
+        cdf, guide = self._sampling_cdf, self._sampling_guide
         rng = np.random.default_rng(self._seed)
         remaining = self._num_messages
         while remaining > 0:
             size = min(_CHUNK, remaining)
-            yield inverse_cdf_draws(self._sampling_cdf, rng.random(size))
+            yield inverse_cdf_draws(cdf, guide, rng.random(size))
             remaining -= size
 
     def keys(self) -> Iterator[Key]:

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis import zipf
 from repro.analysis.zipf import (
     ZipfDistribution,
     empirical_probabilities,
+    guide_table,
     inverse_cdf_draws,
     sampling_cdf,
     zipf_probabilities,
@@ -157,6 +163,8 @@ class TestSamplingCdf:
         dist = ZipfDistribution(1.1, 500)
         assert dist.sampling_cdf is dist.sampling_cdf
         assert (dist.sampling_cdf == sampling_cdf(dist.probabilities)).all()
+        assert dist.sampling_guide is dist.sampling_guide
+        assert (dist.sampling_guide == guide_table(dist.sampling_cdf)).all()
 
     @pytest.mark.parametrize(
         "probabilities, message",
@@ -196,16 +204,128 @@ class TestInverseCdfDraws:
             ]
         )
         rng.shuffle(uniforms)
-        draws = inverse_cdf_draws(cdf, uniforms)
+        draws = inverse_cdf_draws(cdf, guide_table(cdf), uniforms)
         assert draws.dtype == np.int64
         assert (draws == cdf.searchsorted(uniforms, side="right")).all()
         assert draws.min() >= 0 and draws.max() < num_keys
 
     def test_empty_and_single(self):
         cdf = sampling_cdf(np.array([0.2, 0.8]))
-        assert inverse_cdf_draws(cdf, np.empty(0)).shape == (0,)
-        assert inverse_cdf_draws(cdf, np.array([0.19])).tolist() == [0]
-        assert inverse_cdf_draws(cdf, np.array([0.2])).tolist() == [1]
+        guide = guide_table(cdf)
+        assert inverse_cdf_draws(cdf, guide, np.empty(0)).shape == (0,)
+        assert inverse_cdf_draws(cdf, guide, np.array([0.19])).tolist() == [0]
+        assert inverse_cdf_draws(cdf, guide, np.array([0.2])).tolist() == [1]
+
+
+def _reference_guide(cdf: np.ndarray) -> np.ndarray:
+    size = 1 << (cdf.size - 1).bit_length()
+    return cdf.searchsorted(np.arange(size) / size, side="right").astype(np.int32)
+
+
+def _needles(cdf: np.ndarray, size: int, seed: int) -> np.ndarray:
+    """Both ends of [0, 1), every guide cell's left edge ``j / G``, every
+    CDF entry below 1 and the double just under it, and random draws."""
+    inner = cdf[cdf < 1.0]
+    return np.concatenate(
+        [
+            [0.0, np.nextafter(1.0, 0.0)],
+            np.arange(size) / size,
+            inner,
+            np.nextafter(inner[inner > 0.0], 0.0),
+            np.random.default_rng(seed).random(1_000),
+        ]
+    )
+
+
+def _steps_checked(probabilities: np.ndarray, seed: int) -> np.ndarray:
+    """Assert the draws are ``searchsorted(u, "right")``; return how many
+    steps forward of its guide entry each needle's answer lay."""
+    cdf = sampling_cdf(probabilities)
+    guide = guide_table(cdf)
+    assert guide.dtype == np.int32
+    assert (guide == _reference_guide(cdf)).all()
+    needles = _needles(cdf, guide.size, seed)
+    expected = cdf.searchsorted(needles, side="right")
+    draws = inverse_cdf_draws(cdf, guide, needles)
+    assert draws.dtype == np.int64
+    assert (draws == expected).all()
+    return expected - guide[(needles * guide.size).astype(np.intp)]
+
+
+#: K in {1, 2, 2^k, 2^k + 1}: a table of one cell, of two, exactly filled
+#: and one entry over (the guide doubles).
+_SIZES = st.integers(0, 12).flatmap(
+    lambda k: st.sampled_from(sorted({1, 2, 2**k, 2**k + 1}))
+)
+
+
+@st.composite
+def _probability_vectors(draw):
+    """Random, uniform, small-integer and Zipf weights, with zero entries
+    (flat CDF runs) scattered over them; at least one entry is non-zero."""
+    size = draw(_SIZES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["random", "uniform", "integers", "zipf"]))
+    if shape == "random":
+        weights = rng.random(size)
+    elif shape == "uniform":
+        weights = np.ones(size)  # entries on the guide's grid at K = 2^k
+    elif shape == "integers":
+        weights = rng.integers(0, 4, size).astype(np.float64)
+    else:
+        weights = np.arange(1, size + 1, dtype=np.float64) ** -draw(st.floats(0.0, 2.5))
+    weights[rng.random(size) < draw(st.floats(0.0, 0.9))] = 0.0
+    if not weights.any():
+        weights[rng.integers(size)] = 1.0
+    return weights / weights.sum()
+
+
+class TestGuideTableDraws:
+    """The guide-table search is ``cdf.searchsorted(u, "right")`` exactly.
+
+    This is the gate on the draws: the benchmark's oracle draws through
+    the same helper, so a wrong draw would not fail a trial there.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(probabilities=_probability_vectors(), seed=st.integers(0, 2**16))
+    def test_draws_are_searchsorted_right(self, probabilities, seed):
+        steps = _steps_checked(probabilities, seed)
+        assert steps.min() >= 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        size=st.integers(10, 13).flatmap(lambda k: st.sampled_from([2**k, 2**k + 1])),
+        exponent=st.floats(1.8, 2.5),
+        zero_every=st.sampled_from([0, 3, 7]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_crowded_tail_takes_the_probe_and_the_leftover_path(
+        self, size, exponent, zero_every, seed
+    ):
+        # A Zipf-2.0-style law puts hundreds of CDF entries in its last
+        # cells: the needles on them step past every probe round.
+        weights = np.arange(1, size + 1, dtype=np.float64) ** -exponent
+        if zero_every:
+            weights[1::zero_every] = 0.0
+        steps = _steps_checked(weights / weights.sum(), seed)
+        assert ((steps >= 1) & (steps <= zipf._PROBE_ROUNDS)).any()
+        assert (steps > zipf._PROBE_ROUNDS).any()
+
+    @pytest.mark.parametrize("exponent", [0.0, 0.8, 2.0])
+    def test_guide_build_holds_only_the_guide(self, exponent):
+        # At a million keys the guide is 2^20 int32 (4 MiB); building it
+        # allocates no K-sized float or int64 temporary besides.
+        cdf = ZipfDistribution(exponent, 1_000_000).sampling_cdf
+        tracemalloc.start()
+        try:
+            guide = guide_table(cdf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert guide.dtype == np.int32
+        assert guide.size == 2**20
+        assert peak <= guide.nbytes + 2**20, peak - guide.nbytes
 
 
 class TestHelpers:

@@ -180,6 +180,80 @@ class TestArrayInterningEdges:
         assert len(dictionary) == len(reference)
 
 
+def _unique_reference(values: np.ndarray):
+    """What interning ``values`` into a fresh dictionary must give, from
+    ``np.unique``: ids by first appearance, the keys in that order."""
+    uniques, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    ids = np.empty(uniques.size, dtype=np.int64)
+    ids[order] = np.arange(uniques.size)
+    return ids[inverse], uniques[order].tolist()
+
+
+def _spanning(dtype, low: int, size: int, span: int, seed: int) -> np.ndarray:
+    """``size`` values of ``dtype`` from ``low`` up, ``low`` and ``low + span
+    - 1`` both present (so ``max - min + 1 == span``), in a shuffled order."""
+    rng = np.random.default_rng(seed)
+    values = [low, low + span - 1] + [low + offset for offset in rng.integers(0, span, size - 2).tolist()]
+    return np.array([values[i] for i in rng.permutation(size).tolist()], dtype=dtype)
+
+
+class TestDenseDedupe:
+    """A chunk whose values span no more than its length is deduplicated
+    through a dense table instead of ``np.unique``'s sort; the ids, the
+    forward map's order and the folds must not show which one ran."""
+
+    EXTREMES = {
+        np.int8: (-128, 127),
+        np.int32: (-(2**31), 2**31 - 1),
+        np.int64: (-(2**63), 2**63 - 1),
+        np.uint64: (0, 2**64 - 1),
+    }
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["span-len-1", "span-len", "span-len+1"])
+    @pytest.mark.parametrize("end", ["low", "around-zero", "high"])
+    @pytest.mark.parametrize("size", [40, 200])  # 200: max - min overflows an int8
+    @pytest.mark.parametrize("dtype", list(EXTREMES), ids=lambda d: d.__name__)
+    def test_ids_order_and_folds_are_the_unique_reference(self, dtype, size, end, extra):
+        span = size + extra
+        lowest, highest = self.EXTREMES[dtype]
+        low = {"low": lowest, "around-zero": max(lowest, -(span // 2)), "high": highest - span + 1}[end]
+        values = _spanning(dtype, low, size, span, seed=size + extra)
+        assert int(values.max()) - int(values.min()) + 1 == span
+        expected_ids, expected_keys = _unique_reference(values)
+        dictionary = KeyDictionary()
+        ids = dictionary.intern_int_array(values)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == expected_ids.tolist()
+        assert list(dictionary._forward) == expected_keys
+        assert list(dictionary._forward.values()) == list(range(len(expected_keys)))
+        assert dictionary.folded.tolist() == [_key_to_int(key) for key in expected_keys]
+        # The same keys again: the ids come back and nothing is issued.
+        more = np.concatenate([values[::2], values[:1]])
+        assert dictionary.intern_int_array(more).tolist() == expected_ids[
+            np.r_[0:size:2, 0]
+        ].tolist()
+        assert len(dictionary) == len(expected_keys)
+
+    def test_mapped_names_come_from_either_path_alike(self):
+        def name(value: int) -> str:
+            return f"key-{value}"
+
+        for values in (np.array([4, 2, 4, 3, 2]), np.array([9, 2, 9, 3, 2])):
+            expected_ids, expected_values = _unique_reference(values)
+            dictionary = KeyDictionary()
+            ids = dictionary.intern_mapped_array(values, name)
+            assert ids.tolist() == expected_ids.tolist()
+            assert list(dictionary._forward) == [name(v) for v in expected_values]
+
+    @pytest.mark.parametrize("dtype", list(EXTREMES), ids=lambda d: d.__name__)
+    def test_empty_chunk(self, dtype):
+        dictionary = KeyDictionary()
+        ids = dictionary.intern_int_array(np.array([], dtype=dtype))
+        assert ids.dtype == np.int64 and ids.size == 0
+        assert len(dictionary) == 0
+
+
 class TestColumnarBatch:
     def test_keys_indices_and_views(self):
         d = KeyDictionary()

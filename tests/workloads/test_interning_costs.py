@@ -11,19 +11,26 @@ this file holds the costs, in the register of
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 
 import numpy as np
+import pytest
 
 from repro.workloads.columnar import KeyDictionary
 
 SMALL, LARGE = 2_000, 200_000
 
+#: Both ways a chunk's distinct values are found: values spanning exactly
+#: the chunk go through the dense table, values spread twice as wide through
+#: ``np.unique``'s sort.
+SPANS = pytest.mark.parametrize("stride", [1, 2], ids=["dense", "sorted"])
 
-def _all_new_chunk(distinct: int) -> np.ndarray:
-    """``distinct`` keys, each once, in an order ``np.unique`` has to undo."""
-    return np.random.default_rng(distinct).permutation(distinct)
+
+def _all_new_chunk(distinct: int, stride: int) -> np.ndarray:
+    """``distinct`` keys, each once, in an order the dedupe has to undo."""
+    return np.random.default_rng(distinct).permutation(distinct) * stride
 
 
 def _python_calls(function) -> int:
@@ -35,11 +42,16 @@ def _python_calls(function) -> int:
         if event == "call":
             count += 1
 
+    # A cyclic collection inside the call would run other objects'
+    # finalizers and count their calls.
+    gc.collect()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         function()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return count
 
 
@@ -50,27 +62,29 @@ def _fixed_width_name(value: int) -> str:
     return f"key-{value:07d}"
 
 
-def test_int_chunk_makes_no_python_call_per_key():
+@SPANS
+def test_int_chunk_makes_no_python_call_per_key(stride):
     """An all-new integer chunk costs the same number of Python-level calls
     at 2,000 and at 200,000 distinct keys (the per-key walk it replaced
     read 4,023 and 400,023: an ``issue()`` closure and a ``_forward_key``
-    per key)."""
+    per key), through the dense table and through the sort alike."""
     calls = {}
     for distinct in (SMALL, LARGE):
-        dictionary, values = KeyDictionary(), _all_new_chunk(distinct)
+        dictionary, values = KeyDictionary(), _all_new_chunk(distinct, stride)
         calls[distinct] = _python_calls(lambda: dictionary.intern_int_array(values))
         assert len(dictionary) == distinct
     assert calls[SMALL] == calls[LARGE], calls
     assert calls[LARGE] < 100  # ... and that number is a handful of numpy wrappers
 
 
-def test_mapped_chunk_calls_only_key_fn_per_key():
+@SPANS
+def test_mapped_chunk_calls_only_key_fn_per_key(stride):
     """With a naming ``key_fn`` the count is its one call per distinct value
     plus a constant: lookup, ordering, entry, store and fold are per chunk
     (the walk added ``issue()``, ``_forward_key`` and ``_key_to_int`` per key)."""
     overhead = {}
     for distinct in (SMALL, LARGE):
-        dictionary, values = KeyDictionary(), _all_new_chunk(distinct)
+        dictionary, values = KeyDictionary(), _all_new_chunk(distinct, stride)
         overhead[distinct] = (
             _python_calls(
                 lambda: dictionary.intern_mapped_array(values, _fixed_width_name)
@@ -82,8 +96,8 @@ def test_mapped_chunk_calls_only_key_fn_per_key():
     assert 0 < overhead[LARGE] < 100
 
 
-def _ns_per_new_key(distinct: int) -> float:
-    values = _all_new_chunk(distinct)
+def _ns_per_new_key(distinct: int, stride: int) -> float:
+    values = _all_new_chunk(distinct, stride)
     best = float("inf")
     for _ in range(5):
         dictionary = KeyDictionary()
@@ -94,7 +108,8 @@ def _ns_per_new_key(distinct: int) -> float:
     return best / distinct * 1e9
 
 
-def test_cost_per_new_key_is_flat_in_chunk_size():
+@SPANS
+def test_cost_per_new_key_is_flat_in_chunk_size(stride):
     """A new key costs about the same in a chunk of 200,000 as in one of 2,000.
 
     Not a flaky timing test: both sides run in this process, back to back,
@@ -104,6 +119,6 @@ def test_cost_per_new_key_is_flat_in_chunk_size():
     (a list membership test, a dict drained from the front) reads in the
     hundreds; the assertion sits at 3.
     """
-    small = _ns_per_new_key(SMALL)
-    large = _ns_per_new_key(LARGE)
+    small = _ns_per_new_key(SMALL, stride)
+    large = _ns_per_new_key(LARGE, stride)
     assert large / small < 3.0, f"{small:.0f} ns at 2,000, {large:.0f} ns at 200,000"
