@@ -13,9 +13,12 @@ Each line hashes, for one seeded workload streamed through
 * every id array, in stream order;
 * ``dictionary.folded`` (the hash-family input per id);
 * the decoded key list (``repr``, so ``1`` and ``"1"`` differ);
-* ``list(dictionary._forward.items())`` — the forward map *in insertion
-  order*: ``key -> id`` entered in id order, as element-wise ``intern``
-  leaves it, whichever bulk route issued the ids.
+* ``list(dictionary.forward_map().items())`` — the forward map *in
+  insertion order*: ``key -> id`` entered in id order, as element-wise
+  ``intern`` leaves it, whichever bulk route issued the ids.  An integer
+  chunk enters no key, so this read is where the map of a one-chunk
+  stream is built, caught up from the key column; past ``200_000``
+  messages the second chunk's lookups catch it up first.
 
 The script reads the checkout it lives in (it puts that checkout's ``src/``
 first on the path, as ``bench/run.py`` does), so two trees are compared by
@@ -111,7 +114,7 @@ def stream_digest(workload) -> str:
     digest.update(dictionary.folded.tobytes())
     keys = dictionary.decode(np.arange(len(dictionary)))
     digest.update(repr(keys).encode("utf-8"))
-    digest.update(repr(list(dictionary._forward.items())).encode("utf-8"))
+    digest.update(repr(list(dictionary.forward_map().items())).encode("utf-8"))
     return digest.hexdigest()
 
 

@@ -18,10 +18,10 @@ and then moves plain ``int64`` arrays:
 What is bulk and what stays per key: the array entry points
 (:meth:`KeyDictionary.intern_int_array` / ``intern_mapped_array``, used by
 every array-backed workload) run Python per *chunk* — lookup, ordering,
-id issue, forward-map entry, store and fold are one C-level call each over
-the chunk's distinct keys.  :meth:`KeyDictionary.intern_keys` (key lists)
-probes the forward map per message in a Python loop and is bulk only in
-its store and fold.
+id issue, store and fold are one C-level call each over the chunk's
+distinct keys.  :meth:`KeyDictionary.intern_keys` (key lists) probes the
+forward map per message in a Python loop and is bulk only in its store and
+fold.
 
 Routing results are byte-identical between the two representations: the
 dictionary keeps the *folded key*, not the id, as the hash input, so a
@@ -32,7 +32,10 @@ pin that contract.
 One key, one id, for the life of a dictionary: the forward map is never
 bounded.  The head/tail schemes key their SpaceSaving table by id, so a key
 that came back under a fresh id would split its count between two counters
-and fall out of the head.
+and fall out of the head.  The map is an index over the key column that
+:meth:`KeyDictionary.forward_map` catches up on first read: routing, the
+engines and the runtime work in ids and decode through the key column, so
+an integer chunk does not pay for ``key -> id`` entries nothing asks for.
 """
 
 from __future__ import annotations
@@ -114,10 +117,11 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class KeyDictionary:
     """Append-only interning dictionary: stable dense ids for stream keys."""
 
-    __slots__ = ("_forward", "_keys", "_folded", "_size", "token")
+    __slots__ = ("_key_index", "_keys", "_folded", "_size", "token")
 
     def __init__(self) -> None:
-        self._forward: dict[Key, int] = {}
+        # Read only through forward_map(), which catches it up.
+        self._key_index: dict[Key, int] = {}
         self._keys = np.empty(_GROW, dtype=object)
         self._folded = np.empty(_GROW, dtype=np.uint64)
         self._size = 0
@@ -157,10 +161,26 @@ class KeyDictionary:
         self._folded[start:stop] = folded
         self._size = stop
 
+    def forward_map(self) -> dict:
+        """The ``key -> id`` map (:func:`_forward_key` forms), caught up.
+
+        An index over the key column: an unnamed array chunk appends ids,
+        keys and folds and enters nothing, and this accessor enters
+        ``keys[len(map):len(self)]`` in id order before handing the map
+        out, so its contents and order are those element-wise
+        :meth:`intern` leaves.  Every read of the map goes through here.
+        """
+        index = self._key_index
+        indexed = len(index)
+        if indexed < self._size:
+            keys = self._keys[indexed : self._size].tolist()
+            index.update(zip(_forward_keys(keys), range(indexed, self._size)))
+        return index
+
     def intern(self, key: Key) -> int:
         """Return the id of ``key``, issuing a fresh one on first sight."""
         lookup = _forward_key(key)
-        forward = self._forward
+        forward = self.forward_map()
         kid = forward.get(lookup)
         if kid is None:
             # One key: two scalar stores beat the bulk append's array setup.
@@ -183,7 +203,7 @@ class KeyDictionary:
         if not isinstance(keys, (list, tuple)):
             keys = list(keys)
         lookups = _forward_keys(keys)
-        forward = self._forward
+        forward = self.forward_map()
         base = self._size
         fresh: list = []  # forward keys of the chunk's new keys, in order
 
@@ -232,28 +252,37 @@ class KeyDictionary:
 
         Python runs per chunk, C per key: the distinct values (from a dense
         table or a sort, see :func:`_distinct`) are looked up with one
-        ``map`` over the forward map, the new ones are put in
+        ``map`` over the forward map — none at all when the dictionary is
+        empty, where every one is new — the new ones are put in
         first-appearance order by a numpy scatter, numbered ``len(self) +
-        arange(k)`` and entered with one ``dict.update`` and one array
-        append — the ids, the folds and the forward map's order are those
-        of element-wise :meth:`intern`.  Two draw values that ``key_fn``
-        names alike share one id.
+        arange(k)`` and stored with one array append; the ids and the folds
+        are those of element-wise :meth:`intern`.  Unnamed keys enter the
+        forward map on its next read (:meth:`forward_map`).  Named keys
+        enter it here with one ``dict.update``: two draw values that
+        ``key_fn`` names alike share one id, and the map growing by less
+        than the new keys is how that shows.
         """
         values = np.asarray(values)
         uniques, inverse, first_positions = _distinct(values)
-        keys = uniques.tolist()
-        if key_fn is not None:
-            keys = list(map(key_fn, keys))
-        # Integer values are their own (plain) keys: no type scan.
-        integers = key_fn is None and uniques.dtype.kind in "iu"
-        lookups = keys if integers else _forward_keys(keys)
-        forward = self._forward
-        id_map = np.fromiter(
-            map(forward.get, lookups, itertools.repeat(-1)),
-            dtype=np.int64,
-            count=len(lookups),
-        )
-        new = np.flatnonzero(id_map < 0)
+        named = key_fn is not None
+        base = self._size
+        if named or base:
+            keys = uniques.tolist()
+            if named:
+                keys = list(map(key_fn, keys))
+            # Integer values are their own (plain) keys: no type scan.
+            integers = not named and uniques.dtype.kind in "iu"
+            lookups = keys if integers else _forward_keys(keys)
+        if base:
+            id_map = np.fromiter(
+                map(self.forward_map().get, lookups, itertools.repeat(-1)),
+                dtype=np.int64,
+                count=len(lookups),
+            )
+            new = np.flatnonzero(id_map < 0)
+        else:
+            id_map = np.empty(uniques.size, dtype=np.int64)
+            new = np.arange(uniques.size)
         if new.size:
             # The uniques are sorted; ids go by first appearance.  The new
             # values by first appearance, without a sort: mark their first
@@ -261,32 +290,34 @@ class KeyDictionary:
             firsts = np.zeros(values.size, dtype=bool)
             firsts[first_positions[new]] = True
             new = inverse[np.flatnonzero(firsts)]
-            base = self._size
-            if integers:
-                new_keys = uniques[new]
-                fresh = new_keys.tolist()
-            else:
+            if named:
                 fresh = _object_array(lookups)[new].tolist()
-            known = len(forward)
-            forward.update(zip(fresh, range(base, base + len(fresh))))
-            if len(forward) == known + len(fresh):
-                id_map[new] = np.arange(base, base + len(fresh))
-            else:
-                # key_fn named one key with several draw values: one id per
-                # key, by first appearance (the order the map kept).
-                distinct = dict.fromkeys(fresh)
-                forward.update(zip(distinct, range(base, base + len(distinct))))
-                id_map[new] = [forward[lookup] for lookup in fresh]
-                fresh = list(distinct)
-            if integers:
-                self._append(new_keys, new_keys.astype(np.int64).view(np.uint64))
-            else:
+                forward = self.forward_map()
+                known = len(forward)
+                forward.update(zip(fresh, range(base, base + len(fresh))))
+                if len(forward) == known + len(fresh):
+                    id_map[new] = np.arange(base, base + len(fresh))
+                else:
+                    # key_fn named one key with several draw values: one id
+                    # per key, by first appearance (the order the map kept).
+                    distinct = dict.fromkeys(fresh)
+                    forward.update(zip(distinct, range(base, base + len(distinct))))
+                    id_map[new] = [forward[lookup] for lookup in fresh]
+                    fresh = list(distinct)
                 self._store(fresh, lookups is keys)
+            else:
+                new_keys = uniques[new]
+                if new_keys.dtype.kind in "iu":
+                    folded = new_keys.astype(np.int64).view(np.uint64)
+                else:
+                    folded = fold_keys(new_keys.tolist())
+                self._append(new_keys, folded)
+                id_map[new] = np.arange(base, base + new.size)
         return id_map[inverse]
 
     def lookup(self, key: Key) -> int | None:
         """The id of ``key``, or ``None`` if it was never interned."""
-        return self._forward.get(_forward_key(key))
+        return self.forward_map().get(_forward_key(key))
 
     def key_of(self, kid: int) -> Key:
         """Decode one id back to its key."""

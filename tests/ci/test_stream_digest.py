@@ -81,6 +81,17 @@ PARENT_SOLVER_DIGESTS_20K = {
     "switch_log:AD:scenario:drift_mixture": "e86188c422ecc12fba34e113a5add068e5df7ad7083bb5dffe21a6e5eb6918f9",
 }
 
+#: ``zipf-0.8-1e6`` at 205,000 messages, printed by the commit before the
+#: forward map was caught up on first read.  The stream crosses the
+#: workloads' 200,000-message draw chunk, so the second chunk's lookups read
+#: a map the first chunk left to be caught up; every 20,000-message line
+#: above is a single chunk.
+PARENT_TWO_CHUNK_DIGEST = (
+    "zipf-0.8-1e6",
+    205_000,
+    "bd6c28f905aa2f15945f3473831751a3d835a0a3f18f0b0c25ba15c0c416d4e4",
+)
+
 
 @pytest.fixture(scope="module")
 def stream_digest():
@@ -94,6 +105,13 @@ def stream_digest():
 
 def test_digests_are_the_parents(stream_digest):
     assert stream_digest.digests(20_000) == PARENT_DIGESTS_20K
+
+
+def test_two_chunk_digest_is_the_parents(stream_digest):
+    name, messages, expected = PARENT_TWO_CHUNK_DIGEST
+    workload = stream_digest.WORKLOADS[name](messages)
+    assert stream_digest.stream_digest(workload) == expected
+
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +192,8 @@ def test_digest_sees_the_forward_map_order(stream_digest):
     class Reordering(type(workload)):
         def iter_batches_columnar(self, batch_size=8192, dictionary=None):
             yield from super().iter_batches_columnar(batch_size, dictionary)
-            first = next(iter(dictionary._forward))
-            dictionary._forward[first] = dictionary._forward.pop(first)
+            forward = dictionary.forward_map()
+            first = next(iter(forward))
+            forward[first] = forward.pop(first)
 
     assert stream_digest.stream_digest(Reordering(1.0, 50, 200, seed=3)) != plain

@@ -280,8 +280,8 @@ class TestCiWorkflow:
 
     def test_bench_smoke_caps_cold_functions_at_the_recorded_count(self, ci):
         # benchmarks/reachability.py profiles every entry point; its budget
-        # is the total docs/architecture.md records, so lowering one without
-        # the other fails here.
+        # is the total docs/architecture.md records and docs/ci.md quotes,
+        # so moving one without the others fails here.
         steps = [
             step.get("run", "")
             for step in ci["jobs"]["bench-smoke"]["steps"]
@@ -295,6 +295,11 @@ class TestCiWorkflow:
             (REPO_ROOT / "docs" / "architecture.md").read_text(),
         )
         assert recorded and recorded.group(1) == budget.group(1)
+        quoted = re.findall(
+            r"benchmarks/reachability\.py --max-cold (\d+)",
+            (REPO_ROOT / "docs" / "ci.md").read_text(),
+        )
+        assert quoted and set(quoted) == {budget.group(1)}, quoted
 
 
 class TestBenchWorkflow:

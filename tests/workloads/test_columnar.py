@@ -111,7 +111,7 @@ class TestKeyDictionary:
                 ids = d.intern_mapped_array(values, "key-{}".format).tolist()
             for value, kid in zip(values.tolist(), ids):
                 assert first_ids.setdefault(value, kid) == kid
-            assert len(d) == len(d._forward) == len(first_ids)
+            assert len(d) == len(d.forward_map()) == len(first_ids)
         assert sorted(first_ids.values()) == list(range(len(d)))
 
     def test_decode_rejects_out_of_range(self):
@@ -138,7 +138,7 @@ class TestArrayInterningEdges:
         ids = dictionary.intern_mapped_array(np.array([5, 4, 1, 0, 5, 2]), pair_name)
         assert ids.tolist() == [0, 0, 1, 1, 0, 2]
         assert len(dictionary) == 3
-        assert list(dictionary._forward.items()) == [
+        assert list(dictionary.forward_map().items()) == [
             ("pair-2", 0), ("pair-0", 1), ("pair-1", 2),
         ]
         assert dictionary.decode([0, 1, 2]) == ["pair-2", "pair-0", "pair-1"]
@@ -168,7 +168,7 @@ class TestArrayInterningEdges:
         expected = [reference.intern(value) for value in values.tolist()]
         dictionary = KeyDictionary()
         assert dictionary.intern_int_array(values).tolist() == expected
-        assert list(dictionary._forward.items()) == list(reference._forward.items())
+        assert list(dictionary.forward_map().items()) == list(reference.forward_map().items())
         keys = dictionary.decode(np.arange(len(dictionary)))
         assert [(type(key), key) for key in keys] == [
             (type(key), key) for key in reference.decode(np.arange(len(reference)))
@@ -225,8 +225,8 @@ class TestDenseDedupe:
         ids = dictionary.intern_int_array(values)
         assert ids.dtype == np.int64
         assert ids.tolist() == expected_ids.tolist()
-        assert list(dictionary._forward) == expected_keys
-        assert list(dictionary._forward.values()) == list(range(len(expected_keys)))
+        assert list(dictionary.forward_map()) == expected_keys
+        assert list(dictionary.forward_map().values()) == list(range(len(expected_keys)))
         assert dictionary.folded.tolist() == [_key_to_int(key) for key in expected_keys]
         # The same keys again: the ids come back and nothing is issued.
         more = np.concatenate([values[::2], values[:1]])
@@ -244,7 +244,7 @@ class TestDenseDedupe:
             dictionary = KeyDictionary()
             ids = dictionary.intern_mapped_array(values, name)
             assert ids.tolist() == expected_ids.tolist()
-            assert list(dictionary._forward) == [name(v) for v in expected_values]
+            assert list(dictionary.forward_map()) == [name(v) for v in expected_values]
 
     @pytest.mark.parametrize("dtype", list(EXTREMES), ids=lambda d: d.__name__)
     def test_empty_chunk(self, dtype):
@@ -252,6 +252,136 @@ class TestDenseDedupe:
         ids = dictionary.intern_int_array(np.array([], dtype=dtype))
         assert ids.dtype == np.int64 and ids.size == 0
         assert len(dictionary) == 0
+
+
+def _pair_name(value: int) -> int:
+    # Names two draw values alike, and names them as integers, so a named
+    # chunk's keys meet an integer chunk's in the map.
+    return value // 2
+
+
+#: One step applied to a dictionary: ``(entry, argument)``.  Each entry is
+#: replayed on a reference dictionary as element-wise ``intern`` (``lookup``
+#: as ``lookup``), which enters the forward map key by key.
+LAZY_MAP_SEQUENCES = {
+    "overlapping-int-chunks": [
+        ("ints", np.array([5, 3, 5, 9, 3], dtype=np.int64)),
+        ("ints", np.array([9, 11, 3, 12, 11, 5], dtype=np.int64)),
+    ],
+    "named-after-int": [
+        ("ints", np.array([4, 1, 4, 6], dtype=np.int64)),
+        ("named", np.array([8, 9, 2, 13, 3, 8])),
+        ("named", np.array([13, 20, 12])),
+    ],
+    "intern-known-then-new": [
+        ("ints", np.array([7, 2, 7], dtype=np.int64)),
+        ("intern", 2),
+        ("intern", 40),
+        ("ints", np.array([40, 41, 7], dtype=np.int64)),
+    ],
+    "intern-keys": [
+        ("ints", np.array([3, 1, 3], dtype=np.int64)),
+        ("intern_keys", [1, "1", 8, 3, True, 8]),
+        ("ints", np.array([8, 9, 1], dtype=np.int64)),
+    ],
+    "lookup-hit-and-miss": [
+        ("ints", np.array([10, 20, 10], dtype=np.int64)),
+        ("lookup", 20),
+        ("lookup", 30),
+        ("ints", np.array([30, 20], dtype=np.int64)),
+        ("lookup", 30),
+    ],
+    "empty-chunks": [
+        ("ints", np.array([], dtype=np.int64)),
+        ("ints", np.array([2, 2, 1], dtype=np.int64)),
+        ("ints", np.array([], dtype=np.uint64)),
+        ("ints", np.array([1, 0], dtype=np.int64)),
+    ],
+    "integer-extremes": [
+        ("ints", np.array([127, -128, 0, -1, 127], dtype=np.int8)),
+        ("ints", np.array([-(2**63), 2**63 - 1, -1, 0], dtype=np.int64)),
+        ("ints", np.array([2**64 - 1, 2**63, 127, 2**64 - 1], dtype=np.uint64)),
+        ("lookup", 2**64 - 1),
+        ("lookup", -(2**63)),
+    ],
+    # bool and float keys are wrapped as (type, key) in the map: 1, True and
+    # 1.0 compare equal, so a catch-up that skipped the wrapping would
+    # merge them.
+    "bool-and-float-keys-caught-up": [
+        ("ints", np.array([True, False, True])),
+        ("ints", np.array([1.0, 0.5, 0.0])),
+        ("ints", np.array([1, 0, 2, 1], dtype=np.int64)),
+        ("lookup", True),
+        ("lookup", 1.0),
+        ("intern", 0.5),
+        ("intern", 1),
+    ],
+    "bool-and-float-keys-interned": [
+        ("intern", True),
+        ("intern", 1.0),
+        ("ints", np.array([1, 0, 3], dtype=np.int64)),
+        ("ints", np.array([1.0, 1.5])),
+        ("ints", np.array([3, 1, 4], dtype=np.int64)),
+    ],
+}
+
+
+def _apply(dictionary: KeyDictionary, step):
+    entry, argument = step
+    if entry == "ints":
+        return dictionary.intern_int_array(argument).tolist()
+    if entry == "named":
+        return dictionary.intern_mapped_array(argument, _pair_name).tolist()
+    if entry == "intern":
+        return [dictionary.intern(argument)]
+    if entry == "intern_keys":
+        return dictionary.intern_keys(argument).tolist()
+    return [dictionary.lookup(argument)]
+
+
+def _apply_elementwise(reference: KeyDictionary, step):
+    entry, argument = step
+    if entry == "ints":
+        return [reference.intern(value) for value in argument.tolist()]
+    if entry == "named":
+        return [reference.intern(_pair_name(value)) for value in argument.tolist()]
+    if entry == "intern_keys":
+        return [reference.intern(key) for key in argument]
+    if entry == "lookup":
+        return [reference.lookup(argument)]
+    return [reference.intern(argument)]
+
+
+def _typed(keys: list) -> list:
+    return [(type(key), key) for key in keys]
+
+
+class TestLazyForwardMap:
+    """An unnamed array chunk appends ids, keys and folds and leaves the
+    forward map to be caught up on its next read; nothing a later step or a
+    reader sees may show that the map was built late.
+
+    Every prefix of each sequence is replayed on a fresh dictionary and only
+    then is the map read, so a step that reads a map still behind the key
+    column (and would issue a known key a second id) is caught, not masked
+    by an earlier check's catch-up."""
+
+    @pytest.mark.parametrize("name", list(LAZY_MAP_SEQUENCES))
+    def test_every_prefix_is_elementwise_intern(self, name):
+        sequence = LAZY_MAP_SEQUENCES[name]
+        for stop in range(1, len(sequence) + 1):
+            dictionary, reference = KeyDictionary(), KeyDictionary()
+            for step in sequence[:stop]:
+                assert _apply(dictionary, step) == _apply_elementwise(reference, step), (
+                    name, stop, step[0],
+                )
+            assert len(dictionary) == len(reference)
+            assert dictionary.folded.tolist() == reference.folded.tolist()
+            every_id = np.arange(len(reference))
+            assert _typed(dictionary.decode(every_id)) == _typed(reference.decode(every_id))
+            assert list(dictionary.forward_map().items()) == list(
+                reference.forward_map().items()
+            )
 
 
 class TestColumnarBatch:

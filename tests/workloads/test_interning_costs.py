@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,3 +123,41 @@ def test_cost_per_new_key_is_flat_in_chunk_size(stride):
     small = _ns_per_new_key(SMALL, stride)
     large = _ns_per_new_key(LARGE, stride)
     assert large / small < 3.0, f"{small:.0f} ns at 2,000, {large:.0f} ns at 200,000"
+
+
+#: Bytes per key an all-new 200,000-key integer chunk may allocate at its
+#: peak.  The chunk's own arrays (dedupe table, inverse, key and fold
+#: columns, the keys' ``int`` objects) read ~113; a 200,000-entry dict is
+#: ~52 by itself, so a chunk that also built the forward map would cross
+#: the bound (the parent of the lazy map read ~269).
+PEAK_BYTES_PER_KEY = 150
+
+
+def _traced_peak(function) -> int:
+    """Peak bytes ``tracemalloc`` sees while ``function`` runs."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        function()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+@SPANS
+def test_int_chunk_leaves_the_forward_map_to_its_first_read(stride):
+    """An all-new integer chunk appends ids, keys and folds and enters no
+    key in the forward map: no bench trial, engine or runtime source asks
+    ``key -> id``.  The first key-addressed read catches the map up."""
+    dictionary, values = KeyDictionary(), _all_new_chunk(LARGE, stride)
+    peak = _traced_peak(lambda: dictionary.intern_int_array(values))
+    assert peak < PEAK_BYTES_PER_KEY * LARGE, f"{peak / LARGE:.0f} bytes per key"
+    assert len(dictionary) == LARGE
+    assert not dictionary._key_index
+    # The margin is smaller than the map the chunk no longer builds.
+    table = sys.getsizeof(dict.fromkeys(range(LARGE)))
+    assert peak + table > PEAK_BYTES_PER_KEY * LARGE
+    assert dictionary.lookup(int(values[-1])) == LARGE - 1
+    assert len(dictionary._key_index) == LARGE
