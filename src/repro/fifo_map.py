@@ -1,8 +1,9 @@
 """The one bounded map: a ``dict`` that forgets its oldest key when full.
 
-Every cache that keeps a bound — candidate tuples and per-dictionary tables
-in :mod:`repro.hashing.hash_family`, head hash prefixes and head candidate
-tuples in :mod:`repro.partitioning.head_tail`, ring owners in
+Every cache that keeps a bound — candidate tuples and head hash prefixes in
+:mod:`repro.hashing.hash_family`, a dictionary's tables per hash identity in
+:mod:`repro.workloads.columnar`, head candidate tuples in
+:mod:`repro.partitioning.head_tail`, ring owners in
 :mod:`repro.partitioning.consistent_grouping` — is a :class:`FifoMap`, and
 the eviction policy lives here only (``tests/ci/test_single_eviction_site.py``
 holds that).  The spelling it replaces, ``del d[next(iter(d))]``, is not

@@ -12,7 +12,12 @@ subpackage provides:
   for bit the scalar ``_key_to_int``;
 * :mod:`~repro.hashing.vectorized` — numpy SplitMix64 kernels that fill the
   per-key-id candidate tables (:meth:`HashFamily.id_candidate_rows`) the
-  routing id kernels gather from;
+  routing id kernels gather from.  The tables, and the head keys' longer
+  hash tuples (:meth:`HashFamily.candidates_for_id`), belong to the
+  :class:`~repro.workloads.columnar.KeyDictionary` that issued the ids, one
+  store per hash identity ``(seed, num_buckets)``: every family of that
+  identity — every sender of a group — reads them, and they live as long
+  as the dictionary (bounded to its latest few identities);
 * :class:`~repro.hashing.consistent.ConsistentHashRing` — a consistent-hash
   ring with virtual nodes, used as a related-work baseline (routing-table-free
   key grouping with smooth worker addition/removal).

@@ -173,29 +173,40 @@ def stable_hash(key: Key, seed: int = 0) -> int:
     return _splitmix64(_key_to_int(key) ^ _splitmix64(seed & _MASK64))
 
 
-#: A hash family keeps candidate tables for at most this many dictionaries
-#: (FIFO-evicted).  Streams use one dictionary, so this is pure headroom.
-_MAX_ID_TABLES = 4
+#: Head keys whose raw hash tuples one (dictionary, hash identity) keeps;
+#: FIFO-evicted beyond this.  Head keys are few by definition (at most the
+#: sketch capacity at any instant), so the bound only matters on long runs
+#: with drifting heads.
+_HEAD_PREFIX_LIMIT = 1 << 14
 
 
 class _IdTable:
-    """Candidate buckets per key id, for one (family, dictionary) pair.
+    """Candidate buckets per key id, for one hash identity over one dictionary.
 
     ``rows[kid, j]`` is the ``j``-th candidate bucket of the key behind id
     ``kid`` — computed from the dictionary's *folded key*, never from the id
     itself, so gathers from this table are bit-identical to hashing the
-    original keys.  The table grows lazily (capacity-doubled) as the
-    dictionary interns new keys and is rebuilt wider when a larger ``d`` is
-    requested (candidate tuples are prefix-stable, so a wide table serves
-    every smaller ``d`` by column slicing).
+    original keys.  Function ``j``'s sub-seed depends only on the family's
+    seed and ``j``, so every family of that seed and bucket count — whatever
+    its size, whichever sender holds it — reads these columns.  The table
+    grows lazily (capacity-doubled) as the dictionary interns new keys and
+    is rebuilt wider when a larger ``d`` is requested (candidate tuples are
+    prefix-stable, so a wide table serves every smaller ``d`` by column
+    slicing); ``seeds`` are the mixed seeds of its columns.
+
+    ``heads`` holds the head keys' raw hash tuples instead, hashed straight
+    from the folded key on a miss and only ever extended: a head key may
+    ask for up to ``n`` candidates, and serving a handful of ids must not
+    widen a table that holds a row for every key of the stream.
     """
 
-    __slots__ = ("width", "filled", "rows")
+    __slots__ = ("seeds", "filled", "rows", "heads")
 
-    def __init__(self, width: int) -> None:
-        self.width = width
+    def __init__(self) -> None:
+        self.seeds = np.empty(0, dtype=np.uint64)
         self.filled = 0
-        self.rows = np.empty((0, width), dtype=np.int64)
+        self.rows = np.empty((0, 0), dtype=np.int64)
+        self.heads: FifoMap[int, tuple[WorkerId, ...]] = FifoMap(_HEAD_PREFIX_LIMIT)
 
 
 class HashFamily:
@@ -256,9 +267,9 @@ class HashFamily:
         self._candidate_cache: FifoMap[Key, tuple[WorkerId, ...]] = FifoMap(
             _CANDIDATE_CACHE_LIMIT
         )
-        # Per-dictionary candidate tables for the columnar id fast path,
-        # keyed by KeyDictionary.token (see _id_table).
-        self._id_tables: FifoMap[int, _IdTable] = FifoMap(_MAX_ID_TABLES)
+        # What the columnar id paths read is owned by the key dictionary,
+        # under this hash identity (see _rows).
+        self._identity = (seed, num_buckets)
 
     @property
     def num_functions(self) -> int:
@@ -333,24 +344,31 @@ class HashFamily:
             )
         return d
 
+    def _rows(self, dictionary) -> _IdTable:
+        """``dictionary``'s candidate rows under this family's hash identity."""
+        store = dictionary.hash_rows
+        table = store.get(self._identity)
+        if table is None:
+            table = _IdTable()
+            store.insert(self._identity, table)
+        return table
+
     def _id_table(self, dictionary, d: int) -> np.ndarray:
         """The (grown-to-date) candidate table for ``dictionary``, ≥ ``d`` wide."""
-        tables = self._id_tables
-        table = tables.get(dictionary.token)
-        if table is None or table.width < d:
-            table = _IdTable(d)
-            tables.insert(dictionary.token, table)
+        table = self._rows(dictionary)
+        if table.seeds.size < d:
+            table.seeds = self._mixed_seeds_np[:d]
+            table.filled = 0
+            table.rows = np.empty((0, d), dtype=np.int64)
         size = len(dictionary)
         if table.filled < size:
             if size > table.rows.shape[0]:
                 capacity = max(size, table.rows.shape[0] * 2, 1024)
-                grown = np.empty((capacity, table.width), dtype=np.int64)
+                grown = np.empty((capacity, table.seeds.size), dtype=np.int64)
                 grown[: table.filled] = table.rows[: table.filled]
                 table.rows = grown
             table.rows[table.filled : size] = bucketed_hashes(
-                dictionary.folded[table.filled : size],
-                self._mixed_seeds_np[: table.width],
-                self._num_buckets,
+                dictionary.folded[table.filled : size], table.seeds, self._num_buckets
             )
             table.filled = size
         return table.rows
@@ -360,11 +378,11 @@ class HashFamily:
 
         ``dictionary`` is the :class:`~repro.workloads.columnar.KeyDictionary`
         that issued ``ids``.  Row ``i`` equals ``candidates(key_of(ids[i]), d)``
-        bit for bit, but the batch runs as a single table gather: candidates per id
-        are precomputed once into a per-dictionary table (see
-        :class:`_IdTable`) and never recomputed while the family lives.
-        Rescaling recreates the family, which drops the tables — that is the
-        invalidation path.
+        bit for bit, but the batch runs as a single table gather: candidates
+        per id are computed once per hash identity into a table the
+        dictionary owns (see :class:`_IdTable`), shared by every family of
+        that seed and bucket count.  A rescale changes the bucket count, so
+        it reads another table; nothing is invalidated.
         """
         d = self._check_d(d)
         return self._id_table(dictionary, d)[ids, :d]
@@ -375,29 +393,22 @@ class HashFamily:
         rows = self._id_table(dictionary, d)
         return [rows[ids, j].tolist() for j in range(d)]
 
-    def candidates_for_id(
-        self,
-        kid: int,
-        dictionary,
-        d: int | None = None,
-        prefix: tuple[WorkerId, ...] = (),
-    ) -> tuple[WorkerId, ...]:
+    def candidates_for_id(self, kid: int, dictionary, d: int | None = None) -> tuple[WorkerId, ...]:
         """Scalar :meth:`candidates` addressed by key id.
 
-        Hashes the id's folded key directly instead of going through the
-        per-dictionary table: the callers are head keys asking for their
-        ``d`` candidates once each, and serving a handful of ids must not
-        widen a table that holds a row for every key of the stream.
-
-        ``prefix`` is what the caller already holds of this id's tuple (from
-        this family): tuples are prefix-stable in ``d``, so only functions
-        ``len(prefix) .. d`` are hashed — a caller that keeps the longest
-        tuple it was ever handed pays for each (id, function) pair once.
+        For head keys, which ask for their ``d`` candidates once each: the
+        tuple is kept in the dictionary's ``heads`` store of this hash
+        identity (see :class:`_IdTable`), as long as the largest ``d`` any
+        family asked for, and only functions past what it holds are hashed
+        — each (id, function) pair is hashed once per dictionary.
         """
         d = self._check_d(d)
-        if len(prefix) >= d:
-            return prefix[:d]
-        return prefix + self._mix(int(dictionary.folded[kid]), d, len(prefix))
+        heads = self._rows(dictionary).heads
+        prefix = heads.get(kid, ())
+        if len(prefix) < d:
+            prefix += self._mix(int(dictionary.folded[kid]), d, len(prefix))
+            heads.insert(kid, prefix)
+        return prefix[:d]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

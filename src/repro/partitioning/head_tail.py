@@ -85,19 +85,18 @@ class HeadTailPartitioner(Partitioner):
             num_functions=max(2, num_workers), num_buckets=num_workers, seed=seed
         )
         # What the "d" head path remembers per head key id (head keys repeat
-        # by definition); all three go through _flush_head_caches, each is
-        # bounded by _HEAD_CANDIDATE_CACHE_LIMIT:
-        # * the raw hash tuple, as long as the largest d the key was ever
-        #   asked for — prefix-stable, so it outlives every change of d and
-        #   each (id, function) pair is hashed once per hash family;
+        # by definition) beside the raw hash tuples the dictionary keeps for
+        # every sender (HashFamily.candidates_for_id); both are this
+        # sender's own, go through _flush_head_caches and are bounded by
+        # _HEAD_CANDIDATE_CACHE_LIMIT:
         # * the deduplicated candidate tuple for the *effective* d (the tag),
-        #   derived from that prefix;
+        #   derived from the key's raw hash tuple;
         # * the floor of that tuple: the least load the key's last complete
         #   scan saw.  Loads only grow, so it bounds every later scan from
         #   below and lets it stop at the first candidate sitting on it.
-        limit = self._HEAD_CANDIDATE_CACHE_LIMIT
-        self._head_hashes: FifoMap[int, tuple[WorkerId, ...]] = FifoMap(limit)
-        self._head_cand_cache: FifoMap[int, tuple[WorkerId, ...]] = FifoMap(limit)
+        self._head_cand_cache: FifoMap[int, tuple[WorkerId, ...]] = FifoMap(
+            self._HEAD_CANDIDATE_CACHE_LIMIT
+        )
         self._head_cand_cache_d = 0
         self._head_floors: dict[int, int] = {}
 
@@ -148,11 +147,10 @@ class HeadTailPartitioner(Partitioner):
     # ------------------------------------------------------------------ #
     # Partitioner implementation
     # ------------------------------------------------------------------ #
-    #: Maximum number of head key ids each per-key head structure (hash
-    #: prefixes; candidate tuples and their floors) holds; FIFO-evicted
-    #: beyond this.  Head keys are few by definition (at most the sketch
-    #: capacity at any instant), so the bound only matters on long runs
-    #: with drifting heads.
+    #: Maximum number of head key ids the candidate tuples (and so their
+    #: floors) cover; FIFO-evicted beyond this.  Head keys are few by
+    #: definition (at most the sketch capacity at any instant), so the
+    #: bound only matters on long runs with drifting heads.
     _HEAD_CANDIDATE_CACHE_LIMIT = 1 << 14
 
     def _select_worker(self, key: Key) -> WorkerId:
@@ -426,13 +424,14 @@ class HeadTailPartitioner(Partitioner):
         subsequent scan (d hash draws over n workers repeat themselves with
         noticeable probability once d is a fair fraction of n).
 
-        The tuple is derived from the key's raw hash prefix, which is
-        hashed straight from the id's folded key (the per-id candidate
-        table stays two columns wide however large d grows) and only ever
-        *extended*: hash tuples are prefix-stable in d, so when the solver
+        The tuple is derived from the key's raw hash tuple, which the
+        dictionary keeps for every sender of the group
+        (:meth:`HashFamily.candidates_for_id`; the per-id candidate table
+        stays two columns wide however large d grows) and only ever
+        *extends*: hash tuples are prefix-stable in d, so when the solver
         moves d — it wobbles between neighbouring values for as long as the
         head drifts — a miss costs one ``dict.fromkeys`` over the prefix,
-        and new hash rounds only for functions the key was never asked for.
+        and new hash rounds only for functions no sender asked the key for.
         The derived tuples are tagged with the effective d and flushed,
         floors with them, whenever it changes; see
         :meth:`_flush_head_caches` for the other edges.
@@ -443,14 +442,9 @@ class HeadTailPartitioner(Partitioner):
         cache = self._head_cand_cache
         candidates = cache.get(kid)
         if candidates is None:
-            hashes = self._head_hashes
-            prefix = hashes.get(kid, ())
-            if len(prefix) < num_choices:
-                prefix = self._hashes.candidates_for_id(
-                    kid, self._id_dict, num_choices, prefix
-                )
-                hashes.insert(kid, prefix)
-            candidates = tuple(dict.fromkeys(prefix[:num_choices]))
+            candidates = tuple(dict.fromkeys(
+                self._hashes.candidates_for_id(kid, self._id_dict, num_choices)
+            ))
             evicted = cache.insert(kid, candidates)
             if evicted is not None:
                 del self._head_floors[evicted]
@@ -461,21 +455,20 @@ class HeadTailPartitioner(Partitioner):
     def _flush_head_caches(self, num_choices: int = 0) -> None:
         """The one flush point of everything the head path keys by id.
 
-        Given the new effective ``num_choices``, only what was derived for
-        the old one goes — the candidate tuples and, since a floor bounds
-        the loads of one particular tuple, the floors — and the cache is
-        re-tagged; the raw hash prefixes do not depend on d and stay.
-        Without it the ground itself moved: ``reset`` (the id namespace is
-        gone, the loads are zero again), a rescale (the hash family was
-        rebuilt, so every tuple points at pre-rescale workers, and the load
-        vector was cut or padded) or an adopted state (somebody else's
-        loads, which our floors say nothing about) — everything goes.
+        Given the new effective ``num_choices``, what was derived for the
+        old one goes — the candidate tuples and, since a floor bounds the
+        loads of one particular tuple, the floors — and the cache is
+        re-tagged.  Without it the ground itself moved: ``reset`` (the id
+        namespace is gone, the loads are zero again), a rescale (the hash
+        family was rebuilt, so every tuple points at pre-rescale workers,
+        and the load vector was cut or padded) or an adopted state
+        (somebody else's loads, which our floors say nothing about).  The
+        raw hash tuples are the dictionary's, keyed by hash identity, and
+        depend on none of these.
         """
         self._head_cand_cache.clear()
         self._head_floors.clear()
         self._head_cand_cache_d = num_choices
-        if not num_choices:
-            self._head_hashes.clear()
 
     @abc.abstractmethod
     def _select_head_worker(self, kid: int) -> WorkerId:
@@ -517,8 +510,8 @@ class HeadTailPartitioner(Partitioner):
             num_buckets=new_num_workers,
             seed=self.seed,
         )
-        # (The rebuild also drops the old family's per-id candidate tables.)
         # The dictionary binding survives: the sketch still holds its ids.
+        # The new family reads the dictionary's rows of the new n.
         self._flush_head_caches()
 
     def _required_capacity(self) -> int:

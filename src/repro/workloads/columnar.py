@@ -46,15 +46,21 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.exceptions import WorkloadError
+from repro.fifo_map import FifoMap
 from repro.hashing.hash_family import _key_to_int, fold_keys
 from repro.types import Key
 
-#: Issues a process-unique token per dictionary.  Hash families key their
-#: per-id candidate tables on this token; ``id(dictionary)`` would be unsafe
+#: Issues a process-unique token per dictionary.  Consistent grouping keys
+#: its per-id owner cache on this token; ``id(dictionary)`` would be unsafe
 #: because CPython reuses addresses of collected objects.
 _TOKENS = itertools.count()
 
 _GROW = 1024
+
+#: A dictionary keeps candidate rows for at most this many hash identities
+#: (FIFO-evicted): one per (seed, worker count) its ids were routed under,
+#: so a run that rescales again and again holds the latest few.
+_MAX_HASH_IDENTITIES = 4
 
 #: Key types that share the plain forward map.  Dict lookups use ``==``,
 #: which crosses types (``1 == True == 1.0``), while ``_key_to_int`` folds
@@ -117,7 +123,7 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class KeyDictionary:
     """Append-only interning dictionary: stable dense ids for stream keys."""
 
-    __slots__ = ("_key_index", "_keys", "_folded", "_size", "token")
+    __slots__ = ("_key_index", "_keys", "_folded", "_size", "token", "hash_rows")
 
     def __init__(self) -> None:
         # Read only through forward_map(), which catches it up.
@@ -126,6 +132,10 @@ class KeyDictionary:
         self._folded = np.empty(_GROW, dtype=np.uint64)
         self._size = 0
         self.token = next(_TOKENS)
+        # Candidate rows per hash identity (seed, num_buckets), filled by
+        # every HashFamily that routes these ids: the senders of a group
+        # hash each key once, and the rows live as long as the ids do.
+        self.hash_rows = FifoMap(_MAX_HASH_IDENTITIES)
 
     def __len__(self) -> int:
         """Number of ids issued so far, i.e. of distinct keys seen."""

@@ -42,6 +42,14 @@ A fourth cut left each scheme one scalar selection, ``_select_worker``
 * ``Partitioner._least_loaded_overall``, called only by two ``_select_head``
   methods.
 
+A fifth change moved the hash stores onto the key dictionary, so the
+senders of a group hash each key once:
+
+* ``HashFamily._id_tables`` and its bound ``_MAX_ID_TABLES``, a candidate
+  table per family; the table is now the dictionary's, per hash identity;
+* ``HeadTailPartitioner._head_hashes``, the head keys' raw hash tuples per
+  partitioner; they sit beside that table.
+
 Each would come back the way it left: as a path every test of its own
 exercises and no user run reaches.  These scans keep them out.
 """
@@ -90,6 +98,9 @@ UNRUN_NAMES = {
     "_select_head",
     "_select_tail",
     "_least_loaded_overall",
+    "_id_tables",
+    "_MAX_ID_TABLES",
+    "_head_hashes",
 }
 #: Deleted methods whose names other code still uses for something else
 #: (``hash`` the builtin, ``merge`` a reconciliation, ``spread`` a local).

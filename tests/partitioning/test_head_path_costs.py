@@ -1,8 +1,8 @@
 """What the "d" head path pays for, and why it may skip the rest.
 
-D-Choices keeps three things per head key — the raw hash prefix, the
-deduplicated candidate tuple for the effective ``d``, and the *floor* of that
-tuple — and places a chunk in as few ``_route_runs`` calls as the solver's
+D-Choices reads each head key's raw hash prefix from the dictionary's store
+and keeps two things of its own per head key — the deduplicated candidate
+tuple for the effective ``d`` and the *floor* of that tuple — and places a chunk in as few ``_route_runs`` calls as the solver's
 answer allows.  Two kinds of pins:
 
 * **structural guards** count the work itself (placement calls, hash rounds,
@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.choices import ChoicesSolution
 from repro.elasticity.policies import POLICY_NAMES, get_policy
+from repro.hashing import hash_family
 from repro.hashing.hash_family import HashFamily
 from repro.partitioning.head_tail import HeadTailPartitioner
 from repro.partitioning.registry import create_partitioner
@@ -87,8 +88,8 @@ class TestPlacementCalls:
 
 
 class TestHashRounds:
-    """Each (key, function) pair is hashed once per hash family, however
-    often the solver moves ``d`` back and forth over it."""
+    """Each (key, function) pair is hashed once per hash identity over a
+    dictionary, however often the solver moves ``d`` back and forth over it."""
 
     @staticmethod
     def _count_rounds(monkeypatch) -> Counter:
@@ -209,12 +210,14 @@ class TestLoadReads:
 
     def test_structures_are_bounded(self, monkeypatch):
         monkeypatch.setattr(HeadTailPartitioner, "_HEAD_CANDIDATE_CACHE_LIMIT", 8)
+        monkeypatch.setattr(hash_family, "_HEAD_PREFIX_LIMIT", 8)
         scheme = create_partitioner("FIXED-D", num_workers=50, num_choices=20)
         for batch in _hot_batches(2 * CHUNK):
             scheme.route_batch_columnar(batch)
         assert len(scheme._head_cand_cache) == len(scheme._head_floors) == 8
         assert scheme._head_cand_cache.keys() == scheme._head_floors.keys()
-        assert len(scheme._head_hashes) == 8
+        (table,) = scheme._id_dict.hash_rows.values()
+        assert len(table.heads) == 8
 
 
 # ---------------------------------------------------------------------- #

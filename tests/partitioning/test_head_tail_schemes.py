@@ -268,9 +268,12 @@ class TestHeadCandidateCache:
         assert not scheme.current_solution().use_w_choices
         assert scheme._head_cand_cache_d > 2  # the head really used d > 2
         assert any(len(c) > 2 for c in scheme._head_cand_cache.values())
-        (table,) = scheme._hashes._id_tables.values()
-        assert table.width == 2
+        # The rows are the dictionary's, shared by every sender of the
+        # stream; the head keys' wide tuples sit beside them.
+        (table,) = scheme._id_dict.hash_rows.values()
+        assert table.seeds.size == 2
         assert table.rows.shape[1] == 2
+        assert max(map(len, table.heads.values())) == scheme._head_cand_cache_d
 
     def test_rescale_flushes_cached_tuples(self):
         scheme = FixedDHead(num_workers=16, num_choices=4, warmup_messages=0)

@@ -180,12 +180,18 @@ class TestHeadCacheHandoff:
         # below any load, whatever the donor had learned.
         assert set(adoptee._head_floors.values()) == {-1}
         assert adoptee._head_floors.keys() == cache.keys()
-        names = ("_head_cand_cache", "_head_floors", "_head_hashes")
+        names = ("_head_cand_cache", "_head_floors")
         owned = {id(getattr(adoptee, name)) for name in names}
         assert len(owned) == len(names)
         assert not owned & {id(getattr(donor, name)) for name in names}
         assert not owned & mutables(state).keys()
         assert not {id(getattr(donor, name)) for name in names} & mutables(state).keys()
+        # The raw hash prefixes are neither side's: they depend on no load,
+        # and both read the one store of the dictionary they share.
+        prefixes = adoptee._hashes._rows(adoptee._id_dict).heads
+        assert prefixes is donor._hashes._rows(donor._id_dict).heads
+        assert prefixes.keys() >= cache.keys()
+        assert id(prefixes) not in mutables(state)
 
     @pytest.mark.parametrize("scheme", ["D-C", "FIXED-D"])
     def test_donor_and_adoptee_route_on_independently(self, scheme):

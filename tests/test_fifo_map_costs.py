@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+from repro.hashing import hash_family
 from repro.hashing.hash_family import HashFamily
 from repro.partitioning.consistent_grouping import ConsistentGrouping
 from repro.partitioning.head_tail import HeadTailPartitioner
@@ -93,10 +94,12 @@ MISSES = 30_000
 
 def _head_ns_per_miss(limit: int, monkeypatch) -> float:
     monkeypatch.setattr(HeadTailPartitioner, "_HEAD_CANDIDATE_CACHE_LIMIT", limit)
-    dictionary = KeyDictionary()
-    dictionary.intern_int_array(np.arange(limit + MISSES))
+    monkeypatch.setattr(hash_family, "_HEAD_PREFIX_LIMIT", limit)
 
     def measure() -> float:
+        # A fresh dictionary each time: the hash prefixes are its to keep.
+        dictionary = KeyDictionary()
+        dictionary.intern_int_array(np.arange(limit + MISSES))
         scheme = create_partitioner("FIXED-D", num_workers=50, num_choices=5)
         scheme._bind_dictionary(dictionary)
         cached = scheme._cached_head_candidates
@@ -107,7 +110,8 @@ def _head_ns_per_miss(limit: int, monkeypatch) -> float:
             cached(kid, 5)
         elapsed = time.perf_counter() - started
         assert len(scheme._head_cand_cache) == len(scheme._head_floors) == limit
-        assert len(scheme._head_hashes) == limit
+        (table,) = dictionary.hash_rows.values()
+        assert len(table.heads) == limit
         return elapsed / MISSES * 1e9
 
     return _best_of_three(measure)
