@@ -49,6 +49,10 @@ def _entry_points(scratch: str) -> list[tuple[list[str], dict[str, str]]]:
     runs += [
         cli + ["simulate", "--messages", "20000"],
         cli + ["simulate", "--messages", "20000", "--rescale", "join@5000,fail@12000"],
+        # The per-message oracle's own rescale: its key sets and the
+        # misroute window are read only here.
+        cli + ["simulate", "--messages", "20000", "--mode", "scalar",
+               "--rescale", "join@5000,fail@12000"],
         cli + ["scenario", "list"],
         cli + ["scenario", "show", scenario],
         cli + ["scenario", "run", scenario, "--messages", "20000"],

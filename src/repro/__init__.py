@@ -18,72 +18,80 @@ Quickstart
 True
 """
 
+from repro._exports import lazy_exports
 from repro._version import __version__
-from repro.analysis import (
-    ChoicesSolution,
-    ZipfDistribution,
-    expected_worker_set_size,
-    find_optimal_choices,
-    theta_range,
-)
-from repro.analysis.memory import memory_model_for_zipf
-from repro.cluster import ClusterResult, ClusterTopology, run_cluster_experiment
-from repro.dataflow import Topology, TopologyResult, run_topology
-from repro.elasticity import (
-    MigrationReport,
-    RescalePlan,
-    WorkerFail,
-    WorkerJoin,
-    WorkerLeave,
-)
-from repro.exceptions import (
-    AnalysisError,
-    ClusterRuntimeError,
-    ConfigurationError,
-    PartitioningError,
-    ReproError,
-    ScenarioError,
-    SimulationError,
-    SketchError,
-    WorkerCrashError,
-    WorkloadError,
-)
-from repro.execution import ExecutionMode
-from repro.operators import (
-    CountAggregator,
-    ReconciliationSink,
-    TumblingWindowAssigner,
-    WindowedAggregator,
-    reconcile,
-)
-from repro.partitioning import (
-    ConsistentGrouping,
-    DChoices,
-    FixedDHead,
-    GreedyD,
-    KeyGrouping,
-    PartialKeyGrouping,
-    Partitioner,
-    RoundRobinHead,
-    ShuffleGrouping,
-    WChoices,
-    available_schemes,
-    create_partitioner,
-)
-from repro.simulation import SimulationConfig, SimulationResult, run_simulation, sweep
-from repro.sketches import SpaceSaving
-from repro.types import DatasetStats, LoadSnapshot, Message, RoutingDecision
-from repro.scenarios import ScenarioSpec, ScenarioWorkload, build_workload, list_scenarios
-from repro.workloads import (
-    CashtagLikeWorkload,
-    DriftingZipfWorkload,
-    FileWorkload,
-    TwitterLikeWorkload,
-    WikipediaLikeWorkload,
-    Workload,
-    ZipfWorkload,
-    derive_seed,
-    load_dataset,
+
+#: Who defines each name ``repro`` exports.  Nothing here is imported with
+#: the package: a name's module is imported on its first read (see
+#: :mod:`repro._exports`), so plain library use (partitioners, sketches,
+#: simulation) never compiles the cluster model, the dataflow substrate or
+#: the experiment suite.
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".analysis.bounds": ("theta_range",),
+        ".analysis.choices": (
+            "ChoicesSolution",
+            "expected_worker_set_size",
+            "find_optimal_choices",
+        ),
+        ".analysis.memory": ("memory_model_for_zipf",),
+        ".analysis.zipf": ("ZipfDistribution",),
+        ".cluster.results": ("ClusterResult",),
+        ".cluster.runner": ("run_cluster_experiment",),
+        ".cluster.topology": ("ClusterTopology",),
+        ".dataflow.graph": ("Topology",),
+        ".dataflow.runtime": ("TopologyResult", "run_topology"),
+        ".elasticity.accountant": ("MigrationReport",),
+        ".elasticity.events": ("RescalePlan", "WorkerFail", "WorkerJoin", "WorkerLeave"),
+        ".exceptions": (
+            "AnalysisError",
+            "ClusterRuntimeError",
+            "ConfigurationError",
+            "PartitioningError",
+            "ReproError",
+            "ScenarioError",
+            "SimulationError",
+            "SketchError",
+            "WorkerCrashError",
+            "WorkloadError",
+        ),
+        ".execution": ("ExecutionMode",),
+        ".operators.aggregations": ("CountAggregator",),
+        ".operators.reconciliation": ("ReconciliationSink", "reconcile"),
+        ".operators.windows": ("TumblingWindowAssigner", "WindowedAggregator"),
+        ".partitioning.base": ("Partitioner",),
+        ".partitioning.consistent_grouping": ("ConsistentGrouping",),
+        ".partitioning.d_choices": ("DChoices",),
+        ".partitioning.fixed_d": ("FixedDHead",),
+        ".partitioning.greedy_d": ("GreedyD",),
+        ".partitioning.key_grouping": ("KeyGrouping",),
+        ".partitioning.partial_key_grouping": ("PartialKeyGrouping",),
+        ".partitioning.registry": ("available_schemes", "create_partitioner"),
+        ".partitioning.round_robin_head": ("RoundRobinHead",),
+        ".partitioning.shuffle_grouping": ("ShuffleGrouping",),
+        ".partitioning.w_choices": ("WChoices",),
+        ".scenarios.catalog": ("build_workload", "list_scenarios"),
+        ".scenarios.spec": ("ScenarioSpec",),
+        ".scenarios.workload": ("ScenarioWorkload",),
+        ".simulation.config": ("SimulationConfig",),
+        ".simulation.results": ("SimulationResult",),
+        ".simulation.runner": ("run_simulation", "sweep"),
+        ".sketches.space_saving": ("SpaceSaving",),
+        ".suite.orchestrator": ("run_suite",),
+        ".suite.store": ("ResultsStore",),
+        ".types": ("DatasetStats", "LoadSnapshot", "Message", "RoutingDecision"),
+        ".workloads.base": ("Workload", "derive_seed"),
+        ".workloads.catalog": ("load_dataset",),
+        ".workloads.drift": ("DriftingZipfWorkload",),
+        ".workloads.file_stream": ("FileWorkload",),
+        ".workloads.synthetic": (
+            "CashtagLikeWorkload",
+            "TwitterLikeWorkload",
+            "WikipediaLikeWorkload",
+        ),
+        ".workloads.zipf_stream": ("ZipfWorkload",),
+    },
 )
 
 __all__ = [
@@ -167,20 +175,7 @@ __all__ = [
     "ClusterResult",
     "ClusterTopology",
     "run_cluster_experiment",
-    # suite (lazy, see __getattr__)
+    # suite
     "ResultsStore",
     "run_suite",
 ]
-
-#: Importing the suite pulls in every experiment driver module via the
-#: registry; resolve these two names lazily (PEP 562) so plain library use
-#: (partitioners, sketches, simulation) does not pay that import cost.
-_LAZY_SUITE_EXPORTS = frozenset({"ResultsStore", "run_suite"})
-
-
-def __getattr__(name: str):
-    if name in _LAZY_SUITE_EXPORTS:
-        from repro import suite
-
-        return getattr(suite, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,9 +13,16 @@ The package threads three pieces together:
   ``adopt_state`` contract.
 """
 
-from repro.adaptive.partitioner import AdaptivePartitioner, SwitchRecord
-from repro.adaptive.policy import DEFAULT_LADDER, DriftMetrics, SwitchPolicy
-from repro.adaptive.tuner import ParameterTuner
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".partitioner": ("AdaptivePartitioner", "SwitchRecord"),
+        ".policy": ("DEFAULT_LADDER", "DriftMetrics", "SwitchPolicy"),
+        ".tuner": ("ParameterTuner",),
+    },
+)
 
 __all__ = [
     "DEFAULT_LADDER",

@@ -13,34 +13,41 @@
   threshold range ``1/(5n) <= theta <= 2/n``.
 """
 
-from repro.analysis.bounds import (
-    pkg_breaks_down,
-    pkg_imbalance_lower_bound,
-    pkg_safe_threshold,
-    theta_range,
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".bounds": (
+            "pkg_breaks_down",
+            "pkg_imbalance_lower_bound",
+            "pkg_safe_threshold",
+            "theta_range",
+        ),
+        ".choices": (
+            "ChoicesSolution",
+            "expected_worker_set_size",
+            "find_optimal_choices",
+            "prefix_constraint_satisfied",
+        ),
+        ".head": ("head_cardinality", "head_keys", "head_mass", "select_threshold"),
+        ".memory": (
+            "MemoryModel",
+            "memory_dchoices",
+            "memory_pkg",
+            "memory_shuffle",
+            "memory_wchoices",
+            "relative_overhead",
+        ),
+        ".queueing": (
+            "ClusterModel",
+            "bottleneck_queue_latency_ms",
+            "max_load_share",
+            "sustainable_throughput",
+        ),
+        ".zipf": ("ZipfDistribution",),
+    },
 )
-from repro.analysis.choices import (
-    ChoicesSolution,
-    expected_worker_set_size,
-    find_optimal_choices,
-    prefix_constraint_satisfied,
-)
-from repro.analysis.head import head_cardinality, head_keys, head_mass, select_threshold
-from repro.analysis.memory import (
-    MemoryModel,
-    memory_dchoices,
-    memory_pkg,
-    memory_shuffle,
-    memory_wchoices,
-    relative_overhead,
-)
-from repro.analysis.queueing import (
-    ClusterModel,
-    bottleneck_queue_latency_ms,
-    max_load_share,
-    sustainable_throughput,
-)
-from repro.analysis.zipf import ZipfDistribution
 
 __all__ = [
     "ChoicesSolution",

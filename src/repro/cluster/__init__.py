@@ -20,11 +20,18 @@ real hardware, but the *relative* performance of the grouping schemes — who
 saturates first and by how much — is reproduced.
 """
 
-from repro.cluster.engine import ClusterEngine
-from repro.cluster.latency import LatencyStats
-from repro.cluster.results import ClusterResult
-from repro.cluster.runner import run_cluster_experiment
-from repro.cluster.topology import ClusterTopology
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".engine": ("ClusterEngine",),
+        ".latency": ("LatencyStats",),
+        ".results": ("ClusterResult",),
+        ".runner": ("run_cluster_experiment",),
+        ".topology": ("ClusterTopology",),
+    },
+)
 
 __all__ = [
     "ClusterEngine",

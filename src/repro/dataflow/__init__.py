@@ -18,8 +18,15 @@ would be on a real DSPE and still measure the balance effects the paper is
 about.
 """
 
-from repro.dataflow.graph import Edge, Topology, Vertex
-from repro.dataflow.runtime import TopologyResult, VertexMetrics, run_topology
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".graph": ("Edge", "Topology", "Vertex"),
+        ".runtime": ("TopologyResult", "VertexMetrics", "run_topology"),
+    },
+)
 
 __all__ = [
     "Edge",

@@ -20,26 +20,29 @@ Plans thread through :class:`~repro.simulation.config.SimulationConfig`
 drive.
 """
 
-from repro.elasticity.accountant import (
-    DEFAULT_STATE_BYTES_PER_ENTRY,
-    MigrationCostAccountant,
-    MigrationReport,
-    RescaleEventRecord,
-)
-from repro.elasticity.events import (
-    EVENT_KINDS,
-    RescaleEvent,
-    RescalePlan,
-    WorkerFail,
-    WorkerJoin,
-    WorkerLeave,
-    as_plan,
-    parse_event,
-)
-from repro.elasticity.policies import (
-    POLICY_NAMES,
-    RescalePolicy,
-    get_policy,
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".accountant": (
+            "DEFAULT_STATE_BYTES_PER_ENTRY",
+            "MigrationCostAccountant",
+            "MigrationReport",
+            "RescaleEventRecord",
+        ),
+        ".events": (
+            "EVENT_KINDS",
+            "RescaleEvent",
+            "RescalePlan",
+            "WorkerFail",
+            "WorkerJoin",
+            "WorkerLeave",
+            "as_plan",
+            "parse_event",
+        ),
+        ".policies": ("POLICY_NAMES", "RescalePolicy", "get_policy"),
+    },
 )
 
 __all__ = [

@@ -19,9 +19,16 @@ table for the CLI, the suite orchestrator (:mod:`repro.suite`) and the docs
 guard test.
 """
 
-from repro.experiments.common import ExperimentResult, format_table
-from repro.experiments.descriptor import ExperimentDescriptor, OutputSpec, SCALES
-from repro.experiments.registry import get_experiment, list_experiments, run_experiment
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".common": ("ExperimentResult", "format_table"),
+        ".descriptor": ("ExperimentDescriptor", "OutputSpec", "SCALES"),
+        ".registry": ("get_experiment", "list_experiments", "run_experiment"),
+    },
+)
 
 __all__ = [
     "ExperimentDescriptor",

@@ -23,9 +23,16 @@ subpackage provides:
   key grouping with smooth worker addition/removal).
 """
 
-from repro.hashing.consistent import ConsistentHashRing
-from repro.hashing.hash_family import HashFamily, fold_keys, stable_hash
-from repro.hashing.vectorized import bucketed_hashes, splitmix64_array
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".consistent": ("ConsistentHashRing",),
+        ".hash_family": ("HashFamily", "fold_keys", "stable_hash"),
+        ".vectorized": ("bucketed_hashes", "splitmix64_array"),
+    },
+)
 
 __all__ = [
     "ConsistentHashRing",

@@ -55,10 +55,12 @@ class ConsistentHashRing:
         return self._replicas
 
     def _positions(self, worker: WorkerId) -> list[int]:
-        return [
-            stable_hash(("vnode", worker, replica), self._seed)
-            for replica in range(self._replicas)
-        ]
+        # Virtual node ``replica`` of ``worker`` is the integer
+        # ``worker * replicas + replica`` under a seed of its own: an integer
+        # folds the same in every process, so the arcs do too.
+        seed = stable_hash("vnode", self._seed)
+        first = worker * self._replicas
+        return [stable_hash(first + replica, seed) for replica in range(self._replicas)]
 
     def add_worker(self, worker: WorkerId) -> None:
         """Add ``worker`` and its virtual nodes to the ring."""

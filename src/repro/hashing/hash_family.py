@@ -15,6 +15,8 @@ key deterministically and run it through a 64-bit mixing function
 
 from __future__ import annotations
 
+import operator
+import struct
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +37,7 @@ _CANDIDATE_CACHE_LIMIT = 1 << 16
 #: crosses types (``-1 == -1.0 == True`` all collide as dict keys) while
 #: ``_key_to_int`` deliberately folds those differently — so only exact
 #: types that never compare equal to another hashable type are cached;
-#: everything else (bool, float, tuples, custom objects) is folded afresh
+#: everything else (bool, float, tuples, None) is folded afresh
 #: on every call.  Note ``type(True) is bool``, so bools are excluded here
 #: automatically.
 _CACHEABLE_TYPES = frozenset({str, bytes, int})
@@ -64,17 +66,33 @@ _FNV_OFFSET_U64 = np.uint64(_FNV_OFFSET)
 _FNV_PRIME_U64 = np.uint64(_FNV_PRIME)
 
 
+#: What ``None`` folds to: any fixed word (builtin ``hash(None)`` is the
+#: object's address on CPython before 3.12).
+_NONE_WORD = 0x6E6F6E65C0FFEE00
+
+#: Xored into the accumulator of a tuple and of a non-integral float, so
+#: neither shares its fold with a string or an integer of the same words.
+_TUPLE_TAG = 0x7475706C65D1CE5A
+_FLOAT_TAG = 0x666C6F6174B17500
+
+
 def _key_to_int(key: Key) -> int:
-    """Serialise an arbitrary hashable key into a 64-bit integer.
+    """Serialise a key into a 64-bit integer, the same in every process.
 
     Strings and bytes are folded eight bytes at a time (``int.from_bytes``
     runs the chunk conversion in C) with an FNV-1a style multiply between
     chunks, so similar keys ("word1", "word2") still land far apart after
     mixing.  The length is xored into the accumulator so prefixes of each
-    other ("a", "a\\x00") stay distinct.  Integers are used directly.  Any
-    other hashable type falls back to ``hash()``; this is process-dependent
-    for custom ``__hash__`` implementations, so experiments use string or
-    integer keys.
+    other ("a", "a\\x00") stay distinct.  Integers are used directly (any
+    ``__index__`` type: numpy integers fold as the ``int`` they equal), and
+    ``bool`` is kept apart from 0 / 1.  A float equal to an integer folds as
+    that integer (as it did through ``hash()``, and as ``(1.0,) == (1,)``
+    needs inside a tuple); any other float folds its IEEE-754 bits.
+    ``None`` is a constant, and a tuple folds its elements in order with the
+    same multiply, so keys equal as tuples fold alike.
+
+    Nothing here reads builtin ``hash()``, which is salted per process for
+    text: any other type raises :class:`TypeError` rather than route by it.
     """
     if isinstance(key, bool):  # bool is an int subclass; keep it distinct
         return int(key) + 0x5BF03635
@@ -84,8 +102,27 @@ def _key_to_int(key: Key) -> int:
         data = key.encode("utf-8")
     elif isinstance(key, bytes):
         data = key
+    elif isinstance(key, float):
+        if key.is_integer():
+            return int(key) & _MASK64
+        return struct.unpack("<Q", struct.pack("<d", key))[0] ^ _FLOAT_TAG
+    elif isinstance(key, tuple):
+        acc = (_FNV_OFFSET ^ _TUPLE_TAG ^ (len(key) * _GAMMA)) & _MASK64
+        for item in key:
+            # Inside a tuple a bool folds as the int it equals: the
+            # dictionary keys tuples by ``==``, and ``(True,) == (1,)``.
+            word = _key_to_int(int(item) if isinstance(item, bool) else item)
+            acc = ((acc ^ word) * _FNV_PRIME) & _MASK64
+        return acc
+    elif key is None:
+        return _NONE_WORD
+    elif hasattr(type(key), "__index__"):
+        return operator.index(key) & _MASK64
     else:
-        return hash(key) & _MASK64
+        raise TypeError(
+            f"cannot fold a key of type {type(key).__name__!r}: keys are int, str, "
+            "bytes, float, None or tuples of them"
+        )
     length = len(data)
     if length <= 8:
         # XOR the offset basis so short strings stay distinct from the raw

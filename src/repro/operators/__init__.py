@@ -17,15 +17,22 @@ the examples:
   from the replicas of a key, plus an accounting of the aggregation cost.
 """
 
-from repro.operators.aggregations import CountAggregator
-from repro.operators.base import KeyedState, Operator, StatefulOperator, StatelessOperator
-from repro.operators.reconciliation import (
-    AggregationCost,
-    ReconciliationSink,
-    merge_partial_states,
-    reconcile,
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".aggregations": ("CountAggregator",),
+        ".base": ("KeyedState", "Operator", "StatefulOperator", "StatelessOperator"),
+        ".reconciliation": (
+            "AggregationCost",
+            "ReconciliationSink",
+            "merge_partial_states",
+            "reconcile",
+        ),
+        ".windows": ("TumblingWindowAssigner", "WindowedAggregator"),
+    },
 )
-from repro.operators.windows import TumblingWindowAssigner, WindowedAggregator
 
 __all__ = [
     "AggregationCost",

@@ -22,17 +22,24 @@ in the paper's setting).  :func:`create_partitioner` builds instances by
 name, which is how the simulators and experiments select schemes.
 """
 
-from repro.partitioning.base import Partitioner, PartitionerState
-from repro.partitioning.consistent_grouping import ConsistentGrouping
-from repro.partitioning.d_choices import DChoices
-from repro.partitioning.fixed_d import FixedDHead
-from repro.partitioning.greedy_d import GreedyD
-from repro.partitioning.key_grouping import KeyGrouping
-from repro.partitioning.partial_key_grouping import PartialKeyGrouping
-from repro.partitioning.registry import available_schemes, create_partitioner
-from repro.partitioning.round_robin_head import RoundRobinHead
-from repro.partitioning.shuffle_grouping import ShuffleGrouping
-from repro.partitioning.w_choices import WChoices
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("Partitioner", "PartitionerState"),
+        ".consistent_grouping": ("ConsistentGrouping",),
+        ".d_choices": ("DChoices",),
+        ".fixed_d": ("FixedDHead",),
+        ".greedy_d": ("GreedyD",),
+        ".key_grouping": ("KeyGrouping",),
+        ".partial_key_grouping": ("PartialKeyGrouping",),
+        ".registry": ("available_schemes", "create_partitioner"),
+        ".round_robin_head": ("RoundRobinHead",),
+        ".shuffle_grouping": ("ShuffleGrouping",),
+        ".w_choices": ("WChoices",),
+    },
+)
 
 __all__ = [
     "ConsistentGrouping",

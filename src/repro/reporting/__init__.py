@@ -10,8 +10,15 @@ artifacts a user can keep or eyeball without a plotting stack:
   text).
 """
 
-from repro.reporting.ascii_chart import ascii_bar_chart, ascii_series_chart
-from repro.reporting.export import result_to_csv, result_to_json, write_result
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".ascii_chart": ("ascii_bar_chart", "ascii_series_chart"),
+        ".export": ("result_to_csv", "result_to_json", "write_result"),
+    },
+)
 
 __all__ = [
     "ascii_bar_chart",

@@ -15,29 +15,36 @@ summary and watches heartbeats for crash and hang detection.
 See ``docs/runtime.md`` for the architecture and the shared-memory layout.
 """
 
-from repro.runtime.faults import (
-    CRASH_EXIT_CODE,
-    FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    WorkerFaults,
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".faults": (
+            "CRASH_EXIT_CODE",
+            "FAULT_KINDS",
+            "FaultPlan",
+            "FaultSpec",
+            "WorkerFaults",
+        ),
+        ".ring": (
+            "EOF",
+            "FRAME_HEADER_WORDS",
+            "Frame",
+            "InflightDrain",
+            "RingClosed",
+            "SpscRing",
+        ),
+        ".runtime": (
+            "ClusterConfig",
+            "ClusterResult",
+            "WorkerResult",
+            "run_cluster",
+            "validate_against_simulation",
+        ),
+        ".state": ("ClusterSnapshot", "SharedClusterState"),
+    },
 )
-from repro.runtime.ring import (
-    EOF,
-    FRAME_HEADER_WORDS,
-    Frame,
-    InflightDrain,
-    RingClosed,
-    SpscRing,
-)
-from repro.runtime.runtime import (
-    ClusterConfig,
-    ClusterResult,
-    WorkerResult,
-    run_cluster,
-    validate_against_simulation,
-)
-from repro.runtime.state import ClusterSnapshot, SharedClusterState
 
 __all__ = [
     "CRASH_EXIT_CODE",

@@ -18,18 +18,25 @@ unchanged through ``route_stream``, the simulation engine and the dataflow
 runtime — scalar, batched or columnar.
 """
 
-from repro.scenarios.catalog import (
-    CATALOG,
-    assert_result,
-    build_workload,
-    check_result,
-    get_scenario,
-    list_scenarios,
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".catalog": (
+            "CATALOG",
+            "assert_result",
+            "build_workload",
+            "check_result",
+            "get_scenario",
+            "list_scenarios",
+        ),
+        ".render": ("RENDERERS", "Renderer", "make_renderer"),
+        ".spec": ("ExpectedBounds", "RenderSpec", "ScenarioSpec"),
+        ".truth": ("PATTERNS", "Truth", "make_truth"),
+        ".workload": ("ScenarioWorkload",),
+    },
 )
-from repro.scenarios.render import RENDERERS, Renderer, make_renderer
-from repro.scenarios.spec import ExpectedBounds, RenderSpec, ScenarioSpec
-from repro.scenarios.truth import PATTERNS, Truth, make_truth
-from repro.scenarios.workload import ScenarioWorkload
 
 __all__ = [
     "CATALOG",

@@ -9,11 +9,18 @@ engine tracks the global load of each worker and derives the imbalance
 metric ``I(t)``.
 """
 
-from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.metrics import ImbalanceTimeSeries, LoadTracker
-from repro.simulation.results import SimulationResult
-from repro.simulation.runner import run_simulation, sweep
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("SimulationConfig",),
+        ".engine": ("SimulationEngine",),
+        ".metrics": ("ImbalanceTimeSeries", "LoadTracker"),
+        ".results": ("SimulationResult",),
+        ".runner": ("run_simulation", "sweep"),
+    },
+)
 
 __all__ = [
     "ImbalanceTimeSeries",

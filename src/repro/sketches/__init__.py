@@ -9,7 +9,14 @@ updates, a fused bulk classification pass for batched routing, in-place
 growth for rescales and a transplantable state for scheme switches.
 """
 
-from repro.sketches.space_saving import FrequencyEstimate, SpaceSaving
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".space_saving": ("FrequencyEstimate", "SpaceSaving"),
+    },
+)
 
 __all__ = [
     "FrequencyEstimate",

@@ -17,9 +17,16 @@ The subsystem that turns "reproduce the paper" into one resumable command:
 CLI: ``python -m repro.cli suite run|report|clean``.
 """
 
-from repro.suite.orchestrator import CellOutcome, SuiteSummary, run_suite
-from repro.suite.report import render_report, report_rows
-from repro.suite.store import ResultRecord, ResultsStore, config_fingerprint
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".orchestrator": ("CellOutcome", "SuiteSummary", "run_suite"),
+        ".report": ("render_report", "report_rows"),
+        ".store": ("ResultRecord", "ResultsStore", "config_fingerprint"),
+    },
+)
 
 __all__ = [
     "CellOutcome",

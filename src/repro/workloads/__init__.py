@@ -19,21 +19,24 @@ traces are not redistributable, so this subpackage provides:
   ``iter_batches_columnar`` (see ``docs/columnar.md``).
 """
 
-from repro.workloads.base import Workload, derive_seed, materialize
-from repro.workloads.catalog import DATASETS, dataset_stats, load_dataset
-from repro.workloads.columnar import (
-    ColumnarBatch,
-    KeyDictionary,
-    iter_batches_columnar,
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("Workload", "derive_seed", "materialize"),
+        ".catalog": ("DATASETS", "dataset_stats", "load_dataset"),
+        ".columnar": ("ColumnarBatch", "KeyDictionary", "iter_batches_columnar"),
+        ".drift": ("DriftingZipfWorkload",),
+        ".file_stream": ("FileWorkload",),
+        ".synthetic": (
+            "CashtagLikeWorkload",
+            "TwitterLikeWorkload",
+            "WikipediaLikeWorkload",
+        ),
+        ".zipf_stream": ("ZipfWorkload",),
+    },
 )
-from repro.workloads.drift import DriftingZipfWorkload
-from repro.workloads.file_stream import FileWorkload
-from repro.workloads.synthetic import (
-    CashtagLikeWorkload,
-    TwitterLikeWorkload,
-    WikipediaLikeWorkload,
-)
-from repro.workloads.zipf_stream import ZipfWorkload
 
 __all__ = [
     "DATASETS",

@@ -15,10 +15,12 @@ The ``routing:*`` lines hash one layer down — the per-message workers and
 head flags of a five-sender group, for every scheme, after the script has
 checked the columnar deal against the scalar one.  Their constants were
 printed by the commit before the id kernel returned arrays instead of lists,
-so they pin that every decision and flag survived that change.
-Consistent grouping places its virtual nodes by hashing tuples, which
-``PYTHONHASHSEED`` salts; the routing lines are therefore taken in a child
-process with the seed pinned to 0.
+so they pin that every decision and flag survived that change, except the
+two ``routing:CH:*`` lines: they were re-taken when consistent grouping
+stopped placing its virtual nodes by hashing ``("vnode", worker, replica)``
+tuples, which ``PYTHONHASHSEED`` salted, and began placing them from
+integers.  No line depends on the interpreter's hash salt any more, so the
+child that prints them runs with whatever ``PYTHONHASHSEED`` it inherits.
 
 The ``dchoices:*`` lines hash every FINDOPTIMALCHOICES solve of a
 five-sender D-C group — sender, message count, ``d`` and the W-Choices
@@ -30,7 +32,6 @@ in one pass, so they pin that no ``d`` moved with it.
 from __future__ import annotations
 
 import importlib.util
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -48,7 +49,8 @@ PARENT_DIGESTS_20K = {
     "scenario:bursty_flash_crowd": "3ecbb59791019948154e4981e51433af616a1cdcfaa0b9071cfde2c82a792aa4",
 }
 
-#: Taken with ``PYTHONHASHSEED=0`` (see the module docstring).
+#: The ``routing:CH:*`` pair was taken after the virtual nodes moved to
+#: integer positions (see the module docstring).
 PARENT_ROUTING_DIGESTS_20K = {
     "routing:KG:zipf-1.4-1e4": "47df335243d74f208e778cf1afc8bba814546d64c89d500cdaf1179d9f610381",
     "routing:KG:wikipedia-like": "8287734d79d5294a74fab6da6ea28f683eb49a0b2adefe60f696deac1de35569",
@@ -66,8 +68,8 @@ PARENT_ROUTING_DIGESTS_20K = {
     "routing:GREEDY-D:wikipedia-like": "a05c0d5add22ac29830367f2ca759252e9287806bcd0493505c422e2cf6b5748",
     "routing:FIXED-D:zipf-1.4-1e4": "c01d00e3f4f08eefb549fc5bf54fa5c529a6d01c67a09a6c16b4e78d7d29d29d",
     "routing:FIXED-D:wikipedia-like": "30681aac4c4f5b3b430c0e9df1217899c1c4ffc26ac4c5a216c6389ebb438771",
-    "routing:CH:zipf-1.4-1e4": "5e9fa4093733109de90d25ae95f586e7e470ae1cfd7456cd3671c02f48ddec36",
-    "routing:CH:wikipedia-like": "694c1d43fca043a67be873cde162f07c47ab9af3aaa9fd03dc169aba5dfdb097",
+    "routing:CH:zipf-1.4-1e4": "eeea1c1a64a1e4117b607be202dc0f0a59dc28b08bc72eb96e890821cf04b76c",
+    "routing:CH:wikipedia-like": "86073afbc229bdd7250ae26f90e04d1296c5966c03ebc1907b00353ec2004fb8",
     "routing:AD:zipf-1.4-1e4": "c44d575fdac49f6efb2a0c9e8314f558f68c29130e3718de3f411d5a2220035d",
     "routing:AD:wikipedia-like": "25868fde07c85010ee00abf1475415c07241daf962cc1a68a4b1c0892ad19bcd",
 }
@@ -120,7 +122,6 @@ def printed_20k():
     completed = subprocess.run(
         [sys.executable, str(REPO_ROOT / "benchmarks" / "stream_digest.py"),
          "--messages", "20000"],
-        env={**os.environ, "PYTHONHASHSEED": "0"},
         capture_output=True, text=True, check=True,
     )
     return dict(line.split()[1::-1] for line in completed.stdout.splitlines())

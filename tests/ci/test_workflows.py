@@ -96,6 +96,21 @@ class TestCiWorkflow:
         assert "pytest -x -q" in commands
         assert "PYTHONPATH" not in commands  # the editable install suffices
 
+    def test_newest_interpreter_diffs_the_digest_under_two_hash_salts(self, ci):
+        # No output may depend on the interpreter's hash salt; the 3.13 leg
+        # prints the stream digest under two salts and diffs the bytes.
+        steps = [
+            step
+            for step in ci["jobs"]["tests"]["steps"]
+            if "stream_digest.py" in step.get("run", "")
+        ]
+        assert len(steps) == 1
+        assert steps[0]["if"] == "matrix.python-version == '3.13'"
+        run = steps[0]["run"]
+        salts = re.findall(r"PYTHONHASHSEED=(\d+) python benchmarks/stream_digest\.py", run)
+        assert len(set(salts)) == 2
+        assert "diff digest-1.txt digest-2.txt" in run
+
     def test_suite_smoke_runs_tiny_scale_twice(self, ci):
         commands = _job_commands(ci["jobs"]["suite-smoke"])
         assert commands.count("suite run --scale tiny") >= 2
