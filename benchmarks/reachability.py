@@ -20,6 +20,7 @@ lives in.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import runpy
 import subprocess
@@ -113,7 +114,12 @@ def _probe(record: str, argv: list[str]) -> None:
 
 
 def _functions() -> dict[tuple[str, int, str], str]:
-    """Every named function under the package: key -> ``module:qualname``."""
+    """Every named function under the package: key -> ``module:qualname``.
+
+    Only function code objects count (``CO_NEWLOCALS``): a class body is
+    code too, named after its class, but it runs when its module is
+    imported, so counting it would tie the cold total to the import graph.
+    """
     found = {}
     for path in sorted(PACKAGE.rglob("*.py")):
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
@@ -121,7 +127,7 @@ def _functions() -> dict[tuple[str, int, str], str]:
         while stack:
             code = stack.pop()
             stack.extend(c for c in code.co_consts if hasattr(c, "co_code"))
-            if not code.co_name.startswith("<"):
+            if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):
                 name = getattr(code, "co_qualname", code.co_name)
                 found[(str(path), code.co_firstlineno, code.co_name)] = f"{module}:{name}"
     return found

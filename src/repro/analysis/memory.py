@@ -140,7 +140,7 @@ def memory_model_for_zipf(
         raise AnalysisError(f"num_messages must be >= 1, got {num_messages}")
     if theta is None:
         theta = theta_range(num_workers).default
-    distribution = ZipfDistribution(exponent, num_keys)
+    distribution = ZipfDistribution.shared(exponent, num_keys)
     counts = distribution.expected_counts(num_messages)
     head_size = head_cardinality(distribution, theta)
     head = distribution.probabilities[:head_size]

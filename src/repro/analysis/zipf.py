@@ -5,11 +5,16 @@ distribution with exponent ``z`` in {0.1, ..., 2.0} over ``|K|`` unique keys:
 ``p_k \\propto k^{-z}``.  This module provides the exact probability vector
 and the derived quantities the analysis needs (head mass, p1, rank queries)
 without requiring scipy.
+
+A law's tables are a pure function of its parameters, and every scheme,
+worker count and seed of a sweep reads the same few laws, so
+:meth:`KeyLaw.shared` keeps one copy of each live law per process: its
+tables are read-only, and nothing is kept once its last holder goes.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +32,7 @@ def sampling_cdf(probabilities: np.ndarray) -> np.ndarray:
     ``p.cumsum() / p.cumsum()[-1]`` — the table ``Generator.choice(...,
     p=p)`` rebuilds on every call, after the same checks (no NaN, no
     negative entry, a sum within ``sqrt(eps)`` of 1).  Build it once where
-    the probabilities live — per distribution, per workload, per epoch —
+    the probabilities live — per law (:class:`KeyLaw`), per epoch —
     and keep it, with its :func:`guide_table`, for every draw.
     """
     probabilities = np.asarray(probabilities, dtype=np.float64)
@@ -111,8 +116,76 @@ def inverse_cdf_draws(cdf: np.ndarray, guide: np.ndarray, uniforms: np.ndarray) 
     return draws
 
 
-class ZipfDistribution:
+#: Every live law, by its class and defining parameters (see
+#: :meth:`KeyLaw.shared`).  Weak: a law leaves with its last holder.
+_LIVE_LAWS: "weakref.WeakValueDictionary[tuple, KeyLaw]" = weakref.WeakValueDictionary()
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class KeyLaw:
+    """A probability vector over zero-based key indices, and its draw tables.
+
+    The sampling CDF and its guide are built by the first draw and kept.
+    Every table is read-only, because one law object may be shared by every
+    holder of the same parameters (:meth:`shared`): no holder can change
+    another's law.
+    """
+
+    def __init__(self, probabilities: np.ndarray) -> None:
+        self._probabilities = _read_only(probabilities)
+        self._sampling_cdf: np.ndarray | None = None
+        self._sampling_guide: np.ndarray | None = None
+
+    @classmethod
+    def shared(cls, *params) -> "KeyLaw":
+        """``cls(*params)``, one object per process while any holder keeps it.
+
+        The first request builds the law; later ones, while it is alive,
+        return the same object with whatever tables it has built.
+        """
+        key = (cls, *params)
+        law = _LIVE_LAWS.get(key)
+        if law is None:
+            law = _LIVE_LAWS[key] = cls(*params)
+        return law
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """Probability vector by zero-based key index (a Zipf law's rank - 1)."""
+        return self._probabilities
+
+    @property
+    def sampling_cdf(self) -> np.ndarray:
+        """The normalised CDF draws are searched in (see :func:`sampling_cdf`)."""
+        if self._sampling_cdf is None:
+            self._sampling_cdf = _read_only(sampling_cdf(self._probabilities))
+        return self._sampling_cdf
+
+    @property
+    def sampling_guide(self) -> np.ndarray:
+        """The :func:`guide_table` of :attr:`sampling_cdf`, kept beside it."""
+        if self._sampling_guide is None:
+            self._sampling_guide = _read_only(guide_table(self.sampling_cdf))
+        return self._sampling_guide
+
+    def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        """``size`` zero-based draws: ``rng.choice(len(p), size, p=p)``
+        element for element and in dtype, consuming ``rng`` identically
+        (:func:`inverse_cdf_draws`)."""
+        return inverse_cdf_draws(
+            self.sampling_cdf, self.sampling_guide, rng.random(size)
+        )
+
+
+class ZipfDistribution(KeyLaw):
     """Exact finite Zipf distribution ``p_k = k^{-z} / H_{|K|,z}``.
+
+    ``ZipfDistribution.shared(z, |K|)`` is the process's one live copy of
+    the law, which every workload and analysis in the package reads.
 
     Parameters
     ----------
@@ -137,14 +210,14 @@ class ZipfDistribution:
             raise ConfigurationError(f"num_keys must be >= 1, got {num_keys}")
         self._exponent = float(exponent)
         self._num_keys = int(num_keys)
-        ranks = np.arange(1, self._num_keys + 1, dtype=np.float64)
-        weights = ranks ** (-self._exponent)
-        self._probabilities = weights / weights.sum()
-        # The tables are |K|-sized and each has few readers (fig4 / fig9
-        # read prefix masses, streams sample): built on first use.
-        self._cumulative: np.ndarray | None = None
-        self._sampling_cdf: np.ndarray | None = None
-        self._sampling_guide: np.ndarray | None = None
+        # ``w = ranks ** -z; w / w.sum()`` in place, in that operation
+        # order: bit-identical, with one |K|-sized array alive.
+        table = np.arange(1, self._num_keys + 1, dtype=np.float64)
+        np.power(table, -self._exponent, out=table)
+        table /= table.sum()
+        super().__init__(table)
+        # |K|-sized, and read by fig4 / fig9 only: built on first use.
+        self._prefix_masses: np.ndarray | None = None
 
     @property
     def exponent(self) -> float:
@@ -153,11 +226,6 @@ class ZipfDistribution:
     @property
     def num_keys(self) -> int:
         return self._num_keys
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Probability vector indexed by rank - 1 (rank 1 is the hottest key)."""
-        return self._probabilities
 
     @property
     def p1(self) -> float:
@@ -176,10 +244,19 @@ class ZipfDistribution:
         """Total probability of the ``length`` most frequent keys."""
         if length <= 0:
             return 0.0
-        length = min(length, self._num_keys)
-        if self._cumulative is None:
-            self._cumulative = np.cumsum(self._probabilities)
-        return float(self._cumulative[length - 1])
+        return float(self.prefix_masses[min(length, self._num_keys) - 1])
+
+    @property
+    def prefix_masses(self) -> np.ndarray:
+        """Running sum of :attr:`probabilities` by rank, built on first use.
+
+        Not :attr:`sampling_cdf`: that one is divided by its last entry, so
+        neither can stand in for the other without moving draws — or prefix
+        masses — by an ulp.
+        """
+        if self._prefix_masses is None:
+            self._prefix_masses = _read_only(np.cumsum(self._probabilities))
+        return self._prefix_masses
 
     def tail_mass(self, head_length: int) -> float:
         """Total probability of every key of rank > ``head_length``."""
@@ -206,48 +283,21 @@ class ZipfDistribution:
             )
         return self._probabilities * num_messages
 
-    @property
-    def sampling_cdf(self) -> np.ndarray:
-        """The normalised CDF draws are searched in (see :func:`sampling_cdf`).
-
-        Not ``prefix_mass``'s table: that one is not divided by its last
-        entry, so neither can stand in for the other without moving draws
-        — or prefix masses — by an ulp.
-        """
-        if self._sampling_cdf is None:
-            self._sampling_cdf = sampling_cdf(self._probabilities)
-        return self._sampling_cdf
-
-    @property
-    def sampling_guide(self) -> np.ndarray:
-        """The :func:`guide_table` of :attr:`sampling_cdf`, kept beside it."""
-        if self._sampling_guide is None:
-            self._sampling_guide = guide_table(self.sampling_cdf)
-        return self._sampling_guide
-
     def sample_ranks(self, num_messages: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``num_messages`` key ranks (1-based) i.i.d. from the distribution.
 
         Element for element (and in dtype) what ``rng.choice(np.arange(1,
         |K| + 1), size=num_messages, p=probabilities)`` returns, consuming
-        the generator identically (:func:`inverse_cdf_draws` on the kept
-        :attr:`sampling_cdf` and :attr:`sampling_guide`).
+        the generator identically (:meth:`draw`).
         """
         if num_messages < 0:
             raise ConfigurationError(
                 f"num_messages must be >= 0, got {num_messages}"
             )
-        cdf, guide = self.sampling_cdf, self.sampling_guide
-        return inverse_cdf_draws(cdf, guide, rng.random(num_messages)) + 1
+        return self.draw(num_messages, rng) + 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ZipfDistribution(exponent={self._exponent}, num_keys={self._num_keys})"
-
-
-@lru_cache(maxsize=256)
-def zipf_probabilities(exponent: float, num_keys: int) -> tuple[float, ...]:
-    """Cached probability vector; convenient for repeated analytical sweeps."""
-    return tuple(ZipfDistribution(exponent, num_keys).probabilities.tolist())
 
 
 def empirical_probabilities(counts: Sequence[int]) -> np.ndarray:

@@ -58,7 +58,7 @@ def run(config: Fig03Config | None = None) -> ExperimentResult:
             "2/n": 2.0 / num_workers,
         }
         for skew in config.skews:
-            distribution = ZipfDistribution(float(skew), config.num_keys)
+            distribution = ZipfDistribution.shared(float(skew), config.num_keys)
             for label, theta in thresholds.items():
                 result.rows.append(
                     {

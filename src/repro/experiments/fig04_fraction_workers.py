@@ -62,7 +62,7 @@ def run(config: Fig04Config | None = None) -> ExperimentResult:
     for num_workers in config.worker_counts:
         theta = theta_range(num_workers).default
         for skew in config.skews:
-            distribution = ZipfDistribution(float(skew), config.num_keys)
+            distribution = ZipfDistribution.shared(float(skew), config.num_keys)
             head_size = head_cardinality(distribution, theta)
             head = distribution.probabilities[:head_size]
             tail_mass = distribution.tail_mass(head_size)

@@ -106,7 +106,7 @@ def run(config: Fig09Config | None = None) -> ExperimentResult:
         theta = theta_range(num_workers).default
         for skew in config.skews:
             # Analytical d, computed from the exact distribution (as Figure 4).
-            distribution = ZipfDistribution(float(skew), config.num_keys)
+            distribution = ZipfDistribution.shared(float(skew), config.num_keys)
             head_size = head_cardinality(distribution, theta)
             head = distribution.probabilities[:head_size]
             tail_mass = distribution.tail_mass(head_size)

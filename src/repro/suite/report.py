@@ -15,7 +15,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.common import ExperimentResult, format_table
 from repro.experiments.registry import get_experiment
 from repro.reporting.ascii_chart import ascii_bar_chart
-from repro.suite.store import ResultsStore, config_fingerprint
+from repro.suite.store import ResultsStore, config_fingerprint, current_code_digest
 
 
 def _artifact_for(experiment_id: str) -> str:
@@ -26,12 +26,15 @@ def _artifact_for(experiment_id: str) -> str:
 
 
 def _is_current(record) -> str:
-    """"yes" when the record matches today's config for its cell.
+    """"yes" when the record matches today's config and code for its cell.
 
     A "no" marks a stale record: the experiment's preset changed (or the
     experiment was unregistered) since the record was computed, so the next
-    ``suite run`` will compute a fresh cell and leave this one behind.
+    ``suite run`` will compute a fresh cell and leave this one behind; or
+    other code computed it, so the next run recomputes and overwrites it.
     """
+    if record.code_digest != current_code_digest():
+        return "no"
     try:
         descriptor = get_experiment(record.experiment_id).descriptor
         expected = config_fingerprint(

@@ -16,11 +16,14 @@ Layout on disk (human-browsable by design)::
         ...
 
 The file name carries a truncated fingerprint for readability; the full
-fingerprint is stored (and verified) inside the record.
+fingerprint is stored (and verified) inside the record, beside the digest of
+the code that computed it (:func:`current_code_digest`): a record written by
+other code is a miss, recomputed and overwritten.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -45,6 +48,24 @@ DEFAULT_ROOT = "results"
 #: scoped to this pattern so foreign JSON files under the root (a user
 #: pointing ``--results-dir`` at a populated directory) are never touched.
 _RECORD_NAME = re.compile(r"[a-z]+-[0-9a-f]{16}\.json\Z")
+
+
+@functools.cache
+def current_code_digest() -> str:
+    """SHA-256 over the package's source, taken once per process.
+
+    Every ``repro/**/*.py`` in path order, each as its relative path, its
+    length and its bytes.  A record keeps the digest of the code that
+    computed it, so a change to any module turns every stored cell into a
+    miss instead of serving results the code no longer computes.
+    """
+    package = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        source = path.read_bytes()
+        digest.update(f"{path.relative_to(package).as_posix()}\0{len(source)}\0".encode())
+        digest.update(source)
+    return digest.hexdigest()
 
 
 def config_fingerprint(
@@ -83,10 +104,15 @@ class ResultRecord:
     created_at: str = ""
     record_version: int = RECORD_VERSION
     extra: dict[str, Any] = field(default_factory=dict)
+    #: :func:`current_code_digest` of the code that computed the result;
+    #: ``None`` stamps this process's.
+    code_digest: str | None = None
 
     def __post_init__(self) -> None:
         if not self.created_at:
             self.created_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        if self.code_digest is None:
+            self.code_digest = current_code_digest()
 
     def num_rows(self) -> int:
         return len(self.result.get("rows", []))
@@ -98,6 +124,7 @@ class ResultRecord:
                 "experiment_id": self.experiment_id,
                 "scale": self.scale,
                 "fingerprint": self.fingerprint,
+                "code_digest": self.code_digest,
                 "created_at": self.created_at,
                 "elapsed_seconds": self.elapsed_seconds,
                 "config": self.config,
@@ -121,6 +148,7 @@ class ResultRecord:
             created_at=document.get("created_at", ""),
             record_version=int(document.get("record_version", 0)),
             extra=document.get("extra", {}),
+            code_digest=document.get("code_digest", ""),
         )
 
 
@@ -139,11 +167,16 @@ class ResultsStore:
 
         Unreadable or fingerprint-mismatched files (hand-edited, truncated
         by a crash, or written by an incompatible version) count as misses
-        so the orchestrator recomputes instead of failing.
+        so the orchestrator recomputes instead of failing, and so does a
+        record computed by other code (its ``code_digest`` differs).
         """
         path = self.path_for(experiment_id, scale, fingerprint)
         record = self._read(path)
-        if record is None or record.fingerprint != fingerprint:
+        if (
+            record is None
+            or record.fingerprint != fingerprint
+            or record.code_digest != current_code_digest()
+        ):
             return None
         return record
 

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.analysis.zipf import ZipfDistribution, inverse_cdf_draws
+from repro.analysis.zipf import ZipfDistribution
 from repro.exceptions import WorkloadError
 from repro.types import DatasetStats, Key
 from repro.workloads.base import Workload, derive_seed
@@ -70,7 +70,7 @@ class DriftingZipfWorkload(Workload):
             raise WorkloadError(
                 f"drift_fraction must be in [0, 1], got {drift_fraction}"
             )
-        self._distribution = ZipfDistribution(exponent, num_keys)
+        self._distribution = ZipfDistribution.shared(exponent, num_keys)
         self._num_messages = num_messages
         self._num_epochs = num_epochs
         self._drift_fraction = drift_fraction
@@ -109,8 +109,7 @@ class DriftingZipfWorkload(Workload):
         """
         rng = np.random.default_rng(self._seed)
         num_keys = self._distribution.num_keys
-        cdf = self._distribution.sampling_cdf
-        guide = self._distribution.sampling_guide
+        draw = self._distribution.draw
         # rank -> key identity mapping, re-shuffled (partially) per epoch
         mapping = np.arange(1, num_keys + 1)
         for epoch, length in enumerate(self._epoch_lengths()):
@@ -119,7 +118,7 @@ class DriftingZipfWorkload(Workload):
             remaining = length
             while remaining > 0:
                 size = min(_CHUNK, remaining)
-                yield mapping[inverse_cdf_draws(cdf, guide, rng.random(size))]
+                yield mapping[draw(size, rng)]
                 remaining -= size
 
     def keys(self) -> Iterator[Key]:

@@ -30,13 +30,38 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.analysis.zipf import guide_table, inverse_cdf_draws, sampling_cdf
+from repro.analysis.zipf import KeyLaw
 from repro.exceptions import WorkloadError
 from repro.types import DatasetStats, Key
 from repro.workloads.base import Workload, derive_seed
 from repro.workloads.drift import DriftingZipfWorkload
 
 _CHUNK = 200_000
+
+
+class HeadBodyLaw(KeyLaw):
+    """Explicit head frequencies followed by a Zipf body (see
+    :class:`_HeadBodyWorkload`), over key indices ``0 .. |head| + N - 1``.
+
+    Built in place, in the operation order of ``w = ranks ** -z;
+    concatenate([head, w / w.sum() * (1 - sum(head))])`` renormalised by
+    its sum: bit-identical to that, with one table-sized array alive.
+    """
+
+    def __init__(
+        self, head_fractions: tuple[float, ...], num_body_keys: int, body_exponent: float
+    ) -> None:
+        head_size = len(head_fractions)
+        table = np.arange(1, head_size + num_body_keys + 1, dtype=np.float64)
+        # Body weights continue the Zipf curve at the ranks below the head.
+        body = table[head_size:]
+        np.power(body, -body_exponent, out=body)
+        body /= body.sum()
+        body *= 1.0 - float(sum(head_fractions))
+        table[:head_size] = head_fractions
+        # Guard against drift in floating point normalisation.
+        table /= table.sum()
+        super().__init__(table)
 
 
 class _HeadBodyWorkload(Workload):
@@ -83,21 +108,7 @@ class _HeadBodyWorkload(Workload):
         self._num_messages = num_messages
         self._seed = derive_seed(seed)
         self._description = description
-
-        # Body weights continue the Zipf curve at the ranks below the head.
-        head_size = len(head_fractions)
-        body_ranks = np.arange(head_size + 1, head_size + num_body_keys + 1, dtype=np.float64)
-        body_weights = body_ranks ** (-body_exponent)
-        body_mass = 1.0 - head_mass
-        body_probabilities = body_weights / body_weights.sum() * body_mass
-        self._probabilities = np.concatenate(
-            [np.asarray(head_fractions), body_probabilities]
-        )
-        # Guard against drift in floating point normalisation.
-        self._probabilities = self._probabilities / self._probabilities.sum()
-        # Built by the first draw.
-        self._sampling_cdf: np.ndarray | None = None
-        self._sampling_guide: np.ndarray | None = None
+        self._law = HeadBodyLaw.shared(self._head_fractions, num_body_keys, body_exponent)
 
     @property
     def num_messages(self) -> int:
@@ -110,7 +121,7 @@ class _HeadBodyWorkload(Workload):
     @property
     def probabilities(self) -> np.ndarray:
         """Exact per-key probabilities (head keys first, then the Zipf body)."""
-        return self._probabilities
+        return self._law.probabilities
 
     def _key_name(self, index: int) -> str:
         if index < len(self._head_fractions):
@@ -121,19 +132,15 @@ class _HeadBodyWorkload(Workload):
         """The stream as key-index arrays, one per ``_CHUNK``-sized RNG draw.
 
         Single source of the RNG consumption order: the draws of
-        ``rng.choice(num_keys, size, p=probabilities)`` per chunk, from a
-        CDF validated and accumulated, and its guide table built, once per
-        workload.
+        ``rng.choice(num_keys, size, p=probabilities)`` per chunk, from the
+        shared law's tables (:meth:`KeyLaw.draw`).
         """
-        if self._sampling_cdf is None:
-            self._sampling_cdf = sampling_cdf(self._probabilities)
-            self._sampling_guide = guide_table(self._sampling_cdf)
-        cdf, guide = self._sampling_cdf, self._sampling_guide
+        draw = self._law.draw
         rng = np.random.default_rng(self._seed)
         remaining = self._num_messages
         while remaining > 0:
             size = min(_CHUNK, remaining)
-            yield inverse_cdf_draws(cdf, guide, rng.random(size))
+            yield draw(size, rng)
             remaining -= size
 
     def keys(self) -> Iterator[Key]:
@@ -161,7 +168,7 @@ class _HeadBodyWorkload(Workload):
             symbol=self.symbol,
             messages=self._num_messages,
             keys=self.num_keys,
-            p1=float(self._probabilities.max()),
+            p1=float(self._law.probabilities.max()),
             description=self._description,
         )
 

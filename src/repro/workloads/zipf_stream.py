@@ -57,7 +57,7 @@ class ZipfWorkload(Workload):
     ) -> None:
         if num_messages < 0:
             raise WorkloadError(f"num_messages must be >= 0, got {num_messages}")
-        self._distribution = ZipfDistribution(exponent, num_keys)
+        self._distribution = ZipfDistribution.shared(exponent, num_keys)
         self._num_messages = num_messages
         self._seed = derive_seed(seed)
 

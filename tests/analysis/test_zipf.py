@@ -16,7 +16,6 @@ from repro.analysis.zipf import (
     guide_table,
     inverse_cdf_draws,
     sampling_cdf,
-    zipf_probabilities,
 )
 from repro.exceptions import ConfigurationError
 
@@ -329,11 +328,6 @@ class TestGuideTableDraws:
 
 
 class TestHelpers:
-    def test_zipf_probabilities_cached_equivalence(self):
-        direct = ZipfDistribution(1.1, 100).probabilities
-        cached = zipf_probabilities(1.1, 100)
-        assert np.allclose(direct, np.asarray(cached))
-
     def test_empirical_probabilities_sorted_and_normalised(self):
         probabilities = empirical_probabilities([5, 50, 10])
         assert probabilities[0] == pytest.approx(50 / 65)

@@ -9,6 +9,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.experiments import registry
 from repro.experiments.common import ExperimentResult
+from repro.suite import store as store_module
 from repro.suite.orchestrator import run_suite
 from repro.suite.store import ResultsStore
 
@@ -71,6 +72,18 @@ class TestOrchestratorBehaviour:
             experiment_ids=["fig3"], scale="tiny", jobs=1, store=store, force=True
         )
         assert [o.status for o in forced.outcomes] == ["computed"]
+
+    def test_a_record_of_other_code_recomputes_and_is_overwritten(self, tmp_path, monkeypatch):
+        store = ResultsStore(tmp_path / "results")
+        monkeypatch.setattr(store_module, "current_code_digest", lambda: "a" * 64)
+        run_suite(experiment_ids=["fig3"], scale="tiny", jobs=1, store=store)
+        monkeypatch.undo()
+        again = run_suite(experiment_ids=["fig3"], scale="tiny", jobs=1, store=store)
+        assert [o.status for o in again.outcomes] == ["computed"]
+        [record] = store.iter_records()
+        assert record.code_digest == store_module.current_code_digest()
+        hit = run_suite(experiment_ids=["fig3"], scale="tiny", jobs=1, store=store)
+        assert [o.status for o in hit.outcomes] == ["cached"]
 
     def test_failed_cell_reported_not_raised(self, tmp_path, monkeypatch):
         def boom(config):

@@ -30,6 +30,15 @@ def test_current_column_flags_stale_records(store_with_stale_record):
     assert sorted(by_fingerprint.values()) == ["no", "yes"]
 
 
+def test_current_column_flags_records_of_other_code(tmp_path):
+    store = ResultsStore(tmp_path / "results")
+    run_suite(experiment_ids=["fig3"], scale="tiny", jobs=1, store=store)
+    record = next(store.iter_records())
+    assert [row["current"] for row in report_rows(store)] == ["yes"]
+    store.save(dataclasses.replace(record, code_digest="a" * 64))
+    assert [row["current"] for row in report_rows(store)] == ["no"]
+
+
 def test_duplicate_cells_get_distinct_runtime_bars(store_with_stale_record):
     report = render_report(store_with_stale_record)
     bar_lines = [line for line in report.splitlines() if line.startswith("fig3/tiny")]

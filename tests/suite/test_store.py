@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.suite import store as store_module
 from repro.suite.store import (
     RECORD_VERSION,
     ResultRecord,
     ResultsStore,
     config_fingerprint,
+    current_code_digest,
     open_store,
 )
 
@@ -96,6 +99,36 @@ class TestResultsStore:
         document["record_version"] = RECORD_VERSION + 1
         path.write_text(json.dumps(document), encoding="utf-8")
         assert store.load(record.experiment_id, record.scale, record.fingerprint) is None
+
+    def test_a_record_is_a_hit_only_under_its_own_code_digest(self, tmp_path, monkeypatch):
+        # The fingerprint covers the config alone; the digest of the code
+        # that computed the record keeps other code's results from serving.
+        store = ResultsStore(tmp_path / "results")
+        record = _record(code_digest="a" * 64)
+        store.save(record)
+        cell = (record.experiment_id, record.scale, record.fingerprint)
+        assert store.load(*cell) is None
+        monkeypatch.setattr(store_module, "current_code_digest", lambda: "a" * 64)
+        loaded = store.load(*cell)
+        assert loaded is not None and loaded.code_digest == "a" * 64
+        monkeypatch.setattr(store_module, "current_code_digest", lambda: "b" * 64)
+        assert store.load(*cell) is None
+
+    def test_a_record_without_a_code_digest_is_a_miss(self, tmp_path):
+        store = ResultsStore(tmp_path / "results")
+        record = _record()
+        path = store.save(record)
+        assert store.load(record.experiment_id, record.scale, record.fingerprint) is not None
+        document = json.loads(path.read_text(encoding="utf-8"))
+        del document["code_digest"]
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert store.load(record.experiment_id, record.scale, record.fingerprint) is None
+
+    def test_records_are_stamped_with_the_process_code_digest(self):
+        digest = current_code_digest()
+        assert re.fullmatch(r"[0-9a-f]{64}", digest)
+        assert current_code_digest() is digest  # taken once per process
+        assert _record().code_digest == digest
 
     def test_iter_records_lists_everything(self, tmp_path):
         store = ResultsStore(tmp_path / "results")

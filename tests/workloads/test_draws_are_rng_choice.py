@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.zipf import KeyLaw
 from repro.exceptions import ConfigurationError
 from repro.scenarios import render
 from repro.scenarios.render import BurstyRenderer, IidRenderer
@@ -82,8 +83,9 @@ class TestHeadBodyWorkloads:
 
     def test_bad_probabilities_raise_when_the_cdf_is_built(self):
         workload = WikipediaLikeWorkload(10, num_body_keys=20, seed=0)
-        workload._probabilities = workload._probabilities.copy()
-        workload._probabilities[3] += 1e-3
+        spoiled = workload.probabilities.copy()
+        spoiled[3] += 1e-3
+        workload._law = KeyLaw(spoiled)
         with pytest.raises(ConfigurationError, match="sum to 1"):
             next(workload.keys())
 
