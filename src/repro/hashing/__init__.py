@@ -13,7 +13,7 @@ subpackage provides:
 * :mod:`~repro.hashing.vectorized` — numpy SplitMix64 kernels that fill the
   per-key-id candidate tables (:meth:`HashFamily.id_candidate_rows`) the
   routing id kernels gather from.  The tables, and the head keys' longer
-  hash tuples (:meth:`HashFamily.candidates_for_id`), belong to the
+  hash tuples (:meth:`HashFamily.candidates_for_ids`), belong to the
   :class:`~repro.workloads.columnar.KeyDictionary` that issued the ids, one
   store per hash identity ``(seed, num_buckets)``: every family of that
   identity — every sender of a group — reads them, and they live as long

@@ -430,22 +430,38 @@ class HashFamily:
         rows = self._id_table(dictionary, d)
         return [rows[ids, j].tolist() for j in range(d)]
 
-    def candidates_for_id(self, kid: int, dictionary, d: int | None = None) -> tuple[WorkerId, ...]:
-        """Scalar :meth:`candidates` addressed by key id.
+    def candidates_for_ids(
+        self, ids: Sequence[int], dictionary, d: int | None = None
+    ) -> list[tuple[WorkerId, ...]]:
+        """:meth:`candidates` of each key id of ``ids``, in order.
 
-        For head keys, which ask for their ``d`` candidates once each: the
-        tuple is kept in the dictionary's ``heads`` store of this hash
+        For head keys, which ask for their ``d`` candidates once each: every
+        id's tuple is kept in the dictionary's ``heads`` store of this hash
         identity (see :class:`_IdTable`), as long as the largest ``d`` any
         family asked for, and only functions past what it holds are hashed
-        — each (id, function) pair is hashed once per dictionary.
+        — each (id, function) pair is hashed once per dictionary.  The ids
+        whose prefixes stop at the same length are extended together, by
+        one :func:`bucketed_hashes` call over their folded keys; a repeated
+        id is extended once.  The tuples come back from what this call
+        derived, never re-read from the store, which a bulk larger than its
+        bound evicts from as it fills.
         """
         d = self._check_d(d)
         heads = self._rows(dictionary).heads
-        prefix = heads.get(kid, ())
-        if len(prefix) < d:
-            prefix += self._mix(int(dictionary.folded[kid]), d, len(prefix))
-            heads.insert(kid, prefix)
-        return prefix[:d]
+        found = {kid: heads.get(kid, ()) for kid in ids}
+        short: dict[int, list[int]] = {}
+        for kid, prefix in found.items():
+            if len(prefix) < d:
+                short.setdefault(len(prefix), []).append(kid)
+        for start, kids in short.items():
+            rows = bucketed_hashes(
+                dictionary.folded[kids], self._mixed_seeds_np[start:d], self._num_buckets
+            ).tolist()
+            for kid, row in zip(kids, rows):
+                prefix = found[kid] + tuple(row)
+                found[kid] = prefix
+                heads.insert(kid, prefix)
+        return [found[kid][:d] for kid in ids]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

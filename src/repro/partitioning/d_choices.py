@@ -20,12 +20,13 @@ changes.
 
 The same economy holds one level down: the solver re-solves far more often
 than its answer moves, and everything the head path derives from ``d`` is
-paid for when ``d`` changes, not when it is re-confirmed.  The id kernel
-(:meth:`DChoices._route_ids`) stops the *sketch feed* at every throttle
-checkpoint but places a chunk in one pass per distinct ``d``; the per-key
-candidate tuples and scan floors of
-:class:`~repro.partitioning.head_tail.HeadTailPartitioner` are flushed by a
-change of ``d`` only, and the hash rounds under them by none.
+paid for when a ``d`` is first used, not when it is re-confirmed or
+returned to.  The id kernel (:meth:`DChoices._route_ids`) stops the *sketch
+feed* at every throttle checkpoint but places a chunk in one pass per
+distinct ``d``; the per-key candidate tuples and scan floors of
+:class:`~repro.partitioning.head_tail.HeadTailPartitioner` are kept per
+``d`` for its last few values, and the hash rounds under them are shared
+by every ``d``.
 """
 
 from __future__ import annotations

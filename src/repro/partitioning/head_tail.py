@@ -36,6 +36,12 @@ from repro.types import Key, WorkerId
 #: Every sizing — construction, growth on a join, adoption — uses it.
 DEFAULT_SKETCH_SLACK = 2.0
 
+#: How many values of the effective ``d`` a sender keeps head candidate
+#: tuples and floors for; FIFO-evicted beyond this.  The solver wobbles
+#: among neighbouring values as the head drifts (a ``sim_hot`` sender visits
+#: 8), and coming back to one re-derives nothing.
+_HEAD_D_LIMIT = 8
+
 
 class HeadTailPartitioner(Partitioner):
     """Base class for schemes that treat heavy hitters specially.
@@ -86,19 +92,20 @@ class HeadTailPartitioner(Partitioner):
         )
         # What the "d" head path remembers per head key id (head keys repeat
         # by definition) beside the raw hash tuples the dictionary keeps for
-        # every sender (HashFamily.candidates_for_id); both are this
-        # sender's own, go through _flush_head_caches and are bounded by
+        # every sender (HashFamily.candidates_for_ids); both are this
+        # sender's own, kept per effective d for the last _HEAD_D_LIMIT
+        # values of d (_head_by_d), and each bounded by
         # _HEAD_CANDIDATE_CACHE_LIMIT:
-        # * the deduplicated candidate tuple for the *effective* d (the tag),
-        #   derived from the key's raw hash tuple;
+        # * the deduplicated candidate tuple for that d, derived from the
+        #   key's raw hash tuple;
         # * the floor of that tuple: the least load the key's last complete
         #   scan saw.  Loads only grow, so it bounds every later scan from
         #   below and lets it stop at the first candidate sitting on it.
-        self._head_cand_cache: FifoMap[int, tuple[WorkerId, ...]] = FifoMap(
-            self._HEAD_CANDIDATE_CACHE_LIMIT
-        )
-        self._head_cand_cache_d = 0
-        self._head_floors: dict[int, int] = {}
+        # _head_cand_cache / _head_floors are the pair of the current d.
+        self._head_by_d: FifoMap[
+            int, tuple[FifoMap[int, tuple[WorkerId, ...]], dict[int, int]]
+        ] = FifoMap(_HEAD_D_LIMIT)
+        self._flush_head_caches()
 
     # ------------------------------------------------------------------ #
     # public knobs / introspection
@@ -284,15 +291,15 @@ class HeadTailPartitioner(Partitioner):
                 loads[worker] = load + 1
                 append(worker)
         elif mode == "d":
-            # The cache-tag handshake runs once up front so the hot path may
-            # read the cache directly; misses go through
-            # _cached_head_candidates, the single home of the derivation
-            # (its re-check of the tag is then a no-op).
+            # The d handshake runs once up front so the hot path may read
+            # the cache directly; a miss derives the tuples of every
+            # uncached id left in the head run at once
+            # (_derive_head_candidates, the single home of the derivation).
             num_choices = max(2, min(num_choices, self.num_workers))
             if num_choices != self._head_cand_cache_d:
-                self._flush_head_caches(num_choices)
+                self._use_head_d(num_choices)
             cache_get = self._head_cand_cache.get
-            cached_candidates = self._cached_head_candidates
+            derive = self._derive_head_candidates
             floors = self._head_floors
             stream_at = 0
             for run, first, second in paired:
@@ -302,7 +309,9 @@ class HeadTailPartitioner(Partitioner):
                     stream_at += 1
                     candidates = cache_get(kid)
                     if candidates is None:
-                        candidates = cached_candidates(kid, num_choices)
+                        candidates = derive(
+                            kid, kids[stream_at : stream_at + run], num_choices
+                        )
                     # First minimum of the candidates' loads, as
                     # _least_loaded finds it — but no candidate is below the
                     # key's floor, so the first one that brings the running
@@ -422,53 +431,84 @@ class HeadTailPartitioner(Partitioner):
         already set ``best_load`` at most that low and the comparison is
         strict — so dropping it changes nothing while shortening every
         subsequent scan (d hash draws over n workers repeat themselves with
-        noticeable probability once d is a fair fraction of n).
-
-        The tuple is derived from the key's raw hash tuple, which the
-        dictionary keeps for every sender of the group
-        (:meth:`HashFamily.candidates_for_id`; the per-id candidate table
-        stays two columns wide however large d grows) and only ever
-        *extends*: hash tuples are prefix-stable in d, so when the solver
-        moves d — it wobbles between neighbouring values for as long as the
-        head drifts — a miss costs one ``dict.fromkeys`` over the prefix,
-        and new hash rounds only for functions no sender asked the key for.
-        The derived tuples are tagged with the effective d and flushed,
-        floors with them, whenever it changes; see
-        :meth:`_flush_head_caches` for the other edges.
+        noticeable probability once d is a fair fraction of n).  The scalar
+        oracle, short fragments and FIXED-D's per-message head path come
+        here; see :meth:`_derive_head_candidates` for a miss.
         """
         num_choices = max(2, min(num_choices, self.num_workers))
         if num_choices != self._head_cand_cache_d:
-            self._flush_head_caches(num_choices)
-        cache = self._head_cand_cache
-        candidates = cache.get(kid)
+            self._use_head_d(num_choices)
+        candidates = self._head_cand_cache.get(kid)
         if candidates is None:
-            candidates = tuple(dict.fromkeys(
-                self._hashes.candidates_for_id(kid, self._id_dict, num_choices)
-            ))
-            evicted = cache.insert(kid, candidates)
-            if evicted is not None:
-                del self._head_floors[evicted]
-            # Below every load: the key's first scan runs to the end.
-            self._head_floors[kid] = -1
+            candidates = self._derive_head_candidates(kid, (), num_choices)
         return candidates
 
-    def _flush_head_caches(self, num_choices: int = 0) -> None:
+    def _derive_head_candidates(
+        self, kid: int, rest: Sequence[int], num_choices: int
+    ) -> tuple[WorkerId, ...]:
+        """Cache the candidate tuples of ``kid`` and of ``rest``'s uncached ids.
+
+        ``kid`` missed the cache of the current ``num_choices``; ``rest`` is
+        what is left of its head run, whose other new keys would miss next.
+        They are derived together from their raw hash tuples, which the
+        dictionary keeps for every sender of the group
+        (:meth:`HashFamily.candidates_for_ids`; the per-id candidate table
+        stays two columns wide however large d grows) and only ever
+        *extends*: hash tuples are prefix-stable in d, so only functions no
+        sender asked a key for are hashed, all in one call.  Each new tuple
+        starts with a floor below every load.  At most the cache's bound is
+        derived, ``kid`` first, so no insertion here evicts ``kid``.
+        """
+        cache = self._head_cand_cache
+        floors = self._head_floors
+        fresh = [other for other in dict.fromkeys(chain((kid,), rest)) if other not in cache]
+        del fresh[self._HEAD_CANDIDATE_CACHE_LIMIT :]
+        derived = [
+            tuple(dict.fromkeys(row))
+            for row in self._hashes.candidates_for_ids(fresh, self._id_dict, num_choices)
+        ]
+        for other, candidates in zip(fresh, derived):
+            evicted = cache.insert(other, candidates)
+            if evicted is not None:
+                del floors[evicted]
+            # Below every load: the key's first scan runs to the end.
+            floors[other] = -1
+        return derived[0]
+
+    def _use_head_d(self, num_choices: int) -> None:
+        """Make ``num_choices`` the effective d of the head path.
+
+        Its candidate tuples and floors are the ones kept from its last
+        visit, or start empty; the solver moves d back and forth among
+        neighbouring values as the head drifts, and a value it returns to
+        re-derives nothing.  The floors kept meanwhile stay lower bounds:
+        the loads only grew while another d was in use.
+        """
+        kept = self._head_by_d.get(num_choices)
+        if kept is None:
+            kept = (FifoMap(self._HEAD_CANDIDATE_CACHE_LIMIT), {})
+            self._head_by_d.insert(num_choices, kept)
+        self._head_cand_cache, self._head_floors = kept
+        self._head_cand_cache_d = num_choices
+
+    def _flush_head_caches(self) -> None:
         """The one flush point of everything the head path keys by id.
 
-        Given the new effective ``num_choices``, what was derived for the
-        old one goes — the candidate tuples and, since a floor bounds the
-        loads of one particular tuple, the floors — and the cache is
-        re-tagged.  Without it the ground itself moved: ``reset`` (the id
-        namespace is gone, the loads are zero again), a rescale (the hash
-        family was rebuilt, so every tuple points at pre-rescale workers,
-        and the load vector was cut or padded) or an adopted state
-        (somebody else's loads, which our floors say nothing about).  The
-        raw hash tuples are the dictionary's, keyed by hash identity, and
-        depend on none of these.
+        The tuples and floors of every d go, and no d is effective until
+        the next head key asks for one.  Only the ground moving calls for
+        it: ``reset`` (the id namespace is gone, the loads are zero again),
+        a rescale (the hash family was rebuilt, so every tuple points at
+        pre-rescale workers, and the load vector was cut or padded) or an
+        adopted state (somebody else's loads, which our floors say nothing
+        about).  The raw hash tuples are the dictionary's, keyed by hash
+        identity, and depend on none of these.
         """
-        self._head_cand_cache.clear()
-        self._head_floors.clear()
-        self._head_cand_cache_d = num_choices
+        self._head_by_d.clear()
+        self._head_cand_cache: FifoMap[int, tuple[WorkerId, ...]] = FifoMap(
+            self._HEAD_CANDIDATE_CACHE_LIMIT
+        )
+        self._head_floors: dict[int, int] = {}
+        self._head_cand_cache_d = 0
 
     @abc.abstractmethod
     def _select_head_worker(self, kid: int) -> WorkerId:
@@ -553,10 +593,11 @@ class HeadTailPartitioner(Partitioner):
             # Its floors are not — they are never exported — so every
             # adopted key starts with a complete scan of the adopted loads.
             cache, cache_d = state.get("head_cand_cache", ({}, 0))
-            for kid, candidates in cache.items():
-                self._head_cand_cache.insert(kid, candidates)
-            self._head_cand_cache_d = cache_d
-            self._head_floors.update(dict.fromkeys(self._head_cand_cache, -1))
+            if cache_d:
+                self._use_head_d(cache_d)
+                for kid, candidates in cache.items():
+                    self._head_cand_cache.insert(kid, candidates)
+                self._head_floors.update(dict.fromkeys(self._head_cand_cache, -1))
 
     def key_candidates(self, key: Key) -> tuple[WorkerId, ...]:
         """Pure candidate set: head keys via the scheme's head placement,

@@ -25,6 +25,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from repro.analysis.zipf import ZipfDistribution
 from repro.exceptions import ScenarioError
 
 #: One epoch of a truth process: (number of messages, key probabilities).
@@ -32,9 +33,15 @@ Epoch = tuple[int, np.ndarray]
 
 
 def _zipf_weights(num_keys: int, exponent: float) -> np.ndarray:
-    ranks = np.arange(1, num_keys + 1, dtype=np.float64)
-    weights = ranks ** (-exponent)
-    return weights / weights.sum()
+    """The Zipf law's probability vector over ``num_keys`` ranks.
+
+    It is the process's one copy (:meth:`ZipfDistribution.shared`) and
+    read-only: a truth that edits weights copies them first.  An empty
+    support (the second half of a one-key space) has no law.
+    """
+    if num_keys == 0:
+        return np.zeros(0)
+    return ZipfDistribution.shared(exponent, num_keys).probabilities
 
 
 def _epoch_lengths(num_messages: int, num_epochs: int) -> list[int]:
@@ -244,8 +251,9 @@ class SingleKeyFloodTruth(Truth):
 
     def epochs(self, num_messages, num_keys, rng):
         flood_key = int(rng.integers(0, num_keys))
-        probabilities = _zipf_weights(num_keys, self.tail_exponent)
-        probabilities *= 1.0 - self.flood_share
+        probabilities = _zipf_weights(num_keys, self.tail_exponent) * (
+            1.0 - self.flood_share
+        )
         probabilities[flood_key] += self.flood_share
         yield num_messages, probabilities
 

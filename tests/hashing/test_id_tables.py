@@ -70,8 +70,9 @@ class TestIdCandidateRows:
         ids = _intern(dictionary, keys)
         rows = family.id_candidate_rows(ids, dictionary)
         columns = family.id_candidate_columns(ids, dictionary)
-        for position, (key, kid) in enumerate(zip(keys, ids.tolist())):
-            assert family.candidates_for_id(kid, dictionary) == family.candidates(key)
+        heads = family.candidates_for_ids(ids.tolist(), dictionary)
+        for position, key in enumerate(keys):
+            assert heads[position] == family.candidates(key)
             assert tuple(rows[position].tolist()) == family.candidates(key)
             assert (columns[0][position], columns[1][position]) == family.candidates(key)
         # Head keys are hashed by id only (the scalar oracle included): from
@@ -89,9 +90,8 @@ class TestIdCandidateRows:
                 dictionary = KeyDictionary()
                 ids = _intern(dictionary, keys).tolist()
                 for d in order:
-                    for key, kid in zip(keys, ids):
-                        expected = family.candidates(key, d)
-                        assert family.candidates_for_id(kid, dictionary, d) == expected
+                    expected = [family.candidates(key, d) for key in keys]
+                    assert family.candidates_for_ids(ids, dictionary, d) == expected
 
     def test_tables_are_fifo_bounded_per_dictionary(self, monkeypatch):
         monkeypatch.setattr(columnar, "_MAX_HASH_IDENTITIES", 3)
@@ -141,8 +141,9 @@ class TestDictionaryOwnedRows:
                     family.id_candidate_rows(every, dictionary, d),
                     _scalar_rows(fresh, stored, d),
                 )
-            for key, kid in zip(keys, ids.tolist()):
-                assert family.candidates_for_id(kid, dictionary) == fresh.candidates(key)
+            assert family.candidates_for_ids(ids.tolist(), dictionary) == [
+                fresh.candidates(key) for key in keys
+            ]
         assert list(dictionary.hash_rows) == [(seed, n)]
         (table,) = dictionary.hash_rows.values()
         assert table.rows.shape[1] == n
@@ -164,8 +165,9 @@ class TestDictionaryOwnedRows:
             assert np.array_equal(
                 family.id_candidate_rows(ids, dictionary), _scalar_rows(family, keys)
             )
-            for key, kid in zip(keys[:50], ids.tolist()):
-                assert family.candidates_for_id(kid, dictionary) == family.candidates(key)
+            assert family.candidates_for_ids(ids[:50].tolist(), dictionary) == [
+                family.candidates(key) for key in keys[:50]
+            ]
         assert list(dictionary.hash_rows) == [(0, 50), (0, 51), (1, 50), (1, 51)]
         tables = list(dictionary.hash_rows.values())
         assert len({id(table.rows) for table in tables}) == 4
@@ -179,8 +181,8 @@ class TestDictionaryOwnedRows:
         dictionary = KeyDictionary()
         ids = _intern(dictionary, [f"k{i}" for i in range(300)])
         family.id_candidate_rows(ids, dictionary, 2)
-        for kid in ids[:30].tolist():
-            assert len(family.candidates_for_id(kid, dictionary, 20)) == 20
+        for candidates in family.candidates_for_ids(ids[:30].tolist(), dictionary, 20):
+            assert len(candidates) == 20
         (table,) = dictionary.hash_rows.values()
         assert table.rows.shape[1] == 2
         assert len(table.heads) == 30

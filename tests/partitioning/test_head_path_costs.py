@@ -2,7 +2,8 @@
 
 D-Choices reads each head key's raw hash prefix from the dictionary's store
 and keeps two things of its own per head key — the deduplicated candidate
-tuple for the effective ``d`` and the *floor* of that tuple — and places a chunk in as few ``_route_runs`` calls as the solver's
+tuple and the *floor* of that tuple, for each of the last few values of
+``d`` — and places a chunk in as few ``_route_runs`` calls as the solver's
 answer allows.  Two kinds of pins:
 
 * **structural guards** count the work itself (placement calls, hash rounds,
@@ -11,14 +12,15 @@ answer allows.  Two kinds of pins:
   inequality rather than as a slower benchmark;
 * **floor soundness** drives every way the load vector can change under a
   warm floor — the three entry points interleaved, rescales under each
-  policy, state handoffs into fresh and into warm instances, ``reset``, an
-  adaptive switch into and out of D-C in the middle of a chunk — and holds
+  policy, state handoffs into fresh and into warm instances, ``reset``, a
+  ``d`` moved by hand and moved back, an adaptive switch into and out of D-C in the middle of a chunk — and holds
   the ``(worker, is_head)`` stream and the loads to the scalar oracle's.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -29,6 +31,7 @@ from repro.analysis.choices import ChoicesSolution
 from repro.elasticity.policies import POLICY_NAMES, get_policy
 from repro.hashing import hash_family
 from repro.hashing.hash_family import HashFamily
+from repro.partitioning import head_tail
 from repro.partitioning.head_tail import HeadTailPartitioner
 from repro.partitioning.registry import create_partitioner
 from repro.workloads.columnar import ColumnarBatch, KeyDictionary
@@ -87,48 +90,78 @@ class TestPlacementCalls:
         assert 2 <= changes < checks // 4, "d must move, but rarely: vacuous otherwise"
 
 
+def _forced(scheme, d: int) -> None:
+    """Put D-C's head path on ``d`` and keep the solver from moving it."""
+    scheme._solution = ChoicesSolution(num_choices=d, use_w_choices=False, head_cardinality=1)
+    scheme._never_solved = False
+
+
+def _count_head_rounds(monkeypatch) -> tuple[Counter, list[int], list[int]]:
+    """Count what head prefixes cost, at the bulk kernel.
+
+    Returns ``(rounds, calls, mixes)``: one ``rounds`` entry per (folded key,
+    mixed function seed, bucket count) that a head-prefix kernel call hashed
+    — a rescale's family differs in its bucket count — the number of ids of
+    each such call, and one ``mixes`` entry per scalar ``_mix`` call.  The
+    id-table fill calls the same kernel and is not counted here.
+    """
+    rounds: Counter = Counter()
+    calls: list[int] = []
+    mixes: list[int] = []
+    kernel, mix = hash_family.bucketed_hashes, HashFamily._mix
+
+    def counted_kernel(key_ints, mixed_seeds, num_buckets):
+        if sys._getframe(1).f_code.co_name == "candidates_for_ids":
+            calls.append(len(key_ints))
+            seeds = mixed_seeds.tolist()
+            rounds.update(
+                (word, seed, num_buckets) for word in key_ints.tolist() for seed in seeds
+            )
+        return kernel(key_ints, mixed_seeds, num_buckets)
+
+    def counted_mix(self, folded, d, start=0):
+        mixes.append(d - start)
+        return mix(self, folded, d, start)
+
+    monkeypatch.setattr(hash_family, "bucketed_hashes", counted_kernel)
+    monkeypatch.setattr(HashFamily, "_mix", counted_mix)
+    return rounds, calls, mixes
+
+
 class TestHashRounds:
     """Each (key, function) pair is hashed once per hash identity over a
-    dictionary, however often the solver moves ``d`` back and forth over it."""
-
-    @staticmethod
-    def _count_rounds(monkeypatch) -> Counter:
-        rounds: Counter = Counter()
-        mix = HashFamily._mix
-
-        def counted_mix(self, folded, d, start=0):
-            # Keyed by the family object: a rescale builds a new one.
-            rounds.update((self, folded, function) for function in range(start, d))
-            return mix(self, folded, d, start)
-
-        monkeypatch.setattr(HashFamily, "_mix", counted_mix)
-        return rounds
+    dictionary, however often the solver moves ``d`` back and forth over it,
+    and by the bulk kernel, never by the scalar ``_mix``."""
 
     def test_solver_wobble_never_rehashes(self, monkeypatch):
-        rounds = self._count_rounds(monkeypatch)
+        rounds, calls, mixes = _count_head_rounds(monkeypatch)
         scheme = create_partitioner("D-C", num_workers=50)
         tags: list[int] = []
-        flush = scheme._flush_head_caches
+        use = scheme._use_head_d
 
-        def recording_flush(num_choices=0):
+        def recording_use(num_choices):
             tags.append(num_choices)
-            flush(num_choices)
+            use(num_choices)
 
-        scheme._flush_head_caches = recording_flush
+        scheme._use_head_d = recording_use
         for batch in _hot_batches():
             scheme.route_batch_columnar(batch)
         assert len(tags) > len(set(tags)) > 1, "d must come back to a value it left"
         assert set(rounds.values()) == {1}
+        assert not mixes
+        # Misses were derived a run at a time, not an id at a time.
+        assert len(calls) < sum(calls)
         # Prefixes were extended, not rebuilt: some key was hashed in
         # instalments, and each holds exactly the functions 0 .. its widest d.
+        function = {seed: j for j, seed in enumerate(scheme._hashes._mixed_seeds)}
         widest = Counter()
-        for _, folded, function in rounds:
-            widest[folded] = max(widest[folded], function + 1)
+        for word, seed, _ in rounds:
+            widest[word] = max(widest[word], function[seed] + 1)
         assert sum(widest.values()) == len(rounds)
         assert len(set(widest.values())) > 1
 
     def test_forced_up_down_up_sequence(self, monkeypatch):
-        rounds = self._count_rounds(monkeypatch)
+        rounds, _, mixes = _count_head_rounds(monkeypatch)
         # Throttle the solver out of the way and set d by hand.
         scheme = create_partitioner(
             "D-C", num_workers=50, check_interval=10**9, recompute_interval=10**9
@@ -137,27 +170,30 @@ class TestHashRounds:
         scheme.route_batch_columnar(batches[0])
         per_d = {}
         for batch, d in zip(batches[1:], (21, 22, 21, 22)):
-            scheme._solution = ChoicesSolution(
-                num_choices=d, use_w_choices=False, head_cardinality=1
-            )
+            _forced(scheme, d)
             before = sum(rounds.values())
             scheme.route_batch_columnar(batch)
             per_d.setdefault(d, []).append(sum(rounds.values()) - before)
             assert scheme._head_cand_cache_d == d
         assert set(rounds.values()) == {1}
+        assert not mixes
         # The way back down hashes only keys that were not head before.
         assert per_d[21][1] < per_d[21][0] and per_d[22][1] < per_d[22][0]
+        # Both values keep their tuples beside the solver's first answer.
+        assert {21, 22} < scheme._head_by_d.keys()
 
     def test_rescale_starts_over(self, monkeypatch):
-        rounds = self._count_rounds(monkeypatch)
+        rounds, _, mixes = _count_head_rounds(monkeypatch)
         scheme = create_partitioner("FIXED-D", num_workers=50, num_choices=20)
         batches = _hot_batches(3 * CHUNK)
         scheme.route_batch_columnar(batches[0])
+        assert scheme._head_cand_cache
         scheme.rescale(40)
+        assert not scheme._head_by_d and not scheme._head_cand_cache
         scheme.route_batch_columnar(batches[1])
         assert set(rounds.values()) == {1}
-        families = {family.num_buckets for family, _, _ in rounds}
-        assert families == {50, 40}
+        assert not mixes
+        assert {buckets for _, _, buckets in rounds} == {50, 40}
 
 
 class TestLoadReads:
@@ -211,11 +247,21 @@ class TestLoadReads:
     def test_structures_are_bounded(self, monkeypatch):
         monkeypatch.setattr(HeadTailPartitioner, "_HEAD_CANDIDATE_CACHE_LIMIT", 8)
         monkeypatch.setattr(hash_family, "_HEAD_PREFIX_LIMIT", 8)
-        scheme = create_partitioner("FIXED-D", num_workers=50, num_choices=20)
-        for batch in _hot_batches(2 * CHUNK):
+        monkeypatch.setattr(head_tail, "_HEAD_D_LIMIT", 3)
+        scheme = create_partitioner(
+            "D-C", num_workers=50, check_interval=10**9, recompute_interval=10**9
+        )
+        batches = _hot_batches(6 * CHUNK)
+        for batch, d in zip(batches, (20, 21, 22, 23, 20, 21)):
+            _forced(scheme, d)
             scheme.route_batch_columnar(batch)
-        assert len(scheme._head_cand_cache) == len(scheme._head_floors) == 8
-        assert scheme._head_cand_cache.keys() == scheme._head_floors.keys()
+        # Five values of d were used since 20 was last evicted: the map
+        # keeps the latest three, each pair bounded and in step.
+        assert list(scheme._head_by_d) == [23, 20, 21]
+        for cache, floors in scheme._head_by_d.values():
+            assert len(cache) == len(floors) == 8
+            assert cache.keys() == floors.keys()
+        assert scheme._head_by_d[21] == (scheme._head_cand_cache, scheme._head_floors)
         (table,) = scheme._id_dict.hash_rows.values()
         assert len(table.heads) == 8
 
@@ -231,9 +277,10 @@ NUM_WORKERS = 16
 SEED = 3
 
 
-def _build(scheme: str, num_workers: int):
+def _build(scheme: str, num_workers: int, **options):
     return create_partitioner(
-        scheme, num_workers=num_workers, seed=SEED, warmup_messages=20, **SCHEMES[scheme]
+        scheme, num_workers=num_workers, seed=SEED, warmup_messages=20,
+        **{**SCHEMES[scheme], **options},
     )
 
 
@@ -251,6 +298,7 @@ EVENTS = st.one_of(
     st.tuples(st.just("fail"), st.sampled_from(["migrate", "remap"]), st.just(-1)),
     st.tuples(st.just("adopt"), st.sampled_from(["fresh", "warm"]), st.just(0)),
     st.tuples(st.just("reset"), st.just(""), st.just(0)),
+    st.tuples(st.just("wobble"), st.just(""), st.sampled_from([2, 3, 5, 9])),
 )
 
 
@@ -290,13 +338,28 @@ class _Pair:
     def adopt(self, how: str, rng: random.Random) -> None:
         # Only the kernel side changes hands: a same-scheme adoption is
         # byte-identical to never having exported, so the oracle plays on.
-        adopter = _build(self.scheme, self.kernel.num_workers)
+        options = {}
+        if self.scheme == "FIXED-D":  # d is its option, not exported state
+            options["num_choices"] = self.kernel._requested_choices
+        adopter = _build(self.scheme, self.kernel.num_workers, **options)
         if how == "warm":
             # Floors, tuples and prefixes of another stream, in another id
             # namespace, over other loads: none may survive the adoption.
             adopter.route_batch(_keys(rng, 300))
         adopter.adopt_state(self.kernel.export_state())
         self.kernel = adopter
+
+    def wobble(self, d: int) -> None:
+        """Move both sides' head ``d`` by hand, the way a solver answer
+        would: the kernel comes back to tuples and floors it kept."""
+        for partitioner in (self.kernel, self.oracle):
+            if self.scheme == "D-C":
+                partitioner._solution = ChoicesSolution(
+                    num_choices=d, use_w_choices=False, head_cardinality=1
+                )
+            else:
+                partitioner._requested_choices = d
+                partitioner._num_choices = min(d, partitioner.num_workers)
 
     def reset(self) -> None:
         self.kernel.reset()
@@ -323,6 +386,8 @@ class TestFloorSoundness:
                 pair.rescale(step[1], step[2])
             elif step[0] == "adopt":
                 pair.adopt(step[1], rng)
+            elif step[0] == "wobble":
+                pair.wobble(step[2])
             else:
                 pair.reset()
             # Whatever just happened, the kernel's next chunk scans against

@@ -13,6 +13,7 @@ counts it, in the register of ``tests/simulation/test_key_state_costs.py``.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 import pytest
@@ -27,23 +28,33 @@ from repro.workloads.zipf_stream import ZipfWorkload
 MESSAGES, NUM_KEYS, NUM_WORKERS, SOURCES = 6_000, 1_000_000, 100, 5
 
 
-def _counted_run(scheme: str, monkeypatch) -> tuple[int, Counter, int]:
-    """Table rows filled, (folded key, function) pairs hashed scalar, and
-    distinct keys of one 5-source columnar run."""
-    rows = 0
+def _counted_run(scheme: str, monkeypatch) -> tuple[int, Counter, int, int]:
+    """Id-table rows filled, (folded key, function seed) pairs hashed into
+    head prefixes, scalar ``_mix`` calls, and distinct keys of one 5-source
+    columnar run.  Both kinds of rows come from the one bulk kernel; the
+    frame that called it tells them apart."""
+    rows = mixes = 0
     rounds: Counter = Counter()
-    fill, mix = hash_family.bucketed_hashes, HashFamily._mix
+    kernel, mix = hash_family.bucketed_hashes, HashFamily._mix
 
-    def counted_fill(folded, seeds, num_buckets):
+    def counted_kernel(folded, seeds, num_buckets):
         nonlocal rows
-        rows += len(folded)
-        return fill(folded, seeds, num_buckets)
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "_id_table":
+            rows += len(folded)
+        else:
+            assert caller == "candidates_for_ids"
+            rounds.update(
+                (word, seed) for word in folded.tolist() for seed in seeds.tolist()
+            )
+        return kernel(folded, seeds, num_buckets)
 
     def counted_mix(self, folded, d, start=0):
-        rounds.update((folded, function) for function in range(start, d))
+        nonlocal mixes
+        mixes += 1
         return mix(self, folded, d, start)
 
-    monkeypatch.setattr(hash_family, "bucketed_hashes", counted_fill)
+    monkeypatch.setattr(hash_family, "bucketed_hashes", counted_kernel)
     monkeypatch.setattr(HashFamily, "_mix", counted_mix)
     workload = ZipfWorkload(0.8, NUM_KEYS, MESSAGES, seed=2016)
     result = run_simulation(
@@ -51,22 +62,26 @@ def _counted_run(scheme: str, monkeypatch) -> tuple[int, Counter, int]:
     )
     assert result.num_messages == MESSAGES
     monkeypatch.undo()
-    return rows, rounds, len(set(workload))
+    return rows, rounds, mixes, len(set(workload))
 
 
 @pytest.mark.parametrize("scheme", ["PKG", "D-C"])
 def test_each_key_fills_one_row_per_group(scheme, monkeypatch):
     """Five senders fill one candidate row per distinct key between them
-    (each filling its own table made five)."""
-    rows, _, distinct = _counted_run(scheme, monkeypatch)
+    (each filling its own table made five); D-C's head prefixes are hashed
+    by the same kernel and counted apart."""
+    rows, rounds, _, distinct = _counted_run(scheme, monkeypatch)
     assert distinct > MESSAGES // 2  # most keys are new: the rows are the work
     assert rows == distinct
+    assert bool(rounds) == (scheme == "D-C")
 
 
 def test_each_head_pair_is_hashed_once_per_group(monkeypatch):
     """Every (head key, function) pair is hashed once however many senders
-    place the key (each hashing its own prefixes made up to five)."""
-    _, rounds, _ = _counted_run("D-C", monkeypatch)
-    keys = {folded for folded, _ in rounds}
+    place the key (each hashing its own prefixes made up to five), in bulk:
+    no head prefix is mixed one function at a time."""
+    _, rounds, mixes, _ = _counted_run("D-C", monkeypatch)
+    keys = {word for word, _ in rounds}
     assert len(keys) >= 3 and len(rounds) > 2 * len(keys)  # heads with d > 2
     assert set(rounds.values()) == {1}
+    assert mixes == 0
