@@ -210,6 +210,12 @@ def stable_hash(key: Key, seed: int = 0) -> int:
     return _splitmix64(_key_to_int(key) ^ _splitmix64(seed & _MASK64))
 
 
+#: Fewest (id, function) pairs :meth:`HashFamily.candidates_for_ids` hashes
+#: in one bulk kernel call.  The kernel costs a fixed ~16 us of numpy calls,
+#: the scalar :meth:`HashFamily._mix` ~1 us per pair and ~1 us per id: they
+#: cross at 10-16 pairs, which is where a one-id miss of a head key falls.
+_BULK_MIN_PAIRS = 16
+
 #: Head keys whose raw hash tuples one (dictionary, hash identity) keeps;
 #: FIFO-evicted beyond this.  Head keys are few by definition (at most the
 #: sketch capacity at any instant), so the bound only matters on long runs
@@ -441,10 +447,12 @@ class HashFamily:
         family asked for, and only functions past what it holds are hashed
         — each (id, function) pair is hashed once per dictionary.  The ids
         whose prefixes stop at the same length are extended together, by
-        one :func:`bucketed_hashes` call over their folded keys; a repeated
-        id is extended once.  The tuples come back from what this call
-        derived, never re-read from the store, which a bulk larger than its
-        bound evicts from as it fills.
+        one :func:`bucketed_hashes` call over their folded keys — or by
+        :meth:`_mix` per id, the same words, when they make fewer than
+        ``_BULK_MIN_PAIRS`` pairs; a repeated id is extended once.  The
+        tuples come back from what this call derived, never re-read from
+        the store, which a bulk larger than its bound evicts from as it
+        fills.
         """
         d = self._check_d(d)
         heads = self._rows(dictionary).heads
@@ -454,9 +462,13 @@ class HashFamily:
             if len(prefix) < d:
                 short.setdefault(len(prefix), []).append(kid)
         for start, kids in short.items():
-            rows = bucketed_hashes(
-                dictionary.folded[kids], self._mixed_seeds_np[start:d], self._num_buckets
-            ).tolist()
+            words = dictionary.folded[kids]
+            if len(kids) * (d - start) < _BULK_MIN_PAIRS:
+                rows = [self._mix(word, d, start) for word in words.tolist()]
+            else:
+                rows = bucketed_hashes(
+                    words, self._mixed_seeds_np[start:d], self._num_buckets
+                ).tolist()
             for kid, row in zip(kids, rows):
                 prefix = found[kid] + tuple(row)
                 found[kid] = prefix

@@ -35,7 +35,8 @@ that came back under a fresh id would split its count between two counters
 and fall out of the head.  The map is an index over the key column that
 :meth:`KeyDictionary.forward_map` catches up on first read: routing, the
 engines and the runtime work in ids and decode through the key column, so
-an integer chunk does not pay for ``key -> id`` entries nothing asks for.
+an array chunk, integer or named, does not pay for ``key -> id`` entries
+nothing asks for.
 """
 
 from __future__ import annotations
@@ -174,17 +175,34 @@ class KeyDictionary:
     def forward_map(self) -> dict:
         """The ``key -> id`` map (:func:`_forward_key` forms), caught up.
 
-        An index over the key column: an unnamed array chunk appends ids,
-        keys and folds and enters nothing, and this accessor enters
+        An index over the key column: an array chunk appends ids, keys and
+        folds and enters nothing, and this accessor enters
         ``keys[len(map):len(self)]`` in id order before handing the map
         out, so its contents and order are those element-wise
         :meth:`intern` leaves.  Every read of the map goes through here.
+
+        Raises :class:`~repro.exceptions.WorkloadError` when the map grows
+        by less than the ids it enters: a namer gave two draw values one
+        key, which now holds two ids.  The entries are taken back out, so
+        every later read raises again.
         """
         index = self._key_index
         indexed = len(index)
         if indexed < self._size:
             keys = self._keys[indexed : self._size].tolist()
-            index.update(zip(_forward_keys(keys), range(indexed, self._size)))
+            lookups = _forward_keys(keys)
+            index.update(zip(lookups, range(indexed, self._size)))
+            if len(index) < self._size:
+                for kid, key, lookup in zip(itertools.count(indexed), keys, lookups):
+                    if index[lookup] != kid:
+                        break
+                message = (
+                    f"key {key!r} holds ids {kid} and {index[lookup]}: "
+                    "a namer named two draw values alike"
+                )
+                while len(index) > indexed:
+                    index.popitem()
+                raise WorkloadError(message)
         return index
 
     def intern(self, key: Key) -> int:
@@ -251,14 +269,18 @@ class KeyDictionary:
         """
         return self.intern_mapped_array(values, None)
 
-    def intern_mapped_array(self, values, key_fn) -> np.ndarray:
-        """Intern an integer draw array whose keys are ``key_fn(value)``.
+    def intern_mapped_array(self, values, names) -> np.ndarray:
+        """Intern an integer draw array whose keys are ``names(values)``.
 
         Generalises :meth:`intern_int_array` for workloads that draw integer
         indices but name their keys (e.g. ``head-0`` / ``key-42``):
-        ``key_fn`` maps a drawn value to the key object, and is only called
-        for the chunk's *distinct* values.  ``key_fn=None`` means the values
-        are the keys (plain integer key spaces).
+        ``names`` maps a *list* of drawn values to the list of their keys,
+        and is called once per chunk — on an empty dictionary with the new
+        values in id order, otherwise with the chunk's distinct values,
+        whose names serve both the lookups and the new keys.  It must name
+        no two values alike; :meth:`forward_map` raises when it did.
+        ``names=None`` means the values are the keys (plain integer key
+        spaces).
 
         Python runs per chunk, C per key: the distinct values (from a dense
         table or a sort, see :func:`_distinct`) are looked up with one
@@ -266,24 +288,19 @@ class KeyDictionary:
         empty, where every one is new — the new ones are put in
         first-appearance order by a numpy scatter, numbered ``len(self) +
         arange(k)`` and stored with one array append; the ids and the folds
-        are those of element-wise :meth:`intern`.  Unnamed keys enter the
-        forward map on its next read (:meth:`forward_map`).  Named keys
-        enter it here with one ``dict.update``: two draw values that
-        ``key_fn`` names alike share one id, and the map growing by less
-        than the new keys is how that shows.
+        are those of element-wise :meth:`intern`.  The new keys enter the
+        forward map on its next read (:meth:`forward_map`).
         """
         values = np.asarray(values)
         uniques, inverse, first_positions = _distinct(values)
-        named = key_fn is not None
         base = self._size
-        if named or base:
-            keys = uniques.tolist()
-            if named:
-                keys = list(map(key_fn, keys))
-            # Integer values are their own (plain) keys: no type scan.
-            integers = not named and uniques.dtype.kind in "iu"
-            lookups = keys if integers else _forward_keys(keys)
+        # Integer values are their own (plain) keys: no type scan, no list.
+        integers = names is None and uniques.dtype.kind in "iu"
         if base:
+            keys = uniques.tolist()
+            if names is not None:
+                keys = names(keys)
+            lookups = keys if integers else _forward_keys(keys)
             id_map = np.fromiter(
                 map(self.forward_map().get, lookups, itertools.repeat(-1)),
                 dtype=np.int64,
@@ -300,29 +317,20 @@ class KeyDictionary:
             firsts = np.zeros(values.size, dtype=bool)
             firsts[first_positions[new]] = True
             new = inverse[np.flatnonzero(firsts)]
-            if named:
-                fresh = _object_array(lookups)[new].tolist()
-                forward = self.forward_map()
-                known = len(forward)
-                forward.update(zip(fresh, range(base, base + len(fresh))))
-                if len(forward) == known + len(fresh):
-                    id_map[new] = np.arange(base, base + len(fresh))
-                else:
-                    # key_fn named one key with several draw values: one id
-                    # per key, by first appearance (the order the map kept).
-                    distinct = dict.fromkeys(fresh)
-                    forward.update(zip(distinct, range(base, base + len(distinct))))
-                    id_map[new] = [forward[lookup] for lookup in fresh]
-                    fresh = list(distinct)
-                self._store(fresh, lookups is keys)
-            else:
+            if integers:
                 new_keys = uniques[new]
-                if new_keys.dtype.kind in "iu":
-                    folded = new_keys.astype(np.int64).view(np.uint64)
+                folded = new_keys.astype(np.int64).view(np.uint64)
+            else:
+                if base:
+                    fresh = _object_array(keys)[new].tolist()
                 else:
-                    folded = fold_keys(new_keys.tolist())
-                self._append(new_keys, folded)
-                id_map[new] = np.arange(base, base + new.size)
+                    fresh = uniques[new].tolist()
+                    if names is not None:
+                        fresh = names(fresh)
+                new_keys = _object_array(fresh)
+                folded = fold_keys(fresh)
+            self._append(new_keys, folded)
+            id_map[new] = np.arange(base, base + new.size)
         return id_map[inverse]
 
     def lookup(self, key: Key) -> int | None:

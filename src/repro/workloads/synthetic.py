@@ -123,10 +123,13 @@ class _HeadBodyWorkload(Workload):
         """Exact per-key probabilities (head keys first, then the Zipf body)."""
         return self._law.probabilities
 
-    def _key_name(self, index: int) -> str:
-        if index < len(self._head_fractions):
-            return f"head-{index}"
-        return f"key-{index - len(self._head_fractions)}"
+    def _key_names(self, indices: list[int]) -> list[str]:
+        """The keys of a list of key indices: ``head-i``, then ``key-j``."""
+        head = len(self._head_fractions)
+        return [
+            f"key-{index - head}" if index >= head else f"head-{index}"
+            for index in indices
+        ]
 
     def _draw_chunks(self) -> Iterator[np.ndarray]:
         """The stream as key-index arrays, one per ``_CHUNK``-sized RNG draw.
@@ -144,18 +147,22 @@ class _HeadBodyWorkload(Workload):
             remaining -= size
 
     def keys(self) -> Iterator[Key]:
+        """Each chunk's distinct draw values named once, gathered per message."""
+        from repro.workloads.columnar import _distinct, _object_array
+
         for draws in self._draw_chunks():
-            yield from map(self._key_name, draws.tolist())
+            uniques, inverse, _ = _distinct(draws)
+            yield from _object_array(self._key_names(uniques.tolist()))[inverse].tolist()
 
     def iter_batches_columnar(self, batch_size=8192, dictionary=None):
-        """Native columnar stream: only each chunk's *distinct* draw values
-        go through :meth:`_key_name`; the per-message scatter is numpy."""
+        """Native columnar stream: each chunk's *distinct* draw values go
+        through one :meth:`_key_names` call; the per-message scatter is numpy."""
         from repro.workloads.columnar import ColumnarBatch, KeyDictionary
 
         dictionary = dictionary if dictionary is not None else KeyDictionary()
         index = 0
         for draws in self._draw_chunks():
-            ids = dictionary.intern_mapped_array(draws, self._key_name)
+            ids = dictionary.intern_mapped_array(draws, self._key_names)
             for start in range(0, draws.size, batch_size):
                 yield ColumnarBatch(
                     ids[start : start + batch_size], dictionary, index + start

@@ -3,7 +3,8 @@
 A head key that misses its sender's cache is derived together with every
 other uncached id left in its head run: one
 :meth:`HashFamily.candidates_for_ids` call, which extends the dictionary's
-raw prefixes with one bulk kernel call per prefix length.  The derived
+raw prefixes with one bulk kernel call per prefix length (``_mix`` per id
+when the group is under the bulk floor).  The derived
 tuples are kept per effective ``d``, so a ``d`` the solver returns to
 derives nothing.  Pinned here: the values (every tuple is the deduplicated
 scalar prefix, and the placements are the first-minimum scan of it), a bulk
@@ -91,6 +92,79 @@ def test_every_derived_tuple_is_the_deduplicated_scalar_prefix(seed, primed, ste
                 key = dictionary.key_of(kid)
                 assert candidates == tuple(dict.fromkeys(reference.candidates(key, kept_d)))
                 assert floors[kid] <= min(loads[worker] for worker in candidates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    steps=st.lists(
+        st.tuples(st.lists(POSITIONS, min_size=1, max_size=12), st.integers(1, NUM_WORKERS)),
+        min_size=1,
+        max_size=6,
+    ),
+    floor=st.sampled_from([0, hash_family._BULK_MIN_PAIRS, 10**9]),
+)
+def test_prefixes_are_the_scalar_tuples_on_both_sides_of_the_floor(seed, steps, floor):
+    """All bulk, the default floor, all ``_mix``: the same tuples and store."""
+    dictionary = KeyDictionary()
+    ids = dictionary.intern_keys(KEYS).tolist()
+    reference = HashFamily(NUM_WORKERS, NUM_WORKERS, seed)
+    family = HashFamily(NUM_WORKERS, NUM_WORKERS, seed)
+    default, hash_family._BULK_MIN_PAIRS = hash_family._BULK_MIN_PAIRS, floor
+    try:
+        for positions, d in steps:
+            assert family.candidates_for_ids([ids[p] for p in positions], dictionary, d) == [
+                reference.candidates(KEYS[p], d) for p in positions
+            ]
+    finally:
+        hash_family._BULK_MIN_PAIRS = default
+    (table,) = dictionary.hash_rows.values()
+    for kid, prefix in table.heads.items():
+        assert prefix == reference.candidates(KEYS[kid], len(prefix))
+
+
+def test_groups_under_the_floor_are_mixed_per_id(monkeypatch):
+    """A group of fewer than ``_BULK_MIN_PAIRS`` (id, function) pairs is
+    extended by ``_mix`` per id, one at the floor by one kernel call; the
+    floor is read per prefix length, so one call may take both sides."""
+    floor = hash_family._BULK_MIN_PAIRS
+    calls: list[int] = []
+    mixes: list[int] = []
+    kernel, mix = hash_family.bucketed_hashes, HashFamily._mix
+
+    def counted_kernel(key_ints, mixed_seeds, num_buckets):
+        calls.append(key_ints.size * mixed_seeds.size)
+        return kernel(key_ints, mixed_seeds, num_buckets)
+
+    def counted_mix(self, folded, d, start=0):
+        mixes.append(d - start)
+        return mix(self, folded, d, start)
+
+    monkeypatch.setattr(hash_family, "bucketed_hashes", counted_kernel)
+    monkeypatch.setattr(HashFamily, "_mix", counted_mix)
+    dictionary = KeyDictionary()
+    ids = dictionary.intern_keys(KEYS).tolist()
+    family = HashFamily(NUM_WORKERS, NUM_WORKERS, 3)
+    reference = HashFamily(NUM_WORKERS, NUM_WORKERS, 3)
+
+    def derive(positions: list[int], d: int) -> None:
+        expected = [reference.candidates(KEYS[p], d) for p in positions]
+        calls.clear()
+        mixes.clear()
+        assert family.candidates_for_ids([ids[p] for p in positions], dictionary, d) == expected
+
+    derive([0], floor - 1)  # one id, one pair short of the floor
+    assert calls == [] and mixes == [floor - 1]
+    derive([1], floor)
+    assert calls == [floor] and mixes == []
+    derive([0], floor)  # one more function for a known prefix
+    assert calls == [] and mixes == [1]
+    # Two prefix lengths in one call: 0 and 1 need one function each, the
+    # four fresh ids every one.
+    derive([0, 2, 3, 1, 4, 5], floor + 1)
+    assert calls == [4 * (floor + 1)] and mixes == [1, 1]
+    (table,) = dictionary.hash_rows.values()
+    assert table.heads[ids[0]] == reference.candidates(KEYS[0], floor + 1)
 
 
 def test_a_bulk_larger_than_both_bounds(monkeypatch):

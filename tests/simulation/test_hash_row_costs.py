@@ -28,12 +28,14 @@ from repro.workloads.zipf_stream import ZipfWorkload
 MESSAGES, NUM_KEYS, NUM_WORKERS, SOURCES = 6_000, 1_000_000, 100, 5
 
 
-def _counted_run(scheme: str, monkeypatch) -> tuple[int, Counter, int, int]:
+def _counted_run(scheme: str, monkeypatch) -> tuple[int, Counter, list[int], int]:
     """Id-table rows filled, (folded key, function seed) pairs hashed into
-    head prefixes, scalar ``_mix`` calls, and distinct keys of one 5-source
-    columnar run.  Both kinds of rows come from the one bulk kernel; the
-    frame that called it tells them apart."""
-    rows = mixes = 0
+    head prefixes, the pairs of each scalar ``_mix`` call, and distinct keys
+    of one 5-source columnar run.  Both kinds of rows come from the one bulk
+    kernel; the frame that called it tells them apart.  A head prefix under
+    the bulk floor is mixed per id, and its pairs are counted there."""
+    rows = 0
+    mixes: list[int] = []
     rounds: Counter = Counter()
     kernel, mix = hash_family.bucketed_hashes, HashFamily._mix
 
@@ -50,8 +52,8 @@ def _counted_run(scheme: str, monkeypatch) -> tuple[int, Counter, int, int]:
         return kernel(folded, seeds, num_buckets)
 
     def counted_mix(self, folded, d, start=0):
-        nonlocal mixes
-        mixes += 1
+        mixes.append(d - start)
+        rounds.update((folded, seed) for seed in self._mixed_seeds[start:d])
         return mix(self, folded, d, start)
 
     monkeypatch.setattr(hash_family, "bucketed_hashes", counted_kernel)
@@ -78,10 +80,11 @@ def test_each_key_fills_one_row_per_group(scheme, monkeypatch):
 
 def test_each_head_pair_is_hashed_once_per_group(monkeypatch):
     """Every (head key, function) pair is hashed once however many senders
-    place the key (each hashing its own prefixes made up to five), in bulk:
-    no head prefix is mixed one function at a time."""
+    place the key (each hashing its own prefixes made up to five), in bulk
+    unless a prefix extension is under the floor."""
     _, rounds, mixes, _ = _counted_run("D-C", monkeypatch)
     keys = {word for word, _ in rounds}
     assert len(keys) >= 3 and len(rounds) > 2 * len(keys)  # heads with d > 2
     assert set(rounds.values()) == {1}
-    assert mixes == 0
+    assert all(pairs < hash_family._BULK_MIN_PAIRS for pairs in mixes)
+    assert sum(mixes) < len(rounds) // 2

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import WorkloadError
 from repro.hashing.hash_family import _key_to_int
@@ -73,21 +75,28 @@ class TestKeyDictionary:
             )
         assert got == expected
 
-    def test_intern_mapped_array_calls_key_fn_once_per_distinct_value(self):
+    def test_intern_mapped_array_calls_the_namer_once_per_chunk(self):
         d = KeyDictionary()
-        calls: list[int] = []
+        calls: list[list[int]] = []
 
-        def name(value: int) -> str:
-            calls.append(value)
-            return f"key-{value}"
+        def names(values: list[int]) -> list[str]:
+            calls.append(values)
+            return [f"key-{value}" for value in values]
 
-        ids = d.intern_mapped_array(np.array([3, 1, 3, 2, 1]), name)
-        assert sorted(set(calls)) == [1, 2, 3]
+        ids = d.intern_mapped_array(np.array([3, 1, 3, 2, 1]), names)
+        # An empty dictionary names its new values once, in id order.
+        assert calls == [[3, 1, 2]]
         assert [d.key_of(int(i)) for i in ids.tolist()] == [
             "key-3", "key-1", "key-3", "key-2", "key-1",
         ]
         # first-appearance order: 3 -> 0, 1 -> 1, 2 -> 2
         assert ids.tolist() == [0, 1, 0, 2, 1]
+        # A non-empty one names the chunk's distinct values once, for the
+        # lookups and the new keys alike.
+        ids = d.intern_mapped_array(np.array([5, 2, 9, 5]), names)
+        assert calls[1:] == [[2, 5, 9]]
+        assert ids.tolist() == [3, 2, 4, 3]
+        assert d.decode([3, 4]) == ["key-5", "key-9"]
 
     @pytest.mark.parametrize(
         "entry", ["intern", "intern_keys", "intern_int_array", "intern_mapped_array"]
@@ -108,7 +117,7 @@ class TestKeyDictionary:
             elif entry == "intern_int_array":
                 ids = d.intern_int_array(values).tolist()
             else:
-                ids = d.intern_mapped_array(values, "key-{}".format).tolist()
+                ids = d.intern_mapped_array(values, _key_names).tolist()
             for value, kid in zip(values.tolist(), ids):
                 assert first_ids.setdefault(value, kid) == kid
             assert len(d) == len(d.forward_map()) == len(first_ids)
@@ -128,27 +137,46 @@ class TestArrayInterningEdges:
     per-key walk provided implicitly; the bulk issue has to provide them
     on purpose."""
 
-    def test_non_injective_key_fn_issues_one_id_per_key(self):
+    @pytest.mark.parametrize("known", [False, True], ids=["empty", "non-empty"])
+    def test_non_injective_namer_raises_at_catch_up(self, known):
+        # A namer must name each draw value apart: the key column takes one
+        # id per new value, so two values named alike leave one key with two
+        # ids, and the forward map's catch-up, which would keep only the
+        # last, refuses it.
+        def pair_names(values: list[int]) -> list[str]:
+            return [f"pair-{value // 2}" for value in values]
+
         dictionary = KeyDictionary()
-
-        def pair_name(value: int) -> str:
-            return f"pair-{value // 2}"
-
+        if known:
+            dictionary.intern("pair-1")
+        base = len(dictionary)
         # 5 and 4 name pair-2, 1 and 0 name pair-0, 2 names pair-1.
-        ids = dictionary.intern_mapped_array(np.array([5, 4, 1, 0, 5, 2]), pair_name)
-        assert ids.tolist() == [0, 0, 1, 1, 0, 2]
-        assert len(dictionary) == 3
+        ids = dictionary.intern_mapped_array(np.array([5, 4, 1, 0, 5, 2]), pair_names)
+        assert ids.tolist()[:4] == [base, base + 1, base + 2, base + 3]
+        with pytest.raises(WorkloadError, match=r"'pair-2' holds ids %d and %d" % (base, base + 1)):
+            dictionary.forward_map()
+        # Nothing was half entered: every later read raises again.
+        with pytest.raises(WorkloadError, match="named two draw values alike"):
+            dictionary.lookup("pair-0")
+        with pytest.raises(WorkloadError):
+            dictionary.intern("pair-9")
+
+    def test_namer_may_name_a_known_key_from_several_values(self):
+        # Values named alike are no error when the key is already known:
+        # they look it up and share its id; only new keys must be apart.
+        def pair_names(values: list[int]) -> list[str]:
+            return [f"pair-{value // 2}" for value in values]
+
+        dictionary = KeyDictionary()
+        dictionary.intern_keys(["pair-2", "pair-0", "pair-1"])
+        ids = dictionary.intern_mapped_array(np.array([3, 7, 0, 5, 1, 4]), pair_names)
+        assert ids.tolist() == [2, 3, 1, 0, 1, 0]
         assert list(dictionary.forward_map().items()) == [
-            ("pair-2", 0), ("pair-0", 1), ("pair-1", 2),
+            ("pair-2", 0), ("pair-0", 1), ("pair-1", 2), ("pair-3", 3),
         ]
-        assert dictionary.decode([0, 1, 2]) == ["pair-2", "pair-0", "pair-1"]
         assert dictionary.folded.tolist() == [
-            _key_to_int(key) for key in ("pair-2", "pair-0", "pair-1")
+            _key_to_int(key) for key in ("pair-2", "pair-0", "pair-1", "pair-3")
         ]
-        # Known and new aliases in one chunk: 3 joins pair-1, 7 and 6 are new.
-        ids = dictionary.intern_mapped_array(np.array([3, 7, 0, 6]), pair_name)
-        assert ids.tolist() == [2, 3, 1, 3]
-        assert len(dictionary) == 4
 
     @pytest.mark.parametrize(
         "values",
@@ -235,16 +263,16 @@ class TestDenseDedupe:
         ].tolist()
         assert len(dictionary) == len(expected_keys)
 
-    def test_mapped_names_come_from_either_path_alike(self):
-        def name(value: int) -> str:
-            return f"key-{value}"
-
+    @pytest.mark.parametrize("known", [False, True], ids=["empty", "non-empty"])
+    def test_mapped_names_come_from_either_path_alike(self, known):
         for values in (np.array([4, 2, 4, 3, 2]), np.array([9, 2, 9, 3, 2])):
             expected_ids, expected_values = _unique_reference(values)
             dictionary = KeyDictionary()
-            ids = dictionary.intern_mapped_array(values, name)
-            assert ids.tolist() == expected_ids.tolist()
-            assert list(dictionary.forward_map()) == [name(v) for v in expected_values]
+            if known:
+                dictionary.intern("other")
+            ids = dictionary.intern_mapped_array(values, _key_names)
+            assert ids.tolist() == (expected_ids + known).tolist()
+            assert list(dictionary.forward_map())[known:] == _key_names(expected_values)
 
     @pytest.mark.parametrize("dtype", list(EXTREMES), ids=lambda d: d.__name__)
     def test_empty_chunk(self, dtype):
@@ -254,10 +282,19 @@ class TestDenseDedupe:
         assert len(dictionary) == 0
 
 
+def _key_names(values: list[int]) -> list[str]:
+    return [f"key-{value}" for value in values]
+
+
 def _pair_name(value: int) -> int:
     # Names two draw values alike, and names them as integers, so a named
-    # chunk's keys meet an integer chunk's in the map.
+    # chunk's keys meet an integer chunk's in the map.  Only known keys may
+    # be named twice in a chunk: new keys must be apart.
     return value // 2
+
+
+def _pair_names(values: list[int]) -> list[int]:
+    return [_pair_name(value) for value in values]
 
 
 #: One step applied to a dictionary: ``(entry, argument)``.  Each entry is
@@ -272,6 +309,13 @@ LAZY_MAP_SEQUENCES = {
         ("ints", np.array([4, 1, 4, 6], dtype=np.int64)),
         ("named", np.array([8, 9, 2, 13, 3, 8])),
         ("named", np.array([13, 20, 12])),
+    ],
+    "named-first": [
+        ("named", np.array([6, 0, 6, 12, 40])),
+        ("ints", np.array([3, 0, 9, 6], dtype=np.int64)),
+        ("lookup", 6),
+        ("named", np.array([14, 7, 1, 0, 14])),
+        ("named", np.array([2, 40, 41, 60], dtype=np.int8)),
     ],
     "intern-known-then-new": [
         ("ints", np.array([7, 2, 7], dtype=np.int64)),
@@ -331,7 +375,7 @@ def _apply(dictionary: KeyDictionary, step):
     if entry == "ints":
         return dictionary.intern_int_array(argument).tolist()
     if entry == "named":
-        return dictionary.intern_mapped_array(argument, _pair_name).tolist()
+        return dictionary.intern_mapped_array(argument, _pair_names).tolist()
     if entry == "intern":
         return [dictionary.intern(argument)]
     if entry == "intern_keys":
@@ -357,8 +401,8 @@ def _typed(keys: list) -> list:
 
 
 class TestLazyForwardMap:
-    """An unnamed array chunk appends ids, keys and folds and leaves the
-    forward map to be caught up on its next read; nothing a later step or a
+    """An array chunk, named or not, appends ids, keys and folds and leaves
+    the forward map to be caught up on its next read; nothing a later step or a
     reader sees may show that the map was built late.
 
     Every prefix of each sequence is replayed on a fresh dictionary and only
@@ -382,6 +426,57 @@ class TestLazyForwardMap:
             assert list(dictionary.forward_map().items()) == list(
                 reference.forward_map().items()
             )
+
+
+#: Injective namers whose keys are text, integers (meeting an integer
+#: chunk's keys in the map) and tuples (wrapped as ``(type, key)``).
+NAMERS = {
+    "text": _key_names,
+    "shifted-int": lambda values: [3 * value + 1 for value in values],
+    "tuple": lambda values: [(value, "t") for value in values],
+}
+
+#: A chunk with repeats: narrow values often span no more than the chunk
+#: (the dense table), stretched ones always more (the sort).
+CHUNKS = st.builds(
+    lambda values, stretch, shift: np.array(values, dtype=np.int64) * stretch + shift,
+    st.lists(st.integers(0, 25), max_size=40),
+    st.sampled_from([1, 997]),
+    st.sampled_from([0, -13]),
+)
+
+STEPS = st.one_of(
+    st.tuples(st.just("ints"), CHUNKS),
+    st.tuples(st.sampled_from(sorted(NAMERS)), CHUNKS),
+    st.tuples(st.just("read"), st.none()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(STEPS, min_size=1, max_size=8))
+def test_mixed_chunks_and_reads_are_elementwise_intern(steps):
+    """Integer and named chunks in any order, with forward-map reads between
+    them: the ids, the key column, the folds and the map in order are those
+    of element-wise ``intern``."""
+    dictionary, reference = KeyDictionary(), KeyDictionary()
+    for entry, values in steps:
+        if entry == "read":
+            assert list(dictionary.forward_map().items()) == list(
+                reference.forward_map().items()
+            )
+            continue
+        if entry == "ints":
+            ids, keys = dictionary.intern_int_array(values), values.tolist()
+        else:
+            names = NAMERS[entry]
+            ids, keys = dictionary.intern_mapped_array(values, names), names(values.tolist())
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [reference.intern(key) for key in keys]
+    assert len(dictionary) == len(reference)
+    every_id = np.arange(len(reference))
+    assert _typed(dictionary.decode(every_id)) == _typed(reference.decode(every_id))
+    assert dictionary.folded.tolist() == reference.folded.tolist()
+    assert list(dictionary.forward_map().items()) == list(reference.forward_map().items())
 
 
 class TestColumnarBatch:

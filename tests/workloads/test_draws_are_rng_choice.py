@@ -74,7 +74,10 @@ class TestHeadBodyWorkloads:
         for got, expected in zip(draws, reference):
             assert got.dtype == expected.dtype
             assert (got == expected).all()
-        names = [workload._key_name(index) for index in np.concatenate(reference).tolist()]
+        indices = np.concatenate(reference).tolist()
+        head = len(workload._head_fractions)
+        names = [f"head-{i}" if i < head else f"key-{i - head}" for i in indices]
+        assert workload._key_names(indices) == names
         assert list(workload.keys()) == names
         assert _flat(workload.iter_batches(300)) == names
         assert _decoded(workload, 300) == names

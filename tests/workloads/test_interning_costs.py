@@ -56,11 +56,18 @@ def _python_calls(function) -> int:
     return count
 
 
-def _fixed_width_name(value: int) -> str:
-    # One width at both sizes: the vectorised fold makes one more numpy
-    # call when a chunk has a key past 8 bytes, which is per chunk, not per
-    # key, but would blur the exact equality below.
-    return f"key-{value:07d}"
+class _CountedNamer:
+    """Names values as ``key-0000042``; records the size of each call."""
+
+    def __init__(self) -> None:
+        self.calls: list[int] = []
+
+    def __call__(self, values: list[int]) -> list[str]:
+        self.calls.append(len(values))
+        # One width at both sizes: the vectorised fold makes one more numpy
+        # call when a chunk has a key past 8 bytes, which is per chunk, not
+        # per key, but would blur the exact equality below.
+        return [f"key-{value:07d}" for value in values]
 
 
 @SPANS
@@ -79,22 +86,41 @@ def test_int_chunk_makes_no_python_call_per_key(stride):
 
 
 @SPANS
-def test_mapped_chunk_calls_only_key_fn_per_key(stride):
-    """With a naming ``key_fn`` the count is its one call per distinct value
-    plus a constant: lookup, ordering, entry, store and fold are per chunk
-    (the walk added ``issue()``, ``_forward_key`` and ``_key_to_int`` per key)."""
-    overhead = {}
+@pytest.mark.parametrize("known", [False, True], ids=["empty", "non-empty"])
+def test_mapped_chunk_calls_the_namer_once(stride, known):
+    """A named chunk costs the same number of Python-level calls at 2,000
+    and at 200,000 distinct keys: one namer call over the whole chunk plus a
+    constant — lookup, ordering, store and fold are per chunk (a ``key_fn``
+    per distinct value added 2,000 and 200,000; the walk before it also an
+    ``issue()``, ``_forward_key`` and ``_key_to_int`` per key).  A known key
+    makes the dictionary look the chunk's names up; it still names once."""
+    calls = {}
     for distinct in (SMALL, LARGE):
         dictionary, values = KeyDictionary(), _all_new_chunk(distinct, stride)
-        overhead[distinct] = (
-            _python_calls(
-                lambda: dictionary.intern_mapped_array(values, _fixed_width_name)
-            )
-            - distinct
+        if known:
+            dictionary.intern("key-0000000")  # the name of the chunk's 0
+        names = _CountedNamer()
+        calls[distinct] = _python_calls(
+            lambda: dictionary.intern_mapped_array(values, names)
         )
+        assert names.calls == [distinct]
         assert len(dictionary) == distinct
-    assert overhead[SMALL] == overhead[LARGE], overhead
-    assert 0 < overhead[LARGE] < 100
+    assert calls[SMALL] == calls[LARGE], calls
+    assert 0 < calls[LARGE] < 100
+
+
+@SPANS
+def test_named_chunk_leaves_the_forward_map_to_its_first_read(stride):
+    """An all-new named chunk on an empty dictionary names its keys in one
+    call and enters none of them in the forward map until a read asks."""
+    dictionary, values = KeyDictionary(), _all_new_chunk(SMALL, stride)
+    names = _CountedNamer()
+    ids = dictionary.intern_mapped_array(values, names)
+    assert names.calls == [SMALL]
+    assert len(dictionary) == SMALL
+    assert not dictionary._key_index
+    assert dictionary.lookup(f"key-{int(values[-1]):07d}") == ids[-1] == SMALL - 1
+    assert len(dictionary._key_index) == SMALL
 
 
 def _ns_per_new_key(distinct: int, stride: int) -> float:
