@@ -4,13 +4,15 @@ The simulators measure *where* messages go; this package actually moves
 them.  One source process interns the workload into columnar key-id
 batches, routes them with the exact same :class:`~repro.partitioning.base.
 Partitioner` fast path the simulator uses, and pushes per-worker id arrays
-into fixed-size single-producer/single-consumer ring buffers backed by
-``multiprocessing.shared_memory`` — no pickling on the hot path.  N worker
-processes pop frames, decode ids through a delta-synced
+into fixed-size single-producer/single-consumer ring buffers — slices of
+one anonymous shared mapping made before the fork, so no pickling on the
+hot path and nothing named that could outlive a run.  N worker processes
+pop frames, decode ids through a delta-synced
 :class:`~repro.workloads.columnar.KeyDictionary` replica and apply a
-configurable per-message service time.  A monitor thread in the
-coordinating process snapshots the shared load vector / SpaceSaving head
-summary and watches heartbeats for crash and hang detection.
+configurable per-message service time.  The coordinating process waits on
+descriptors only: result pipes, process sentinels (crash detection) and a
+snapshot tick that records the shared load vector / SpaceSaving head
+summary and checks heartbeats (hang detection).
 
 See ``docs/runtime.md`` for the architecture and the shared-memory layout.
 """

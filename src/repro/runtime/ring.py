@@ -1,10 +1,11 @@
 """Single-producer / single-consumer ring buffer over shared memory.
 
 One ring connects the source process to one worker process.  The backing
-store is any writable buffer of ``int64`` words — a
-``multiprocessing.shared_memory.SharedMemory`` block between processes, or
-a plain ``numpy`` array in unit tests — so the protocol is testable without
-spawning a single process.
+store is any writable buffer of ``int64`` words — between processes, the
+ring's slice of the run's one anonymous shared mapping (an ``mmap`` made
+before the fork, see ``runtime/runtime.py``), or a plain ``numpy`` array
+in unit tests — so the protocol is testable without spawning a single
+process.
 
 Layout (all words are little-endian ``int64``)::
 
@@ -131,6 +132,10 @@ class Doorbell:
         except BlockingIOError:
             pass  # pipe full: already rung, and not yet answered
 
+    def fileno(self) -> int:
+        """The read end, to wait on beside other descriptors."""
+        return self._read_fd
+
     def wait(self, timeout_s: float) -> bool:
         """Block until rung or ``timeout_s`` passed; ``True`` when rung."""
         if not self._readable.poll(timeout_s * 1e3):
@@ -190,7 +195,8 @@ class SpscRing:
     ----------
     buffer:
         Writable buffer exposing at least ``ring_words(capacity)`` int64
-        words (a ``SharedMemory.buf``, a ``numpy`` array, a ``bytearray``).
+        words (a slice of a shared ``mmap``, a ``numpy`` array, a
+        ``bytearray``).
     capacity_words:
         Payload-region size when *creating* a ring (``create=True``).  Must
         leave room for the largest pushed frame **plus** a PAD header.

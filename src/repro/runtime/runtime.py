@@ -1,15 +1,23 @@
 """Coordinator of the multi-process cluster runtime.
 
-``run_cluster`` owns every resource of one run: the shared state block, one
-ring buffer per worker, the delta/result pipes, the source and worker
-processes (all spawned under the ``fork`` start method so shared-memory
-views and pipe ends are inherited, never pickled), a monitor thread that
-snapshots the shared state and watches liveness, and a *supervisor* that
-turns detected failures into recoveries.
+``run_cluster`` owns every resource of one run: one anonymous shared
+mapping that holds the state block and one ring buffer per worker, the
+delta/result pipes, the start gate, and the source and worker processes.
+All of them are made before the fork (the ``fork`` start method is
+required), so every process inherits the mapping and its pipe ends; nothing
+is pickled, and nothing is named, so nothing outlives a crashed run.
+
+The coordinator's result loop is the whole control plane.  It blocks in one
+``multiprocessing.connection.wait`` over the result pipes still owed, the
+sentinel of every watched process and a timeout to the next snapshot tick;
+the tick snapshots the shared state and checks heartbeats.  No thread and
+no shorter poll: a report or a death wakes the loop at once.  A
+*supervisor*, driven from the same loop, turns detected failures into
+recoveries.
 
 Failure handling is supervised, not merely detected.  When a worker dies
-(process liveness), wedges (heartbeat age) or reports a protocol error, the
-supervisor:
+(its sentinel), wedges (heartbeat age on a tick) or reports a protocol
+error (its result pipe), the supervisor:
 
 1. **fences** the slot in shared state — the source stops pushing into its
    ring immediately and redirects the slot's share to the survivors;
@@ -33,11 +41,10 @@ and itemised in the :class:`ClusterResult`.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
-import threading
 import time
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from multiprocessing.connection import wait as wait_readable
 from typing import Any, Callable
 
@@ -54,19 +61,14 @@ from repro.runtime.state import (
     DEFAULT_HEAD_CAPACITY,
     ClusterSnapshot,
     SharedClusterState,
+    StartGate,
     state_words,
 )
 from repro.runtime.worker import WorkerResult, worker_main
 from repro.types import loads_imbalance
 
-#: Sentinel worker id the monitor uses for the source process.
+#: Worker id the coordinator's bookkeeping uses for the source process.
 SOURCE_ID = -1
-
-#: Grace (seconds) between a watched process exiting with code 0 and the
-#: monitor calling it a failure — a finished worker sends its result and
-#: exits, and the coordinator needs a beat to drain the pipe.  A non-zero
-#: exit code skips the grace: nothing clean exits that way.
-_CLEAN_EXIT_GRACE_S = 1.0
 
 
 @dataclass(slots=True)
@@ -98,7 +100,7 @@ class ClusterConfig:
         supervision behaviour; so does ``max_restarts=0`` with it).
     ``startup_grace_s``
         how long a freshly forked (or respawned) worker may run without a
-        first heartbeat before the monitor declares it hung.  Heartbeat
+        first heartbeat before a snapshot tick declares it hung.  Heartbeat
         *age* only applies after the first beat; a slow-forking worker has
         no beats at all (``heartbeat_age_s == inf``) and is governed by
         this grace instead.
@@ -257,120 +259,88 @@ class ClusterResult:
         return summary
 
 
-class _Monitor(threading.Thread):
-    """Snapshots the shared state and watches process liveness.
+def _stall_reason(
+    state: SharedClusterState,
+    config: ClusterConfig,
+    worker_id: int,
+    watched_since: float,
+    now: float,
+) -> str | None:
+    """Why a live worker counts as hung at tick time ``now``, or ``None``.
 
-    Failures are *queued* for the supervisor, not acted on: the monitor
-    never aborts the run.  A watched process leaves the watch set the
-    moment its failure is queued (or its result arrives), so one failure
-    is reported exactly once; the supervisor re-registers the replacement
-    incarnation after a respawn.
+    A fenced slot is mid-recovery: the supervisor owns it.  Heartbeat *age*
+    applies after the first beat; before it (``heartbeat_age_s == inf``: a
+    slow fork, or a fresh respawn) the startup grace, counted from
+    ``watched_since``, governs instead of the heartbeat timeout.
     """
-
-    def __init__(self, state, config, started_at) -> None:
-        super().__init__(name="cluster-monitor", daemon=True)
-        self._state = state
-        self._config = config
-        self._started_at = started_at
-        self._halt = threading.Event()
-        self._lock = threading.Lock()
-        #: pid -> (process, watch_since); pid SOURCE_ID is the source.
-        self._watch: dict[int, tuple[Any, float]] = {}
-        self._dead_since: dict[int, float] = {}
-        self._failures: list[tuple[int, Any, str]] = []
-        self.snapshots: list[ClusterSnapshot] = []
-
-    def watch(self, pid: int, process) -> None:
-        with self._lock:
-            self._watch[pid] = (process, time.monotonic())
-            self._dead_since.pop(pid, None)
-
-    def forget(self, pid: int) -> None:
-        """Stop watching a process (result arrived, or being recovered)."""
-        with self._lock:
-            self._watch.pop(pid, None)
-            self._dead_since.pop(pid, None)
-
-    def take_failure(self) -> tuple[int, Any, str] | None:
-        """Pop the oldest queued failure: ``(pid, process, reason)``."""
-        with self._lock:
-            if self._failures:
-                return self._failures.pop(0)
+    if state.worker_fenced(worker_id):
         return None
-
-    def has_failures(self) -> bool:
-        with self._lock:
-            return bool(self._failures)
-
-    def stop(self) -> None:
-        self._halt.set()
-
-    def _fail(self, pid: int, process, reason: str) -> None:
-        self._watch.pop(pid, None)
-        self._dead_since.pop(pid, None)
-        self._failures.append((pid, process, reason))
-
-    def _check_liveness(self) -> None:
-        state = self._state
-        now = time.monotonic()
-        with self._lock:
-            for pid, (process, watch_since) in list(self._watch.items()):
-                who = "source" if pid == SOURCE_ID else f"worker {pid}"
-                if not process.is_alive():
-                    exitcode = process.exitcode
-                    if exitcode == 0:
-                        # A clean exit usually precedes the coordinator
-                        # draining the result pipe by a moment.
-                        first_seen = self._dead_since.setdefault(pid, now)
-                        if now - first_seen < _CLEAN_EXIT_GRACE_S:
-                            continue
-                    self._fail(
-                        pid,
-                        process,
-                        f"{who} died (exit code {exitcode}) before "
-                        f"finishing its stream",
-                    )
-                    continue
-                if pid == SOURCE_ID or not state.started():
-                    continue
-                if state.worker_fenced(pid):
-                    continue  # mid-recovery; the supervisor owns this slot
-                age = state.heartbeat_age_s(pid)
-                if age == float("inf"):
-                    # No heartbeat yet: a forking/startup phase, governed
-                    # by the startup grace, not the heartbeat timeout.
-                    if now - watch_since > self._config.startup_grace_s:
-                        self._fail(
-                            pid,
-                            process,
-                            f"worker {pid} never heartbeat within the "
-                            f"{self._config.startup_grace_s}s startup grace",
-                        )
-                    continue
-                if age > self._config.heartbeat_timeout_s:
-                    self._fail(
-                        pid,
-                        process,
-                        f"worker {pid} stopped heartbeating "
-                        f"({age:.1f}s > {self._config.heartbeat_timeout_s}s "
-                        f"timeout)",
-                    )
-
-    def run(self) -> None:
-        interval = self._config.snapshot_interval_s
-        while not self._halt.wait(interval):
-            self.snapshots.append(
-                self._state.snapshot(time.perf_counter() - self._started_at)
+    age = state.heartbeat_age_s(worker_id)
+    if age == float("inf"):
+        if now - watched_since > config.startup_grace_s:
+            return (
+                f"worker {worker_id} never heartbeat within the "
+                f"{config.startup_grace_s}s startup grace"
             )
-            self._check_liveness()
+        return None
+    if age > config.heartbeat_timeout_s:
+        return (
+            f"worker {worker_id} stopped heartbeating "
+            f"({age:.1f}s > {config.heartbeat_timeout_s}s timeout)"
+        )
+    return None
+
+
+def _death_reason(pid: int, process) -> str:
+    """Why a watched process whose sentinel fired counts as failed.
+
+    The loop reads result pipes before sentinels, and a child writes its
+    result before it exits, so a process still watched here never reported:
+    a clean exit code is no excuse.
+    """
+    process.join(timeout=1.0)  # the sentinel fired: this only collects the code
+    who = "source" if pid == SOURCE_ID else f"worker {pid}"
+    return f"{who} died (exit code {process.exitcode}) before finishing its stream"
+
+
+def _await_ready(pipes: dict, processes, timeout_s: float) -> str | None:
+    """Block until each pipe of ``pipes`` (``{conn: who}``) sent ``("ready",)``.
+
+    Returns ``None``, or why the barrier failed: an ``error`` report, the
+    death of one of ``processes`` (its sentinel) or the timeout.
+    """
+    deadline = time.monotonic() + timeout_s
+    pipes = dict(pipes)
+    sentinels = [process.sentinel for process in processes]
+    while pipes:
+        ready = wait_readable(
+            [*pipes, *sentinels], timeout=max(0.0, deadline - time.monotonic())
+        )
+        if not ready:
+            return f"cluster startup timed out after {timeout_s}s"
+        for conn in ready:
+            who = pipes.pop(conn, None)
+            if who is None:
+                continue
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                return f"{who} died during startup"
+            if message[0] == "error":
+                return f"{who} failed during startup: {message[2]}"
+        if any(sentinel in ready for sentinel in sentinels):
+            return "a process died during startup"
+    return None
 
 
 class _Supervisor:
     """Turns one detected worker failure into one recovery action.
 
-    Owned and driven by the coordinator's result loop (single-threaded);
-    the monitor only queues failures.  Per failure:
-    fence -> reap -> drain in-flight -> respawn | degrade | salvage.
+    Owned and driven by the coordinator's result loop (single-threaded),
+    which shares its ``watch`` table with it: a slot leaves the table the
+    moment its failure is handled and its replacement joins it.  Per
+    failure: fence -> reap -> drain in-flight -> respawn | degrade |
+    salvage.
     """
 
     def __init__(
@@ -379,23 +349,25 @@ class _Supervisor:
         ctx,
         state: SharedClusterState,
         rings: list[SpscRing],
-        ring_shms,
+        ring_blocks,
         delta_pipe_pools,
         result_pipes,
         processes,
-        monitor: _Monitor,
+        watch: dict,
         control_send,
+        fence_bell: Doorbell,
     ) -> None:
         self._config = config
         self._ctx = ctx
         self._state = state
         self._rings = rings
-        self._ring_shms = ring_shms
+        self._ring_blocks = ring_blocks
         self._delta_pipe_pools = delta_pipe_pools
         self._result_pipes = result_pipes
         self._processes = processes
-        self._monitor = monitor
+        self._watch = watch
         self._control_send = control_send
+        self._fence_bell = fence_bell
         self._incarnation = [0] * config.num_workers
         self.restarts = 0
         self.frames_lost = 0
@@ -427,32 +399,31 @@ class _Supervisor:
             process.kill()
             process.join(timeout=2.0)
 
-    def _await_fence_ack(self, worker_id: int, timeout_s: float = 1.0) -> bool:
-        """Wait for the source to promise it is off the fenced ring.
+    def _await_fence_ack(self, worker_id: int) -> bool:
+        """Block until the source promises it is off the fenced ring.
 
         Draining or re-initialising the ring while the source could still
-        be mid-push would corrupt it (and silently lose the late frames
-        from the in-flight count).  The source checks fences every batch
-        and inside every blocked push, so the ack lands within one batch
-        cycle; the timeout only matters when the source itself is dead or
-        done — both cases where it no longer touches the ring.
+        be mid-push would corrupt it.  The source acks on every batch, in
+        every blocked push and on every pass of its end-of-stream linger,
+        ringing ``fence_bell`` each time; its pushes are bounded by
+        ``push_timeout_s``, so the wait on the bell and the source's
+        sentinel needs no timeout.  ``False``: the source exited without the
+        ack, having closed the ring and lingered for no replacement.
         """
-        deadline = time.monotonic() + timeout_s
+        source = self._processes[SOURCE_ID].sentinel
         while not self._state.fence_acknowledged(worker_id):
-            if (
-                self._state.source_done()
-                or self._state.aborted()
-                or time.monotonic() > deadline
-            ):
-                return False
-            time.sleep(0.001)
+            if source in wait_readable([self._fence_bell, source]):
+                return self._state.fence_acknowledged(worker_id)
+            self._fence_bell.wait(0)  # answer the ring; the word says for whom
         return True
 
     def _drain(self, worker_id: int) -> None:
+        """Count the slot's loss: frames left in its ring and the one it claimed."""
         drain = self._rings[worker_id].drain_inflight()
-        self.frames_lost += drain.frames
-        self.messages_lost += drain.messages
-        self.lost_per_worker[worker_id] += drain.messages
+        held = self._state.inflight_messages(worker_id)
+        self.frames_lost += drain.frames + (1 if held else 0)
+        self.messages_lost += drain.messages + held
+        self.lost_per_worker[worker_id] += drain.messages + held
 
     def _synthesize_result(self, worker_id: int) -> WorkerResult:
         processed = self._state.worker_processed()[worker_id]
@@ -474,7 +445,7 @@ class _Supervisor:
         # a fresh pipe would never be rung and the new incarnation would
         # silently run on 2 ms backstops.
         ring = SpscRing(
-            self._ring_shms[worker_id].buf,
+            self._ring_blocks[worker_id],
             config.ring_capacity_words,
             create=True,
             doorbell=self._rings[worker_id].doorbell,
@@ -510,23 +481,13 @@ class _Supervisor:
         )
         process.start()
         self._processes[worker_id] = process
-        deadline = time.monotonic() + config.startup_timeout_s
-        while not self._state.worker_ready(worker_id):
-            if not process.is_alive() or time.monotonic() > deadline:
-                self._reap(process)
-                return False
-            time.sleep(0.002)
+        if _await_ready({recv: f"worker {worker_id}"}, [process], config.startup_timeout_s):
+            self._reap(process)
+            return False
         return True
 
     # ------------------------------------------------------------------ #
-    def handle(
-        self,
-        worker_id: int,
-        process,
-        reason: str,
-        unaccounted_messages: int = 0,
-        unaccounted_frames: int = 0,
-    ) -> None:
+    def handle(self, worker_id: int, process, reason: str) -> None:
         """Recover one failed worker slot (or raise in strict mode)."""
         config = self._config
         state = self._state
@@ -539,16 +500,18 @@ class _Supervisor:
         # be treated as an end-of-stream failure.
         source_was_done = state.source_done()
         state.fence_worker(worker_id)
-        self._monitor.forget(worker_id)
+        self._watch.pop(worker_id, None)
         self._reap(process)
-        if not source_was_done:
+        # A source that exits without taking the fence has closed this
+        # ring and lingers for no replacement: the stream ended for the
+        # slot after all, and a respawn would wait for its EOF forever.
+        stream_ended = source_was_done or not (
             self._await_fence_ack(worker_id)
+            or self._processes[SOURCE_ID].is_alive()
+        )
         self._drain(worker_id)
-        self.messages_lost += unaccounted_messages
-        self.frames_lost += unaccounted_frames
-        self.lost_per_worker[worker_id] += unaccounted_messages
 
-        if source_was_done:
+        if stream_ended:
             # The stream already ended: nothing left to deliver to a
             # replacement.  Salvage the slot's ledger in place; the fence
             # stays up so the source's EOF linger skips the dead ring.
@@ -568,7 +531,10 @@ class _Supervisor:
             if self._respawn(worker_id, incarnation):
                 state.clear_fence(worker_id)
                 self._tell_source(("recover", worker_id, incarnation))
-                self._monitor.watch(worker_id, self._processes[worker_id])
+                self._watch[worker_id] = (
+                    self._processes[worker_id],
+                    time.monotonic(),
+                )
                 self.recovery_seconds += time.perf_counter() - t0
                 self._log(
                     f"worker {worker_id}: {reason}; respawned as "
@@ -621,29 +587,40 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
     if "fork" not in multiprocessing.get_all_start_methods():
         raise ClusterRuntimeError(
             "the cluster runtime requires the 'fork' start method "
-            "(POSIX-only): shared-memory views are inherited, not pickled"
+            "(POSIX-only): the shared mapping is inherited, not pickled"
         )
+    # A module a forked child imports is paid for inside its timed stream, so
+    # what the source's first batch runs is imported here (numpy.random is
+    # lazy).  Not at module level: every importer would pay, and sim_hot's
+    # trials ran slower with numpy.random loaded by `import repro.runtime`.
+    import numpy.random  # noqa: F401
+    import repro.workloads.zipf_stream  # noqa: F401
+
     ctx = multiprocessing.get_context("fork")
     n = config.num_workers
 
-    state_shm = shared_memory.SharedMemory(
-        create=True, size=state_words(n, config.head_capacity) * 8
-    )
-    ring_shms = [
-        shared_memory.SharedMemory(
-            create=True, size=ring_words(config.ring_capacity_words) * 8
-        )
-        for _ in range(n)
-    ]
+    # One anonymous shared mapping: the state block, then one ring per
+    # worker, each on its own pages.  Inherited by every fork (respawns
+    # fork from here too); unmapped when the last view of it dies.
+    def pages(words: int) -> int:
+        return -(-words * 8 // mmap.PAGESIZE) * mmap.PAGESIZE
+
+    state_bytes = pages(state_words(n, config.head_capacity))
+    ring_bytes = pages(ring_words(config.ring_capacity_words))
+    mapping = memoryview(mmap.mmap(-1, state_bytes + n * ring_bytes))
     state = SharedClusterState(
-        state_shm.buf, n, config.head_capacity, create=True
+        mapping[:state_bytes], n, config.head_capacity, create=True
     )
+    ring_blocks = [
+        mapping[state_bytes + w * ring_bytes : state_bytes + (w + 1) * ring_bytes]
+        for w in range(n)
+    ]
     # One doorbell per ring, made before any fork so the source (who rings)
     # and every incarnation of the worker (who waits) inherit both ends.
     doorbells = [Doorbell() for _ in range(n)]
     rings = [
-        SpscRing(shm.buf, config.ring_capacity_words, create=True, doorbell=doorbell)
-        for shm, doorbell in zip(ring_shms, doorbells)
+        SpscRing(block, config.ring_capacity_words, create=True, doorbell=doorbell)
+        for block, doorbell in zip(ring_blocks, doorbells)
     ]
 
     # One delta pipe per worker *incarnation*, created before any fork: the
@@ -657,6 +634,10 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
     result_pipes = [ctx.Pipe(duplex=False) for _ in range(n)]
     source_pipe = ctx.Pipe(duplex=False)
     control_pipe = ctx.Pipe(duplex=False)
+    # Rung by the source after each fence it takes: the supervisor's wait
+    # for that acknowledgement blocks on it.
+    fence_bell = Doorbell()
+    start = StartGate()
     plan = config.inject
 
     workers = [
@@ -671,6 +652,7 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
                 result_pipes[worker_id][1],
                 config.service_ns,
                 plan.for_worker(worker_id, 0) if plan is not None else None,
+                start,
             ),
             daemon=True,
         )
@@ -686,58 +668,46 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
             [[send for _, send in pool] for pool in delta_pipe_pools],
             source_pipe[1],
             control_pipe[0],
+            start,
+            fence_bell,
         ),
         daemon=True,
     )
 
     processes = {worker_id: process for worker_id, process in enumerate(workers)}
     processes[SOURCE_ID] = source
-    monitor: _Monitor | None = None
-    failure: ClusterRuntimeError | None = None
     try:
         for process in workers:
             process.start()
         source.start()
 
-        # Startup barrier: every worker flags ready in shared state, the
-        # source over its pipe; only then does the clock start — process
-        # startup never pollutes the throughput measurement.
-        deadline = time.monotonic() + config.startup_timeout_s
-        source_ready = False
-        while not (state.all_ready() and source_ready):
-            if source_pipe[0].poll(0.005):
-                message = source_pipe[0].recv()
-                if message[0] == "ready":
-                    source_ready = True
-                elif message[0] == "error":
-                    raise ClusterRuntimeError(
-                        f"source failed during startup: {message[2]}"
-                    )
-            if any(not process.is_alive() for process in processes.values()):
-                raise ClusterRuntimeError("a process died during startup")
-            if time.monotonic() > deadline:
-                raise ClusterRuntimeError(
-                    f"cluster startup timed out after {config.startup_timeout_s}s"
-                )
+        # Startup barrier: every child reports ready on its result pipe;
+        # only then does the clock start — process startup never pollutes
+        # the throughput measurement.
+        owed_ready = {result_pipes[w][0]: f"worker {w}" for w in range(n)}
+        owed_ready[source_pipe[0]] = "source"
+        failure = _await_ready(owed_ready, processes.values(), config.startup_timeout_s)
+        if failure is not None:
+            raise ClusterRuntimeError(failure)
 
         started_at = time.perf_counter()
-        monitor = _Monitor(state, config, started_at)
-        for pid, process in processes.items():
-            monitor.watch(pid, process)
-        monitor.start()
+        #: pid -> (process, watched since): the incarnations whose death or
+        #: hang is still news.  A process leaves on its result or failure.
+        watch = {pid: (process, time.monotonic()) for pid, process in processes.items()}
         supervisor = _Supervisor(
             config,
             ctx,
             state,
             rings,
-            ring_shms,
+            ring_blocks,
             delta_pipe_pools,
             result_pipes,
             processes,
-            monitor,
+            watch,
             control_pipe[1],
+            fence_bell,
         )
-        state.release_start()
+        start.release()
 
         def fail_run(failed_id: int, reason: str) -> None:
             state.abort()
@@ -756,27 +726,18 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
 
         worker_results: dict[int, WorkerResult] = {}
         source_result: dict[str, Any] | None = None
+        snapshots: list[ClusterSnapshot] = []
         elapsed = 0.0
         #: Result pipes that raised on recv().  A pipe at EOF is always
         #: readable, so it must leave the wait set or the loop would spin
-        #: until the monitor reports the death it belongs to.
+        #: until the sentinel it belongs to is handled.
         dead_pipes: set = set()
+        interval = config.snapshot_interval_s
+        next_tick = time.monotonic() + interval
         while True:
             finished = set(worker_results) | set(supervisor.salvaged_results)
             if len(finished) >= n and source_result is not None:
                 break
-            failure = monitor.take_failure()
-            if failure is not None:
-                pid, process, reason = failure
-                if pid == SOURCE_ID:
-                    fail_run(SOURCE_ID, reason)
-                if processes.get(pid) is process and pid not in finished:
-                    # (a stale entry for an already-replaced incarnation,
-                    # or a slot that already reported, is ignored)
-                    supervisor.handle(pid, process, reason)
-                continue
-            # Block on the pipes still owed a message.  The timeout stays
-            # because the monitor's failure queue has no descriptor.
             owed = {
                 result_pipes[worker_id][0]: worker_id
                 for worker_id in range(n)
@@ -784,31 +745,31 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
             }
             if source_result is None:
                 owed[source_pipe[0]] = SOURCE_ID
-            pending = [conn for conn in owed if conn not in dead_pipes]
-            for conn in wait_readable(pending, timeout=0.002):
-                pid = owed[conn]
+            sentinels = {
+                process.sentinel: (pid, process)
+                for pid, (process, _) in watch.items()
+            }
+            ready = wait_readable(
+                [*(conn for conn in owed if conn not in dead_pipes), *sentinels],
+                timeout=max(0.0, next_tick - time.monotonic()),
+            )
+            # Pipes first: a child writes its report before it exits, so a
+            # process that reported is finished (or failed loudly), never
+            # merely dead.
+            for conn in ready:
+                pid = owed.get(conn)
+                if pid is None:
+                    continue
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):
-                    dead_pipes.add(conn)  # died with its process; the monitor reports it
+                    dead_pipes.add(conn)  # died with its process; the sentinel reports it
                     continue
                 if message[0] == "error":
                     if pid == SOURCE_ID:
                         fail_run(SOURCE_ID, f"source failed: {message[2]}")
-                    monitor.forget(pid)
                     supervisor.handle(
-                        pid,
-                        processes[pid],
-                        f"worker {pid} failed: {message[2]}",
-                        # Messages the worker had popped off the ring but
-                        # not delivered when it died — invisible to the
-                        # ring drain, itemised by the worker itself.
-                        unaccounted_messages=(
-                            message[3] if len(message) > 3 else 0
-                        ),
-                        unaccounted_frames=(
-                            message[4] if len(message) > 4 else 0
-                        ),
+                        pid, processes[pid], f"worker {pid} failed: {message[2]}"
                     )
                     continue
                 if pid == SOURCE_ID:
@@ -816,11 +777,28 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
                 else:
                     worker_results[pid] = message[1]
                     supervisor.salvaged_results.pop(pid, None)
-                monitor.forget(pid)
+                watch.pop(pid, None)
                 elapsed = time.perf_counter() - started_at
+            for conn in ready:
+                pid, process = sentinels.get(conn, (None, None))
+                if process is None or watch.get(pid, (None,))[0] is not process:
+                    continue  # not a sentinel, or its process reported or was replaced
+                del watch[pid]
+                reason = _death_reason(pid, process)
+                if pid == SOURCE_ID:
+                    fail_run(SOURCE_ID, reason)
+                supervisor.handle(pid, process, reason)
+            if time.monotonic() >= next_tick:
+                snapshots.append(state.snapshot(time.perf_counter() - started_at))
+                now = time.monotonic()
+                for pid, (process, since) in list(watch.items()):
+                    if pid == SOURCE_ID or watch.get(pid, (None,))[0] is not process:
+                        continue
+                    reason = _stall_reason(state, config, pid, since, now)
+                    if reason is not None:
+                        supervisor.handle(pid, process, reason)
+                next_tick = time.monotonic() + interval
 
-        monitor.stop()
-        monitor.join(timeout=5.0)
         for process in processes.values():
             process.join(timeout=10.0)
 
@@ -849,7 +827,7 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
             dict_entries=int(source_result["dict_entries"]),
             service_ns=config.service_ns,
             worker_results=final_results,
-            snapshots=list(monitor.snapshots),
+            snapshots=snapshots,
             restarts=supervisor.restarts,
             frames_lost=supervisor.frames_lost,
             messages_lost=supervisor.messages_lost,
@@ -862,16 +840,9 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
             recovery_log=list(supervisor.recovery_log),
             migration=source_result["migration"],
         )
-    except ClusterRuntimeError as error:
-        # The frames the error was raised through (the supervisor's) hold
-        # numpy views over the shared blocks, and a traceback keeps its
-        # frames alive: drop it, tear the mesh down, then raise from here.
-        failure = error.with_traceback(None)
     finally:
         state.abort()  # idempotent; unblocks anything still waiting
-        if monitor is not None:
-            monitor.stop()
-            monitor.join(timeout=5.0)
+        start.close()  # releases any child still at the start line
         for process in processes.values():
             process.join(timeout=2.0)
             if process.is_alive():
@@ -889,32 +860,8 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
                     end.close()
                 except OSError:
                     pass
-        for doorbell in doorbells:
+        for doorbell in (*doorbells, fence_bell):
             doorbell.close()
-        # Every numpy view over the shared blocks must die before the
-        # mappings can close — including the ones captured inside the
-        # Process argument tuples, the supervisor and the monitor thread.
-        processes.clear()
-        workers.clear()
-        source = None
-        monitor = None
-        supervisor = None
-        rings.clear()  # the supervisor shares this list; empty it for both
-        del rings
-        state = None
-        for shm in [state_shm, *ring_shms]:
-            # close() can still refuse while a foreign in-flight exception
-            # (an interrupt) pins buffer views; unlink must run regardless,
-            # or the segment outlives the run on /dev/shm.
-            try:
-                shm.close()
-            except (BufferError, OSError):
-                pass
-            try:
-                shm.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-    raise failure
 
 
 def validate_against_simulation(

@@ -21,7 +21,8 @@ Hot path per batch:
 4. when the dictionary grew, send the new ``(id, key)`` entries down each
    worker's delta pipe *before* the frame that needs them;
 5. every ``publish_every`` batches, publish the load vector and the
-   SpaceSaving head summary into the shared state block for the monitor.
+   SpaceSaving head summary into the shared state block for the
+   coordinator's snapshots.
 
 Recovery protocol (supervisor -> source, one control pipe):
 
@@ -59,8 +60,8 @@ from repro.elasticity.accountant import MigrationCostAccountant
 from repro.elasticity.policies import CANDIDATE_SET_REMAP
 from repro.exceptions import ClusterRuntimeError
 from repro.execution import SenderGroup, spans
-from repro.runtime.ring import read_poller
-from repro.runtime.state import SharedClusterState
+from repro.runtime.ring import Doorbell, read_poller
+from repro.runtime.state import SharedClusterState, StartGate
 
 
 def _head_ids(partitioner) -> dict[int, int] | None:
@@ -128,6 +129,8 @@ def source_main(
     delta_conn_pools,
     result_conn,
     control_conn=None,
+    start: StartGate | None = None,
+    fence_bell: Doorbell | None = None,
 ) -> None:
     """Entry point of the source process (run under the fork context).
 
@@ -135,6 +138,9 @@ def source_main(
     ``w``, one per incarnation (index 0 is the original worker, index k the
     k-th respawn); ``control_conn`` is the receive end of the supervisor's
     recovery channel (``None`` runs unsupervised, as the unit tests do).
+    The source reports ``("ready",)`` once its router and workload are
+    built, then waits at ``start`` (``None`` starts at once).  It rings
+    ``fence_bell`` after each fence it acknowledges.
     """
     n = config.num_workers
     worker_range = range(n)
@@ -152,10 +158,10 @@ def source_main(
         batches = spans(config.build_workload(), group, config.mode)
 
         result_conn.send(("ready",))
-        while not state.started():
-            if state.aborted():
-                return
-            time.sleep(0.0005)
+        if start is not None:
+            start.wait()
+        if state.aborted():
+            return
 
         dictionary = None
         deltas = DeltaFeed(delta_conn_pools)
@@ -171,6 +177,11 @@ def source_main(
         redirected_in = [0] * n  # messages w absorbed for a down peer
         redirected_keys: list[set[int]] = [set() for _ in worker_range]
         accountant = MigrationCostAccountant(CANDIDATE_SET_REMAP)
+
+        def take_fence(worker_id: int) -> None:
+            state.acknowledge_fence(worker_id)
+            if fence_bell is not None:
+                fence_bell.ring()
 
         def fence_aware(worker_id: int):
             return lambda: state.aborted() or state.worker_fenced(worker_id)
@@ -198,7 +209,7 @@ def source_main(
             except ClusterRuntimeError:
                 if state.aborted() or not state.worker_fenced(worker_id):
                     raise
-                state.acknowledge_fence(worker_id)
+                take_fence(worker_id)
                 return False
 
         def redirect(intended: int, ids, base_index: int) -> None:
@@ -289,7 +300,7 @@ def source_main(
             # knowing the drained count is final.
             for worker_id in worker_range:
                 if worker_id not in down and state.worker_fenced(worker_id):
-                    state.acknowledge_fence(worker_id)
+                    take_fence(worker_id)
                     down.add(worker_id)
 
         for batch, index in batches:
@@ -341,8 +352,12 @@ def source_main(
                 except ClusterRuntimeError:
                     if state.aborted() or not state.worker_fenced(worker_id):
                         raise
-                    state.acknowledge_fence(worker_id)
+                    take_fence(worker_id)
                     down.add(worker_id)
+            # A fence raised while the rings were closing is taken here, so
+            # the slot is waited for; once this pass lets the source go, a
+            # later fence finds it gone and the supervisor salvages.
+            observe_fences()
             if not (down - degraded - salvaged):
                 break
             if time.monotonic() > deadline:

@@ -1,37 +1,45 @@
 """Shared coordination state of one cluster run.
 
 One ``int64`` shared-memory block, written by the source (routing stats,
-head summary), by every worker (processed counts, heartbeats, ready flags)
-and by the coordinator (go/abort flags); the monitor thread snapshots it
-without locks.  Every field is a single aligned int64 word, so each write
+head summary), by every worker (processed counts, heartbeats) and by the
+coordinator (abort flag, fences); the coordinator's result loop snapshots
+it without locks.  Every field is a single aligned int64 word, so each write
 is atomic on the platforms this runtime supports; readers only ever consume
 slightly-stale values, never torn ones.
 
 Layout::
 
     word 0                       abort flag (coordinator -> everyone)
-    word 1                       go flag (coordinator releases the start)
-    word 2                       source_done flag
-    word 3                       messages routed by the source
-    word 4                       current head size (entries in the summary)
-    word 5                       num_workers n
-    word 6                       head summary capacity
-    word 7                       dictionary high water (ids interned)
-    words [8, 8+n)               source's local load vector
-    words [8+n, 8+2n)            per-worker processed counts
-    words [8+2n, 8+3n)           per-worker heartbeat (monotonic ns)
-    words [8+3n, 8+4n)           per-worker ready flags
-    words [8+4n, 8+5n)           per-worker fence flags (supervisor -> source)
-    words [8+5n, 8+5n+2*cap)     head summary (key id, estimated count) pairs
+    word 1                       source_done flag
+    word 2                       messages routed by the source
+    word 3                       current head size (entries in the summary)
+    word 4                       num_workers n
+    word 5                       head summary capacity
+    word 6                       dictionary high water (ids interned)
+    words [7, 7+n)               source's local load vector
+    words [7+n, 7+2n)            per-worker processed counts
+    words [7+2n, 7+3n)           per-worker heartbeat (monotonic ns)
+    words [7+3n, 7+4n)           per-worker fence flags (supervisor -> source)
+    words [7+4n, 7+5n)           per-worker claim (ledger once the frame in hand is delivered)
+    words [7+5n, 7+5n+2*cap)     head summary (key id, estimated count) pairs
+
+Readiness and the start are not in the block: each child reports
+``("ready",)`` on its result pipe and then blocks on a :class:`StartGate`,
+so neither side polls a word to find out.
 
 A *fenced* worker is one the supervisor has taken out of service (crashed,
 hung, or being respawned): the source must stop pushing into its ring —
 a blocked push polls the fence and unwinds — and redirect its share to the
 survivors until the fence clears.
+
+A worker *claims* each popped frame before serving it: the claim word holds
+its processed count once the frame is delivered, so a frame held at death,
+beyond the supervisor's ring drain, is the claim's lead over the ledger.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -41,14 +49,13 @@ from repro.exceptions import ClusterRuntimeError
 from repro.types import loads_imbalance
 
 _ABORT = 0
-_GO = 1
-_SOURCE_DONE = 2
-_MESSAGES_ROUTED = 3
-_HEAD_SIZE = 4
-_NUM_WORKERS = 5
-_HEAD_CAPACITY = 6
-_DICT_HIGH_WATER = 7
-_FIXED_WORDS = 8
+_SOURCE_DONE = 1
+_MESSAGES_ROUTED = 2
+_HEAD_SIZE = 3
+_NUM_WORKERS = 4
+_HEAD_CAPACITY = 5
+_DICT_HIGH_WATER = 6
+_FIXED_WORDS = 7
 
 #: Default number of (id, count) slots reserved for the head summary.
 DEFAULT_HEAD_CAPACITY = 64
@@ -58,8 +65,8 @@ DEFAULT_HEAD_CAPACITY = 64
 _SECTION_LOADS = 0
 _SECTION_PROCESSED = 1
 _SECTION_HEARTBEAT = 2
-_SECTION_READY = 3
-_SECTION_FENCE = 4
+_SECTION_FENCE = 3
+_SECTION_CLAIM = 4
 _WORKER_SECTIONS = 5
 
 
@@ -68,9 +75,43 @@ def state_words(num_workers: int, head_capacity: int = DEFAULT_HEAD_CAPACITY) ->
     return _FIXED_WORDS + _WORKER_SECTIONS * num_workers + 2 * head_capacity
 
 
+class StartGate:
+    """The start line of one run: a pipe nobody ever writes to.
+
+    Made before the fork, so every child inherits both ends.  A child
+    reaching the line closes its copy of the write end and blocks reading;
+    :meth:`release` closes the coordinator's copy, the last one, and every
+    blocked read returns at end-of-file at once.  Abort releases the same
+    way (the children check the abort flag when they wake), and a child
+    forked after the release finds the line open.  :meth:`close` releases
+    the descriptors and is idempotent.
+    """
+
+    __slots__ = ("_read_fd", "_write_fd")
+
+    def __init__(self) -> None:
+        self._read_fd, self._write_fd = os.pipe()
+
+    def wait(self) -> None:
+        """Child side: block until the coordinator releases the start."""
+        self.release()  # this process's inherited copy of the write end
+        os.read(self._read_fd, 1)
+
+    def release(self) -> None:
+        if self._write_fd >= 0:
+            os.close(self._write_fd)
+            self._write_fd = -1
+
+    def close(self) -> None:
+        self.release()
+        if self._read_fd >= 0:
+            os.close(self._read_fd)
+            self._read_fd = -1
+
+
 @dataclass(slots=True)
 class ClusterSnapshot:
-    """One lock-free reading of the shared state (monitor thread output)."""
+    """One lock-free reading of the shared state, taken every snapshot tick."""
 
     elapsed_s: float
     messages_routed: int
@@ -138,12 +179,6 @@ class SharedClusterState:
     def aborted(self) -> bool:
         return bool(self._words[_ABORT])
 
-    def release_start(self) -> None:
-        self._words[_GO] = 1
-
-    def started(self) -> bool:
-        return bool(self._words[_GO])
-
     def mark_source_done(self) -> None:
         self._words[_SOURCE_DONE] = 1
 
@@ -160,16 +195,6 @@ class SharedClusterState:
             )
         return _FIXED_WORDS + section * self._num_workers + worker_id
 
-    def mark_ready(self, worker_id: int) -> None:
-        self._words[self._slot(_SECTION_READY, worker_id)] = 1
-
-    def worker_ready(self, worker_id: int) -> bool:
-        return bool(self._words[self._slot(_SECTION_READY, worker_id)])
-
-    def all_ready(self) -> bool:
-        base = _FIXED_WORDS + _SECTION_READY * self._num_workers
-        return bool(self._words[base : base + self._num_workers].all())
-
     def heartbeat(self, worker_id: int) -> None:
         self._words[self._slot(_SECTION_HEARTBEAT, worker_id)] = time.monotonic_ns()
 
@@ -182,6 +207,18 @@ class SharedClusterState:
 
     def add_processed(self, worker_id: int, count: int) -> None:
         self._words[self._slot(_SECTION_PROCESSED, worker_id)] += count
+
+    def claim_frame(self, worker_id: int, messages: int) -> None:
+        """Worker side: the frame just popped is in flight until delivered."""
+        words = self._words
+        words[self._slot(_SECTION_CLAIM, worker_id)] = (
+            words[self._slot(_SECTION_PROCESSED, worker_id)] + messages
+        )
+
+    def inflight_messages(self, worker_id: int) -> int:
+        """Messages the slot popped and never delivered (exact once it is dead)."""
+        claim = int(self._words[self._slot(_SECTION_CLAIM, worker_id)])
+        return max(0, claim - int(self._words[self._slot(_SECTION_PROCESSED, worker_id)]))
 
     def worker_processed(self) -> list[int]:
         base = _FIXED_WORDS + _SECTION_PROCESSED * self._num_workers
@@ -220,14 +257,14 @@ class SharedClusterState:
     def reset_worker(self, worker_id: int) -> None:
         """Prepare a slot for a respawned incarnation.
 
-        Clears the ready flag (the replacement re-raises it as its startup
-        barrier) and the heartbeat stamp (so the monitor's startup grace,
-        not the stale-age check, governs the replacement's first beats).
+        Clears the heartbeat stamp, so the startup grace, not the
+        stale-age check, governs the replacement's first beats, and the
+        dead incarnation's claim, which the supervisor has already counted.
         The processed count is deliberately *kept*: it is the cumulative
         delivered-message ledger of the slot across incarnations.
         """
-        self._words[self._slot(_SECTION_READY, worker_id)] = 0
         self._words[self._slot(_SECTION_HEARTBEAT, worker_id)] = 0
+        self._words[self._slot(_SECTION_CLAIM, worker_id)] = 0
 
     # ------------------------------------------------------------------ #
     # source-side publication
@@ -284,7 +321,7 @@ class SharedClusterState:
         }
 
     def snapshot(self, elapsed_s: float) -> ClusterSnapshot:
-        """One monitor reading of the whole block (lock-free)."""
+        """One reading of the whole block (lock-free)."""
         return ClusterSnapshot(
             elapsed_s=elapsed_s,
             messages_routed=self.messages_routed(),

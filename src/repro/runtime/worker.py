@@ -35,7 +35,7 @@ import numpy as np
 from repro.exceptions import ClusterRuntimeError
 from repro.runtime.faults import CRASH_EXIT_CODE, WorkerFaults
 from repro.runtime.ring import SpscRing, read_poller
-from repro.runtime.state import SharedClusterState
+from repro.runtime.state import SharedClusterState, StartGate
 
 #: How many of a worker's hottest keys are reported back (decoded through
 #: the dictionary replica — the e2e proof that delta sync works).
@@ -125,7 +125,7 @@ def _await_dictionary(
     """Block until the replica covers ``high_water`` entries.
 
     Heartbeats while waiting — a worker stalled on a slow delta pipe is
-    healthy, and must not trip the monitor's hang detector.  But the wait
+    healthy, and must not trip the coordinator's hang check.  But the wait
     is bounded: the needed delta was sent before the frame that demands it,
     so a pipe that stays silent past ``DELTA_STARVATION_TIMEOUT_S`` means
     the delta is gone and waiting longer would deadlock the slot.
@@ -159,8 +159,12 @@ def worker_main(
     result_conn,
     service_ns: int = 0,
     faults: WorkerFaults | None = None,
+    start: StartGate | None = None,
 ) -> None:
     """Entry point of one worker process (run under the fork context).
+
+    The worker beats once, reports ``("ready",)`` on ``result_conn`` and
+    waits at ``start`` (``None`` starts at once) before its first pop.
 
     ``faults`` is this incarnation's injected fault programme (``None`` in
     production): ``crash_after`` hard-exits the process once that many
@@ -173,22 +177,10 @@ def worker_main(
     counts = np.zeros(1024, dtype=np.int64)
     processed = 0
     frames = 0
-    # Messages popped off the ring but not yet counted as delivered: a pop
-    # advances the consumer cursor immediately, so a frame in hand when the
-    # worker dies is invisible to the supervisor's ring drain.  It rides
-    # along on the error report so the loss ledger stays exact.
-    inflight_msgs = 0
     if faults is not None and faults.service_factor > 1:
         service_ns = service_ns * faults.service_factor
     crash_after = faults.crash_after if faults is not None else -1
     hang_after = faults.hang_after if faults is not None else -1
-
-    state.mark_ready(worker_id)
-    state.heartbeat(worker_id)
-    while not state.started():
-        if state.aborted():
-            return
-        time.sleep(0.0005)
 
     empty_polls = 0
     delta_ready = read_poller(delta_conn.fileno())
@@ -201,11 +193,19 @@ def worker_main(
             _drain_deltas(delta_conn, replica, faults)
 
     try:
+        state.heartbeat(worker_id)
+        result_conn.send(("ready",))
+        if start is not None:
+            start.wait()
+        if state.aborted():
+            return
         while True:
             frame = ring.pop(should_abort=state.aborted, idle=idle)
             if frame.is_eof:
                 break
-            inflight_msgs = int(frame.ids.size)
+            # Popped is past the supervisor's ring drain: a frame in hand
+            # at death is counted from this claim instead.
+            state.claim_frame(worker_id, int(frame.ids.size))
             if frame.dict_high_water > len(replica):
                 _drain_deltas(delta_conn, replica, faults)
                 _await_dictionary(
@@ -223,8 +223,7 @@ def worker_main(
             frames += 1
             if service_ns:
                 time.sleep(service_ns * ids.size / 1e9)
-            state.add_processed(worker_id, int(ids.size))
-            inflight_msgs = 0
+            state.add_processed(worker_id, int(ids.size))  # retires the claim
             state.heartbeat(worker_id)
             if crash_after >= 0 and processed >= crash_after:
                 os._exit(CRASH_EXIT_CODE)
@@ -255,15 +254,7 @@ def worker_main(
         )
     except Exception as error:  # surfaced by the coordinator, not lost
         try:
-            result_conn.send(
-                (
-                    "error",
-                    worker_id,
-                    repr(error),
-                    inflight_msgs,
-                    1 if inflight_msgs else 0,
-                )
-            )
+            result_conn.send(("error", worker_id, repr(error)))
         except (BrokenPipeError, OSError):
             pass
     finally:

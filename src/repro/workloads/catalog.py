@@ -130,6 +130,11 @@ def load_dataset(symbol: str, **kwargs) -> Workload:
     >>> workload.symbol
     'ZF'
     """
+    return _checked_entry(symbol, kwargs).factory(**kwargs)
+
+
+def _checked_entry(symbol: str, kwargs: Mapping[str, Any]):
+    """The catalog entry of ``symbol``, once ``kwargs`` bind to its factory."""
     entry = DATASETS.get(symbol.upper())
     if entry is None:
         raise WorkloadError(
@@ -144,7 +149,7 @@ def load_dataset(symbol: str, **kwargs) -> Workload:
             f"invalid arguments for dataset {entry.symbol!r} "
             f"({entry.factory.__name__}): {exc}"
         ) from exc
-    return entry.factory(**kwargs)
+    return entry
 
 
 def table1_rows(
@@ -159,8 +164,9 @@ def table1_rows(
     measured exactly; note this consumes the full streams.  ``overrides``
     maps dataset symbols to factory keyword arguments, so tests can shrink
     individual streams, e.g. ``overrides={"WP": {"num_messages": 100_000}}``
-    (arguments are validated like :func:`load_dataset`).  Bare ``kwargs``
-    configure the ZF stand-in only (backwards-compatible behaviour).
+    (arguments are validated like :func:`load_dataset`, every dataset's
+    before any stream is generated).  Bare ``kwargs`` configure the ZF
+    stand-in only (backwards-compatible behaviour).
     """
     overrides = overrides or {}
     unknown = sorted(set(overrides) - set(DATASETS))
@@ -169,18 +175,15 @@ def table1_rows(
             f"unknown dataset symbols in overrides: {unknown}; "
             f"known: {sorted(DATASETS)}"
         )
-    rows: list[dict[str, object]] = []
-    for symbol, entry in DATASETS.items():
-        if measured:
-            factory_kwargs = dict(overrides.get(symbol, {}))
-            if symbol == "ZF":
-                factory_kwargs.setdefault("exponent", kwargs.get("exponent", 2.0))
-                factory_kwargs.setdefault("num_keys", kwargs.get("num_keys", 10_000))
-                factory_kwargs.setdefault(
-                    "num_messages", kwargs.get("num_messages", 100_000)
-                )
-            workload = load_dataset(symbol, **factory_kwargs)
-            rows.append(workload.measured_stats().as_row())
-        else:
-            rows.append(entry.published.as_row())
-    return rows
+    if not measured:
+        return [entry.published.as_row() for entry in DATASETS.values()]
+    arguments = {symbol: dict(overrides.get(symbol, {})) for symbol in DATASETS}
+    zf = arguments["ZF"]
+    zf.setdefault("exponent", kwargs.get("exponent", 2.0))
+    zf.setdefault("num_keys", kwargs.get("num_keys", 10_000))
+    zf.setdefault("num_messages", kwargs.get("num_messages", 100_000))
+    entries = [_checked_entry(symbol, args) for symbol, args in arguments.items()]
+    return [
+        entry.factory(**arguments[symbol]).measured_stats().as_row()
+        for symbol, entry in zip(arguments, entries)
+    ]

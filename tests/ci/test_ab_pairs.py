@@ -173,3 +173,63 @@ class TestRuns:
         assert "gain" in out and "identical" in out and "setup_s" not in out
         assert ab.main([str(parent), str(checkout("broken", 900e3, failed=1)), *argv]) == 1
         assert "FAILED pair 0 change: 1 of 4 trials failed" in capsys.readouterr().out
+
+
+class TestControlLeg:
+    """The A/A leg: the parent against a second copy of itself."""
+
+    @staticmethod
+    def path_speed_checkout(root: Path) -> Path:
+        # The same "commit" wherever it sits; its speed grows with the length
+        # of the directory it runs from, as a layout effect would make it.
+        root.mkdir()
+        (root / "stub.py").write_text(
+            "import json, os\n"
+            "rate = 1000.0 * len(os.getcwd())\n"
+            "print(json.dumps({'correct': True, 'attempted': 4, 'failed': 0, 'metrics': {\n"
+            "    'msgs_per_s.D-C': {'value': rate, 'unit': 'msg/s'},\n"
+            "    'balance.D-C': {'value': 0.95, 'unit': 'ratio'}}}))\n"
+        )
+        spec = {"command": [sys.executable, "stub.py"], "end_to_end": [RATE, BALANCE]}
+        (root / "BENCHMARK.json").write_text(json.dumps(spec))
+        return root
+
+    def test_a_noisy_control_overrules_the_claim(self, ab):
+        change = [value * 1.2 for value in PARENT]
+        row = ab.judge_with_control(RATE, PARENT, change, control=change)
+        assert row.control == "gain" and row.verdict == "instrument-noisy" and row.failed
+        quiet = ab.judge_with_control(RATE, PARENT, change, control=list(reversed(PARENT)))
+        assert (quiet.control, quiet.verdict) == ("unchanged", "gain")
+
+    def test_a_claim_needs_an_unchanged_control(self, ab):
+        noisy = [500e3, 900e3] * 5  # unresolved against the parent, never a gain
+        row = ab.judge_with_control(RATE, PARENT, [value * 1.2 for value in PARENT], noisy)
+        assert (row.control, row.verdict) == ("unresolved", "instrument-noisy")
+        # No claim to overrule: an unresolved control leaves "unchanged" be.
+        same = ab.judge_with_control(RATE, PARENT, list(PARENT), noisy)
+        assert (same.control, same.verdict) == ("unresolved", "unchanged")
+
+    def test_same_commit_at_a_longer_path_is_instrument_noisy(self, ab, tmp_path, capsys):
+        # Unstaged trees at paths of different lengths: the control, a copy
+        # of the parent, reads the path effect as a gain, and so overrules it.
+        parent = self.path_speed_checkout(tmp_path / "p")
+        longer = self.path_speed_checkout(tmp_path / "same-commit-at-a-longer-path")
+        trees = {"parent": parent, "change": longer, "control": longer}
+        assert ab.compare(trees, [RATE, BALANCE], "sim_hot", 2016, 3) == 1
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if line.startswith("msgs_per_s.D-C"))
+        assert row.split()[-2:] == ["instrument-noisy", "(msg/s)"]
+        assert " gain " in row  # the A/A leg read the path as a gain too
+        assert "FAILED msgs_per_s.D-C: instrument-noisy (A/A gain)" in out
+        assert f"cwd={longer} env=" in out  # every run records where it ran
+
+    def test_staged_copies_run_from_paths_of_one_length(self, ab, tmp_path, capsys):
+        parent = self.path_speed_checkout(tmp_path / "p")
+        longer = self.path_speed_checkout(tmp_path / "same-commit-at-a-longer-path")
+        argv = ["--workload", "sim_hot", "--pairs", "3", "--stage-dir", str(tmp_path)]
+        assert ab.main([str(parent), str(longer), *argv]) == 0
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if line.startswith("msgs_per_s.D-C"))
+        assert row.split()[-3:] == ["unchanged", "unchanged", "(msg/s)"]
+        cwds = {line.split("cwd=")[1].split()[0] for line in out.splitlines() if "cwd=" in line}
+        assert len(cwds) == 3 and len({len(cwd) for cwd in cwds}) == 1

@@ -169,6 +169,12 @@ class TestCiWorkflow:
         commands = _job_commands(ci["jobs"]["chaos-smoke"])
         assert "pytest -q -m chaos tests/runtime" in commands
 
+    def test_chaos_smoke_also_runs_the_matrix_on_one_core(self, ci):
+        # The repo benchmark pins the mesh to one core; the fault matrix
+        # must hold there too, where the processes only ever take turns.
+        commands = _job_commands(ci["jobs"]["chaos-smoke"])
+        assert "taskset -c 0 python -m pytest -q -m chaos tests/runtime" in commands
+
     def test_chaos_smoke_validates_a_recovered_cli_run(self, ci):
         # The CLI smoke must inject a mid-run crash, validate against the
         # simulator, and tolerate exit 3 (degraded-but-complete) while
@@ -402,8 +408,9 @@ class TestReferencedPathsExist:
 
 class TestSuitePolicy:
     def test_unraisable_exceptions_fail_the_suite(self):
-        # A leaked shared-memory view surfaces only as an unraisable
-        # BufferError in SharedMemory.__del__: tier-1 must fail on it.
+        # An exception raised in a finaliser (a ``__del__``, a weakref
+        # callback) surfaces only as an unraisable warning, never as a
+        # failed test: tier-1 must fail on it.
         pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
         section = pyproject.split("[tool.pytest.ini_options]")[1].split("\n[")[0]
         assert (

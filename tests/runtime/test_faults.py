@@ -3,8 +3,9 @@
 Three layers, cheapest first:
 
 * :class:`TestFaultPlanParser` — pure unit tests of the spec grammar.
-* :class:`TestStartupGrace` — monitor-level regression tests driven
-  in-process against a fake process (no forking).
+* :class:`TestStartupGrace` and :class:`TestFenceAck` — the snapshot
+  tick's hang check, the death report and the wait for the source's fence
+  acknowledgement, driven in-process (no forking).
 * the ``chaos``-marked classes — real multi-process runs with injected
   crashes, hangs, slowdowns and transport faults, asserting the supervisor
   recovers (or degrades) while conserving the stream exactly: every routed
@@ -15,6 +16,8 @@ Three layers, cheapest first:
 from __future__ import annotations
 
 import multiprocessing
+import os
+import threading
 import time
 
 import pytest
@@ -27,7 +30,9 @@ from repro.runtime import (
     run_cluster,
     validate_against_simulation,
 )
-from repro.runtime.runtime import _Monitor
+from repro.runtime import runtime as runtime_module
+from repro.runtime.ring import Doorbell
+from repro.runtime.runtime import SOURCE_ID, _death_reason, _stall_reason, _Supervisor
 from repro.runtime.state import SharedClusterState, state_words
 
 _CHAOS = [
@@ -113,16 +118,17 @@ class TestFaultPlanParser:
         assert not faults.take_delta_drop()
 
 
-class _FakeProcess:
-    def __init__(self, alive: bool = True, exitcode=None) -> None:
-        self._alive = alive
+class _ExitedProcess:
+    """Stands in for a process whose sentinel fired with ``exitcode``."""
+
+    def __init__(self, exitcode: int) -> None:
         self.exitcode = exitcode
 
-    def is_alive(self) -> bool:
-        return self._alive
+    def join(self, timeout=None) -> None:
+        pass
 
 
-def _monitor_config(**overrides) -> ClusterConfig:
+def _tick_config(**overrides) -> ClusterConfig:
     defaults = dict(num_workers=2, startup_grace_s=0.15, heartbeat_timeout_s=0.01)
     defaults.update(overrides)
     return ClusterConfig(**defaults)
@@ -133,71 +139,136 @@ class TestStartupGrace:
 
     Regression: ``heartbeat_age_s == inf`` fed into the plain age check
     would declare every slow-forking (or freshly respawned) worker hung
-    within one monitor tick.  The inf case must be governed by the
+    within one snapshot tick.  The inf case must be governed by the
     explicit ``startup_grace_s``, independent of ``heartbeat_timeout_s``.
+    Driven in-process through the tick's check, ``_stall_reason``.
     """
 
     pytestmark = [pytest.mark.chaos]
 
-    def _monitor(self, config) -> tuple[_Monitor, SharedClusterState]:
+    def _state(self, config) -> SharedClusterState:
         import numpy as np
 
         buffer = np.zeros(state_words(config.num_workers), dtype=np.int64)
-        state = SharedClusterState(buffer, config.num_workers, create=True)
-        state.release_start()
-        return _Monitor(state, config, time.perf_counter()), state
+        return SharedClusterState(buffer, config.num_workers, create=True)
 
     def test_no_heartbeat_within_grace_is_not_a_failure(self):
         # The heartbeat timeout is far in the past already (10ms); only the
         # startup grace keeps the beat-less worker alive.
-        monitor, _ = self._monitor(_monitor_config())
-        monitor.watch(0, _FakeProcess())
-        time.sleep(0.05)
-        monitor._check_liveness()
-        assert monitor.take_failure() is None
+        config = _tick_config()
+        now = time.monotonic()
+        assert _stall_reason(self._state(config), config, 0, now - 0.05, now) is None
 
     def test_no_heartbeat_past_grace_is_a_failure(self):
-        monitor, _ = self._monitor(_monitor_config())
-        monitor.watch(0, _FakeProcess())
-        time.sleep(0.2)
-        monitor._check_liveness()
-        failure = monitor.take_failure()
-        assert failure is not None
-        assert failure[0] == 0
-        assert "startup grace" in failure[2]
+        config = _tick_config()
+        now = time.monotonic()
+        reason = _stall_reason(self._state(config), config, 0, now - 0.2, now)
+        assert reason is not None and "startup grace" in reason
+        assert reason.startswith("worker 0 ")
 
     def test_stale_heartbeat_still_trips_the_age_check(self):
-        monitor, state = self._monitor(_monitor_config())
+        config = _tick_config()
+        state = self._state(config)
         state.heartbeat(0)
-        monitor.watch(0, _FakeProcess())
         time.sleep(0.05)  # > 10ms heartbeat timeout, < startup grace
-        monitor._check_liveness()
-        failure = monitor.take_failure()
-        assert failure is not None
-        assert "stopped heartbeating" in failure[2]
+        now = time.monotonic()
+        reason = _stall_reason(state, config, 0, now - 0.05, now)
+        assert reason is not None and "stopped heartbeating" in reason
 
     def test_fenced_worker_is_never_declared_hung(self):
-        monitor, state = self._monitor(_monitor_config())
+        config = _tick_config()
+        state = self._state(config)
         state.heartbeat(0)
         state.fence_worker(0)
-        monitor.watch(0, _FakeProcess())
         time.sleep(0.05)
-        monitor._check_liveness()
-        assert monitor.take_failure() is None
+        now = time.monotonic()
+        assert _stall_reason(state, config, 0, now - 1.0, now) is None
 
-    def test_nonzero_exit_skips_the_clean_exit_grace(self):
-        monitor, _ = self._monitor(_monitor_config())
-        monitor.watch(1, _FakeProcess(alive=False, exitcode=17))
-        monitor._check_liveness()
-        failure = monitor.take_failure()
-        assert failure is not None
-        assert "exit code 17" in failure[2]
+    def test_nonzero_exit_names_its_code(self):
+        reason = _death_reason(1, _ExitedProcess(exitcode=17))
+        assert reason.startswith("worker 1 died") and "exit code 17" in reason
+        assert _death_reason(SOURCE_ID, _ExitedProcess(-9)).startswith("source died")
 
-    def test_clean_exit_gets_a_pipe_drain_grace(self):
-        monitor, _ = self._monitor(_monitor_config())
-        monitor.watch(1, _FakeProcess(alive=False, exitcode=0))
-        monitor._check_liveness()
-        assert monitor.take_failure() is None  # within the 1s drain grace
+    def test_a_clean_exit_without_a_report_is_a_failure_at_once(self):
+        # The loop reads result pipes before sentinels and a child reports
+        # before it exits, so a watched process that exited 0 never
+        # reported: no drain grace, it is a failure like any other.
+        assert "exit code 0" in _death_reason(1, _ExitedProcess(exitcode=0))
+
+
+class _Source:
+    """Stands in for the source process: its sentinel reads at its exit."""
+
+    def __init__(self) -> None:
+        self.sentinel, self._alive = os.pipe()
+
+    def exit(self) -> None:
+        if self._alive >= 0:
+            os.close(self._alive)
+            self._alive = -1
+
+    def close(self) -> None:
+        self.exit()
+        os.close(self.sentinel)
+
+
+class TestFenceAck:
+    """The supervisor's wait for the source to take a fence.
+
+    It blocks on the fence bell and the source's sentinel, with no timeout
+    and no poll of the fence word.
+    """
+
+    @pytest.fixture
+    def parts(self, monkeypatch):
+        import numpy as np
+
+        config = _tick_config()
+        state = SharedClusterState(
+            np.zeros(state_words(2), dtype=np.int64), 2, create=True
+        )
+        source, bell = _Source(), Doorbell()
+        supervisor = _Supervisor(
+            config, None, state, [], [], [], [], {SOURCE_ID: source}, {}, None, bell
+        )
+        timeouts = []
+        wait = runtime_module.wait_readable
+
+        def recording_wait(objects, timeout=None):
+            timeouts.append(timeout)
+            return wait(objects, timeout)
+
+        monkeypatch.setattr(runtime_module, "wait_readable", recording_wait)
+        state.fence_worker(1)
+        yield state, source, bell, supervisor, timeouts
+        source.close()
+        bell.close()
+
+    def test_the_ack_arrives_on_the_bell(self, parts):
+        state, _, bell, supervisor, timeouts = parts
+
+        def source_takes_the_fence() -> None:
+            time.sleep(0.05)
+            bell.ring()  # a stale ring first: it wakes the wait, no more
+            time.sleep(0.05)
+            state.acknowledge_fence(1)
+            bell.ring()
+
+        threading.Thread(target=source_takes_the_fence).start()
+        assert supervisor._await_fence_ack(1)
+        assert timeouts == [None, None]
+
+    def test_a_source_that_exits_without_the_ack_ends_the_wait(self, parts):
+        _, source, _, supervisor, timeouts = parts
+        threading.Timer(0.05, source.exit).start()
+        assert not supervisor._await_fence_ack(1)
+        assert timeouts == [None]
+
+    def test_an_ack_written_before_the_exit_counts(self, parts):
+        state, source, _, supervisor, _ = parts
+        state.acknowledge_fence(1)
+        source.exit()
+        assert supervisor._await_fence_ack(1)
 
 
 def chaos_config(**overrides) -> ClusterConfig:

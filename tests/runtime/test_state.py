@@ -9,6 +9,7 @@ from repro.exceptions import ClusterRuntimeError
 from repro.runtime.state import (
     ClusterSnapshot,
     SharedClusterState,
+    StartGate,
     loads_imbalance,
     state_words,
 )
@@ -24,24 +25,42 @@ class TestFlags:
     def test_fresh_state_is_clear(self):
         state = make_state()
         assert not state.aborted()
-        assert not state.started()
         assert not state.source_done()
-        assert not state.all_ready()
 
     def test_flag_transitions(self):
         state = make_state()
         state.abort()
-        state.release_start()
         state.mark_source_done()
-        assert state.aborted() and state.started() and state.source_done()
+        assert state.aborted() and state.source_done()
 
-    def test_all_ready_requires_every_worker(self):
-        state = make_state(num_workers=3)
-        state.mark_ready(0)
-        state.mark_ready(2)
-        assert not state.all_ready()
-        state.mark_ready(1)
-        assert state.all_ready()
+
+class TestStartGate:
+    def test_release_wakes_a_waiter_and_later_waiters_pass(self):
+        # A child closes its copy of the write end at the line; the
+        # coordinator's release closes the last one.  In one process the
+        # waiter's own release is the last, so wait() returns at once, and
+        # so does every later wait (a respawn forked after the start).
+        gate = StartGate()
+        gate.wait()
+        gate.wait()
+        gate.close()
+        gate.close()  # idempotent
+
+    def test_a_waiter_blocks_until_every_write_end_is_closed(self):
+        import os
+        import threading
+
+        gate = StartGate()
+        # A second write end stands for the coordinator's copy.
+        coordinator_copy = os.dup(gate._write_fd)
+        passed = threading.Event()
+        waiter = threading.Thread(target=lambda: (gate.wait(), passed.set()))
+        waiter.start()
+        assert not passed.wait(0.05)
+        os.close(coordinator_copy)
+        assert passed.wait(5.0)
+        waiter.join()
+        gate.close()
 
 
 class TestWorkerSlots:
@@ -86,25 +105,37 @@ class TestFencing:
         state.fence_worker(1)
         assert [state.worker_fenced(w) for w in range(3)] == [False, True, False]
 
-    def test_reset_worker_clears_ready_and_heartbeat_keeps_ledger(self):
+    def test_reset_worker_clears_heartbeat_keeps_ledger(self):
         state = make_state(num_workers=2)
-        state.mark_ready(0)
         state.heartbeat(0)
         state.add_processed(0, 42)
         state.reset_worker(0)
-        assert not state.worker_ready(0)
         assert state.heartbeat_age_s(0) == float("inf")
         # The processed count is the slot's cumulative delivered ledger —
         # it must survive the respawn.
         assert state.worker_processed() == [42, 0]
 
+    def test_a_claim_is_in_flight_until_its_delivery(self):
+        state = make_state(num_workers=2)
+        state.add_processed(1, 100)  # an earlier incarnation's ledger
+        assert state.inflight_messages(1) == 0
+        state.claim_frame(1, 30)
+        assert [state.inflight_messages(w) for w in range(2)] == [0, 30]
+        state.add_processed(1, 30)  # the delivery retires the claim
+        assert state.inflight_messages(1) == 0
+        state.claim_frame(1, 7)
+        state.reset_worker(1)  # counted by the supervisor, then cleared
+        assert state.inflight_messages(1) == 0
+        assert state.worker_processed() == [0, 130]
+
     def test_fence_and_head_sections_do_not_alias(self):
-        # Regression for the layout shift to five per-worker sections: a
-        # fence write must never land in the head-summary region.
+        # Regression for layout shifts of the per-worker sections: a fence
+        # write must never land in the head-summary region.
         state = make_state(num_workers=2, head_capacity=2)
         state.publish_routing([1, 1], 2, 3, head={10: 100, 12: 50})
         state.fence_worker(0)
         state.fence_worker(1)
+        state.claim_frame(1, 5)
         assert state.head_summary() == {10: 100, 12: 50}
         assert state.source_loads() == [1, 1]
 

@@ -207,3 +207,27 @@ class TestTable1Measured:
     def test_invalid_override_kwargs_rejected(self):
         with pytest.raises(WorkloadError, match="CT"):
             table1_rows(measured=True, overrides={"CT": {"num_mesages": 10}})
+
+    def test_every_override_is_checked_before_any_stream_is_built(self, monkeypatch):
+        # CT comes after WP and TW, whose default streams are 2M messages:
+        # a misspelt CT keyword must not cost their generation first.
+        import dataclasses
+        import functools
+
+        from repro.workloads import catalog
+
+        built = []
+
+        def spy(entry):
+            @functools.wraps(entry.factory)
+            def factory(**kwargs):
+                built.append(entry.symbol)
+                return entry.factory(**kwargs)
+
+            return dataclasses.replace(entry, factory=factory)
+
+        spied = {symbol: spy(entry) for symbol, entry in DATASETS.items()}
+        monkeypatch.setattr(catalog, "DATASETS", spied)
+        with pytest.raises(WorkloadError, match="CT"):
+            table1_rows(measured=True, overrides={"CT": {"num_mesages": 10}})
+        assert built == []
