@@ -15,8 +15,9 @@ runtime:
 For every scheme the driver reports end-to-end topology throughput under
 batched stage-by-stage execution plus the per-vertex imbalance and the
 aggregation (replication) cost — the quantities the paper argues D-Choices
-and W-Choices keep low simultaneously.  ``benchmarks/bench_dataflow.py``
-uses the same topology to pin the batched-vs-scalar speedup.
+and W-Choices keep low simultaneously.  A tier-1 test in
+``tests/experiments/test_dataflow_driver.py`` runs W-C through the same
+topology to hold ``columnar:1024`` to >= 2.71x scalar throughput.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ orchestrator and the docs guard test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
@@ -116,11 +116,6 @@ _REGISTRY = _build_registry()
 def list_experiments() -> tuple[str, ...]:
     """Identifiers of every registered experiment (fig1 ... table1)."""
     return tuple(_REGISTRY)
-
-
-def iter_entries() -> Iterator[ExperimentEntry]:
-    """All registered entries, in registration (figure) order."""
-    return iter(_REGISTRY.values())
 
 
 def get_experiment(experiment_id: str) -> ExperimentEntry:

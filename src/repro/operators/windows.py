@@ -92,9 +92,6 @@ class WindowedAggregator(Operator):
     def state_size(self) -> int:
         return len(self._windows)
 
-    def open_windows(self) -> Iterator[tuple[float, Key]]:
-        return iter(self._windows)
-
     def process(self, message: Message) -> Iterator[Message]:
         self._watermark = max(self._watermark, message.timestamp)
         for start in self._assigner.assign(message.timestamp):

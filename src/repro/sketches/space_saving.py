@@ -94,11 +94,6 @@ class FrequencyEstimate:
     count: int
     error: int = 0
 
-    @property
-    def guaranteed_count(self) -> int:
-        """A lower bound on the true count of this key."""
-        return max(0, self.count - self.error)
-
 
 class _Bucket:
     """A count class: the monitored keys that share one count value.

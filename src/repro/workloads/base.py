@@ -147,13 +147,6 @@ class Workload(abc.ABC):
             description=nominal.description,
         )
 
-    def key_frequencies(self) -> Counter:
-        """Exact key counts of the whole stream (consumes the stream)."""
-        counts: Counter[Key] = Counter()
-        for key in self.keys():
-            counts[key] += 1
-        return counts
-
 
 def materialize(workload: Workload | Iterable[Key], limit: int | None = None) -> list[Key]:
     """Collect (up to ``limit``) keys of a workload into a list.

@@ -6,6 +6,10 @@ the parent's own spread; a metric whose spread exceeds its bound is
 unresolved, never "unchanged"; counts must match to the last digit; a failed
 trial fails the comparison.  These are the edges a refactor of the tool
 could soften without any benchmark noticing.
+
+The nightly workflow acts on nothing but the tool's exit code, so the ways a
+run or a metric can go missing, the command line's refusals and the staging
+that must leave both checkouts as they were are pinned here too.
 """
 
 from __future__ import annotations
@@ -233,3 +237,184 @@ class TestControlLeg:
         assert row.split()[-3:] == ["unchanged", "unchanged", "(msg/s)"]
         cwds = {line.split("cwd=")[1].split()[0] for line in out.splitlines() if "cwd=" in line}
         assert len(cwds) == 3 and len({len(cwd) for cwd in cwds}) == 1
+
+
+
+def stub_checkout(root: Path, source: str, end_to_end=(RATE, BALANCE), script="stub.py") -> Path:
+    """A "checkout" whose benchmark command runs ``source`` as ``script``."""
+    root.mkdir(parents=True)
+    (root / script).write_text(source)
+    spec = {"command": [sys.executable, script], "end_to_end": list(end_to_end)}
+    (root / "BENCHMARK.json").write_text(json.dumps(spec))
+    return root
+
+
+def printing(rate: float | None = 700e3, balance: float = 0.95) -> str:
+    """Stub source that prints one canned result (no rate when ``rate`` is None)."""
+    metrics = {"balance.D-C": {"value": balance, "unit": "ratio"}}
+    if rate is not None:
+        metrics["msgs_per_s.D-C"] = {"value": rate, "unit": "msg/s"}
+    result = {"correct": True, "attempted": 4, "failed": 0, "metrics": metrics}
+    return f"import json\nprint(json.dumps({result!r}))\n"
+
+
+def listing(root: Path) -> dict[str, bytes]:
+    files = (path for path in root.rglob("*") if path.is_file())
+    return {str(path.relative_to(root)): path.read_bytes() for path in files}
+
+
+class TestVerdictEdges:
+    def test_worse_by_exactly_the_bound_is_not_a_regression(self, ab):
+        assert ab.judge(RATE, [800.0] * 10, [600.0] * 10).verdict == "unchanged"
+        assert ab.judge(RATE, [800.0] * 10, [599.0] * 10).verdict == "regression"
+
+    def test_the_bound_is_the_metrics_own(self, ab):
+        change = [value * 0.9 for value in PARENT]
+        assert ab.judge(RATE, PARENT, change).verdict == "unchanged"
+        assert ab.judge({**RATE, "bound": 0.05}, PARENT, change).verdict == "regression"
+
+    def test_lower_is_better_metrics_regress_by_rising(self, ab):
+        row = ab.judge(SETUP, [0.25] * 10, [0.35] * 10)
+        assert (row.verdict, row.won) == ("regression", 0) and row.failed
+
+    def test_a_metric_that_reads_zero_is_unresolved(self, ab):
+        # No spread relative to a zero median can be inside the bound.
+        assert ab.judge(RATE, [0.0] * 10, [0.0] * 10).verdict == "unresolved"
+
+    def test_one_pair_is_judged_by_the_same_rule(self, ab):
+        assert ab.summary([3.0]) == (3.0, 3.0, 3.0)
+        verdicts = [ab.judge(RATE, [1.0], [change]).verdict for change in (2.0, 1.0, 0.5)]
+        assert verdicts == ["gain", "unchanged", "regression"]
+
+    def test_ratio_of_a_zero_parent_median_is_nan(self, ab):
+        row = ab.judge(RATE, [0.0] * 4, [1.0] * 4)
+        assert row.ratio != row.ratio
+
+    def test_only_regression_changed_and_noise_fail(self, ab):
+        failing = ["regression", "CHANGED", "instrument-noisy"]
+        verdicts = ["gain", "unchanged", "unresolved", "identical", *failing]
+        rows = [ab.Row("m", "u", verdict, (1.0,) * 3, (1.0,) * 3, 0, 1) for verdict in verdicts]
+        assert [row.verdict for row in rows if row.failed] == failing
+
+    def test_a_parent_count_that_differs_from_itself_is_instrument_noisy(self, ab):
+        row = ab.judge_with_control(BALANCE, [0.95] * 10, [0.95] * 10, [0.95] * 9 + [0.96])
+        assert (row.control, row.verdict) == ("CHANGED", "instrument-noisy") and row.failed
+
+
+class TestExitCodes:
+    """``compare`` over stub checkouts: what the nightly's exit code rests on."""
+
+    @staticmethod
+    def compare(ab, tmp_path, source: str, pairs: int = 1, entries=(RATE, BALANCE)) -> int:
+        parent = stub_checkout(tmp_path / "parent", printing())
+        change = stub_checkout(tmp_path / "change", source)
+        trees = {"parent": parent, "change": change, "control": parent}
+        return ab.compare(trees, list(entries), "sim_hot", 2016, pairs)
+
+    def test_a_regression_exits_nonzero(self, ab, tmp_path, capsys):
+        assert self.compare(ab, tmp_path, printing(rate=350e3), pairs=2) == 1
+        assert "FAILED msgs_per_s.D-C: regression (A/A unchanged)" in capsys.readouterr().out
+
+    def test_a_changed_count_exits_nonzero(self, ab, tmp_path, capsys):
+        assert self.compare(ab, tmp_path, printing(balance=0.96)) == 1
+        assert "FAILED balance.D-C: CHANGED (A/A identical)" in capsys.readouterr().out
+
+    def test_a_crashed_run_is_reported_with_its_last_stderr_line(self, ab, tmp_path, capsys):
+        crash = "import sys\nprint('# started')\nsys.exit('Traceback\\nRuntimeError: boom')\n"
+        assert self.compare(ab, tmp_path, crash) == 1
+        out = capsys.readouterr().out
+        assert "FAILED pair 0 change: no result (RuntimeError: boom)" in out
+        assert "FAILED msgs_per_s.D-C: missing from some runs" in out
+
+    def test_a_last_line_that_is_not_json_is_no_result(self, ab, tmp_path, capsys):
+        assert self.compare(ab, tmp_path, printing() + "print('done')\n") == 1
+        assert "FAILED pair 0 change: no result (done)" in capsys.readouterr().out
+
+    def test_a_result_without_metrics_is_no_result(self, ab, tmp_path, capsys):
+        assert self.compare(ab, tmp_path, "print('{\"correct\": true}')\n") == 1
+        assert "FAILED pair 0 change: no result ({" in capsys.readouterr().out
+
+    def test_a_metric_missing_from_some_runs_fails(self, ab, tmp_path, capsys):
+        assert self.compare(ab, tmp_path, printing(rate=None)) == 1
+        out = capsys.readouterr().out
+        assert "FAILED msgs_per_s.D-C: missing from some runs" in out
+        assert "FAILED balance" not in out  # the metric both sides report is still judged
+
+    def test_no_metric_in_common_with_the_benchmark_fails(self, ab, tmp_path, capsys):
+        assert self.compare(ab, tmp_path, printing(), entries=(SETUP,)) == 1
+        assert "setup_s" not in capsys.readouterr().out.split("# sim_hot")[1]
+
+    def test_pairs_rotate_through_all_three_orders(self, ab, tmp_path, capsys):
+        assert self.compare(ab, tmp_path, printing(), pairs=3) == 0
+        lines = capsys.readouterr().out.splitlines()
+        runs = [line.split()[1:3] for line in lines if line.startswith("pair")]
+        order = "parent change control change control parent control parent change".split()
+        assert runs == [[str(index // 3), side] for index, side in enumerate(order)]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv, message", [
+        (["--workload", "w", "--pairs", "0"], "--pairs must be at least 1"),
+        ([], "--workload"),
+    ])
+    def test_refused_arguments_exit_2(self, ab, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_:
+            ab.main([str(tmp_path), str(tmp_path), *argv])
+        assert exit_.value.code == 2 and message in capsys.readouterr().err
+
+    def test_each_checkout_runs_its_own_command(self, ab, tmp_path, capsys):
+        # The change's spec names another script and no metrics: its script
+        # runs, and the metrics judged are still the parent's.
+        parent = stub_checkout(tmp_path / "p", printing())
+        change = stub_checkout(tmp_path / "c", printing(900e3), end_to_end=(), script="other.py")
+        argv = ["--workload", "sim_hot", "--pairs", "1", "--stage-dir", str(tmp_path)]
+        assert ab.main([str(parent), str(change), *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        row = next(line for line in lines if line.startswith("msgs_per_s.D-C"))
+        assert row.split()[-2:] == ["gain", "(msg/s)"]
+
+
+class TestStaging:
+    def test_stage_leaves_out_history_caches_and_run_outputs(self, ab, tmp_path):
+        kept = ["BENCHMARK.json", "bench/run.py", "src/out/keep.txt", "src/pkg/mod.py"]
+        dropped = [
+            ".git/HEAD", "src/pkg/__pycache__/mod.pyc", ".pytest_cache/v", ".hypothesis/db",
+            "results/r.json", "src/repro.egg-info/PKG-INFO", "bench/out/r.json",
+        ]
+        for name in kept + dropped:
+            (tmp_path / "tree" / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / "tree" / name).write_text(name)
+        assert sorted(listing(ab.stage(tmp_path / "tree", tmp_path / "staged"))) == sorted(kept)
+
+    def test_stage_keeps_symlinks_as_links(self, ab, tmp_path):
+        (tmp_path / "tree").mkdir()
+        (tmp_path / "tree" / "link").symlink_to("BENCHMARK.json")
+        staged = ab.stage(tmp_path / "tree", tmp_path / "staged")
+        assert str((staged / "link").readlink()) == "BENCHMARK.json"
+
+    def test_staging_is_removed_and_checkouts_untouched_on_failure(self, ab, tmp_path, capsys):
+        trees = [stub_checkout(tmp_path / "p", printing())]
+        trees.append(stub_checkout(tmp_path / "c", "raise SystemExit(3)\n"))
+        before = [listing(tree) for tree in trees]
+        (tmp_path / "stage").mkdir()
+        argv = ["--workload", "sim_hot", "--pairs", "1", "--stage-dir", str(tmp_path / "stage")]
+        assert ab.main([*map(str, trees), *argv]) == 1
+        assert "FAILED pair 0 change: no result (no output)" in capsys.readouterr().out
+        assert list((tmp_path / "stage").iterdir()) == []
+        assert [listing(tree) for tree in trees] == before
+
+
+class TestConditions:
+    def test_describe_lists_only_the_flags_that_are_set(self, ab):
+        flags = {"optimize": 2, "debug": 0, "safe_path": True}
+        ran_under = {"cwd": "/x", "env_bytes": 12, "flags": flags}
+        assert ab.describe(ran_under) == "cwd=/x env=12B flags=optimize=2,safe_path=1"
+        assert ab.describe({**ran_under, "flags": {"debug": 0}}).endswith("flags=-")
+        assert ab.describe({**ran_under, "flags": None}).endswith("flags=-")
+
+    def test_conditions_fall_back_when_the_interpreter_prints_nothing(self, ab, tmp_path):
+        silent = tmp_path / "silent"
+        silent.write_text("#!/bin/sh\nexit 0\n")
+        silent.chmod(0o755)
+        fallback = {"cwd": str(tmp_path), "env_bytes": None, "flags": None}
+        assert ab.conditions(tmp_path, [str(silent)]) == fallback

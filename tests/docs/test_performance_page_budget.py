@@ -4,7 +4,7 @@ The page is to become four parts — the current layer table, the rule of the
 round, the scaling table and the register of what was measured and not
 taken — and until that rewrite lands every change that appended its own
 ``## … (PR n)`` section added 40-130 lines.  This holds the page where it
-stands: no per-change heading beyond the twelve it already has, and a line
+stands: no per-change heading beyond the eleven it already has, and a line
 budget.  A rewrite that folds those sections away lowers both numbers here.
 """
 
@@ -17,9 +17,10 @@ PAGE = Path(__file__).resolve().parents[2] / "docs" / "performance.md"
 
 #: The ``## … (PR n)`` sections the page has; a new measurement goes into
 #: the layer table or the register instead.
-MAX_CHANGE_HEADINGS = 12
-#: Lines the page may hold: what it held when this guard came in.
-LINE_BUDGET = 1_778
+MAX_CHANGE_HEADINGS = 11
+#: Lines the page may hold: what it held once the retired benchmark
+#: scripts' sections went.
+LINE_BUDGET = 1_736
 
 CHANGE_HEADING = re.compile(r"^## .*\(PR \d+\)\s*$")
 

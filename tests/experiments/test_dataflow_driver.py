@@ -88,3 +88,31 @@ class TestFig17:
                 batched.vertex_metrics(vertex).instance_loads
                 == scalar.vertex_metrics(vertex).instance_loads
             )
+
+
+def test_batched_stage_by_stage_multiplies_scalar_throughput():
+    """fig17's claim (ii): ``columnar:1024`` runs W-C's topology >= 2.71x scalar.
+
+    The floor is 0.7 x the 3.87x that ``BENCH_routing.json`` @ 535e8aa
+    recorded for W-C at 10,000 posts (30,000 words).  Both modes run in this
+    process, interleaved, and each keeps its best of seven.  The ratio
+    follows the machine's load: on a 2-core container shared with other
+    tenants, 32 runs read 2.43-3.40x and 3 fell below the floor; in the one
+    of those whose times were kept, the scalar runs took 330-410 ms against
+    ~270 ms in quiet phases.  Best of three, the old nightly's setting, fell
+    below the floor in 2 of 8 runs under load, so fewer rounds would only
+    make the pin flakier.
+    """
+    config = fig17.Fig17Config(num_posts=10_000)
+    posts = fig17.make_posts(config)
+    modes = {
+        "scalar": replace(config, mode="scalar"),
+        "columnar": replace(config, mode="columnar:1024"),
+    }
+    best = dict.fromkeys(modes, float("inf"))
+    for _ in range(7):
+        for name, mode_config in modes.items():
+            _, elapsed = fig17.run_scheme(mode_config, "W-C", posts=posts)
+            best[name] = min(best[name], elapsed)
+    speedup = best["scalar"] / best["columnar"]
+    assert speedup >= 2.71, f"columnar:1024 / scalar = {speedup:.2f}x"

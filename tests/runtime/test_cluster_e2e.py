@@ -142,13 +142,21 @@ class TestFailureHandling:
 
 class TestScaling:
     def test_more_workers_increase_aggregate_throughput(self):
-        # The per-message service time is the bottleneck; two workers
-        # overlap their (blocking) service and must beat one. Modest bar —
-        # the bench pins the real scaling curve with bigger streams.
+        # The per-message service time (20 us, blocking) is the bottleneck,
+        # so four workers overlap their service and must run PKG's stream
+        # at >= 1.5x one worker's aggregate rate.  Both runs share this
+        # machine, so the ratio holds on any hardware; it read ~2.6x on a
+        # 2-core container.  A runtime that stopped overlapping service
+        # time reads ~1.  The four-worker run must also match the
+        # single-source simulation within the validator's tolerance.
         base = dict(
-            num_messages=24_000, num_keys=2_000, service_ns=8_000,
+            num_messages=40_000, num_keys=5_000, service_ns=20_000,
             mode="columnar:512",
         )
         one = run_cluster(small_config(num_workers=1, **base))
-        four = run_cluster(small_config(num_workers=4, **base))
-        assert four.agg_msgs_per_sec > 1.4 * one.agg_msgs_per_sec
+        four_config = small_config(num_workers=4, **base)
+        four = run_cluster(four_config)
+        scaling = four.agg_msgs_per_sec / one.agg_msgs_per_sec
+        assert scaling >= 1.5, f"4 workers / 1 worker = {scaling:.2f}x"
+        check = validate_against_simulation(four_config, four, tolerance=0.2)
+        assert check["within_tolerance"], check
