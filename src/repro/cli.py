@@ -3,8 +3,8 @@
 Six sub-commands:
 
 * ``list`` — show the available experiments (one per paper figure/table);
-* ``run <experiment-id>`` — run one experiment and print its rows
-  (``--scale tiny|quick|paper``, default ``quick``; ``--mode`` overrides
+* ``run <experiment-id>`` — run one experiment and print its rows and
+  chart (``--scale tiny|quick|paper``, default ``quick``; ``--mode`` overrides
   the execution mode, exit 2 for an experiment whose config has none);
 * ``simulate`` — ad-hoc simulation of one grouping scheme on a Zipf
   workload (handy for quick what-if questions); ``--rescale
@@ -615,12 +615,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "list":
         for experiment_id in list_experiments():
-            entry = get_experiment(experiment_id)
-            print(f"{experiment_id:8s}  {entry.descriptor.artifact:9s}  {entry.title}")
+            descriptor = get_experiment(experiment_id)
+            print(f"{experiment_id:8s}  {descriptor.artifact:9s}  {descriptor.title}")
         return 0
 
     if args.command == "run":
-        descriptor = get_experiment(args.experiment).descriptor
+        descriptor = get_experiment(args.experiment)
         try:
             config = descriptor.configure(args.scale, mode=args.mode)
         except ConfigurationError as exc:
@@ -628,6 +628,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
         result = descriptor.run(config)
         print_result(result)
+        chart = descriptor.output.render(result)
+        if chart:
+            print(chart)
         if args.export:
             from repro.reporting.export import write_result
 

@@ -2,21 +2,20 @@
 
 Every module exposes
 
-* a ``*Config`` dataclass with three preset factories: ``paper()`` (the
-  exact parameters used in the paper), ``quick()`` (a scaled-down variant
-  that runs in seconds on a laptop) and ``tiny()`` (the smoke-test scale
-  used by the suite orchestrator and CI);
+* a ``*Config`` dataclass whose field defaults are the base every scale
+  starts from;
 * a ``run(config)`` function returning an
   :class:`~repro.experiments.common.ExperimentResult` whose rows mirror the
   series plotted in the figure (or the rows of the table);
 * a ``DESCRIPTOR`` (:class:`~repro.experiments.descriptor.ExperimentDescriptor`)
-  declaring the paper artifact, the validated claim, the schemes involved
-  and the output spec — it also provides the module's ``main()`` entry
-  point (``python -m repro.experiments.fig01_scale_imbalance --scale tiny``).
+  declaring the paper artifact, the validated claim, the schemes involved,
+  the output spec and the ``scales`` table: the config field overrides of
+  ``paper`` (the paper's parameters), ``quick`` (seconds on a laptop) and
+  ``tiny`` (the smoke-test scale of the suite orchestrator and CI).
 
 :mod:`repro.experiments.registry` collects the descriptors into one lookup
-table for the CLI, the suite orchestrator (:mod:`repro.suite`) and the docs
-guard test.
+table for ``repro-slb run``, the suite orchestrator (:mod:`repro.suite`) and
+the docs guard test; :func:`run_experiment` is the library entry point.
 """
 
 from repro._exports import lazy_exports

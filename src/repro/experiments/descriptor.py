@@ -2,26 +2,27 @@
 
 Every driver module declares a single :data:`DESCRIPTOR` — a frozen
 :class:`ExperimentDescriptor` naming the paper artifact it reproduces, the
-claim being validated, the config class with its scale presets, the schemes
-involved and an :class:`OutputSpec` describing how the rows are plotted.
+claim being validated, the config class, its ``scales`` table (one row of
+field overrides per scale), the schemes involved and an :class:`OutputSpec`
+describing how the rows are plotted.
 
-The descriptor replaces the copy-pasted ``main()`` blocks the driver modules
-used to carry: ``main = DESCRIPTOR.cli_main`` gives each module an argument
-parsing entry point (``--scale``, ``--export``) for free, and the registry,
-the suite orchestrator and the docs guard all consume the same declaration.
+The table is checked when the descriptor is built, i.e. when the driver
+module is imported: a missing or extra scale, or an override naming no
+field of the config class, raises there rather than on first use.  The
+registry, ``repro-slb run``, the suite orchestrator and the docs guard all
+consume the same declaration.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from repro.exceptions import ConfigurationError
-from repro.experiments.common import ExperimentResult, jsonable, print_result
+from repro.experiments.common import ExperimentResult, jsonable
 
-#: The parameter scales every config class provides, smallest first.
+#: The parameter scales every descriptor's table holds, smallest first.
 #: ``tiny`` is the smoke-test scale used by the suite orchestrator and CI,
 #: ``quick`` runs in seconds on a laptop, ``paper`` uses the paper's numbers.
 SCALES = ("tiny", "quick", "paper")
@@ -104,7 +105,11 @@ class ExperimentDescriptor:
     run:
         The driver's ``run(config)`` callable.
     config_class:
-        Dataclass with ``tiny()`` / ``quick()`` / ``paper()`` factories.
+        The driver's config dataclass; its field defaults are the base
+        every scale overrides.
+    scales:
+        ``{scale: {field: value}}`` for exactly the :data:`SCALES`; each
+        row overrides ``config_class`` field defaults.
     kind:
         "analytical" (closed-form, no stream), "simulation" (routing
         simulation engine) or "cluster" (discrete-event cluster simulator).
@@ -120,17 +125,36 @@ class ExperimentDescriptor:
     claim: str
     run: Callable[..., ExperimentResult]
     config_class: type
+    scales: Mapping[str, Mapping[str, Any]]
     kind: str = "simulation"
     schemes: tuple[str, ...] = ()
     output: OutputSpec = OutputSpec()
 
+    def __post_init__(self) -> None:
+        name = f"{self.experiment_id}: scale"
+        for scale in SCALES:
+            if scale not in self.scales:
+                raise ConfigurationError(f"{name} {scale!r} is missing")
+        fields = {field.name for field in dataclasses.fields(self.config_class)}
+        for scale, overrides in self.scales.items():
+            if scale not in SCALES:
+                raise ConfigurationError(
+                    f"{name} {scale!r} is not one of {SCALES}"
+                )
+            for field_name in overrides:
+                if field_name not in fields:
+                    raise ConfigurationError(
+                        f"{name} {scale!r} sets {field_name!r}, which is not "
+                        f"a field of {self.config_class.__name__}"
+                    )
+
     def config(self, scale: str = "quick") -> Any:
-        """Build the preset configuration for ``scale``."""
+        """A fresh configuration for ``scale`` (tiny, quick or paper)."""
         if scale not in SCALES:
             raise ConfigurationError(
                 f"scale must be one of {SCALES}, got {scale!r}"
             )
-        return getattr(self.config_class, scale)()
+        return self.config_class(**self.scales[scale])
 
     def config_dict(self, config: Any) -> dict[str, Any]:
         """The configuration as a JSON-serialisable dict (for store keys)."""
@@ -160,38 +184,3 @@ class ExperimentDescriptor:
 
         config.mode = ExecutionMode.coerce(mode)
         return config
-
-    def run_at(self, scale: str = "quick", mode: Any = None) -> ExperimentResult:
-        """Run the experiment at a preset scale (see :meth:`configure`)."""
-        return self.run(self.configure(scale, mode))
-
-    def cli_main(self, argv: Sequence[str] | None = None) -> None:
-        """Shared ``python -m repro.experiments.figXX`` entry point."""
-        parser = argparse.ArgumentParser(
-            description=f"{self.artifact} reproduction: {self.title}"
-        )
-        parser.add_argument(
-            "--scale",
-            choices=SCALES,
-            default="quick",
-            help=(
-                "parameter scale: tiny (smoke test), quick (seconds, the "
-                "default) or paper (the paper's exact parameters)"
-            ),
-        )
-        parser.add_argument(
-            "--export",
-            metavar="PATH",
-            default=None,
-            help="also write the rows to PATH (.csv or .json)",
-        )
-        args = parser.parse_args(argv)
-        result = self.run_at(args.scale)
-        print_result(result)
-        chart = self.output.render(result)
-        if chart:
-            print(chart)
-        if args.export:
-            from repro.reporting.export import write_result
-
-            print(f"rows written to {write_result(result, args.export)}")

@@ -36,32 +36,8 @@ class Fig01Config:
     seed: int = 0
     mode: str | None = None
 
-    @classmethod
-    def paper(cls) -> "Fig01Config":
-        """Paper-scale parameters (the WP trace itself is substituted)."""
-        return cls(num_messages=2_000_000, num_body_keys=100_000)
 
-    @classmethod
-    def quick(cls) -> "Fig01Config":
-        """Benchmark-friendly scale (seconds instead of minutes)."""
-        return cls(
-            worker_counts=(5, 10, 50),
-            num_messages=100_000,
-            num_body_keys=20_000,
-        )
-
-    @classmethod
-    def tiny(cls) -> "Fig01Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(
-            worker_counts=(5, 10),
-            num_messages=20_000,
-            num_body_keys=5_000,
-        )
-
-
-def run(config: Fig01Config | None = None) -> ExperimentResult:
-    config = config or Fig01Config()
+def run(config: Fig01Config) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -110,14 +86,23 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Fig01Config,
+    scales={
+        "tiny": {
+            "worker_counts": (5, 10),
+            "num_messages": 20_000,
+            "num_body_keys": 5_000,
+        },
+        "quick": {
+            "worker_counts": (5, 10, 50),
+            "num_messages": 100_000,
+            "num_body_keys": 20_000,
+        },
+        # The paper's sizes; the WP trace itself is substituted.
+        "paper": {"num_messages": 2_000_000, "num_body_keys": 100_000},
+    },
     kind="simulation",
     schemes=SCHEMES,
     output=OutputSpec(
         kind="series", x="workers", y="imbalance", series_by=("scheme",), log_y=True
     ),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

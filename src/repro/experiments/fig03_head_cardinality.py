@@ -31,22 +31,8 @@ class Fig03Config:
     num_keys: int = 10_000
     worker_counts: Sequence[int] = (50, 100)
 
-    @classmethod
-    def paper(cls) -> "Fig03Config":
-        return cls()
 
-    @classmethod
-    def quick(cls) -> "Fig03Config":
-        return cls(skews=(0.4, 0.8, 1.2, 1.6, 2.0))
-
-    @classmethod
-    def tiny(cls) -> "Fig03Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(skews=(0.8, 1.6), worker_counts=(50,))
-
-
-def run(config: Fig03Config | None = None) -> ExperimentResult:
-    config = config or Fig03Config()
+def run(config: Fig03Config) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -86,6 +72,11 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Fig03Config,
+    scales={
+        "tiny": {"skews": (0.8, 1.6), "worker_counts": (50,)},
+        "quick": {"skews": (0.4, 0.8, 1.2, 1.6, 2.0)},
+        "paper": {},
+    },
     kind="analytical",
     output=OutputSpec(
         kind="series",
@@ -94,8 +85,3 @@ DESCRIPTOR = ExperimentDescriptor(
         series_by=("workers", "theta"),
     ),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

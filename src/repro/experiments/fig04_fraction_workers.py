@@ -34,22 +34,8 @@ class Fig04Config:
     worker_counts: Sequence[int] = (5, 10, 50, 100)
     epsilon: float = 1e-4
 
-    @classmethod
-    def paper(cls) -> "Fig04Config":
-        return cls()
 
-    @classmethod
-    def quick(cls) -> "Fig04Config":
-        return cls(skews=(0.4, 1.0, 1.6, 2.0), worker_counts=(50, 100))
-
-    @classmethod
-    def tiny(cls) -> "Fig04Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(skews=(1.0, 2.0), worker_counts=(50,))
-
-
-def run(config: Fig04Config | None = None) -> ExperimentResult:
-    config = config or Fig04Config()
+def run(config: Fig04Config) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -96,14 +82,14 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Fig04Config,
+    scales={
+        "tiny": {"skews": (1.0, 2.0), "worker_counts": (50,)},
+        "quick": {"skews": (0.4, 1.0, 1.6, 2.0), "worker_counts": (50, 100)},
+        "paper": {},
+    },
     kind="analytical",
     schemes=("D-C",),
     output=OutputSpec(
         kind="series", x="skew", y="d_over_n", series_by=("workers",)
     ),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

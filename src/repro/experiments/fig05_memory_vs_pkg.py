@@ -32,24 +32,8 @@ class Fig05Config:
     worker_counts: Sequence[int] = (50, 100)
     epsilon: float = 1e-4
 
-    @classmethod
-    def paper(cls) -> "Fig05Config":
-        return cls()
 
-    @classmethod
-    def quick(cls) -> "Fig05Config":
-        # The model is purely analytical, so the full message count costs
-        # nothing; only the skew grid is thinned.
-        return cls(skews=(0.4, 0.8, 1.2, 1.6, 2.0))
-
-    @classmethod
-    def tiny(cls) -> "Fig05Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(skews=(0.8, 1.6), worker_counts=(50,))
-
-
-def run(config: Fig05Config | None = None) -> ExperimentResult:
-    config = config or Fig05Config()
+def run(config: Fig05Config) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -95,14 +79,16 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Fig05Config,
+    scales={
+        "tiny": {"skews": (0.8, 1.6), "worker_counts": (50,)},
+        # The model is purely analytical, so the full message count costs
+        # nothing; only the skew grid is thinned.
+        "quick": {"skews": (0.4, 0.8, 1.2, 1.6, 2.0)},
+        "paper": {},
+    },
     kind="analytical",
     schemes=("D-C", "W-C", "PKG"),
     output=OutputSpec(
         kind="series", x="skew", y="dchoices_vs_pkg_pct", series_by=("workers",)
     ),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

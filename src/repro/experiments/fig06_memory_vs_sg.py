@@ -31,24 +31,8 @@ class Fig06Config:
     worker_counts: Sequence[int] = (50, 100)
     epsilon: float = 1e-4
 
-    @classmethod
-    def paper(cls) -> "Fig06Config":
-        return cls()
 
-    @classmethod
-    def quick(cls) -> "Fig06Config":
-        # The model is purely analytical, so the full message count costs
-        # nothing; only the skew grid is thinned.
-        return cls(skews=(0.4, 0.8, 1.2, 1.6, 2.0))
-
-    @classmethod
-    def tiny(cls) -> "Fig06Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(skews=(0.8, 1.6), worker_counts=(50,))
-
-
-def run(config: Fig06Config | None = None) -> ExperimentResult:
-    config = config or Fig06Config()
+def run(config: Fig06Config) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -92,14 +76,16 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Fig06Config,
+    scales={
+        "tiny": {"skews": (0.8, 1.6), "worker_counts": (50,)},
+        # The model is purely analytical, so the full message count costs
+        # nothing; only the skew grid is thinned.
+        "quick": {"skews": (0.4, 0.8, 1.2, 1.6, 2.0)},
+        "paper": {},
+    },
     kind="analytical",
     schemes=("D-C", "W-C", "SG"),
     output=OutputSpec(
         kind="series", x="skew", y="dchoices_vs_sg_pct", series_by=("workers",)
     ),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -46,32 +46,8 @@ class Fig07Config:
     thresholds: Sequence[str] = tuple(THRESHOLDS)
     mode: str | None = None
 
-    @classmethod
-    def paper(cls) -> "Fig07Config":
-        return cls(num_messages=10_000_000)
 
-    @classmethod
-    def quick(cls) -> "Fig07Config":
-        return cls(
-            skews=(0.8, 2.0),
-            worker_counts=(10, 50),
-            num_messages=100_000,
-            thresholds=("2/n", "1/(2n)", "1/(8n)"),
-        )
-
-    @classmethod
-    def tiny(cls) -> "Fig07Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(
-            skews=(2.0,),
-            worker_counts=(10,),
-            num_messages=8_000,
-            thresholds=("2/n", "1/(8n)"),
-        )
-
-
-def run(config: Fig07Config | None = None) -> ExperimentResult:
-    config = config or Fig07Config()
+def run(config: Fig07Config) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -128,6 +104,21 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Fig07Config,
+    scales={
+        "tiny": {
+            "skews": (2.0,),
+            "worker_counts": (10,),
+            "num_messages": 8_000,
+            "thresholds": ("2/n", "1/(8n)"),
+        },
+        "quick": {
+            "skews": (0.8, 2.0),
+            "worker_counts": (10, 50),
+            "num_messages": 100_000,
+            "thresholds": ("2/n", "1/(2n)", "1/(8n)"),
+        },
+        "paper": {"num_messages": 10_000_000},
+    },
     kind="simulation",
     schemes=SCHEMES,
     output=OutputSpec(
@@ -138,8 +129,3 @@ DESCRIPTOR = ExperimentDescriptor(
         log_y=True,
     ),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

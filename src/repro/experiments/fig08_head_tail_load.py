@@ -34,27 +34,13 @@ class Fig08Config:
     seed: int = 0
     mode: str | None = None
 
-    @classmethod
-    def paper(cls) -> "Fig08Config":
-        return cls(num_messages=10_000_000)
-
-    @classmethod
-    def quick(cls) -> "Fig08Config":
-        return cls(num_messages=100_000)
-
-    @classmethod
-    def tiny(cls) -> "Fig08Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(num_messages=20_000)
-
     @property
     def theta(self) -> float:
         """The figure uses the lowest threshold of the sweep, 1/(8n)."""
         return 1.0 / (8.0 * self.num_workers)
 
 
-def run(config: Fig08Config | None = None) -> ExperimentResult:
-    config = config or Fig08Config()
+def run(config: Fig08Config) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -117,14 +103,14 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Fig08Config,
+    scales={
+        "tiny": {"num_messages": 20_000},
+        "quick": {"num_messages": 100_000},
+        "paper": {"num_messages": 10_000_000},
+    },
     kind="simulation",
     schemes=SCHEMES,
     output=OutputSpec(
         kind="bars", x="worker", y="total_load_pct", series_by=("scheme",)
     ),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -47,29 +47,6 @@ class Fig09Config:
     d_stride: int = 1
     mode: str | None = None
 
-    @classmethod
-    def paper(cls) -> "Fig09Config":
-        return cls(num_messages=10_000_000)
-
-    @classmethod
-    def quick(cls) -> "Fig09Config":
-        return cls(
-            skews=(1.2, 2.0),
-            worker_counts=(50,),
-            num_messages=100_000,
-            d_stride=4,
-        )
-
-    @classmethod
-    def tiny(cls) -> "Fig09Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(
-            skews=(2.0,),
-            worker_counts=(20,),
-            num_messages=8_000,
-            d_stride=6,
-        )
-
 
 def _imbalance_for_scheme(config: Fig09Config, num_workers: int, skew: float,
                           scheme: str, options: dict) -> float:
@@ -91,8 +68,7 @@ def _imbalance_for_scheme(config: Fig09Config, num_workers: int, skew: float,
     return simulation.final_imbalance
 
 
-def run(config: Fig09Config | None = None) -> ExperimentResult:
-    config = config or Fig09Config()
+def run(config: Fig09Config) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -161,14 +137,24 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Fig09Config,
+    scales={
+        "tiny": {
+            "skews": (2.0,),
+            "worker_counts": (20,),
+            "num_messages": 8_000,
+            "d_stride": 6,
+        },
+        "quick": {
+            "skews": (1.2, 2.0),
+            "worker_counts": (50,),
+            "num_messages": 100_000,
+            "d_stride": 4,
+        },
+        "paper": {"num_messages": 10_000_000},
+    },
     kind="simulation",
     schemes=("D-C", "W-C", "FIXED-D"),
     output=OutputSpec(
         kind="series", x="skew", y="analytical_d_over_n", series_by=("workers",)
     ),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -35,32 +35,8 @@ class Fig10Config:
     schemes: Sequence[str] = SCHEMES
     mode: str | None = None
 
-    @classmethod
-    def paper(cls) -> "Fig10Config":
-        return cls(num_messages=10_000_000)
 
-    @classmethod
-    def quick(cls) -> "Fig10Config":
-        return cls(
-            skews=(0.8, 1.6, 2.0),
-            worker_counts=(10, 50),
-            key_counts=(10_000,),
-            num_messages=100_000,
-        )
-
-    @classmethod
-    def tiny(cls) -> "Fig10Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(
-            skews=(2.0,),
-            worker_counts=(10,),
-            key_counts=(10_000,),
-            num_messages=8_000,
-        )
-
-
-def run(config: Fig10Config | None = None) -> ExperimentResult:
-    config = config or Fig10Config()
+def run(config: Fig10Config) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -120,6 +96,21 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Fig10Config,
+    scales={
+        "tiny": {
+            "skews": (2.0,),
+            "worker_counts": (10,),
+            "key_counts": (10_000,),
+            "num_messages": 8_000,
+        },
+        "quick": {
+            "skews": (0.8, 1.6, 2.0),
+            "worker_counts": (10, 50),
+            "key_counts": (10_000,),
+            "num_messages": 100_000,
+        },
+        "paper": {"num_messages": 10_000_000},
+    },
     kind="simulation",
     schemes=SCHEMES,
     output=OutputSpec(
@@ -130,8 +121,3 @@ DESCRIPTOR = ExperimentDescriptor(
         log_y=True,
     ),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -9,17 +9,13 @@ upward, and the drifting CT workload being the hardest for everyone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.experiments.common import ExperimentResult, execution_mode_of
 from repro.experiments.descriptor import ExperimentDescriptor, OutputSpec
 from repro.simulation.runner import run_simulation
 from repro.workloads.base import Workload
-from repro.workloads.synthetic import (
-    CashtagLikeWorkload,
-    TwitterLikeWorkload,
-    WikipediaLikeWorkload,
-)
+from repro.workloads.catalog import load_dataset
 
 EXPERIMENT_ID = "fig11"
 TITLE = "Imbalance on WP/TW/CT-like workloads vs. number of workers"
@@ -38,46 +34,15 @@ class Fig11Config:
     datasets: Sequence[str] = ("WP", "TW", "CT")
     mode: str | None = None
 
-    @classmethod
-    def paper(cls) -> "Fig11Config":
-        return cls(num_messages=2_000_000)
 
-    @classmethod
-    def quick(cls) -> "Fig11Config":
-        return cls(
-            worker_counts=(10, 50),
-            num_messages=100_000,
-            datasets=("WP", "CT"),
-        )
-
-    @classmethod
-    def tiny(cls) -> "Fig11Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(
-            worker_counts=(10,),
-            num_messages=20_000,
-            datasets=("WP",),
-        )
-
-    def workload_factory(self, symbol: str) -> Callable[[], Workload]:
-        """A zero-argument factory building the scaled workload for ``symbol``."""
-        if symbol == "WP":
-            return lambda: WikipediaLikeWorkload(
-                num_messages=self.num_messages, seed=self.seed
-            )
-        if symbol == "TW":
-            return lambda: TwitterLikeWorkload(
-                num_messages=self.num_messages, seed=self.seed
-            )
-        if symbol == "CT":
-            return lambda: CashtagLikeWorkload(
-                num_messages=min(self.num_messages, 690_000), seed=self.seed
-            )
-        raise ValueError(f"unknown dataset symbol {symbol!r}")
+def real_workload(symbol: str, num_messages: int, seed: int) -> Workload:
+    """``symbol``'s catalog stand-in; CT's stops at its trace's 690k messages."""
+    if symbol == "CT":
+        num_messages = min(num_messages, 690_000)
+    return load_dataset(symbol, num_messages=num_messages, seed=seed)
 
 
-def run(config: Fig11Config | None = None) -> ExperimentResult:
-    config = config or Fig11Config()
+def run(config: Fig11Config) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -88,11 +53,10 @@ def run(config: Fig11Config | None = None) -> ExperimentResult:
         },
     )
     for symbol in config.datasets:
-        factory = config.workload_factory(symbol)
         for scheme in SCHEMES:
             for num_workers in config.worker_counts:
                 simulation = run_simulation(
-                    factory(),
+                    real_workload(symbol, config.num_messages, config.seed),
                     scheme=scheme,
                     num_workers=num_workers,
                     num_sources=config.num_sources,
@@ -126,6 +90,15 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Fig11Config,
+    scales={
+        "tiny": {"worker_counts": (10,), "num_messages": 20_000, "datasets": ("WP",)},
+        "quick": {
+            "worker_counts": (10, 50),
+            "num_messages": 100_000,
+            "datasets": ("WP", "CT"),
+        },
+        "paper": {"num_messages": 2_000_000},
+    },
     kind="simulation",
     schemes=SCHEMES,
     output=OutputSpec(
@@ -136,8 +109,3 @@ DESCRIPTOR = ExperimentDescriptor(
         log_y=True,
     ),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from repro.experiments.common import ExperimentResult, execution_mode_of
 from repro.experiments.descriptor import ExperimentDescriptor, OutputSpec
-from repro.experiments.fig11_real_imbalance import Fig11Config
+from repro.experiments.fig11_real_imbalance import real_workload
 from repro.simulation.runner import run_simulation
 
 EXPERIMENT_ID = "fig12"
@@ -35,32 +35,8 @@ class Fig12Config:
     num_snapshots: int = 40
     mode: str | None = None
 
-    @classmethod
-    def paper(cls) -> "Fig12Config":
-        return cls(num_messages=2_000_000, num_snapshots=80)
 
-    @classmethod
-    def quick(cls) -> "Fig12Config":
-        return cls(
-            worker_counts=(10, 100),
-            num_messages=100_000,
-            datasets=("CT",),
-            num_snapshots=10,
-        )
-
-    @classmethod
-    def tiny(cls) -> "Fig12Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(
-            worker_counts=(10,),
-            num_messages=20_000,
-            datasets=("CT",),
-            num_snapshots=5,
-        )
-
-
-def run(config: Fig12Config | None = None) -> ExperimentResult:
-    config = config or Fig12Config()
+def run(config: Fig12Config) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -72,16 +48,11 @@ def run(config: Fig12Config | None = None) -> ExperimentResult:
         },
     )
     interval = max(1, config.num_messages // config.num_snapshots)
-    # Reuse the Figure 11 workload factories so both figures see the same data.
-    factories = Fig11Config(
-        num_messages=config.num_messages, seed=config.seed
-    )
     for symbol in config.datasets:
-        factory = factories.workload_factory(symbol)
         for scheme in SCHEMES:
             for num_workers in config.worker_counts:
                 simulation = run_simulation(
-                    factory(),
+                    real_workload(symbol, config.num_messages, config.seed),
                     scheme=scheme,
                     num_workers=num_workers,
                     num_sources=config.num_sources,
@@ -121,6 +92,21 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Fig12Config,
+    scales={
+        "tiny": {
+            "worker_counts": (10,),
+            "num_messages": 20_000,
+            "datasets": ("CT",),
+            "num_snapshots": 5,
+        },
+        "quick": {
+            "worker_counts": (10, 100),
+            "num_messages": 100_000,
+            "datasets": ("CT",),
+            "num_snapshots": 10,
+        },
+        "paper": {"num_messages": 2_000_000, "num_snapshots": 80},
+    },
     kind="simulation",
     schemes=SCHEMES,
     output=OutputSpec(
@@ -131,8 +117,3 @@ DESCRIPTOR = ExperimentDescriptor(
         log_y=True,
     ),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -38,27 +38,8 @@ class Fig13Config:
     seed: int = 0
     schemes: Sequence[str] = SCHEMES
 
-    @classmethod
-    def paper(cls) -> "Fig13Config":
-        return cls(num_messages=2_000_000)
 
-    @classmethod
-    def quick(cls) -> "Fig13Config":
-        return cls(skews=(1.4, 2.0), num_messages=40_000)
-
-    @classmethod
-    def tiny(cls) -> "Fig13Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(
-            skews=(2.0,),
-            num_messages=8_000,
-            num_sources=8,
-            num_workers=16,
-        )
-
-
-def run(config: Fig13Config | None = None) -> ExperimentResult:
-    config = config or Fig13Config()
+def run(config: Fig13Config) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -110,14 +91,19 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Fig13Config,
+    scales={
+        "tiny": {
+            "skews": (2.0,),
+            "num_messages": 8_000,
+            "num_sources": 8,
+            "num_workers": 16,
+        },
+        "quick": {"skews": (1.4, 2.0), "num_messages": 40_000},
+        "paper": {"num_messages": 2_000_000},
+    },
     kind="cluster",
     schemes=SCHEMES,
     output=OutputSpec(
         kind="bars", x="skew", y="throughput_per_s", series_by=("scheme",)
     ),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -49,37 +49,8 @@ class Fig15Config:
     num_snapshots: int = 50
     mode: str | None = None
 
-    @classmethod
-    def paper(cls) -> "Fig15Config":
-        return cls(num_messages=1_000_000,
-                   rescale="join@250000,join@400000,leave@600000,fail@800000",
-                   num_snapshots=100)
 
-    @classmethod
-    def quick(cls) -> "Fig15Config":
-        return cls(
-            num_workers=20,
-            num_messages=100_000,
-            rescale="join@25000,join@40000,leave@60000,fail@80000",
-            migration_window=2_000,
-            num_snapshots=25,
-        )
-
-    @classmethod
-    def tiny(cls) -> "Fig15Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(
-            num_workers=10,
-            num_messages=20_000,
-            num_keys=2_000,
-            rescale="join@5000,leave@12000,fail@15000",
-            migration_window=1_000,
-            num_snapshots=8,
-        )
-
-
-def run(config: Fig15Config | None = None) -> ExperimentResult:
-    config = config or Fig15Config()
+def run(config: Fig15Config) -> ExperimentResult:
     plan = RescalePlan.parse(
         config.rescale,
         policy=config.policy,
@@ -157,6 +128,28 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Fig15Config,
+    scales={
+        "tiny": {
+            "num_workers": 10,
+            "num_messages": 20_000,
+            "num_keys": 2_000,
+            "rescale": "join@5000,leave@12000,fail@15000",
+            "migration_window": 1_000,
+            "num_snapshots": 8,
+        },
+        "quick": {
+            "num_workers": 20,
+            "num_messages": 100_000,
+            "rescale": "join@25000,join@40000,leave@60000,fail@80000",
+            "migration_window": 2_000,
+            "num_snapshots": 25,
+        },
+        "paper": {
+            "num_messages": 1_000_000,
+            "rescale": "join@250000,join@400000,leave@600000,fail@800000",
+            "num_snapshots": 100,
+        },
+    },
     kind="simulation",
     schemes=SCHEMES,
     output=OutputSpec(
@@ -167,8 +160,3 @@ DESCRIPTOR = ExperimentDescriptor(
         log_y=True,
     ),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -48,37 +48,8 @@ class Fig16Config:
     migration_window: int = 5_000
     mode: str | None = None
 
-    @classmethod
-    def paper(cls) -> "Fig16Config":
-        return cls(
-            num_messages=1_000_000,
-            rescale="join@250000,leave@600000,fail@800000",
-            migration_window=10_000,
-        )
 
-    @classmethod
-    def quick(cls) -> "Fig16Config":
-        return cls(
-            num_workers=20,
-            num_messages=60_000,
-            rescale="join@15000,leave@36000,fail@48000",
-            migration_window=2_000,
-        )
-
-    @classmethod
-    def tiny(cls) -> "Fig16Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(
-            num_workers=10,
-            num_messages=20_000,
-            num_keys=2_000,
-            rescale="join@5000,leave@12000,fail@15000",
-            migration_window=1_000,
-        )
-
-
-def run(config: Fig16Config | None = None) -> ExperimentResult:
-    config = config or Fig16Config()
+def run(config: Fig16Config) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -148,6 +119,26 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Fig16Config,
+    scales={
+        "tiny": {
+            "num_workers": 10,
+            "num_messages": 20_000,
+            "num_keys": 2_000,
+            "rescale": "join@5000,leave@12000,fail@15000",
+            "migration_window": 1_000,
+        },
+        "quick": {
+            "num_workers": 20,
+            "num_messages": 60_000,
+            "rescale": "join@15000,leave@36000,fail@48000",
+            "migration_window": 2_000,
+        },
+        "paper": {
+            "num_messages": 1_000_000,
+            "rescale": "join@250000,leave@600000,fail@800000",
+            "migration_window": 10_000,
+        },
+    },
     kind="simulation",
     schemes=SCHEMES,
     output=OutputSpec(
@@ -157,8 +148,3 @@ DESCRIPTOR = ExperimentDescriptor(
         series_by=("scheme",),
     ),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

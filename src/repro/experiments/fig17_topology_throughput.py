@@ -69,25 +69,6 @@ class Fig17Config:
         """Words flowing over the keyed edge (for scale comparisons)."""
         return self.num_posts * self.words_per_post
 
-    @classmethod
-    def paper(cls) -> "Fig17Config":
-        return cls(num_posts=200_000)
-
-    @classmethod
-    def quick(cls) -> "Fig17Config":
-        return cls()
-
-    @classmethod
-    def tiny(cls) -> "Fig17Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(
-            num_keys=2_000,
-            num_posts=2_000,
-            window=500.0,
-            num_aggregators=8,
-            num_reconcilers=4,
-        )
-
 
 def make_posts(config: Fig17Config) -> list[Message]:
     """The external stream: one message per post, carrying its words.
@@ -186,8 +167,7 @@ def run_scheme(
     return result, time.perf_counter() - started
 
 
-def run(config: Fig17Config | None = None) -> ExperimentResult:
-    config = config or Fig17Config()
+def run(config: Fig17Config) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -248,12 +228,18 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Fig17Config,
+    scales={
+        "tiny": {
+            "num_keys": 2_000,
+            "num_posts": 2_000,
+            "window": 500.0,
+            "num_aggregators": 8,
+            "num_reconcilers": 4,
+        },
+        "quick": {},
+        "paper": {"num_posts": 200_000},
+    },
     kind="dataflow",
     schemes=SCHEMES,
     output=OutputSpec(kind="bars", y="throughput_per_s", series_by=("scheme",)),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -73,9 +73,9 @@ class Fig18Config:
 
     ``check_interval`` and ``min_dwell`` are *per-source* message counts
     (each of the ``num_sources`` sources runs its own controller), so the
-    presets scale them with the per-source stream length: the controller
+    scales grow them with the per-source stream length: the controller
     should get a comparable number of decision points at every scale.
-    ``imbalance_window`` is a *global* message count; each preset uses a
+    ``imbalance_window`` is a *global* message count; each scale uses a
     tenth of the stream so every run closes ten windows.
     """
 
@@ -91,32 +91,6 @@ class Fig18Config:
     adaptive_options: dict[str, Any] = field(default_factory=dict)
     mode: str | None = None
 
-    @classmethod
-    def paper(cls) -> "Fig18Config":
-        return cls(
-            num_messages=500_000,
-            num_keys=10_000,
-            imbalance_window=50_000,
-            check_interval=2_000,
-            min_dwell=4_000,
-        )
-
-    @classmethod
-    def quick(cls) -> "Fig18Config":
-        return cls()
-
-    @classmethod
-    def tiny(cls) -> "Fig18Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(
-            num_messages=20_000,
-            num_keys=1_000,
-            num_workers=8,
-            imbalance_window=2_000,
-            check_interval=250,
-            min_dwell=500,
-        )
-
 
 def _scheme_options(config: Fig18Config, scheme: str) -> dict[str, Any]:
     if scheme == ADAPTIVE_SCHEME:
@@ -129,8 +103,7 @@ def _scheme_options(config: Fig18Config, scheme: str) -> dict[str, Any]:
     return dict(STATIC_OPTIONS.get(scheme, {}))
 
 
-def run(config: Fig18Config | None = None) -> ExperimentResult:
-    config = config or Fig18Config()
+def run(config: Fig18Config) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -217,6 +190,24 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Fig18Config,
+    scales={
+        "tiny": {
+            "num_messages": 20_000,
+            "num_keys": 1_000,
+            "num_workers": 8,
+            "imbalance_window": 2_000,
+            "check_interval": 250,
+            "min_dwell": 500,
+        },
+        "quick": {},
+        "paper": {
+            "num_messages": 500_000,
+            "num_keys": 10_000,
+            "imbalance_window": 50_000,
+            "check_interval": 2_000,
+            "min_dwell": 4_000,
+        },
+    },
     kind="simulation",
     schemes=(ADAPTIVE_SCHEME,) + STATIC_SCHEMES,
     output=OutputSpec(
@@ -225,8 +216,3 @@ DESCRIPTOR = ExperimentDescriptor(
         series_by=("scenario", "scheme"),
     ),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -62,22 +62,8 @@ class ScenariosConfig:
     num_sources: int = 5
     mode: str | None = None
 
-    @classmethod
-    def paper(cls) -> "ScenariosConfig":
-        return cls(num_messages=500_000, num_keys=10_000)
 
-    @classmethod
-    def quick(cls) -> "ScenariosConfig":
-        return cls()
-
-    @classmethod
-    def tiny(cls) -> "ScenariosConfig":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(num_messages=20_000, num_keys=1_000, num_workers=8)
-
-
-def run(config: ScenariosConfig | None = None) -> ExperimentResult:
-    config = config or ScenariosConfig()
+def run(config: ScenariosConfig) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -145,6 +131,11 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=ScenariosConfig,
+    scales={
+        "tiny": {"num_messages": 20_000, "num_keys": 1_000, "num_workers": 8},
+        "quick": {},
+        "paper": {"num_messages": 500_000, "num_keys": 10_000},
+    },
     kind="simulation",
     schemes=SCHEMES,
     output=OutputSpec(
@@ -153,8 +144,3 @@ DESCRIPTOR = ExperimentDescriptor(
         series_by=("scenario", "scheme"),
     ),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -31,22 +31,8 @@ class Table1Config:
     zipf_keys: int = 10_000
     seed: int = 0
 
-    @classmethod
-    def paper(cls) -> "Table1Config":
-        return cls(measured_messages=2_000_000)
 
-    @classmethod
-    def quick(cls) -> "Table1Config":
-        return cls(measured_messages=50_000)
-
-    @classmethod
-    def tiny(cls) -> "Table1Config":
-        """Smoke-test scale used by the suite orchestrator and CI."""
-        return cls(measured_messages=10_000)
-
-
-def run(config: Table1Config | None = None) -> ExperimentResult:
-    config = config or Table1Config()
+def run(config: Table1Config) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -102,11 +88,11 @@ DESCRIPTOR = ExperimentDescriptor(
     ),
     run=run,
     config_class=Table1Config,
+    scales={
+        "tiny": {"measured_messages": 10_000},
+        "quick": {"measured_messages": 50_000},
+        "paper": {"measured_messages": 2_000_000},
+    },
     kind="analytical",
     output=OutputSpec(kind="table"),
 )
-
-main = DESCRIPTOR.cli_main
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -111,13 +111,12 @@ def _execute_cell(experiment_id: str, scale: str) -> dict[str, Any]:
     """Run one cell; top-level so the process pool can pickle it.
 
     The configuration is rebuilt from the registry inside the worker (the
-    factories are pure, so parent and worker agree on the fingerprint) and
+    scale tables are data, so parent and worker agree on the fingerprint) and
     errors are returned as payloads rather than raised, keeping one broken
     experiment from sinking the whole suite.
     """
     try:
-        entry = get_experiment(experiment_id)
-        descriptor = entry.descriptor
+        descriptor = get_experiment(experiment_id)
         config = descriptor.config(scale)
         started = time.perf_counter()
         result = descriptor.run(config)
@@ -234,8 +233,7 @@ def run_suite(
     # satisfy what we can from the store.
     pending: list[tuple[str, str]] = []  # (experiment_id, fingerprint)
     for identifier in identifiers:
-        entry = get_experiment(identifier)
-        descriptor = entry.descriptor
+        descriptor = get_experiment(identifier)
         fingerprint = config_fingerprint(
             descriptor.experiment_id, scale, descriptor.config_dict(descriptor.config(scale))
         )

@@ -20,7 +20,7 @@ from repro.suite.store import ResultsStore, config_fingerprint, current_code_dig
 
 def _artifact_for(experiment_id: str) -> str:
     try:
-        return get_experiment(experiment_id).descriptor.artifact
+        return get_experiment(experiment_id).artifact
     except ConfigurationError:
         return "?"  # stale record of an unregistered experiment
 
@@ -28,7 +28,7 @@ def _artifact_for(experiment_id: str) -> str:
 def _is_current(record) -> str:
     """"yes" when the record matches today's config and code for its cell.
 
-    A "no" marks a stale record: the experiment's preset changed (or the
+    A "no" marks a stale record: the experiment's scale changed (or the
     experiment was unregistered) since the record was computed, so the next
     ``suite run`` will compute a fresh cell and leave this one behind; or
     other code computed it, so the next run recomputes and overwrites it.
@@ -36,7 +36,7 @@ def _is_current(record) -> str:
     if record.code_digest != current_code_digest():
         return "no"
     try:
-        descriptor = get_experiment(record.experiment_id).descriptor
+        descriptor = get_experiment(record.experiment_id)
         expected = config_fingerprint(
             record.experiment_id,
             record.scale,
@@ -105,7 +105,7 @@ def render_report(
     if charts:
         for record in records:
             try:
-                spec = get_experiment(record.experiment_id).descriptor.output
+                spec = get_experiment(record.experiment_id).output
             except ConfigurationError:
                 continue
             chart = spec.render(ExperimentResult.from_dict(record.result))

@@ -219,7 +219,7 @@ def test_no_universal_hashing_module():
 def test_no_experiment_config_has_a_batch_size_field():
     offenders = []
     for experiment_id in list_experiments():
-        config_class = get_experiment(experiment_id).descriptor.config_class
+        config_class = get_experiment(experiment_id).config_class
         if "batch_size" in {field.name for field in dataclasses.fields(config_class)}:
             offenders.append(experiment_id)
     assert not offenders, f"configs choose their execution with `mode` only: {offenders}"
@@ -228,7 +228,6 @@ def test_no_experiment_config_has_a_batch_size_field():
 def test_no_experiment_entry_point_takes_a_batch_size():
     entry_points = {
         "ExperimentDescriptor.configure": ExperimentDescriptor.configure,
-        "ExperimentDescriptor.run_at": ExperimentDescriptor.run_at,
         "run_suite": run_suite,
         "fig17.run_scheme": fig17_topology_throughput.run_scheme,
     }

@@ -53,7 +53,7 @@ def test_every_documented_experiment_is_registered(mapping_rows):
 
 def test_every_row_names_the_module_artifact_and_command(mapping_rows):
     for experiment_id, line in mapping_rows.items():
-        descriptor = get_experiment(experiment_id).descriptor
+        descriptor = get_experiment(experiment_id)
         assert descriptor.artifact in line, (
             f"{experiment_id}: row must name the paper artifact "
             f"{descriptor.artifact!r}"

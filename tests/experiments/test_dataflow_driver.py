@@ -14,7 +14,7 @@ from repro.operators.reconciliation import merge_partial_states
 
 @pytest.fixture(scope="module")
 def tiny_config():
-    return fig17.Fig17Config.tiny()
+    return fig17.DESCRIPTOR.config("tiny")
 
 
 @pytest.fixture(scope="module")

@@ -55,11 +55,11 @@ class TestFig01:
 
 class TestFig03:
     def test_head_small_relative_to_keyspace(self):
-        result = fig03_head_cardinality.run(fig03_head_cardinality.Fig03Config.quick())
+        result = fig03_head_cardinality.run(fig03_head_cardinality.DESCRIPTOR.config("quick"))
         assert all(row["head_cardinality"] <= 1000 for row in result.rows)
 
     def test_lower_threshold_gives_larger_head(self):
-        result = fig03_head_cardinality.run(fig03_head_cardinality.Fig03Config.quick())
+        result = fig03_head_cardinality.run(fig03_head_cardinality.DESCRIPTOR.config("quick"))
         for workers in (50, 100):
             for skew in (0.4, 1.2, 2.0):
                 tight = result.filtered(workers=workers, skew=skew, theta="2/n")
@@ -69,19 +69,19 @@ class TestFig03:
 
 class TestFig04:
     def test_d_between_2_and_n(self):
-        result = fig04_fraction_workers.run(fig04_fraction_workers.Fig04Config.quick())
+        result = fig04_fraction_workers.run(fig04_fraction_workers.DESCRIPTOR.config("quick"))
         for row in result.rows:
             assert 2 <= row["d"] <= row["workers"]
 
     def test_fraction_below_one_at_scale(self):
         # the headline claim of Figure 4: at n in {50, 100}, d < n
-        result = fig04_fraction_workers.run(fig04_fraction_workers.Fig04Config.quick())
+        result = fig04_fraction_workers.run(fig04_fraction_workers.DESCRIPTOR.config("quick"))
         for row in result.rows:
             if row["workers"] >= 50:
                 assert row["d_over_n"] < 1.0
 
     def test_d_non_decreasing_in_skew(self):
-        result = fig04_fraction_workers.run(fig04_fraction_workers.Fig04Config.quick())
+        result = fig04_fraction_workers.run(fig04_fraction_workers.DESCRIPTOR.config("quick"))
         for workers in (50, 100):
             values = [
                 row["d"]
@@ -93,14 +93,14 @@ class TestFig04:
 
 class TestFig05AndFig06:
     def test_memory_overhead_vs_pkg_bounded(self):
-        result = fig05_memory_vs_pkg.run(fig05_memory_vs_pkg.Fig05Config.quick())
+        result = fig05_memory_vs_pkg.run(fig05_memory_vs_pkg.DESCRIPTOR.config("quick"))
         for row in result.rows:
             assert row["dchoices_vs_pkg_pct"] >= -1e-9
             assert row["wchoices_vs_pkg_pct"] <= 60.0
             assert row["dchoices_vs_pkg_pct"] <= row["wchoices_vs_pkg_pct"] + 1e-9
 
     def test_memory_saving_vs_sg_large(self):
-        result = fig06_memory_vs_sg.run(fig06_memory_vs_sg.Fig06Config.quick())
+        result = fig06_memory_vs_sg.run(fig06_memory_vs_sg.DESCRIPTOR.config("quick"))
         for row in result.rows:
             assert row["dchoices_vs_sg_pct"] < -50.0
             assert row["wchoices_vs_sg_pct"] < -50.0
@@ -110,7 +110,7 @@ class TestFig07:
     def test_low_threshold_keeps_wchoices_balanced(self):
         # With a sufficiently low threshold, W-C keeps the imbalance small
         # even at the largest scale and the highest skew of the sweep.
-        result = fig07_threshold_sweep.run(fig07_threshold_sweep.Fig07Config.quick())
+        result = fig07_threshold_sweep.run(fig07_threshold_sweep.DESCRIPTOR.config("quick"))
         rows = result.filtered(scheme="W-C", theta="1/(8n)", workers=50, skew=2.0)
         assert rows and rows[0]["imbalance"] < 0.02
 
@@ -137,7 +137,7 @@ class TestFig09:
         # Whenever the empirical search found a feasible d, the analytical
         # value is in the same ballpark (within the probing stride on the
         # low side, and not wildly larger on the high side).
-        config = fig09_optimal_d.Fig09Config.quick()
+        config = fig09_optimal_d.DESCRIPTOR.config("quick")
         result = fig09_optimal_d.run(config)
         for row in result.rows:
             assert 2 <= row["analytical_d"] <= row["workers"]
@@ -171,7 +171,7 @@ class TestFig10:
 
 class TestFig11:
     def test_wchoices_never_worse_than_pkg_at_scale(self):
-        config = fig11_real_imbalance.Fig11Config.quick()
+        config = fig11_real_imbalance.DESCRIPTOR.config("quick")
         result = fig11_real_imbalance.run(config)
         workers = max(config.worker_counts)
         for dataset in config.datasets:
@@ -186,7 +186,7 @@ class TestFig12:
     def test_one_ordered_series_per_combination(self):
         # A time series for every (dataset, scheme, workers) combination,
         # its snapshots ordered by message count.
-        config = fig12_imbalance_over_time.Fig12Config.quick()
+        config = fig12_imbalance_over_time.DESCRIPTOR.config("quick")
         result = fig12_imbalance_over_time.run(config)
         series: dict[tuple, list[int]] = {}
         for row in result.rows:
@@ -237,10 +237,10 @@ class TestFig13AndFig14:
 class TestFig18:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig18_adaptive.run(fig18_adaptive.Fig18Config.tiny())
+        return fig18_adaptive.run(fig18_adaptive.DESCRIPTOR.config("tiny"))
 
     def test_rows_cover_every_scenario_and_scheme(self, result):
-        config = fig18_adaptive.Fig18Config.tiny()
+        config = fig18_adaptive.DESCRIPTOR.config("tiny")
         scenarios = {row["scenario"] for row in result.rows}
         schemes = {row["scheme"] for row in result.rows}
         assert scenarios == set(config.scenarios)
@@ -256,7 +256,7 @@ class TestFig18:
         # (0.0735: the hottest worker 147 messages of 2,000 above the
         # mean), a tie a float sum of normalised loads used to break by
         # one ulp.
-        result = fig18_adaptive.run(fig18_adaptive.Fig18Config.quick())
+        result = fig18_adaptive.run(fig18_adaptive.DESCRIPTOR.config("quick"))
         wins = {
             row["scenario"]
             for row in result.rows

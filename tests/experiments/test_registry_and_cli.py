@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.exceptions import ConfigurationError
+from repro.experiments.descriptor import SCALES
 from repro.experiments.registry import get_experiment, list_experiments, run_experiment
 
 EXPECTED_EXPERIMENTS = {
@@ -44,10 +45,10 @@ class TestRegistry:
 
     def test_entries_have_titles_and_configs(self):
         for experiment_id in list_experiments():
-            entry = get_experiment(experiment_id)
-            assert entry.title
-            assert entry.quick_config() is not None
-            assert entry.paper_config() is not None
+            descriptor = get_experiment(experiment_id)
+            assert descriptor.title
+            for scale in SCALES:
+                assert isinstance(descriptor.config(scale), descriptor.config_class)
 
     def test_run_experiment_rejects_bad_scale(self):
         with pytest.raises(ConfigurationError):
@@ -75,6 +76,12 @@ class TestCli:
         assert main(["run", "fig3"]) == 0
         output = capsys.readouterr().out
         assert "head_cardinality" in output
+
+    def test_run_command_renders_the_chart(self, capsys):
+        assert main(["run", "fig3", "--scale", "tiny"]) == 0
+        output = capsys.readouterr().out
+        assert "head_cardinality" in output
+        assert "legend:" in output  # the OutputSpec chart follows the table
 
     @pytest.mark.parametrize(
         "experiment_id", ["fig3", "fig4", "fig5", "fig6", "fig13", "fig14", "table1"]

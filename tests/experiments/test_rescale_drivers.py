@@ -10,13 +10,13 @@ from repro.experiments import fig15_rescale_imbalance, fig16_migration_cost
 @pytest.fixture(scope="module")
 def fig15_result():
     return fig15_rescale_imbalance.run(
-        fig15_rescale_imbalance.Fig15Config.tiny()
+        fig15_rescale_imbalance.DESCRIPTOR.config("tiny")
     )
 
 
 @pytest.fixture(scope="module")
 def fig16_result():
-    return fig16_migration_cost.run(fig16_migration_cost.Fig16Config.tiny())
+    return fig16_migration_cost.run(fig16_migration_cost.DESCRIPTOR.config("tiny"))
 
 
 class TestFig15:

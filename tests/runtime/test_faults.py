@@ -203,9 +203,11 @@ class _Source:
         self.sentinel, self._alive = os.pipe()
 
     def exit(self) -> None:
-        if self._alive >= 0:
-            os.close(self._alive)
-            self._alive = -1
+        # Mark the end closed before closing it: a wait that wakes on the
+        # close may tear down (and call this again) before a later store.
+        alive, self._alive = self._alive, -1
+        if alive >= 0:
+            os.close(alive)
 
     def close(self) -> None:
         self.exit()

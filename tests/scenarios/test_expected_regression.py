@@ -14,20 +14,27 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import fig18_adaptive, scenarios_experiment
 from repro.scenarios import CATALOG, assert_result, build_workload, check_result
 from repro.simulation.runner import run_simulation
 
-#: Tiny scale — mirrors ScenariosConfig.tiny() so CI and the suite agree.
-NUM_MESSAGES = 20_000
-NUM_KEYS = 1_000
-NUM_WORKERS = 8
+#: The scenario sweep's tiny scale, read from its descriptor so CI and the
+#: suite agree.
+TINY = scenarios_experiment.DESCRIPTOR.config("tiny")
+NUM_MESSAGES = TINY.num_messages
+NUM_KEYS = TINY.num_keys
+NUM_WORKERS = TINY.num_workers
 
 SCHEMES = ("PKG", "D-C", "W-C", "AD")
 
 #: AD's controller clocks are per-source message counts; at the tiny scale
 #: (4k messages per source) the defaults would never fire, so the adaptive
-#: runs use the Fig18Config.tiny() knobs and actually switch mid-stream.
-AD_OPTIONS = {"check_interval": 250, "policy": "dwell=500"}
+#: runs use fig18's tiny knobs and actually switch mid-stream.
+FIG18_TINY = fig18_adaptive.DESCRIPTOR.config("tiny")
+AD_OPTIONS = {
+    "check_interval": FIG18_TINY.check_interval,
+    "policy": f"dwell={FIG18_TINY.min_dwell}",
+}
 
 
 def _run(spec, scheme):

@@ -89,10 +89,7 @@ class TestOrchestratorBehaviour:
         def boom(config):
             raise RuntimeError("driver exploded")
 
-        entry = registry.get_experiment("fig3")
-        broken = dataclasses.replace(
-            entry, descriptor=dataclasses.replace(entry.descriptor, run=boom)
-        )
+        broken = dataclasses.replace(registry.get_experiment("fig3"), run=boom)
         monkeypatch.setitem(registry._REGISTRY, "fig3", broken)
 
         store = ResultsStore(tmp_path / "results")
