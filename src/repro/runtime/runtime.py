@@ -245,6 +245,12 @@ class ClusterResult:
             "dict_entries": self.dict_entries,
             "empty_polls": sum(w.empty_polls for w in self.worker_results),
         }
+        if self.service_ns > 0:
+            # The share of the service-time ideal the run reached: n workers
+            # blocking service_ns per message serve n / service_ns msg/s.
+            summary["capacity_efficiency"] = round(
+                self.agg_msgs_per_sec * self.service_ns / (self.num_workers * 1e9), 4
+            )
         if self.recovered:
             summary.update(
                 {
@@ -842,7 +848,7 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
         )
     finally:
         state.abort()  # idempotent; unblocks anything still waiting
-        start.close()  # releases any child still at the start line
+        start.close()  # releases the source if it is still at the start line
         for process in processes.values():
             process.join(timeout=2.0)
             if process.is_alive():

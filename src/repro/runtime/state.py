@@ -24,8 +24,9 @@ Layout::
     words [7+5n, 7+5n+2*cap)     head summary (key id, estimated count) pairs
 
 Readiness and the start are not in the block: each child reports
-``("ready",)`` on its result pipe and then blocks on a :class:`StartGate`,
-so neither side polls a word to find out.
+``("ready",)`` on its result pipe, and the source then blocks on a
+:class:`StartGate` (the workers block on their rings), so nobody polls a
+word to find out.
 
 A *fenced* worker is one the supervisor has taken out of service (crashed,
 hung, or being respawned): the source must stop pushing into its ring —
@@ -78,13 +79,17 @@ def state_words(num_workers: int, head_capacity: int = DEFAULT_HEAD_CAPACITY) ->
 class StartGate:
     """The start line of one run: a pipe nobody ever writes to.
 
-    Made before the fork, so every child inherits both ends.  A child
-    reaching the line closes its copy of the write end and blocks reading;
-    :meth:`release` closes the coordinator's copy, the last one, and every
-    blocked read returns at end-of-file at once.  Abort releases the same
-    way (the children check the abort flag when they wake), and a child
-    forked after the release finds the line open.  :meth:`close` releases
-    the descriptors and is idempotent.
+    Made before the fork, so every child inherits both ends, and the line
+    opens only when every copy of the write end is closed.  Only the source
+    waits at it: :meth:`wait` closes the source's copy and blocks reading.
+    A worker closes its copy with :meth:`release` before it reports ready
+    and then blocks on its ring, so at the start one process wakes, not
+    all of them.  The coordinator's :meth:`release`, once every child
+    reported ready, closes the last copy and the blocked read returns at
+    end-of-file.  Abort releases the same way (the source checks the abort
+    flag when it wakes; a worker's ring wait checks it once per backstop),
+    and a child forked after the release finds the line open.
+    :meth:`close` releases the descriptors and is idempotent.
     """
 
     __slots__ = ("_read_fd", "_write_fd")

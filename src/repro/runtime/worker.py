@@ -8,14 +8,28 @@ frames are raw ``int64`` arrays, and a frame's ``dict_high_water`` header
 states how many dictionary entries the worker must have replicated before
 decoding — the worker drains its delta pipe until it catches up (the pipe
 is also drained opportunistically while idle, so a source blocked on a full
-delta pipe cannot deadlock against a worker blocked on an empty ring).
+delta pipe cannot deadlock against a worker blocked on an empty ring).  The
+pipe's readability is asked of one kept ``select.poll``, never of
+``Connection.poll``, which builds a selector per call.
 
 Per-message *service time* models the downstream operator's real work
-(state-store writes, network calls): the worker sleeps
-``service_ns * len(frame)`` per frame.  Sleeping blocks the worker, not the
-CPU — which is exactly what makes multi-worker scaling observable on the
-single-core containers this runtime is benchmarked on (see
-``docs/runtime.md``).
+(state-store writes, network calls) and runs on a *service clock*: a frame
+of ``k`` messages owes ``service_ns * k`` of blocking sleep, less whatever
+the previous sleep overran.  The debt is carried only within a *busy
+period* — the frames a worker found without waiting; a pop that found the
+ring empty starts a new period with nothing carried, so idle time is never
+credited, and neither is the worker's own CPU between sleeps.  A busy
+period of ``k`` messages therefore blocks ``service_ns * k`` plus one
+timer overrun, however the source framed it, not one overrun per frame.
+Sleeping blocks the worker, not the CPU — which is exactly what makes
+multi-worker scaling observable on the single-core containers this runtime
+is benchmarked on (see ``docs/runtime.md``).
+
+Only the source waits at the start line: a worker closes its inherited
+copy of the :class:`~repro.runtime.state.StartGate` write end before it
+reports ready and then blocks on its ring, which the source's first push
+rings.  The clock still starts after every child reported ready, and at the
+release one process wakes, not all of them.
 
 Fault injection rides in as a :class:`~repro.runtime.faults.WorkerFaults`
 programme (parsed from a :class:`~repro.runtime.faults.FaultPlan` spec in
@@ -102,10 +116,13 @@ class DictionaryReplica:
 
 
 def _drain_deltas(
-    conn, replica: DictionaryReplica, faults: WorkerFaults | None = None
+    conn, ready, replica: DictionaryReplica, faults: WorkerFaults | None = None
 ) -> None:
-    """Apply every delta currently buffered in the pipe (non-blocking)."""
-    while conn.poll(0):
+    """Apply every delta currently buffered in the pipe (non-blocking).
+
+    ``ready`` is the pipe's kept :func:`~repro.runtime.ring.read_poller`.
+    """
+    while ready.poll(0):
         kind, start_id, keys = conn.recv()
         if kind != "delta":
             continue
@@ -116,6 +133,7 @@ def _drain_deltas(
 
 def _await_dictionary(
     conn,
+    ready,
     replica: DictionaryReplica,
     high_water: int,
     state,
@@ -135,7 +153,7 @@ def _await_dictionary(
         if state.aborted():
             raise ClusterRuntimeError("aborted while awaiting dictionary delta")
         state.heartbeat(worker_id)
-        if conn.poll(0.05):
+        if ready.poll(50):  # milliseconds
             kind, start_id, keys = conn.recv()
             if kind != "delta":
                 continue
@@ -163,8 +181,11 @@ def worker_main(
 ) -> None:
     """Entry point of one worker process (run under the fork context).
 
-    The worker beats once, reports ``("ready",)`` on ``result_conn`` and
-    waits at ``start`` (``None`` starts at once) before its first pop.
+    The worker closes its inherited copy of ``start``'s write end (so the
+    source alone waits at the line), beats once, reports ``("ready",)`` on
+    ``result_conn`` and blocks on its ring: the first frame, not the
+    release, wakes it.  A run aborted before the release ends it through
+    ``pop``'s abort check.
 
     ``faults`` is this incarnation's injected fault programme (``None`` in
     production): ``crash_after`` hard-exits the process once that many
@@ -183,22 +204,22 @@ def worker_main(
     hang_after = faults.hang_after if faults is not None else -1
 
     empty_polls = 0
+    #: Nanoseconds the last sleep overran, owed back within the busy period.
+    overrun = 0
     delta_ready = read_poller(delta_conn.fileno())
 
     def idle() -> None:
-        nonlocal empty_polls
+        nonlocal empty_polls, overrun
         empty_polls += 1
+        overrun = 0  # the ring ran dry: a new busy period carries nothing
         state.heartbeat(worker_id)
-        if delta_ready.poll(0):
-            _drain_deltas(delta_conn, replica, faults)
+        _drain_deltas(delta_conn, delta_ready, replica, faults)
 
     try:
+        if start is not None:
+            start.release()  # this process's copy of the write end
         state.heartbeat(worker_id)
         result_conn.send(("ready",))
-        if start is not None:
-            start.wait()
-        if state.aborted():
-            return
         while True:
             frame = ring.pop(should_abort=state.aborted, idle=idle)
             if frame.is_eof:
@@ -207,22 +228,30 @@ def worker_main(
             # at death is counted from this claim instead.
             state.claim_frame(worker_id, int(frame.ids.size))
             if frame.dict_high_water > len(replica):
-                _drain_deltas(delta_conn, replica, faults)
+                _drain_deltas(delta_conn, delta_ready, replica, faults)
                 _await_dictionary(
-                    delta_conn, replica, frame.dict_high_water, state,
-                    worker_id, faults,
+                    delta_conn, delta_ready, replica, frame.dict_high_water,
+                    state, worker_id, faults,
+                )
+            # Every id is below the frame's high water, which the replica
+            # now covers: growing to the replica bounds them all.
+            known = len(replica)
+            if known > counts.size:
+                counts = np.concatenate(
+                    [counts, np.zeros(max(known, 2 * counts.size) - counts.size, dtype=np.int64)]
                 )
             ids = frame.ids
-            high = int(ids.max()) + 1 if ids.size else 0
-            if high > counts.size:
-                counts = np.concatenate(
-                    [counts, np.zeros(max(high, 2 * counts.size) - counts.size, dtype=np.int64)]
-                )
             np.add.at(counts, ids, 1)
             processed += int(ids.size)
             frames += 1
             if service_ns:
-                time.sleep(service_ns * ids.size / 1e9)
+                want = service_ns * ids.size - overrun
+                if want > 0:
+                    asleep_at = time.perf_counter_ns()
+                    time.sleep(want / 1e9)
+                    overrun = time.perf_counter_ns() - asleep_at - want
+                else:
+                    overrun = -want
             state.add_processed(worker_id, int(ids.size))  # retires the claim
             state.heartbeat(worker_id)
             if crash_after >= 0 and processed >= crash_after:

@@ -195,15 +195,16 @@ class TestCiWorkflow:
 
     def test_bench_smoke_runs_the_repo_benchmark(self, ci):
         # The repo benchmark (BENCHMARK.json) judges every later claim, so
-        # each PR proves it still runs: its own tests, then four short
+        # each PR proves it still runs: its own tests, then five short
         # workloads — the string-key batched API, the head path under
-        # columnar span accounting, the sketch's eviction path and the
-        # process mesh — whose result lines must report correct trials.
+        # columnar span accounting, the sketch's eviction path, the
+        # process mesh and the mesh blocking on service time — whose
+        # result lines must report correct trials.
         commands = _job_commands(ci["jobs"]["bench-smoke"])
         assert "python -m pytest bench/tests -q" in commands
-        for workload in ("sim_keys", "sim_hot", "sim_wide", "cluster_transport"):
+        for workload in ("sim_keys", "sim_hot", "sim_wide", "cluster_transport", "cluster_io"):
             assert f"python3 bench/run.py --workload {workload} --seconds 3" in commands
-        assert commands.count("grep -q '\"correct\": true'") == 4
+        assert commands.count("grep -q '\"correct\": true'") == 5
 
     def test_bench_smoke_gates_the_d_choices_kernel_on_sim_hot(self, ci):
         # sim_hot is the one CI workload on which D-Choices' d moves dozens

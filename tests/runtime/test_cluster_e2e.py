@@ -52,6 +52,14 @@ class TestEndToEnd:
         assert sum(result.worker_processed) == config.num_messages
         # The source's routing view and the workers' receiving view agree.
         assert result.source_loads == result.worker_processed
+        # Workers block service_ns per message inside the timed window, so
+        # the run reaches at most the service-time ideal.
+        assert 0 < result.summary()["capacity_efficiency"] <= 1
+
+    def test_a_run_without_service_time_reports_no_capacity_efficiency(self):
+        result = run_cluster(small_config(service_ns=0))
+        assert result.messages_total == result.summary()["messages"] > 0
+        assert "capacity_efficiency" not in result.summary()
 
     def test_real_counts_match_simulator_exactly(self):
         config = small_config()

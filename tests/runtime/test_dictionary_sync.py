@@ -12,6 +12,7 @@ import multiprocessing
 import pytest
 
 from repro.exceptions import ClusterRuntimeError
+from repro.runtime.ring import read_poller
 from repro.runtime.source import DeltaFeed
 from repro.runtime.worker import (
     DictionaryReplica,
@@ -42,6 +43,11 @@ def pipe():
     send.close()
 
 
+def ready(receive):
+    """The kept poller a worker asks about its delta pipe."""
+    return read_poller(receive.fileno())
+
+
 class TestReplica:
     def test_apply_extends_in_order(self):
         replica = DictionaryReplica()
@@ -70,13 +76,13 @@ class TestDrain:
         send.send(("delta", 0, ["a", "b"]))
         send.send(("delta", 2, ["c"]))
         replica = DictionaryReplica()
-        _drain_deltas(receive, replica)
+        _drain_deltas(receive, ready(receive), replica)
         assert len(replica) == 3
 
     def test_drain_on_empty_pipe_is_a_noop(self, pipe):
         receive, _ = pipe
         replica = DictionaryReplica()
-        _drain_deltas(receive, replica)
+        _drain_deltas(receive, ready(receive), replica)
         assert len(replica) == 0
 
 
@@ -85,14 +91,14 @@ class TestAwait:
         receive, send = pipe
         replica = DictionaryReplica()
         send.send(("delta", 0, ["a", "b", "c"]))
-        _await_dictionary(receive, replica, high_water=3, state=FakeState())
+        _await_dictionary(receive, ready(receive), replica, high_water=3, state=FakeState())
         assert len(replica) == 3
 
     def test_returns_immediately_when_already_caught_up(self, pipe):
         receive, _ = pipe
         replica = DictionaryReplica()
         replica.apply(0, ["a"])
-        _await_dictionary(receive, replica, high_water=1, state=FakeState())
+        _await_dictionary(receive, ready(receive), replica, high_water=1, state=FakeState())
         assert len(replica) == 1
 
     def test_abort_unblocks_the_wait(self, pipe):
@@ -100,7 +106,7 @@ class TestAwait:
         replica = DictionaryReplica()
         with pytest.raises(ClusterRuntimeError, match="aborted"):
             _await_dictionary(
-                receive, replica, high_water=5, state=FakeState(aborted=True)
+                receive, ready(receive), replica, high_water=5, state=FakeState(aborted=True)
             )
 
     def test_heartbeats_while_waiting(self, pipe):
@@ -108,7 +114,7 @@ class TestAwait:
         replica = DictionaryReplica()
         state = FakeState()
         send.send(("delta", 0, ["a", "b"]))
-        _await_dictionary(receive, replica, high_water=2, state=state)
+        _await_dictionary(receive, ready(receive), replica, high_water=2, state=state)
         assert state.heartbeats > 0
 
     def test_silent_pipe_raises_instead_of_deadlocking(self, pipe, monkeypatch):
@@ -122,7 +128,7 @@ class TestAwait:
         receive, _ = pipe
         replica = DictionaryReplica()
         with pytest.raises(ClusterRuntimeError, match="delta gap"):
-            _await_dictionary(receive, replica, high_water=5, state=FakeState())
+            _await_dictionary(receive, ready(receive), replica, high_water=5, state=FakeState())
 
 
 #: One stream per forward-map form: plain ints, plain strings, and keys the
