@@ -2,7 +2,8 @@
 
 ``run_cluster`` owns every resource of one run: one anonymous shared
 mapping that holds the state block and one ring buffer per worker, the
-delta/result pipes, the start gate, and the source and worker processes.
+delta/result pipes, the start and finish lines, and the source and worker
+processes.
 All of them are made before the fork (the ``fork`` start method is
 required), so every process inherits the mapping and its pipe ends; nothing
 is pickled, and nothing is named, so nothing outlives a crashed run.
@@ -11,7 +12,9 @@ The coordinator's result loop is the whole control plane.  It blocks in one
 ``multiprocessing.connection.wait`` over the result pipes still owed, the
 sentinel of every watched process and a timeout to the next snapshot tick;
 the tick snapshots the shared state and checks heartbeats.  No thread and
-no shorter poll: a report or a death wakes the loop at once.  A
+no shorter poll: a report or a death wakes the loop at once.  A child that
+reported waits at the finish line, so no process exits inside the timed
+window; the coordinator opens the line once it holds every result.  A
 *supervisor*, driven from the same loop, turns detected failures into
 recoveries.
 
@@ -190,6 +193,11 @@ class ClusterResult:
     ``messages_lost`` in-flight messages died with crashed incarnations,
     ``messages_redirected`` were delivered by survivors instead of the
     slot they were routed to.
+
+    The run's two ends, per worker slot, are reported, never pinned:
+    ``first_frame_s`` is how long after the release the slot's reporting
+    incarnation popped its first data frame (0 if it popped none), and
+    ``last_overrun_s`` how long its last sleep overran.
     """
 
     scheme: str
@@ -216,6 +224,8 @@ class ClusterResult:
     redirected_in: list[int] = field(default_factory=list)
     degraded_workers: list[int] = field(default_factory=list)
     recovery_log: list[str] = field(default_factory=list)
+    first_frame_s: list[float] = field(default_factory=list)
+    last_overrun_s: list[float] = field(default_factory=list)
     #: The source's migration report: every recovery priced in the same
     #: keys-moved / entries-migrated currency as elasticity rescales.
     migration: Any = None
@@ -244,6 +254,8 @@ class ClusterResult:
             "max_worker_processed": max(self.worker_processed),
             "dict_entries": self.dict_entries,
             "empty_polls": sum(w.empty_polls for w in self.worker_results),
+            "first_frame_ms": round(max(self.first_frame_s, default=0.0) * 1e3, 3),
+            "last_overrun_ms": round(max(self.last_overrun_s, default=0.0) * 1e3, 3),
         }
         if self.service_ns > 0:
             # The share of the service-time ideal the run reached: n workers
@@ -362,6 +374,7 @@ class _Supervisor:
         watch: dict,
         control_send,
         fence_bell: Doorbell,
+        finish: StartGate,
     ) -> None:
         self._config = config
         self._ctx = ctx
@@ -374,6 +387,7 @@ class _Supervisor:
         self._watch = watch
         self._control_send = control_send
         self._fence_bell = fence_bell
+        self._finish = finish
         self._incarnation = [0] * config.num_workers
         self.restarts = 0
         self.frames_lost = 0
@@ -413,15 +427,26 @@ class _Supervisor:
         every blocked push and on every pass of its end-of-stream linger,
         ringing ``fence_bell`` each time; its pushes are bounded by
         ``push_timeout_s``, so the wait on the bell and the source's
-        sentinel needs no timeout.  ``False``: the source exited without the
-        ack, having closed the ring and lingered for no replacement.
+        sentinel needs no timeout.  ``False``: the source left the rings
+        without the ack, having closed the ring and lingered for no
+        replacement — it exited, or it is about to report and park at the
+        finish line, which it says in shared state and on the bell.
         """
         source = self._processes[SOURCE_ID].sentinel
         while not self._state.fence_acknowledged(worker_id):
-            if source in wait_readable([self._fence_bell, source]):
+            if self._state.source_finished() or source in wait_readable(
+                [self._fence_bell, source]
+            ):
                 return self._state.fence_acknowledged(worker_id)
             self._fence_bell.wait(0)  # answer the ring; the word says for whom
         return True
+
+    def _source_streaming(self) -> bool:
+        """Whether the source may still touch a ring: alive, not off them."""
+        return (
+            self._processes[SOURCE_ID].is_alive()
+            and not self._state.source_finished()
+        )
 
     def _drain(self, worker_id: int) -> None:
         """Count the slot's loss: frames left in its ring and the one it claimed."""
@@ -483,6 +508,7 @@ class _Supervisor:
                 config.service_ns,
                 faults,
             ),
+            kwargs={"finish": self._finish},
             daemon=True,
         )
         process.start()
@@ -508,12 +534,12 @@ class _Supervisor:
         state.fence_worker(worker_id)
         self._watch.pop(worker_id, None)
         self._reap(process)
-        # A source that exits without taking the fence has closed this
-        # ring and lingers for no replacement: the stream ended for the
-        # slot after all, and a respawn would wait for its EOF forever.
+        # A source that leaves the rings without taking the fence has
+        # closed this ring and lingers for no replacement: the stream ended
+        # for the slot after all, and a respawn would wait for its EOF
+        # forever.
         stream_ended = source_was_done or not (
-            self._await_fence_ack(worker_id)
-            or self._processes[SOURCE_ID].is_alive()
+            self._await_fence_ack(worker_id) or self._source_streaming()
         )
         self._drain(worker_id)
 
@@ -644,6 +670,10 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
     # for that acknowledgement blocks on it.
     fence_bell = Doorbell()
     start = StartGate()
+    # Every child waits here once it reported: the coordinator opens the
+    # line when it holds every result, so no exit steals a core from a
+    # peer still serving its last frames.
+    finish = StartGate()
     plan = config.inject
 
     workers = [
@@ -659,6 +689,7 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
                 config.service_ns,
                 plan.for_worker(worker_id, 0) if plan is not None else None,
                 start,
+                finish,
             ),
             daemon=True,
         )
@@ -676,6 +707,7 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
             control_pipe[0],
             start,
             fence_bell,
+            finish,
         ),
         daemon=True,
     )
@@ -712,7 +744,9 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
             watch,
             control_pipe[1],
             fence_bell,
+            finish,
         )
+        released_ns = time.monotonic_ns()
         start.release()
 
         def fail_run(failed_id: int, reason: str) -> None:
@@ -805,6 +839,7 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
                         supervisor.handle(pid, process, reason)
                 next_tick = time.monotonic() + interval
 
+        finish.release()  # every result is in: the parked children exit
         for process in processes.values():
             process.join(timeout=10.0)
 
@@ -845,10 +880,16 @@ def run_cluster(config: ClusterConfig) -> ClusterResult:
             degraded_workers=sorted(supervisor.degraded),
             recovery_log=list(supervisor.recovery_log),
             migration=source_result["migration"],
+            first_frame_s=[
+                (r.first_frame_ns - released_ns) / 1e9 if r.first_frame_ns else 0.0
+                for r in final_results
+            ],
+            last_overrun_s=[r.last_overrun_ns / 1e9 for r in final_results],
         )
     finally:
         state.abort()  # idempotent; unblocks anything still waiting
         start.close()  # releases the source if it is still at the start line
+        finish.close()  # and every child parked at the finish
         for process in processes.values():
             process.join(timeout=2.0)
             if process.is_alive():

@@ -131,6 +131,7 @@ def source_main(
     control_conn=None,
     start: StartGate | None = None,
     fence_bell: Doorbell | None = None,
+    finish: StartGate | None = None,
 ) -> None:
     """Entry point of the source process (run under the fork context).
 
@@ -138,9 +139,12 @@ def source_main(
     ``w``, one per incarnation (index 0 is the original worker, index k the
     k-th respawn); ``control_conn`` is the receive end of the supervisor's
     recovery channel (``None`` runs unsupervised, as the unit tests do).
-    The source reports ``("ready",)`` once its router and workload are
-    built, then waits at ``start`` (``None`` starts at once).  It rings
-    ``fence_bell`` after each fence it acknowledges.
+    The source reports ``("ready",)`` once its router, its workload and
+    its recovery bookkeeping are built, then waits at ``start`` (``None``
+    starts at once).  It rings ``fence_bell`` after each fence it
+    acknowledges, and once more when it is off the rings for good, just
+    before it reports its result; then it waits at ``finish`` (an error
+    report exits at once).
     """
     n = config.num_workers
     worker_range = range(n)
@@ -152,16 +156,11 @@ def source_main(
             config.scheme, 1, n, seed=config.seed, **dict(config.scheme_options)
         )
 
+    reported = False
     try:
         group = new_group()
         (partitioner,) = group.partitioners
         batches = spans(config.build_workload(), group, config.mode)
-
-        result_conn.send(("ready",))
-        if start is not None:
-            start.wait()
-        if state.aborted():
-            return
 
         dictionary = None
         deltas = DeltaFeed(delta_conn_pools)
@@ -303,6 +302,14 @@ def source_main(
                     take_fence(worker_id)
                     down.add(worker_id)
 
+        if finish is not None:
+            finish.release()  # this process's copy of the write end
+        result_conn.send(("ready",))
+        if start is not None:
+            start.wait()
+        if state.aborted():
+            return
+
         for batch, index in batches:
             poll_control()
             observe_fences()
@@ -376,6 +383,11 @@ def source_main(
             if head and dictionary is not None
             else {}
         )
+        # Parked, the source stays alive: a supervisor waiting for a fence
+        # it will never take reads this instead of its exit.
+        state.mark_source_finished()
+        if fence_bell is not None:
+            fence_bell.ring()
         result_conn.send(
             (
                 "result",
@@ -390,6 +402,7 @@ def source_main(
                 },
             )
         )
+        reported = True
     except Exception as error:
         try:
             result_conn.send(("error", -1, repr(error)))
@@ -400,3 +413,5 @@ def source_main(
             result_conn.close()
         except OSError:
             pass
+    if reported and finish is not None:
+        finish.wait()

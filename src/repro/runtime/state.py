@@ -10,7 +10,7 @@ slightly-stale values, never torn ones.
 Layout::
 
     word 0                       abort flag (coordinator -> everyone)
-    word 1                       source_done flag
+    word 1                       source phase: 0 streaming, 1 done, 2 off the rings
     word 2                       messages routed by the source
     word 3                       current head size (entries in the summary)
     word 4                       num_workers n
@@ -23,10 +23,11 @@ Layout::
     words [7+4n, 7+5n)           per-worker claim (ledger once the frame in hand is delivered)
     words [7+5n, 7+5n+2*cap)     head summary (key id, estimated count) pairs
 
-Readiness and the start are not in the block: each child reports
-``("ready",)`` on its result pipe, and the source then blocks on a
-:class:`StartGate` (the workers block on their rings), so nobody polls a
-word to find out.
+Readiness, the start and the finish are not in the block: each child
+reports ``("ready",)`` on its result pipe, and the source then blocks on a
+:class:`StartGate` (the workers block on their rings); a child that sent its
+result blocks on a second one, the finish line, until the coordinator holds
+every result.  Nobody polls a word to find out.
 
 A *fenced* worker is one the supervisor has taken out of service (crashed,
 hung, or being respawned): the source must stop pushing into its ring —
@@ -77,18 +78,27 @@ def state_words(num_workers: int, head_capacity: int = DEFAULT_HEAD_CAPACITY) ->
 
 
 class StartGate:
-    """The start line of one run: a pipe nobody ever writes to.
+    """A line of one run: a pipe nobody ever writes to.
 
     Made before the fork, so every child inherits both ends, and the line
-    opens only when every copy of the write end is closed.  Only the source
-    waits at it: :meth:`wait` closes the source's copy and blocks reading.
-    A worker closes its copy with :meth:`release` before it reports ready
-    and then blocks on its ring, so at the start one process wakes, not
-    all of them.  The coordinator's :meth:`release`, once every child
-    reported ready, closes the last copy and the blocked read returns at
-    end-of-file.  Abort releases the same way (the source checks the abort
-    flag when it wakes; a worker's ring wait checks it once per backstop),
-    and a child forked after the release finds the line open.
+    opens only when every copy of the write end is closed: :meth:`wait`
+    closes the caller's copy and blocks reading until the read returns at
+    end-of-file.  A run draws two of them.
+
+    At the *start line* only the source waits.  A worker closes its copy
+    with :meth:`release` before it reports ready and then blocks on its
+    ring, so at the start one process wakes, not all of them.  The
+    coordinator's :meth:`release`, once every child reported ready, closes
+    the last copy.  Abort releases the same way (the source checks the
+    abort flag when it wakes; a worker's ring wait checks it once per
+    backstop), and a child forked after the release finds the line open.
+
+    At the *finish line* every child that sent its result waits, instead of
+    exiting while peers still serve their last frames on the same cores.
+    Each child, respawns included, releases its copy at startup; the
+    coordinator releases its own once it holds every result, or on any
+    failure, and the kernel does if the coordinator dies.
+
     :meth:`close` releases the descriptors and is idempotent.
     """
 
@@ -189,6 +199,13 @@ class SharedClusterState:
 
     def source_done(self) -> bool:
         return bool(self._words[_SOURCE_DONE])
+
+    def mark_source_finished(self) -> None:
+        """The source will touch no ring again: it is about to report."""
+        self._words[_SOURCE_DONE] = 2
+
+    def source_finished(self) -> bool:
+        return self._words[_SOURCE_DONE] == 2
 
     # ------------------------------------------------------------------ #
     # worker slots

@@ -29,7 +29,9 @@ Only the source waits at the start line: a worker closes its inherited
 copy of the :class:`~repro.runtime.state.StartGate` write end before it
 reports ready and then blocks on its ring, which the source's first push
 rings.  The clock still starts after every child reported ready, and at the
-release one process wakes, not all of them.
+release one process wakes, not all of them.  At the other end a worker that
+sent its result waits at the *finish line* instead of exiting, so no exit
+runs on the cores while peers serve their last frames.
 
 Fault injection rides in as a :class:`~repro.runtime.faults.WorkerFaults`
 programme (parsed from a :class:`~repro.runtime.faults.FaultPlan` spec in
@@ -78,7 +80,9 @@ class WorkerResult:
     ``empty_polls`` counts the times this incarnation polled its ring and
     found nothing — what waiting cost it.  A worker the doorbell wakes
     makes about one per frame; it depends on timing, so it is reported,
-    never pinned.
+    never pinned.  So are the run's two ends: ``first_frame_ns`` is
+    ``time.monotonic_ns()`` when the first data frame was popped (0 if
+    none was), and ``last_overrun_ns`` how long the last sleep overran.
     """
 
     worker_id: int
@@ -88,6 +92,8 @@ class WorkerResult:
     top_keys: list = field(default_factory=list)
     salvaged: bool = False
     empty_polls: int = 0
+    first_frame_ns: int = 0
+    last_overrun_ns: int = 0
 
 
 class DictionaryReplica:
@@ -178,14 +184,17 @@ def worker_main(
     service_ns: int = 0,
     faults: WorkerFaults | None = None,
     start: StartGate | None = None,
+    finish: StartGate | None = None,
 ) -> None:
     """Entry point of one worker process (run under the fork context).
 
-    The worker closes its inherited copy of ``start``'s write end (so the
-    source alone waits at the line), beats once, reports ``("ready",)`` on
-    ``result_conn`` and blocks on its ring: the first frame, not the
+    The worker closes its inherited copies of ``start``'s and ``finish``'s
+    write ends (so the source alone waits at the start, and the finish
+    opens with the coordinator's copy), beats once, reports ``("ready",)``
+    on ``result_conn`` and blocks on its ring: the first frame, not the
     release, wakes it.  A run aborted before the release ends it through
-    ``pop``'s abort check.
+    ``pop``'s abort check.  Once its result is sent it waits at ``finish``;
+    an error report exits at once.
 
     ``faults`` is this incarnation's injected fault programme (``None`` in
     production): ``crash_after`` hard-exits the process once that many
@@ -204,8 +213,11 @@ def worker_main(
     hang_after = faults.hang_after if faults is not None else -1
 
     empty_polls = 0
+    first_frame_ns = 0
     #: Nanoseconds the last sleep overran, owed back within the busy period.
     overrun = 0
+    last_overrun = 0
+    reported = False
     delta_ready = read_poller(delta_conn.fileno())
 
     def idle() -> None:
@@ -216,14 +228,17 @@ def worker_main(
         _drain_deltas(delta_conn, delta_ready, replica, faults)
 
     try:
-        if start is not None:
-            start.release()  # this process's copy of the write end
+        for line in (start, finish):
+            if line is not None:
+                line.release()  # this process's copy of the write end
         state.heartbeat(worker_id)
         result_conn.send(("ready",))
         while True:
             frame = ring.pop(should_abort=state.aborted, idle=idle)
             if frame.is_eof:
                 break
+            if not first_frame_ns:
+                first_frame_ns = time.monotonic_ns()
             # Popped is past the supervisor's ring drain: a frame in hand
             # at death is counted from this claim instead.
             state.claim_frame(worker_id, int(frame.ids.size))
@@ -249,7 +264,7 @@ def worker_main(
                 if want > 0:
                     asleep_at = time.perf_counter_ns()
                     time.sleep(want / 1e9)
-                    overrun = time.perf_counter_ns() - asleep_at - want
+                    overrun = last_overrun = time.perf_counter_ns() - asleep_at - want
                 else:
                     overrun = -want
             state.add_processed(worker_id, int(ids.size))  # retires the claim
@@ -278,9 +293,12 @@ def worker_main(
                     dict_entries=len(replica),
                     top_keys=top_keys,
                     empty_polls=empty_polls,
+                    first_frame_ns=first_frame_ns,
+                    last_overrun_ns=last_overrun,
                 ),
             )
         )
+        reported = True
     except Exception as error:  # surfaced by the coordinator, not lost
         try:
             result_conn.send(("error", worker_id, repr(error)))
@@ -291,3 +309,5 @@ def worker_main(
             result_conn.close()
         except OSError:
             pass
+    if reported and finish is not None:
+        finish.wait()

@@ -176,6 +176,14 @@ class TestCiWorkflow:
         commands = _job_commands(ci["jobs"]["chaos-smoke"])
         assert "taskset -c 0 python -m pytest -q -m chaos tests/runtime" in commands
 
+    @pytest.mark.parametrize("job", ["bench-smoke", "cluster-smoke", "chaos-smoke"])
+    def test_jobs_that_run_the_mesh_time_out_in_minutes(self, ci, job):
+        # A cluster child that reported waits at the finish line until the
+        # coordinator opens it; a line that never opens must fail the job
+        # within the hour, not at GitHub's six-hour default.
+        minutes = ci["jobs"][job].get("timeout-minutes")
+        assert isinstance(minutes, int) and 0 < minutes <= 60
+
     def test_chaos_smoke_validates_a_recovered_cli_run(self, ci):
         # The CLI smoke must inject a mid-run crash, validate against the
         # simulator, and tolerate exit 3 (degraded-but-complete) while

@@ -202,6 +202,9 @@ class _Source:
     def __init__(self) -> None:
         self.sentinel, self._alive = os.pipe()
 
+    def is_alive(self) -> bool:
+        return self._alive >= 0
+
     def exit(self) -> None:
         # Mark the end closed before closing it: a wait that wakes on the
         # close may tear down (and call this again) before a later store.
@@ -231,7 +234,8 @@ class TestFenceAck:
         )
         source, bell = _Source(), Doorbell()
         supervisor = _Supervisor(
-            config, None, state, [], [], [], [], {SOURCE_ID: source}, {}, None, bell
+            config, None, state, [], [], [], [], {SOURCE_ID: source}, {}, None, bell,
+            None,
         )
         timeouts = []
         wait = runtime_module.wait_readable
@@ -265,6 +269,21 @@ class TestFenceAck:
         threading.Timer(0.05, source.exit).start()
         assert not supervisor._await_fence_ack(1)
         assert timeouts == [None]
+
+    def test_a_source_parked_at_the_finish_line_ends_the_wait(self, parts):
+        # A source that reported waits at the finish line: its sentinel
+        # never fires, so it says it left the rings in shared state and on
+        # the bell, and the supervisor salvages instead of respawning.
+        state, source, bell, supervisor, timeouts = parts
+
+        def source_reports() -> None:
+            state.mark_source_finished()
+            bell.ring()
+
+        threading.Timer(0.05, source_reports).start()
+        assert not supervisor._await_fence_ack(1)
+        assert timeouts == [None]
+        assert source.is_alive() and not supervisor._source_streaming()
 
     def test_an_ack_written_before_the_exit_counts(self, parts):
         state, source, _, supervisor, _ = parts

@@ -4,9 +4,9 @@
 mapping made before the fork, so it maps nothing from ``/dev/shm`` and
 starts no resource tracker; its coordinator starts no thread and wakes only
 for a report, a death or a tick; its children import nothing after the
-fork; and a
-death reaches the supervisor through the dead process's sentinel, not on a
-snapshot tick.
+fork; a death reaches the supervisor through the dead process's sentinel,
+not on a snapshot tick; and its children wait at the finish line, which
+every one of them opens for the coordinator, so none outlives the run.
 """
 
 from __future__ import annotations
@@ -177,3 +177,45 @@ def test_a_killed_worker_reaches_the_supervisor_through_its_sentinel(
     # A worker killed outright reports nothing; the frame it held (popped,
     # not yet delivered) is counted from its claim in shared state.
     assert sum(result.worker_processed) + result.messages_lost == 20_000
+
+
+#: A small stream on small rings, so an injected crash lands mid-stream.
+_FINISH_RUN = dict(
+    scheme="PKG", num_workers=4, num_messages=20_000, num_keys=2_000,
+    service_ns=10_000, mode="columnar:256", ring_capacity_words=2_048,
+)
+
+
+@pytest.mark.parametrize(
+    ("overrides", "recovery"),
+    [
+        pytest.param({}, "none", id="clean"),
+        pytest.param(
+            {"inject": "crash@w1:2000", "max_restarts": 1}, "respawn",
+            id="respawn", marks=pytest.mark.chaos,
+        ),
+        pytest.param(
+            {"inject": "crash@w1:2000", "max_restarts": 0}, "degrade",
+            id="degrade", marks=pytest.mark.chaos,
+        ),
+    ],
+)
+def test_no_child_outlives_the_run(overrides, recovery):
+    # Reported children wait at the finish line, which opens only when the
+    # coordinator closes the last write end: a copy left open in any child
+    # (a respawn's included) would hold the joins for their 10 s timeout.
+    before = set(multiprocessing.active_children())
+    started = time.perf_counter()
+    result = run_cluster(ClusterConfig(**_FINISH_RUN, **overrides))
+    wall = time.perf_counter() - started
+    assert set(multiprocessing.active_children()) <= before
+    assert wall - result.elapsed_s < 2.0
+    assert (result.restarts, result.degraded) == {
+        "none": (0, False), "respawn": (1, False), "degrade": (0, True),
+    }[recovery]
+    for worker, first_frame_s in zip(result.worker_results, result.first_frame_s):
+        if worker.processed and not worker.salvaged:
+            assert 0 < first_frame_s < result.elapsed_s
+    summary = result.summary()
+    assert summary["first_frame_ms"] == round(max(result.first_frame_s) * 1e3, 3)
+    assert summary["last_overrun_ms"] == round(max(result.last_overrun_s) * 1e3, 3)

@@ -32,6 +32,9 @@ class TestFlags:
         state.abort()
         state.mark_source_done()
         assert state.aborted() and state.source_done()
+        assert not state.source_finished()
+        state.mark_source_finished()
+        assert state.source_done() and state.source_finished()
 
 
 class TestStartGate:

@@ -1,4 +1,4 @@
-"""In-process tests of ``worker_main``: its service clock and its start.
+"""In-process tests of ``worker_main``: its service clock, its start and its finish.
 
 The worker runs in this process over a plain-buffer ring and real pipes.
 Its frames are published before it starts, or by a state whose abort check
@@ -20,6 +20,7 @@ import pytest
 from repro.runtime.faults import WorkerFaults
 from repro.runtime.ring import SpscRing, ring_words
 from repro.runtime.state import SharedClusterState, StartGate, state_words
+from repro.runtime import worker as worker_module
 from repro.runtime.worker import WorkerResult, worker_main
 
 SERVICE_NS = 40_000
@@ -120,6 +121,7 @@ class TestServiceClock:
         assert reports[-1][0] == "result"
         assert reports[-1][1].processed == 10
         assert reports[-1][1].empty_polls == 1
+        assert reports[-1][1].last_overrun_ns == slept.overrun
         # Each frame but a period's first asks its service less the
         # overrun carried from the previous sleep ...
         assert slept == [
@@ -149,6 +151,7 @@ class TestServiceClock:
         assert reports[-1][1].processed == sum(frame_sizes)
         assert slept[0] == 3 * service
         assert slept.now == service * sum(frame_sizes) + overrun
+        assert reports[-1][1].last_overrun_ns == overrun
         if overrun > service:
             assert len(slept) < len(frame_sizes)
 
@@ -156,6 +159,12 @@ class TestServiceClock:
         reports = run_worker(*scripted([3, 2]))
         assert reports[-1][1].processed == 5
         assert slept == []
+        assert reports[-1][1].last_overrun_ns == 0
+
+    def test_the_first_frame_is_stamped_on_the_monotonic_clock(self):
+        before = time.monotonic_ns()
+        reports = run_worker(*scripted([3, 2]))
+        assert before < reports[-1][1].first_frame_ns < time.monotonic_ns()
 
 
 class TestStartLine:
@@ -188,5 +197,73 @@ class TestStartLine:
             state.abort()
             if coordinator_copy >= 0:
                 os.close(coordinator_copy)
+            worker.join(timeout=5.0)
+            gate.close()
+
+
+class TestFinishLine:
+    @pytest.fixture
+    def pipes(self):
+        delta_recv, delta_send = multiprocessing.Pipe(duplex=False)
+        result_recv, result_send = multiprocessing.Pipe(duplex=False)
+        delta_send.send(("delta", 0, KEYS))
+        yield delta_recv, result_recv, result_send
+        for end in (delta_recv, delta_send, result_recv, result_send):
+            end.close()
+
+    def test_a_reported_worker_waits_until_the_coordinators_copy_closes(self, pipes):
+        delta_recv, result_recv, result_send = pipes
+        gate = StartGate()
+        coordinator_copy = os.dup(gate._write_fd)
+        ring, state = scripted([3, 2])
+        worker = threading.Thread(
+            target=worker_main,
+            args=(0, ring, state, delta_recv, result_send, 0, None, None, gate),
+            daemon=True,
+        )
+        worker.start()
+        try:
+            assert result_recv.poll(10.0) and result_recv.recv() == ("ready",)
+            assert result_recv.poll(10.0)
+            kind, result = result_recv.recv()
+            assert kind == "result" and result.processed == 5
+            worker.join(timeout=0.2)
+            assert worker.is_alive(), "the worker left before the line opened"
+            os.close(coordinator_copy)
+            coordinator_copy = -1
+            worker.join(timeout=5.0)
+            assert not worker.is_alive(), "the open line did not end the worker"
+        finally:
+            state.abort()
+            if coordinator_copy >= 0:
+                os.close(coordinator_copy)
+            worker.join(timeout=5.0)
+            gate.close()
+
+    def test_an_error_report_does_not_wait(self, pipes, monkeypatch):
+        # The frame claims one dictionary entry more than any delta brings:
+        # the worker starves, reports the error and leaves, line or no line.
+        monkeypatch.setattr(worker_module, "DELTA_STARVATION_TIMEOUT_S", 0.05)
+        delta_recv, result_recv, result_send = pipes
+        gate = StartGate()
+        coordinator_copy = os.dup(gate._write_fd)
+        buffer = np.zeros(ring_words(1024), dtype=np.int64)
+        producer = SpscRing(buffer, 1024, create=True)
+        producer.push(np.arange(3, dtype=np.int64), dict_high_water=len(KEYS) + 1)
+        state = SharedClusterState(np.zeros(state_words(1), dtype=np.int64), 1, create=True)
+        worker = threading.Thread(
+            target=worker_main,
+            args=(0, SpscRing(buffer), state, delta_recv, result_send, 0, None, None, gate),
+            daemon=True,
+        )
+        worker.start()
+        try:
+            worker.join(timeout=10.0)
+            assert not worker.is_alive(), "an error report waited at the line"
+            assert result_recv.recv() == ("ready",)
+            assert result_recv.recv()[0] == "error"
+        finally:
+            state.abort()
+            os.close(coordinator_copy)
             worker.join(timeout=5.0)
             gate.close()
